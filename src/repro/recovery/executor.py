@@ -5,20 +5,30 @@ selector picks racks, the planner schedules flows, and the executor
 performs the actual GF(2^w) arithmetic — rack delegates compute partial
 decodes (Equation 7), the replacement node combines them — and compares
 every reconstructed chunk byte-for-byte against the
-:class:`~repro.cluster.state.DataStore` ground truth.
+:class:`~repro.cluster.state.DataStore` ground truth.  It also returns
+the per-node compute and per-scope transfer byte counters that the
+timing model (:mod:`repro.sim`) consumes.
 
-It also returns the per-node compute and per-scope transfer byte
-counters that the timing model (:mod:`repro.sim`) consumes.
+There is one way a stripe is repaired.  :meth:`PlanExecutor.execute`
+takes ``(solution, stripe_plan)`` pairs a *window* at a time through two
+stages: **stage A** (:func:`repro.recovery.streaming.compute_window`,
+pure computation, one window ahead on a worker thread) decodes the
+window batched by repair signature; **stage B**
+(:meth:`PlanExecutor._ship_stripe`, this thread) takes its stripes in
+order — derives each one's traffic and compute once, walks its
+checkpoint/delivery events if anything consumes them, and only then
+records, sinks and commits it.
 
-Execution is organised stripe-by-stripe around named *pipeline stages*
+The event walk is organised around named *pipeline stages*
 (:class:`PipelineStage`).  Before each stage the executor calls the
 :meth:`PlanExecutor._checkpoint` hook with the acting node's identity —
-a no-op here, but the fault-injection layer (:mod:`repro.faults`)
-overrides it to crash helpers, stall disks, or drop flows at exactly
-that point in the pipeline.
+telemetry and journal records here; the fault-injection layer
+(:mod:`repro.faults`) overrides it to crash helpers, stall disks, or
+drop flows at exactly that point.  With no tracer, metrics registry,
+journal, integrity check or overriding subclass every event would be a
+no-op, so the walk is skipped; the result is the same either way.
 
-Two orthogonal durability features (both off by default, so the
-fault-free fast path is unchanged):
+Two orthogonal durability features (both off by default):
 
 - ``verify_integrity=True`` routes every transferred buffer — raw
   helper chunks and partially decoded aggregates alike — through
@@ -26,20 +36,23 @@ fault-free fast path is unchanged):
   through the :meth:`_transmit` hook (where the fault layer can corrupt
   bytes in flight), and verified on receipt.  A mismatch invokes
   :meth:`_on_corrupt` — here a hard :class:`IntegrityError`, in the
-  robust executor a retransmit ladder — so no unverified byte is ever
-  fed to a decode.
+  robust executor a retransmit ladder — so no stripe is recorded, sunk
+  or committed on an unverified byte.
 - ``journal=`` makes execution crash-resumable: a
   :class:`~repro.durable.journal.RecoveryJournal` receives an intent
-  record before each stripe, stage records as cross-rack payloads ship
-  and decodes land, and a commit record (with the rebuilt bytes and the
-  stripe's traffic/compute deltas) once the stripe verifies.
+  record for every stripe of a window as the window enters the
+  pipeline, stage records as cross-rack payloads ship and decodes land,
+  and a commit record (rebuilt bytes plus the stripe's traffic and
+  compute) once the stripe verifies, so a crash mid-window leaves
+  exactly the uncommitted stripes pending.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -47,20 +60,12 @@ import numpy as np
 
 from repro.cluster.state import ClusterState
 from repro.durable.checksum import chunk_checksum
-from repro.erasure.repair import (
-    combine_partials,
-    execute_partial_decode,
-    split_repair_vector,
-)
-from repro.errors import IntegrityError, PlanError
+from repro.errors import ConfigurationError, IntegrityError, PlanError
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.recovery.planner import (
-    RecoveryPlan,
-    StreamingRecoveryPlan,
-    StripePlan,
-)
-from repro.recovery.solution import MultiStripeSolution, PerStripeSolution
+from repro.recovery import streaming as _streaming
+from repro.recovery.planner import RecoveryPlan, StreamingRecoveryPlan
+from repro.recovery.solution import MultiStripeSolution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.durable.journal import RecoveryJournal
@@ -132,16 +137,28 @@ class ExecutionResult:
         """Total GF input bytes across all nodes."""
         return sum(self.bytes_computed_by_node.values())
 
-    def merge(self, other: "ExecutionResult") -> None:
-        """Fold another result (e.g. one stripe's) into this one."""
-        self.reconstructed.update(other.reconstructed)
-        self.per_stripe_ok.update(other.per_stripe_ok)
-        for node, nbytes in other.bytes_computed_by_node.items():
-            self.bytes_computed_by_node[node] = (
-                self.bytes_computed_by_node.get(node, 0) + nbytes
-            )
-        self.cross_rack_bytes += other.cross_rack_bytes
-        self.intra_rack_bytes += other.intra_rack_bytes
+    def record(
+        self,
+        stripe_id: int,
+        rebuilt: np.ndarray,
+        ok: bool,
+        cross_bytes: int,
+        intra_bytes: int,
+        charges: dict[int, int],
+        sink=None,
+    ) -> None:
+        """Fold one repaired stripe in; with a ``sink`` the rebuilt
+        chunk is handed off instead of retained."""
+        if sink is not None:
+            sink(stripe_id, rebuilt, ok)
+        else:
+            self.reconstructed[stripe_id] = rebuilt
+        self.per_stripe_ok[stripe_id] = ok
+        self.cross_rack_bytes += cross_bytes
+        self.intra_rack_bytes += intra_bytes
+        computed = self.bytes_computed_by_node
+        for node, nbytes in charges.items():
+            computed[node] = computed.get(node, 0) + nbytes
 
 
 class PlanExecutor:
@@ -162,165 +179,202 @@ class PlanExecutor:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = journal
         self.verify_integrity = verify_integrity
-        # Optional background resource sampler bracketing execute /
-        # execute_streaming.  One ``is None`` check per call; stripes
-        # never see it.
+        # Optional background resource sampler bracketing a run.  One
+        # ``is None`` check per call; stripes never see it.
         self.profiler = profiler
+        self._windows_done = 0  # of the run in progress (heartbeats)
 
     def execute(
-        self, plan: RecoveryPlan, solution: MultiStripeSolution
-    ) -> ExecutionResult:
-        """Execute and verify every stripe of the plan.
-
-        Args:
-            plan: the transfer/compute schedule.
-            solution: the solution the plan was built from (supplies the
-                helper grouping for the repair-vector split).
-        """
-        if self.profiler is not None:
-            with self.profiler:
-                return self._execute_eager(plan, solution)
-        return self._execute_eager(plan, solution)
-
-    def _execute_eager(
-        self, plan: RecoveryPlan, solution: MultiStripeSolution
-    ) -> ExecutionResult:
-        result = ExecutionResult()
-        # Indexed once: stripe_plan_for's linear scan is fine for a
-        # stripe or two but quadratic over a whole plan.
-        by_id = {sp.stripe_id: sp for sp in plan.stripe_plans}
-        for sol in solution.solutions:
-            sp = by_id.get(sol.stripe_id)
-            if sp is None:
-                raise PlanError(f"no stripe plan for stripe {sol.stripe_id}")
-            self.execute_stripe(plan, sp, sol, result)
-        return result
-
-    def execute_streaming(
         self,
         plan: RecoveryPlan | StreamingRecoveryPlan,
         solution: MultiStripeSolution | None = None,
         *,
-        window: int = 64,
-        batch: bool = True,
-        pipelined: bool = True,
-        workers: int | None = None,
-        shm: bool | None = None,
+        window: int | None = None,
         sink=None,
         progress: "ProgressReporter | None" = None,
+        workers: int | None = None,
+        shm: bool | None = None,
     ) -> ExecutionResult:
-        """Execute a plan in bounded-memory stripe windows.
+        """Execute and verify every stripe of the plan.
 
-        Functionally identical to :meth:`execute` — byte-identical
-        reconstructions, identical traffic/compute accounting, same
-        journal intent/commit protocol — but organised for scale:
-
-        - stripes are consumed ``window`` at a time from a lazy
-          iterator, so coordinator memory is O(window) rather than
-          O(stripes) (pair with a
-          :class:`~repro.recovery.planner.StreamingRecoveryPlan` and a
-          ``sink`` to keep even million-stripe runs flat);
-        - each window's GF decodes are batched by repair signature
-          (one kernel call per shared repair vector, see
-          :mod:`repro.recovery.streaming`);
-        - with ``pipelined=True`` the next window's decodes (stage A,
-          a worker thread) overlap the previous window's shipping,
-          accounting, and journalling (stage B, this thread).  The
-          overlap is recorded as ``exec.stream.aggregate`` /
-          ``exec.stream.ship`` spans when tracing is on.  Because the
-          metrics registry is not thread-safe, an active registry
-          disables the overlap (stages still batch; they just run
-          sequentially).
+        Stripes are consumed ``window`` at a time from a lazy iterator,
+        so coordinator memory is O(window) rather than O(stripes) (pair
+        a :class:`~repro.recovery.planner.StreamingRecoveryPlan` with a
+        ``sink`` to keep even million-stripe runs flat).  The stage A /
+        stage B overlap is recorded as ``exec.stream.aggregate`` /
+        ``exec.stream.ship`` spans when tracing is on; because the
+        metrics registry is not thread-safe, an active registry runs the
+        two stages one after the other (on the same two threads).  The
+        result does not depend on ``window`` or ``workers``.
 
         Args:
-            plan: an eager :class:`RecoveryPlan` (pass its
-                ``solution``) or a lazy :class:`StreamingRecoveryPlan`
-                (pass ``solution=None``).
-            window: stripes in flight at once (the memory bound).
-            batch: group same-signature stripes into one kernel call.
-            pipelined: overlap decode and shipping across windows.
-            workers: fan windows over this many *processes* (fast path
-                only; chunk data is shared zero-copy via
-                :mod:`repro.io_shm` unless ``shm=False``).
-            shm: force shared-memory (True) or pickled (False) chunk
-                transport for ``workers > 1``; None picks shared memory.
+            plan: a :class:`RecoveryPlan` (pass the ``solution`` it was
+                built from — it supplies the helper grouping for the
+                repair-vector split) or a lazy
+                :class:`StreamingRecoveryPlan` (pass ``solution=None``).
+            window: stripes in flight at once (the memory bound); by
+                default :func:`repro.recovery.streaming.default_window`
+                of the chunk size.
             sink: optional ``sink(stripe_id, rebuilt, ok)`` callback.
                 When given, rebuilt chunks are handed off instead of
-                accumulated in ``result.reconstructed`` — the O(stripes)
-                retention an eager result cannot avoid.
+                accumulated in ``result.reconstructed``.
             progress: optional
                 :class:`~repro.obs.progress.ProgressReporter`, updated
                 once per shipped window (stripes done, windows, traffic,
-                journal lag) and finished when the run completes.  The
-                per-window cost with no reporter is one ``is None``
-                check.
+                journal lag) and finished when the run completes.
+            workers: fan stage A over this many *processes* (chunk data
+                is shared zero-copy via :mod:`repro.io_shm` unless
+                ``shm=False``).
+            shm: force shared-memory (True) or pickled (False) chunk
+                transport for ``workers > 1``; None picks shared memory.
 
         Raises:
             PlanError: bad window, or plan/solution mismatch.
             ConfigurationError: ``workers > 1`` with a journal or
                 integrity verification attached.
         """
-        if self.profiler is not None:
-            with self.profiler:
-                return self._execute_streaming(
-                    plan, solution, window=window, batch=batch,
-                    pipelined=pipelined, workers=workers, shm=shm,
-                    sink=sink, progress=progress,
-                )
-        return self._execute_streaming(
-            plan, solution, window=window, batch=batch, pipelined=pipelined,
-            workers=workers, shm=shm, sink=sink, progress=progress,
-        )
+        result = ExecutionResult()
+        with self._run_scope():
+            self._run_windows(
+                plan, solution, result, window=window, sink=sink,
+                progress=progress, workers=workers, shm=shm,
+            )
+            if progress is not None:
+                self._report_progress(progress, result, final=True)
+        return result
 
-    def _execute_streaming(
+    #: The name the windowed pipeline had while there was a second path.
+    execute_streaming = execute
+
+    def _run_scope(self):
+        """Bracket one run: heartbeat counters reset, profiler sampling."""
+        self._windows_done = 0
+        return self.profiler if self.profiler is not None else nullcontext()
+
+    def _pairs(
         self,
         plan: RecoveryPlan | StreamingRecoveryPlan,
-        solution: MultiStripeSolution | None = None,
+        solution: MultiStripeSolution | None,
+    ):
+        """Either plan form as one lazy ``(sol, sp)`` iterator."""
+        if isinstance(plan, StreamingRecoveryPlan):
+            if solution is not None:
+                raise PlanError(
+                    "a streaming plan carries its own solutions; "
+                    "pass solution=None"
+                )
+            yield from plan.iter_stripe_plans()
+            return
+        if solution is None:
+            raise PlanError(
+                "executing a RecoveryPlan needs the MultiStripeSolution "
+                "it was built from"
+            )
+        by_id = {sp.stripe_id: sp for sp in plan.stripe_plans}
+        for sol in solution.solutions:
+            if sol.stripe_id not in by_id:
+                raise PlanError(f"no stripe plan for stripe {sol.stripe_id}")
+            yield sol, by_id[sol.stripe_id]
+
+    def _observed(self) -> bool:
+        """Whether anything consumes a stripe's checkpoint/delivery events.
+
+        With no tracer, registry, journal or integrity check, and no
+        subclass hooking checkpoints or deliveries (fault injection),
+        every event of the walk is a strict no-op.
+        """
+        return (
+            self.tracer.enabled
+            or _metrics.CURRENT is not None
+            or self.journal is not None
+            or self.verify_integrity
+            or type(self)._checkpoint is not PlanExecutor._checkpoint
+            or type(self)._deliver is not PlanExecutor._deliver
+        )
+
+    def _run_windows(
+        self,
+        plan: RecoveryPlan | StreamingRecoveryPlan,
+        solution: MultiStripeSolution | None,
+        result: ExecutionResult,
         *,
-        window: int = 64,
-        batch: bool = True,
-        pipelined: bool = True,
-        workers: int | None = None,
-        shm: bool | None = None,
+        window: int | None,
         sink=None,
         progress: "ProgressReporter | None" = None,
-    ) -> ExecutionResult:
-        from repro.recovery import streaming as _streaming
+        workers: int | None = None,
+        shm: bool | None = None,
+    ) -> None:
+        """The pipeline: repair the plan into ``result``, window by window.
 
+        Stage A runs ``depth`` windows ahead of stage B; a stripe is in
+        ``result`` (and sunk, and committed) only once stage B has
+        shipped it, so an exception leaves ``result`` holding exactly
+        the stripes that completed.
+        """
+        code, data = self.state.code, self.state.data
+        if window is None:
+            window = _streaming.default_window(data.chunk_size)
         if window < 1:
             raise PlanError(f"window must be >= 1, got {window}")
-        pairs = self._stream_pairs(plan, solution)
-        aggregated = plan.aggregated
-        repl = plan.replacement_node
+        aggregated, repl = plan.aggregated, plan.replacement_node
+        observed = self._observed()
         if workers is not None and workers > 1:
-            return _streaming.execute_parallel(
-                self, pairs, aggregated, repl,
-                window=window, workers=workers, batch=batch, shm=shm,
-                sink=sink, progress=progress,
+            if self.journal is not None or self.verify_integrity:
+                raise ConfigurationError(
+                    "workers > 1 can neither journal nor verify integrity: "
+                    "the write-ahead journal is single-writer and workers "
+                    "skip the in-flight delivery pipeline (run workers=1)"
+                )
+            stage_a = _streaming.process_stage(
+                code, data, aggregated, repl, workers=workers, shm=shm
             )
-        # The quiet path — no tracing, no metrics, no journal, no
-        # integrity pipeline — ships each stripe with pure accounting:
-        # every checkpoint/delivery hook would be a no-op, so the
-        # per-stripe hook cascade is skipped wholesale.
-        fast = (
-            not self.tracer.enabled
-            and _metrics.CURRENT is None
-            and self.journal is None
-            and not self.verify_integrity
-            # A subclass that hooks checkpoints/delivery (fault
-            # injection) needs the full per-stripe cascade to fire.
-            and type(self)._checkpoint is PlanExecutor._checkpoint
-            and type(self)._deliver is PlanExecutor._deliver
-        )
-        overlap = pipelined and _metrics.CURRENT is None
-        result = ExecutionResult()
-        code, data = self.state.code, self.state.data
-        spans: list[tuple] = []
-        intents = 0
-        windows_done = 0
-        pool = ThreadPoolExecutor(max_workers=1) if overlap else None
-        try:
-            pending = None
+            depth = 2 * workers
+
+            def ship(shipment) -> None:
+                result.record(*shipment, sink)
+        else:
+            stage_a = _streaming.thread_stage(
+                code, data, aggregated, keep_partials=observed
+            )
+            depth = 1
+
+            def ship(outcome) -> None:
+                self._ship_stripe(
+                    outcome, result, aggregated, repl, sink, observed
+                )
+
+        uncommitted = 0  # journal intents whose commits have not landed
+        inflight: deque = deque()
+
+        def ship_oldest(last: bool = False) -> None:
+            nonlocal uncommitted
+            idx, computed = inflight.popleft()
+            outcomes, a0, a1 = computed.result()
+            b0 = time.perf_counter()
+            before_cross = result.cross_rack_bytes
+            before_intra = result.intra_rack_bytes
+            for outcome in outcomes:
+                ship(outcome)
+            if self.tracer.enabled:
+                n = len(outcomes)
+                self.tracer.emit_span(
+                    "exec.stream.aggregate", a0, a1, window=idx, stripes=n
+                )
+                self.tracer.emit_span(
+                    "exec.stream.ship", b0, time.perf_counter(),
+                    window=idx, stripes=n,
+                    cross_rack_bytes=result.cross_rack_bytes - before_cross,
+                    intra_rack_bytes=result.intra_rack_bytes - before_intra,
+                )
+            self._windows_done += 1
+            if self.journal is not None:
+                uncommitted -= len(outcomes)
+            if progress is not None and not last:
+                # Journal lag is the crash-exposure window.
+                self._report_progress(progress, result, lag=uncommitted)
+
+        with stage_a as submit:
+            pairs = self._pairs(plan, solution)
             for idx, win in enumerate(_streaming.windows(pairs, window)):
                 if self.journal is not None:
                     # Intent for every stripe of the window up front:
@@ -332,405 +386,133 @@ class PlanExecutor:
                             aggregated=aggregated,
                             lost_chunk=sol.lost_chunk,
                         )
-                    intents += len(win)
-                if pool is not None:
-                    computed = pool.submit(
-                        _streaming.compute_window, code, data, win,
-                        aggregated, batch=batch, keep_partials=not fast,
-                    )
-                else:
-                    computed = _streaming.compute_window(
-                        code, data, win, aggregated,
-                        batch=batch, keep_partials=not fast,
-                    )
-                if pending is not None:
-                    self._ship_window(
-                        pending, result, aggregated, repl, fast, sink, spans
-                    )
-                    windows_done += 1
-                    if progress is not None:
-                        self._report_progress(
-                            progress, result, windows_done, intents
-                        )
-                pending = (idx, computed)
-            if pending is not None:
-                self._ship_window(
-                    pending, result, aggregated, repl, fast, sink, spans
-                )
-                windows_done += 1
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-        if progress is not None:
-            self._report_progress(
-                progress, result, windows_done, intents, final=True
-            )
-        if self.tracer.enabled:
-            for idx, n, a0, a1, b0, b1, cross, intra in spans:
-                self.tracer.emit_span(
-                    "exec.stream.aggregate", a0, a1, window=idx, stripes=n
-                )
-                self.tracer.emit_span(
-                    "exec.stream.ship", b0, b1, window=idx, stripes=n,
-                    cross_rack_bytes=cross, intra_rack_bytes=intra,
-                )
-        return result
+                    uncommitted += len(win)
+                inflight.append((idx, submit(win)))
+                if len(inflight) > depth:
+                    ship_oldest()
+            while inflight:
+                ship_oldest(last=len(inflight) == 1)
 
     def _report_progress(
         self,
         progress: "ProgressReporter",
         result: ExecutionResult,
-        windows_done: int,
-        intents: int,
+        lag: int = 0,
         final: bool = False,
     ) -> None:
-        """One rate-limited heartbeat from the current result totals.
-
-        Journal lag is the crash-exposure window: intents written whose
-        commits have not landed yet.
-        """
-        done = len(result.per_stripe_ok)
+        """One rate-limited heartbeat from the current result totals."""
         update = progress.finish if final else progress.update
         update(
-            done,
-            windows_done=windows_done,
+            len(result.per_stripe_ok),
+            windows_done=self._windows_done,
             cross_rack_bytes=result.cross_rack_bytes,
             intra_rack_bytes=result.intra_rack_bytes,
-            journal_lag=max(0, intents - done) if self.journal else 0,
+            journal_lag=lag,
         )
 
-    def _stream_pairs(
-        self,
-        plan: RecoveryPlan | StreamingRecoveryPlan,
-        solution: MultiStripeSolution | None,
-    ):
-        """Normalise either plan form into a lazy (sol, sp) iterator."""
-        if isinstance(plan, StreamingRecoveryPlan):
-            if solution is not None:
-                raise PlanError(
-                    "a streaming plan carries its own solutions; "
-                    "pass solution=None"
-                )
-            return plan.iter_stripe_plans()
-        if solution is None:
-            raise PlanError(
-                "execute_streaming over an eager RecoveryPlan needs the "
-                "MultiStripeSolution it was built from"
-            )
-        by_id = {sp.stripe_id: sp for sp in plan.stripe_plans}
-
-        def gen():
-            for sol in solution.solutions:
-                sp = by_id.get(sol.stripe_id)
-                if sp is None:
-                    raise PlanError(
-                        f"no stripe plan for stripe {sol.stripe_id}"
-                    )
-                yield sol, sp
-
-        return gen()
-
-    def _ship_window(
-        self, pending, result, aggregated, repl, fast, sink, spans
+    def _ship_stripe(
+        self, outcome, result, aggregated, repl, sink, observed
     ) -> None:
-        """Stage B: account, checkpoint, and commit one computed window."""
-        idx, computed = pending
-        if isinstance(computed, tuple):
-            outcomes, a0, a1 = computed
-        else:
-            outcomes, a0, a1 = computed.result()
-        b0 = time.perf_counter()
-        before_cross = result.cross_rack_bytes
-        before_intra = result.intra_rack_bytes
-        for outcome in outcomes:
-            if fast:
-                self._ship_stripe_fast(outcome, result, aggregated, repl, sink)
-            else:
-                self._ship_stripe_full(outcome, result, aggregated, repl, sink)
-        if self.tracer.enabled:
-            spans.append(
-                (idx, len(outcomes), a0, a1, b0, time.perf_counter(),
-                 result.cross_rack_bytes - before_cross,
-                 result.intra_rack_bytes - before_intra)
-            )
+        """Stage B for one decoded stripe: walk, record, commit.
 
-    def _ship_stripe_fast(
-        self, outcome, result, aggregated, repl, sink
-    ) -> None:
-        """Quiet-path shipping: the eager path's accounting, no hooks.
-
-        Every hook skipped here (checkpoints, delivery, journal, span)
-        is a strict no-op on the quiet path, so the resulting
-        :class:`ExecutionResult` is identical to :meth:`execute`'s.
+        The stripe's traffic and compute are derived once, from its
+        plan; the event walk (checkpoints, verified deliveries) only
+        decides *whether* the stripe completes.  If a hook raises, the
+        stripe is neither recorded nor sunk nor committed.
         """
-        sol, sp = outcome.sol, outcome.sp
-        chunk_bytes = self.state.data.chunk_size
-        for t in sp.transfers:
-            if t.cross_rack:
-                result.cross_rack_bytes += chunk_bytes
-            else:
-                result.intra_rack_bytes += chunk_bytes
-        charge = result.bytes_computed_by_node
-        if aggregated:
-            for group in outcome.groups:
-                node = (
-                    repl
-                    if group.group_key == sol.failed_rack
-                    else sp.delegates[group.group_key]
-                )
-                charge[node] = charge.get(node, 0) + group.size * chunk_bytes
-            charge[repl] = (
-                charge.get(repl, 0) + len(outcome.groups) * chunk_bytes
-            )
-        else:
-            charge[repl] = charge.get(repl, 0) + sol.helper_count * chunk_bytes
-        if sink is not None:
-            sink(sol.stripe_id, outcome.rebuilt, outcome.ok)
-        else:
-            result.reconstructed[sol.stripe_id] = outcome.rebuilt
-        result.per_stripe_ok[sol.stripe_id] = outcome.ok
-
-    def _ship_stripe_full(
-        self, outcome, result, aggregated, repl, sink
-    ) -> None:
-        """Instrumented shipping: the eager path's exact hook sequence.
-
-        Fires the same checkpoints and deliveries, in the same order,
-        as :meth:`execute_stripe` — traces, stage-counter metrics,
-        journal stage/commit records, and integrity verification are
-        indistinguishable from an eager run of the same stripe (only
-        the decode itself already happened, batched, in stage A).
-        """
-        sol, sp = outcome.sol, outcome.sp
-        chunk_bytes = self.state.data.chunk_size
-        if self.journal is not None:
-            before_cross = result.cross_rack_bytes
-            before_intra = result.intra_rack_bytes
-            before_compute = dict(result.bytes_computed_by_node)
-        with self.tracer.span(
-            "exec.stripe", stripe_id=sol.stripe_id, aggregated=aggregated
-        ):
-            for c in sol.helpers:
-                node = self.state.placement.node_of(sol.stripe_id, c)
-                self._checkpoint(
-                    PipelineStage.DISK_READ,
-                    stripe_id=sol.stripe_id,
-                    node=node,
-                    rack=self.state.topology.rack_of(node),
-                    chunk=c,
-                )
-            for t in sp.transfers:
-                if t.is_partial:
-                    continue
-                stage = (
-                    PipelineStage.CROSS_TRANSFER
-                    if t.cross_rack
-                    else PipelineStage.INTRA_TRANSFER
-                )
-                self._deliver(
-                    stage,
-                    self.state.data.chunk(sol.stripe_id, t.chunk_index),
-                    stripe_id=sol.stripe_id,
-                    node=t.src_node,
-                    rack=t.src_rack,
-                    chunk=t.chunk_index,
-                )
-                if t.cross_rack:
-                    result.cross_rack_bytes += chunk_bytes
-                else:
-                    result.intra_rack_bytes += chunk_bytes
-            if aggregated:
-                partial_transfers = [t for t in sp.transfers if t.is_partial]
-                groups = sorted(
-                    outcome.groups,
-                    key=lambda g: (
-                        g.group_key != sol.failed_rack, g.group_key
-                    ),
-                )
-                for group in groups:
-                    if group.group_key == sol.failed_rack:
-                        node = repl
-                        self._checkpoint(
-                            PipelineStage.LOCAL_FOLD,
-                            stripe_id=sol.stripe_id,
-                            node=node,
-                            rack=self.state.topology.rack_of(node),
-                        )
-                    else:
-                        node = sp.delegates[group.group_key]
-                        self._checkpoint(
-                            PipelineStage.PARTIAL_DECODE,
-                            stripe_id=sol.stripe_id,
-                            node=node,
-                            rack=group.group_key,
-                            is_partial=True,
-                        )
-                        xfer = _partial_transfer_from(partial_transfers, node)
-                        self._deliver(
-                            PipelineStage.CROSS_TRANSFER
-                            if xfer.cross_rack
-                            else PipelineStage.INTRA_TRANSFER,
-                            outcome.partials[group.group_key],
-                            stripe_id=sol.stripe_id,
-                            node=node,
-                            rack=group.group_key,
-                            is_partial=True,
-                        )
-                        if xfer.cross_rack:
-                            result.cross_rack_bytes += chunk_bytes
-                        else:
-                            result.intra_rack_bytes += chunk_bytes
-                    self._charge(result, node, group.size * chunk_bytes)
-                self._charge(result, repl, len(outcome.groups) * chunk_bytes)
-            else:
-                self._charge(result, repl, sol.helper_count * chunk_bytes)
-            self._checkpoint(
-                PipelineStage.FINAL_COMBINE,
-                stripe_id=sol.stripe_id,
-                node=repl,
-                rack=self.state.topology.rack_of(repl),
-            )
-            if sink is not None:
-                sink(sol.stripe_id, outcome.rebuilt, outcome.ok)
-            else:
-                result.reconstructed[sol.stripe_id] = outcome.rebuilt
-            result.per_stripe_ok[sol.stripe_id] = outcome.ok
-        reg = _metrics.CURRENT
-        if reg is not None:
-            mode = "aggregated" if aggregated else "direct"
-            reg.counter("exec.stripes").inc(mode=mode)
+        sol = outcome.sol
+        cross, intra, charges = _streaming.stripe_accounting(
+            outcome, aggregated, repl, self.state.data.chunk_size
+        )
+        if observed:
+            with self.tracer.span(
+                "exec.stripe", stripe_id=sol.stripe_id, aggregated=aggregated
+            ):
+                self._walk_stripe(outcome, aggregated, repl)
+            reg = _metrics.CURRENT
+            if reg is not None:
+                mode = "aggregated" if aggregated else "direct"
+                reg.counter("exec.stripes").inc(mode=mode)
+        result.record(
+            sol.stripe_id, outcome.rebuilt, outcome.ok,
+            cross, intra, charges, sink,
+        )
         if self.journal is not None:
             self.journal.stripe_commit(
                 sol.stripe_id,
                 outcome.rebuilt,
                 lost_chunk=sol.lost_chunk,
                 ok=outcome.ok,
-                cross_rack_bytes=result.cross_rack_bytes - before_cross,
-                intra_rack_bytes=result.intra_rack_bytes - before_intra,
-                bytes_computed_by_node={
-                    n: b - before_compute.get(n, 0)
-                    for n, b in result.bytes_computed_by_node.items()
-                    if b - before_compute.get(n, 0)
-                },
+                cross_rack_bytes=cross,
+                intra_rack_bytes=intra,
+                bytes_computed_by_node=charges,
             )
 
-    def execute_stripe(
-        self,
-        plan: RecoveryPlan,
-        sp: StripePlan,
-        sol: PerStripeSolution,
-        result: ExecutionResult,
-    ) -> None:
-        """Execute one stripe of the plan into ``result``.
+    def _walk_stripe(self, outcome, aggregated: bool, repl: int) -> None:
+        """Fire one stripe's checkpoints and deliveries in pipeline order.
 
-        Pipeline-stage checkpoints fire in execution order; a checkpoint
-        that raises aborts the stripe with ``result`` holding only the
-        traffic consumed so far (the robust executor uses this to
-        account wasted bytes of failed attempts).
-
-        With a journal attached, an intent record precedes the stripe
-        and a commit record — rebuilt bytes plus this stripe's traffic
-        and compute deltas — follows its verification, so a resumed
-        session replays the stripe from the commit without re-shipping
-        anything.  An aborted attempt leaves intent without commit; the
-        next attempt (or incarnation) writes a fresh intent.
+        Every helper chunk is read, raw chunks move to their delegate or
+        the replacement node, each delegate partially decodes and ships
+        its partial, the replacement node folds the failed rack's
+        survivors and combines.  The decode itself already happened in
+        stage A; a delivery hands back the verified copy of a buffer
+        stage A read, so its bytes are the ones that were decoded.
         """
-        if self.journal is not None:
-            self.journal.stripe_intent(
-                sol.stripe_id,
-                aggregated=plan.aggregated,
-                lost_chunk=sol.lost_chunk,
-            )
-            before_cross = result.cross_rack_bytes
-            before_intra = result.intra_rack_bytes
-            before_compute = dict(result.bytes_computed_by_node)
-        with self.tracer.span(
-            "exec.stripe",
-            stripe_id=sol.stripe_id,
-            aggregated=plan.aggregated,
-        ):
-            self._execute_stripe(plan, sp, sol, result)
-        reg = _metrics.CURRENT
-        if reg is not None:
-            mode = "aggregated" if plan.aggregated else "direct"
-            reg.counter("exec.stripes").inc(mode=mode)
-        if self.journal is not None:
-            self.journal.stripe_commit(
-                sol.stripe_id,
-                result.reconstructed[sol.stripe_id],
-                lost_chunk=sol.lost_chunk,
-                ok=result.per_stripe_ok[sol.stripe_id],
-                cross_rack_bytes=result.cross_rack_bytes - before_cross,
-                intra_rack_bytes=result.intra_rack_bytes - before_intra,
-                bytes_computed_by_node={
-                    n: b - before_compute.get(n, 0)
-                    for n, b in result.bytes_computed_by_node.items()
-                    if b - before_compute.get(n, 0)
-                },
-            )
-
-    def _execute_stripe(
-        self,
-        plan: RecoveryPlan,
-        sp: StripePlan,
-        sol: PerStripeSolution,
-        result: ExecutionResult,
-    ) -> None:
-        chunk_bytes = self.state.data.chunk_size
-        # Disk reads: every helper chunk leaves a disk exactly once.
+        sol, sp = outcome.sol, outcome.sp
+        sid = sol.stripe_id
+        data, topology = self.state.data, self.state.topology
         for c in sol.helpers:
-            node = self.state.placement.node_of(sol.stripe_id, c)
+            node = self.state.placement.node_of(sid, c)
             self._checkpoint(
                 PipelineStage.DISK_READ,
-                stripe_id=sol.stripe_id,
-                node=node,
-                rack=self.state.topology.rack_of(node),
+                stripe_id=sid, node=node, rack=topology.rack_of(node),
                 chunk=c,
             )
-        # Raw chunk transfers (partial-payload flows are checkpointed and
-        # counted with their decode, below, to keep pipeline order).  The
-        # received — integrity-verified — buffers are what the decodes
-        # consume; a chunk that never crosses the network is read from
-        # its disk directly.
-        delivered: dict[int, np.ndarray] = {}
+        partial_from = {}
         for t in sp.transfers:
             if t.is_partial:
+                # Shipped with its decode, below, to keep pipeline order.
+                partial_from[t.src_node] = t
                 continue
-            stage = (
-                PipelineStage.CROSS_TRANSFER
-                if t.cross_rack
-                else PipelineStage.INTRA_TRANSFER
-            )
-            delivered[t.chunk_index] = self._deliver(
-                stage,
-                self.state.data.chunk(sol.stripe_id, t.chunk_index),
-                stripe_id=sol.stripe_id,
-                node=t.src_node,
-                rack=t.src_rack,
+            self._deliver(
+                _transfer_stage(t),
+                data.chunk(sid, t.chunk_index),
+                stripe_id=sid, node=t.src_node, rack=t.src_rack,
                 chunk=t.chunk_index,
             )
-            if t.cross_rack:
-                result.cross_rack_bytes += chunk_bytes
-            else:
-                result.intra_rack_bytes += chunk_bytes
-        if plan.aggregated:
-            rebuilt = self._execute_stripe_aggregated(
-                sol, plan, sp, result, delivered
-            )
-        else:
-            rebuilt = self._execute_stripe_direct(sol, plan, result, delivered)
+        if aggregated:
+            for group in sorted(
+                outcome.groups,
+                key=lambda g: (g.group_key != sol.failed_rack, g.group_key),
+            ):
+                rack = group.group_key
+                if rack == sol.failed_rack:
+                    self._checkpoint(
+                        PipelineStage.LOCAL_FOLD,
+                        stripe_id=sid, node=repl,
+                        rack=topology.rack_of(repl),
+                    )
+                    continue
+                node = sp.delegates[rack]
+                self._checkpoint(
+                    PipelineStage.PARTIAL_DECODE,
+                    stripe_id=sid, node=node, rack=rack, is_partial=True,
+                )
+                if node not in partial_from:
+                    raise PlanError(
+                        f"no partial transfer leaves delegate {node}"
+                    )
+                self._deliver(
+                    _transfer_stage(partial_from[node]),
+                    outcome.partials[rack],
+                    stripe_id=sid, node=node, rack=rack, is_partial=True,
+                )
         self._checkpoint(
             PipelineStage.FINAL_COMBINE,
-            stripe_id=sol.stripe_id,
-            node=plan.replacement_node,
-            rack=self.state.topology.rack_of(plan.replacement_node),
-        )
-        result.reconstructed[sol.stripe_id] = rebuilt
-        result.per_stripe_ok[sol.stripe_id] = self.state.data.matches(
-            sol.stripe_id, sol.lost_chunk, rebuilt
+            stripe_id=sid, node=repl, rack=topology.rack_of(repl),
         )
 
-    # -- internals ------------------------------------------------------
+    # -- hooks ------------------------------------------------------------
 
     def _checkpoint(
         self,
@@ -875,106 +657,10 @@ class PlanExecutor:
             f"(stripe {stripe_id}, attempt {attempt})"
         )
 
-    def _charge(self, result: ExecutionResult, node: int, nbytes: int) -> None:
-        result.bytes_computed_by_node[node] = (
-            result.bytes_computed_by_node.get(node, 0) + nbytes
-        )
 
-    def _chunks(
-        self, stripe_id: int, indices, delivered=None
-    ) -> dict[int, np.ndarray]:
-        """Helper chunk buffers, preferring network-delivered copies.
-
-        A chunk that moved over the network decodes from the verified
-        received buffer; one that never left its node (the delegate's
-        own chunk, co-located helpers) reads from disk.
-        """
-        if delivered is None:
-            delivered = {}
-        return {
-            c: (
-                delivered[c]
-                if c in delivered
-                else self.state.data.chunk(stripe_id, c)
-            )
-            for c in indices
-        }
-
-    def _execute_stripe_aggregated(
-        self, sol, plan: RecoveryPlan, sp: StripePlan, result, delivered=None
-    ):
-        code = self.state.code
-        chunk_bytes = self.state.data.chunk_size
-        decode_plan = split_repair_vector(
-            code, sol.lost_chunk, sol.helpers, sol.rack_map()
-        )
-        chunks = self._chunks(sol.stripe_id, sol.helpers, delivered)
-        # Each rack's partial decode (Equation 7) happens at its
-        # delegate; the buffers computed here are the payloads the
-        # delivery step below ships — and possibly corrupts/verifies —
-        # before the final combine may touch them.
-        partials = execute_partial_decode(code, decode_plan, chunks)
-        partial_transfers = [t for t in sp.transfers if t.is_partial]
-        # Charge each rack's partial decode to its delegate (or to the
-        # replacement node for the failed rack's local fold).
-        groups = sorted(
-            decode_plan.groups,
-            key=lambda g: (g.group_key != sol.failed_rack, g.group_key),
-        )
-        for group in groups:
-            if group.group_key == sol.failed_rack:
-                node = plan.replacement_node
-                self._checkpoint(
-                    PipelineStage.LOCAL_FOLD,
-                    stripe_id=sol.stripe_id,
-                    node=node,
-                    rack=self.state.topology.rack_of(node),
-                )
-            else:
-                node = sp.delegates[group.group_key]
-                self._checkpoint(
-                    PipelineStage.PARTIAL_DECODE,
-                    stripe_id=sol.stripe_id,
-                    node=node,
-                    rack=group.group_key,
-                    is_partial=True,
-                )
-                xfer = _partial_transfer_from(partial_transfers, node)
-                partials[group.group_key] = self._deliver(
-                    PipelineStage.CROSS_TRANSFER
-                    if xfer.cross_rack
-                    else PipelineStage.INTRA_TRANSFER,
-                    partials[group.group_key],
-                    stripe_id=sol.stripe_id,
-                    node=node,
-                    rack=group.group_key,
-                    is_partial=True,
-                )
-                if xfer.cross_rack:
-                    result.cross_rack_bytes += chunk_bytes
-                else:
-                    result.intra_rack_bytes += chunk_bytes
-            self._charge(result, node, group.size * chunk_bytes)
-        # Final XOR of the per-rack partials at the replacement node.
-        self._charge(
-            result, plan.replacement_node, len(partials) * chunk_bytes
-        )
-        return combine_partials(code, partials)
-
-    def _execute_stripe_direct(
-        self, sol, plan: RecoveryPlan, result, delivered=None
-    ):
-        code = self.state.code
-        chunk_bytes = self.state.data.chunk_size
-        chunks = self._chunks(sol.stripe_id, sol.helpers, delivered)
-        self._charge(
-            result, plan.replacement_node, len(chunks) * chunk_bytes
-        )
-        return code.reconstruct(sol.lost_chunk, chunks)
-
-
-def _partial_transfer_from(transfers, delegate: int):
-    for t in transfers:
-        if t.src_node == delegate:
-            return t
-    raise PlanError(f"no partial transfer leaves delegate {delegate}")
+def _transfer_stage(transfer) -> PipelineStage:
+    return (
+        PipelineStage.CROSS_TRANSFER
+        if transfer.cross_rack
+        else PipelineStage.INTRA_TRANSFER
+    )

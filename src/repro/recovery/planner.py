@@ -133,26 +133,6 @@ class RecoveryPlan:
         for sp in self.stripe_plans:
             yield from sp.transfers
 
-    def iter_stripe_plans(self) -> Iterator[StripePlan]:
-        """Per-stripe plans in stripe order.
-
-        The eager counterpart of
-        :meth:`StreamingRecoveryPlan.iter_stripe_plans`, so consumers can
-        stream over either plan form without branching.
-        """
-        return iter(self.stripe_plans)
-
-    def stripe_plan_for(self, stripe_id: int) -> StripePlan:
-        """The per-stripe plan for ``stripe_id``.
-
-        Raises:
-            PlanError: if the stripe is not part of this plan.
-        """
-        for sp in self.stripe_plans:
-            if sp.stripe_id == stripe_id:
-                return sp
-        raise PlanError(f"no stripe plan for stripe {stripe_id}")
-
     def all_compute(self) -> Iterator[ComputeTask]:
         """Every compute task in the plan."""
         for sp in self.stripe_plans:
@@ -202,6 +182,9 @@ def plan_recovery(
 ) -> RecoveryPlan:
     """Build the executable plan for ``solution`` on ``state``.
 
+    The materialised form of :func:`plan_recovery_streaming`: the same
+    per-stripe planner, drained into a tuple.
+
     Args:
         dead_nodes: helper nodes that crashed mid-recovery (secondary
             failures).  The solution must not read from them; planning a
@@ -211,44 +194,14 @@ def plan_recovery(
         PlanError: if the solution references chunks the placement does
             not hold where expected, or reads from a dead node.
     """
-    dead = frozenset(dead_nodes)
-    plans = []
-    for sol in solution.solutions:
-        if solution.aggregated:
-            plans.append(_plan_stripe_aggregated(state, event, sol, dead))
-        else:
-            plans.append(_plan_stripe_direct(state, event, sol, dead))
-    result = RecoveryPlan(
-        stripe_plans=tuple(plans),
-        replacement_node=event.replacement_node,
-        aggregated=solution.aggregated,
+    lazy = plan_recovery_streaming(
+        state, event, solution, dead_nodes=dead_nodes
     )
-    reg = _metrics.CURRENT
-    if reg is not None:
-        mode = "aggregated" if solution.aggregated else "direct"
-        reg.counter("plan.stripes").inc(len(plans), mode=mode)
-        racks = reg.histogram(
-            "plan.racks_accessed", buckets=_metrics.COUNT_BUCKETS
-        )
-        for sol in solution.solutions:
-            racks.observe(len(sol.chunks_by_rack))
-        transfers = reg.counter("plan.transfers")
-        for sp in plans:
-            for t in sp.transfers:
-                transfers.inc(scope="cross" if t.cross_rack else "intra")
-    return result
-
-
-def _plan_one(
-    state: ClusterState,
-    event: FailureEvent,
-    sol: PerStripeSolution,
-    aggregated: bool,
-    dead: frozenset[int],
-) -> StripePlan:
-    if aggregated:
-        return _plan_stripe_aggregated(state, event, sol, dead)
-    return _plan_stripe_direct(state, event, sol, dead)
+    return RecoveryPlan(
+        stripe_plans=tuple(sp for _sol, sp in lazy.iter_stripe_plans()),
+        replacement_node=lazy.replacement_node,
+        aggregated=lazy.aggregated,
+    )
 
 
 def _record_stripe_metrics(
@@ -256,8 +209,8 @@ def _record_stripe_metrics(
 ) -> None:
     """One stripe's share of the plan.* metrics.
 
-    Recorded per stripe so the lazily built plan's totals are identical
-    to the eager :func:`plan_recovery` totals for the same stripes.
+    Recorded per stripe, as each plan is built, so a lazily drained
+    plan and a materialised one leave the same totals.
     """
     mode = "aggregated" if aggregated else "direct"
     reg.counter("plan.stripes").inc(mode=mode)
@@ -317,10 +270,11 @@ class StreamingRecoveryPlan:
         if self._consumed:
             raise PlanError("streaming plan already consumed (single-shot)")
         self._consumed = True
+        plan_stripe = (
+            _plan_stripe_aggregated if self.aggregated else _plan_stripe_direct
+        )
         for sol in self._solutions:
-            sp = _plan_one(
-                self._state, self._event, sol, self.aggregated, self._dead
-            )
+            sp = plan_stripe(self._state, self._event, sol, self._dead)
             reg = _metrics.CURRENT
             if reg is not None:
                 _record_stripe_metrics(reg, sol, sp, self.aggregated)

@@ -1,11 +1,14 @@
-"""Windowed, batched stripe computation for the streaming executor.
+"""Stage A of the repair pipeline: windows, batched decodes, accounting.
 
-This module is the compute half of
-:meth:`~repro.recovery.executor.PlanExecutor.execute_streaming`:
+:meth:`~repro.recovery.executor.PlanExecutor.execute` repairs every
+stripe through one two-stage pipeline; this module is the half that
+never touches telemetry, the journal or the fault hooks:
 
-- :func:`windows` slices a lazy ``(solution, stripe_plan)`` iterator
-  into bounded windows, so coordinator memory is O(window) regardless of
-  stripe count;
+- :func:`default_window` sizes a window from the chunk size against a
+  fixed byte budget, and :func:`windows` slices a lazy
+  ``(solution, stripe_plan)`` iterator into windows of that many
+  stripes, so coordinator memory is O(window) regardless of stripe
+  count;
 - :func:`compute_window` performs every GF decode of a window in one
   pass, **batched by repair signature**: stripes whose repairs use the
   same lost index, helper set, and rack grouping share one repair
@@ -18,48 +21,62 @@ This module is the compute half of
   memoised in the named :data:`REPAIR_GROUP_CACHE`, whose hit/miss rates
   surface through the :mod:`repro.obs` metrics registry (the hit rate is
   exactly the batching opportunity the grouping exploits);
-- :func:`execute_parallel` fans windows out over a process pool, with
-  chunk data mapped zero-copy through :mod:`repro.io_shm` instead of
-  pickled per task.
+- :func:`stripe_accounting` is the one place a stripe's cross-/intra-rack
+  bytes and per-node compute are derived, for the in-process ship and
+  the worker-process fold alike;
+- :func:`thread_stage` / :func:`process_stage` run stage A on one
+  worker thread (overlapping the executor's stage B) or fan it out over
+  a process pool, with chunk data mapped zero-copy through
+  :mod:`repro.io_shm` instead of pickled per task.
 
 Everything here is *pure computation* over read-only state: no tracer,
-metrics, journal, or data-store mutation.  That is a hard requirement —
-the pipelined executor runs :func:`compute_window` on a worker thread
-while the main thread ships the previous window (telemetry, journalling
-and the GF scratch buffers are not thread-safe, so they stay on exactly
-one thread each).
+journal, or data-store mutation.  That is a hard requirement —
+:func:`compute_window` runs on a worker thread while the executor's
+thread ships the previous window (the tracer, the journal and the GF
+scratch buffers are not thread-safe, so they stay on exactly one thread
+each; the kernels' metric counters are why :func:`thread_stage` does
+not let the two stages overlap while a metrics registry is active).
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cache import BoundedCache
 from repro.erasure.repair import PartialDecodePlan, split_repair_vector
-from repro.errors import ConfigurationError
 from repro.gf.field import gf
 from repro.gf.vector import dot_rows
+from repro.obs import metrics as _metrics
 from repro.recovery.planner import StripePlan
 from repro.recovery.solution import PerStripeSolution
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.recovery.executor import PlanExecutor
 
 __all__ = [
     "REPAIR_GROUP_CACHE",
     "StripeOutcome",
+    "default_window",
     "repair_signature",
     "windows",
     "compute_window",
-    "execute_parallel",
+    "stripe_accounting",
+    "thread_stage",
+    "process_stage",
 ]
+
+#: Bytes one window may hold in flight when the caller names no window.
+WINDOW_BYTES = 2 << 20
+
+#: What a stripe in flight costs besides its chunk: the solution and its
+#: stripe plan (one Transfer per helper; 1.9–3.1 KiB traced for CFS1–3)
+#: plus the outcome record and its array headers.  At 256 B chunks this,
+#: not the chunk, is what a window's memory is made of.
+STRIPE_OVERHEAD_BYTES = 4096
 
 #: Memoised per-signature repair decompositions.  Named, so the cache
 #: self-registers with the metrics registry: its hit rate quantifies how
@@ -76,12 +93,13 @@ class StripeOutcome:
         sol / sp: the stripe's solution and plan.
         rebuilt: the reconstructed chunk (owned copy, not a batch view).
         ok: byte-exact match against ground truth.
-        groups: the repair decomposition's per-rack groups (aggregated
-            mode; used for compute charging and checkpoint ordering).
-        partials: rack key -> partially decoded buffer.  Only populated
-            when the executor needs to ship them through the full
-            checkpoint/delivery pipeline (telemetry, journal or
-            integrity verification active).
+        groups: the repair decomposition's groups — one per rack when
+            aggregated (used for compute charging and checkpoint
+            ordering), a single one holding every helper when direct.
+        partials: group key -> partially decoded buffer.  Only populated
+            when the executor walks the stripe's checkpoint/delivery
+            events (telemetry, journal, integrity verification or a
+            fault-injecting subclass).
     """
 
     sol: PerStripeSolution
@@ -109,6 +127,18 @@ def repair_signature(sol: PerStripeSolution, aggregated: bool):
     return (sol.lost_chunk, sol.helpers)
 
 
+def default_window(chunk_size: int) -> int:
+    """Stripes per window when the caller does not say.
+
+    The window is the pipeline's memory bound, so it is sized in bytes:
+    :data:`WINDOW_BYTES` over what one stripe holds in flight.  Paper
+    sized chunks (1 MiB and up) get one stripe — stage A of the next
+    still overlaps stage B of the last — and 256 B chunks get a few
+    hundred, enough to amortise the per-window hand-off.
+    """
+    return max(1, WINDOW_BYTES // (chunk_size + STRIPE_OVERHEAD_BYTES))
+
+
 def windows(pairs, window: int):
     """Slice an iterator of ``(sol, sp)`` pairs into lists of ``window``."""
     pairs = iter(pairs)
@@ -119,19 +149,24 @@ def windows(pairs, window: int):
         yield chunk
 
 
-def _decode_plan(code, sol: PerStripeSolution) -> PartialDecodePlan:
-    """The stripe's per-rack repair decomposition, memoised by signature."""
-    key = (
-        type(code).__name__,
-        code.k,
-        code.m,
-        getattr(code, "w", 0),
-        repair_signature(sol, True),
-    )
+def _decode_plan(
+    code, sol: PerStripeSolution, aggregated: bool
+) -> PartialDecodePlan:
+    """The stripe's repair decomposition, memoised by signature.
+
+    Aggregated repairs split the repair vector per rack (Equation 7); a
+    direct repair is the same arithmetic with every helper in one group,
+    decoded at the replacement node.  The code itself is part of the
+    key: two codes of one shape (say the Vandermonde and Cauchy RS
+    constructions) repair with different coefficients.
+    """
     return REPAIR_GROUP_CACHE.get_or_build(
-        key,
+        (code, repair_signature(sol, aggregated)),
         lambda: split_repair_vector(
-            code, sol.lost_chunk, sol.helpers, sol.rack_map()
+            code,
+            sol.lost_chunk,
+            sol.helpers,
+            sol.rack_map() if aggregated else dict.fromkeys(sol.helpers),
         ),
     )
 
@@ -141,8 +176,7 @@ def _ok_flags(data, members, rebuilt_cat: np.ndarray, size: int) -> list[bool]:
 
     The common case — everything reconstructs — is one comparison over
     the concatenated buffers; only a mismatching group falls back to
-    per-stripe comparisons (whose verdicts must match the eager path's
-    exactly, stripe by stripe).
+    per-stripe comparisons.
     """
     truth = [
         data.chunk(sol.stripe_id, sol.lost_chunk) for sol, _ in members
@@ -155,12 +189,12 @@ def _ok_flags(data, members, rebuilt_cat: np.ndarray, size: int) -> list[bool]:
     ]
 
 
-def _compute_group_aggregated(
-    code, field, data, members, keep_partials: bool
+def _compute_group(
+    code, field, data, members, aggregated: bool, keep_partials: bool
 ) -> list[StripeOutcome]:
-    """Batched aggregated decode of stripes sharing one signature."""
+    """Batched decode of the stripes of one window sharing a signature."""
     sol0 = members[0][0]
-    plan = _decode_plan(code, sol0)
+    plan = _decode_plan(code, sol0, aggregated)
     size = data.chunk(sol0.stripe_id, plan.groups[0].helper_indices[0]).shape[0]
     many = len(members) > 1
     partials_cat: dict = {}
@@ -171,13 +205,16 @@ def _compute_group_aggregated(
                 [data.chunk(sol.stripe_id, h) for sol, _ in members]
             )
             if many
-            else data.chunk(members[0][0].stripe_id, h)
+            else data.chunk(sol0.stripe_id, h)
             for h in group.helper_indices
         ]
         partial = dot_rows(field, list(group.coefficients), bufs)
-        partials_cat[group.group_key] = partial
+        if keep_partials:
+            partials_cat[group.group_key] = partial
         if rebuilt_cat is None:
-            rebuilt_cat = partial.copy()
+            # The accumulator is XORed into; a partial that is also
+            # shipped must stay as decoded.
+            rebuilt_cat = partial.copy() if keep_partials else partial
         else:
             np.bitwise_xor(rebuilt_cat, partial, out=rebuilt_cat)
     oks = _ok_flags(data, members, rebuilt_cat, size)
@@ -188,7 +225,7 @@ def _compute_group_aggregated(
             StripeOutcome(
                 sol=sol,
                 sp=sp,
-                rebuilt=rebuilt_cat[lo:hi].copy(),
+                rebuilt=rebuilt_cat[lo:hi].copy() if many else rebuilt_cat,
                 ok=oks[i],
                 groups=plan.groups,
                 partials=(
@@ -201,44 +238,12 @@ def _compute_group_aggregated(
     return out
 
 
-def _compute_group_direct(code, field, data, members) -> list[StripeOutcome]:
-    """Batched direct (RR) reconstruction of same-signature stripes.
-
-    :meth:`RSCode.reconstruct` is ``dot_rows`` over the sorted helper
-    set's repair vector; batching concatenates the helper buffers across
-    stripes and issues that single combination once.
-    """
-    sol0 = members[0][0]
-    helpers = sol0.helpers  # already sorted
-    y = code.repair_vector(sol0.lost_chunk, list(helpers))
-    many = len(members) > 1
-    bufs = [
-        np.concatenate([data.chunk(sol.stripe_id, h) for sol, _ in members])
-        if many
-        else data.chunk(sol0.stripe_id, h)
-        for h in helpers
-    ]
-    rebuilt_cat = dot_rows(field, y, bufs)
-    size = rebuilt_cat.shape[0] // len(members)
-    oks = _ok_flags(data, members, rebuilt_cat, size)
-    return [
-        StripeOutcome(
-            sol=sol,
-            sp=sp,
-            rebuilt=rebuilt_cat[i * size : (i + 1) * size].copy(),
-            ok=oks[i],
-        )
-        for i, (sol, sp) in enumerate(members)
-    ]
-
-
 def compute_window(
     code,
     data,
     pairs: list[tuple[PerStripeSolution, StripePlan]],
     aggregated: bool,
     *,
-    batch: bool = True,
     keep_partials: bool = False,
 ) -> tuple[list[StripeOutcome], float, float]:
     """Stage A: decode every stripe of one window, batched by signature.
@@ -251,28 +256,92 @@ def compute_window(
     field = gf(code.w)
     by_sig: dict = {}
     for i, pair in enumerate(pairs):
-        sig = repair_signature(pair[0], aggregated) if batch else i
-        by_sig.setdefault(sig, []).append((i, pair))
+        by_sig.setdefault(repair_signature(pair[0], aggregated), []).append(
+            (i, pair)
+        )
     outcomes: list[StripeOutcome | None] = [None] * len(pairs)
     for entries in by_sig.values():
         members = [pair for _, pair in entries]
-        if aggregated:
-            computed = _compute_group_aggregated(
-                code, field, data, members, keep_partials
-            )
-        else:
-            computed = _compute_group_direct(code, field, data, members)
+        computed = _compute_group(
+            code, field, data, members, aggregated, keep_partials
+        )
         for (i, _), outcome in zip(entries, computed):
             outcomes[i] = outcome
     return outcomes, start, time.perf_counter()
 
 
-# -- multi-process execution ------------------------------------------------
+def stripe_accounting(
+    outcome: StripeOutcome,
+    aggregated: bool,
+    replacement_node: int,
+    chunk_bytes: int,
+) -> tuple[int, int, dict[int, int]]:
+    """One repaired stripe's ``(cross_bytes, intra_bytes, charges)``.
+
+    Every planned flow moves one chunk-sized buffer, across the core or
+    inside a rack.  Compute is charged in GF input bytes: each rack's
+    partial decode to its delegate (the failed rack's local fold to the
+    replacement node) plus the replacement node's final combine of one
+    buffer per rack; a direct repair decodes all helpers at the
+    replacement node.
+    """
+    sol, sp = outcome.sol, outcome.sp
+    crossing = sum(1 for t in sp.transfers if t.cross_rack)
+    charges: dict[int, int] = {}
+    if aggregated:
+        for group in outcome.groups:
+            node = (
+                replacement_node
+                if group.group_key == sol.failed_rack
+                else sp.delegates[group.group_key]
+            )
+            charges[node] = charges.get(node, 0) + group.size * chunk_bytes
+        charges[replacement_node] = (
+            charges.get(replacement_node, 0)
+            + len(outcome.groups) * chunk_bytes
+        )
+    else:
+        charges[replacement_node] = sol.helper_count * chunk_bytes
+    return (
+        crossing * chunk_bytes,
+        (len(sp.transfers) - crossing) * chunk_bytes,
+        charges,
+    )
+
+
+# -- where stage A runs -----------------------------------------------------
+
+
+@contextmanager
+def thread_stage(code, data, aggregated: bool, *, keep_partials: bool):
+    """Stage A on one worker thread: yields ``submit(window) -> future``.
+
+    The decode of the next window runs here while the caller ships the
+    previous one — unless a metrics registry is active: the kernels
+    count into it and it is not thread-safe, so ``submit`` then returns
+    only once the window is decoded.
+    """
+    pool = ThreadPoolExecutor(max_workers=1)
+
+    def submit(win):
+        future = pool.submit(
+            compute_window, code, data, win, aggregated,
+            keep_partials=keep_partials,
+        )
+        if _metrics.CURRENT is not None:
+            wait([future])
+        return future
+
+    try:
+        yield submit
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
 
 #: Per-worker context installed by the pool initializer: (code, data
-#: store, aggregated, batch, replacement node, shared store to close on
-#: exit).  Module-global because ProcessPoolExecutor initializers cannot
-#: return values.
+#: store, aggregated, replacement node, shared store to close on exit).
+#: Module-global because ProcessPoolExecutor initializers cannot return
+#: values.
 _WORKER: dict | None = None
 
 
@@ -291,146 +360,64 @@ def _init_worker(payload: bytes) -> None:
         "code": ctx["code"],
         "data": data,
         "aggregated": ctx["aggregated"],
-        "batch": ctx["batch"],
         "replacement_node": ctx["replacement_node"],
         "shared": shared,
     }
 
 
-def _run_window(pairs: list) -> list[tuple]:
-    """Worker task: stage A + fast-path accounting for one window.
+def _run_window(pairs: list) -> tuple[list[tuple], float, float]:
+    """Worker task: stage A plus accounting for one window.
 
     Returns per stripe ``(stripe_id, rebuilt, ok, cross_bytes,
-    intra_bytes, charges)`` — plain picklable tuples, merged by the
+    intra_bytes, charges)`` — plain picklable tuples, folded by the
     parent in submission order so results are order-stable for any
-    worker count.
+    worker count — and the stage's start/end like :func:`compute_window`.
     """
     ctx = _WORKER
-    outcomes, _, _ = compute_window(
-        ctx["code"], ctx["data"], pairs, ctx["aggregated"],
-        batch=ctx["batch"],
+    aggregated, repl = ctx["aggregated"], ctx["replacement_node"]
+    outcomes, start, end = compute_window(
+        ctx["code"], ctx["data"], pairs, aggregated
     )
     chunk_bytes = ctx["data"].chunk_size
-    repl = ctx["replacement_node"]
-    out = []
-    for o in outcomes:
-        cross = intra = 0
-        for t in o.sp.transfers:
-            if t.cross_rack:
-                cross += chunk_bytes
-            else:
-                intra += chunk_bytes
-        charges: dict[int, int] = {}
-        if ctx["aggregated"]:
-            for group in o.groups:
-                node = (
-                    repl
-                    if group.group_key == o.sol.failed_rack
-                    else o.sp.delegates[group.group_key]
-                )
-                charges[node] = charges.get(node, 0) + group.size * chunk_bytes
-            charges[repl] = charges.get(repl, 0) + len(o.groups) * chunk_bytes
-        else:
-            charges[repl] = o.sol.helper_count * chunk_bytes
-        out.append(
-            (o.sol.stripe_id, o.rebuilt, o.ok, cross, intra, charges)
-        )
-    return out
+    return (
+        [
+            (o.sol.stripe_id, o.rebuilt, o.ok)
+            + stripe_accounting(o, aggregated, repl, chunk_bytes)
+            for o in outcomes
+        ],
+        start,
+        end,
+    )
 
 
-def execute_parallel(
-    executor: "PlanExecutor",
-    pairs,
-    aggregated: bool,
-    replacement_node: int,
-    *,
-    window: int,
-    workers: int,
-    batch: bool,
-    shm: bool | None,
-    sink=None,
-    progress=None,
-):
-    """Fan stripe windows out over worker processes (fast path only).
+@contextmanager
+def process_stage(code, data, aggregated: bool, replacement_node: int, *,
+                  workers: int, shm: bool | None):
+    """Stage A over worker processes: yields ``submit(window) -> future``.
 
     The chunk store crosses the process boundary exactly once — as a
     shared-memory mapping by default (``shm=None``/``True``), or pickled
-    into the initializer when ``shm=False`` — never per task.  Windows
-    are submitted in order and folded in order.
-
-    Raises:
-        ConfigurationError: if a journal or integrity verification is
-            attached — both are coordinator-local protocols that cannot
-            span worker processes.
+    into the initializer when ``shm=False`` — never per task.
     """
     from repro.io_shm import SharedChunkStore
-    from repro.recovery.executor import ExecutionResult
 
-    if executor.journal is not None:
-        raise ConfigurationError(
-            "streaming with workers > 1 cannot journal: the write-ahead "
-            "journal is single-writer (run workers=1 for durable sessions)"
-        )
-    if executor.verify_integrity:
-        raise ConfigurationError(
-            "streaming with workers > 1 skips the in-flight delivery "
-            "pipeline; integrity verification requires workers=1"
-        )
-    use_shm = True if shm is None else shm
-    shared = (
-        SharedChunkStore.from_datastore(executor.state.data)
-        if use_shm
-        else None
+    shared = SharedChunkStore.from_datastore(data) if shm is not False else None
+    payload = pickle.dumps(
+        {
+            "code": code,
+            "handle": shared.handle if shared is not None else None,
+            "data": None if shared is not None else data,
+            "aggregated": aggregated,
+            "replacement_node": replacement_node,
+        }
     )
-    ctx = {
-        "code": executor.state.code,
-        "handle": shared.handle if shared is not None else None,
-        "data": None if shared is not None else executor.state.data,
-        "aggregated": aggregated,
-        "batch": batch,
-        "replacement_node": replacement_node,
-    }
-    payload = pickle.dumps(ctx)
-    result = ExecutionResult()
     try:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
             initargs=(payload,),
         ) as pool:
-            futures = [
-                pool.submit(_run_window, win) for win in windows(pairs, window)
-            ]
-            windows_done = 0
-            for fut in futures:
-                for sid, rebuilt, ok, cross, intra, charges in fut.result():
-                    if sink is not None:
-                        sink(sid, rebuilt, ok)
-                    else:
-                        result.reconstructed[sid] = rebuilt
-                    result.per_stripe_ok[sid] = ok
-                    result.cross_rack_bytes += cross
-                    result.intra_rack_bytes += intra
-                    for node, nbytes in charges.items():
-                        result.bytes_computed_by_node[node] = (
-                            result.bytes_computed_by_node.get(node, 0) + nbytes
-                        )
-                windows_done += 1
-                if progress is not None:
-                    progress.update(
-                        len(result.per_stripe_ok),
-                        windows_done=windows_done,
-                        cross_rack_bytes=result.cross_rack_bytes,
-                        intra_rack_bytes=result.intra_rack_bytes,
-                    )
-            if progress is not None:
-                progress.finish(
-                    len(result.per_stripe_ok),
-                    windows_done=windows_done,
-                    cross_rack_bytes=result.cross_rack_bytes,
-                    intra_rack_bytes=result.intra_rack_bytes,
-                )
+            yield lambda win: pool.submit(_run_window, win)
     finally:
         if shared is not None:
             shared.close()
-    return result

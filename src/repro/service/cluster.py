@@ -136,7 +136,7 @@ class LocalCluster:
             :class:`~repro.service.admission.AdmissionController`).
         heartbeat_interval / suspect_after / dead_after /
         detector_interval: failure-detection cadence, modelled seconds.
-        repair_window: stripes per streaming repair window.
+        repair_window: stripes per repair window.
         crash_after_records: arm a coordinator crash in the first repair
             incarnation (the crash-resume drill).
     """

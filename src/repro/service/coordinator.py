@@ -93,7 +93,7 @@ class Coordinator:
         suspect_after / dead_after: failure-detector lease timeouts, in
             modelled seconds.
         detector_interval: poll period of the detector loop (modelled).
-        repair_window: stripes per streaming window (small keeps
+        repair_window: stripes per repair window (small keeps
             cancellation latency low).
         max_replans: secondary-failure replans before the repair fails.
         crash_after_records: arm a coordinator crash inside the *next*

@@ -1,9 +1,9 @@
 """The background repair service: paced, cancellable, crash-resumable.
 
 The repair runs the *existing* durable pipeline — a
-:class:`~repro.durable.session.RecoverySession` with ``streaming=True``
-executing through
-:meth:`~repro.recovery.executor.PlanExecutor.execute_streaming` — in a
+:class:`~repro.durable.session.RecoverySession` shipping a few stripes
+per window through
+:meth:`~repro.recovery.executor.PlanExecutor.execute`'s pipeline — in a
 worker thread, while the coordinator's event loop keeps serving
 degraded reads.  Three small pieces adapt that pipeline to a live
 service:
@@ -53,10 +53,10 @@ __all__ = ["RepairGovernor", "DeadNodeAwareStrategy", "RepairService"]
 
 
 class RepairGovernor:
-    """Progress hook that paces and can cancel a streaming repair.
+    """Progress hook that paces and can cancel a running repair.
 
     Duck-types :class:`~repro.obs.progress.ProgressReporter`: the
-    streaming executor calls :meth:`update` once per shipped window with
+    executor calls :meth:`update` once per shipped window with
     absolute counters, and :meth:`finish` once at the end.  Both forward
     to an optional ``inner`` reporter so normal progress heartbeats keep
     flowing.
@@ -210,7 +210,7 @@ class RepairService:
             exists the first attempt *resumes* instead of running — that
             is the whole crash-recovery story.
         clock / admission: service pacing.
-        window: stripes in flight per streaming window (small, so
+        window: stripes in flight per window (small, so
             cancellation latency stays low).
         tracer: worker-thread tracer (keep it distinct from the event
             loop's — :class:`~repro.obs.tracer.Tracer` is not
@@ -308,7 +308,6 @@ class RepairService:
             self.event,
             self._strategy(),
             self.journal_path,
-            streaming=True,
             window=self.window,
             progress=governor,
             tracer=self.tracer,

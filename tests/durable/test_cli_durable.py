@@ -75,6 +75,25 @@ class TestDurableCommands:
         assert "verified: yes" in out
         assert "0 replayed" in out
 
+    def test_progress_heartbeats_on_durable_and_resume(self, tmp_path, capsys):
+        journal = str(tmp_path / "journal.jsonl")
+        rc = main(["durable", journal, "--seed", "4", "--stripes", "8",
+                   "--window", "2", "--progress", "--crash-after", "20"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        # One window shipped, the next one's intents already journalled.
+        assert "recovery 2 stripes" in err and "journal lag 2" in err
+        rc = main(["resume", journal, "--progress"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "verified: yes" in captured.out
+        assert "stripes/s" in captured.err
+
+    def test_stream_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["durable", str(tmp_path / "j.jsonl"), "--stream"])
+        assert excinfo.value.code == 2
+
     def test_crash_during_resume_exits_3(self, tmp_path, capsys):
         journal = str(tmp_path / "journal.jsonl")
         assert main(["durable", journal, "--seed", "4", "--stripes", "8",

@@ -164,7 +164,9 @@ class TestAcceptanceScenario:
 
     def test_cache_warm_run_shows_hits(self, run):
         stats = cache_stats()
-        assert stats["rs.repair_vector"]["hits"] > 0
+        # The per-signature repair plans sit in front of the code's own
+        # repair-vector cache, so a warm run hits them first.
+        assert stats["exec.repair_groups"]["hits"] > 0
         assert stats["gf.mul_table"]["hits"] > 0
 
     def test_render_trace_summarises(self, run):

@@ -1,11 +1,13 @@
-"""Equivalence suite: the streaming executor vs the eager path.
+"""Window-independence suite for the one repair pipeline.
 
-The contract under test is absolute: for any cluster, strategy, window
-size, worker count, and telemetry configuration, `execute_streaming`
-produces an :class:`ExecutionResult` byte-identical to `execute` — same
-rebuilt bytes, same verdicts, same traffic and compute accounting, same
-metric counters, and (for durable sessions) a journal that resumes
-identically after a crash mid-window.
+The contract under test is absolute: for any cluster, strategy, plan
+form (materialised or lazy), window size, worker count and telemetry
+configuration, :meth:`PlanExecutor.execute` rebuilds the ground-truth
+bytes and reports the traffic and compute the *plan* predicts — figures
+derived here without the executor — and every configuration returns the
+same :class:`ExecutionResult`.  For durable sessions the journal replays
+identically whichever window wrote it, and a fault-injected run leaves
+the same :class:`FaultLog` and wasted-byte totals at every window.
 """
 
 import os
@@ -19,34 +21,55 @@ from repro.cluster.failure import FailureInjector
 from repro.cluster.placement import RandomPlacementPolicy
 from repro.cluster.state import ClusterState, DataStore
 from repro.cluster.topology import ClusterTopology
-from repro.durable.journal import JournalReplay, validate_journal_records
+from repro.durable.journal import (
+    JournalReplay,
+    RecoveryJournal,
+    read_journal,
+    validate_journal_records,
+)
 from repro.durable.session import RecoverySession
+from repro.erasure.lrc import LRCCode
 from repro.erasure.rs import RSCode
 from repro.errors import (
     ConfigurationError,
     CoordinatorCrashError,
+    IntegrityError,
     PlanError,
     UnknownChunkError,
 )
-from repro.faults.injector import FaultInjector
+from repro.faults import (
+    BackoffPolicy,
+    FaultInjector,
+    FaultKind,
+    FaultSpec,
+    PipelineStage,
+    RobustExecutor,
+)
 from repro.io_shm import SharedChunkStore
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import Tracer
 from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
 from repro.recovery.executor import PlanExecutor
+from repro.recovery.lrc import LrcLocalRecoveryStrategy
+from repro.recovery.metrics import traffic_report
 from repro.recovery.planner import plan_recovery, plan_recovery_streaming
 from repro.recovery.streaming import (
     REPAIR_GROUP_CACHE,
-    execute_parallel,
+    default_window,
     repair_signature,
     windows,
 )
 
+#: ``None`` is the window the executor derives from the chunk size.
+WINDOWS = (1, 3, 64, None)
 
-def failed_cluster(seed=0, stripes=14, k=6, m=3, chunk_size=64):
-    code = RSCode(k, m)
+
+def failed_cluster(seed=0, stripes=14, k=6, m=3, chunk_size=64, code=None):
+    code = code or RSCode(k, m)
     topo = ClusterTopology.from_rack_sizes([4, 3, 3, 3])
-    placement = RandomPlacementPolicy(rng=seed).place(topo, stripes, k, m)
+    placement = RandomPlacementPolicy(rng=seed).place(
+        topo, stripes, code.k, code.n - code.k
+    )
     data = DataStore(code, stripes, chunk_size=chunk_size, seed=seed)
     state = ClusterState(topo, code, placement, data)
     event = FailureInjector(rng=seed).fail_random_node(state)
@@ -68,38 +91,64 @@ def assert_identical(a, b):
     assert a.bytes_computed_by_node == b.bytes_computed_by_node
 
 
+def assert_ground_truth(state, event, reconstructed):
+    """Every lost chunk was rebuilt to the stored bytes, nothing else."""
+    assert set(reconstructed) == {s for s, _ in event.lost_chunks}
+    for stripe, lost in event.lost_chunks:
+        assert np.array_equal(
+            reconstructed[stripe], state.data.chunk(stripe, lost)
+        )
+
+
+def assert_plan_figures(state, plan, sol, result):
+    """Accounting equals what the plan says, computed without the executor."""
+    chunk = state.data.chunk_size
+    assert result.cross_rack_bytes == plan.cross_rack_chunks() * chunk
+    assert result.intra_rack_bytes == plan.intra_rack_chunks() * chunk
+    assert result.cross_rack_bytes == traffic_report(sol, chunk).total_bytes
+    compute = {}
+    for task in plan.all_compute():
+        compute[task.node] = compute.get(task.node, 0) + task.input_chunks * chunk
+    assert result.bytes_computed_by_node == compute
+
+
 class TestStreamingEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 200),
-        window=st.sampled_from([1, 2, 3, 7, 64]),
         strat=st.sampled_from(["car", "direct"]),
-        pipelined=st.booleans(),
-        batch=st.booleans(),
+        lazy=st.booleans(),
     )
-    def test_streaming_matches_eager(self, seed, window, strat, pipelined,
-                                     batch):
+    def test_streaming_matches_eager(self, seed, strat, lazy):
         state, event = failed_cluster(seed=seed)
         sol = strategy_for(strat, seed).solve(state)
         plan = plan_recovery(state, event, sol)
-        eager = PlanExecutor(state).execute(plan, sol)
-        streamed = PlanExecutor(state).execute_streaming(
-            plan, sol, window=window, pipelined=pipelined, batch=batch
-        )
-        assert eager.verified
-        assert_identical(eager, streamed)
+        results = []
+        for window in WINDOWS:
+            if lazy:
+                result = PlanExecutor(state).execute(
+                    plan_recovery_streaming(state, event, sol), window=window
+                )
+            else:
+                result = PlanExecutor(state).execute(plan, sol, window=window)
+            assert result.verified
+            assert_ground_truth(state, event, result.reconstructed)
+            assert_plan_figures(state, plan, sol, result)
+            results.append(result)
+        for other in results[1:]:
+            assert_identical(results[0], other)
 
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 100), window=st.sampled_from([1, 5, 64]))
+    @given(seed=st.integers(0, 100), window=st.sampled_from(WINDOWS))
     def test_streaming_plan_matches_eager_plan(self, seed, window):
         state, event = failed_cluster(seed=seed)
         sol = CarStrategy().solve(state)
-        eager = PlanExecutor(state).execute(
+        materialised = PlanExecutor(state).execute(
             plan_recovery(state, event, sol), sol
         )
         splan = plan_recovery_streaming(state, event, sol)
-        streamed = PlanExecutor(state).execute_streaming(splan, window=window)
-        assert_identical(eager, streamed)
+        lazy = PlanExecutor(state).execute_streaming(splan, window=window)
+        assert_identical(materialised, lazy)
 
     @pytest.mark.parametrize("strat", ["car", "direct"])
     @pytest.mark.parametrize("use_shm", [True, False])
@@ -107,63 +156,105 @@ class TestStreamingEquivalence:
         state, event = failed_cluster(seed=7, stripes=20)
         sol = strategy_for(strat, 7).solve(state)
         plan = plan_recovery(state, event, sol)
-        eager = PlanExecutor(state).execute(plan, sol)
-        streamed = PlanExecutor(state).execute_streaming(
-            plan, sol, window=6, workers=2, shm=use_shm
+        in_process = PlanExecutor(state).execute(plan, sol)
+        assert_ground_truth(state, event, in_process.reconstructed)
+        assert_plan_figures(state, plan, sol, in_process)
+        for window in WINDOWS:
+            for lazy in (False, True):
+                fanned = PlanExecutor(state).execute(
+                    plan_recovery_streaming(state, event, sol) if lazy else plan,
+                    None if lazy else sol,
+                    window=window, workers=2, shm=use_shm,
+                )
+                assert_identical(in_process, fanned)
+
+    def test_workers_keep_a_bounded_number_of_windows_in_flight(self):
+        state, event = failed_cluster(seed=7, stripes=60)
+        sol = CarStrategy().solve(state)
+        assert len(sol.solutions) >= 12
+        consumed = 0
+        consumed_at_first_fold = []
+
+        def counting(solutions):
+            nonlocal consumed
+            for solution in solutions:
+                consumed += 1
+                yield solution
+
+        def sink(stripe_id, rebuilt, ok):
+            if not consumed_at_first_fold:
+                consumed_at_first_fold.append(consumed)
+
+        # The lazy plan pulls solutions only as windows are cut.
+        splan = plan_recovery_streaming(
+            state, event, counting(sol.solutions), aggregated=True
         )
-        assert_identical(eager, streamed)
+        result = PlanExecutor(state).execute(
+            splan, window=1, workers=2, sink=sink
+        )
+        assert result.verified and len(result.per_stripe_ok) == consumed
+        # 2 x workers windows in flight, plus the one being folded.
+        assert consumed_at_first_fold[0] <= 2 * 2 + 1
 
     def test_sink_receives_every_stripe_and_result_stays_lean(self):
         state, event = failed_cluster(seed=3)
         sol = CarStrategy().solve(state)
         plan = plan_recovery(state, event, sol)
-        eager = PlanExecutor(state).execute(plan, sol)
+        retained = PlanExecutor(state).execute(plan, sol)
         got = {}
-        streamed = PlanExecutor(state).execute_streaming(
+        sunk = PlanExecutor(state).execute_streaming(
             plan, sol, window=4,
             sink=lambda sid, buf, ok: got.__setitem__(sid, buf),
         )
-        assert not streamed.reconstructed  # handed off, not retained
-        assert streamed.per_stripe_ok == eager.per_stripe_ok
-        for sid, buf in eager.reconstructed.items():
-            assert np.array_equal(got[sid], buf)
+        assert not sunk.reconstructed  # handed off, not retained
+        assert sunk.per_stripe_ok == retained.per_stripe_ok
+        assert_ground_truth(state, event, got)
+        assert_plan_figures(state, plan, sol, sunk)
 
     def test_telemetry_counters_and_spans_match_eager(self):
         state, event = failed_cluster(seed=9, stripes=20)
         sol = CarStrategy().solve(state)
         plan = plan_recovery(state, event, sol)
 
-        def run(fn):
+        def run(window):
             with _metrics.telemetry_scope(_metrics.MetricsRegistry()) as reg:
                 tracer = Tracer()
-                fn(tracer)
+                result = PlanExecutor(state, tracer).execute(
+                    plan, sol, window=window
+                )
+                assert_plan_figures(state, plan, sol, result)
                 return reg.snapshot()["metrics"], tracer
 
-        me, te = run(lambda t: PlanExecutor(state, t).execute(plan, sol))
-        ms, ts = run(
-            lambda t: PlanExecutor(state, t).execute_streaming(
-                plan, sol, window=4
+        m1, t1 = run(1)
+        # One checkpoint per helper read, per flow, per decode/fold and
+        # per final combine — counted from the plan, not the executor.
+        checkpoints = sum(s["value"] for s in m1["exec.stage.checkpoints"]["series"])
+        assert checkpoints == sum(
+            s.helper_count for s in sol.solutions
+        ) + sum(
+            len(sp.transfers) + len(sp.compute) for sp in plan.stripe_plans
+        )
+        for window in (4, None):
+            mw, tw = run(window)
+            # Checkpoint and stripe counters are label-for-label
+            # identical; GF kernel counters agree on totals (batching
+            # regroups the series but must move exactly the same bytes).
+            assert m1["exec.stage.checkpoints"] == mw["exec.stage.checkpoints"]
+            assert m1["exec.stripes"] == mw["exec.stripes"]
+
+            def gf_total(metrics, name):
+                return sum(s["value"] for s in metrics[name]["series"])
+
+            assert gf_total(m1, "gf.kernel.bytes") == gf_total(
+                mw, "gf.kernel.bytes"
             )
-        )
-        # Checkpoint and stripe counters are label-for-label identical;
-        # GF kernel counters agree on totals (batching regroups the
-        # series but must move exactly the same bytes).
-        assert me["exec.stage.checkpoints"] == ms["exec.stage.checkpoints"]
-        assert me["exec.stripes"] == ms["exec.stripes"]
-
-        def gf_total(metrics, name):
-            return sum(s["value"] for s in metrics[name]["series"])
-
-        assert gf_total(me, "gf.kernel.bytes") == gf_total(
-            ms, "gf.kernel.bytes"
-        )
-        stripe = lambda tr: [
-            e for e in tr.events if e.get("name") == "exec.stripe"
-        ]
-        assert len(stripe(te)) == len(stripe(ts))
-        names = {e.get("name") for e in ts.events}
-        assert "exec.stream.aggregate" in names
-        assert "exec.stream.ship" in names
+            stripe = lambda tr: [
+                e for e in tr.events if e.get("name") == "exec.stripe"
+            ]
+            assert len(stripe(t1)) == len(stripe(tw)) == len(sol.solutions)
+            names = {e.get("name") for e in tw.events}
+            assert "exec.stream.aggregate" in names
+            assert "exec.stream.ship" in names
 
     def test_repair_group_cache_is_a_named_metric(self):
         state, event = failed_cluster(seed=5)
@@ -175,6 +266,40 @@ class TestStreamingEquivalence:
         assert "exec.repair_groups" in caches
         stats = caches["exec.repair_groups"]
         assert stats["hits"] + stats["misses"] > 0
+
+    def test_codes_of_one_shape_do_not_share_repair_plans(self):
+        # Same (k, m, w), same placement, same signatures — different
+        # coefficients.  The memoised repair plans must not cross over.
+        for construction in ("vandermonde", "cauchy", "vandermonde"):
+            state, event = failed_cluster(
+                seed=2, code=RSCode(6, 3, construction=construction)
+            )
+            sol = CarStrategy().solve(state)
+            result = PlanExecutor(state).execute(
+                plan_recovery(state, event, sol), sol
+            )
+            assert_ground_truth(state, event, result.reconstructed)
+
+    @pytest.mark.parametrize("aggregated", [True, False])
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_lrc_local_recovery_through_the_pipeline(self, window, aggregated):
+        state, event = failed_cluster(seed=4, code=LRCCode(6, 2, 2))
+        sol = LrcLocalRecoveryStrategy(aggregated=aggregated).solve(state)
+        # Local repairs read fewer than k helpers.
+        assert any(s.helper_count < state.code.k for s in sol.solutions)
+        plan = plan_recovery(state, event, sol)
+        result = PlanExecutor(state).execute(plan, sol, window=window)
+        assert result.verified
+        assert_ground_truth(state, event, result.reconstructed)
+        assert_plan_figures(state, plan, sol, result)
+
+    def test_default_window_is_sized_in_bytes(self):
+        assert default_window(4 << 20) == 1
+        assert 1 <= default_window(1 << 20) <= 4
+        assert 100 <= default_window(256) < 1000
+        sizes = [64, 256, 4096, 1 << 16, 1 << 20, 4 << 20]
+        derived = [default_window(s) for s in sizes]
+        assert derived == sorted(derived, reverse=True)
 
 
 class TestStreamingValidation:
@@ -208,8 +333,6 @@ class TestStreamingValidation:
             PlanExecutor(state).execute_streaming(splan, window=4)
 
     def test_workers_refuse_journal_and_integrity(self, tmp_path):
-        from repro.durable.journal import RecoveryJournal
-
         state, event = failed_cluster(seed=1)
         sol = CarStrategy().solve(state)
         plan = plan_recovery(state, event, sol)
@@ -223,41 +346,47 @@ class TestStreamingValidation:
         with pytest.raises(ConfigurationError):
             ex.execute_streaming(plan, sol, workers=2)
 
-    def test_streaming_session_refuses_fault_injector(self, tmp_path):
-        state, event = failed_cluster(seed=1)
-        with pytest.raises(ConfigurationError):
-            RecoverySession(
-                state, event, CarStrategy(), tmp_path / "j.jsonl",
-                injector=FaultInjector(seed=1), streaming=True,
-            )
+    def test_execute_streaming_is_execute(self):
+        assert PlanExecutor.execute_streaming is PlanExecutor.execute
+
+
+def session_figures(state, event, strategy):
+    """(plan, solution) of the uninterrupted, fault-free session."""
+    sol = strategy.solve(state)
+    return plan_recovery(state, event, sol), sol
 
 
 class TestStreamingDurability:
     def test_uninterrupted_streaming_session_matches_eager(self, tmp_path):
         state, event = failed_cluster(seed=11, stripes=18)
-        eager = RecoverySession(
-            state, event, CarStrategy(), tmp_path / "e.jsonl"
-        ).run()
-        streamed = RecoverySession(
-            state, event, CarStrategy(), tmp_path / "s.jsonl",
-            streaming=True, window=5,
-        ).run()
-        assert streamed.verified
-        assert streamed.per_stripe_ok == eager.per_stripe_ok
-        for sid, buf in eager.reconstructed.items():
-            assert np.array_equal(streamed.reconstructed[sid], buf)
-        assert streamed.cross_rack_bytes == eager.cross_rack_bytes
-        assert streamed.intra_rack_bytes == eager.intra_rack_bytes
-        assert streamed.bytes_computed_by_node == eager.bytes_computed_by_node
-        # The journal the streaming path wrote is structurally valid.
-        validate_journal_records(
-            JournalReplay.load(tmp_path / "s.jsonl").records
-        )
+        plan, sol = session_figures(state, event, CarStrategy())
+        outs = []
+        for window in (1, 5, None):
+            jp = tmp_path / f"w{window}.jsonl"
+            out = RecoverySession(
+                state, event, CarStrategy(), jp, window=window
+            ).run()
+            assert out.verified
+            assert_ground_truth(state, event, out.reconstructed)
+            assert_plan_figures(state, plan, sol, out)
+            assert out.robust.wasted_cross_rack_bytes == 0
+            assert out.robust.wasted_intra_rack_bytes == 0
+            # The journal any window wrote is structurally valid and
+            # replays to the same commits.
+            replay = JournalReplay.load(jp)
+            validate_journal_records(replay.records)
+            assert replay.complete
+            outs.append((out, replay))
+        first, first_replay = outs[0]
+        for out, replay in outs[1:]:
+            assert out.per_stripe_ok == first.per_stripe_ok
+            assert out.bytes_computed_by_node == first.bytes_computed_by_node
+            assert strip_seq(replay.committed) == strip_seq(first_replay.committed)
 
     @settings(max_examples=8, deadline=None)
     @given(
         crash_after=st.integers(5, 80),
-        window=st.sampled_from([1, 3, 7]),
+        window=st.sampled_from([1, 3, 7, None]),
     )
     def test_crash_mid_window_then_resume_is_byte_identical(
         self, crash_after, window
@@ -265,16 +394,12 @@ class TestStreamingDurability:
         import tempfile
 
         state, event = failed_cluster(seed=13, stripes=18)
-        eager = PlanExecutor(state).execute(
-            plan_recovery(state, event, sol := CarStrategy().solve(state)),
-            sol,
-        )
+        plan, sol = session_figures(state, event, CarStrategy())
         with tempfile.TemporaryDirectory() as td:
             jp = os.path.join(td, "crash.jsonl")
             session = RecoverySession(
                 state, event, CarStrategy(), jp,
-                streaming=True, window=window,
-                crash_after_records=crash_after,
+                window=window, crash_after_records=crash_after,
             )
             try:
                 out = session.run()
@@ -283,28 +408,236 @@ class TestStreamingDurability:
                 # fault-free: crash_after_records applies per session
                 # object, and we build a fresh one).
                 out = RecoverySession(
-                    state, event, CarStrategy(), jp,
-                    streaming=True, window=window,
+                    state, event, CarStrategy(), jp, window=window
                 ).resume()
             assert out.verified
-            assert out.per_stripe_ok == eager.per_stripe_ok
-            for sid, buf in eager.reconstructed.items():
-                assert np.array_equal(out.reconstructed[sid], buf)
+            assert_ground_truth(state, event, out.reconstructed)
             # Whole-session accounting also matches the uninterrupted
             # run: committed stripes charge once, from their records.
-            assert out.cross_rack_bytes == eager.cross_rack_bytes
-            assert out.intra_rack_bytes == eager.intra_rack_bytes
+            assert_plan_figures(state, plan, sol, out)
 
-    def test_streaming_journal_resumes_on_eager_path(self, tmp_path):
+    def test_journal_resumes_under_a_different_window(self, tmp_path):
         state, event = failed_cluster(seed=17, stripes=18)
         jp = tmp_path / "x.jsonl"
         with pytest.raises(CoordinatorCrashError):
             RecoverySession(
                 state, event, CarStrategy(), jp,
-                streaming=True, window=4, crash_after_records=25,
+                window=4, crash_after_records=25,
             ).run()
-        out = RecoverySession(state, event, CarStrategy(), jp).resume()
+        crashed = JournalReplay.load(jp)
+        assert crashed.committed and crashed.pending
+        out = RecoverySession(
+            state, event, CarStrategy(), jp, window=1
+        ).resume()
         assert out.verified
+        assert_ground_truth(state, event, out.reconstructed)
+        assert set(out.replayed) == set(crashed.committed)
+
+    def test_helper_crash_in_multi_window_session_replans_and_verifies(
+        self, tmp_path
+    ):
+        state, event = failed_cluster(seed=11, stripes=18)
+        sol = CarStrategy().solve(state)
+        assert len(sol.solutions) > 3 * 3  # several windows of 3
+        # Crash a helper of a stripe in the middle of the third window.
+        victim = sol.solutions[7]
+        injector = FaultInjector(
+            [FaultSpec(kind=FaultKind.HELPER_CRASH,
+                       stage=PipelineStage.DISK_READ,
+                       stripe_id=victim.stripe_id)],
+            seed=1,
+        )
+        jp = tmp_path / "j.jsonl"
+        out = RecoverySession(
+            state, event, CarStrategy(), jp, injector=injector, window=3
+        ).run()
+        assert out.verified
+        assert_ground_truth(state, event, out.reconstructed)
+        robust = out.robust
+        assert robust.replans == 1 and robust.rounds == 2
+        assert len(robust.dead_nodes) == 1
+        # The re-plan avoids the dead helper for every stripe it covers,
+        # and the stripes shipped before the crash were not repeated.
+        assert {s.stripe_id for s in robust.final_solution.solutions} == {
+            s.stripe_id for s in sol.solutions[7:]
+        }
+        for s in robust.final_solution.solutions:
+            for c in s.helpers:
+                assert (
+                    state.placement.node_of(s.stripe_id, c)
+                    not in robust.dead_nodes
+                )
+        replay = JournalReplay.load(jp)
+        validate_journal_records(replay.records)
+        assert replay.complete
+
+    def test_record_order_at_window_one(self, tmp_path):
+        state, event = failed_cluster(seed=11, stripes=18)
+        jp = tmp_path / "j.jsonl"
+        RecoverySession(state, event, CarStrategy(), jp, window=1).run()
+        plan, sol = session_figures(state, event, CarStrategy())
+        records = [r for r in read_journal(jp) if "stripe_id" in r]
+        # A window's intents are written when it enters the pipeline,
+        # one window ahead of the one being shipped; a stripe's own
+        # records then follow in pipeline order.
+        pairs = list(zip(sol.solutions, plan.stripe_plans))
+        expected = [("intent", pairs[0][0].stripe_id)]
+        for i, (s, sp) in enumerate(pairs):
+            sid = s.stripe_id
+            if i + 1 < len(pairs):
+                expected.append(("intent", pairs[i + 1][0].stripe_id))
+            # Per delegate rack, in rack order: decode, then its partial
+            # crosses the core; then the replacement node combines.
+            for rack in sorted(sp.delegates):
+                expected.append(("stage", sid, "partial_decode", rack))
+                expected.append(("stage", sid, "cross_transfer", rack))
+            expected.append(("stage", sid, "final_combine"))
+            expected.append(("commit", sid))
+        got = [
+            (r["rec"], r["stripe_id"])
+            + ((r["stage"],) if r["rec"] == "stage" else ())
+            + ((r["rack"],) if r.get("is_partial") else ())
+            for r in records
+        ]
+        assert got == expected
+
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_failed_verification_commits_and_sinks_nothing(
+        self, window, tmp_path
+    ):
+        state, event = failed_cluster(seed=11, stripes=18)
+        sol = CarStrategy().solve(state)
+        plan = plan_recovery(state, event, sol)
+        bad = sol.solutions[5].stripe_id
+
+        class CorruptingNetwork(PlanExecutor):
+            def _transmit(self, stage, buf, *, stripe_id, **where):
+                if stripe_id != bad:
+                    return buf
+                flipped = buf.copy()
+                flipped[0] ^= 1
+                return flipped
+
+        journal = RecoveryJournal(tmp_path / "j.jsonl")
+        journal.begin_session(
+            {"stripes": [s.stripe_id for s in sol.solutions]}
+        )
+        sunk = []
+        with pytest.raises(IntegrityError):
+            CorruptingNetwork(
+                state, journal=journal, verify_integrity=True
+            ).execute(
+                plan, sol, window=window,
+                sink=lambda sid, buf, ok: sunk.append(sid),
+            )
+        journal.close()
+        before_bad = [s.stripe_id for s in sol.solutions[:5]]
+        assert sunk == before_bad
+        replay = JournalReplay.load(tmp_path / "j.jsonl")
+        assert sorted(replay.committed) == before_bad
+        assert replay.pending[0] == bad
+
+
+def strip_seq(commits):
+    """Commit records without their position in the journal."""
+    return {
+        sid: {k: v for k, v in rec.items() if k != "seq"}
+        for sid, rec in commits.items()
+    }
+
+
+def crash_chain_injector():
+    """Two helper crashes then persistent corruption: re-plan twice,
+    then ride the retransmit ladder."""
+    return FaultInjector(
+        [
+            FaultSpec(kind=FaultKind.HELPER_CRASH,
+                      stage=PipelineStage.INTRA_TRANSFER, max_fires=1),
+            FaultSpec(kind=FaultKind.DELEGATE_CRASH,
+                      stage=PipelineStage.PARTIAL_DECODE, max_fires=1),
+            FaultSpec(kind=FaultKind.IN_FLIGHT_CORRUPT,
+                      stage=PipelineStage.CROSS_TRANSFER, max_fires=3),
+            FaultSpec(kind=FaultKind.FLOW_DROP,
+                      stage=PipelineStage.CROSS_TRANSFER, max_fires=2),
+        ],
+        seed=5,
+    )
+
+
+class TestWindowIndependenceUnderFaults:
+    def run_chain(self, path, window):
+        state, event = failed_cluster(seed=11, stripes=18, chunk_size=128)
+        out = RecoverySession(
+            state, event, CarStrategy(), path,
+            injector=crash_chain_injector(),
+            backoff=BackoffPolicy(max_attempts=4),
+            window=window,
+        ).run()
+        assert out.verified
+        assert_ground_truth(state, event, out.reconstructed)
+        return out, JournalReplay.load(path)
+
+    def test_crash_chain_is_identical_at_every_window(self, tmp_path):
+        base, base_replay = self.run_chain(tmp_path / "w1.jsonl", 1)
+        assert base.robust.replans == 2
+        assert base.robust.wasted_intra_rack_bytes > 0
+        assert base.robust.backoff_seconds > 0
+        for window in (3, 64, None):
+            out, replay = self.run_chain(tmp_path / f"w{window}.jsonl", window)
+            assert out.robust.log == base.robust.log
+            for field in (
+                "wasted_cross_rack_bytes", "wasted_intra_rack_bytes",
+                "rounds", "replans", "dead_nodes", "backoff_seconds",
+            ):
+                assert getattr(out.robust, field) == getattr(base.robust, field)
+            assert_identical(out.robust.result, base.robust.result)
+            validate_journal_records(replay.records)
+            assert replay.complete
+            assert strip_seq(replay.committed) == strip_seq(base_replay.committed)
+
+    def test_coordinator_crash_replays_identically_at_every_window(
+        self, tmp_path
+    ):
+        def crashed_replay(window):
+            state, event = failed_cluster(seed=11, stripes=18)
+            victim = CarStrategy().solve(state).solutions[6].stripe_id
+            injector = FaultInjector(
+                [FaultSpec(kind=FaultKind.COORDINATOR_CRASH,
+                           stage=PipelineStage.FINAL_COMBINE,
+                           stripe_id=victim)],
+                seed=3,
+            )
+            jp = tmp_path / f"c{window}.jsonl"
+            with pytest.raises(CoordinatorCrashError):
+                RecoverySession(
+                    state, event, CarStrategy(), jp,
+                    injector=injector, window=window,
+                ).run()
+            replay = JournalReplay.load(jp)
+            out = RecoverySession(
+                state, event, CarStrategy(), jp, window=window
+            ).resume()
+            assert out.verified
+            assert_ground_truth(state, event, out.reconstructed)
+            return strip_seq(replay.committed), set(out.executed)
+
+        base = crashed_replay(1)
+        assert len(base[0]) == 6
+        for window in (3, 64, None):
+            assert crashed_replay(window) == base
+
+    def test_robust_run_outside_a_session_takes_a_window(self):
+        state, event = failed_cluster(seed=11, stripes=18)
+        sol = CarStrategy().solve(state)
+        plan = plan_recovery(state, event, sol)
+        runs = [
+            RobustExecutor(state, injector=crash_chain_injector()).run(
+                event, sol, plan, window=window
+            )
+            for window in (1, 4)
+        ]
+        assert runs[0].log == runs[1].log
+        assert_identical(runs[0].result, runs[1].result)
 
 
 class TestSharedChunkStore:
@@ -375,17 +708,3 @@ class TestStreamingHelpers:
         a, b = sol.solutions[0], sol.solutions[1]
         if (a.lost_chunk, a.helpers) != (b.lost_chunk, b.helpers):
             assert repair_signature(a, False) != repair_signature(b, False)
-
-    def test_execute_parallel_requires_plain_executor(self, tmp_path):
-        from repro.durable.journal import RecoveryJournal
-
-        state, event = failed_cluster(seed=1)
-        journal = RecoveryJournal(tmp_path / "j.jsonl")
-        journal.begin_session({"stripes": []})
-        ex = PlanExecutor(state, journal=journal)
-        with pytest.raises(ConfigurationError):
-            execute_parallel(
-                ex, iter(()), True, 0, window=4, workers=2, batch=True,
-                shm=None,
-            )
-        journal.close()
