@@ -36,11 +36,23 @@ def test_gf_mul_scalar_throughput(benchmark, chunk_1mb):
     assert result.shape == chunk_1mb.shape
 
 
-def test_gf_dot_rows_k6(benchmark, chunk_1mb):
-    bufs = [chunk_1mb] * 6
+@pytest.mark.parametrize(
+    "size", [64 * 1024, MB, 4 * MB], ids=["64k", "1m", "4m"]
+)
+def test_gf_dot_rows_k6(benchmark, size):
+    """The repair kernel across the chunk-size range: six *distinct*
+    inputs, so the bench carries six buffers' worth of cache pressure,
+    and ``input_mib_per_second`` must stay flat (or rise) from 64 KiB to
+    4 MiB."""
+    rng = np.random.default_rng(size)
+    bufs = [rng.integers(0, 256, size, dtype=np.uint8) for _ in range(6)]
     coeffs = [3, 5, 7, 11, 13, 17]
     result = benchmark(dot_rows, GF8, coeffs, bufs)
-    assert result.shape == chunk_1mb.shape
+    assert result.shape == bufs[0].shape
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["input_mib_per_second"] = (
+            6 * size / MB / benchmark.stats.stats.median
+        )
 
 
 def test_rs_encode_6_3(benchmark):

@@ -68,14 +68,27 @@ class BoundedCache:
         if value is _MISSING:
             self.misses += 1
             return default
-        self._data.move_to_end(key)
+        self._touch(key)
         self.hits += 1
         return value
+
+    def _touch(self, key: Hashable) -> None:
+        """Mark ``key`` most recently used.
+
+        The GF kernels share module-level caches across threads; another
+        thread's ``put`` may evict ``key`` between a lookup and this
+        call.  The value already in hand is still good, so a vanished
+        key is not an error.
+        """
+        try:
+            self._data.move_to_end(key)
+        except KeyError:
+            pass
 
     def put(self, key: K, value: V) -> V:
         """Insert/refresh an entry, evicting the oldest past the bound."""
         self._data[key] = value
-        self._data.move_to_end(key)
+        self._touch(key)
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
             self.evictions += 1
@@ -85,7 +98,7 @@ class BoundedCache:
         """Return the cached value, building and inserting it on a miss."""
         value = self._data.get(key, _MISSING)
         if value is not _MISSING:
-            self._data.move_to_end(key)
+            self._touch(key)
             self.hits += 1
             return value
         self.misses += 1

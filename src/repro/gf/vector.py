@@ -17,15 +17,17 @@ Two table schemes back the kernels:
   2^16-entry table would cost).  ``c * v == lo[v & 0xFF] ^ hi[v >> 8]``.
 
 The central batched primitive is :func:`batch_dot`: apply an ``r x n``
-coefficient matrix to ``n`` input buffers in one fused pass with
-in-place XOR accumulation and reusable scratch buffers (no per-row
-temporaries).  :func:`matrix_apply` (the encode/decode kernel) and
-:func:`dot_rows` (the paper's Equation-7 partial-decoding primitive)
-are thin wrappers over it.
+coefficient matrix to ``n`` input buffers in one fused pass.  It
+resolves every table once per call, then walks the buffers in fixed
+``_TILE``-element tiles, so the index, gather and accumulator scratch
+is O(tile) whatever the chunk size, stays cache-resident, and is
+allocated per call.  :func:`matrix_apply` (the encode/decode kernel)
+and :func:`dot_rows` (the paper's Equation-7 partial-decoding
+primitive) are thin wrappers over it.
 
-All product-table caches are bounded LRUs (:class:`repro.cache.BoundedCache`).
-The module-level scratch buffers make these kernels **not thread-safe**;
-use separate processes for parallelism (the experiment driver does).
+All product-table caches are bounded LRUs (:class:`repro.cache.BoundedCache`)
+of read-only tables, and no other state outlives a call, so the kernels
+are re-entrant: several threads may run them at once.
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ _MUL_TABLE_CACHE = BoundedCache(maxsize=1024, name="gf.mul_table")
 _NIBBLE_TABLE_CACHE = BoundedCache(maxsize=1024, name="gf.nibble_table")
 #: Per-(w, c1, c2) fused pair tables for w <= 8: 64 KiB each, so <= 4 MiB total.
 _PAIR_TABLE_CACHE = BoundedCache(maxsize=64, name="gf.pair_table")
+#: Per-(w, column of constants) packed lane tables: <= 2 KiB each.
+_PACKED_TABLE_CACHE = BoundedCache(maxsize=1024, name="gf.packed_table")
+
+#: Elements per tile of the batched kernels (docs/PERFORMANCE.md has the
+#: sweep that picked it).  One tile of everything the widest kernel
+#: touches — uint32 accumulator and gather target, the intp copy of the
+#: indices ``np.take`` makes, inputs, outputs — is ~0.6 MiB, inside a
+#: per-core L2 with room left for a 64 KiB pair table.
+_TILE = 1 << 15
 
 
 def _count_kernel(kernel: str, nbytes: int) -> None:
@@ -70,19 +81,6 @@ def _count_kernel(kernel: str, nbytes: int) -> None:
     reg.counter("gf.kernel.bytes").inc(nbytes, kernel=kernel)
 
 _LITTLE_ENDIAN = bool(np.little_endian)
-
-# Reusable scratch buffers, keyed by (dtype, slot); each holds the
-# largest size seen so far.  Bounded by a few chunk-sized arrays.
-_SCRATCH: dict[tuple[str, int], np.ndarray] = {}
-
-
-def _scratch(dtype: np.dtype, n: int, slot: int = 0) -> np.ndarray:
-    key = (np.dtype(dtype).str, slot)
-    buf = _SCRATCH.get(key)
-    if buf is None or buf.size < n:
-        buf = np.empty(n, dtype=dtype)
-        _SCRATCH[key] = buf
-    return buf[:n]
 
 
 def buffer_dtype(field: GaloisField) -> np.dtype:
@@ -186,9 +184,48 @@ def _pair_table(field: GaloisField, c1: int, c2: int) -> np.ndarray:
     return table
 
 
+def _packed_tables(field: GaloisField, cs: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Lane-packed tables for one input column of a row group (cached).
+
+    ``cs`` holds the column's constant for each output row of the group;
+    lane ``i`` of ``P[x]`` is ``cs[i] * x``, so one gather yields every
+    row's product.  One table for w <= 8 (up to four byte lanes), the
+    ``(lo, hi)`` nibble pair for w == 16 (up to two 16-bit lanes); two
+    lanes' worth of bits pack into uint16, more into uint32.
+    """
+    key = (field.w, cs)
+    tables = _PACKED_TABLE_CACHE.get(key)
+    if tables is None:
+        lane_bits = 8 if field.w <= 8 else 16
+        pack_dtype = np.uint16 if len(cs) * lane_bits <= 16 else np.uint32
+        per_lane = [
+            (_mul_table(field, c),) if field.w <= 8 else _nibble_tables(field, c)
+            for c in cs
+        ]
+        packed_tables = []
+        for lane_tables in zip(*per_lane):
+            packed = np.zeros(lane_tables[0].size, dtype=pack_dtype)
+            for lane, table in enumerate(lane_tables):
+                packed |= table.astype(pack_dtype) << (lane_bits * lane)
+            packed.setflags(write=False)
+            packed_tables.append(packed)
+        tables = _PACKED_TABLE_CACHE.put(key, tuple(packed_tables))
+    return tables
+
+
 def xor_into(dst: np.ndarray, src: np.ndarray) -> None:
     """``dst ^= src`` element-wise (field addition), in place."""
     np.bitwise_xor(dst, src, out=dst)
+
+
+def _scaled(field: GaloisField, c: int, buf: np.ndarray) -> np.ndarray:
+    """New buffer ``c * buf`` for a constant other than 0 and 1."""
+    if field.w <= 8:
+        return np.take(_mul_table(field, c), buf)
+    lo, hi = _nibble_tables(field, c)
+    out = lo[buf & 0xFF]
+    out ^= hi[buf >> 8]
+    return out
 
 
 def mul_scalar(field: GaloisField, c: int, buf: np.ndarray) -> np.ndarray:
@@ -200,12 +237,7 @@ def mul_scalar(field: GaloisField, c: int, buf: np.ndarray) -> np.ndarray:
         return np.zeros_like(buf)
     if c == 1:
         return buf.copy()
-    if field.w <= 8:
-        return np.take(_mul_table(field, c), buf)
-    lo, hi = _nibble_tables(field, c)
-    out = lo[buf & 0xFF]
-    out ^= hi[buf >> 8]
-    return out
+    return _scaled(field, c, buf)
 
 
 def scale_inplace(field: GaloisField, c: int, buf: np.ndarray) -> None:
@@ -218,15 +250,7 @@ def scale_inplace(field: GaloisField, c: int, buf: np.ndarray) -> None:
     if c == 0:
         buf[:] = 0
         return
-    if field.w <= 8:
-        np.take(_mul_table(field, c), buf, out=buf)
-        return
-    lo, hi = _nibble_tables(field, c)
-    high = _scratch(buf.dtype, buf.size, slot=1)
-    np.right_shift(buf, 8, out=high)
-    np.bitwise_and(buf, 0xFF, out=buf)
-    np.take(lo, buf, out=buf)
-    buf ^= hi[high]
+    buf[:] = _scaled(field, c, buf)
 
 
 def axpy(field: GaloisField, c: int, x: np.ndarray, y: np.ndarray) -> None:
@@ -236,17 +260,7 @@ def axpy(field: GaloisField, c: int, x: np.ndarray, y: np.ndarray) -> None:
         _count_kernel("axpy", x.size * x.itemsize)
     if c == 0:
         return
-    if c == 1:
-        np.bitwise_xor(y, x, out=y)
-        return
-    s = _scratch(y.dtype, y.size)
-    if field.w <= 8:
-        np.take(_mul_table(field, c), x, out=s)
-    else:
-        lo, hi = _nibble_tables(field, c)
-        np.take(lo, x & 0xFF, out=s)
-        s ^= hi[x >> 8]
-    np.bitwise_xor(y, s, out=y)
+    np.bitwise_xor(y, x if c == 1 else _scaled(field, c, x), out=y)
 
 
 def _unpack_lane(acc: np.ndarray, lane: int, lane_size: int) -> np.ndarray:
@@ -257,33 +271,40 @@ def _unpack_lane(acc: np.ndarray, lane: int, lane_size: int) -> np.ndarray:
     return per_elem[:, lane if _LITTLE_ENDIAN else lanes - 1 - lane]
 
 
-def _batch_dot_u8(
-    field: GaloisField, rows: np.ndarray, bufs, out: np.ndarray
-) -> None:
-    """w <= 8 kernel: packed byte lanes for multi-row, pair tables for 1-row."""
-    r, n = rows.shape
-    size = out.shape[1]
-    for g0 in range(0, r, 4):
-        lanes = min(4, r - g0)
-        if lanes == 1:
-            _dot_single_u8(field, rows[g0], bufs, out[g0])
-            continue
-        pack_dtype = np.uint16 if lanes == 2 else np.uint32
-        acc = _scratch(pack_dtype, size, slot=0)
-        acc[:] = 0
-        gathered = _scratch(pack_dtype, size, slot=1)
-        for j in range(n):
-            cs = [int(c) for c in rows[g0 : g0 + lanes, j]]
-            if not any(cs):
-                continue
-            packed = np.zeros(field.order, dtype=pack_dtype)
-            for lane, c in enumerate(cs):
-                if c:
-                    packed |= _mul_table(field, c).astype(pack_dtype) << (8 * lane)
-            np.take(packed, bufs[j], out=gathered)
-            acc ^= gathered
-        for lane in range(lanes):
-            out[g0 + lane][:] = _unpack_lane(acc, lane, 1)
+def _take_mode(field: GaloisField) -> str:
+    """``np.take`` mode for gathers indexed by buffers of ``field``.
+
+    ``"wrap"`` makes ``np.take`` write straight into ``out`` (``"raise"``
+    gathers into a private copy first) and is safe exactly where the
+    index dtype cannot hold an out-of-range value: uint8 into 256-entry
+    and uint16 into 65 536-entry tables at w = 8, byte indices into the
+    256-entry nibble tables at w = 16.  Smaller fields keep ``"raise"``,
+    so an out-of-field byte stays an error instead of aliasing.
+    """
+    return "wrap" if field.w >= 8 else "raise"
+
+
+def _tiled(tile_fn, xs, out: np.ndarray, scratch_dtypes) -> None:
+    """Run ``tile_fn(xs, out, *scratch)`` over ``_TILE``-element tiles.
+
+    ``xs`` are the 1-D inputs; ``out`` is 1-D or ``(lanes, L)`` and is
+    tiled along its last axis.  One scratch array of one tile per entry
+    of ``scratch_dtypes`` is allocated here, per call — nothing outlives
+    the call, which is what makes the kernels re-entrant.  Buffers that
+    fit one tile go to ``tile_fn`` whole: no slicing, no loop.
+    """
+    size = out.shape[-1]
+    scratch = [np.empty(min(size, _TILE), dtype=dt) for dt in scratch_dtypes]
+    if size <= _TILE:
+        tile_fn(xs, out, *scratch)
+        return
+    for lo in range(0, size, _TILE):
+        hi = min(lo + _TILE, size)
+        tile_fn(
+            [x[lo:hi] for x in xs],
+            out[..., lo:hi],
+            *[s[: hi - lo] for s in scratch],
+        )
 
 
 def _dot_single_u8(
@@ -293,66 +314,91 @@ def _dot_single_u8(
 
     Consecutive nonzero terms are consumed two at a time through
     :func:`_pair_table`, so ``k`` inputs cost ``ceil(k/2)`` gathers
-    instead of ``k``.
+    instead of ``k``.  The first gather lands in the output tile; later
+    ones go through a one-tile scratch and are XORed in.
     """
-    size = out_row.shape[0]
-    terms = [(int(c), bufs[j]) for j, c in enumerate(coeffs) if c]
-    out_row[:] = 0
-    idx = _scratch(np.uint16, size, slot=2)
-    s = _scratch(np.uint8, size, slot=3)
-    i = 0
+    terms = [(c, bufs[j]) for j, c in enumerate(coeffs.tolist()) if c]
+    if not terms:
+        out_row[:] = 0
+        return
+    tables = [
+        _pair_table(field, terms[i][0], terms[i + 1][0])
+        for i in range(0, len(terms) - 1, 2)
+    ]
+    if len(terms) % 2:
+        c = terms[-1][0]
+        tables.append(None if c == 1 else _mul_table(field, c))
+    mode = _take_mode(field)
     stride = np.uint16(field.order)
-    while i + 1 < len(terms):
-        (c1, x1), (c2, x2) = terms[i], terms[i + 1]
-        np.multiply(x1, stride, out=idx)
-        np.bitwise_or(idx, x2, out=idx)
-        np.take(_pair_table(field, c1, c2), idx, out=s)
-        out_row ^= s
-        i += 2
-    if i < len(terms):
-        c, x = terms[i]
-        if c == 1:
-            out_row ^= x
-        else:
-            np.take(_mul_table(field, c), x, out=s)
-            out_row ^= s
+
+    def tile(xs, out, idx, s):
+        dst = out
+        # Inputs two at a time; an odd one out is the unpaired tail.
+        for table, x, x2 in zip(tables, xs[::2], xs[1::2] + [None]):
+            if x2 is not None:
+                np.multiply(x, stride, out=idx)
+                np.bitwise_or(idx, x2, out=idx)
+                x = idx
+            if table is None:  # unit coefficient: the product is x itself
+                if dst is out:
+                    out[:] = x
+                else:
+                    np.bitwise_xor(out, x, out=out)
+            else:
+                table.take(x, out=dst, mode=mode)
+                if dst is s:
+                    np.bitwise_xor(out, s, out=out)
+            dst = s
+
+    _tiled(tile, [x for _, x in terms], out_row, (np.uint16, np.uint8))
 
 
-def _batch_dot_u16(
+def _dot_packed(
     field: GaloisField, rows: np.ndarray, bufs, out: np.ndarray
 ) -> None:
-    """w == 16 kernel: split-nibble gathers, two rows packed per uint32."""
-    r, n = rows.shape
-    size = out.shape[1]
-    # Low/high byte indices are shared by every output row group.
-    lo_idx = [buf & 0xFF for buf in bufs]
-    hi_idx = [buf >> 8 for buf in bufs]
-    for g0 in range(0, r, 2):
-        lanes = min(2, r - g0)
-        pack_dtype = np.uint16 if lanes == 1 else np.uint32
-        acc = _scratch(pack_dtype, size, slot=0)
-        acc[:] = 0
-        gathered = _scratch(pack_dtype, size, slot=1)
-        for j in range(n):
-            cs = [int(c) for c in rows[g0 : g0 + lanes, j]]
-            if not any(cs):
-                continue
-            packed_lo = np.zeros(256, dtype=pack_dtype)
-            packed_hi = np.zeros(256, dtype=pack_dtype)
-            for lane, c in enumerate(cs):
-                if c:
-                    lo, hi = _nibble_tables(field, c)
-                    packed_lo |= lo.astype(pack_dtype) << (16 * lane)
-                    packed_hi |= hi.astype(pack_dtype) << (16 * lane)
-            np.take(packed_lo, lo_idx[j], out=gathered)
-            acc ^= gathered
-            np.take(packed_hi, hi_idx[j], out=gathered)
-            acc ^= gathered
-        if lanes == 1:
-            out[g0][:] = acc
-        else:
-            for lane in range(lanes):
-                out[g0 + lane][:] = _unpack_lane(acc, lane, 2)
+    """One row group: a single gather yields every output row's product.
+
+    ``rows`` / ``out`` hold up to four rows (w <= 8, byte lanes) or two
+    (w == 16, 16-bit lanes).  Each tile accumulates in a packed scratch
+    accumulator whose lanes are then unpacked into the output tile.  At
+    w == 16 every input costs two gathers, indexed by its low and high
+    bytes (split per tile), and a lone row needs no packing, so it
+    accumulates in the output tile itself.
+    """
+    columns = [tuple(column) for column in rows.T.tolist()]
+    used = [j for j, cs in enumerate(columns) if any(cs)]
+    if not used:
+        out[:] = 0
+        return
+    tables = [_packed_tables(field, columns[j]) for j in used]
+    pack_dtype = tables[0][0].dtype
+    mode = _take_mode(field)
+    split = field.w == 16
+    lane_size = 2 if split else 1
+    packed_lanes = len(out) > 1
+
+    def tile(xs, out_tile, acc, gathered, lo=None, hi=None):
+        if not packed_lanes:
+            acc = out_tile[0]
+        dst = acc  # the first gather lands in the accumulator itself
+        for packed, x in zip(tables, xs):
+            if split:
+                np.copyto(lo, x, casting="unsafe")
+                np.right_shift(x, 8, out=hi, casting="unsafe")
+                indices = (lo, hi)
+            else:
+                indices = (x,)
+            for table, index in zip(packed, indices):
+                table.take(index, out=dst, mode=mode)
+                if dst is gathered:
+                    np.bitwise_xor(acc, gathered, out=acc)
+                dst = gathered
+        if packed_lanes:
+            for lane, row in enumerate(out_tile):
+                row[:] = _unpack_lane(acc, lane, lane_size)
+
+    scratch = (pack_dtype, pack_dtype) + ((np.uint8, np.uint8) if split else ())
+    _tiled(tile, [bufs[j] for j in used], out, scratch)
 
 
 def batch_dot(
@@ -364,22 +410,23 @@ def batch_dot(
     """Apply an ``r x n`` coefficient matrix to ``n`` buffers, batched.
 
     This is the fused coding kernel: all ``r`` linear combinations
-    ``out[i] = sum_j rows[i, j] * bufs[j]`` are produced in one pass
-    with XOR accumulation into reusable scratch buffers.  ``bufs`` may
-    be a list of 1-D buffers or an ``(n, L)`` matrix (its rows are the
-    buffers — no copy either way).
+    ``out[i] = sum_j rows[i, j] * bufs[j]`` are produced in one tiled
+    pass (see the module docstring).  ``bufs`` may be a list of 1-D
+    buffers or an ``(n, L)`` matrix (its rows are the buffers — no copy
+    either way); inputs are only read and may be read-only or strided.
 
     Args:
         field: the coefficient field.
         rows: ``(r, n)`` coefficient matrix.
         bufs: ``n`` equal-length 1-D buffers of the field's dtype.
-        out: optional preallocated ``(r, L)`` output (zeroed and filled).
+        out: optional preallocated ``(r, L)`` output (overwritten); it
+            must not overlap the inputs.
 
     Returns:
         ``(r, L)`` array; row ``i`` is the ``i``-th combination.
 
     Raises:
-        FieldError: on shape/coefficient-range mismatches.
+        FieldError: on shape, dtype or coefficient-range mismatches.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2:
@@ -395,6 +442,12 @@ def batch_dot(
         raise FieldError(f"coefficients outside GF(2^{field.w})")
     size = bufs[0].shape[0]
     dtype = buffer_dtype(field)
+    for buf in bufs:
+        # The unchecked ("wrap") gathers rely on the index dtype.
+        if buf.dtype != dtype:
+            raise FieldError(
+                f"buffer dtype {buf.dtype} does not match GF(2^{field.w}) ({dtype})"
+            )
     if out is None:
         out = np.empty((r, size), dtype=dtype)
     elif out.shape != (r, size) or out.dtype != dtype:
@@ -403,10 +456,12 @@ def batch_dot(
         )
     if r == 0:
         return out
-    if field.w <= 8:
-        _batch_dot_u8(field, rows, bufs, out)
-    else:
-        _batch_dot_u16(field, rows, bufs, out)
+    group = 4 if field.w <= 8 else 2
+    for g0 in range(0, r, group):
+        if field.w <= 8 and g0 == r - 1:
+            _dot_single_u8(field, rows[g0], bufs, out[g0])
+        else:
+            _dot_packed(field, rows[g0 : g0 + group], bufs, out[g0 : g0 + group])
     if _metrics.CURRENT is not None:
         kernel = "batch_dot_u8" if field.w <= 8 else "batch_dot_u16"
         _count_kernel(kernel, n * size * out.itemsize)

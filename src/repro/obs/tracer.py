@@ -101,8 +101,8 @@ class Tracer:
             (e.g. a streaming JSONL writer); records are always also
             kept in :attr:`events`.
 
-    Not thread-safe (like the kernels it instruments); use one tracer
-    per process/worker and merge the JSONL streams.
+    Not thread-safe; use one tracer per process/worker and merge the
+    JSONL streams.
     """
 
     #: Hot paths check this before building event attributes.

@@ -32,10 +32,11 @@ never touches telemetry, the journal or the fault hooks:
 Everything here is *pure computation* over read-only state: no tracer,
 journal, or data-store mutation.  That is a hard requirement —
 :func:`compute_window` runs on a worker thread while the executor's
-thread ships the previous window (the tracer, the journal and the GF
-scratch buffers are not thread-safe, so they stay on exactly one thread
-each; the kernels' metric counters are why :func:`thread_stage` does
-not let the two stages overlap while a metrics registry is active).
+thread ships the previous window (the tracer and the journal are not
+thread-safe, so each stays on exactly one thread; the GF kernels are
+re-entrant, but they count into the metrics registry, which is not —
+that is why :func:`thread_stage` does not let the two stages overlap
+while a registry is active).
 """
 
 from __future__ import annotations

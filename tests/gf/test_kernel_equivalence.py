@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.errors import FieldError
 from repro.gf.field import GF4, GF8, GF16, gf
 from repro.gf.vector import (
+    _TILE,
     as_field_buffer,
     batch_dot,
     buffer_dtype,
@@ -110,6 +111,106 @@ class TestBatchDotEquivalence:
         assert np.array_equal(
             batch_dot(field, rows, bufs), reference_batch_dot(field, rows, bufs)
         )
+
+
+def logexp_batch_dot(field, rows, bufs):
+    """Vectorised log/exp reference: no product tables, no tiles."""
+    t = field.tables
+    out = np.zeros((len(rows), len(bufs[0])), dtype=buffer_dtype(field))
+    for i, row in enumerate(rows):
+        for c, buf in zip(row, bufs):
+            if c:
+                logs = t.log[buf].astype(np.int64)
+                logs[buf == 0] = 0
+                out[i] ^= np.where(buf == 0, 0, t.exp[logs + int(t.log[c])])
+    return out
+
+
+def mixed_layout_inputs(field, length, seed):
+    """Five inputs, one per memory layout a caller may hand the kernel."""
+    dtype = buffer_dtype(field)
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.integers(0, field.order, shape, dtype=dtype)
+
+    return [
+        as_field_buffer(field, draw(length).tobytes()),  # read-only view
+        draw(2 * length)[::2],  # strided slice
+        draw(3, length)[1],  # row of an (n, L) matrix
+        draw(length)[::-1],  # negative stride
+        draw(length),
+    ]
+
+
+class TestTileBoundaries:
+    """Lengths on and around the kernels' tile edge, every row-group shape."""
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    @pytest.mark.parametrize(
+        "length", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3]
+    )
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"w{f.w}")
+    def test_matches_logexp_reference(self, field, length, r):
+        bufs = mixed_layout_inputs(field, length, seed=length + r)
+        assert not bufs[0].flags.writeable
+        assert not bufs[1].flags.c_contiguous
+        rng = np.random.default_rng(r)
+        rows = rng.integers(2, field.order, (r, len(bufs)))
+        rows[0, rng.integers(len(bufs))] = 0
+        rows[-1, -1] = 1  # an unpaired unit term when it ends a single row
+        before = [buf.copy() for buf in bufs]
+        want = logexp_batch_dot(field, rows, bufs)
+        assert np.array_equal(batch_dot(field, rows, bufs), want)
+        out = np.full((r, length), field.order - 1, dtype=buffer_dtype(field))
+        assert batch_dot(field, rows, bufs, out=out) is out
+        assert np.array_equal(out, want)
+        for buf, original in zip(bufs, before):
+            assert np.array_equal(buf, original)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"w{f.w}")
+    def test_matrix_input_and_degenerate_rows(self, field):
+        """An ``(n, L)`` matrix as ``bufs``; zero rows, zero row groups and
+        lone unit coefficients take the kernels' short-circuits."""
+        length = _TILE + 1
+        matrix = np.random.default_rng(7).integers(
+            0, field.order, (3, length), dtype=buffer_dtype(field)
+        )
+        rows = np.zeros((9, 3), dtype=np.int64)  # rows 4-7: all-zero groups
+        rows[1] = [0, 1, 0]
+        rows[2] = [1, 0, field.order - 1]
+        rows[8] = [0, 0, 1]  # a group of its own at either lane width
+        got = batch_dot(field, rows, matrix)
+        assert np.array_equal(got, logexp_batch_dot(field, rows, matrix))
+        assert np.array_equal(got[1], matrix[1])
+        assert np.array_equal(
+            dot_rows(field, [0, 0, 1], matrix), matrix[2]
+        )
+        assert not dot_rows(field, [0, 0, 0], matrix).any()
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_out_of_field_byte_raises_in_gf4(self, r):
+        """Only full-width indices skip the range check: a byte that is
+        not a GF(2^4) element is an error, not a wrapped table index —
+        in a later tile as much as in the first."""
+        bufs = [np.zeros(_TILE + 8, dtype=np.uint8) for _ in range(3)]
+        rows = np.arange(2, 2 + 3 * r).reshape(r, 3)
+        batch_dot(GF4, rows, bufs)
+        for position in (3, _TILE + 5):
+            for j in (0, 2):  # first of a pair, and the unpaired tail
+                bufs[j][position] = 0x5A
+                with pytest.raises(IndexError):
+                    batch_dot(GF4, rows, bufs)
+                bufs[j][position] = 0
+
+    def test_rejects_wrong_buffer_dtype(self):
+        """The unchecked gathers rely on the buffer dtype bounding the
+        index, so a wider buffer must not reach them."""
+        bufs = [np.zeros(4, dtype=np.uint8), np.full(4, 0x1FF, dtype=np.uint16)]
+        with pytest.raises(FieldError):
+            batch_dot(GF8, np.array([[1, 2]]), bufs)
+        with pytest.raises(FieldError):
+            batch_dot(GF16, np.array([[1, 2]]), bufs)
 
 
 class TestAsFieldBufferViews:
