@@ -15,6 +15,8 @@ MSR bound          ``d/(d-k+1)``      (placement-dependent)
 
 :func:`repair_landscape` computes the table for concrete parameters,
 measuring CAR's column on a real cluster rather than assuming it.
+
+Reached by ``repro-car landscape``: EXPERIMENTS.md "Repair landscape".
 """
 
 from __future__ import annotations

@@ -81,39 +81,6 @@ class FailureInjector:
         """Fail a specific node."""
         return state.fail_node(node_id)
 
-    def helper_candidates(
-        self, state: ClusterState, event: FailureEvent
-    ) -> list[int]:
-        """Nodes that hold at least one chunk of an affected stripe.
-
-        These are the nodes whose mid-repair crash (a *secondary*
-        failure) actually perturbs the recovery — the candidate pool the
-        fault-injection drills draw from.  The replacement node is
-        excluded (its loss is not survivable in the single-replacement
-        model).
-        """
-        involved: set[int] = set()
-        for stripe in event.stripes:
-            layout = state.placement.stripe_layout(stripe)
-            involved.update(
-                nid for nid in layout.values()
-                if nid not in (state.failed_node, event.replacement_node)
-            )
-        return sorted(involved)
-
-    def pick_secondary(
-        self, state: ClusterState, event: FailureEvent
-    ) -> int:
-        """A random helper node to crash mid-repair.
-
-        Raises:
-            NoFailureError: if no helper node is involved in the repair.
-        """
-        candidates = self.helper_candidates(state, event)
-        if not candidates:
-            raise NoFailureError("no helper nodes involved in this recovery")
-        return self.rng.choice(candidates)
-
     def simulate_rack_loss(self, state: ClusterState, rack_id: int) -> bool:
         """Check (without mutating) that every stripe survives losing a rack.
 

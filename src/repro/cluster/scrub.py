@@ -17,6 +17,9 @@ module implements code-level scrubbing for the simulated cluster:
 Scrubbing is orthogonal to failure recovery (the paper's topic) but
 shares all of its machinery, which is why it lives here: it exercises
 decode paths on every chunk the way a real deployment would.
+
+Reached by ``repro-car scrub`` (an integrity drill that passes or fails;
+it has no EXPERIMENTS.md row).
 """
 
 from __future__ import annotations

@@ -22,6 +22,10 @@ The CFS angle (and why this lives in a CAR reproduction): aligning each
 local group with one rack makes a data-chunk repair *zero* cross-rack
 traffic — the storage-vs-bandwidth trade-off the ablation bench
 contrasts with CAR-over-RS.
+
+Reached by ``benchmarks/test_bench_lrc.py`` and
+``examples/repair_landscape.py``: the LRC row of EXPERIMENTS.md "Repair
+landscape" (DESIGN.md section 5, "LRC vs CAR").
 """
 
 from __future__ import annotations

@@ -25,6 +25,8 @@ overhead (parities repair as ordinary RS at cost ``k``).
 Everything operates on real numpy half-chunk buffers, so repair
 correctness is byte-checked, and the parity functions ride the batched
 GF kernels through :class:`~repro.erasure.rs.RSCode`.
+
+Reached by ``repro-car regen``: EXPERIMENTS.md "Regenerating codes vs CAR".
 """
 
 from __future__ import annotations

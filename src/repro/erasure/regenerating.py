@@ -34,6 +34,10 @@ reads are free, exactly the cost model CAR is built on.
 
 Symbols here are numpy buffers (packets), so all claims are verified on
 real bytes.
+
+Reached by ``examples/repair_landscape.py`` (byte-verified PM-MSR repairs
+behind the PM-MSR row of EXPERIMENTS.md "Repair landscape"); the
+rack-aware construction is what ``repro-car regen`` models.
 """
 
 from __future__ import annotations

@@ -271,19 +271,6 @@ def _unpack_lane(acc: np.ndarray, lane: int, lane_size: int) -> np.ndarray:
     return per_elem[:, lane if _LITTLE_ENDIAN else lanes - 1 - lane]
 
 
-def _take_mode(field: GaloisField) -> str:
-    """``np.take`` mode for gathers indexed by buffers of ``field``.
-
-    ``"wrap"`` makes ``np.take`` write straight into ``out`` (``"raise"``
-    gathers into a private copy first) and is safe exactly where the
-    index dtype cannot hold an out-of-range value: uint8 into 256-entry
-    and uint16 into 65 536-entry tables at w = 8, byte indices into the
-    256-entry nibble tables at w = 16.  Smaller fields keep ``"raise"``,
-    so an out-of-field byte stays an error instead of aliasing.
-    """
-    return "wrap" if field.w >= 8 else "raise"
-
-
 def _tiled(tile_fn, xs, out: np.ndarray, scratch_dtypes) -> None:
     """Run ``tile_fn(xs, out, *scratch)`` over ``_TILE``-element tiles.
 
@@ -328,7 +315,6 @@ def _dot_single_u8(
     if len(terms) % 2:
         c = terms[-1][0]
         tables.append(None if c == 1 else _mul_table(field, c))
-    mode = _take_mode(field)
     stride = np.uint16(field.order)
 
     def tile(xs, out, idx, s):
@@ -345,7 +331,7 @@ def _dot_single_u8(
                 else:
                     np.bitwise_xor(out, x, out=out)
             else:
-                table.take(x, out=dst, mode=mode)
+                table.take(x, out=dst, mode="wrap")
                 if dst is s:
                     np.bitwise_xor(out, s, out=out)
             dst = s
@@ -372,7 +358,6 @@ def _dot_packed(
         return
     tables = [_packed_tables(field, columns[j]) for j in used]
     pack_dtype = tables[0][0].dtype
-    mode = _take_mode(field)
     split = field.w == 16
     lane_size = 2 if split else 1
     packed_lanes = len(out) > 1
@@ -389,7 +374,7 @@ def _dot_packed(
             else:
                 indices = (x,)
             for table, index in zip(packed, indices):
-                table.take(index, out=dst, mode=mode)
+                table.take(index, out=dst, mode="wrap")
                 if dst is gathered:
                     np.bitwise_xor(acc, gathered, out=acc)
                 dst = gathered
@@ -426,7 +411,8 @@ def batch_dot(
         ``(r, L)`` array; row ``i`` is the ``i``-th combination.
 
     Raises:
-        FieldError: on shape, dtype or coefficient-range mismatches.
+        FieldError: on shape, dtype, coefficient-range or (w < 8)
+            element-range mismatches.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2:
@@ -443,11 +429,17 @@ def batch_dot(
     size = bufs[0].shape[0]
     dtype = buffer_dtype(field)
     for buf in bufs:
-        # The unchecked ("wrap") gathers rely on the index dtype.
+        # The gathers are unchecked (``mode="wrap"`` lets ``np.take`` write
+        # straight into ``out``), so no index may exceed its table: the
+        # dtype bounds it at w = 8 (uint8 / paired uint16 indices) and
+        # w = 16 (byte indices into the nibble tables); smaller fields
+        # share the byte dtype and are range-checked here instead.
         if buf.dtype != dtype:
             raise FieldError(
                 f"buffer dtype {buf.dtype} does not match GF(2^{field.w}) ({dtype})"
             )
+        if field.w < 8 and buf.size and int(buf.max()) >= field.order:
+            raise FieldError(f"buffer holds a byte outside GF(2^{field.w})")
     if out is None:
         out = np.empty((r, size), dtype=dtype)
     elif out.shape != (r, size) or out.dtype != dtype:

@@ -18,8 +18,10 @@ throughput and CI would stay green.  This module is the read side:
   ``BENCH_HISTORY.jsonl``, the committed PR-over-PR trajectory (one
   compact JSON line per suite per recording).
 
-``tools/bench_compare.py`` wraps this as the CLI the CI
-``bench-regress`` job gates on.
+``tools/bench_compare.py`` wraps this as a CLI.  Retired: no CI job or
+workflow runs it any more — performance is measured by
+``benchmarks/e2e`` — and the module goes with its test file
+(``PENDING_DELETION`` in ``tests/test_package.py``).
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ The strategy emits ordinary :class:`PerStripeSolution` objects (with
 fewer than ``k`` helpers — LRC's repair vectors support that), so the
 existing planner, executor, metrics, and simulators all apply
 unchanged.
+
+Reached by ``benchmarks/test_bench_lrc.py`` (DESIGN.md section 5, "LRC vs
+CAR") and the LRC row of EXPERIMENTS.md "Repair landscape".
 """
 
 from __future__ import annotations

@@ -26,6 +26,9 @@ naming itself when the cluster cannot satisfy that, which is why it is
 paired with
 :class:`~repro.cluster.placement.RackAlignedPlacementPolicy` in the
 regen experiment.
+
+Reached by ``repro-car regen`` (and ``repro-car serve --strategy``):
+EXPERIMENTS.md "Regenerating codes vs CAR".
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ burden spread across racks (a long-run λ).
 Stripes lost to an event are re-placed at heal time exactly where they
 were (the paper's same-node replacement), so consecutive events see a
 consistent layout.
+
+Reached by ``repro-car longrun``: EXPERIMENTS.md "Long-run replay".
 """
 
 from __future__ import annotations

@@ -45,6 +45,17 @@ class TestUninterruptedRun:
         assert out.live_cross_rack_bytes == out.cross_rack_bytes
         assert out.live_intra_rack_bytes == out.intra_rack_bytes
 
+    def test_journal_size_is_bounded_by_committed_payloads(self, tmp_path):
+        """Journal bytes scale with the committed payloads, not pipeline
+        chatter: base64 is ~4/3 of a chunk per commit, and the intent,
+        stage and commit records around it stay under 2.5 kB a stripe."""
+        chunk = 4096
+        state, event = build_failed_cluster(stripes=24, chunk=chunk)
+        path = tmp_path / "j.jsonl"
+        assert session_for(state, event, path).run().verified
+        stripes = len(JournalReplay.load(path).committed)
+        assert 0 < path.stat().st_size < stripes * (2 * chunk + 2500)
+
     def test_header_is_self_describing(self, failed_cluster, tmp_path):
         state, event = failed_cluster
         path = tmp_path / "j.jsonl"

@@ -190,16 +190,17 @@ class TestTileBoundaries:
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_out_of_field_byte_raises_in_gf4(self, r):
-        """Only full-width indices skip the range check: a byte that is
-        not a GF(2^4) element is an error, not a wrapped table index —
-        in a later tile as much as in the first."""
+        """A byte that is not a GF(2^4) element is a FieldError, never a
+        wrapped table index: in either slot of a pair index (the second
+        slot used to alias into the pair table), in the unpaired tail,
+        and in a later tile as much as in the first."""
         bufs = [np.zeros(_TILE + 8, dtype=np.uint8) for _ in range(3)]
         rows = np.arange(2, 2 + 3 * r).reshape(r, 3)
         batch_dot(GF4, rows, bufs)
         for position in (3, _TILE + 5):
-            for j in (0, 2):  # first of a pair, and the unpaired tail
+            for j in (0, 1, 2):  # both slots of a pair, and the tail
                 bufs[j][position] = 0x5A
-                with pytest.raises(IndexError):
+                with pytest.raises(FieldError):
                     batch_dot(GF4, rows, bufs)
                 bufs[j][position] = 0
 

@@ -11,6 +11,7 @@ the same :class:`FaultLog` and wasted-byte totals at every window.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from repro.errors import (
     PlanError,
     UnknownChunkError,
 )
+from repro.experiments.configs import CFS1, build_state
 from repro.faults import (
     BackoffPolicy,
     FaultInjector,
@@ -210,6 +212,38 @@ class TestStreamingEquivalence:
         assert sunk.per_stripe_ok == retained.per_stripe_ok
         assert_ground_truth(state, event, got)
         assert_plan_figures(state, plan, sol, sunk)
+
+    def test_lazy_plan_with_sink_peaks_below_a_retained_plan(self):
+        """Coordinator memory is O(window) with a lazy plan and a sink,
+        O(stripes) with a materialised plan and retained results."""
+        state = build_state(
+            CFS1, seed=0, with_data=True, chunk_size=64, num_stripes=500,
+            placement_policy="rack_aligned",
+        )
+        event = FailureInjector(rng=0).fail_random_node(state)
+        sol = CarStrategy().solve(state)
+
+        def peak_of(run):
+            tracemalloc.start()
+            result = run()
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            return result, peak
+
+        retained, retained_peak = peak_of(
+            lambda: PlanExecutor(state).execute(
+                plan_recovery(state, event, sol), sol, window=32
+            )
+        )
+        sunk, sunk_peak = peak_of(
+            lambda: PlanExecutor(state).execute(
+                plan_recovery_streaming(state, event, sol), window=32,
+                sink=lambda sid, buf, ok: None,
+            )
+        )
+        assert retained.verified and sunk.per_stripe_ok == retained.per_stripe_ok
+        assert sunk.cross_rack_bytes == retained.cross_rack_bytes
+        assert retained_peak >= 1.5 * sunk_peak  # measures ~5x at this size
 
     def test_telemetry_counters_and_spans_match_eager(self):
         state, event = failed_cluster(seed=9, stripes=20)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import NoValidSolutionError
 from repro.obs.tracer import validate_events
+from repro.service.bench import run_bench_service
 from repro.service.cluster import LocalCluster
 
 
@@ -119,6 +120,23 @@ class TestFailureToRepair:
                 await cluster.stop()
 
         asyncio.run(drill())
+
+
+class TestRepairCap:
+    def test_tighter_cap_lowers_recovery_throughput(self, tmp_path):
+        """What the admission controller exists to provide: with client
+        reads racing the repair on the shared modelled link, a 16 KiB/s
+        repair cap recovers slower (in modelled time) than no cap."""
+        tight, uncapped = run_bench_service(
+            (16 * 1024, None), workdir=tmp_path, num_stripes=8
+        )
+        for row in (tight, uncapped):
+            assert row["verified"] and row["stripes"] > 0
+            assert row["contended_reads"] > 0, "no read raced the repair"
+        assert (
+            tight["recovery_throughput_bytes_per_s"]
+            < uncapped["recovery_throughput_bytes_per_s"]
+        )
 
 
 class TestSecondaryFailure:

@@ -23,9 +23,11 @@ runs execute subsets).  Exits:
 ``BENCH_HISTORY.jsonl`` trajectory (one JSON line per suite per
 recording; ``--timestamp`` keeps the entry reproducible).  History is
 appended regardless of verdict — a regression that ships is still part
-of the trajectory.  The CI ``bench-regress`` job runs this with a
-generous tolerance, since runner hardware differs from the machine the
-baselines were recorded on.
+of the trajectory.
+
+Retired: no CI job runs this any more (performance is measured by
+``benchmarks/e2e``); it stays only until ``tests/obs/test_regress.py``
+may go with it.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ trace; otherwise JSONL) and can be forced with ``--chrome`` /
 
 Exits 0 with a one-line summary when valid.  Exits 1 — with a clear
 message, not a traceback — on an empty trace, a truncated/corrupt
-line, or a schema violation.  Used by the CI telemetry smoke and
-bench-regress jobs.
+line, or a schema violation.  Used by the CI telemetry and service
+smoke jobs.
 """
 
 from __future__ import annotations
