@@ -8,15 +8,15 @@ feed an unverified buffer to a decode, which is what turns silent
 in-flight corruption into a retryable fault instead of wrong bytes on
 the replacement node.
 
-The same checksum covers journal commit payloads: a recovered chunk is
-serialised with :func:`encode_payload` into the write-ahead journal and
-re-verified by :func:`decode_payload` on resume, so a resumed session
-either replays byte-identical chunks or fails loudly.
+The same checksum covers journal commit payloads: :func:`encode_payload`
+checksums a recovered chunk and hands the journal a byte view of it to
+write raw, and :func:`decode_payload` re-verifies those bytes on resume,
+so a resumed session either replays byte-identical chunks or fails
+loudly.
 """
 
 from __future__ import annotations
 
-import base64
 import zlib
 
 import numpy as np
@@ -39,36 +39,47 @@ def chunk_checksum(buf: np.ndarray | bytes | bytearray | memoryview) -> int:
 
 
 def encode_payload(buf: np.ndarray) -> dict:
-    """Serialise a chunk buffer for a journal commit record.
+    """Describe a chunk buffer for a journal commit record.
 
     Returns:
-        A JSON-ready dict carrying the base64 payload, its dtype, and
-        the CRC32 the decoder verifies.
+        ``payload`` — a zero-copy byte view of the (contiguous) buffer,
+        which the journal writes raw after the record's JSON line —
+        plus the JSON-ready ``dtype`` and the CRC32 ``checksum`` the
+        decoder verifies.
     """
     data = np.ascontiguousarray(buf)
     return {
-        "payload": base64.b64encode(data.tobytes()).decode("ascii"),
+        "payload": memoryview(data).cast("B"),
         "dtype": str(data.dtype),
         "checksum": chunk_checksum(data),
     }
 
 
+def _verified_payload(record: dict) -> np.ndarray:
+    """A commit record's payload as a read-only array over the record's
+    own bytes, after its CRC32 matched (no chunk-sized copy)."""
+    try:
+        raw = memoryview(record["payload"])
+        chunk = np.frombuffer(raw, dtype=np.dtype(record["dtype"]))
+        expected = record["checksum"]
+    except (KeyError, ValueError, TypeError) as exc:
+        raise JournalError(f"malformed commit payload: {exc}") from exc
+    computed = chunk_checksum(raw)
+    if computed != expected:
+        raise JournalError(
+            f"commit payload checksum mismatch: stored {expected}, "
+            f"computed {computed}"
+        )
+    return chunk
+
+
 def decode_payload(record: dict) -> np.ndarray:
     """Rebuild a chunk buffer from a journal commit record, verified.
+
+    Returns a writable copy; the record's ``payload`` view is untouched.
 
     Raises:
         JournalError: if the record is malformed or the payload's bytes
             no longer match the recorded checksum (journal corruption).
     """
-    try:
-        raw = base64.b64decode(record["payload"], validate=True)
-        dtype = np.dtype(record["dtype"])
-        expected = record["checksum"]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise JournalError(f"malformed commit payload: {exc}") from exc
-    if chunk_checksum(raw) != expected:
-        raise JournalError(
-            f"commit payload checksum mismatch: stored {expected}, "
-            f"computed {chunk_checksum(raw)}"
-        )
-    return np.frombuffer(raw, dtype=dtype).copy()
+    return _verified_payload(record).copy()

@@ -1,4 +1,4 @@
-"""Write-ahead recovery journal: JSONL intent/commit records + replay.
+"""Write-ahead recovery journal: framed intent/commit records + replay.
 
 A :class:`RecoveryJournal` is the durability contract of a recovery
 session.  The executor appends, in order:
@@ -12,10 +12,20 @@ session.  The executor appends, in order:
 - a ``resume`` marker each time a later incarnation reopens the
   journal, and one ``end`` record when every stripe committed.
 
-Every record gets a strictly increasing ``seq`` and is flushed on
-append, so a coordinator crash loses at most the record being written.
-:func:`read_journal` tolerates exactly that: a torn final line is
-dropped, anything else malformed is a :class:`JournalError`.
+On disk every record is one sorted-key JSON line; a ``commit``'s line
+carries ``"payload_bytes": N`` and is followed by the chunk's ``N`` raw
+bytes and a closing ``\\n`` (the *commit frame*).  Each record is one
+``os.writev`` straight from the rebuilt array's memory — nothing
+chunk-sized is copied or text-encoded — and gets a strictly increasing
+``seq``.  The executor calls :meth:`RecoveryJournal.sync` once per
+window (group commit) and :meth:`RecoveryJournal.close` syncs too, so a
+coordinator *process* crash loses at most the record being written and
+a *machine* crash at most the window in flight.  :func:`read_journal`
+tolerates exactly that: a torn tail — a final line that does not parse,
+or a final commit frame that runs past end-of-file — is dropped (and
+truncated away when the journal is reopened for appending); anything
+else malformed is a :class:`JournalError`.  The reader walks frames by
+length and never scans payload bytes, which may contain anything.
 
 :class:`JournalReplay` is the read side — which stripes committed (and
 their verified bytes), which are still pending, and how much cross-rack
@@ -30,12 +40,17 @@ harness sweeps ``n`` over every record boundary.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.durable.checksum import decode_payload, encode_payload
+from repro.durable.checksum import (
+    _verified_payload,
+    decode_payload,
+    encode_payload,
+)
 from repro.errors import CoordinatorCrashError, JournalError
 from repro.obs import metrics as _metrics
 
@@ -54,12 +69,13 @@ RECORD_TYPES = frozenset(
 
 
 class RecoveryJournal:
-    """Append-only JSONL journal for one (possibly resumed) recovery.
+    """Append-only framed journal for one (possibly resumed) recovery.
 
     Args:
         path: journal file.  Created (truncated) unless ``append``.
         append: reopen an existing journal, continuing its ``seq``
-            numbering — the resume path.
+            numbering — the resume path.  A torn tail left by the dead
+            incarnation is truncated away first.
         crash_after_records: simulate a coordinator crash by raising
             :class:`CoordinatorCrashError` right after this incarnation
             appends its ``n``-th record (the record *is* durable; the
@@ -78,33 +94,55 @@ class RecoveryJournal:
         self.path = Path(path)
         self.crash_after = crash_after_records
         self._append_mode = append
-        self._fh = None
+        self._fd: int | None = None
         self._seq = 0
         self._appended = 0  # records appended by this incarnation
         self._created = False  # truncate only on the very first open
+        self._size = 0  # file offset just past the last whole record
+        self._unsynced = False  # bytes written since the last sync()
 
     # -- lifecycle -------------------------------------------------------
 
     def _open(self) -> None:
-        if self._fh is not None:
+        if self._fd is not None:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self._append_mode and not self._created:
-            records = read_journal(self.path)
+        resuming = self._append_mode and not self._created
+        flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+        if resuming:
+            records, self._size = _scan(self.path)
             if not records:
                 raise JournalError(
                     f"cannot resume: {self.path} has no readable records"
                 )
             self._seq = records[-1]["seq"]
-        mode = "a" if (self._append_mode or self._created) else "w"
+        elif not self._created:
+            flags |= os.O_TRUNC
+        self._fd = os.open(self.path, flags, 0o644)
+        if resuming:
+            # Drop the dead incarnation's torn tail, or the first record
+            # appended here would be glued onto it.
+            os.ftruncate(self._fd, self._size)
         self._created = True
-        self._fh = self.path.open(mode, encoding="utf-8")
+
+    def sync(self) -> None:
+        """Force every record appended so far onto the disk.
+
+        The executor calls this once per window, after the window's last
+        commit: from then on those commits survive a machine crash.
+        """
+        if self._fd is not None and self._unsynced:
+            os.fdatasync(self._fd)
+            self._unsynced = False
 
     def close(self) -> None:
-        """Flush and release the file handle (appends reopen lazily)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        """Sync and release the descriptor (appends reopen lazily)."""
+        if self._fd is not None:
+            try:
+                self.sync()
+            finally:
+                os.close(self._fd)
+                self._fd = None
 
     def __enter__(self) -> "RecoveryJournal":
         return self
@@ -117,13 +155,41 @@ class RecoveryJournal:
         """Records appended by this incarnation."""
         return self._appended
 
-    def _append(self, record: dict) -> None:
+    def _write(self, bufs: list) -> None:
+        """Append ``bufs`` as one record; all of it lands or none does.
+
+        ``os.writev`` may write short (full disk, signal): keep writing
+        the rest, and if the kernel refuses, cut the file back to the
+        last whole record so it stays a valid journal.
+        """
+        written = 0
+        try:
+            while bufs:
+                n = os.writev(self._fd, bufs)
+                if n <= 0:
+                    raise OSError("os.writev made no progress")
+                written += n
+                while bufs and n >= len(bufs[0]):
+                    n -= len(bufs.pop(0))
+                if n:
+                    bufs[0] = memoryview(bufs[0])[n:]
+        except OSError as exc:
+            os.ftruncate(self._fd, self._size)
+            raise JournalError(
+                f"{self.path}: write failed at offset {self._size + written}"
+                f" (truncated back to the last whole record, which ends at "
+                f"{self._size}): {exc}"
+            ) from exc
+        self._size += written
+        self._unsynced = True
+
+    def _append(self, record: dict, payload: memoryview | None = None) -> None:
         self._open()
+        record = {"seq": self._seq + 1, **record}
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("ascii")
+        self._write([line] if payload is None else [line, payload, b"\n"])
         self._seq += 1
         self._appended += 1
-        record = {"seq": self._seq, **record}
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
         reg = _metrics.CURRENT
         if reg is not None:
             reg.counter("journal.records").inc(rec=record["rec"])
@@ -191,6 +257,8 @@ class RecoveryJournal:
         bytes_computed_by_node: dict[int, int],
     ) -> None:
         """Commit one stripe: its rebuilt bytes and resource accounting."""
+        encoded = encode_payload(chunk)
+        payload = encoded.pop("payload")
         self._append(
             {
                 "rec": "commit",
@@ -202,8 +270,10 @@ class RecoveryJournal:
                 "bytes_computed_by_node": {
                     str(n): b for n, b in sorted(bytes_computed_by_node.items())
                 },
-                **encode_payload(chunk),
-            }
+                **encoded,
+                "payload_bytes": len(payload),
+            },
+            payload,
         )
 
     def resume_marker(
@@ -224,34 +294,77 @@ class RecoveryJournal:
         self.close()
 
 
-def read_journal(path: str | Path) -> list[dict]:
-    """Load a journal's records, dropping a torn final line.
+def _parse_line(line: bytes) -> tuple[dict, int | None]:
+    """One record's JSON line -> (record, payload length if a commit)."""
+    record = json.loads(line)
+    if not (isinstance(record, dict) and record.get("rec") == "commit"):
+        return record, None
+    nbytes = record.get("payload_bytes")
+    if type(nbytes) is not int or nbytes < 0:
+        raise ValueError(f"commit payload_bytes is {nbytes!r}")
+    return record, nbytes
 
-    A coordinator that dies mid-write leaves at most one partial last
-    line; that is recoverable and silently dropped.  A malformed line
-    anywhere *else* means the file is not a journal.
 
-    Raises:
-        JournalError: on a malformed non-final line.
-    """
-    path = Path(path)
+def _scan(path: Path) -> tuple[list[dict], int]:
+    """Parse a journal file: its whole records, and the byte offset just
+    past the last of them (where a reopening writer truncates to)."""
     if not path.exists():
         raise JournalError(f"no journal at {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    data = path.read_bytes()
+    view = memoryview(data)
     records: list[dict] = []
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
+    pos = 0
+    while pos < len(data):
+        newline = data.find(b"\n", pos)
+        if newline < 0:
+            break  # torn final line: the crash ate its end
         try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            if i == len(lines) - 1:
-                break  # torn final line: the crash ate it
+            record, nbytes = _parse_line(data[pos:newline])
+        except ValueError as exc:
+            if newline + 1 == len(data):
+                break  # torn final line that happens to end in a newline
             raise JournalError(
-                f"{path}: malformed record on line {i + 1}: {exc}"
+                f"{path}: malformed record on line {len(records) + 1} "
+                f"(byte offset {pos}): {exc}"
             ) from exc
-    return records
+        end = newline + 1
+        if nbytes is not None:
+            body, end = end, end + nbytes + 1
+            if end > len(data):
+                break  # torn final commit frame: the crash ate its payload
+            if data[end - 1] != 0x0A:
+                raise JournalError(
+                    f"{path}: commit frame on line {len(records) + 1} "
+                    f"(byte offset {pos}) is not closed {nbytes} bytes "
+                    "after its header"
+                )
+            record["payload"] = view[body:end - 1]
+        records.append(record)
+        pos = end
+    return records, pos
+
+
+def read_journal(path: str | Path) -> list[dict]:
+    """Load a journal's records, dropping a torn tail.
+
+    Frames are walked by length: each record is one JSON line, and a
+    commit's line is followed by ``payload_bytes`` raw bytes and a
+    ``\\n``; payload bytes are never scanned.  A commit record comes back
+    with ``"payload"`` set to a zero-copy view of those bytes (verified
+    by :func:`validate_journal_records` and
+    :meth:`JournalReplay.committed_chunk`, not here).  Line numbers in
+    errors count records, one JSON line each.
+
+    A coordinator that dies mid-write leaves at most one partial last
+    record — a final line that does not parse or lacks its newline, or a
+    final commit frame running past end-of-file; that is recoverable and
+    silently dropped.  Anything malformed with more bytes after it means
+    the file is not a journal.
+
+    Raises:
+        JournalError: on a malformed record that is not the tail.
+    """
+    return _scan(Path(path))[0]
 
 
 def validate_journal_records(records: list[dict]) -> int:
@@ -276,7 +389,8 @@ def validate_journal_records(records: list[dict]) -> int:
         "intent": ("stripe_id", "aggregated", "lost_chunk"),
         "stage": ("stripe_id", "stage", "node", "rack"),
         "commit": (
-            "stripe_id", "lost_chunk", "ok", "payload", "dtype", "checksum",
+            "stripe_id", "lost_chunk", "ok", "payload", "payload_bytes",
+            "dtype", "checksum",
             "cross_rack_bytes", "intra_rack_bytes", "bytes_computed_by_node",
         ),
         "resume": ("replayed", "pending"),
@@ -304,7 +418,7 @@ def validate_journal_records(records: list[dict]) -> int:
                 fail(i, f"commit for stripe {record['stripe_id']} "
                         "without a prior intent")
             try:
-                decode_payload(record)
+                _verified_payload(record)  # CRC in place, no copy
             except JournalError as exc:
                 fail(i, str(exc))
             committed.add(record["stripe_id"])

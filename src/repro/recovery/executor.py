@@ -44,7 +44,8 @@ Two orthogonal durability features (both off by default):
   pipeline, stage records as cross-rack payloads ship and decodes land,
   and a commit record (rebuilt bytes plus the stripe's traffic and
   compute) once the stripe verifies, so a crash mid-window leaves
-  exactly the uncommitted stripes pending.
+  exactly the uncommitted stripes pending.  The journal is synced to
+  disk once per window, after the window's last commit.
 """
 
 from __future__ import annotations
@@ -355,6 +356,10 @@ class PlanExecutor:
             before_intra = result.intra_rack_bytes
             for outcome in outcomes:
                 ship(outcome)
+            if self.journal is not None:
+                # Group commit: one disk sync makes the whole window's
+                # commits durable.
+                self.journal.sync()
             if self.tracer.enabled:
                 n = len(outcomes)
                 self.tracer.emit_span(

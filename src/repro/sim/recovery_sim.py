@@ -62,9 +62,16 @@ class DurabilityCostModel:
     coordinator's journal disk; every received payload pays a CRC
     verification on the receiving CPU before anything may consume it.
 
+    The real journal (:class:`~repro.durable.journal.RecoveryJournal`)
+    appends each record with one ``writev`` and syncs the disk once per
+    *window*, after the window's last commit.  The model keeps the
+    upper bound instead — every intent and every commit pays a full
+    sync — which is exact for paper-sized chunks' commits (one stripe
+    per window) and conservative everywhere else.
+
     Attributes:
-        journal_append_seconds: one fsynced JSONL append on the journal
-            disk (dominated by the sync, not the bytes).
+        journal_append_seconds: one synced append on the journal disk
+            (dominated by the sync, not the bytes).
         checksum_bytes_per_second: CRC32 throughput of one core; both
             receipt verification and the commit-payload checksum are
             charged at this rate.

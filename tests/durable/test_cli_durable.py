@@ -125,6 +125,34 @@ class TestValidateJournalTool:
         assert rc == 0
         assert "crashed" in out and "pending" in out
 
+    IDENTITY = "file size == control bytes + Σ(payload_bytes + 1)"
+
+    def test_summary_accounts_for_every_byte(self, tmp_path, capsys):
+        journal = tmp_path / "journal.jsonl"
+        main(["durable", str(journal), "--seed", "4", "--stripes", "6"])
+        capsys.readouterr()
+        assert validate_journal.main([str(journal)]) == 0
+        assert self.IDENTITY in capsys.readouterr().out
+        with journal.open("ab") as fh:
+            fh.write(b'{"seq": 999, "rec": "comm')
+        assert validate_journal.main([str(journal)]) == 0
+        out = capsys.readouterr().out
+        assert self.IDENTITY not in out
+        assert "file size - 25 torn-tail bytes == control bytes" in out
+
+    def test_ok_after_torn_tail_and_resume(self, tmp_path, capsys):
+        journal = tmp_path / "journal.jsonl"
+        assert main(["durable", str(journal), "--seed", "4", "--stripes", "8",
+                     "--crash-after", "7"]) == 3
+        with journal.open("ab") as fh:
+            fh.write(b'{"seq": 999, "rec": "comm')
+        assert validate_journal.main([str(journal)]) == 0
+        assert main(["resume", str(journal)]) == 0
+        capsys.readouterr()
+        assert validate_journal.main([str(journal)]) == 0
+        out = capsys.readouterr().out
+        assert "complete" in out and self.IDENTITY in out
+
     def test_invalid_on_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"seq": 1, "rec": "mystery"}\n{"seq": 2}\n')
