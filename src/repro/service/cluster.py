@@ -28,6 +28,7 @@ The crash-recovery drill the acceptance test runs:
 from __future__ import annotations
 
 import asyncio
+import ctypes
 from pathlib import Path
 
 from repro.cluster.failure import FailureInjector
@@ -104,6 +105,37 @@ class ServiceClient:
 
     async def close(self) -> None:
         self._writer.close()
+
+
+#: glibc ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for the serving process.
+
+    A 1 MiB degraded read allocates and frees some forty chunk-sized
+    buffers (frames, stream buffers, arrays), about 30 MiB of them live
+    at once.  glibc's thresholds are dynamic — the mmap threshold is the
+    largest mmapped block the process has freed so far, the trim
+    threshold twice that — so whether those buffers come from retained
+    heap or are page-faulted in and given back on every read (10 to
+    3 500 faults per read, up to twice the system time) depends on what
+    the process happened to free before it started serving.  Pinning
+    both at the top of the dynamic range, where glibc itself ends up
+    after one 32 MiB block is freed, makes a read cost the same whatever
+    ran before it (docs/SERVICE.md has the measurements).  The heap then
+    keeps up to 64 MiB of freed memory instead of returning it.
+
+    Process-wide and idempotent; a no-op where the C library has no
+    ``mallopt`` (musl, macOS, Windows).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _config_by_name(config: str | CFSConfig) -> CFSConfig:
@@ -221,6 +253,7 @@ class LocalCluster:
 
     async def start(self, chunkservers: int | None = None) -> None:
         """Boot the coordinator, then register every chunkserver."""
+        _pin_malloc_thresholds()
         count = chunkservers or self.num_chunkservers
         self.coordinator = Coordinator(
             self.state,

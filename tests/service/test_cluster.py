@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import NoValidSolutionError
 from repro.obs.tracer import validate_events
 from repro.service.bench import run_bench_service
@@ -209,3 +214,57 @@ class TestSecondaryFailure:
                 await cluster.stop()
 
         asyncio.run(drill())
+
+
+class TestAllocatorPolicy:
+    PROBE = """
+import asyncio, ctypes, sys
+from repro.service.cluster import LocalCluster
+
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallinfo2"):
+    print("no-glibc")
+    sys.exit(0)
+
+class Mallinfo(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc.mallinfo2.restype = Mallinfo
+libc.malloc.restype = ctypes.c_void_p
+libc.malloc.argtypes = [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+
+async def main():
+    cluster = LocalCluster(workdir=sys.argv[1], num_stripes=4, chunk_size=1024)
+    await cluster.start()
+    try:
+        mapped = libc.mallinfo2().hblks
+        block = libc.malloc(24 << 20)
+        print("mmapped" if libc.mallinfo2().hblks > mapped else "heap")
+        libc.free(block)
+        print(f"top {libc.mallinfo2().keepcost >> 20}")
+    finally:
+        await cluster.stop()
+
+asyncio.run(main())
+"""
+
+    def test_start_pins_the_malloc_thresholds(self, tmp_path):
+        """In a fresh process (no large block freed yet, so glibc's dynamic
+        thresholds are at their 128 KiB defaults) a 24 MiB block comes
+        from the heap once the cluster has started, and freeing it does
+        not trim the heap: a read's buffers cost the same whatever the
+        process freed before serving."""
+        src = Path(repro.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        lines = done.stdout.split("\n")
+        if lines[0] == "no-glibc":
+            pytest.skip("the C library has no mallinfo2")
+        assert lines[0] == "heap"
+        assert int(lines[1].split()[1]) >= 24
