@@ -63,6 +63,7 @@ from repro.experiments import (
     run_oversubscription_sweep,
     run_traffic_ablation,
 )
+from repro.experiments.configs import config_by_name
 from repro.experiments.report import (
     render_fig7,
     render_fig8,
@@ -184,11 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--strategy",
-        choices=["car", "direct", "rr", "rack-msr"],
+        choices=["car", "direct", "rr"],
         default="car",
         help=(
-            "recovery strategy: 'durable' accepts car/direct, "
-            "'serve'/'bench-service' accept car/rr/rack-msr (default car)"
+            "recovery strategy for 'stream', 'durable', 'serve' and "
+            "'bench-service': car, or the random-recovery baseline "
+            "under either of its names, direct and rr (default car)"
         ),
     )
     parser.add_argument(
@@ -599,12 +601,6 @@ def _run_ablation(args: argparse.Namespace) -> str:
     return "\n\n".join(parts)
 
 
-def _cfs_config(name: str):
-    from repro.experiments import CFS2, CFS3
-
-    return {"CFS1": CFS1, "CFS2": CFS2, "CFS3": CFS3}[name]
-
-
 def _run_scrub(args: argparse.Namespace) -> str:
     import random
 
@@ -613,7 +609,7 @@ def _run_scrub(args: argparse.Namespace) -> str:
     from repro.experiments.report import format_table
     from repro.obs.metrics import MetricsRegistry, telemetry_scope
 
-    config = _cfs_config(args.config)
+    config = config_by_name(args.config)
     stripes = args.stripes if args.stripes is not None else 20
     seed = args.seed if args.seed is not None else 11
     state = build_state(config, seed=seed, with_data=True,
@@ -682,7 +678,7 @@ def _run_durable(args: argparse.Namespace) -> str:
     from repro.experiments.runner import run_durable_recovery
 
     out = run_durable_recovery(
-        _cfs_config(args.config),
+        config_by_name(args.config),
         args.path,
         strategy=args.strategy,
         seed=args.seed if args.seed is not None else 0,
@@ -714,15 +710,11 @@ def _run_stream(args: argparse.Namespace) -> str:
 
     from repro.cluster.failure import FailureInjector
     from repro.experiments.configs import build_state
-    from repro.recovery import (
-        CarStrategy,
-        PlanExecutor,
-        RandomRecoveryStrategy,
-        plan_recovery_streaming,
-    )
+    from repro.recovery import PlanExecutor, plan_recovery_streaming
+    from repro.recovery.baselines import strategy_from_label
     from repro.recovery.streaming import default_window
 
-    config = _cfs_config(args.config)
+    config = config_by_name(args.config)
     stripes = args.stripes if args.stripes is not None else 1000
     seed = args.seed if args.seed is not None else 0
     # Small chunks: this command measures the pipeline's coordination
@@ -735,11 +727,7 @@ def _run_stream(args: argparse.Namespace) -> str:
         else default_window(state.data.chunk_size)
     )
     event = FailureInjector(rng=seed).fail_random_node(state)
-    strategy = (
-        CarStrategy() if args.strategy == "car"
-        else RandomRecoveryStrategy(rng=seed)
-    )
-    solution = strategy.solve(state)
+    solution = strategy_from_label(args.strategy, seed).solve(state)
     affected = len(solution.solutions)
     plan = plan_recovery_streaming(state, event, solution)
     # Opt-in observability: --telemetry records trace + metrics +
@@ -871,8 +859,6 @@ def _run_serve(args: argparse.Namespace) -> str:
 
     from repro.service.bench import run_service
 
-    if args.strategy == "direct":
-        raise SystemExit("'serve' strategies are car, rr, or rack-msr")
     workdir = Path(args.path)
     summary = run_service(
         workdir=workdir,
@@ -917,10 +903,6 @@ def _run_bench_service(args: argparse.Namespace) -> str:
         run_bench_service,
     )
 
-    if args.strategy == "direct":
-        raise SystemExit(
-            "'bench-service' strategies are car, rr, or rack-msr"
-        )
     caps = _parse_caps(args.caps) if args.caps else DEFAULT_CAPS
     kwargs = dict(
         workdir=Path(args.path),

@@ -89,8 +89,8 @@ class RecoverySession:
             re-solves and trusts it produces the same per-stripe
             solutions).
         journal_path: where the write-ahead journal lives.
-        injector / backoff / max_replans / rebalance / tracer: passed to
-            the underlying :class:`RobustExecutor`.
+        injector / backoff / tracer: passed to the underlying
+            :class:`RobustExecutor`.
         crash_after_records: inject a coordinator crash after the n-th
             journal record of the next incarnation (run *or* resume).
         session_meta: extra keys merged into the journal's session
@@ -120,8 +120,6 @@ class RecoverySession:
         *,
         injector: FaultInjector | None = None,
         backoff: BackoffPolicy | None = None,
-        max_replans: int = 2,
-        rebalance: bool = True,
         tracer=None,
         crash_after_records: int | None = None,
         session_meta: dict | None = None,
@@ -135,8 +133,6 @@ class RecoverySession:
         self.journal_path = Path(journal_path)
         self.injector = injector
         self.backoff = backoff
-        self.max_replans = max_replans
-        self.rebalance = rebalance
         self.tracer = tracer
         self.crash_after_records = crash_after_records
         self.session_meta = dict(session_meta or {})
@@ -151,8 +147,6 @@ class RecoverySession:
             self.state,
             injector=self.injector,
             backoff=self.backoff,
-            max_replans=self.max_replans,
-            rebalance=self.rebalance,
             tracer=self.tracer,
             journal=journal,
             profiler=self.profiler,

@@ -32,7 +32,6 @@ __all__ = [
     "CoordinatorCrashError",
     "ServiceError",
     "ProtocolError",
-    "RepairCancelled",
     "SimulationError",
     "FlowError",
     "ConfigurationError",
@@ -222,19 +221,6 @@ class ServiceError(ReproError):
 
 class ProtocolError(ServiceError):
     """A wire frame is malformed, torn, or exceeds the size limits."""
-
-
-class RepairCancelled(ServiceError):
-    """The background repair was interrupted (e.g. a helper died).
-
-    Raised out of the repair governor between streaming windows; the
-    journal on disk stays valid, so the repair service re-plans around
-    the dead nodes and resumes from it.
-    """
-
-    def __init__(self, message: str, dead_nodes: frozenset[int] = frozenset()):
-        super().__init__(message)
-        self.dead_nodes = frozenset(dead_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ __all__ = [
     "CFS2",
     "CFS3",
     "ALL_CFS",
+    "config_by_name",
     "PAPER_CHUNK_SIZES",
     "build_state",
 ]
@@ -96,6 +97,23 @@ CFS3 = CFSConfig(name="CFS3", rack_sizes=(6, 4, 5, 3, 2), k=10, m=4)
 
 #: All three settings, evaluation order.
 ALL_CFS: tuple[CFSConfig, ...] = (CFS1, CFS2, CFS3)
+
+
+def config_by_name(config: str | CFSConfig) -> CFSConfig:
+    """The Table II setting called ``config`` (a config passes through).
+
+    Raises:
+        ConfigurationError: no setting has that name.
+    """
+    if isinstance(config, CFSConfig):
+        return config
+    for known in ALL_CFS:
+        if known.name == config:
+            return known
+    raise ConfigurationError(
+        f"unknown config {config!r} "
+        f"(expected one of {[c.name for c in ALL_CFS]})"
+    )
 
 
 def build_state(

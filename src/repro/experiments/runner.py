@@ -23,10 +23,10 @@ from pathlib import Path
 from repro.cluster.failure import FailureInjector
 from repro.cluster.state import ClusterState, FailureEvent
 from repro.errors import ConfigurationError
-from repro.experiments.configs import CFSConfig, build_state
+from repro.experiments.configs import CFSConfig, build_state, config_by_name
 from repro.obs.metrics import MetricsRegistry, telemetry_scope
 from repro.obs.tracer import Tracer
-from repro.recovery.baselines import RecoveryStrategy
+from repro.recovery.baselines import RecoveryStrategy, strategy_from_label
 from repro.recovery.solution import MultiStripeSolution
 
 __all__ = [
@@ -355,23 +355,21 @@ def _run_one_from_payload(
 
 # -- durable (crash-resumable) single runs --------------------------------
 
-def _durable_strategy(name: str, seed: int):
-    """Map a CLI/journal strategy label to a strategy instance.
+def _durable_strategy(label: str, seed: int):
+    """The strategy a durable run executes for ``label``.
 
     The label (not the instance) is persisted in the journal header, so
-    a resuming process can rebuild the *same deterministic* strategy —
-    "direct" seeds its RNG from the run seed, making its solve
-    reproducible across incarnations.
+    a resuming process rebuilds the *same deterministic* strategy from
+    it and the run seed.  ``rack-msr`` is refused with the unknown
+    labels: a durable run rebuilds bytes, and that one only models
+    traffic (:func:`~repro.recovery.baselines.strategy_from_label`).
     """
-    from repro.recovery import CarStrategy, RandomRecoveryStrategy
-
-    if name == "car":
-        return CarStrategy()
-    if name == "direct":
-        return RandomRecoveryStrategy(rng=seed)
-    raise ConfigurationError(
-        f"unknown durable strategy {name!r} (expected 'car' or 'direct')"
-    )
+    if label not in ("car", "direct", "rr"):
+        raise ConfigurationError(
+            f"unknown durable strategy {label!r} "
+            "(expected 'car', 'direct' or 'rr')"
+        )
+    return strategy_from_label(label, seed)
 
 
 def run_durable_recovery(
@@ -446,7 +444,6 @@ def resume_durable_recovery(
     from repro.durable.journal import JournalReplay
     from repro.durable.session import RecoverySession
     from repro.errors import JournalError
-    from repro.experiments.configs import ALL_CFS
 
     replay = JournalReplay.load(journal_path)
     header = replay.session
@@ -459,11 +456,12 @@ def resume_durable_recovery(
         raise JournalError(
             f"journal header is not self-describing: missing {missing}"
         )
-    configs = {c.name: c for c in ALL_CFS}
-    if header["config"] not in configs:
-        raise JournalError(f"journal names unknown config {header['config']!r}")
+    try:
+        config = config_by_name(header["config"])
+    except ConfigurationError as exc:
+        raise JournalError(f"journal names an {exc}") from exc
     state = build_state(
-        configs[header["config"]], seed=header["seed"], with_data=True,
+        config, seed=header["seed"], with_data=True,
         chunk_size=header["chunk_size"], num_stripes=header["num_stripes"],
     )
     event = FailureInjector().fail_node(state, header["failed_node"])

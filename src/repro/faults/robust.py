@@ -127,8 +127,6 @@ class RobustExecutor(PlanExecutor):
             then behaves exactly like the plain executor).
         backoff: retry schedule for transient faults.
         max_replans: aggregated re-plans before degrading to direct.
-        rebalance: run Algorithm 2 on aggregated re-plans so the
-            degraded solution keeps λ low over the surviving racks.
         journal: optional write-ahead journal making the run resumable
             after a coordinator crash.
         verify_integrity: checksum-verify every transferred payload on
@@ -142,7 +140,6 @@ class RobustExecutor(PlanExecutor):
         injector: FaultInjector | None = None,
         backoff: BackoffPolicy | None = None,
         max_replans: int = 2,
-        rebalance: bool = True,
         tracer: Tracer | NullTracer | None = None,
         journal=None,
         verify_integrity: bool = True,
@@ -158,7 +155,6 @@ class RobustExecutor(PlanExecutor):
         self.injector = injector or FaultInjector()
         self.backoff = backoff or BackoffPolicy()
         self.max_replans = max_replans
-        self.rebalance = rebalance
         self._log: FaultLog | None = None
         self._backoff_total = 0.0
         self._stall_total = 0.0
@@ -587,7 +583,9 @@ class RobustExecutor(PlanExecutor):
             num_racks=self.state.topology.num_racks,
             aggregated=True,
         )
-        if self.rebalance and len(solutions) > 1:
+        if len(solutions) > 1:
+            # Algorithm 2 again, so the degraded solution keeps λ low
+            # over the surviving racks.
             replanned, _ = GreedyLoadBalancer().balance(
                 views, replanned, selector
             )
@@ -638,7 +636,6 @@ def recover_with_faults(
     injector: FaultInjector | None = None,
     backoff: BackoffPolicy | None = None,
     max_replans: int = 2,
-    rebalance: bool = True,
     journal=None,
     verify_integrity: bool = True,
     tracer=None,
@@ -658,7 +655,6 @@ def recover_with_faults(
         injector=injector,
         backoff=backoff,
         max_replans=max_replans,
-        rebalance=rebalance,
         journal=journal,
         verify_integrity=verify_integrity,
         tracer=tracer,

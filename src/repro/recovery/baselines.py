@@ -13,6 +13,10 @@ into a :class:`~repro.recovery.solution.MultiStripeSolution`:
   *with* partial decoding.
 - :class:`EnumerationBalancedStrategy` — exhaustive multi-stripe search
   for the λ-optimal solution (small instances; validates the greedy).
+
+:func:`strategy_from_label` is the one place a strategy's *name* — on a
+command line, in a journal header, in a service config — becomes a
+strategy.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import random
 
 from repro.cluster.state import ClusterState, StripeView
 from repro.errors import (
+    ConfigurationError,
     NoValidSolutionError,
     RecoveryError,
     ReproError,
@@ -40,6 +45,7 @@ __all__ = [
     "MinRackNoAggregationStrategy",
     "RandomAggregatedStrategy",
     "EnumerationBalancedStrategy",
+    "strategy_from_label",
 ]
 
 
@@ -294,3 +300,33 @@ class EnumerationBalancedStrategy(RecoveryStrategy):
         self.combinations_tried = total
         assert best is not None
         return best
+
+
+def strategy_from_label(label: str, seed: int = 0) -> RecoveryStrategy:
+    """The deterministic strategy a label names.
+
+    The label, not the instance, is what a journal header or a service
+    config persists, so whoever resumes rebuilds the *same* strategy:
+    the random baseline draws from an RNG seeded with ``seed`` and
+    re-solves identically.
+
+    - ``car`` — :class:`CarStrategy`;
+    - ``rr`` and ``direct`` — :class:`RandomRecoveryStrategy` (the
+      paper's name and the one journal headers have always stored);
+    - ``rack-msr`` —
+      :class:`~repro.recovery.regenerating.RackAwareMSRStrategy`, a
+      traffic model: its repairs read fewer than ``k`` chunks, so
+      nothing that rebuilds RS-coded bytes can execute them.
+    """
+    if label == "car":
+        return CarStrategy()
+    if label in ("rr", "direct"):
+        return RandomRecoveryStrategy(rng=seed)
+    if label == "rack-msr":
+        from repro.recovery.regenerating import RackAwareMSRStrategy
+
+        return RackAwareMSRStrategy()
+    raise ConfigurationError(
+        f"unknown strategy label {label!r} "
+        "(expected 'car', 'rr', 'direct' or 'rack-msr')"
+    )

@@ -16,8 +16,8 @@ cross-rack bandwidth.
   heartbeats);
 - :mod:`repro.service.coordinator` — the control daemon (membership,
   degraded reads, repair control);
-- :mod:`repro.service.repair` — the paced, cancellable, crash-resumable
-  background repair on top of :mod:`repro.durable`;
+- :mod:`repro.service.repair` — the paced, crash-resumable background
+  repair on top of :mod:`repro.durable`;
 - :mod:`repro.service.cluster` — the in-process harness
   (:class:`LocalCluster`) and the foreground client;
 - :mod:`repro.service.bench` — ``repro-car serve`` /
@@ -40,7 +40,7 @@ from repro.service.bench import (
 )
 from repro.service.chunkserver import Chunkserver
 from repro.service.cluster import LocalCluster, ServiceClient
-from repro.service.coordinator import Coordinator, resolve_strategy
+from repro.service.coordinator import Coordinator
 from repro.service.heartbeat import (
     FailureDetector,
     LeaseTransition,
@@ -56,11 +56,7 @@ from repro.service.protocol import (
     read_frame,
     write_frame,
 )
-from repro.service.repair import (
-    DeadNodeAwareStrategy,
-    RepairGovernor,
-    RepairService,
-)
+from repro.service.repair import RepairGovernor, RepairService
 
 __all__ = [
     "MsgType",
@@ -80,9 +76,7 @@ __all__ = [
     "AdmissionController",
     "Chunkserver",
     "Coordinator",
-    "resolve_strategy",
     "RepairGovernor",
-    "DeadNodeAwareStrategy",
     "RepairService",
     "LocalCluster",
     "ServiceClient",

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from repro.cluster.failure import FailureInjector
 from repro.errors import ConfigurationError, ServiceError
-from repro.experiments.configs import ALL_CFS, CFSConfig, build_state
+from repro.experiments.configs import CFSConfig, build_state, config_by_name
 from repro.obs.tracer import validate_events
 from repro.service.admission import (
     AdmissionController,
@@ -138,17 +138,6 @@ def _pin_malloc_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _config_by_name(config: str | CFSConfig) -> CFSConfig:
-    if isinstance(config, CFSConfig):
-        return config
-    by_name = {c.name: c for c in ALL_CFS}
-    if config not in by_name:
-        raise ConfigurationError(
-            f"unknown config {config!r} (expected one of {sorted(by_name)})"
-        )
-    return by_name[config]
-
-
 class LocalCluster:
     """Boot a full service (coordinator + chunkservers) in-process.
 
@@ -194,13 +183,12 @@ class LocalCluster:
         dead_after: float = 2.5,
         detector_interval: float = 0.2,
         repair_window: int = 4,
-        max_replans: int = 3,
         crash_after_records: int | None = None,
     ) -> None:
         if chunkservers < 1:
             raise ConfigurationError("need at least one chunkserver")
         self.num_chunkservers = chunkservers
-        self.config = _config_by_name(config)
+        self.config = config_by_name(config)
         self.seed = seed
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
@@ -234,7 +222,6 @@ class LocalCluster:
             dead_after=dead_after,
             detector_interval=detector_interval,
             repair_window=repair_window,
-            max_replans=max_replans,
         )
         self.heartbeat_interval = heartbeat_interval
         self.crash_after_records = crash_after_records

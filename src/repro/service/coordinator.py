@@ -4,12 +4,15 @@ One asyncio server owns the whole control plane:
 
 - **membership** — chunkservers register (``hello``) and heartbeat;
   a :class:`~repro.service.heartbeat.FailureDetector` poll loop turns
-  silence into SUSPECT/DEAD transitions (timeout, never notification);
+  silence into SUSPECT/DEAD transitions (timeout, never notification).
+  The loop measures the gap between its own polls: time this process
+  spent not observing (a stalled event loop, a suspended host) is
+  excused, not counted as every node's silence;
 - **failure → repair** — the first DEAD node becomes the cluster's
   single failure (:meth:`~repro.cluster.state.ClusterState.fail_node`)
   and starts a background :class:`~repro.service.repair.RepairService`;
-  later deaths are secondary: they cancel the in-flight repair window
-  and fold into the re-plan (``CarSelector.degraded_solution``);
+  later deaths are secondary: the running repair is told, and its
+  fault ladder re-plans around the node inside the same session;
 - **degraded reads** — clients ask for a stripe's chunk; if it lived on
   the failed node the coordinator fetches ``k`` helpers from the
   chunkservers, partially decodes per rack (Equation 7), combines, and
@@ -48,35 +51,14 @@ from repro.errors import (
 from repro.gf.field import gf
 from repro.gf.vector import buffer_dtype
 from repro.obs.tracer import Tracer
+from repro.recovery.baselines import strategy_from_label
 from repro.recovery.selector import CarSelector
 from repro.service.admission import AdmissionController
 from repro.service.heartbeat import FailureDetector, NodeHealth
 from repro.service.protocol import MsgType, read_frame, write_frame
 from repro.service.repair import RepairService
 
-__all__ = ["resolve_strategy", "Coordinator"]
-
-
-def resolve_strategy(label: str, seed: int = 0):
-    """Map a service strategy label to a deterministic strategy instance.
-
-    ``car`` (cross-rack-aware), ``rr`` (random-recovery baseline, seeded
-    so resume re-solves identically), ``rack-msr`` (rack-aware MSR;
-    requires rack-aligned placement).
-    """
-    from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
-    from repro.recovery.regenerating import RackAwareMSRStrategy
-
-    if label == "car":
-        return CarStrategy()
-    if label == "rr":
-        return RandomRecoveryStrategy(rng=seed)
-    if label == "rack-msr":
-        return RackAwareMSRStrategy()
-    raise ConfigurationError(
-        f"unknown service strategy {label!r} "
-        "(expected 'car', 'rr', or 'rack-msr')"
-    )
+__all__ = ["Coordinator"]
 
 
 class Coordinator:
@@ -88,14 +70,15 @@ class Coordinator:
         clock: the service's modelled clock.
         admission: shared-link admission controller.
         journal_path: write-ahead journal for the repair service.
-        strategy: label (see :func:`resolve_strategy`) or strategy object.
+        strategy: label (see
+            :func:`~repro.recovery.baselines.strategy_from_label`) or
+            strategy object.
         seed: forwarded to seeded strategies and the journal header.
         suspect_after / dead_after: failure-detector lease timeouts, in
             modelled seconds.
         detector_interval: poll period of the detector loop (modelled).
-        repair_window: stripes per repair window (small keeps
-            cancellation latency low).
-        max_replans: secondary-failure replans before the repair fails.
+        repair_window: stripes per repair window (small keeps the
+            pacing fine-grained).
         crash_after_records: arm a coordinator crash inside the *next*
             repair session (the durable layer's crash hook).
         verify_reads: compare degraded-read reconstructions against the
@@ -116,7 +99,6 @@ class Coordinator:
         dead_after: float = 2.5,
         detector_interval: float = 0.2,
         repair_window: int = 4,
-        max_replans: int = 3,
         crash_after_records: int | None = None,
         verify_reads: bool = True,
         tracer: Tracer | None = None,
@@ -132,7 +114,7 @@ class Coordinator:
         self.journal_path = journal_path
         self.seed = seed
         self.strategy = (
-            resolve_strategy(strategy, seed)
+            strategy_from_label(strategy, seed)
             if isinstance(strategy, str)
             else strategy
         )
@@ -143,7 +125,6 @@ class Coordinator:
         self.detector = FailureDetector(suspect_after, dead_after)
         self.detector_interval = float(detector_interval)
         self.repair_window = repair_window
-        self.max_replans = max_replans
         self.crash_after_records = crash_after_records
         self.verify_reads = verify_reads
         self.tracer = tracer if tracer is not None else Tracer()
@@ -216,9 +197,23 @@ class Coordinator:
     # -- failure detection ----------------------------------------------
 
     async def _detector_loop(self) -> None:
+        last = self.clock.now()
         while True:
             await asyncio.sleep(self.clock.to_real(self.detector_interval))
             now = self.clock.now()
+            # A poll this late means *this* process was away (a blocked
+            # event loop, a suspended host) and heard nobody: charged to
+            # the nodes, one such stall takes every lease ALIVE ->
+            # SUSPECT -> DEAD in a single check, and DEAD is sticky.
+            # Lateness below suspect_after cannot expire a fresh lease
+            # by itself, so only a longer absence is excused.
+            late = now - last - self.detector_interval
+            if late > self.detector.suspect_after:
+                self.detector.excuse(late)
+                self.tracer.event(
+                    "service.detector.pause", seconds=late, model_t=now
+                )
+            last = now
             for tr in self.detector.check(now):
                 self.tracer.event(
                     "service.lease",
@@ -290,7 +285,6 @@ class Coordinator:
                 "strategy_label": self.strategy_label,
                 "chunk_size": self.state.data.chunk_size,
             },
-            max_replans=self.max_replans,
             crash_after_records=self.crash_after_records,
             on_done=_on_done,
         )

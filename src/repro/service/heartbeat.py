@@ -18,6 +18,10 @@ lease.  ``DEAD`` is sticky — a dead node's chunkserver must
 re-``register()`` (a new incarnation) to serve again, which keeps the
 repair planner's view stable while it is re-planning around the loss.
 
+Silence is measured against the caller's clock, so a caller that was
+itself paused says so with :meth:`FailureDetector.excuse` before it
+polls again.
+
 Transitions come out of :meth:`FailureDetector.check` as
 :class:`LeaseTransition` records, which the coordinator turns into
 trace events, repair triggers, and re-plan signals.
@@ -144,6 +148,17 @@ class FailureDetector:
                 lease.health = NodeHealth.ALIVE
             lease.last_beat = now
         return out
+
+    def excuse(self, seconds: float) -> None:
+        """The observer itself was away for ``seconds``; nobody was silent.
+
+        Moves every lease's last beat forward by the gap, so the next
+        :meth:`check` sees the silence it would have seen had the
+        observer not paused: a node that was quiet before the pause is
+        still exactly that quiet after it.
+        """
+        for lease in self._leases.values():
+            lease.last_beat += seconds
 
     # -- polling ---------------------------------------------------------
 

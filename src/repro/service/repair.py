@@ -1,36 +1,31 @@
-"""The background repair service: paced, cancellable, crash-resumable.
+"""The background repair service: paced, crash-resumable.
 
 The repair runs the *existing* durable pipeline — a
 :class:`~repro.durable.session.RecoverySession` shipping a few stripes
 per window through
-:meth:`~repro.recovery.executor.PlanExecutor.execute`'s pipeline — in a
+:meth:`~repro.recovery.executor.PlanExecutor.execute`'s pipeline, under
+:class:`~repro.faults.robust.RobustExecutor`'s fault ladder — in a
 worker thread, while the coordinator's event loop keeps serving
 degraded reads.  Three small pieces adapt that pipeline to a live
 service:
 
-- :class:`RepairGovernor` rides the executor's progress-reporter hook
-  (called once per shipped window with absolute counters).  For each
-  window it charges the *cross-rack byte delta* to the admission
-  controller and blocks the worker thread for the modelled wait — the
-  token-bucket repair cap and the shared-link queueing are what pace
-  recovery against foreground reads.  Between windows it also checks
-  the cancellation flag and raises
-  :class:`~repro.errors.RepairCancelled`: window commits have already
-  hit the journal, so cancellation never loses durable progress.
-- :class:`DeadNodeAwareStrategy` wraps any base strategy and, per
-  stripe, swaps in :meth:`~repro.recovery.selector.CarSelector.
-  degraded_solution` whenever the base pick would read a dead node.
-  Stripe ids are preserved, which is exactly the contract
-  :meth:`RecoverySession.resume` enforces on the re-solve.
-- :class:`RepairService` owns the thread and the replan loop: run (or
-  resume, if the journal already exists on disk), catch
-  ``RepairCancelled``, fold the newly dead nodes into the strategy, and
-  resume from the journal — committed stripes replay from their commit
-  records with zero re-shipped cross-rack traffic.  An injected
-  coordinator crash (``crash_after_records``) escapes as
-  :class:`~repro.errors.CoordinatorCrashError` and parks the service in
-  the ``crashed`` state; a fresh coordinator pointed at the same
-  journal resumes it.
+- :class:`RepairGovernor` rides the executor's per-window progress
+  hook: it charges each window's *cross-rack byte delta* to the
+  admission controller and blocks the worker thread for the modelled
+  wait — the token-bucket repair cap and the shared-link queueing are
+  what pace recovery against foreground reads.
+- ``_DetectedDeaths`` is the session's fault injector, fed by the
+  failure detector instead of by a test.  That is all the service does
+  about a secondary failure: the ladder (docs/FAULTS.md) re-plans the
+  pending stripes around the node and the *same* journal session
+  continues.
+- :class:`RepairService` owns the thread and its one session: run, or
+  resume if the journal already exists on disk (committed stripes then
+  replay from their commit records with zero re-shipped cross-rack
+  traffic).  An injected coordinator crash (``crash_after_records``)
+  escapes as :class:`~repro.errors.CoordinatorCrashError` and parks the
+  service in the ``crashed`` state; a fresh coordinator pointed at the
+  same journal resumes it.
 """
 
 from __future__ import annotations
@@ -40,55 +35,45 @@ from pathlib import Path
 
 from repro.cluster.state import ClusterState, FailureEvent
 from repro.durable.session import DurableRecoveryResult, RecoverySession
-from repro.errors import (
-    CoordinatorCrashError,
-    RepairCancelled,
-    ReproError,
+from repro.errors import CoordinatorCrashError, ReproError
+from repro.faults.events import (
+    ActionKind,
+    FaultEvent,
+    FaultKind,
+    FaultLog,
+    RecoveryAbort,
 )
-from repro.recovery.selector import CarSelector
-from repro.recovery.solution import MultiStripeSolution
+from repro.faults.injector import FaultInjector
 from repro.service.admission import AdmissionController, ServiceClock
 
-__all__ = ["RepairGovernor", "DeadNodeAwareStrategy", "RepairService"]
+__all__ = ["RepairGovernor", "RepairService"]
 
 
 class RepairGovernor:
-    """Progress hook that paces and can cancel a running repair.
+    """Progress hook that paces a running repair.
 
     Duck-types :class:`~repro.obs.progress.ProgressReporter`: the
     executor calls :meth:`update` once per shipped window with
-    absolute counters, and :meth:`finish` once at the end.  Both forward
-    to an optional ``inner`` reporter so normal progress heartbeats keep
-    flowing.
+    absolute counters, and :meth:`finish` once at the end.
 
     Args:
         admission: where cross-rack byte deltas are charged.
         clock: converts the modelled wait into a worker-thread sleep.
-        cancel: event set by the coordinator when a helper node dies.
-        dead_nodes: callable returning the current dead-node set (put
-            into the raised :class:`~repro.errors.RepairCancelled`).
-        inner: optional real progress reporter to forward to.
     """
 
     def __init__(
-        self,
-        admission: AdmissionController,
-        clock: ServiceClock,
-        *,
-        cancel: threading.Event | None = None,
-        dead_nodes=None,
-        inner=None,
+        self, admission: AdmissionController, clock: ServiceClock
     ) -> None:
         self.admission = admission
         self.clock = clock
-        self._cancel = cancel
-        self._dead_nodes = dead_nodes or (lambda: frozenset())
-        self.inner = inner
         self._charged_cross = 0
         self.model_wait_seconds = 0.0
         self.windows_paced = 0
 
-    def _pace(self, cross_rack_bytes: int) -> None:
+    def update(
+        self, stripes_done: int, *, cross_rack_bytes: int = 0, **_counters
+    ) -> None:
+        """Charge what crossed racks since the last call; wait it out."""
         delta = cross_rack_bytes - self._charged_cross
         if delta > 0:
             self._charged_cross = cross_rack_bytes
@@ -97,130 +82,78 @@ class RepairGovernor:
             self.windows_paced += 1
             self.clock.sleep_sync(wait)
 
-    def _check_cancel(self) -> None:
-        if self._cancel is not None and self._cancel.is_set():
-            dead = frozenset(self._dead_nodes())
-            raise RepairCancelled(
-                f"repair cancelled: nodes {sorted(dead)} died mid-repair",
-                dead,
-            )
-
-    def update(
-        self,
-        stripes_done: int,
-        *,
-        windows_done: int = 0,
-        cross_rack_bytes: int = 0,
-        intra_rack_bytes: int = 0,
-        journal_lag: int = 0,
-        final: bool = False,
-    ) -> None:
-        """Per-window hook: charge admission, then maybe cancel."""
-        self._pace(cross_rack_bytes)
-        if self.inner is not None:
-            self.inner.update(
-                stripes_done,
-                windows_done=windows_done,
-                cross_rack_bytes=cross_rack_bytes,
-                intra_rack_bytes=intra_rack_bytes,
-                journal_lag=journal_lag,
-                final=final,
-            )
-        # Cancel *after* pacing so the committed window is fully charged;
-        # the raise happens between windows, when the journal is clean.
-        self._check_cancel()
-
-    def finish(
-        self,
-        stripes_done: int,
-        *,
-        windows_done: int = 0,
-        cross_rack_bytes: int = 0,
-        intra_rack_bytes: int = 0,
-        journal_lag: int = 0,
-    ) -> None:
-        """End-of-execution hook: settle the final delta, forward."""
-        self._pace(cross_rack_bytes)
-        if self.inner is not None:
-            self.inner.finish(
-                stripes_done,
-                windows_done=windows_done,
-                cross_rack_bytes=cross_rack_bytes,
-                intra_rack_bytes=intra_rack_bytes,
-                journal_lag=journal_lag,
-            )
+    #: End of execution: settle the final delta the same way.
+    finish = update
 
 
-class DeadNodeAwareStrategy:
-    """Wrap a strategy so its per-stripe picks avoid dead nodes.
+class _DetectedDeaths(FaultInjector):
+    """Injector whose crashes come from the failure detector.
 
-    Solves with the base strategy, then re-plans exactly the stripes
-    whose chosen helpers live on a dead node, via
-    :meth:`~repro.recovery.selector.CarSelector.degraded_solution`.
-    Stripe ids are never added or removed — the resume contract.
-
-    Args:
-        base: any deterministic recovery strategy.
-        dead_nodes: nodes to plan around (the primary failed node is
-            already excluded by the cluster state itself).
+    A node in :attr:`dead` crashes the next time the pipeline has it
+    act: a helper at its disk read (the ladder then voids that stripe
+    and re-plans the pending ones, degrading to direct recovery past
+    its budget), the replacement node at its fold or final combine (the
+    one loss the ladder aborts on).  A dead node no pending stripe uses
+    is never polled and costs nothing.  :meth:`RepairService.mark_dead`
+    adds from any thread while the repair thread polls: ``set.add`` and
+    ``in`` are each atomic.
     """
 
-    def __init__(self, base, dead_nodes) -> None:
-        self.base = base
-        self.dead_nodes = frozenset(int(n) for n in dead_nodes)
+    def __init__(self) -> None:
+        super().__init__()
+        self.dead: set[int] = set()
 
-    def solve(self, state: ClusterState) -> MultiStripeSolution:
-        solution = self.base.solve(state)
-        if not self.dead_nodes:
-            return solution
-        selector = CarSelector(state.topology, state.code.k)
-        out = solution
-        for per_stripe in solution.solutions:
-            layout = state.placement.stripe_layout(per_stripe.stripe_id)
-            if any(
-                layout[c] in self.dead_nodes for c in per_stripe.helpers
-            ):
-                view = state.stripe_view(per_stripe.stripe_id)
-                out = out.replace(
-                    selector.degraded_solution(view, self.dead_nodes)
-                )
-        return out
+    def poll(
+        self,
+        stage,
+        *,
+        stripe_id,
+        node,
+        rack,
+        attempt=0,
+        is_partial=False,
+        kinds=None,
+    ) -> FaultEvent | None:
+        crash = FaultKind.HELPER_CRASH
+        if node not in self.dead or (kinds is not None and crash not in kinds):
+            return None
+        event = FaultEvent(crash, stage, stripe_id, node, rack, attempt)
+        self.history.append(event)
+        return event
 
 
 class RepairService:
-    """Owns the repair worker thread and its replan/resume loop.
+    """Owns the repair worker thread and its one durable session.
 
     States (read via the attributes, synchronised by :attr:`done`):
 
-    - running — the thread is executing/replanning;
+    - running — the thread is executing;
     - finished — :attr:`result` holds the
       :class:`~repro.durable.session.DurableRecoveryResult`;
     - crashed — :attr:`crash` holds the
       :class:`~repro.errors.CoordinatorCrashError`; the journal on disk
       is the resume point for a fresh service;
-    - failed — :attr:`error` holds a terminal error (replan budget
-      exhausted or data loss).
+    - failed — :attr:`error` holds the terminal error (data loss, or
+      the replacement node lost).
 
     Args:
         state: the failed cluster (failure already applied).
         event: the primary failure being repaired.
-        strategy: base recovery strategy (wrapped per attempt with the
-            current dead-node set).
+        strategy: recovery strategy (must be deterministic: a resume
+            re-solves with it).
         journal_path: the write-ahead journal.  If the file already
-            exists the first attempt *resumes* instead of running — that
-            is the whole crash-recovery story.
+            exists the service *resumes* instead of running — that is
+            the whole crash-recovery story.
         clock / admission: service pacing.
-        window: stripes in flight per window (small, so
-            cancellation latency stays low).
+        window: stripes in flight per window (small, so pacing is
+            fine-grained).
         tracer: worker-thread tracer (keep it distinct from the event
             loop's — :class:`~repro.obs.tracer.Tracer` is not
             thread-safe; merge the event lists afterwards).
-        progress: optional inner progress reporter.
         session_meta: extra journal-header keys.
-        max_replans: cancellations absorbed before giving up.
         crash_after_records: arm a coordinator crash after the n-th
-            journal record of the *first* attempt (test hook; mirrors
-            the durable layer's crash matrix).
+            journal record (test hook; mirrors the durable layer's
+            crash matrix).
         on_done: callable invoked (from the worker thread) when the
             service reaches a terminal state.
     """
@@ -236,28 +169,23 @@ class RepairService:
         *,
         window: int = 8,
         tracer=None,
-        progress=None,
         session_meta: dict | None = None,
-        max_replans: int = 3,
         crash_after_records: int | None = None,
         on_done=None,
     ) -> None:
         self.state = state
         self.event = event
-        self.base_strategy = strategy
+        self.strategy = strategy
         self.journal_path = Path(journal_path)
         self.clock = clock
         self.admission = admission
         self.window = window
         self.tracer = tracer
-        self.progress = progress
         self.session_meta = dict(session_meta or {})
-        self.max_replans = max_replans
         self.crash_after_records = crash_after_records
         self.on_done = on_done
 
-        self._dead: set[int] = set()
-        self._cancel = threading.Event()
+        self._deaths = _DetectedDeaths()
         self._thread: threading.Thread | None = None
         self.done = threading.Event()
         self.result: DurableRecoveryResult | None = None
@@ -279,9 +207,8 @@ class RepairService:
         self._thread.start()
 
     def mark_dead(self, node_id: int) -> None:
-        """A helper node died: request cancellation and re-planning."""
-        self._dead.add(int(node_id))
-        self._cancel.set()
+        """A node died: from now on it crashes whenever the repair uses it."""
+        self._deaths.dead.add(int(node_id))
 
     def join(self, timeout: float | None = None) -> bool:
         """Wait for a terminal state; True iff reached in time."""
@@ -292,77 +219,52 @@ class RepairService:
 
     @property
     def dead_nodes(self) -> frozenset[int]:
-        """Secondary failures the repair is planning around."""
-        return frozenset(self._dead)
+        """Secondary failures reported to the repair so far."""
+        return frozenset(self._deaths.dead)
 
     # -- worker ----------------------------------------------------------
 
-    def _strategy(self):
-        if not self._dead:
-            return self.base_strategy
-        return DeadNodeAwareStrategy(self.base_strategy, self._dead)
-
-    def _session(self, crash_after_records, governor) -> RecoverySession:
-        return RecoverySession(
-            self.state,
-            self.event,
-            self._strategy(),
-            self.journal_path,
-            window=self.window,
-            progress=governor,
-            tracer=self.tracer,
-            crash_after_records=crash_after_records,
-            session_meta={
-                **self.session_meta,
-                "service": "repair",
-                "dead_nodes": sorted(self._dead),
-            },
-        )
-
     def _run(self) -> None:
         self.started_model = self.clock.now()
-        crash_budget = self.crash_after_records
+        session = RecoverySession(
+            self.state, self.event, self.strategy, self.journal_path,
+            injector=self._deaths,
+            window=self.window,
+            progress=RepairGovernor(self.admission, self.clock),
+            tracer=self.tracer,
+            crash_after_records=self.crash_after_records,
+            session_meta={**self.session_meta, "service": "repair"},
+        )
         try:
-            while True:
-                self._cancel.clear()
-                governor = RepairGovernor(
-                    self.admission,
-                    self.clock,
-                    cancel=self._cancel,
-                    dead_nodes=lambda: frozenset(self._dead),
-                    inner=self.progress,
-                )
-                session = self._session(crash_budget, governor)
-                crash_budget = None
-                try:
-                    if self.journal_path.exists():
-                        self.result = session.resume()
-                    else:
-                        self.result = session.run()
-                    return
-                except RepairCancelled as exc:
-                    self.replans += 1
-                    if self.tracer is not None:
-                        self.tracer.event(
-                            "service.repair.replan",
-                            dead_nodes=sorted(exc.dead_nodes),
-                            replans=self.replans,
-                        )
-                    if self.replans > self.max_replans:
-                        self.error = exc
-                        return
-                    continue
-                except CoordinatorCrashError as exc:
-                    self.crash = exc
-                    return
-                except ReproError as exc:
-                    self.error = exc
-                    return
+            resume = self.journal_path.exists()
+            self.result = session.resume() if resume else session.run()
+            if self.result.robust is not None:
+                self._count_replans(self.result.robust.log)
+        except CoordinatorCrashError as exc:
+            self.crash = exc
+        except RecoveryAbort as exc:
+            self._count_replans(exc.log)
+            self.error = exc
+        except ReproError as exc:
+            self.error = exc
         finally:
             self.finished_model = self.clock.now()
             self.done.set()
             if self.on_done is not None:
                 self.on_done(self)
+
+    def _count_replans(self, log: FaultLog) -> None:
+        """Every time the ladder re-planned: aggregated, direct, degrade."""
+        for action in log.actions:
+            if action.action in (ActionKind.REPLAN, ActionKind.DEGRADE):
+                self.replans += 1
+                if self.tracer is not None:
+                    self.tracer.event(
+                        "service.repair.replan",
+                        node=action.node,
+                        detail=action.detail,
+                        replans=self.replans,
+                    )
 
     # -- reporting -------------------------------------------------------
 
@@ -383,7 +285,7 @@ class RepairService:
             "failed_node": self.event.failed_node,
             "stripes": self.event.num_stripes,
             "replans": self.replans,
-            "dead_nodes": sorted(self._dead),
+            "dead_nodes": sorted(self._deaths.dead),
             "started_model_s": self.started_model,
             "finished_model_s": self.finished_model,
         }

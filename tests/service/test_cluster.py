@@ -6,6 +6,7 @@ import asyncio
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import repro
 from repro.errors import NoValidSolutionError
 from repro.obs.tracer import validate_events
+from repro.recovery.baselines import CarStrategy
 from repro.service.bench import run_bench_service
 from repro.service.cluster import LocalCluster
 
@@ -127,6 +129,72 @@ class TestFailureToRepair:
         asyncio.run(drill())
 
 
+class TestLocalPause:
+    """The detector loop's own pause is not the nodes' silence."""
+
+    #: Wall seconds the event loop is blocked: 15 modelled seconds at
+    #: speedup 50, six times ``dead_after``.
+    STALL = 0.3
+
+    def test_a_stalled_event_loop_kills_nobody(self, tmp_path):
+        async def drill():
+            cluster = make_cluster(tmp_path, speedup=50.0)
+            await cluster.start()
+            try:
+                await asyncio.sleep(0.02)
+                time.sleep(self.STALL)
+                # Several polls and heartbeats after the stall.
+                await asyncio.sleep(0.15)
+                coordinator = cluster.coordinator
+                assert coordinator.detector.dead_nodes() == frozenset()
+                assert cluster.state.failed_node is None
+                assert coordinator.repair is None
+                client = await cluster.client()
+                for stripe in range(8):
+                    reply = await client.read(stripe)
+                    assert reply["ok"] and not reply["degraded"]
+                await client.close()
+                assert any(
+                    e["name"] == "service.detector.pause"
+                    for e in cluster.all_events()
+                )
+            finally:
+                await cluster.stop()
+
+        asyncio.run(drill())
+
+    def test_a_node_killed_before_the_stall_still_dies_alone(self, tmp_path):
+        async def drill():
+            cluster = make_cluster(tmp_path, speedup=50.0)
+            await cluster.start()
+            try:
+                await asyncio.sleep(0.02)
+                victim = cluster.pick_victim()
+                cluster.kill_node(victim)
+                time.sleep(self.STALL)
+                stall_end = cluster.clock.now()
+                await wait_for_repair_start(cluster)
+                assert cluster.state.failed_node == victim
+                assert cluster.coordinator.detector.dead_nodes() == {victim}
+                # The victim's lease ran out on observed silence: the
+                # stall bought it no head start.  (Its last beat was at
+                # most one heartbeat before the kill, and the excused
+                # gap is one poll interval short of the stall.)
+                (died_at,) = [
+                    e["attrs"]["model_t"]
+                    for e in cluster.all_events()
+                    if e["name"] == "service.lease"
+                    and e["attrs"]["new"] == "dead"
+                ]
+                assert died_at - stall_end >= 2.5 - 0.25 - 0.2 - 0.05
+                await cluster.wait_repair(timeout=60)
+                assert cluster.coordinator.repair.result.verified
+            finally:
+                await cluster.stop()
+
+        asyncio.run(drill())
+
+
 class TestRepairCap:
     def test_tighter_cap_lowers_recovery_throughput(self, tmp_path):
         """What the admission controller exists to provide: with client
@@ -158,11 +226,17 @@ class TestSecondaryFailure:
                 cluster.kill_node(victim)
                 await wait_for_repair_start(cluster)
                 topo = cluster.state.topology
+                # A helper of the last stripe to ship (so still pending),
+                # outside the victim's rack: a node the repair is going
+                # to read, not just any node.
+                last = CarStrategy().solve(cluster.state).solutions[-1]
+                layout = cluster.state.placement.stripe_layout(
+                    last.stripe_id
+                )
                 second = next(
-                    n.node_id
-                    for n in topo.nodes
-                    if n.node_id != victim
-                    and topo.rack_of(n.node_id) != topo.rack_of(victim)
+                    layout[c]
+                    for c in last.helpers
+                    if topo.rack_of(layout[c]) != topo.rack_of(victim)
                 )
                 cluster.kill_node(second)
                 await cluster.wait_repair(timeout=120)

@@ -119,3 +119,23 @@ class TestPartialBeats:
         d.register("cs0", [2, 1], now=0.0)
         d.check(now=5.0)
         assert d.snapshot() == {1: "dead", 2: "dead"}
+
+
+class TestExcuse:
+    def test_an_excused_gap_is_nobodys_silence(self):
+        """The observer slept 10 s: a node quiet for 0.5 s before that is
+        quiet for 0.5 s after it, and dies on its own schedule."""
+        d = detector()
+        d.register("cs0", [1, 2], now=0.0)
+        d.beat("cs0", [2], now=0.5)  # node 1 went quiet at 0.0
+        d.excuse(10.0)
+        assert d.check(now=10.6) == []
+        d.beat("cs0", [2], now=11.2)
+        assert [(t.node_id, t.new) for t in d.check(now=11.2)] == [
+            (1, NodeHealth.SUSPECT)
+        ]
+        d.beat("cs0", [2], now=13.1)
+        assert [(t.node_id, t.new) for t in d.check(now=13.1)] == [
+            (1, NodeHealth.DEAD)
+        ]
+        assert d.alive_nodes() == frozenset({2})
