@@ -4,13 +4,17 @@ These are the hot-path kernels used by erasure encoding/decoding: they
 operate element-wise on whole chunk buffers (numpy arrays of ``uint8``
 for w <= 8 or ``uint16`` for w == 16).
 
-Two table schemes back the kernels:
+Three table schemes back the kernels:
 
 - **w <= 8**: one 256-entry product table per constant (``t[x] = c*x``),
   gathered with ``np.take``.  For multi-output kernels up to four
   constants' tables are *packed into one uint32 table* so a single
   gather produces four products at once (the byte lanes of the packed
   accumulator are the output rows).
+- **w <= 8, rows shorter than** ``_SHORT_ROW``: the field's one *full
+  product table* (``T[c * order + x] = c * x``, 64 KiB at w = 8).  A
+  buffer that is smaller than a per-constant-pair table never pays for
+  building one, and rows with different constants share a gather.
 - **w == 16**: *split low/high-nibble tables* — ``lo[x] = c * x`` for
   the low byte and ``hi[x] = c * (x << 8)`` for the high byte, 256
   entries each (1 KiB per constant instead of the 128 KiB a full
@@ -23,7 +27,10 @@ resolves every table once per call, then walks the buffers in fixed
 is O(tile) whatever the chunk size, stays cache-resident, and is
 allocated per call.  :func:`matrix_apply` (the encode/decode kernel)
 and :func:`dot_rows` (the paper's Equation-7 partial-decoding
-primitive) are thin wrappers over it.
+primitive) are thin wrappers over it.  :func:`segment_dot` is
+``dot_rows`` for many independent sums at once — a repair window's
+per-rack partial decodes — and :func:`xor_segments` is the matching
+field addition.
 
 All product-table caches are bounded LRUs (:class:`repro.cache.BoundedCache`)
 of read-only tables, and no other state outlives a call, so the kernels
@@ -49,6 +56,8 @@ __all__ = [
     "dot_rows",
     "matrix_apply",
     "batch_dot",
+    "segment_dot",
+    "xor_segments",
 ]
 
 #: Per-(w, c) product tables for w <= 8: 256 entries, 256 B each.
@@ -59,6 +68,8 @@ _NIBBLE_TABLE_CACHE = BoundedCache(maxsize=1024, name="gf.nibble_table")
 _PAIR_TABLE_CACHE = BoundedCache(maxsize=64, name="gf.pair_table")
 #: Per-(w, column of constants) packed lane tables: <= 2 KiB each.
 _PACKED_TABLE_CACHE = BoundedCache(maxsize=1024, name="gf.packed_table")
+#: Per-w full product tables for w <= 8: order^2 entries, <= 64 KiB each.
+_PRODUCT_TABLE_CACHE = BoundedCache(maxsize=8, name="gf.product_table")
 
 #: Elements per tile of the batched kernels (docs/PERFORMANCE.md has the
 #: sweep that picked it).  One tile of everything the widest kernel
@@ -66,6 +77,12 @@ _PACKED_TABLE_CACHE = BoundedCache(maxsize=1024, name="gf.packed_table")
 #: indices ``np.take`` makes, inputs, outputs — is ~0.6 MiB, inside a
 #: per-core L2 with room left for a 64 KiB pair table.
 _TILE = 1 << 15
+
+#: Rows of fewer elements than this (w <= 8) are multiplied through the
+#: field's full product table, a ``_TILE`` of rows per gather; longer
+#: rows go through per-constant pair tables, which cost 64 KiB each to
+#: build (docs/PERFORMANCE.md has the sweep that put the crossover here).
+_SHORT_ROW = 1 << 12
 
 
 def _count_kernel(kernel: str, nbytes: int) -> None:
@@ -184,6 +201,23 @@ def _pair_table(field: GaloisField, c1: int, c2: int) -> np.ndarray:
     return table
 
 
+def _product_table(field: GaloisField) -> np.ndarray:
+    """The whole field's products ``T[c * order + x] = c * x`` for w <= 8 (cached).
+
+    One table serves every constant, so a gather over it multiplies each
+    row of a block by its own coefficient.  ``order ** 2`` entries: 64 KiB
+    at w = 8, the size of *one* pair table.
+    """
+    table = _PRODUCT_TABLE_CACHE.get(field.w)
+    if table is None:
+        table = np.concatenate(
+            [_mul_table(field, c) for c in range(field.order)]
+        )
+        table.setflags(write=False)
+        _PRODUCT_TABLE_CACHE.put(field.w, table)
+    return table
+
+
 def _packed_tables(field: GaloisField, cs: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Lane-packed tables for one input column of a row group (cached).
 
@@ -294,6 +328,142 @@ def _tiled(tile_fn, xs, out: np.ndarray, scratch_dtypes) -> None:
         )
 
 
+def _short_rows(field: GaloisField, size: int) -> bool:
+    """Whether ``size``-element rows use the full product table.
+
+    The one place the single-output table scheme is chosen by length.
+    """
+    return field.w <= 8 and size < _SHORT_ROW
+
+
+def _segment_starts(starts, rows: int) -> np.ndarray:
+    """``starts`` as an index array, checked: ``reduceat`` silently
+    returns a single row for an empty or out-of-order segment."""
+    starts = np.asarray(starts, dtype=np.intp)
+    if (
+        starts.ndim != 1
+        or not starts.size
+        or starts[0] != 0
+        or starts[-1] >= rows
+        or (starts.size > 1 and int(np.diff(starts).min()) < 1)
+    ):
+        raise FieldError(
+            f"segment starts must rise strictly from 0 and stay below {rows}"
+        )
+    return starts
+
+
+def _xor_segments(rows: np.ndarray, starts: np.ndarray, out: np.ndarray) -> None:
+    """XOR each run of rows of a matrix into a row of ``out`` (unchecked).
+
+    ``reduceat`` pays per element, not per byte, so the rows go through
+    as 8-byte words, and whatever is left of each row as elements.
+    """
+    words = 0
+    if rows.strides[1] == rows.itemsize and out.strides[1] == out.itemsize:
+        words = rows.shape[1] * rows.itemsize // 8 * 8 // rows.itemsize
+    if words:
+        np.bitwise_xor.reduceat(
+            rows[:, :words].view(np.uint64), starts, axis=0,
+            out=out[:, :words].view(np.uint64),
+        )
+    if words < rows.shape[1]:
+        np.bitwise_xor.reduceat(
+            rows[:, words:], starts, axis=0, out=out[:, words:]
+        )
+
+
+def xor_segments(rows, starts, *, consume: bool = False) -> list[np.ndarray]:
+    """Field addition per segment: XOR each run of consecutive buffers.
+
+    Segment ``i`` is ``rows[starts[i]:starts[i + 1]]`` (the last one runs
+    to the end) and contributes one buffer to the result.  This is the
+    replacement node's final combine (Algorithm 1, line 6) for a whole
+    window of stripes at once.  Short rows are stacked and reduced in
+    one pass; from ``_SHORT_ROW`` elements up a pass per row is cheaper
+    than stacking.
+
+    Args:
+        rows: equal-length buffers of one dtype.
+        starts: first row of each segment, rising strictly from 0.
+        consume: the caller is done with ``rows``, so one buffer of each
+            segment may serve as its accumulator instead of a copy — at
+            chunk sizes where a fresh buffer costs as much as the XORs.
+
+    Raises:
+        FieldError: if ``starts`` does not rise strictly from 0.
+    """
+    starts = _segment_starts(starts, len(rows))
+    size = rows[0].shape[0]
+    if size < _SHORT_ROW:
+        stacked = np.concatenate(rows).reshape(len(rows), size)
+        out = np.empty((len(starts), size), dtype=stacked.dtype)
+        _xor_segments(stacked, starts, out)
+        return list(out)
+    bounds = starts.tolist() + [len(rows)]
+    sums = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        # Into the segment's last buffer: the most recently allocated one
+        # outlives the call, so the ones freed sit below it on the heap
+        # and are reused by the next window instead of trimmed away.
+        acc = rows[hi - 1] if consume else rows[hi - 1].copy()
+        for row in rows[lo : hi - 1]:
+            np.bitwise_xor(acc, row, out=acc)
+        sums.append(acc)
+    return sums
+
+
+def _dot_short(
+    field: GaloisField, coeffs: np.ndarray, bufs, starts: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Per-segment w <= 8 dots of short rows: one gather per row block.
+
+    Rows are stacked a block at a time — about ``_TILE`` elements, cut at
+    a segment boundary — indexed into :func:`_product_table` by
+    ``coefficient * order + element``, gathered once and XORed down to
+    one row per segment, straight into ``out``.  Scratch is O(block)
+    whatever the number of segments.  Stacking is also the dtype check:
+    ``casting="no"`` lets nothing but the field's dtype into the block.
+    """
+    size = out.shape[1]
+    order = field.order
+    table = _product_table(field)
+    base = np.multiply(coeffs, order, dtype=np.uint16, casting="unsafe")[:, None]
+    # Blocks of whole segments: a new one wherever the row count passes a
+    # multiple of a tile's worth of rows.
+    block_rows = _TILE // max(size, 1)
+    cuts = {0, len(starts)}
+    if len(bufs) > block_rows:
+        every = np.arange(block_rows, len(bufs), block_rows)
+        cuts.update(np.searchsorted(starts, every).tolist())
+    cuts = sorted(cuts)
+    bounds = starts.tolist() + [len(bufs)]
+    cap = max(bounds[s1] - bounds[s0] for s0, s1 in zip(cuts, cuts[1:]))
+    stacked = np.empty((cap, size), dtype=out.dtype)
+    index = np.empty((cap, size), dtype=np.uint16)
+    product = np.empty((cap, size), dtype=out.dtype)
+    for s0, s1 in zip(cuts, cuts[1:]):
+        lo, hi = bounds[s0], bounds[s1]
+        n = hi - lo
+        block = bufs[lo:hi]
+        if {buf.shape for buf in block} != {(size,)}:
+            raise FieldError(f"buffers must all be {size}-element rows")
+        try:
+            np.concatenate(block, out=stacked[:n].reshape(-1), casting="no")
+        except TypeError as exc:
+            raise FieldError(
+                f"buffer dtype does not match GF(2^{field.w}) ({out.dtype})"
+            ) from exc
+        if field.w < 8 and int(stacked[:n].max(initial=0)) >= order:
+            raise FieldError(f"buffer holds a byte outside GF(2^{field.w})")
+        np.add(stacked[:n], base[lo:hi], out=index[:n])
+        # In bounds without a check: uint16 < order^2 at w = 8, and below
+        # that every element was just range-checked.
+        table.take(index[:n], out=product[:n], mode="wrap")
+        _xor_segments(product[:n], starts[s0:s1] - lo, out[s0:s1])
+
+
 def _dot_single_u8(
     field: GaloisField, coeffs: np.ndarray, bufs, out_row: np.ndarray
 ) -> None:
@@ -302,8 +472,13 @@ def _dot_single_u8(
     Consecutive nonzero terms are consumed two at a time through
     :func:`_pair_table`, so ``k`` inputs cost ``ceil(k/2)`` gathers
     instead of ``k``.  The first gather lands in the output tile; later
-    ones go through a one-tile scratch and are XORed in.
+    ones go through a one-tile scratch and are XORed in.  Rows smaller
+    than the pair tables they would have to build are one segment of
+    :func:`_dot_short` instead.
     """
+    if _short_rows(field, out_row.shape[0]):
+        _dot_short(field, coeffs, bufs, np.zeros(1, dtype=np.intp), out_row[None])
+        return
     terms = [(c, bufs[j]) for j, c in enumerate(coeffs.tolist()) if c]
     if not terms:
         out_row[:] = 0
@@ -475,6 +650,54 @@ def dot_rows(field: GaloisField, coeffs: list[int] | np.ndarray, bufs: list[np.n
     if not len(bufs):
         raise FieldError("dot_rows requires at least one buffer")
     return batch_dot(field, np.asarray(coeffs).reshape(1, -1), bufs)[0]
+
+
+def segment_dot(field: GaloisField, coeffs, rows, starts) -> list[np.ndarray]:
+    """Many :func:`dot_rows` at once: ``sum_t coeffs[t] * rows[t]`` per segment.
+
+    Segment ``i`` covers ``rows[starts[i]:starts[i + 1]]`` (the last one
+    runs to the end) with the matching coefficients; row ``i`` of the
+    result is its linear combination, so ``dot_rows`` is the one-segment
+    case.  A repair window's per-rack partial decodes (Equation 7) are
+    one call: short rows of every segment share gathers over the full
+    product table (:func:`_dot_short`), longer rows — and GF(2^16) at
+    every length — go segment by segment through :func:`dot_rows`.
+
+    Args:
+        field: the coefficient field.
+        coeffs: one coefficient per row.
+        rows: equal-length 1-D buffers of the field's dtype (a list or
+            the rows of a matrix); only read, may be read-only/strided.
+        starts: first row of each segment, rising strictly from 0.
+
+    Returns:
+        The per-segment sums, one buffer each, in segment order.
+
+    Raises:
+        FieldError: on count, segment, dtype, coefficient-range or
+            (w < 8) element-range mismatches.
+    """
+    coeffs = np.asarray(coeffs)
+    if coeffs.ndim != 1 or len(coeffs) != len(rows):
+        raise FieldError("coefficient/buffer count mismatch")
+    if not len(rows):
+        raise FieldError("segment_dot requires at least one buffer")
+    if int(coeffs.min()) < 0 or int(coeffs.max()) >= field.order:
+        raise FieldError(f"coefficients outside GF(2^{field.w})")
+    starts = _segment_starts(starts, len(rows))
+    size = rows[0].shape[0]
+    if not _short_rows(field, size):
+        bounds = starts.tolist() + [len(rows)]
+        coeffs = coeffs.tolist()
+        return [
+            dot_rows(field, coeffs[lo:hi], rows[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+    out = np.empty((len(starts), size), dtype=buffer_dtype(field))
+    _dot_short(field, coeffs, rows, starts, out)
+    if _metrics.CURRENT is not None:
+        _count_kernel("segment_dot", len(rows) * size * out.itemsize)
+    return list(out)
 
 
 def matrix_apply(field: GaloisField, rows: np.ndarray, bufs: list[np.ndarray]) -> list[np.ndarray]:

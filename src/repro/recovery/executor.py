@@ -13,7 +13,7 @@ There is one way a stripe is repaired.  :meth:`PlanExecutor.execute`
 takes ``(solution, stripe_plan)`` pairs a *window* at a time through two
 stages: **stage A** (:func:`repro.recovery.streaming.compute_window`,
 pure computation, one window ahead on a worker thread) decodes the
-window batched by repair signature; **stage B**
+window as one table, a kernel call for all its partials; **stage B**
 (:meth:`PlanExecutor._ship_stripe`, this thread) takes its stripes in
 order — derives each one's traffic and compute once, walks its
 checkpoint/delivery events if anything consumes them, and only then

@@ -20,12 +20,17 @@ counted as cross-rack traffic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence
+from copy import copy
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import RecoveryError
 
 __all__ = ["PerStripeSolution", "WeightedStripeSolution", "MultiStripeSolution"]
+
+_stripe_id = attrgetter("stripe_id")
 
 
 @dataclass(frozen=True)
@@ -184,13 +189,14 @@ class MultiStripeSolution:
             raise RecoveryError(
                 f"solutions disagree on the failed rack: {failed_racks}"
             )
-        self.solutions = sorted(solutions, key=lambda s: s.stripe_id)
+        self.solutions = sorted(solutions, key=_stripe_id)
         self.num_racks = num_racks
         self.aggregated = aggregated
         self.failed_rack = failed_racks.pop()
         # Lazy caches: solutions never change after construction
-        # (replace() builds a new object), so traffic totals and the
-        # rack -> solutions index are computed at most once each.
+        # (replace() builds a new object and hands it these, adjusted),
+        # so traffic totals and the rack -> solutions index are computed
+        # at most once along a chain of substitutions.
         self._traffic: list[int] | None = None
         self._by_rack: dict[int, tuple[PerStripeSolution, ...]] | None = None
 
@@ -200,25 +206,62 @@ class MultiStripeSolution:
     def __iter__(self):
         return iter(self.solutions)
 
+    def _position(self, stripe_id: int) -> int:
+        """Index of ``stripe_id`` in the stripe-sorted list.
+
+        Raises:
+            RecoveryError: if the stripe is not part of this solution.
+        """
+        i = bisect_left(self.solutions, stripe_id, key=_stripe_id)
+        if i == len(self.solutions) or self.solutions[i].stripe_id != stripe_id:
+            raise RecoveryError(f"no solution for stripe {stripe_id}")
+        return i
+
     def solution_for(self, stripe_id: int) -> PerStripeSolution:
         """The per-stripe solution for ``stripe_id``.
 
         Raises:
             RecoveryError: if the stripe is not part of this solution.
         """
-        for s in self.solutions:
-            if s.stripe_id == stripe_id:
-                return s
-        raise RecoveryError(f"no solution for stripe {stripe_id}")
+        return self.solutions[self._position(stripe_id)]
 
     def replace(self, new: PerStripeSolution) -> "MultiStripeSolution":
-        """A copy with the solution for ``new.stripe_id`` substituted."""
-        rest = [s for s in self.solutions if s.stripe_id != new.stripe_id]
-        if len(rest) == len(self.solutions):
-            raise RecoveryError(f"no existing solution for stripe {new.stripe_id}")
-        return MultiStripeSolution(
-            rest + [new], num_racks=self.num_racks, aggregated=self.aggregated
-        )
+        """A copy with the solution for ``new.stripe_id`` substituted.
+
+        The copy inherits whatever this object has already derived —
+        traffic totals, the rack -> solutions index — adjusted for the
+        two solutions that differ, so a substitution costs its own size,
+        not a pass over every stripe (fractional ``rack_units`` are
+        carried by float subtraction and addition).  ``self`` is left
+        untouched.
+        """
+        i = self._position(new.stripe_id)
+        if new.failed_rack != self.failed_rack:
+            raise RecoveryError(
+                "solutions disagree on the failed rack: "
+                f"{{{self.failed_rack}, {new.failed_rack}}}"
+            )
+        old = self.solutions[i]
+        clone = copy(self)
+        clone.solutions = self.solutions.copy()
+        clone.solutions[i] = new
+        if self._traffic is not None:
+            clone._traffic = t = self._traffic.copy()
+            for rack, amount in old.cross_rack_chunks(self.aggregated).items():
+                t[rack] -= amount
+            for rack, amount in new.cross_rack_chunks(self.aggregated).items():
+                t[rack] += amount
+        if self._by_rack is not None:
+            clone._by_rack = index = self._by_rack.copy()
+            for rack in old.chunks_by_rack.keys() | new.chunks_by_rack.keys():
+                users = list(index.get(rack, ()))
+                j = bisect_left(users, new.stripe_id, key=_stripe_id)
+                # ``old`` sits at j iff it reads this rack.
+                users[j : j + (rack in old.chunks_by_rack)] = (
+                    [new] if rack in new.chunks_by_rack else []
+                )
+                index[rack] = tuple(users)
+        return clone
 
     # -- traffic metrics ----------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Stage A of the repair pipeline: windows, batched decodes, accounting.
+"""Stage A of the repair pipeline: windows, columnar decodes, accounting.
 
 :meth:`~repro.recovery.executor.PlanExecutor.execute` repairs every
 stripe through one two-stage pipeline; this module is the half that
@@ -10,17 +10,19 @@ never touches telemetry, the journal or the fault hooks:
   stripes, so coordinator memory is O(window) regardless of stripe
   count;
 - :func:`compute_window` performs every GF decode of a window in one
-  pass, **batched by repair signature**: stripes whose repairs use the
-  same lost index, helper set, and rack grouping share one repair
-  vector, so their chunk buffers are concatenated and each per-rack
-  partial decode (Equation 7) becomes a single multi-stripe
-  :func:`~repro.gf.vector.dot_rows` kernel call.  GF table lookups are
-  elementwise, so the concatenated result sliced per stripe is
-  byte-identical to per-stripe calls;
+  columnar pass.  A window is a table: one row per helper chunk (its
+  buffer and its repair-vector coefficient), the rows of one rack group
+  adjacent (a *segment*), the segments of one stripe adjacent.  Every
+  per-rack partial decode (Equation 7) of the window is then a single
+  :func:`~repro.gf.vector.segment_dot` call and every final combine a
+  single :func:`~repro.gf.vector.xor_segments` call; how those treat
+  256-byte rows and 4 MiB rows differently is the kernels' business —
+  nothing here looks at the chunk size.  Stripes that share a repair
+  vector need no special case: they are adjacent segments;
 - the per-signature :class:`~repro.erasure.repair.PartialDecodePlan` is
   memoised in the named :data:`REPAIR_GROUP_CACHE`, whose hit/miss rates
   surface through the :mod:`repro.obs` metrics registry (the hit rate is
-  exactly the batching opportunity the grouping exploits);
+  how often stripes share a repair vector);
 - :func:`stripe_accounting` is the one place a stripe's cross-/intra-rack
   bytes and per-node compute are derived, for the in-process ship and
   the worker-process fold alike;
@@ -53,7 +55,7 @@ import numpy as np
 from repro.cache import BoundedCache
 from repro.erasure.repair import PartialDecodePlan, split_repair_vector
 from repro.gf.field import gf
-from repro.gf.vector import dot_rows
+from repro.gf.vector import segment_dot, xor_segments
 from repro.obs import metrics as _metrics
 from repro.recovery.planner import StripePlan
 from repro.recovery.solution import PerStripeSolution
@@ -81,8 +83,8 @@ STRIPE_OVERHEAD_BYTES = 4096
 
 #: Memoised per-signature repair decompositions.  Named, so the cache
 #: self-registers with the metrics registry: its hit rate quantifies how
-#: often stripes share a repair vector (the batching payoff) and shows
-#: up in ``repro-car metrics`` next to the GF table caches.
+#: often stripes share a repair vector and shows up in ``repro-car
+#: metrics`` next to the GF table caches.
 REPAIR_GROUP_CACHE = BoundedCache(4096, name="exec.repair_groups")
 
 
@@ -92,7 +94,8 @@ class StripeOutcome:
 
     Attributes:
         sol / sp: the stripe's solution and plan.
-        rebuilt: the reconstructed chunk (owned copy, not a batch view).
+        rebuilt: the reconstructed chunk (at small chunk sizes a row of
+            the window's result matrix, which it keeps alive).
         ok: byte-exact match against ground truth.
         groups: the repair decomposition's groups — one per rack when
             aggregated (used for compute charging and checkpoint
@@ -115,8 +118,8 @@ def repair_signature(sol: PerStripeSolution, aggregated: bool):
     """The key under which stripes share a repair vector.
 
     Two stripes with equal signatures repair with identical coefficient
-    rows and identical rack grouping, so their decodes batch into one
-    kernel call per rack.
+    rows and identical rack grouping, so they share one memoised
+    :class:`~repro.erasure.repair.PartialDecodePlan`.
     """
     if aggregated:
         return (
@@ -172,73 +175,6 @@ def _decode_plan(
     )
 
 
-def _ok_flags(data, members, rebuilt_cat: np.ndarray, size: int) -> list[bool]:
-    """Per-stripe ground-truth verdicts for one batched group.
-
-    The common case — everything reconstructs — is one comparison over
-    the concatenated buffers; only a mismatching group falls back to
-    per-stripe comparisons.
-    """
-    truth = [
-        data.chunk(sol.stripe_id, sol.lost_chunk) for sol, _ in members
-    ]
-    if np.array_equal(rebuilt_cat, np.concatenate(truth) if len(truth) > 1 else truth[0]):
-        return [True] * len(members)
-    return [
-        bool(np.array_equal(truth[i], rebuilt_cat[i * size : (i + 1) * size]))
-        for i in range(len(members))
-    ]
-
-
-def _compute_group(
-    code, field, data, members, aggregated: bool, keep_partials: bool
-) -> list[StripeOutcome]:
-    """Batched decode of the stripes of one window sharing a signature."""
-    sol0 = members[0][0]
-    plan = _decode_plan(code, sol0, aggregated)
-    size = data.chunk(sol0.stripe_id, plan.groups[0].helper_indices[0]).shape[0]
-    many = len(members) > 1
-    partials_cat: dict = {}
-    rebuilt_cat: np.ndarray | None = None
-    for group in plan.groups:
-        bufs = [
-            np.concatenate(
-                [data.chunk(sol.stripe_id, h) for sol, _ in members]
-            )
-            if many
-            else data.chunk(sol0.stripe_id, h)
-            for h in group.helper_indices
-        ]
-        partial = dot_rows(field, list(group.coefficients), bufs)
-        if keep_partials:
-            partials_cat[group.group_key] = partial
-        if rebuilt_cat is None:
-            # The accumulator is XORed into; a partial that is also
-            # shipped must stay as decoded.
-            rebuilt_cat = partial.copy() if keep_partials else partial
-        else:
-            np.bitwise_xor(rebuilt_cat, partial, out=rebuilt_cat)
-    oks = _ok_flags(data, members, rebuilt_cat, size)
-    out = []
-    for i, (sol, sp) in enumerate(members):
-        lo, hi = i * size, (i + 1) * size
-        out.append(
-            StripeOutcome(
-                sol=sol,
-                sp=sp,
-                rebuilt=rebuilt_cat[lo:hi].copy() if many else rebuilt_cat,
-                ok=oks[i],
-                groups=plan.groups,
-                partials=(
-                    {k: v[lo:hi] for k, v in partials_cat.items()}
-                    if keep_partials
-                    else None
-                ),
-            )
-        )
-    return out
-
-
 def compute_window(
     code,
     data,
@@ -247,27 +183,52 @@ def compute_window(
     *,
     keep_partials: bool = False,
 ) -> tuple[list[StripeOutcome], float, float]:
-    """Stage A: decode every stripe of one window, batched by signature.
+    """Stage A: decode every stripe of one window in one columnar pass.
 
     Returns the outcomes **in input order** plus the stage's wall-clock
     start/end (the executor emits them as a pipeline span — this
     function itself must stay telemetry-free, see the module docstring).
     """
     start = time.perf_counter()
-    field = gf(code.w)
-    by_sig: dict = {}
-    for i, pair in enumerate(pairs):
-        by_sig.setdefault(repair_signature(pair[0], aggregated), []).append(
-            (i, pair)
+    plans = [_decode_plan(code, sol, aggregated) for sol, _ in pairs]
+    # The window as columns: one row per helper chunk, one segment per
+    # rack group, one run of segments per stripe.
+    coeffs: list[int] = []
+    helpers: list[np.ndarray] = []
+    group_starts: list[int] = []
+    stripe_starts: list[int] = []
+    for (sol, _), plan in zip(pairs, plans):
+        stripe_starts.append(len(group_starts))
+        for group in plan.groups:
+            group_starts.append(len(coeffs))
+            coeffs.extend(group.coefficients)
+            helpers.extend(
+                [data.chunk(sol.stripe_id, h) for h in group.helper_indices]
+            )
+    partials = segment_dot(gf(code.w), coeffs, helpers, group_starts)
+    # A shipped partial must stay as decoded: only when none is kept may
+    # the combine accumulate into one.
+    rebuilt = xor_segments(partials, stripe_starts, consume=not keep_partials)
+    outcomes = []
+    for i, ((sol, sp), plan) in enumerate(zip(pairs, plans)):
+        first = stripe_starts[i]
+        outcomes.append(
+            StripeOutcome(
+                sol=sol,
+                sp=sp,
+                rebuilt=rebuilt[i],
+                ok=data.matches(sol.stripe_id, sol.lost_chunk, rebuilt[i]),
+                groups=plan.groups,
+                partials=(
+                    {
+                        group.group_key: partials[first + j]
+                        for j, group in enumerate(plan.groups)
+                    }
+                    if keep_partials
+                    else None
+                ),
+            )
         )
-    outcomes: list[StripeOutcome | None] = [None] * len(pairs)
-    for entries in by_sig.values():
-        members = [pair for _, pair in entries]
-        computed = _compute_group(
-            code, field, data, members, aggregated, keep_partials
-        )
-        for (i, _), outcome in zip(entries, computed):
-            outcomes[i] = outcome
     return outcomes, start, time.perf_counter()
 
 

@@ -14,13 +14,17 @@ from hypothesis import strategies as st
 from repro.errors import FieldError
 from repro.gf.field import GF4, GF8, GF16, gf
 from repro.gf.vector import (
+    _SHORT_ROW,
     _TILE,
     as_field_buffer,
     batch_dot,
     buffer_dtype,
     dot_rows,
     matrix_apply,
+    segment_dot,
+    xor_segments,
 )
+from repro.obs.metrics import cache_stats
 
 FIELDS = (GF4, GF8, GF16)
 
@@ -212,6 +216,155 @@ class TestTileBoundaries:
             batch_dot(GF8, np.array([[1, 2]]), bufs)
         with pytest.raises(FieldError):
             batch_dot(GF16, np.array([[1, 2]]), bufs)
+
+
+def per_segment_dot_rows(field, coeffs, rows, starts):
+    """What ``segment_dot`` batches: one ``dot_rows`` per segment."""
+    bounds = list(starts) + [len(rows)]
+    return [
+        dot_rows(field, [int(c) for c in coeffs[lo:hi]], rows[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+@st.composite
+def segment_case(draw):
+    field = draw(st.sampled_from(FIELDS))
+    # Either side of the table-scheme threshold, and rows so short that
+    # one block holds many segments or so long that it holds one.
+    length = draw(
+        st.sampled_from([1, 9, 256, _SHORT_ROW - 1, _SHORT_ROW, _SHORT_ROW + 8])
+    )
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    total = sum(sizes)
+    coeffs = rng.integers(0, field.order, total)
+    for special in (0, 1):
+        if draw(st.booleans()):
+            coeffs[rng.integers(total)] = special
+    rows = [
+        rng.integers(0, field.order, length, dtype=buffer_dtype(field))
+        for _ in range(total)
+    ]
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    return field, coeffs, rows, starts
+
+
+class TestSegmentDot:
+    """``segment_dot`` is ``dot_rows`` once per segment, whatever route
+    (full product table, pair tables, nibble tables) the rows take."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=segment_case())
+    def test_equals_dot_rows_per_segment(self, case):
+        field, coeffs, rows, starts = case
+        got = segment_dot(field, coeffs, rows, starts)
+        want = per_segment_dot_rows(field, coeffs, rows, starts)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=segment_case())
+    def test_xor_segments_is_the_running_xor(self, case):
+        _, _, rows, starts = case
+        before = [row.copy() for row in rows]
+        got = xor_segments(rows, starts)
+        bounds = starts + [len(rows)]
+        for g, lo, hi in zip(got, bounds, bounds[1:]):
+            assert np.array_equal(g, np.bitwise_xor.reduce(before[lo:hi]))
+        for row, original in zip(rows, before):  # consume=False: untouched
+            assert np.array_equal(row, original)
+        consumed = xor_segments([row.copy() for row in rows], starts, consume=True)
+        for g, c in zip(got, consumed):
+            assert np.array_equal(g, c)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"w{f.w}")
+    @pytest.mark.parametrize("length", [1, 64, _SHORT_ROW - 1, _SHORT_ROW])
+    def test_several_blocks_against_logexp(self, field, length):
+        """More rows than one block holds (the cut falls at a segment
+        boundary), one-row segments, a segment longer than a block."""
+        block_rows = max(1, _TILE // length)
+        sizes = [1, block_rows + 3, 1, 2, block_rows - 1, 1, 3]
+        if length >= 64:
+            sizes = [min(size, 40) for size in sizes] * 3
+        total = sum(sizes)
+        rng = np.random.default_rng(length)
+        coeffs = rng.integers(0, field.order, total)
+        coeffs[0], coeffs[-1] = 1, 0
+        matrix = rng.integers(
+            0, field.order, (total, length), dtype=buffer_dtype(field)
+        )
+        starts = np.cumsum([0] + sizes[:-1])
+        got = segment_dot(field, coeffs, matrix, starts)  # rows of a matrix
+        for g, lo, size in zip(got, starts, sizes):
+            want = logexp_batch_dot(
+                field, [coeffs[lo : lo + size]], matrix[lo : lo + size]
+            )[0]
+            assert np.array_equal(g, want)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"w{f.w}")
+    def test_one_segment_is_dot_rows_on_any_layout(self, field):
+        for length in (33, _SHORT_ROW + 1):
+            bufs = mixed_layout_inputs(field, length, seed=length)
+            coeffs = [2, 0, 1, field.order - 1, 3]
+            (got,) = segment_dot(field, coeffs, bufs, [0])
+            assert np.array_equal(got, logexp_batch_dot(field, [coeffs], bufs)[0])
+            assert np.array_equal(got, dot_rows(field, coeffs, bufs))
+
+    def test_rejects_what_batch_dot_rejects(self):
+        rows = [np.zeros(8, dtype=np.uint8) for _ in range(4)]
+        starts = [0, 2]
+        with pytest.raises(FieldError):  # dtype
+            segment_dot(GF8, [1, 2, 3, 4], rows[:3] + [np.zeros(8, np.uint16)], starts)
+        with pytest.raises(FieldError):
+            segment_dot(GF16, [1, 2, 3, 4], rows, starts)
+        for bad in (256, -1):  # coefficient outside the field
+            with pytest.raises(FieldError):
+                segment_dot(GF8, [1, 2, bad, 4], rows, starts)
+        with pytest.raises(FieldError):  # a row of another length
+            segment_dot(GF8, [1, 2, 3, 4], rows[:3] + [np.zeros(9, np.uint8)], starts)
+        with pytest.raises(FieldError):
+            segment_dot(GF8, [1, 2, 3], rows, starts)
+        with pytest.raises(FieldError):
+            segment_dot(GF8, [], [], [0])
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 3])
+    def test_out_of_field_byte_raises_in_gf4(self, position):
+        """``c * 16 + x`` with ``x >= 16`` would alias another constant's
+        row of the product table: a FieldError wherever the byte sits."""
+        rows = [np.zeros(8, dtype=np.uint8) for _ in range(4)]
+        segment_dot(GF4, [2, 3, 4, 5], rows, [0, 1, 3])
+        rows[position][5] = 0x5A
+        with pytest.raises(FieldError):
+            segment_dot(GF4, [2, 3, 4, 5], rows, [0, 1, 3])
+        with pytest.raises(FieldError):
+            dot_rows(GF4, [2, 3, 4, 5], rows)
+
+    @pytest.mark.parametrize(
+        "starts", [[], [1], [0, 0], [0, 2, 1], [0, 4], [[0, 1]]]
+    )
+    def test_rejects_bad_segment_starts(self, starts):
+        rows = [np.zeros(8, dtype=np.uint8) for _ in range(4)]
+        with pytest.raises(FieldError):
+            segment_dot(GF8, [1, 2, 3, 4], rows, starts)
+        with pytest.raises(FieldError):
+            xor_segments(rows, starts)
+
+    def test_short_buffers_never_build_a_pair_table(self):
+        """A 256-byte buffer is smaller than the 64 KiB pair table each
+        new coefficient pair used to cost it."""
+        bufs = [np.arange(256, dtype=np.uint8), np.arange(256, dtype=np.uint8)[::-1]]
+        before = cache_stats()["gf.pair_table"]
+        for c in range(100):
+            got = dot_rows(GF8, [c + 2, 255 - c], bufs)
+            assert np.array_equal(
+                got, logexp_batch_dot(GF8, [[c + 2, 255 - c]], bufs)[0]
+            )
+        after = cache_stats()["gf.pair_table"]
+        assert after["misses"] == before["misses"]
+        assert after["entries"] == before["entries"]
 
 
 class TestAsFieldBufferViews:

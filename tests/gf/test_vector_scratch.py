@@ -62,3 +62,20 @@ def test_scratch_is_bounded_and_nothing_chunk_sized_is_retained():
     assert _peak_beyond_output(lambda: vector.matrix_apply(GF8, ROWS, bufs)) < MB
 
     assert _module_array_bytes() == retained
+
+
+def test_segment_dot_scratch_is_bounded_by_the_block_not_the_window():
+    """256 stripes x 10 helpers just under the short-row threshold: 10 MiB
+    of rows go through index and product scratch of one block."""
+    size = vector._SHORT_ROW - 8
+    rng = np.random.default_rng(0)
+    rows = list(rng.integers(0, 256, (2560, size), dtype=np.uint8))
+    coeffs = rng.integers(0, 256, len(rows))
+    starts = [10 * stripe + first for stripe in range(256) for first in (0, 3, 7)]
+    vector.segment_dot(GF8, coeffs[:10], rows[:10], [0])  # build the table
+    retained = _module_array_bytes()
+    peak = _peak_beyond_output(
+        lambda: vector.segment_dot(GF8, coeffs, rows, starts)
+    )
+    assert peak < MB
+    assert _module_array_bytes() == retained

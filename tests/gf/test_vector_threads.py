@@ -15,7 +15,7 @@ import pytest
 
 from repro.cache import BoundedCache
 from repro.gf.field import GF8, GF16
-from repro.gf.vector import batch_dot, buffer_dtype, dot_rows
+from repro.gf.vector import batch_dot, buffer_dtype, dot_rows, segment_dot
 
 CALLS = 200
 CHUNK_BYTES = 1 << 20
@@ -39,10 +39,27 @@ def _kernel(field, r, seed):
     return lambda: batch_dot(field, rows, bufs)
 
 
+def _window_kernel(seed):
+    """A ``segment_dot`` call over a window of short rows (the full
+    product table route), private to one thread."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 256, (640, 256), dtype=np.uint8)
+    coeffs = rng.integers(0, 256, len(rows))
+    starts = np.arange(0, len(rows), 3)
+    return lambda: np.stack(segment_dot(GF8, coeffs, rows, starts))
+
+
 @pytest.mark.parametrize("field", [GF8, GF16], ids=["w8", "w16"])
 @pytest.mark.parametrize("r", [1, 3])
 def test_two_threads_get_their_own_bytes(field, r):
-    kernels = [_kernel(field, r, seed) for seed in (1, 2)]
+    _assert_threads_agree([_kernel(field, r, seed) for seed in (1, 2)])
+
+
+def test_two_threads_in_segment_dot():
+    _assert_threads_agree([_window_kernel(seed) for seed in (1, 2)])
+
+
+def _assert_threads_agree(kernels):
     references = [kernel() for kernel in kernels]
     mismatches = [0, 0]
     errors = []

@@ -34,6 +34,15 @@ def failed_clusters(draw):
     return state
 
 
+class RebuiltEachTime(MultiStripeSolution):
+    """The reference substitution: a new solution built from the whole
+    list, re-deriving traffic and the rack index from nothing."""
+
+    def replace(self, new):
+        rest = [s for s in self.solutions if s.stripe_id != new.stripe_id]
+        return RebuiltEachTime(rest + [new], self.num_racks, self.aggregated)
+
+
 def unbalanced_start(state):
     selector = CarSelector(state.topology, state.code.k)
     views = {v.stripe_id: v for v in state.views()}
@@ -92,3 +101,22 @@ class TestAlgorithm2Properties:
             )
             # Theorem-1 minimality (d_j) is preserved by every swap.
             assert sol.num_intact_racks == min_racks_needed(view, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(failed_clusters())
+    def test_carried_totals_choose_the_same_substitutions(self, state):
+        """Algorithm 2 reads traffic and the rack index off solutions that
+        inherited them across substitutions; re-deriving both from scratch
+        at every step picks the same stripes and the same λ trajectory."""
+        views, initial, selector = unbalanced_start(state)
+        balanced, trace = GreedyLoadBalancer().balance(views, initial, selector)
+        reference, ref_trace = GreedyLoadBalancer().balance(
+            views,
+            RebuiltEachTime(
+                initial.solutions, initial.num_racks, initial.aggregated
+            ),
+            selector,
+        )
+        assert balanced.solutions == reference.solutions
+        assert trace == ref_trace
+        assert balanced.traffic_by_rack() == reference.traffic_by_rack()

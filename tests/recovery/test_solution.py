@@ -1,6 +1,8 @@
 """Tests for per-stripe and multi-stripe solution objects."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RecoveryError
 from repro.recovery.solution import MultiStripeSolution, PerStripeSolution
@@ -129,3 +131,102 @@ class TestMultiStripe:
 
     def test_repr_mentions_lambda(self):
         assert "lambda=" in repr(self.make())
+
+
+RACKS = 5
+
+
+@st.composite
+def per_stripe(draw, stripe):
+    """A solution over up to three of the five racks (rack 0 failed)."""
+    racks = draw(
+        st.lists(st.integers(0, RACKS - 1), min_size=1, max_size=3, unique=True)
+    )
+    chunks = iter(range(1, 10))
+    return sol(
+        stripe=stripe,
+        chunks_by_rack={
+            rack: tuple(next(chunks) for _ in range(draw(st.integers(1, 2))))
+            for rack in racks
+        },
+    )
+
+
+@st.composite
+def substitution_runs(draw):
+    stripes = draw(
+        st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True)
+    )
+    initial = [draw(per_stripe(stripe)) for stripe in stripes]
+    steps = [
+        # (replacement, derive the totals first?, derive the index first?)
+        (
+            draw(per_stripe(draw(st.sampled_from(stripes)))),
+            draw(st.booleans()),
+            draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    return initial, steps, draw(st.booleans())
+
+
+def derived(ms):
+    return (
+        list(ms.solutions),
+        ms.traffic_by_rack(),
+        {rack: ms.solutions_using(rack) for rack in range(RACKS + 1)},
+        ms.load_balancing_rate(),
+    )
+
+
+class TestReplaceCarriesWhatWasDerived:
+    @settings(max_examples=300, deadline=None)
+    @given(substitution_runs())
+    def test_equals_a_solution_built_from_scratch(self, run):
+        initial, steps, aggregated = run
+        current = MultiStripeSolution(initial, RACKS, aggregated)
+        expected = list(current.solutions)
+        for new, warm_traffic, warm_index in steps:
+            if warm_traffic:
+                current.traffic_by_rack()
+            if warm_index:
+                current.solutions_using(0)
+            before = derived(current) if warm_traffic and warm_index else None
+            receiver, current = current, current.replace(new)
+            expected = [new if s.stripe_id == new.stripe_id else s for s in expected]
+            scratch = MultiStripeSolution(expected, RACKS, aggregated)
+            assert derived(current) == derived(scratch)
+            assert (current.num_racks, current.aggregated, current.failed_rack) == (
+                scratch.num_racks, scratch.aggregated, scratch.failed_rack
+            )
+            if before is not None:  # the receiver is left as it was
+                assert derived(receiver) == before
+            assert current.solution_for(new.stripe_id) is new
+
+    def test_a_substitution_costs_its_own_size(self, monkeypatch):
+        """Fifty substitutions into 200 stripes, reading traffic and the
+        rack index after each (Algorithm 2's loop): only the two
+        solutions that differ are ever asked for their traffic again."""
+        asked = []
+        original = PerStripeSolution.cross_rack_chunks
+        monkeypatch.setattr(
+            PerStripeSolution,
+            "cross_rack_chunks",
+            lambda self, aggregated: asked.append(self.stripe_id)
+            or original(self, aggregated),
+        )
+        ms = MultiStripeSolution([sol(stripe=i) for i in range(200)], 4, True)
+        assert ms.traffic_by_rack() == [0, 200, 200, 0]
+        assert len(ms.solutions_using(1)) == 200 and len(asked) == 200
+        for i in range(50):
+            ms = ms.replace(sol(stripe=i, chunks_by_rack={0: (1, 2), 3: (3, 4, 5)}))
+            assert ms.traffic_by_rack() == [0, 199 - i, 199 - i, i + 1]
+            assert [s.stripe_id for s in ms.solutions_using(3)] == list(range(i + 1))
+        assert len(asked) == 200 + 2 * 50
+
+    def test_replace_refuses_another_failed_rack(self):
+        ms = MultiStripeSolution([sol(stripe=0), sol(stripe=1)], 4, True)
+        ms.traffic_by_rack()
+        with pytest.raises(RecoveryError):
+            ms.replace(sol(stripe=1, failed_rack=2))
+        assert ms.traffic_by_rack() == [0, 2, 2, 0]

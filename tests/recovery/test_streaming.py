@@ -30,6 +30,11 @@ from repro.durable.journal import (
 )
 from repro.durable.session import RecoverySession
 from repro.erasure.lrc import LRCCode
+from repro.erasure.repair import (
+    combine_partials,
+    execute_partial_decode,
+    split_repair_vector,
+)
 from repro.erasure.rs import RSCode
 from repro.errors import (
     ConfigurationError,
@@ -38,7 +43,7 @@ from repro.errors import (
     PlanError,
     UnknownChunkError,
 )
-from repro.experiments.configs import CFS1, build_state
+from repro.experiments.configs import CFS1, CFS3, build_state
 from repro.faults import (
     BackoffPolicy,
     FaultInjector,
@@ -47,6 +52,7 @@ from repro.faults import (
     PipelineStage,
     RobustExecutor,
 )
+from repro.gf.vector import _SHORT_ROW
 from repro.io_shm import SharedChunkStore
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import Tracer
@@ -57,6 +63,7 @@ from repro.recovery.metrics import traffic_report
 from repro.recovery.planner import plan_recovery, plan_recovery_streaming
 from repro.recovery.streaming import (
     REPAIR_GROUP_CACHE,
+    compute_window,
     default_window,
     repair_signature,
     windows,
@@ -334,6 +341,113 @@ class TestStreamingEquivalence:
         sizes = [64, 256, 4096, 1 << 16, 1 << 20, 4 << 20]
         derived = [default_window(s) for s in sizes]
         assert derived == sorted(derived, reverse=True)
+
+
+def window_of(state, event, strategy):
+    """Every stripe of the failure as one window's ``(sol, sp)`` pairs."""
+    sol = strategy.solve(state)
+    plan = plan_recovery(state, event, sol)
+    by_id = {sp.stripe_id: sp for sp in plan.stripe_plans}
+    return [(s, by_id[s.stripe_id]) for s in sol.solutions], plan.aggregated
+
+
+#: (code, strategy, placement policy) for every code the executor accepts
+#: (the regenerating / piggyback strategies repair with other than k
+#: helpers, which ``repair_vector`` refuses), aggregated and direct.
+WINDOW_CASES = {
+    "rs-car-random": (CFS1, None, CarStrategy, "random"),
+    "rs-car-aligned": (CFS1, None, CarStrategy, "rack_aligned"),
+    "rs-rr-random": (CFS1, None, lambda: RandomRecoveryStrategy(rng=3), "random"),
+    "cauchy-car": (None, RSCode(6, 3, construction="cauchy"), CarStrategy, None),
+    "lrc-local": (None, LRCCode(6, 2, 2), LrcLocalRecoveryStrategy, None),
+    "lrc-direct": (
+        None, LRCCode(6, 2, 2),
+        lambda: LrcLocalRecoveryStrategy(aggregated=False), None,
+    ),
+}
+
+
+class TestColumnarWindow:
+    """``compute_window`` decodes a window as one table; stripe by stripe
+    through the repair algebra is the reference it must equal."""
+
+    @staticmethod
+    def build(case, chunk_size, seed=6):
+        config, code, strategy, policy = WINDOW_CASES[case]
+        if config is None:
+            return (*failed_cluster(seed, code=code, chunk_size=chunk_size), strategy())
+        state = build_state(
+            config, seed, with_data=True, chunk_size=chunk_size,
+            num_stripes=30, placement_policy=policy,
+        )
+        return state, FailureInjector(rng=seed).fail_random_node(state), strategy()
+
+    # Either side of the kernels' table-scheme threshold.
+    @pytest.mark.parametrize("chunk_size", [64, _SHORT_ROW])
+    @pytest.mark.parametrize("case", WINDOW_CASES)
+    def test_equals_stripe_by_stripe_partial_decode(self, case, chunk_size):
+        state, event, strategy = self.build(case, chunk_size)
+        pairs, aggregated = window_of(state, event, strategy)
+        assert len(pairs) > 1
+        outcomes, _, _ = compute_window(
+            state.code, state.data, pairs, aggregated, keep_partials=True
+        )
+        assert [o.sol for o in outcomes] == [sol for sol, _ in pairs]
+        for outcome in outcomes:
+            sol = outcome.sol
+            plan = split_repair_vector(
+                state.code, sol.lost_chunk, sol.helpers,
+                sol.rack_map() if aggregated else dict.fromkeys(sol.helpers),
+            )
+            partials = execute_partial_decode(
+                state.code, plan,
+                {h: state.data.chunk(sol.stripe_id, h) for h in sol.helpers},
+            )
+            assert outcome.partials.keys() == partials.keys()
+            for key, partial in partials.items():
+                assert np.array_equal(outcome.partials[key], partial)
+                # A shipped partial is never the accumulator.
+                assert not np.shares_memory(outcome.partials[key], outcome.rebuilt)
+            assert np.array_equal(
+                outcome.rebuilt, combine_partials(state.code, partials)
+            )
+            assert outcome.ok is True
+        lean, _, _ = compute_window(state.code, state.data, pairs, aggregated)
+        for outcome, kept in zip(lean, outcomes):
+            assert outcome.partials is None
+            assert outcome.ok is True
+            assert np.array_equal(outcome.rebuilt, kept.rebuilt)
+
+    @pytest.mark.parametrize("chunk_size", [64, _SHORT_ROW])
+    def test_a_flipped_truth_byte_fails_exactly_that_stripe(self, chunk_size):
+        state, event, strategy = self.build("rs-car-random", chunk_size)
+        pairs, aggregated = window_of(state, event, strategy)
+        victim = pairs[len(pairs) // 2][0]
+        state.data.corrupt(victim.stripe_id, victim.lost_chunk)
+        outcomes, _, _ = compute_window(state.code, state.data, pairs, aggregated)
+        assert [o.ok for o in outcomes] == [
+            sol.stripe_id != victim.stripe_id for sol, _ in pairs
+        ]
+
+    def test_a_window_is_one_kernel_dispatch(self):
+        """Fleet shape: CFS3, 256-byte chunks.  The GF work of a window
+        is one dispatch, and it moves exactly k chunks per stripe."""
+        state = build_state(
+            CFS3, 0, with_data=True, chunk_size=256, num_stripes=400
+        )
+        event = FailureInjector(rng=0).fail_random_node(state)
+        sol = CarStrategy().solve(state)
+        for window in (64, 7):
+            with _metrics.telemetry_scope(_metrics.MetricsRegistry()) as reg:
+                result = PlanExecutor(state).execute(
+                    plan_recovery_streaming(state, event, sol), window=window
+                )
+            assert result.verified
+            stripes = len(result.per_stripe_ok)
+            assert stripes == event.num_stripes
+            windows_run = -(-stripes // window)
+            assert reg.counter("gf.kernel.dispatches").total <= 2 * windows_run
+            assert reg.counter("gf.kernel.bytes").total == stripes * state.code.k * 256
 
 
 class TestStreamingValidation:
