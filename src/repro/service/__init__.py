@@ -6,14 +6,15 @@ repair and foreground degraded reads competing for the same scarce
 cross-rack bandwidth.
 
 - :mod:`repro.service.protocol` — length-prefixed JSON/binary wire
-  frames (sans-io parser + asyncio helpers);
+  frames (sans-io parser, frame helpers) and the one socket transport
+  every daemon uses;
 - :mod:`repro.service.heartbeat` — per-node leases and the
   UNKNOWN→ALIVE→SUSPECT→DEAD failure-detection state machine;
 - :mod:`repro.service.admission` — the modelled clock, the shared
   cross-rack link, the token-bucket repair cap, and the
   client-priority knob;
-- :mod:`repro.service.chunkserver` — the data daemon (chunk reads +
-  heartbeats);
+- :mod:`repro.service.chunkserver` — the data daemon (chunk reads,
+  per-rack partial decodes, heartbeats);
 - :mod:`repro.service.coordinator` — the control daemon (membership,
   degraded reads, repair control);
 - :mod:`repro.service.repair` — the paced, crash-resumable background
@@ -49,7 +50,10 @@ from repro.service.heartbeat import (
 from repro.service.protocol import (
     MAX_BLOB_BYTES,
     MAX_HEADER_BYTES,
+    Connection,
+    ConnectionPool,
     FrameReader,
+    FrameServer,
     MsgType,
     decode_frame,
     encode_frame,
@@ -67,6 +71,9 @@ __all__ = [
     "FrameReader",
     "read_frame",
     "write_frame",
+    "Connection",
+    "FrameServer",
+    "ConnectionPool",
     "NodeHealth",
     "LeaseTransition",
     "FailureDetector",

@@ -167,6 +167,7 @@ async def _run_once(
             "reads": len(latencies),
             "contended_reads": len(contended),
             "degraded_reads": cluster.coordinator.degraded_reads,
+            "wire_cross_rack_bytes": cluster.coordinator.wire_cross_rack_bytes,
             "client_p50_model_s": quantile(quoted, 0.50),
             "client_p99_model_s": quantile(quoted, 0.99),
             "client_mean_model_s": sum(quoted) / len(quoted),

@@ -3,9 +3,12 @@
 :class:`LocalCluster` boots the whole control/data plane inside one
 asyncio event loop — real sockets on localhost, real frames, modelled
 time — which is what `repro-car serve`, `bench-service`, the CI
-service-smoke job, and the service tests all drive.  Nodes are dealt to
-chunkserver daemons round-robin, so "coordinator + 3 chunkservers"
-works for every CFS config regardless of node count.
+service-smoke job, and the service tests all drive.  Racks are dealt to
+chunkserver daemons whole, so "coordinator + 3 chunkservers" works for
+every CFS config and a rack's partial decode finds its helpers on one
+daemon; ask for more daemons than racks and each rack is spread over
+daemons of its own (one per node at the limit), which is what makes a
+delegate pull chunks from its rack-mates.
 
 :class:`ServiceClient` is the foreground workload: a persistent client
 connection issuing (degraded) reads and recording their *modelled*
@@ -42,7 +45,12 @@ from repro.service.admission import (
 )
 from repro.service.chunkserver import Chunkserver
 from repro.service.coordinator import Coordinator
-from repro.service.protocol import MsgType, read_frame, write_frame
+from repro.service.protocol import (
+    Connection,
+    MsgType,
+    read_frame,
+    write_frame,
+)
 
 __all__ = ["ServiceClient", "LocalCluster"]
 
@@ -50,25 +58,21 @@ __all__ = ["ServiceClient", "LocalCluster"]
 class ServiceClient:
     """One foreground client connection to the coordinator."""
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(self, conn: Connection) -> None:
+        self._conn = conn
         #: Modelled latency of every read this client issued, in order.
         self.latencies: list[float] = []
 
     @classmethod
     async def connect(cls, address: tuple[str, int]) -> "ServiceClient":
         """Dial the coordinator and complete the hello handshake."""
-        reader, writer = await asyncio.open_connection(*address)
-        await write_frame(
-            writer, {"type": MsgType.HELLO, "role": "client"}
-        )
-        ack = await read_frame(reader)
+        conn = await Connection.open(address)
+        await write_frame(conn, {"type": MsgType.HELLO, "role": "client"})
+        ack = await read_frame(conn)
         if ack is None or ack[0].get("type") != MsgType.HELLO_ACK:
+            conn.close()
             raise ServiceError("client hello was not acked")
-        return cls(reader, writer)
+        return cls(conn)
 
     async def read(self, stripe: int) -> dict:
         """Read one stripe's chunk (degraded if it was lost).
@@ -76,9 +80,9 @@ class ServiceClient:
         Returns the reply header with the raw bytes under ``data``.
         """
         await write_frame(
-            self._writer, {"type": MsgType.READ, "stripe": int(stripe)}
+            self._conn, {"type": MsgType.READ, "stripe": int(stripe)}
         )
-        frame = await read_frame(self._reader)
+        frame = await read_frame(self._conn)
         if frame is None:
             raise ServiceError("coordinator closed during read")
         msg, blob = frame
@@ -91,20 +95,20 @@ class ServiceClient:
 
     async def status(self) -> dict:
         """Fetch the coordinator's status snapshot."""
-        await write_frame(self._writer, {"type": MsgType.STATUS})
-        frame = await read_frame(self._reader)
+        await write_frame(self._conn, {"type": MsgType.STATUS})
+        frame = await read_frame(self._conn)
         if frame is None or frame[0].get("type") != MsgType.STATUS_REPLY:
             raise ServiceError("status request failed")
         return frame[0]
 
     async def shutdown(self) -> None:
         """Ask the coordinator to stop (acked, then both sides close)."""
-        await write_frame(self._writer, {"type": MsgType.SHUTDOWN})
-        await read_frame(self._reader)
+        await write_frame(self._conn, {"type": MsgType.SHUTDOWN})
+        await read_frame(self._conn)
         await self.close()
 
     async def close(self) -> None:
-        self._writer.close()
+        self._conn.close()
 
 
 #: glibc ``mallopt`` parameter numbers (``malloc.h``).
@@ -114,18 +118,18 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 def _pin_malloc_thresholds() -> None:
     """Fix glibc's mmap and trim thresholds for the serving process.
 
-    A 1 MiB degraded read allocates and frees some forty chunk-sized
-    buffers (frames, stream buffers, arrays), about 30 MiB of them live
-    at once.  glibc's thresholds are dynamic — the mmap threshold is the
-    largest mmapped block the process has freed so far, the trim
-    threshold twice that — so whether those buffers come from retained
-    heap or are page-faulted in and given back on every read (10 to
-    3 500 faults per read, up to twice the system time) depends on what
-    the process happened to free before it started serving.  Pinning
-    both at the top of the dynamic range, where glibc itself ends up
-    after one 32 MiB block is freed, makes a read cost the same whatever
-    ran before it (docs/SERVICE.md has the measurements).  The heap then
-    keeps up to 64 MiB of freed memory instead of returning it.
+    A 1 MiB degraded read allocates and frees seven chunk-sized buffers
+    (three partials, their three receive buffers, the client's), 3 MiB
+    of them live at once.  glibc's thresholds are dynamic — the mmap
+    threshold is the largest mmapped block the process has freed so
+    far, the trim threshold twice that — so whether those buffers come
+    from retained heap or are page-faulted in and given back on every
+    read (0.2 against ~450 faults per read, 6 % of its latency) depends
+    on what the process happened to free before it started serving.
+    Pinning both at the top of the dynamic range, where glibc itself
+    ends up after one 32 MiB block is freed, makes a read cost the same
+    whatever ran before it (docs/SERVICE.md has the measurements).  The
+    heap then keeps up to 64 MiB of freed memory instead of returning it.
 
     Process-wide and idempotent; a no-op where the C library has no
     ``mallopt`` (musl, macOS, Windows).
@@ -138,6 +142,11 @@ def _pin_malloc_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+#: Labels whose repairs rebuild RS-coded bytes (``rack-msr`` only
+#: models traffic: :func:`~repro.recovery.baselines.strategy_from_label`).
+_EXECUTABLE_STRATEGIES = ("car", "rr", "direct")
+
+
 class LocalCluster:
     """Boot a full service (coordinator + chunkservers) in-process.
 
@@ -146,10 +155,9 @@ class LocalCluster:
         seed: placement/data/failure seed.
         num_stripes / chunk_size: data-store shape (small defaults —
             this is a live service, not a throughput kernel).
-        chunkservers: how many daemons the nodes are dealt to.
+        chunkservers: how many daemons the racks are dealt to.
         workdir: directory for the journal (and any trace dumps).
-        strategy: repair strategy label (``car``/``rr``/``rack-msr``;
-            the last forces rack-aligned placement).
+        strategy: repair strategy label (``car``, ``rr`` or ``direct``).
         speedup: modelled seconds per wall second.
         link_capacity: shared cross-rack core, modelled bytes/s.
         repair_cap / repair_burst / client_priority / priority_window:
@@ -187,6 +195,11 @@ class LocalCluster:
     ) -> None:
         if chunkservers < 1:
             raise ConfigurationError("need at least one chunkserver")
+        if strategy not in _EXECUTABLE_STRATEGIES:
+            raise ConfigurationError(
+                f"the service cannot execute strategy {strategy!r} "
+                f"(expected one of {', '.join(_EXECUTABLE_STRATEGIES)})"
+            )
         self.num_chunkservers = chunkservers
         self.config = config_by_name(config)
         self.seed = seed
@@ -194,16 +207,12 @@ class LocalCluster:
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.journal_path = self.workdir / "repair.journal"
         self.strategy = strategy
-        placement_policy = (
-            "rack_aligned" if strategy == "rack-msr" else "random"
-        )
         self.state = build_state(
             self.config,
             seed=seed,
             with_data=True,
             chunk_size=chunk_size,
             num_stripes=num_stripes,
-            placement_policy=placement_policy,
         )
         self.clock = ServiceClock(speedup=speedup)
         self.link = ModeledLink(link_capacity)
@@ -232,11 +241,26 @@ class LocalCluster:
     # -- lifecycle -------------------------------------------------------
 
     def _deal_nodes(self, count: int) -> list[list[int]]:
-        nodes = sorted(n.node_id for n in self.state.topology.nodes)
-        dealt: list[list[int]] = [[] for _ in range(count)]
-        for i, node in enumerate(nodes):
-            dealt[i % count].append(node)
-        return [d for d in dealt if d]
+        """Node ids per daemon.  Racks go whole to the daemons in turn;
+        once there are daemons to spare, each further one goes to the
+        rack with the most nodes per daemon, and a rack's nodes are
+        spread over its own daemons only (one per node at the limit).
+        """
+        topology = self.state.topology
+        racks = [sorted(rack.node_ids) for rack in topology.racks]
+        if count <= len(racks):
+            return [sum(racks[i::count], []) for i in range(count)]
+        shares = [1] * len(racks)
+        for _ in range(min(count, topology.num_nodes) - len(racks)):
+            crowded = max(
+                range(len(racks)), key=lambda r: len(racks[r]) / shares[r]
+            )
+            shares[crowded] += 1
+        return [
+            nodes[j::share]
+            for nodes, share in zip(racks, shares)
+            for j in range(share)
+        ]
 
     async def start(self, chunkservers: int | None = None) -> None:
         """Boot the coordinator, then register every chunkserver."""
@@ -251,16 +275,23 @@ class LocalCluster:
             **self._coordinator_kwargs,
         )
         self.crash_after_records = None
-        address = await self.coordinator.start()
+        await self._boot_chunkservers(await self.coordinator.start(), count)
+
+    async def _boot_chunkservers(self, address, count, killed=()) -> None:
         for i, nodes in enumerate(self._deal_nodes(count)):
             cs = Chunkserver(
                 f"cs{i}",
                 nodes,
                 self.state.data,
                 self.state.placement,
+                self.state.topology,
                 self.clock,
                 heartbeat_interval=self.heartbeat_interval,
             )
+            # Kill before registering so a dead node never re-announces
+            # itself ALIVE to a fresh coordinator's detector.
+            for node in cs.nodes.intersection(killed):
+                cs.kill_node(node)
             await cs.start(address)
             self.chunkservers.append(cs)
 
@@ -292,22 +323,9 @@ class LocalCluster:
             journal_path=self.journal_path,
             **self._coordinator_kwargs,
         )
-        address = await self.coordinator.start()
-        for i, nodes in enumerate(self._deal_nodes(count)):
-            cs = Chunkserver(
-                f"cs{i}",
-                nodes,
-                self.state.data,
-                self.state.placement,
-                self.clock,
-                heartbeat_interval=self.heartbeat_interval,
-            )
-            # Kill before registering so a dead node never re-announces
-            # itself ALIVE to the fresh coordinator's detector.
-            for node in killed & cs.nodes:
-                cs.kill_node(node)
-            await cs.start(address)
-            self.chunkservers.append(cs)
+        await self._boot_chunkservers(
+            await self.coordinator.start(), count, killed
+        )
         if self.state.failed_node is not None:
             self.coordinator.start_repair()
         return self.coordinator

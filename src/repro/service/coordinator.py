@@ -14,9 +14,15 @@ One asyncio server owns the whole control plane:
   later deaths are secondary: the running repair is told, and its
   fault ladder re-plans around the node inside the same session;
 - **degraded reads** — clients ask for a stripe's chunk; if it lived on
-  the failed node the coordinator fetches ``k`` helpers from the
-  chunkservers, partially decodes per rack (Equation 7), combines, and
-  replies with the rebuilt bytes.  Both read classes charge the shared
+  the failed node the coordinator picks the helpers (Algorithm 2's
+  initial pick), splits the repair vector by rack, and sends each
+  rack's delegate chunkserver one ``partial-decode``: the rack combines
+  its own helpers (Equation 7) and ships *one* chunk-sized partial.
+  The coordinator XORs the partials — it plays the replacement node —
+  and replies with the rebuilt bytes.  The cross-rack bytes of a read
+  are counted from the frames that arrived and must equal what the
+  solution planned.  A helper that dies inside its lease costs one
+  re-plan of that stripe.  Both read classes charge the shared
   modelled link through the admission controller, so their latency
   includes queueing behind repair traffic — the paper's contention.
 
@@ -37,11 +43,7 @@ import asyncio
 import numpy as np
 
 from repro.cluster.state import ClusterState, FailureEvent
-from repro.erasure.repair import (
-    combine_partials,
-    execute_partial_decode,
-    split_repair_vector,
-)
+from repro.erasure.repair import split_repair_vector
 from repro.errors import (
     ConfigurationError,
     ProtocolError,
@@ -55,10 +57,27 @@ from repro.recovery.baselines import strategy_from_label
 from repro.recovery.selector import CarSelector
 from repro.service.admission import AdmissionController
 from repro.service.heartbeat import FailureDetector, NodeHealth
-from repro.service.protocol import MsgType, read_frame, write_frame
+from repro.service.protocol import (
+    Connection,
+    ConnectionPool,
+    FrameServer,
+    MsgType,
+    read_frame,
+    write_frame,
+)
 from repro.service.repair import RepairService
 
 __all__ = ["Coordinator"]
+
+
+class _HelpersLost(ServiceError):
+    """Partial decodes were refused or torn; ``nodes`` are the helpers
+    to plan around: the ones a refusal names (else its whole group), the
+    ones hosted by a daemon that dropped the connection."""
+
+    def __init__(self, message: str, nodes) -> None:
+        super().__init__(message)
+        self.nodes = frozenset(nodes)
 
 
 class Coordinator:
@@ -131,24 +150,26 @@ class Coordinator:
         self.selector = CarSelector(state.topology, state.code.k)
         self._dtype = buffer_dtype(gf(state.code.w))
 
-        self._server: asyncio.AbstractServer | None = None
+        self._server: FrameServer | None = None
         self._detector_task: asyncio.Task | None = None
         self._servers: dict[str, tuple[str, int]] = {}
+        self._pool = ConnectionPool()
         self.repair: RepairService | None = None
         self._repair_tracer: Tracer | None = None
         self.address: tuple[str, int] | None = None
         self.reads_served = 0
         self.degraded_reads = 0
+        #: Bytes of every partial received from a rack other than the
+        #: failed one, summed over the degraded reads served.
+        self.wire_cross_rack_bytes = 0
         self._stopped = False
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
         """Bind the control socket and start the detector loop."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, "127.0.0.1", 0
-        )
-        self.address = self._server.sockets[0].getsockname()[:2]
+        self._server = FrameServer(self._handle_connection)
+        self.address = self._server.start()
         self._detector_task = asyncio.create_task(self._detector_loop())
         self.tracer.event(
             "service.coordinator.start",
@@ -159,7 +180,7 @@ class Coordinator:
         return self.address
 
     async def stop(self) -> None:
-        """Graceful shutdown: detector off, socket closed, traces merged.
+        """Graceful shutdown: detector off, sockets closed, traces merged.
 
         A still-running repair thread is left to finish on its own (it
         is a daemon thread journalling durably); its trace events up to
@@ -174,6 +195,7 @@ class Coordinator:
                 await self._detector_task
             except asyncio.CancelledError:
                 pass
+        self._pool.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -298,53 +320,43 @@ class Coordinator:
 
     # -- connection handling ---------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except ProtocolError as exc:
-                    await write_frame(
-                        writer, {"type": MsgType.ERROR, "error": str(exc)}
-                    )
-                    break
-                if frame is None:
-                    break
-                msg, _ = frame
-                mtype = msg.get("type")
-                if mtype == MsgType.HELLO:
-                    await self._handle_hello(writer, msg)
-                elif mtype == MsgType.HEARTBEAT:
-                    self._handle_heartbeat(msg)
-                elif mtype == MsgType.READ:
-                    await self._handle_read(writer, msg)
-                elif mtype == MsgType.STATUS:
-                    await write_frame(
-                        writer,
-                        {"type": MsgType.STATUS_REPLY, **self.status()},
-                    )
-                elif mtype == MsgType.SHUTDOWN:
-                    await write_frame(writer, {"type": MsgType.SHUTDOWN})
-                    asyncio.get_running_loop().create_task(self.stop())
-                    break
-                else:
-                    await write_frame(
-                        writer,
-                        {
-                            "type": MsgType.ERROR,
-                            "error": f"unexpected frame {mtype!r}",
-                        },
-                    )
-        except ConnectionError:
-            pass
-        finally:
-            writer.close()
+    async def _handle_connection(self, conn: Connection) -> None:
+        while True:
+            try:
+                frame = await read_frame(conn)
+            except ProtocolError as exc:
+                await write_frame(
+                    conn, {"type": MsgType.ERROR, "error": str(exc)}
+                )
+                return
+            if frame is None:
+                return
+            msg, _ = frame
+            mtype = msg.get("type")
+            if mtype == MsgType.HELLO:
+                await self._handle_hello(conn, msg)
+            elif mtype == MsgType.HEARTBEAT:
+                self._handle_heartbeat(msg)
+            elif mtype == MsgType.READ:
+                await self._handle_read(conn, msg)
+            elif mtype == MsgType.STATUS:
+                await write_frame(
+                    conn, {"type": MsgType.STATUS_REPLY, **self.status()}
+                )
+            elif mtype == MsgType.SHUTDOWN:
+                await write_frame(conn, {"type": MsgType.SHUTDOWN})
+                asyncio.get_running_loop().create_task(self.stop())
+                return
+            else:
+                await write_frame(
+                    conn,
+                    {
+                        "type": MsgType.ERROR,
+                        "error": f"unexpected frame {mtype!r}",
+                    },
+                )
 
-    async def _handle_hello(
-        self, writer: asyncio.StreamWriter, msg: dict
-    ) -> None:
+    async def _handle_hello(self, conn: Connection, msg: dict) -> None:
         role = msg.get("role", "client")
         now = self.clock.now()
         if role == "chunkserver":
@@ -354,14 +366,14 @@ class Coordinator:
                 self.detector.register(server, msg["nodes"], now)
             except ServiceError as exc:
                 await write_frame(
-                    writer, {"type": MsgType.ERROR, "error": str(exc)}
+                    conn, {"type": MsgType.ERROR, "error": str(exc)}
                 )
                 return
             self.tracer.event(
                 "service.register", server=server, nodes=list(msg["nodes"])
             )
         await write_frame(
-            writer, {"type": MsgType.HELLO_ACK, "t": now, "role": role}
+            conn, {"type": MsgType.HELLO_ACK, "t": now, "role": role}
         )
 
     def _handle_heartbeat(self, msg: dict) -> None:
@@ -378,16 +390,14 @@ class Coordinator:
 
     # -- read path -------------------------------------------------------
 
-    async def _handle_read(
-        self, writer: asyncio.StreamWriter, msg: dict
-    ) -> None:
+    async def _handle_read(self, conn: Connection, msg: dict) -> None:
         stripe = int(msg["stripe"])
         start = self.clock.now()
         try:
             buf, chunk, degraded, racks = await self._read_stripe(stripe)
         except ReproError as exc:
             await write_frame(
-                writer,
+                conn,
                 {"type": MsgType.ERROR, "stripe": stripe, "error": str(exc)},
             )
             return
@@ -399,7 +409,9 @@ class Coordinator:
         end = start + delay
         ok = True
         if self.verify_reads:
-            ok = self.state.data.matches(stripe, chunk, buf)
+            ok = self.state.data.matches(
+                stripe, chunk, np.frombuffer(buf, dtype=self._dtype)
+            )
         self.reads_served += 1
         if degraded:
             self.degraded_reads += 1
@@ -414,7 +426,7 @@ class Coordinator:
             ok=ok,
         )
         await write_frame(
-            writer,
+            conn,
             {
                 "type": MsgType.READ_REPLY,
                 "stripe": stripe,
@@ -424,7 +436,7 @@ class Coordinator:
                 "ok": ok,
                 "latency_model_s": delay,
             },
-            buf.tobytes(),
+            buf,
         )
 
     async def _read_stripe(self, stripe: int):
@@ -437,74 +449,138 @@ class Coordinator:
         dead = self.detector.dead_nodes()
         for chunk, node in sorted(layout.items()):
             if node not in dead:
-                buf = await self._fetch_chunk(stripe, chunk, node)
-                return buf, chunk, False, 1
+                request = {"stripe": stripe, "chunk": chunk, "node": node}
+                reply, blob = await self._request(
+                    node, {"type": MsgType.READ_CHUNK, **request}
+                )
+                if reply["type"] != MsgType.CHUNK_DATA:
+                    raise ServiceError(
+                        f"read of stripe {stripe} chunk {chunk} failed: "
+                        f"{reply.get('error', reply['type'])}"
+                    )
+                return blob, chunk, False, 1
         raise ServiceError(f"stripe {stripe}: no live node holds a chunk")
 
     async def _degraded_read(self, stripe: int):
-        """Rebuild the lost chunk from ``k`` helpers, CAR-style."""
+        """Rebuild the lost chunk from one partial per rack, CAR-style."""
         view = self.state.stripe_view(stripe)
         secondary = self.detector.dead_nodes() - {self.state.failed_node}
         if secondary:
             solution = self.selector.degraded_solution(view, secondary)
         else:
             solution = self.selector.initial_solution(view)
-        helpers = list(solution.helpers)
-        node_of = {c: view.surviving[c] for c in helpers}
-        bufs = await asyncio.gather(
-            *(
-                self._fetch_chunk(stripe, c, node_of[c])
-                for c in helpers
-            )
-        )
-        chunks = dict(zip(helpers, bufs))
-        rack_map = solution.rack_map()
-        plan = split_repair_vector(
-            self.state.code, view.lost_chunk, helpers, rack_map
-        )
-        partials = execute_partial_decode(self.state.code, plan, chunks)
-        rebuilt = combine_partials(self.state.code, partials)
-        return (
-            rebuilt,
-            view.lost_chunk,
-            True,
-            len(solution.intact_racks_accessed),
-        )
-
-    async def _fetch_chunk(
-        self, stripe: int, chunk: int, node: int
-    ) -> np.ndarray:
-        server = self.detector.server_of(node)
-        addr = self._servers.get(server) if server else None
-        if addr is None:
-            raise ServiceError(
-                f"no chunkserver is registered for node {node}"
-            )
-        reader, writer = await asyncio.open_connection(*addr)
         try:
-            await write_frame(
-                writer,
-                {
-                    "type": MsgType.READ_CHUNK,
-                    "stripe": stripe,
-                    "chunk": chunk,
-                    "node": node,
-                },
+            rebuilt = await self._decode_by_rack(view, solution)
+        except _HelpersLost as lost:
+            # A helper died inside its lease (the detector has not
+            # buried it yet): plan once more around that request's nodes.
+            self.tracer.event(
+                "service.read.replan", stripe=stripe, nodes=sorted(lost.nodes)
             )
-            frame = await read_frame(reader)
-            if frame is None:
-                raise ServiceError(
-                    f"chunkserver {server!r} closed during read"
-                )
-            msg, blob = frame
-            if msg.get("type") != MsgType.CHUNK_DATA:
-                raise ServiceError(
-                    f"read of stripe {stripe} chunk {chunk} failed: "
-                    f"{msg.get('error', msg.get('type'))}"
-                )
-            return np.frombuffer(blob, dtype=self._dtype).copy()
-        finally:
-            writer.close()
+            solution = self.selector.degraded_solution(
+                view, secondary | lost.nodes
+            )
+            rebuilt = await self._decode_by_rack(view, solution)
+        racks = len(solution.intact_racks_accessed)
+        return rebuilt, view.lost_chunk, True, racks
+
+    async def _decode_by_rack(self, view, solution) -> bytearray:
+        """One ``partial-decode`` per rack of ``solution``, XORed together.
+
+        Raises:
+            _HelpersLost: a request was refused or its connection tore.
+            ServiceError: the cross-rack bytes that arrived are not the
+                one chunk per intact rack the solution planned.
+        """
+        plan = split_repair_vector(
+            self.state.code, view.lost_chunk, solution.helpers,
+            solution.rack_map(),
+        )
+        partials = await asyncio.gather(
+            *(self._partial(view, group) for group in plan.groups),
+            return_exceptions=True,
+        )
+        failures = [p for p in partials if isinstance(p, BaseException)]
+        for failure in failures:
+            if not isinstance(failure, _HelpersLost):
+                raise failure
+        if failures:
+            raise _HelpersLost(
+                "; ".join(map(str, failures)),
+                frozenset().union(*(f.nodes for f in failures)),
+            )
+        cross = sum(
+            len(blob) for rack, blob in partials if rack != solution.failed_rack
+        )
+        planned = (
+            len(solution.intact_racks_accessed) * self.state.data.chunk_size
+        )
+        if cross != planned:
+            raise ServiceError(
+                f"stripe {view.stripe_id}: {cross} cross-rack bytes arrived, "
+                f"the solution planned {planned}"
+            )
+        self.wire_cross_rack_bytes += cross
+        rebuilt = partials[0][1]
+        acc = np.frombuffer(rebuilt, dtype=np.uint8)
+        for _, blob in partials[1:]:
+            np.bitwise_xor(acc, np.frombuffer(blob, dtype=np.uint8), out=acc)
+        return rebuilt
+
+    async def _partial(self, view, group) -> tuple[int, bytearray]:
+        """``(rack, partial)`` as one rack's delegate answered it."""
+        nodes = [view.surviving[c] for c in group.helper_indices]
+        servers = [self.detector.server_of(n) for n in nodes]
+        # The delegate's daemon hosts as much of the group as any does;
+        # what it does not host, it pulls from its rack-mates.
+        home = max(servers, key=servers.count)
+        delegate = nodes[servers.index(home)]
+        request = {
+            "type": MsgType.PARTIAL_DECODE,
+            "stripe": view.stripe_id,
+            "w": self.state.code.w,
+            "delegate": delegate,
+            "helpers": list(
+                zip(group.helper_indices, nodes, group.coefficients)
+            ),
+            "peers": {
+                str(n): self._servers[s]
+                for n, s in zip(nodes, servers)
+                if s != home and s in self._servers
+            },
+        }
+        try:
+            reply, blob = await self._request(delegate, request)
+        except ServiceError as exc:
+            # The daemon is out of reach, and with it the nodes it hosts.
+            gone = [n for n, s in zip(nodes, servers) if s == home]
+            raise _HelpersLost(str(exc), gone) from exc
+        if reply["type"] != MsgType.PARTIAL_DATA:
+            # A refusal that names the node it could not read costs the
+            # next plan that node, not the whole group.
+            raise _HelpersLost(
+                f"stripe {view.stripe_id}: {reply.get('error', reply['type'])}",
+                reply.get("nodes") or nodes,
+            )
+        return reply["rack"], blob
+
+    async def _request(self, node: int, msg: dict):
+        """One request/reply with the daemon serving ``node``."""
+        server = self.detector.server_of(node)
+        address = self._servers.get(server) if server else None
+        if address is None:
+            raise ServiceError(f"no chunkserver is registered for node {node}")
+        try:
+            async with self._pool.lease(address) as conn:
+                await write_frame(conn, msg)
+                frame = await read_frame(conn)
+                if frame is None:
+                    raise ServiceError(
+                        f"chunkserver {server!r} closed during the request"
+                    )
+        except OSError as exc:
+            raise ServiceError(f"chunkserver {server!r}: {exc}") from exc
+        return frame
 
     # -- status ----------------------------------------------------------
 
@@ -520,4 +596,5 @@ class Coordinator:
             "repair": self.repair.snapshot() if self.repair else None,
             "reads": self.reads_served,
             "degraded_reads": self.degraded_reads,
+            "wire_cross_rack_bytes": self.wire_cross_rack_bytes,
         }

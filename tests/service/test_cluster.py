@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.errors import NoValidSolutionError
+from repro.errors import ConfigurationError, NoValidSolutionError
 from repro.obs.tracer import validate_events
 from repro.recovery.baselines import CarStrategy
 from repro.service.bench import run_bench_service
@@ -36,6 +36,16 @@ async def wait_for_repair_start(cluster, timeout=30.0):
         if asyncio.get_running_loop().time() > deadline:
             raise AssertionError("failure was never detected")
         await asyncio.sleep(0.005)
+
+
+class TestConstruction:
+    def test_a_strategy_the_service_cannot_execute_is_refused(self, tmp_path):
+        """``rack-msr`` models traffic only; it used to force a
+        rack-aligned placement and fail in the repair's error slot."""
+        with pytest.raises(ConfigurationError, match="car, rr, direct") as exc:
+            make_cluster(tmp_path / "msr", strategy="rack-msr")
+        assert "rack-msr" in str(exc.value)
+        assert not (tmp_path / "msr").exists()
 
 
 class TestHealthyReads:

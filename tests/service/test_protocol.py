@@ -1,17 +1,25 @@
-"""Wire-protocol frames: round-trips, torn frames, size limits."""
+"""Wire-protocol frames and the socket transport that carries them."""
 
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
+import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
+from repro.service.cluster import LocalCluster
 from repro.service.protocol import (
     MAX_BLOB_BYTES,
     MAX_HEADER_BYTES,
+    Connection,
     FrameReader,
+    FrameServer,
     MsgType,
     decode_frame,
     encode_frame,
@@ -189,3 +197,264 @@ class TestAsyncStreams:
         got_msg, blob = asyncio.run(run())
         assert got_msg == msg
         assert blob == b"net"
+
+
+# -- the socket transport ---------------------------------------------------
+
+
+async def accepted_pair():
+    """``(raw client socket, accepted Connection, server)`` over loopback."""
+    loop = asyncio.get_running_loop()
+    accepted = loop.create_future()
+
+    async def hold(conn):
+        accepted.set_result(conn)
+        await asyncio.Event().wait()  # until the server drops it
+
+    server = FrameServer(hold)
+    client = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    client.setblocking(False)
+    await loop.sock_connect(client, server.start())
+    return client, await accepted, server
+
+
+async def receive(fragments, frames: int, *, then_eof: bool = True):
+    """Send ``fragments`` one ``sendall`` each; ``read_frame`` ``frames``
+    times on the accepting side, plus once more after the sender closed."""
+    loop = asyncio.get_running_loop()
+    client, conn, server = await accepted_pair()
+
+    async def send():
+        for fragment in fragments:
+            await loop.sock_sendall(client, fragment)
+            await asyncio.sleep(0)
+        if then_eof:
+            client.close()
+
+    try:
+        sender = asyncio.create_task(send())
+        got = [await read_frame(conn) for _ in range(frames)]
+        await sender
+        if then_eof:
+            got.append(await read_frame(conn))
+        return got
+    finally:
+        client.close()
+        server.close()
+        await server.wait_closed()
+
+
+def payload(size: int, w: int, seed: int) -> bytes:
+    dtype = np.uint8 if w == 8 else np.uint16
+    rng = np.random.default_rng(seed)
+    return rng.integers(
+        0, np.iinfo(dtype).max + 1, size // dtype().itemsize, dtype=dtype
+    ).tobytes()
+
+
+frame_lists = st.lists(
+    st.tuples(
+        st.fixed_dictionaries(
+            {"type": st.sampled_from([MsgType.CHUNK_DATA, MsgType.PARTIAL_DATA])},
+            optional={"stripe": st.integers(0, 1 << 40), "note": st.text(max_size=40)},
+        ),
+        st.builds(
+            payload,
+            st.one_of(st.integers(0, 64), st.integers(0, 64 << 10)),
+            st.sampled_from([8, 16]),
+            st.integers(0, 1 << 16),
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestFragmentation:
+    @settings(max_examples=40, deadline=None)
+    @given(frames=frame_lists, cuts=st.lists(st.integers(0, 1 << 20), max_size=8))
+    def test_any_fragmentation_yields_decode_frames_frames(self, frames, cuts):
+        wires = [encode_frame(msg, blob) for msg, blob in frames]
+        expected = [decode_frame(wire) for wire in wires]
+        wire = b"".join(wires)
+        edges = sorted({0, len(wire), *(cut % (len(wire) + 1) for cut in cuts)})
+        fragments = [wire[a:b] for a, b in zip(edges, edges[1:])]
+
+        reader = FrameReader()
+        fed = [frame for fragment in fragments for frame in reader.feed(fragment)]
+        assert fed == expected and reader.at_boundary
+
+        got = asyncio.run(receive(fragments, len(frames)))
+        assert got == expected + [None]
+        assert all(isinstance(blob, bytearray) for _, blob in got[:-1] if blob)
+
+
+#: Where a connection can die inside a frame, as ``tests/durable``'s
+#: ``CUTS`` does for a journal commit; only the last is not a torn frame.
+CUTS = [
+    "mid-prefix", "mid-header", "header-blob-boundary", "mid-blob",
+    "after-frame",
+]
+
+
+def frame_cuts(wire: bytes, blob: bytes) -> dict[str, int]:
+    header_end = len(wire) - len(blob)
+    return {
+        "mid-prefix": 4,
+        "mid-header": 8 + (header_end - 8) // 2,
+        "header-blob-boundary": header_end,
+        "mid-blob": header_end + len(blob) // 2,
+        "after-frame": len(wire),
+    }
+
+
+class TestTornConnections:
+    BLOB = bytes(range(200))
+
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_a_connection_cut_inside_a_frame_is_torn(self, cut):
+        msg = {"type": MsgType.CHUNK_DATA, "stripe": 1, "chunk": 2}
+        wire = encode_frame(msg, self.BLOB)
+        tail = wire[: frame_cuts(wire, self.BLOB)[cut]]
+
+        reader = FrameReader()
+        assert len(reader.feed(wire + tail)) == 1 + (cut == "after-frame")
+        assert reader.at_boundary == (cut == "after-frame")
+
+        if cut == "after-frame":
+            got = asyncio.run(receive([wire + tail], 2))
+            assert got == [(msg, self.BLOB)] * 2 + [None]
+        else:
+            with pytest.raises(ProtocolError, match="torn"):
+                asyncio.run(receive([wire + tail], 2))
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [(MAX_HEADER_BYTES + 1, 0), (2, MAX_BLOB_BYTES + 1)],
+        ids=["header", "blob"],
+    )
+    def test_oversized_length_raises_before_the_body_is_read(self, prefix):
+        async def run():
+            # The sender never sends a body and never closes.
+            return await asyncio.wait_for(
+                receive([struct.pack("!II", *prefix)], 1, then_eof=False), 5
+            )
+
+        with pytest.raises(ProtocolError, match="exceeds"):
+            asyncio.run(run())
+
+
+class RecordingWriter:
+    def __init__(self):
+        self.written = []
+
+    def write(self, data):
+        self.written.append(data)
+
+    async def drain(self):
+        pass
+
+
+class TestBlobViews:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_an_array_is_written_as_a_view_of_itself(self, dtype):
+        array = np.arange(3000).astype(dtype)
+        array.setflags(write=False)
+        writer = RecordingWriter()
+        asyncio.run(write_frame(writer, {"type": MsgType.CHUNK_DATA}, array))
+        head, blob = writer.written
+        assert blob.obj is array and blob.readonly
+        assert blob.nbytes == array.nbytes == len(blob)
+        assert decode_frame(bytes(head) + bytes(blob)) == (
+            {"type": MsgType.CHUNK_DATA}, array.tobytes()
+        )
+
+    def test_a_strided_array_is_refused_not_copied(self):
+        writer = RecordingWriter()
+        with pytest.raises(ProtocolError, match="contiguous"):
+            asyncio.run(
+                write_frame(
+                    writer, {"type": MsgType.CHUNK_DATA}, np.arange(64)[::2]
+                )
+            )
+        assert writer.written == []
+
+    def test_write_frame_applies_the_blob_limit(self):
+        blob = np.zeros(MAX_BLOB_BYTES + 2, dtype=np.uint16)
+        with pytest.raises(ProtocolError, match="blob"):
+            asyncio.run(
+                write_frame(RecordingWriter(), {"type": MsgType.CHUNK_DATA}, blob)
+            )
+
+
+class TestStreamInterop:
+    def test_a_stream_client_reads_a_1m_chunk_from_a_chunkserver(self, tmp_path):
+        """What the benchmark's ``fetch_chunk_ms`` probe does: asyncio's
+        stream pair against a daemon that speaks through ``Connection``."""
+
+        async def run():
+            cluster = LocalCluster(
+                workdir=tmp_path, config="CFS1", num_stripes=1,
+                chunk_size=1 << 20,
+            )
+            await cluster.start()
+            try:
+                chunk, node = 2, cluster.state.placement.stripe_layout(0)[2]
+                server = next(
+                    cs for cs in cluster.chunkservers if node in cs.nodes
+                )
+                reader, writer = await asyncio.open_connection(*server.address)
+                for _ in range(2):  # the connection outlives a request
+                    await write_frame(
+                        writer,
+                        {"type": MsgType.READ_CHUNK, "stripe": 0,
+                         "chunk": chunk, "node": node},
+                    )
+                    msg, blob = await read_frame(reader)
+                    assert msg["type"] == MsgType.CHUNK_DATA
+                    assert blob == cluster.state.data.chunk(0, chunk).tobytes()
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await cluster.stop()
+
+        asyncio.run(run())
+
+
+class TestNoDelay:
+    def test_back_to_back_small_frames_are_not_held_back(self):
+        """A hello/ack exchange, then 50 header-only frames with nothing
+        coming back (a heartbeat connection): with Nagle on, one of them
+        waits ~40 ms for its predecessor's delayed ACK."""
+
+        async def run():
+            arrivals = []
+            done = asyncio.Event()
+
+            async def sink(conn):
+                await read_frame(conn)
+                await write_frame(conn, {"type": MsgType.HELLO_ACK})
+                while await read_frame(conn) is not None:
+                    arrivals.append(time.perf_counter())
+                done.set()
+
+            server = FrameServer(sink)
+            conn = await Connection.open(server.start())
+            try:
+                await write_frame(conn, {"type": MsgType.HELLO})
+                await read_frame(conn)
+                for i in range(50):
+                    await write_frame(conn, {"type": MsgType.HEARTBEAT, "i": i})
+                    await asyncio.sleep(0.0005)
+                conn.close()
+                await asyncio.wait_for(done.wait(), 5)
+            finally:
+                conn.close()
+                server.close()
+                await server.wait_closed()
+            assert len(arrivals) == 50
+            return max(b - a for a, b in zip(arrivals, arrivals[1:]))
+
+        # A stall of the shared host can open a gap in one run; Nagle
+        # opens one in every run.
+        assert min(asyncio.run(run()) for _ in range(3)) < 0.005
