@@ -1,5 +1,7 @@
 """Command-line interface: regenerate any table or figure of the paper.
 
+``repro-car <subcommand> --help`` lists the flags that subcommand takes.
+
 Examples::
 
     repro-car fig7                 # cross-rack traffic (Figure 7)
@@ -47,8 +49,11 @@ Service::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from pathlib import Path
+from typing import NamedTuple
 
 from repro.errors import CoordinatorCrashError
 
@@ -74,266 +79,7 @@ from repro.experiments.report import (
     render_traffic_ablation,
 )
 
-__all__ = ["main", "build_parser", "SUBCOMMANDS"]
-
-#: Every subcommand with its one-line description.  This registry is the
-#: single source of truth: it drives the parser's ``choices``, the
-#: ``--help`` epilog, and the CLI table in ``docs/API.md``
-#: (``tools/gen_api_docs.py``) — so the three can never disagree.
-SUBCOMMANDS: dict[str, str] = {
-    "fig7": "cross-rack traffic vs chunk size (Figure 7)",
-    "fig8": "load balancing: lambda vs greedy iterations (Figure 8)",
-    "fig9": "recovery time vs chunk size on the fluid model (Figure 9)",
-    "fig10": "recovery time breakdown by stage (Figure 10)",
-    "ablation": "traffic decomposition, oversubscription, greedy-vs-optimal",
-    "landscape": "repair cost per lost chunk across erasure-code schemes",
-    "longrun": "90-day failure-trace replay (repairs, traffic, lambda)",
-    "degraded": "degraded-read latency distributions (CAR vs RR)",
-    "regen": "regenerating-code sweep (rack-aware MSR, piggybacked RS)",
-    "all": "every figure/experiment above at fast settings",
-    "trace": "summarise a recorded trace.jsonl (stages, racks, spans)",
-    "metrics": "summarise a recorded metrics.json snapshot",
-    "report": "per-stage/per-rack bottleneck attribution for a trace",
-    "export": "convert a trace to Chrome/Perfetto JSON or flamegraph stacks",
-    "scrub": "corrupt chunks, then detect and heal them (integrity pass)",
-    "durable": "journalled, crash-resumable recovery run",
-    "resume": "resume a crashed durable recovery from its journal",
-    "stream": "lazy-plan recovery throughput + peak-RSS measurement",
-    "serve": "boot a live in-process cluster, fail a node, repair it",
-    "bench-service": "sweep repair-bandwidth caps on the live service",
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for tests)."""
-    epilog_lines = ["subcommands:"]
-    epilog_lines += [
-        f"  {name:<14} {desc}" for name, desc in SUBCOMMANDS.items()
-    ]
-    parser = argparse.ArgumentParser(
-        prog="repro-car",
-        description=(
-            "Reproduce the evaluation of 'Reconsidering Single Failure "
-            "Recovery in Clustered File Systems' (DSN 2016)."
-        ),
-        epilog="\n".join(epilog_lines),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "experiment",
-        choices=list(SUBCOMMANDS),
-        metavar="subcommand",
-        help="one of the subcommands listed below",
-    )
-    parser.add_argument(
-        "path",
-        nargs="?",
-        default=None,
-        help=(
-            "artifact path: a trace.jsonl for 'trace'/'report'/'export', "
-            "a metrics.json for 'metrics', the write-ahead journal for "
-            "'durable'/'resume', the working directory for "
-            "'serve'/'bench-service' (ignored by experiments)"
-        ),
-    )
-    parser.add_argument(
-        "--telemetry",
-        metavar="DIR",
-        default=None,
-        help=(
-            "record a span trace and metrics snapshot for experiments "
-            "that support it (fig7, regen) into DIR; for 'stream' also "
-            "writes a Perfetto-loadable trace.chrome.json, progress "
-            "heartbeats, and resource-profile samples"
-        ),
-    )
-    parser.add_argument(
-        "--runs",
-        type=int,
-        default=None,
-        help="runs to average (defaults per experiment; the paper uses 50)",
-    )
-    parser.add_argument(
-        "--stripes",
-        type=int,
-        default=None,
-        help="stripes per run (paper: 100)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the base RNG seed"
-    )
-    parser.add_argument(
-        "--plot",
-        action="store_true",
-        default=False,
-        help="append ASCII charts of the series to the tables",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for the experiment runs (default: serial; "
-            "results are identical for any worker count)"
-        ),
-    )
-    parser.add_argument(
-        "--config",
-        choices=["CFS1", "CFS2", "CFS3"],
-        default="CFS1",
-        help="cluster configuration for 'scrub' and 'durable' (default CFS1)",
-    )
-    parser.add_argument(
-        "--strategy",
-        choices=["car", "direct", "rr"],
-        default="car",
-        help=(
-            "recovery strategy for 'stream', 'durable', 'serve' and "
-            "'bench-service': car, or the random-recovery baseline "
-            "under either of its names, direct and rr (default car)"
-        ),
-    )
-    parser.add_argument(
-        "--crash-after",
-        dest="crash_after",
-        type=int,
-        metavar="N",
-        default=None,
-        help=(
-            "inject a coordinator crash after N journal records "
-            "('durable'/'resume'); the process exits with status 3 and "
-            "the journal is the resume point"
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        dest="json_path",
-        metavar="FILE",
-        default=None,
-        help=(
-            "also write the experiment's results as JSON to FILE "
-            "(supported by 'regen'; the CI artifact)"
-        ),
-    )
-    parser.add_argument(
-        "--corrupt",
-        type=int,
-        metavar="N",
-        default=3,
-        help="chunks to silently corrupt before a 'scrub' pass (default 3)",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        metavar="N",
-        default=None,
-        help=(
-            "stripes in flight at once for 'stream'/'durable'/'resume' "
-            "(default: sized from the chunk size against a fixed byte "
-            "budget)"
-        ),
-    )
-    parser.add_argument(
-        "--shm",
-        action="store_true",
-        default=False,
-        help=(
-            "share chunk data with 'stream' worker processes through "
-            "shared memory (zero-copy) instead of pickling"
-        ),
-    )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        default=False,
-        help=(
-            "print a live status line to stderr during 'stream', "
-            "'durable' and 'resume' runs (stripes/s, windows, traffic, "
-            "journal lag, ETA)"
-        ),
-    )
-    parser.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help=(
-            "output path for 'export' (default: <trace>.chrome.json "
-            "next to the input)"
-        ),
-    )
-    parser.add_argument(
-        "--folded",
-        metavar="FILE",
-        default=None,
-        help=(
-            "also write collapsed-stack flamegraph lines for 'export' "
-            "to FILE"
-        ),
-    )
-    parser.add_argument(
-        "--clients",
-        type=int,
-        metavar="N",
-        default=3,
-        help=(
-            "concurrent foreground readers for 'serve'/'bench-service' "
-            "(default 3)"
-        ),
-    )
-    parser.add_argument(
-        "--repair-cap",
-        dest="repair_cap",
-        type=int,
-        metavar="BYTES_PER_S",
-        default=None,
-        help=(
-            "token-bucket cap on repair bandwidth for 'serve', modelled "
-            "bytes/s (default: uncapped — repair still queues on the "
-            "shared link)"
-        ),
-    )
-    parser.add_argument(
-        "--caps",
-        metavar="LIST",
-        default=None,
-        help=(
-            "comma-separated repair caps for 'bench-service', modelled "
-            "bytes/s with 'none' for uncapped (default 16384,65536,none)"
-        ),
-    )
-    parser.add_argument(
-        "--client-priority",
-        dest="client_priority",
-        type=float,
-        metavar="X",
-        default=1.0,
-        help=(
-            "token multiplier charged to repair bytes while clients are "
-            "active ('serve'; >= 1.0, default 1.0 = no preference)"
-        ),
-    )
-    parser.add_argument(
-        "--speedup",
-        type=float,
-        metavar="X",
-        default=None,
-        help=(
-            "modelled seconds per wall second for 'serve'/'bench-service' "
-            "(defaults: serve 50, bench-service 10)"
-        ),
-    )
-    return parser
-
-
-def _kwargs(args: argparse.Namespace, default_runs: int) -> dict:
-    kwargs: dict = {"runs": args.runs if args.runs is not None else default_runs}
-    if args.stripes is not None:
-        kwargs["num_stripes"] = args.stripes
-    if args.seed is not None:
-        kwargs["base_seed"] = args.seed
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
-    return kwargs
+__all__ = ["main", "build_parser", "COMMANDS", "SUBCOMMANDS"]
 
 
 def _maybe_plot(args, results, title, series_of, y_label):
@@ -348,6 +94,15 @@ def _maybe_plot(args, results, title, series_of, y_label):
     return "\n\n" + "\n\n".join(charts)
 
 
+def _write_json(payload, path: str) -> str:
+    """Write ``payload`` as the ``--json`` artifact; the line that says so."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return f"wrote JSON results to {path}"
+
+
 def _run_trace(args: argparse.Namespace) -> str:
     from repro.obs import read_jsonl, render_trace
 
@@ -355,8 +110,6 @@ def _run_trace(args: argparse.Namespace) -> str:
 
 
 def _run_metrics(args: argparse.Namespace) -> str:
-    import json
-
     from repro.obs import render_metrics
 
     with open(args.path, encoding="utf-8") as fh:
@@ -370,9 +123,6 @@ def _run_report(args: argparse.Namespace) -> str:
 
 
 def _run_export(args: argparse.Namespace) -> str:
-    import json
-    from pathlib import Path
-
     from repro.obs import (
         read_jsonl,
         to_chrome_trace,
@@ -402,22 +152,20 @@ def _run_export(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _stderr_progress(total_stripes=None):
-    """A ProgressReporter rendering a live line on stderr."""
+def _stderr_progress(args: argparse.Namespace):
+    """A ProgressReporter rendering a live line on stderr, if asked for."""
+    if not args.progress:
+        return None
     from repro.obs import ProgressReporter
 
-    return ProgressReporter(
-        total_stripes=total_stripes,
-        stream=sys.stderr,
-        tty=sys.stderr.isatty(),
-    )
+    return ProgressReporter(stream=sys.stderr, tty=sys.stderr.isatty())
 
 
 def _run_fig7(args: argparse.Namespace) -> str:
-    kwargs = _kwargs(args, default_runs=50)
-    if args.telemetry is not None:
-        kwargs["telemetry"] = args.telemetry
-    results = run_fig7(**kwargs)
+    results = run_fig7(
+        runs=args.runs, base_seed=args.seed, num_stripes=args.stripes,
+        workers=args.workers, telemetry=args.telemetry,
+    )
     return render_fig7(results) + _maybe_plot(
         args,
         results,
@@ -428,7 +176,10 @@ def _run_fig7(args: argparse.Namespace) -> str:
 
 
 def _run_fig8(args: argparse.Namespace) -> str:
-    results = run_fig8(**_kwargs(args, default_runs=50))
+    results = run_fig8(
+        runs=args.runs, base_seed=args.seed, num_stripes=args.stripes,
+        workers=args.workers,
+    )
     return render_fig8(results) + _maybe_plot(
         args,
         results,
@@ -439,7 +190,10 @@ def _run_fig8(args: argparse.Namespace) -> str:
 
 
 def _run_fig9(args: argparse.Namespace) -> str:
-    results = run_fig9(**_kwargs(args, default_runs=3))
+    results = run_fig9(
+        runs=args.runs, base_seed=args.seed, num_stripes=args.stripes,
+        workers=args.workers,
+    )
     return render_fig9(results) + _maybe_plot(
         args,
         results,
@@ -450,28 +204,25 @@ def _run_fig9(args: argparse.Namespace) -> str:
 
 
 def _run_fig10(args: argparse.Namespace) -> str:
-    return render_fig10(run_fig10(**_kwargs(args, default_runs=10)))
+    return render_fig10(
+        run_fig10(
+            runs=args.runs, base_seed=args.seed, num_stripes=args.stripes,
+            workers=args.workers,
+        )
+    )
 
 
 def _run_regen(args: argparse.Namespace) -> str:
-    import json
-    from pathlib import Path
-
     from repro.experiments.regen import regen_to_dict, run_regen
     from repro.experiments.report import render_regen
 
-    kwargs = _kwargs(args, default_runs=50)
-    if args.telemetry is not None:
-        kwargs["telemetry"] = args.telemetry
-    results = run_regen(**kwargs)
+    results = run_regen(
+        runs=args.runs, base_seed=args.seed, num_stripes=args.stripes,
+        workers=args.workers, telemetry=args.telemetry,
+    )
     out = render_regen(results)
     if args.json_path is not None:
-        payload = regen_to_dict(results)
-        Path(args.json_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        out += f"\n\nwrote JSON results to {args.json_path}"
+        out += "\n\n" + _write_json(regen_to_dict(results), args.json_path)
     return out + _maybe_plot(
         args,
         results,
@@ -486,9 +237,7 @@ def _run_landscape(args: argparse.Namespace) -> str:
     from repro.experiments import CFS2
     from repro.experiments.report import format_table
 
-    runs = args.runs if args.runs is not None else 5
-    stripes = args.stripes if args.stripes is not None else 50
-    rows = repair_landscape(CFS2, runs=runs, num_stripes=stripes)
+    rows = repair_landscape(CFS2, runs=args.runs, num_stripes=args.stripes)
     table = [
         [
             r.scheme,
@@ -505,16 +254,14 @@ def _run_landscape(args: argparse.Namespace) -> str:
 
 
 def _run_degraded(args: argparse.Namespace) -> str:
-    from repro.experiments import ALL_CFS
     from repro.experiments.degraded import run_degraded_read
     from repro.experiments.report import format_table
 
-    runs = args.runs if args.runs is not None else 5
-    stripes = args.stripes if args.stripes is not None else 50
     rows = []
     for cfg in ALL_CFS:
         res = run_degraded_read(
-            cfg, runs=runs, num_stripes=stripes, workers=args.workers
+            cfg, runs=args.runs, num_stripes=args.stripes,
+            workers=args.workers,
         )
         for name in ("CAR", "RR"):
             d = res.distributions[name]
@@ -540,8 +287,7 @@ def _run_longrun(args: argparse.Namespace) -> str:
     from repro.recovery import CarStrategy, RandomRecoveryStrategy
     from repro.workloads import FailureTraceGenerator, LongRunSimulator
 
-    stripes = args.stripes if args.stripes is not None else 100
-    seed = args.seed if args.seed is not None else 21
+    stripes, seed = args.stripes, args.seed
     trace = FailureTraceGenerator(
         num_nodes=CFS2.num_nodes, mtbf_hours=1500, seed=seed
     ).generate(horizon_hours=24 * 90)
@@ -578,11 +324,10 @@ def _run_longrun(args: argparse.Namespace) -> str:
 
 
 def _run_ablation(args: argparse.Namespace) -> str:
-    runs = args.runs if args.runs is not None else 10
     parts = [
         render_traffic_ablation(
             [
-                run_traffic_ablation(cfg, runs=runs, workers=args.workers)
+                run_traffic_ablation(cfg, runs=args.runs, workers=args.workers)
                 for cfg in ALL_CFS
             ]
         ),
@@ -592,13 +337,34 @@ def _run_ablation(args: argparse.Namespace) -> str:
         render_greedy_vs_optimal(
             [
                 run_greedy_vs_optimal(
-                    cfg, runs=max(3, runs // 2), workers=args.workers
+                    cfg, runs=max(3, args.runs // 2), workers=args.workers
                 )
                 for cfg in ALL_CFS
             ]
         ),
     ]
     return "\n\n".join(parts)
+
+
+#: What ``all`` runs, in order.
+_ALL = ("fig7", "fig8", "fig9", "fig10", "ablation", "landscape", "longrun",
+        "degraded", "regen")
+
+
+def _run_all(args: argparse.Namespace) -> str:
+    """Each experiment at its own defaults, under the flags that were given."""
+    given = {
+        dest: value for dest, value in vars(args).items()
+        if value is not None and dest != "experiment"
+    }
+    parser = build_parser()
+    outputs = []
+    for name in _ALL:
+        sub_args = parser.parse_args([name])
+        for dest in given.keys() & vars(sub_args).keys():
+            setattr(sub_args, dest, given[dest])
+        outputs.append(COMMANDS[name].handler(sub_args))
+    return "\n\n".join(outputs)
 
 
 def _run_scrub(args: argparse.Namespace) -> str:
@@ -610,8 +376,7 @@ def _run_scrub(args: argparse.Namespace) -> str:
     from repro.obs.metrics import MetricsRegistry, telemetry_scope
 
     config = config_by_name(args.config)
-    stripes = args.stripes if args.stripes is not None else 20
-    seed = args.seed if args.seed is not None else 11
+    stripes, seed = args.stripes, args.seed
     state = build_state(config, seed=seed, with_data=True,
                         num_stripes=stripes)
     rng = random.Random(seed)
@@ -681,11 +446,11 @@ def _run_durable(args: argparse.Namespace) -> str:
         config_by_name(args.config),
         args.path,
         strategy=args.strategy,
-        seed=args.seed if args.seed is not None else 0,
-        num_stripes=args.stripes if args.stripes is not None else 12,
+        seed=args.seed,
+        num_stripes=args.stripes,
         crash_after_records=args.crash_after,
         window=args.window,
-        progress=_stderr_progress() if args.progress else None,
+        progress=_stderr_progress(args),
     )
     return _render_durable(out, "fresh run")
 
@@ -696,17 +461,15 @@ def _run_resume(args: argparse.Namespace) -> str:
     out = resume_durable_recovery(
         args.path, crash_after_records=args.crash_after,
         window=args.window,
-        progress=_stderr_progress() if args.progress else None,
+        progress=_stderr_progress(args),
     )
     return _render_durable(out, "resumed")
 
 
 def _run_stream(args: argparse.Namespace) -> str:
-    import json
     import resource
     import time
     from contextlib import nullcontext
-    from pathlib import Path
 
     from repro.cluster.failure import FailureInjector
     from repro.experiments.configs import build_state
@@ -715,8 +478,7 @@ def _run_stream(args: argparse.Namespace) -> str:
     from repro.recovery.streaming import default_window
 
     config = config_by_name(args.config)
-    stripes = args.stripes if args.stripes is not None else 1000
-    seed = args.seed if args.seed is not None else 0
+    stripes, seed = args.stripes, args.seed
     # Small chunks: this command measures the pipeline's coordination
     # overhead, not GF throughput.
     state = build_state(config, seed=seed, with_data=True,
@@ -821,11 +583,7 @@ def _run_stream(args: argparse.Namespace) -> str:
             f"profile.jsonl, progress.jsonl to {telemetry_dir}/"
         )
     if args.json_path is not None:
-        Path(args.json_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        lines.append(f"  wrote JSON results to {args.json_path}")
+        lines.append("  " + _write_json(payload, args.json_path))
     return "\n".join(lines)
 
 
@@ -855,8 +613,6 @@ def _render_serve_summary(summary: dict) -> str:
 
 
 def _run_serve(args: argparse.Namespace) -> str:
-    from pathlib import Path
-
     from repro.service.bench import run_service
 
     workdir = Path(args.path)
@@ -864,125 +620,318 @@ def _run_serve(args: argparse.Namespace) -> str:
         workdir=workdir,
         trace_path=workdir / "trace.jsonl",
         config=args.config,
-        seed=args.seed if args.seed is not None else 7,
-        num_stripes=args.stripes if args.stripes is not None else 10,
+        seed=args.seed,
+        num_stripes=args.stripes,
         strategy=args.strategy,
         clients=args.clients,
-        speedup=args.speedup if args.speedup is not None else 50.0,
+        speedup=args.speedup,
         repair_cap=args.repair_cap,
         client_priority=args.client_priority,
-        repair_window=8 if args.window is None else min(args.window, 8),
+        repair_window=min(args.window, 8),
         crash_after_records=args.crash_after,
     )
     out = _render_serve_summary(summary)
     if args.json_path is not None:
-        import json
-
-        Path(args.json_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        out += f"\n  wrote JSON results to {args.json_path}"
+        out += "\n  " + _write_json(summary, args.json_path)
     return out
 
 
-def _parse_caps(raw: str):
-    caps = []
-    for part in raw.split(","):
-        part = part.strip().lower()
-        caps.append(None if part in ("none", "uncapped") else int(part))
-    return tuple(caps)
-
-
 def _run_bench_service(args: argparse.Namespace) -> str:
-    from pathlib import Path
+    from repro.service.bench import render_service_table, run_bench_service
 
-    from repro.service.bench import (
-        DEFAULT_CAPS,
-        render_service_table,
-        run_bench_service,
-    )
-
-    caps = _parse_caps(args.caps) if args.caps else DEFAULT_CAPS
-    kwargs = dict(
+    rows = run_bench_service(
+        args.caps,
         workdir=Path(args.path),
         config=args.config,
-        seed=args.seed if args.seed is not None else 7,
+        seed=args.seed,
+        num_stripes=args.stripes,
         clients=args.clients,
+        client_priority=args.client_priority,
         strategy=args.strategy,
+        speedup=args.speedup,
     )
-    if args.stripes is not None:
-        kwargs["num_stripes"] = args.stripes
-    if args.speedup is not None:
-        kwargs["speedup"] = args.speedup
-    if args.client_priority != 1.0:
-        kwargs["client_priority"] = args.client_priority
-    rows = run_bench_service(caps, **kwargs)
     out = (
         "Service sweep: repair cap vs recovery throughput vs "
         "foreground latency (modelled)\n" + render_service_table(rows)
     )
     if args.json_path is not None:
-        import json
-
-        Path(args.json_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        out += f"\nwrote JSON results to {args.json_path}"
+        out += "\n" + _write_json(rows, args.json_path)
     return out
+
+
+# -- flag declarations -----------------------------------------------------
+# A bad value is argparse's usage error (exit 2), not a traceback from
+# deep inside the run.
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a positive integer")
+    return value
+
+
+def _priority(raw: str) -> float:
+    value = float(raw)
+    if value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"{raw!r} is below 1.0 (1.0 = no preference)"
+        )
+    return value
+
+
+def _caps(raw: str) -> tuple[int | None, ...]:
+    """``"16384,none"`` -> ``(16384, None)``."""
+    parts = [part.strip().lower() for part in raw.split(",")]
+    return tuple(
+        None if part in ("none", "uncapped") else int(part) for part in parts
+    )
+
+
+#: Every flag, declared once: dest -> (option string, help,
+#: ``add_argument`` keywords).  The default is not here: each subcommand
+#: that takes the flag gives its own in :data:`COMMANDS`, and ``--help``
+#: appends it (a string default goes through ``type`` like a typed
+#: value).  ``unset`` says what a default of ``None`` means.
+_FLAGS: dict[str, tuple[str, str, dict]] = {
+    "telemetry": (
+        "--telemetry",
+        "record a span trace and metrics snapshot into DIR (stream also "
+        "writes a Perfetto-loadable trace.chrome.json, progress "
+        "heartbeats, and resource-profile samples)",
+        dict(metavar="DIR")),
+    "runs": (
+        "--runs", "runs to average (the paper uses 50)",
+        dict(type=int, unset="each experiment's own")),
+    "stripes": (
+        "--stripes", "stripes per run",
+        dict(type=int, unset="the configuration's, 100 as in the paper")),
+    "seed": (
+        "--seed", "the base RNG seed",
+        dict(type=int, unset="each experiment's own")),
+    "plot": (
+        "--plot", "append ASCII charts of the series to the tables",
+        dict(action="store_true")),
+    "workers": (
+        "--workers", "worker processes for the runs",
+        dict(type=int,
+             unset="serial; results are identical for any worker count")),
+    "config": (
+        "--config", "cluster configuration",
+        dict(choices=["CFS1", "CFS2", "CFS3"])),
+    "strategy": (
+        "--strategy",
+        "recovery strategy: car, or the random-recovery baseline under "
+        "either of its names, direct and rr",
+        dict(choices=["car", "direct", "rr"])),
+    "crash_after": (
+        "--crash-after",
+        "inject a coordinator crash after N journal records; the process "
+        "exits with status 3 and the journal is the resume point",
+        dict(type=int, metavar="N")),
+    "json_path": (
+        "--json", "also write the results as JSON to FILE (the CI artifact)",
+        dict(metavar="FILE")),
+    "corrupt": (
+        "--corrupt", "chunks to silently corrupt before the pass",
+        dict(type=int, metavar="N")),
+    "window": (
+        "--window", "stripes in flight at once",
+        dict(type=_positive_int, metavar="N",
+             unset="sized from the chunk size against a fixed byte budget")),
+    "shm": (
+        "--shm",
+        "share chunk data with the worker processes through shared memory "
+        "(zero-copy) instead of pickling",
+        dict(action="store_true")),
+    "progress": (
+        "--progress",
+        "print a live status line to stderr during the run (stripes/s, "
+        "windows, traffic, journal lag, ETA)",
+        dict(action="store_true")),
+    "out": (
+        "--out", "output path",
+        dict(metavar="FILE", unset="<trace>.chrome.json next to the input")),
+    "folded": (
+        "--folded", "also write collapsed-stack flamegraph lines to FILE",
+        dict(metavar="FILE")),
+    "clients": (
+        "--clients", "concurrent foreground readers",
+        dict(type=int, metavar="N")),
+    "repair_cap": (
+        "--repair-cap",
+        "token-bucket cap on repair bandwidth, modelled bytes/s",
+        dict(type=int, metavar="BYTES_PER_S",
+             unset="uncapped — repair still queues on the shared link")),
+    "caps": (
+        "--caps",
+        "comma-separated repair caps, modelled bytes/s with 'none' for "
+        "uncapped",
+        dict(type=_caps, metavar="LIST")),
+    "client_priority": (
+        "--client-priority",
+        "token multiplier charged to repair bytes while clients are active "
+        "(>= 1.0; 1.0 = no preference)",
+        dict(type=_priority, metavar="X")),
+    "speedup": (
+        "--speedup", "modelled seconds per wall second",
+        dict(type=float, metavar="X")),
+}
+
+
+def _sweep(runs, seed, **more) -> dict:
+    """The flags of a figure sweep (and of ``all``), by default."""
+    return dict(runs=runs, stripes=None, seed=seed, workers=None,
+                plot=False, **more)
+
+
+def _repair(stripes, seed, **more) -> dict:
+    """The flags of a subcommand that repairs one failure, by default."""
+    return dict(config="CFS1", strategy="car", stripes=stripes, seed=seed,
+                **more)
+
+
+class Command(NamedTuple):
+    """One ``repro-car`` subcommand."""
+
+    help: str
+    handler: Callable[[argparse.Namespace], str]
+    #: What the required ``path`` argument names (``None``: takes none).
+    positional: str | None
+    #: The flags the handler reads (keys of ``_FLAGS``) -> default.
+    flags: dict
+
+
+_TRACE = "a recorded trace.jsonl"
+_JOURNAL = "the write-ahead journal"
+_WORKDIR = "the working directory (journal, trace)"
+
+#: The single registry: :func:`build_parser` makes one subparser per
+#: entry, :func:`main` dispatches on it, and ``docs/API.md``
+#: (``tools/gen_api_docs.py``) tabulates it.
+COMMANDS: dict[str, Command] = {
+    "fig7": Command(
+        "cross-rack traffic vs chunk size (Figure 7)",
+        _run_fig7, None, _sweep(50, 20160707, telemetry=None)),
+    "fig8": Command(
+        "load balancing: lambda vs greedy iterations (Figure 8)",
+        _run_fig8, None, _sweep(50, 20160708)),
+    "fig9": Command(
+        "recovery time vs chunk size on the fluid model (Figure 9)",
+        _run_fig9, None, _sweep(3, 20160709)),
+    "fig10": Command(
+        "recovery time breakdown by stage (Figure 10)",
+        _run_fig10, None,
+        dict(runs=10, stripes=None, seed=20160710, workers=None)),
+    "ablation": Command(
+        "traffic decomposition, oversubscription, greedy-vs-optimal",
+        _run_ablation, None, dict(runs=10, workers=None)),
+    "landscape": Command(
+        "repair cost per lost chunk across erasure-code schemes",
+        _run_landscape, None, dict(runs=5, stripes=50)),
+    "longrun": Command(
+        "90-day failure-trace replay (repairs, traffic, lambda)",
+        _run_longrun, None, dict(stripes=100, seed=21)),
+    "degraded": Command(
+        "degraded-read latency distributions (CAR vs RR)",
+        _run_degraded, None, dict(runs=5, stripes=50, workers=None)),
+    "regen": Command(
+        "regenerating-code sweep (rack-aware MSR, piggybacked RS)",
+        _run_regen, None,
+        _sweep(50, 20190104, telemetry=None, json_path=None)),
+    "all": Command(
+        "every figure/experiment above at fast settings",
+        _run_all, None, _sweep(None, None)),
+    "trace": Command(
+        "summarise a recorded trace.jsonl (stages, racks, spans)",
+        _run_trace, _TRACE, {}),
+    "metrics": Command(
+        "summarise a recorded metrics.json snapshot",
+        _run_metrics, "a recorded metrics.json", {}),
+    "report": Command(
+        "per-stage/per-rack bottleneck attribution for a trace",
+        _run_report, _TRACE, {}),
+    "export": Command(
+        "convert a trace to Chrome/Perfetto JSON or flamegraph stacks",
+        _run_export, _TRACE, dict(out=None, folded=None)),
+    "scrub": Command(
+        "corrupt chunks, then detect and heal them (integrity pass)",
+        _run_scrub, None, dict(config="CFS1", stripes=20, seed=11, corrupt=3)),
+    "durable": Command(
+        "journalled, crash-resumable recovery run",
+        _run_durable, _JOURNAL,
+        _repair(12, 0, crash_after=None, window=None, progress=False)),
+    "resume": Command(
+        "resume a crashed durable recovery from its journal",
+        _run_resume, _JOURNAL,
+        dict(crash_after=None, window=None, progress=False)),
+    "stream": Command(
+        "lazy-plan recovery throughput + peak-RSS measurement",
+        _run_stream, None,
+        _repair(1000, 0, window=None, workers=None, shm=False,
+                progress=False, telemetry=None, json_path=None)),
+    "serve": Command(
+        "boot a live in-process cluster, fail a node, repair it",
+        _run_serve, _WORKDIR,
+        _repair(10, 7, clients=3, speedup=50.0, repair_cap=None,
+                client_priority=1.0, window=8, crash_after=None,
+                json_path=None)),
+    "bench-service": Command(
+        "sweep repair-bandwidth caps on the live service",
+        _run_bench_service, _WORKDIR,
+        _repair(12, 7, clients=3, speedup=10.0, caps="16384,65536,none",
+                client_priority=2.0, json_path=None)),
+}
+
+#: Subcommand -> one-line description, in registry order.
+SUBCOMMANDS: dict[str, str] = {
+    name: command.help for name, command in COMMANDS.items()
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI argument parser: one subparser per :data:`COMMANDS` entry."""
+    parser = argparse.ArgumentParser(
+        prog="repro-car",
+        description=(
+            "Reproduce the evaluation of 'Reconsidering Single Failure "
+            "Recovery in Clustered File Systems' (DSN 2016)."
+        ),
+    )
+    subparsers = parser.add_subparsers(
+        dest="experiment", required=True, metavar="subcommand"
+    )
+    for name, command in COMMANDS.items():
+        sub = subparsers.add_parser(
+            name, help=command.help, description=command.help
+        )
+        if command.positional is not None:
+            sub.add_argument("path", help=command.positional)
+        for dest, default in command.flags.items():
+            option, text, keywords = _FLAGS[dest]
+            keywords = dict(keywords)
+            unset = keywords.pop("unset", None)
+            shown = unset if default is None else default
+            if shown is not None and shown is not False:
+                text += f" (default: {shown})"
+            sub.add_argument(
+                option, dest=dest, default=default, help=text, **keywords
+            )
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if (args.experiment in ("trace", "metrics", "durable", "resume",
-                            "report", "export", "serve", "bench-service")
-            and args.path is None):
-        parser.error(f"'{args.experiment}' requires a file path argument")
-    handlers = {
-        "fig7": _run_fig7,
-        "fig8": _run_fig8,
-        "fig9": _run_fig9,
-        "fig10": _run_fig10,
-        "ablation": _run_ablation,
-        "landscape": _run_landscape,
-        "longrun": _run_longrun,
-        "degraded": _run_degraded,
-        "regen": _run_regen,
-        "trace": _run_trace,
-        "metrics": _run_metrics,
-        "report": _run_report,
-        "export": _run_export,
-        "scrub": _run_scrub,
-        "durable": _run_durable,
-        "resume": _run_resume,
-        "stream": _run_stream,
-        "serve": _run_serve,
-        "bench-service": _run_bench_service,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        if args.experiment == "all":
-            outputs = [
-                handlers[name](args)
-                for name in (
-                    "fig7", "fig8", "fig9", "fig10", "ablation", "landscape",
-                    "longrun", "degraded", "regen",
-                )
-            ]
-            print("\n\n".join(outputs))
-        else:
-            print(handlers[args.experiment](args))
+        print(COMMANDS[args.experiment].handler(args))
     except CoordinatorCrashError as crash:
         print(
             f"coordinator crashed after {crash.records_written} journal "
             f"records: {crash}"
         )
-        if args.experiment == "serve":
-            print(f"resume with: repro-car serve {args.path}")
-        else:
-            print(f"resume with: repro-car resume {args.path}")
+        again = "serve" if args.experiment == "serve" else "resume"
+        print(f"resume with: repro-car {again} {args.path}")
         return 3
     return 0
 

@@ -57,10 +57,11 @@ from repro.faults.timeline import FaultTimeline
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import NullTracer, Tracer
 from repro.recovery.balancer import GreedyLoadBalancer
+from repro.recovery.baselines import _solution_from_helpers
 from repro.recovery.executor import ExecutionResult, PipelineStage, PlanExecutor
 from repro.recovery.planner import RecoveryPlan, plan_recovery
 from repro.recovery.selector import CarSelector
-from repro.recovery.solution import MultiStripeSolution, PerStripeSolution
+from repro.recovery.solution import MultiStripeSolution
 
 __all__ = ["RobustExecutionResult", "RobustExecutor", "recover_with_faults"]
 
@@ -607,20 +608,8 @@ class RobustExecutor(PlanExecutor):
                     f"stripe {stripe}: only {len(survivors)} survivors "
                     f"remain, need {k}"
                 )
-            chunks_by_rack: dict[int, list[int]] = {}
-            for c in survivors[:k]:
-                rack = self.state.topology.rack_of(view.surviving[c])
-                chunks_by_rack.setdefault(rack, []).append(c)
             solutions.append(
-                PerStripeSolution(
-                    stripe_id=stripe,
-                    lost_chunk=view.lost_chunk,
-                    failed_rack=view.failed_rack,
-                    chunks_by_rack={
-                        r: tuple(sorted(cs))
-                        for r, cs in chunks_by_rack.items()
-                    },
-                )
+                _solution_from_helpers(self.state, view, survivors[:k])
             )
         return MultiStripeSolution(
             solutions,

@@ -160,7 +160,7 @@ class LocalCluster:
         strategy: repair strategy label (``car``, ``rr`` or ``direct``).
         speedup: modelled seconds per wall second.
         link_capacity: shared cross-rack core, modelled bytes/s.
-        repair_cap / repair_burst / client_priority / priority_window:
+        repair_cap / client_priority:
             admission-control knobs (see
             :class:`~repro.service.admission.AdmissionController`).
         heartbeat_interval / suspect_after / dead_after /
@@ -183,9 +183,7 @@ class LocalCluster:
         speedup: float = 400.0,
         link_capacity: float = 4 * (1 << 20),
         repair_cap: float | None = None,
-        repair_burst: float | None = None,
         client_priority: float = 1.0,
-        priority_window: float = 1.0,
         heartbeat_interval: float = 0.25,
         suspect_after: float = 1.0,
         dead_after: float = 2.5,
@@ -220,9 +218,7 @@ class LocalCluster:
             self.link,
             self.clock,
             repair_cap_bytes_per_s=repair_cap,
-            repair_burst_bytes=repair_burst,
             client_priority=client_priority,
-            priority_window=priority_window,
         )
         self._coordinator_kwargs = dict(
             strategy=strategy,

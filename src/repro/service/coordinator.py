@@ -237,16 +237,19 @@ class Coordinator:
                 )
             last = now
             for tr in self.detector.check(now):
-                self.tracer.event(
-                    "service.lease",
-                    node=tr.node_id,
-                    server=tr.server_id,
-                    old=tr.old.value if tr.old else None,
-                    new=tr.new.value,
-                    model_t=tr.at,
-                )
+                self._trace_lease(tr)
                 if tr.new is NodeHealth.DEAD:
                     self._on_node_dead(tr.node_id)
+
+    def _trace_lease(self, tr) -> None:
+        self.tracer.event(
+            "service.lease",
+            node=tr.node_id,
+            server=tr.server_id,
+            old=tr.old.value if tr.old else None,
+            new=tr.new.value,
+            model_t=tr.at,
+        )
 
     def _on_node_dead(self, node_id: int) -> None:
         if self.state.failed_node is None:
@@ -379,14 +382,7 @@ class Coordinator:
     def _handle_heartbeat(self, msg: dict) -> None:
         now = self.clock.now()
         for tr in self.detector.beat(str(msg["server"]), msg["nodes"], now):
-            self.tracer.event(
-                "service.lease",
-                node=tr.node_id,
-                server=tr.server_id,
-                old=tr.old.value if tr.old else None,
-                new=tr.new.value,
-                model_t=tr.at,
-            )
+            self._trace_lease(tr)
 
     # -- read path -------------------------------------------------------
 

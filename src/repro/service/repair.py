@@ -167,7 +167,7 @@ class RepairService:
         clock: ServiceClock,
         admission: AdmissionController,
         *,
-        window: int = 8,
+        window: int,
         tracer=None,
         session_meta: dict | None = None,
         crash_after_records: int | None = None,
