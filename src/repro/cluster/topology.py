@@ -37,7 +37,8 @@ class BandwidthProfile:
         per_rack_uplink_gbps: optional per-rack uplink overrides (mixed
             switch generations); entry ``i`` replaces
             ``rack_uplink_gbps`` for rack ``i``.  Must match the rack
-            count of the topology it is used with.
+            count of the topology it is used with
+            (:class:`ClusterTopology` checks).
     """
 
     node_nic_gbps: float = 1.0
@@ -63,10 +64,7 @@ class BandwidthProfile:
 
     def uplink_for(self, rack_id: int) -> float:
         """The uplink capacity of one rack (override or default)."""
-        if (
-            self.per_rack_uplink_gbps is not None
-            and rack_id < len(self.per_rack_uplink_gbps)
-        ):
+        if self.per_rack_uplink_gbps is not None:
             return self.per_rack_uplink_gbps[rack_id]
         return self.rack_uplink_gbps
 
@@ -132,6 +130,12 @@ class ClusterTopology:
         self._racks = tuple(racks)
         self._nodes = tuple(nodes)
         self.bandwidth = bandwidth or BandwidthProfile()
+        per_rack = self.bandwidth.per_rack_uplink_gbps
+        if per_rack is not None and len(per_rack) != len(racks):
+            raise ConfigurationError(
+                f"per_rack_uplink_gbps has {len(per_rack)} entries "
+                f"for {len(racks)} racks"
+            )
         self._rack_of = {n.node_id: n.rack_id for n in nodes}
         if len(self._rack_of) != len(nodes):
             raise ConfigurationError("duplicate node ids in topology")

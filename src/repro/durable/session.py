@@ -155,17 +155,6 @@ class RecoverySession:
     def _solve(self) -> MultiStripeSolution:
         return self.strategy.solve(self.state)
 
-    @staticmethod
-    def _restrict(
-        solution: MultiStripeSolution, stripes
-    ) -> MultiStripeSolution:
-        keep = set(stripes)
-        return MultiStripeSolution(
-            [s for s in solution.solutions if s.stripe_id in keep],
-            num_racks=solution.num_racks,
-            aggregated=solution.aggregated,
-        )
-
     def _execute(
         self, journal: RecoveryJournal, solution: MultiStripeSolution
     ) -> RobustExecutionResult:
@@ -238,7 +227,7 @@ class RecoverySession:
         )
         robust = None
         if pending:
-            solution = self._restrict(self._solve(), pending)
+            solution = self._solve().restricted_to(pending)
             if {s.stripe_id for s in solution.solutions} != set(pending):
                 raise JournalError(
                     "strategy did not re-produce solutions for the "

@@ -56,11 +56,9 @@ from repro.faults.injector import FaultInjector
 from repro.faults.timeline import FaultTimeline
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import NullTracer, Tracer
-from repro.recovery.balancer import GreedyLoadBalancer
-from repro.recovery.baselines import _solution_from_helpers
+from repro.recovery.baselines import CarStrategy, _solution_from_helpers
 from repro.recovery.executor import ExecutionResult, PipelineStage, PlanExecutor
 from repro.recovery.planner import RecoveryPlan, plan_recovery
-from repro.recovery.selector import CarSelector
 from repro.recovery.solution import MultiStripeSolution
 
 __all__ = ["RobustExecutionResult", "RobustExecutor", "recover_with_faults"]
@@ -568,29 +566,26 @@ class RobustExecutor(PlanExecutor):
 
     # -- re-planning ------------------------------------------------------
 
+    def _pending_views(self, pending: set[int], dead: set[int]):
+        """The pending stripes' views, minus the chunks on dead nodes."""
+        return [
+            degraded_view(
+                self.state.stripe_view(stripe), dead, self.state.topology
+            )
+            for stripe in sorted(pending)
+        ]
+
     def _replan_aggregated(
         self, pending: set[int], dead: set[int]
     ) -> MultiStripeSolution:
-        """CAR re-plan of the pending stripes over the surviving racks."""
-        selector = CarSelector(self.state.topology, self.state.code.k)
-        views = {}
-        solutions = []
-        for stripe in sorted(pending):
-            raw = self.state.stripe_view(stripe)
-            views[stripe] = degraded_view(raw, dead, self.state.topology)
-            solutions.append(selector.degraded_solution(raw, dead))
-        replanned = MultiStripeSolution(
-            solutions,
-            num_racks=self.state.topology.num_racks,
-            aggregated=True,
+        """CAR re-plan of the pending stripes over the surviving racks:
+        Theorem-1 minimal picks, then Algorithm 2 again so the degraded
+        solution keeps the rack loads level."""
+        return CarStrategy().solve_views(
+            self.state.topology,
+            self.state.code.k,
+            self._pending_views(pending, dead),
         )
-        if len(solutions) > 1:
-            # Algorithm 2 again, so the degraded solution keeps λ low
-            # over the surviving racks.
-            replanned, _ = GreedyLoadBalancer().balance(
-                views, replanned, selector
-            )
-        return replanned
 
     def _replan_direct(
         self, pending: set[int], dead: set[int]
@@ -598,15 +593,12 @@ class RobustExecutor(PlanExecutor):
         """RR-style fallback: the first ``k`` survivors, shipped raw."""
         k = self.state.code.k
         solutions = []
-        for stripe in sorted(pending):
-            view = degraded_view(
-                self.state.stripe_view(stripe), dead, self.state.topology
-            )
+        for view in self._pending_views(pending, dead):
             survivors = sorted(view.surviving)
             if len(survivors) < k:
                 raise NoValidSolutionError(
-                    f"stripe {stripe}: only {len(survivors)} survivors "
-                    f"remain, need {k}"
+                    f"stripe {view.stripe_id}: only {len(survivors)} "
+                    f"survivors remain, need {k}"
                 )
             solutions.append(
                 _solution_from_helpers(self.state, view, survivors[:k])

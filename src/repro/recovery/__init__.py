@@ -45,12 +45,6 @@ from repro.recovery.solution import (
     PerStripeSolution,
     WeightedStripeSolution,
 )
-from repro.recovery.weighted import (
-    BandwidthAwareBalancer,
-    WeightedBalanceTrace,
-    drain_times,
-    solve_bandwidth_aware,
-)
 from repro.recovery.rackfail import RackRecovery, RackRecoverySolution, StripeRackLoss
 
 __all__ = [
@@ -92,10 +86,6 @@ __all__ = [
     "RackAwareMSRStrategy",
     "PiggybackStrategy",
     "rack_msr_params",
-    "BandwidthAwareBalancer",
-    "WeightedBalanceTrace",
-    "drain_times",
-    "solve_bandwidth_aware",
     "RackRecovery",
     "RackRecoverySolution",
     "StripeRackLoss",

@@ -1,12 +1,17 @@
 """Greedy multi-stripe load balancing — Algorithm 2 of the paper.
 
-Starting from an initial multi-stripe solution, each iteration:
+A rack's load is one measure, ``(history_i + t_i) / uplink_i``: the
+cross-rack chunks its uplink has carried for past repairs plus those the
+current solution asks of it, over the uplink capacity the topology
+records for it.  Starting from an initial multi-stripe solution, each
+iteration:
 
-1. find the intact rack ``A_l`` with the highest cross-rack traffic
-   ``t_{l,f}``;
-2. look for another intact rack ``A_i`` with ``t_{l,f} - t_{i,f} >= 2``
-   (Equation 8 — the condition that guarantees the maximum is
-   monotonically non-increasing after moving one unit of traffic);
+1. find the intact rack ``A_l`` with the highest load;
+2. look for another intact rack ``A_i`` that stays strictly below
+   ``A_l``'s load after taking one more chunk — the condition that
+   keeps the maximum monotonically non-increasing.  With equal uplinks
+   and no history this is the paper's ``t_{l,f} - t_{i,f} >= 2``
+   (Equation 8);
 3. find a stripe whose current solution reads from ``A_l`` and admits a
    valid substitute that reads from ``A_i`` instead; substitute and move
    to the next iteration.
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.cluster.state import StripeView
 from repro.errors import RecoveryError
 from repro.recovery.selector import CarSelector
-from repro.recovery.solution import MultiStripeSolution
+from repro.recovery.solution import MultiStripeSolution, balancing_rate
 
 __all__ = ["BalanceTrace", "GreedyLoadBalancer"]
 
@@ -33,7 +38,9 @@ class BalanceTrace:
     """Record of one balancing run.
 
     Attributes:
-        lambdas: λ after 0, 1, 2, ... iterations (index 0 = initial).
+        lambdas: the paper's λ — max over mean of per-rack chunk counts,
+            not weighted by uplink — after 0, 1, 2, ... iterations
+            (index 0 = initial).
         substitutions: how many per-stripe substitutions were applied.
         converged_at: iteration index at which no substitution was
             possible (None if the iteration budget ran out first).
@@ -69,14 +76,16 @@ class GreedyLoadBalancer:
 
     Args:
         iterations: the paper's ``e`` — the iteration budget.
-        baseline_traffic: optional per-rack traffic offsets (chunk
-            units) added to the current solution's ``t_{i,f}`` when
-            choosing substitutions.  This is the *history-aware*
-            extension: passing the cumulative cross-rack traffic of past
-            repairs makes Algorithm 2 balance the long-run rack load,
-            not just this event's (see
+        baseline_traffic: the measure's ``history`` — optional per-rack
+            traffic offsets (chunk units) added to the current
+            solution's ``t_{i,f}``.  Passing the cumulative cross-rack
+            traffic of past repairs makes Algorithm 2 balance the
+            long-run rack load, not just this event's (see
             :class:`repro.workloads.longrun.LongRunSimulator`).  The
             recorded λ trace is then computed over baseline + current.
+
+    The measure's ``uplink`` is not an argument: it is read from the
+    topology of the selector handed to :meth:`balance`.
     """
 
     def __init__(
@@ -103,16 +112,9 @@ class GreedyLoadBalancer:
         return [a + b for a, b in zip(t, self.baseline_traffic)]
 
     def _lambda(self, solution: MultiStripeSolution) -> float:
-        if self.baseline_traffic is None:
-            return solution.load_balancing_rate()
-        t = self._loaded_traffic(solution)
-        intact = [
-            t[i] for i in range(solution.num_racks) if i != solution.failed_rack
-        ]
-        total = sum(intact)
-        if total == 0:
-            return 1.0
-        return max(intact) / (total / len(intact))
+        return balancing_rate(
+            self._loaded_traffic(solution), solution.failed_rack
+        )
 
     def balance(
         self,
@@ -154,18 +156,32 @@ class GreedyLoadBalancer:
         selector: CarSelector,
     ) -> MultiStripeSolution | None:
         """One iteration body (steps 5-11); None if no substitution exists."""
-        t = self._loaded_traffic(current)
+        load = self._loaded_traffic(current)
+        bandwidth = selector.topology.bandwidth
+        uplink = [bandwidth.uplink_for(r) for r in range(current.num_racks)]
         intact = [
             r for r in range(current.num_racks) if r != current.failed_rack
         ]
         if not intact:
             return None
+        # Loads are compared cross-multiplied, load_a * uplink_b against
+        # load_b * uplink_a: with equal uplinks the common factor drops
+        # out and the tests below are the paper's integer ones.
         # Step 5: the most-loaded intact rack.  Ties by rack id.
-        l_rack = max(intact, key=lambda r: (t[r], -r))
-        # Step 6-7: candidate target racks, least-loaded first.
+        l_rack = intact[0]
+        for r in intact[1:]:
+            if load[r] * uplink[l_rack] > load[l_rack] * uplink[r]:
+                l_rack = r
+        # Step 6-7: racks that stay strictly below A_l with one more
+        # chunk, least-loaded (after the move) first.
         candidates = sorted(
-            (r for r in intact if r != l_rack and t[l_rack] - t[r] >= 2),
-            key=lambda r: (t[r], r),
+            (
+                r
+                for r in intact
+                if r != l_rack
+                and (load[r] + 1) * uplink[l_rack] < load[l_rack] * uplink[r]
+            ),
+            key=lambda r: ((load[r] + 1) / uplink[r], r),
         )
         for i_rack in candidates:
             for sol in current.solutions_using(l_rack):

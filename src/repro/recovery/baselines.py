@@ -25,8 +25,10 @@ import abc
 import functools
 import itertools
 import random
+from collections.abc import Sequence
 
 from repro.cluster.state import ClusterState, StripeView
+from repro.cluster.topology import ClusterTopology
 from repro.errors import (
     ConfigurationError,
     NoValidSolutionError,
@@ -146,10 +148,23 @@ class CarStrategy(RecoveryStrategy):
             self.name = "CAR" if load_balance else "CAR-noLB"
 
     def solve(self, state: ClusterState) -> MultiStripeSolution:
-        views = self._views(state)
-        selector = CarSelector(state.topology, state.code.k)
+        return self.solve_views(
+            state.topology, state.code.k, self._views(state)
+        )
+
+    def solve_views(
+        self, topology: ClusterTopology, k: int, views: Sequence[StripeView]
+    ) -> MultiStripeSolution:
+        """CAR over the given stripe views: initial picks, then Algorithm 2.
+
+        The one place CAR is composed.  :meth:`solve` passes the views of
+        every stripe the failure touched; a re-plan after a helper death
+        passes the pending stripes' views with the dead nodes' chunks
+        removed, so both balance by the same rack-load measure.
+        """
+        selector = CarSelector(topology, k)
         if self.warm_start:
-            running = [0] * state.topology.num_racks
+            running = [0] * topology.num_racks
             if self.baseline_traffic is not None:
                 running = list(self.baseline_traffic)
             solutions = []
@@ -161,9 +176,7 @@ class CarStrategy(RecoveryStrategy):
         else:
             solutions = [selector.initial_solution(v) for v in views]
         initial = MultiStripeSolution(
-            solutions,
-            num_racks=state.topology.num_racks,
-            aggregated=True,
+            solutions, num_racks=topology.num_racks, aggregated=True
         )
         if not self.load_balance:
             self.last_trace = BalanceTrace(
@@ -174,10 +187,9 @@ class CarStrategy(RecoveryStrategy):
             iterations=self.iterations,
             baseline_traffic=self.baseline_traffic,
         )
-        balanced, trace = balancer.balance(
+        balanced, self.last_trace = balancer.balance(
             {v.stripe_id: v for v in views}, initial, selector
         )
-        self.last_trace = trace
         return balanced
 
 

@@ -176,7 +176,9 @@ class CarSelector:
 
         Ties are broken by rack id for determinism — unless a
         ``traffic_hint`` (current per-rack cross-rack traffic) is given,
-        in which case equally-sized racks are taken least-loaded first.
+        in which case equally-sized racks are taken least-loaded first,
+        load being the balancer's measure: traffic over the rack's
+        uplink capacity.
         This *balance-aware initialisation* is an online-greedy warm
         start that leaves Algorithm 2 far fewer substitutions to make
         (measured in the warm-start ablation) without changing the
@@ -193,8 +195,13 @@ class CarSelector:
         if traffic_hint is None:
             intact.sort(key=lambda rc: (-rc[1], rc[0]))
         else:
+            uplink_for = self.topology.bandwidth.uplink_for
             intact.sort(
-                key=lambda rc: (-rc[1], traffic_hint[rc[0]], rc[0])
+                key=lambda rc: (
+                    -rc[1],
+                    traffic_hint[rc[0]] / uplink_for(rc[0]),
+                    rc[0],
+                )
             )
         chosen = tuple(sorted(rack for rack, _ in intact[:d]))
         return build_solution(view, chosen, self.k, self.topology)

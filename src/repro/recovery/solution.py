@@ -28,9 +28,27 @@ from operator import attrgetter
 
 from repro.errors import RecoveryError
 
-__all__ = ["PerStripeSolution", "WeightedStripeSolution", "MultiStripeSolution"]
+__all__ = [
+    "PerStripeSolution",
+    "WeightedStripeSolution",
+    "MultiStripeSolution",
+    "balancing_rate",
+]
 
 _stripe_id = attrgetter("stripe_id")
+
+
+def balancing_rate(traffic: Sequence[float], failed_rack: int) -> float:
+    """The paper's λ of a per-rack traffic vector.
+
+    Max over intact racks / mean over intact racks; defined as 1.0 when
+    there is no cross-rack traffic at all.
+    """
+    intact = [t for rack, t in enumerate(traffic) if rack != failed_rack]
+    total = sum(intact)
+    if total == 0:
+        return 1.0
+    return max(intact) / (total / len(intact))
 
 
 @dataclass(frozen=True)
@@ -225,6 +243,15 @@ class MultiStripeSolution:
         """
         return self.solutions[self._position(stripe_id)]
 
+    def restricted_to(self, stripes) -> "MultiStripeSolution":
+        """The same solution for just the given stripes (those it has)."""
+        keep = set(stripes)
+        return MultiStripeSolution(
+            [s for s in self.solutions if s.stripe_id in keep],
+            num_racks=self.num_racks,
+            aggregated=self.aggregated,
+        )
+
     def replace(self, new: PerStripeSolution) -> "MultiStripeSolution":
         """A copy with the solution for ``new.stripe_id`` substituted.
 
@@ -296,16 +323,8 @@ class MultiStripeSolution:
         return sum(self.traffic_by_rack())
 
     def load_balancing_rate(self) -> float:
-        """The paper's λ: max over intact racks / mean over intact racks.
-
-        Defined as 1.0 when there is no cross-rack traffic at all.
-        """
-        t = self.traffic_by_rack()
-        intact = [t[i] for i in range(self.num_racks) if i != self.failed_rack]
-        total = sum(intact)
-        if total == 0:
-            return 1.0
-        return max(intact) / (total / len(intact))
+        """The paper's λ: :func:`balancing_rate` of this traffic."""
+        return balancing_rate(self.traffic_by_rack(), self.failed_rack)
 
     def __repr__(self) -> str:
         return (

@@ -112,9 +112,13 @@ class StripeSerialTimingModel:
     def __init__(self, state: ClusterState, hardware: HardwareModel | None = None) -> None:
         self.state = state
         self.hardware = hardware or HardwareModel(state.topology)
-        bw = state.topology.bandwidth
-        self._nic = gbps_to_bytes_per_s(bw.node_nic_gbps)
-        self._uplink = gbps_to_bytes_per_s(bw.rack_uplink_gbps)
+        self._nic = gbps_to_bytes_per_s(state.topology.bandwidth.node_nic_gbps)
+
+    def _uplink(self, rack_id: int) -> float:
+        """Bytes per second of one rack's uplink into the core."""
+        return gbps_to_bytes_per_s(
+            self.state.topology.bandwidth.uplink_for(rack_id)
+        )
 
     def evaluate(self, plan: RecoveryPlan, chunk_size: int) -> SerialRecoveryTiming:
         """Time every stripe of ``plan`` under the serialized pipeline."""
@@ -166,12 +170,12 @@ class StripeSerialTimingModel:
                     ct.input_chunks * chunk_size, inputs=decode_width
                 )
         # Stage C: one partial per intact rack into the replacement
-        # downlink (uplinks carry one chunk each and cannot bottleneck
-        # below the shared downlink unless slower).
-        partials = sum(1 for t in sp.transfers if t.is_partial)
+        # downlink (each source rack's uplink carries one chunk and
+        # cannot bottleneck below the shared downlink unless slower).
+        partials = [t for t in sp.transfers if t.is_partial]
         stage_c = max(
-            partials * chunk_size / self._nic,
-            (chunk_size / self._uplink) if partials else 0.0,
+            [len(partials) * chunk_size / self._nic]
+            + [chunk_size / self._uplink(t.src_rack) for t in partials]
         )
         # Stage D: final XOR combine.
         final = self._final_task(sp)
@@ -195,7 +199,10 @@ class StripeSerialTimingModel:
                 per_uplink[t.src_rack] = per_uplink.get(t.src_rack, 0) + 1
         downlink_time = total * chunk_size / self._nic
         uplink_time = max(
-            (n * chunk_size / self._uplink for n in per_uplink.values()),
+            (
+                n * chunk_size / self._uplink(rack)
+                for rack, n in per_uplink.items()
+            ),
             default=0.0,
         )
         final = self._final_task(sp)

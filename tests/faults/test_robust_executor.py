@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
+    BandwidthProfile,
     ClusterState,
     ClusterTopology,
     DataStore,
@@ -27,9 +28,11 @@ from repro.recovery import CarStrategy, PlanExecutor, plan_recovery
 CHUNK = 256
 
 
-def build(seed=42, stripes=12):
+def build(seed=42, stripes=12, uplinks=None):
     code = RSCode(6, 3)
-    topo = ClusterTopology.from_rack_sizes([4, 3, 3, 3])
+    topo = ClusterTopology.from_rack_sizes(
+        [4, 3, 3, 3], bandwidth=BandwidthProfile(per_rack_uplink_gbps=uplinks)
+    )
     placement = RandomPlacementPolicy(rng=seed).place(
         topo, stripes, code.k, code.m
     )
@@ -167,6 +170,28 @@ class TestDegradationLadder:
             )
             assert sol.num_intact_racks == min_racks_needed(view, k)
             assert sol.helper_count == k
+
+    def test_replan_weighs_racks_by_their_uplinks(self):
+        """The re-plan is the same CAR composition the first plan was:
+        with A1's uplink at a fifth of the others' it moves load off A1,
+        where the uniform twin (same placement, same death) does not."""
+        slow_a1 = (0.2, 1.0, 1.0, 1.0)
+        traffic = {}
+        for label, uplinks in (("twin", None), ("mixed", slow_a1)):
+            state, event = build(uplinks=uplinks)
+            r = recover_with_faults(
+                state, event, CarStrategy(),
+                injector=FaultInjector([
+                    FaultSpec(kind=FaultKind.HELPER_CRASH,
+                              stage=PipelineStage.DISK_READ)
+                ]),
+            )
+            assert r.verified and r.replans == 1
+            assert r.dead_nodes == {1}  # a helper in A1, both times
+            traffic[label] = r.final_solution.traffic_by_rack()
+        assert traffic["twin"] == [6, 5, 6, 0]
+        assert traffic["mixed"][0] < traffic["twin"][0]
+        assert sum(traffic["mixed"]) == sum(traffic["twin"])
 
     def test_delegate_crash_triggers_replan(self):
         state, event = build()

@@ -19,8 +19,6 @@ class TestProfileOverrides:
         )
         assert bw.uplink_for(1) == 0.25
         assert bw.uplink_for(2) == 1.0
-        # Racks beyond the override tuple fall back to the default.
-        assert bw.uplink_for(5) == 1.0
 
     def test_nonpositive_override_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 from repro.cluster.failure import FailureInjector
 from repro.cluster.placement import RandomPlacementPolicy
 from repro.cluster.state import ClusterState
-from repro.cluster.topology import ClusterTopology
+from repro.cluster.topology import BandwidthProfile, ClusterTopology
 from repro.erasure.rs import RSCode
 from repro.recovery.baselines import CarStrategy
 
 
-def failed_cluster(seed=0, stripes=60, racks=(4, 3, 3, 3), k=6, m=3):
+def failed_cluster(
+    seed=0, stripes=60, racks=(4, 3, 3, 3), k=6, m=3, uplinks=None
+):
     code = RSCode(k, m)
-    topo = ClusterTopology.from_rack_sizes(list(racks))
+    topo = ClusterTopology.from_rack_sizes(
+        list(racks), bandwidth=BandwidthProfile(per_rack_uplink_gbps=uplinks)
+    )
     placement = RandomPlacementPolicy(rng=seed).place(topo, stripes, k, m)
     state = ClusterState(topo, code, placement)
     FailureInjector(rng=seed).fail_random_node(state)
@@ -71,6 +75,18 @@ class TestWarmStart:
             ):
                 improvements += 1
         assert improvements >= 7  # strictly better almost always
+
+    def test_warm_start_spares_a_slow_uplink(self):
+        """The hint is the balancer's measure, traffic over uplink: the
+        initial picks alone already put less on a quarter-speed A2 than
+        they do on the uniform twin."""
+        picks = CarStrategy(warm_start=True, load_balance=False)
+        twin = picks.solve(failed_cluster(seed=1)).traffic_by_rack()
+        mixed = picks.solve(
+            failed_cluster(seed=1, uplinks=(1.0, 0.25, 1.0, 1.0))
+        ).traffic_by_rack()
+        assert twin == [0, 30, 29, 29]
+        assert mixed[1] < twin[1] and sum(mixed) == sum(twin)
 
     def test_warm_start_composes_with_history(self):
         state = failed_cluster(seed=5)

@@ -18,11 +18,15 @@ from repro.sim.timing import (
 MB = 1 << 20
 
 
-def failed_cluster(seed=0, stripes=15, k=6, m=3):
+def failed_cluster(seed=0, stripes=15, k=6, m=3, uplinks=None):
     code = RSCode(k, m)
     topo = ClusterTopology.from_rack_sizes(
         [4, 3, 3, 3],
-        bandwidth=BandwidthProfile(node_nic_gbps=1.0, rack_uplink_gbps=1.0),
+        bandwidth=BandwidthProfile(
+            node_nic_gbps=1.0,
+            rack_uplink_gbps=1.0,
+            per_rack_uplink_gbps=uplinks,
+        ),
     )
     placement = RandomPlacementPolicy(rng=seed).place(topo, stripes, k, m)
     state = ClusterState(topo, code, placement)
@@ -77,6 +81,40 @@ class TestSerialModel:
         expected = state.code.k * 4 * MB / nic
         for s in timing.stripes:
             assert s.transmission >= expected - 1e-9
+
+    def test_slow_racks_partial_sets_stage_c(self):
+        """Each source rack's own uplink: with A3's at a tenth of the
+        NIC, a stripe that ships a partial from A3 spends ten chunk
+        times in stage C instead of one per partial; a stripe that does
+        not touch A3 is timed as on the uniform twin."""
+        slow, chunk_time = 2, 4 * MB / 125e6
+        per_stripe = {}
+        for label, uplinks in (("twin", None), ("mixed", (1.0, 1.0, 0.1, 1.0))):
+            state, event = failed_cluster(seed=1, uplinks=uplinks)
+            assert state.topology.rack_of(event.failed_node) != slow
+            # Without Algorithm 2 both topologies get the same picks.
+            plan = plan_recovery(
+                state, event, CarStrategy(load_balance=False).solve(state)
+            )
+            timing = StripeSerialTimingModel(state).evaluate(plan, 4 * MB)
+            per_stripe[label] = {
+                sp.stripe_id: (
+                    [t.src_rack for t in sp.transfers if t.is_partial],
+                    st.transmission,
+                )
+                for sp, st in zip(plan.stripe_plans, timing.stripes)
+            }
+        touched = 0
+        for stripe, (sources, mixed) in per_stripe["mixed"].items():
+            _, twin = per_stripe["twin"][stripe]
+            if slow in sources:
+                touched += 1
+                assert mixed - twin == pytest.approx(
+                    (10 - len(sources)) * chunk_time
+                )
+            else:
+                assert mixed == twin
+        assert 0 < touched < len(per_stripe["mixed"])
 
     def test_car_transmission_below_rr(self, plans):
         state, car_plan, rr_plan = plans
