@@ -28,9 +28,9 @@ Durability::
 Streaming hot path::
 
     repro-car stream --stripes 5000               # throughput + peak RSS
-    repro-car stream --workers 2 --shm            # zero-copy worker fan-out
     repro-car stream --json out/stream.json       # machine-readable artifact
     repro-car stream --telemetry out/ --progress  # trace + live status line
+    repro-car stream --workers 2 --shm            # exit 2: one process, no pool
 
 Observatory::
 
@@ -164,7 +164,7 @@ def _stderr_progress(args: argparse.Namespace):
 def _run_fig7(args: argparse.Namespace) -> str:
     results = run_fig7(
         runs=args.runs, base_seed=args.seed, num_stripes=args.stripes,
-        workers=args.workers, telemetry=args.telemetry,
+        telemetry=args.telemetry,
     )
     return render_fig7(results) + _maybe_plot(
         args,
@@ -177,8 +177,7 @@ def _run_fig7(args: argparse.Namespace) -> str:
 
 def _run_fig8(args: argparse.Namespace) -> str:
     results = run_fig8(
-        runs=args.runs, base_seed=args.seed, num_stripes=args.stripes,
-        workers=args.workers,
+        runs=args.runs, base_seed=args.seed, num_stripes=args.stripes
     )
     return render_fig8(results) + _maybe_plot(
         args,
@@ -191,8 +190,7 @@ def _run_fig8(args: argparse.Namespace) -> str:
 
 def _run_fig9(args: argparse.Namespace) -> str:
     results = run_fig9(
-        runs=args.runs, base_seed=args.seed, num_stripes=args.stripes,
-        workers=args.workers,
+        runs=args.runs, base_seed=args.seed, num_stripes=args.stripes
     )
     return render_fig9(results) + _maybe_plot(
         args,
@@ -206,8 +204,7 @@ def _run_fig9(args: argparse.Namespace) -> str:
 def _run_fig10(args: argparse.Namespace) -> str:
     return render_fig10(
         run_fig10(
-            runs=args.runs, base_seed=args.seed, num_stripes=args.stripes,
-            workers=args.workers,
+            runs=args.runs, base_seed=args.seed, num_stripes=args.stripes
         )
     )
 
@@ -218,7 +215,7 @@ def _run_regen(args: argparse.Namespace) -> str:
 
     results = run_regen(
         runs=args.runs, base_seed=args.seed, num_stripes=args.stripes,
-        workers=args.workers, telemetry=args.telemetry,
+        telemetry=args.telemetry,
     )
     out = render_regen(results)
     if args.json_path is not None:
@@ -259,10 +256,7 @@ def _run_degraded(args: argparse.Namespace) -> str:
 
     rows = []
     for cfg in ALL_CFS:
-        res = run_degraded_read(
-            cfg, runs=args.runs, num_stripes=args.stripes,
-            workers=args.workers,
-        )
+        res = run_degraded_read(cfg, runs=args.runs, num_stripes=args.stripes)
         for name in ("CAR", "RR"):
             d = res.distributions[name]
             rows.append(
@@ -327,8 +321,7 @@ def _run_ablation(args: argparse.Namespace) -> str:
     parts = [
         render_traffic_ablation(
             [
-                run_traffic_ablation(cfg, runs=args.runs, workers=args.workers)
-                for cfg in ALL_CFS
+                run_traffic_ablation(cfg, runs=args.runs) for cfg in ALL_CFS
             ]
         ),
         render_oversubscription(
@@ -336,9 +329,7 @@ def _run_ablation(args: argparse.Namespace) -> str:
         ),
         render_greedy_vs_optimal(
             [
-                run_greedy_vs_optimal(
-                    cfg, runs=max(3, args.runs // 2), workers=args.workers
-                )
+                run_greedy_vs_optimal(cfg, runs=max(3, args.runs // 2))
                 for cfg in ALL_CFS
             ]
         ),
@@ -534,12 +525,7 @@ def _run_stream(args: argparse.Namespace) -> str:
     t0 = time.perf_counter()
     with scope:
         result = executor.execute(
-            plan,
-            window=window,
-            workers=args.workers,
-            shm=args.shm if args.shm else None,
-            sink=sink,
-            progress=progress,
+            plan, window=window, sink=sink, progress=progress
         )
     elapsed = time.perf_counter() - t0
     peak_rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -550,8 +536,6 @@ def _run_stream(args: argparse.Namespace) -> str:
         "num_stripes": stripes,
         "affected_stripes": affected,
         "window": window,
-        "workers": args.workers,
-        "shm": bool(args.shm),
         "elapsed_seconds": elapsed,
         "stripes_per_second": throughput,
         "peak_rss_kib": peak_rss_kib,
@@ -562,8 +546,7 @@ def _run_stream(args: argparse.Namespace) -> str:
     lines = [
         f"Streaming recovery — {config.name}, {args.strategy},"
         f" {affected}/{stripes} stripes affected",
-        f"  window   : {window}"
-        + (f", workers {args.workers}" if args.workers else ""),
+        f"  window   : {window}",
         f"  elapsed  : {elapsed:.3f} s ({throughput:,.0f} stripes/s)",
         f"  peak RSS : {peak_rss_kib} KiB",
         f"  traffic  : cross-rack {result.cross_rack_bytes} B"
@@ -712,10 +695,6 @@ _FLAGS: dict[str, tuple[str, str, dict]] = {
     "plot": (
         "--plot", "append ASCII charts of the series to the tables",
         dict(action="store_true")),
-    "workers": (
-        "--workers", "worker processes for the runs",
-        dict(type=int,
-             unset="serial; results are identical for any worker count")),
     "config": (
         "--config", "cluster configuration",
         dict(choices=["CFS1", "CFS2", "CFS3"])),
@@ -739,11 +718,6 @@ _FLAGS: dict[str, tuple[str, str, dict]] = {
         "--window", "stripes in flight at once",
         dict(type=_positive_int, metavar="N",
              unset="sized from the chunk size against a fixed byte budget")),
-    "shm": (
-        "--shm",
-        "share chunk data with the worker processes through shared memory "
-        "(zero-copy) instead of pickling",
-        dict(action="store_true")),
     "progress": (
         "--progress",
         "print a live status line to stderr during the run (stripes/s, "
@@ -781,8 +755,7 @@ _FLAGS: dict[str, tuple[str, str, dict]] = {
 
 def _sweep(runs, seed, **more) -> dict:
     """The flags of a figure sweep (and of ``all``), by default."""
-    return dict(runs=runs, stripes=None, seed=seed, workers=None,
-                plot=False, **more)
+    return dict(runs=runs, stripes=None, seed=seed, plot=False, **more)
 
 
 def _repair(stripes, seed, **more) -> dict:
@@ -822,10 +795,10 @@ COMMANDS: dict[str, Command] = {
     "fig10": Command(
         "recovery time breakdown by stage (Figure 10)",
         _run_fig10, None,
-        dict(runs=10, stripes=None, seed=20160710, workers=None)),
+        dict(runs=10, stripes=None, seed=20160710)),
     "ablation": Command(
         "traffic decomposition, oversubscription, greedy-vs-optimal",
-        _run_ablation, None, dict(runs=10, workers=None)),
+        _run_ablation, None, dict(runs=10)),
     "landscape": Command(
         "repair cost per lost chunk across erasure-code schemes",
         _run_landscape, None, dict(runs=5, stripes=50)),
@@ -834,7 +807,7 @@ COMMANDS: dict[str, Command] = {
         _run_longrun, None, dict(stripes=100, seed=21)),
     "degraded": Command(
         "degraded-read latency distributions (CAR vs RR)",
-        _run_degraded, None, dict(runs=5, stripes=50, workers=None)),
+        _run_degraded, None, dict(runs=5, stripes=50)),
     "regen": Command(
         "regenerating-code sweep (rack-aware MSR, piggybacked RS)",
         _run_regen, None,
@@ -868,8 +841,8 @@ COMMANDS: dict[str, Command] = {
     "stream": Command(
         "lazy-plan recovery throughput + peak-RSS measurement",
         _run_stream, None,
-        _repair(1000, 0, window=None, workers=None, shm=False,
-                progress=False, telemetry=None, json_path=None)),
+        _repair(1000, 0, window=None, progress=False, telemetry=None,
+                json_path=None)),
     "serve": Command(
         "boot a live in-process cluster, fail a node, repair it",
         _run_serve, _WORKDIR,
@@ -889,6 +862,16 @@ SUBCOMMANDS: dict[str, str] = {
 }
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser: a flag it does not take is its usage error."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser: one subparser per :data:`COMMANDS` entry."""
     parser = argparse.ArgumentParser(
@@ -899,7 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(
-        dest="experiment", required=True, metavar="subcommand"
+        dest="experiment", required=True, metavar="subcommand",
+        parser_class=_Subcommand,
     )
     for name, command in COMMANDS.items():
         sub = subparsers.add_parser(

@@ -27,15 +27,6 @@ from repro.experiments.fig7 import Fig7Result, run_fig7, run_fig7_single
 from repro.experiments.fig8 import Fig8Result, run_fig8, run_fig8_single
 from repro.experiments.fig9 import Fig9Result, run_fig9, run_fig9_single
 from repro.experiments.fig10 import Fig10Result, Fig10Row, run_fig10
-from repro.experiments.factories import (
-    CarFactory,
-    EnumerationFactory,
-    MinRackNoAggFactory,
-    PiggybackFactory,
-    RackMSRFactory,
-    RandomAggregatedFactory,
-    RandomRecoveryFactory,
-)
 from repro.experiments.regen import (
     RegenResult,
     StrategyOutcome,
@@ -46,11 +37,6 @@ from repro.experiments.regen import (
 from repro.experiments.runner import ExperimentRunner, RunResult, Series, mean_std
 
 __all__ = [
-    "CarFactory",
-    "EnumerationFactory",
-    "MinRackNoAggFactory",
-    "RandomAggregatedFactory",
-    "RandomRecoveryFactory",
     "ALL_CFS",
     "CFS1",
     "CFS2",
@@ -84,8 +70,6 @@ __all__ = [
     "run_oversubscription_sweep",
     "GreedyVsOptimalResult",
     "run_greedy_vs_optimal",
-    "RackMSRFactory",
-    "PiggybackFactory",
     "RegenResult",
     "StrategyOutcome",
     "run_regen",

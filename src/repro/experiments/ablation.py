@@ -21,16 +21,15 @@ from dataclasses import dataclass, replace
 
 from repro.cluster.topology import BandwidthProfile
 from repro.experiments.configs import MB, CFSConfig, build_state
-from repro.experiments.factories import (
-    CarFactory,
-    EnumerationFactory,
-    MinRackNoAggFactory,
-    RandomAggregatedFactory,
-    RandomRecoveryFactory,
-)
 from repro.experiments.runner import ExperimentRunner, mean_std
 from repro.cluster.failure import FailureInjector
-from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
+from repro.recovery.baselines import (
+    CarStrategy,
+    EnumerationBalancedStrategy,
+    MinRackNoAggregationStrategy,
+    RandomAggregatedStrategy,
+    RandomRecoveryStrategy,
+)
 from repro.recovery.planner import plan_recovery
 from repro.sim.recovery_sim import RecoverySimulator
 
@@ -61,7 +60,6 @@ def run_traffic_ablation(
     runs: int = 20,
     base_seed: int = 20160711,
     num_stripes: int | None = None,
-    workers: int | None = None,
 ) -> TrafficAblationResult:
     """Decompose CAR's traffic saving into its two techniques."""
     runner = ExperimentRunner(
@@ -69,12 +67,11 @@ def run_traffic_ablation(
     )
     results = runner.run_all(
         {
-            "RR": RandomRecoveryFactory(),
-            "MinRack-noAgg": MinRackNoAggFactory(),
-            "Random+Agg": RandomAggregatedFactory(),
-            "CAR": CarFactory(),
-        },
-        workers=workers,
+            "RR": RandomRecoveryStrategy,
+            "MinRack-noAgg": lambda seed: MinRackNoAggregationStrategy(),
+            "Random+Agg": RandomAggregatedStrategy,
+            "CAR": lambda seed: CarStrategy(),
+        }
     )
     traffic = {
         name: mean_std(
@@ -159,7 +156,6 @@ def run_greedy_vs_optimal(
     runs: int = 10,
     num_stripes: int = 6,
     base_seed: int = 20160713,
-    workers: int | None = None,
 ) -> GreedyVsOptimalResult:
     """Compare Algorithm 2 against exhaustive enumeration.
 
@@ -170,8 +166,10 @@ def run_greedy_vs_optimal(
         config, runs=runs, base_seed=base_seed, num_stripes=num_stripes
     )
     results = runner.run_all(
-        {"CAR": CarFactory(), "Enumeration": EnumerationFactory()},
-        workers=workers,
+        {
+            "CAR": lambda seed: CarStrategy(),
+            "Enumeration": lambda seed: EnumerationBalancedStrategy(),
+        }
     )
     greedy = tuple(
         r.solutions["CAR"].load_balancing_rate() for r in results

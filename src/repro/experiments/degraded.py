@@ -19,8 +19,8 @@ import statistics
 from dataclasses import dataclass
 
 from repro.experiments.configs import MB, CFSConfig
-from repro.experiments.factories import CarFactory, RandomRecoveryFactory
 from repro.experiments.runner import ExperimentRunner
+from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
 from repro.recovery.planner import plan_recovery
 from repro.sim.hardware import HardwareModel
 from repro.sim.timing import StripeSerialTimingModel
@@ -72,7 +72,6 @@ def run_degraded_read(
     chunk_size: int = 4 * MB,
     base_seed: int = 20160714,
     num_stripes: int | None = None,
-    workers: int | None = None,
 ) -> DegradedReadResult:
     """Measure degraded-read latency distributions on one CFS setting.
 
@@ -82,10 +81,7 @@ def run_degraded_read(
     runner = ExperimentRunner(
         config, runs=runs, base_seed=base_seed, num_stripes=num_stripes
     )
-    results = runner.run_all(
-        {"CAR": CarFactory(), "RR": RandomRecoveryFactory()},
-        workers=workers,
-    )
+    results = runner.run_all({"CAR": lambda seed: CarStrategy(), "RR": RandomRecoveryStrategy})
     samples: dict[str, list[float]] = {"CAR": [], "RR": []}
     for r in results:
         model = StripeSerialTimingModel(

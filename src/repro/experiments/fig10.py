@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.configs import ALL_CFS, MB, CFSConfig
-from repro.experiments.factories import CarFactory, RandomRecoveryFactory
 from repro.experiments.runner import ExperimentRunner, mean_std
+from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
 from repro.recovery.planner import plan_recovery
 from repro.sim.hardware import HardwareModel
 from repro.sim.timing import StripeSerialTimingModel
@@ -78,7 +78,6 @@ def run_fig10(
     base_seed: int = 20160710,
     num_stripes: int | None = None,
     configs: tuple[CFSConfig, ...] = ALL_CFS,
-    workers: int | None = None,
 ) -> Fig10Result:
     """Reproduce Figure 10 (both panels)."""
     rows: list[Fig10Row] = []
@@ -87,10 +86,7 @@ def run_fig10(
         runner = ExperimentRunner(
             config, runs=runs, base_seed=base_seed, num_stripes=num_stripes
         )
-        results = runner.run_all(
-            {"CAR": CarFactory(), "RR": RandomRecoveryFactory()},
-            workers=workers,
-        )
+        results = runner.run_all({"CAR": lambda seed: CarStrategy(), "RR": RandomRecoveryStrategy})
         ratios: dict[str, list[float]] = {"CAR": [], "RR": []}
         comp_seconds: dict[str, list[float]] = {"CAR": [], "RR": []}
         for r in results:

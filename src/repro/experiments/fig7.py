@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.experiments.configs import ALL_CFS, MB, PAPER_CHUNK_SIZES, CFSConfig
-from repro.experiments.factories import CarFactory, RandomRecoveryFactory
 from repro.experiments.runner import ExperimentRunner, Series, mean_std
+from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
 
 __all__ = ["Fig7Result", "run_fig7", "run_fig7_single"]
 
@@ -48,7 +48,6 @@ def run_fig7_single(
     chunk_sizes: tuple[int, ...] = PAPER_CHUNK_SIZES,
     base_seed: int = 20160707,
     num_stripes: int | None = None,
-    workers: int | None = None,
     telemetry: str | Path | None = None,
 ) -> Fig7Result:
     """Reproduce one panel (one CFS) of Figure 7.
@@ -62,10 +61,7 @@ def run_fig7_single(
         config, runs=runs, base_seed=base_seed, num_stripes=num_stripes,
         telemetry=telemetry,
     )
-    results = runner.run_all(
-        {"CAR": CarFactory(), "RR": RandomRecoveryFactory()},
-        workers=workers,
-    )
+    results = runner.run_all({"CAR": lambda seed: CarStrategy(), "RR": RandomRecoveryStrategy})
     chunks_per_run = {
         name: [r.solutions[name].total_cross_rack_traffic() for r in results]
         for name in ("CAR", "RR")
@@ -94,7 +90,6 @@ def run_fig7(
     chunk_sizes: tuple[int, ...] = PAPER_CHUNK_SIZES,
     base_seed: int = 20160707,
     num_stripes: int | None = None,
-    workers: int | None = None,
     telemetry: str | Path | None = None,
 ) -> list[Fig7Result]:
     """Reproduce all three panels of Figure 7.
@@ -110,7 +105,6 @@ def run_fig7(
             chunk_sizes=chunk_sizes,
             base_seed=base_seed,
             num_stripes=num_stripes,
-            workers=workers,
             telemetry=(
                 Path(telemetry) / cfg.name if telemetry is not None else None
             ),

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.configs import ALL_CFS, CFSConfig
-from repro.experiments.factories import CarFactory
 from repro.experiments.runner import ExperimentRunner, Series, mean_std
+from repro.recovery.baselines import CarStrategy
 
 __all__ = ["Fig8Result", "run_fig8", "run_fig8_single", "PAPER_ITERATION_CHECKPOINTS"]
 
@@ -59,14 +59,13 @@ def run_fig8_single(
     checkpoints: tuple[int, ...] = PAPER_ITERATION_CHECKPOINTS,
     base_seed: int = 20160708,
     num_stripes: int | None = None,
-    workers: int | None = None,
 ) -> Fig8Result:
     """Reproduce one panel (one CFS) of Figure 8."""
     runner = ExperimentRunner(
         config, runs=runs, base_seed=base_seed, num_stripes=num_stripes
     )
     results = runner.run_all(
-        {"CAR": CarFactory(iterations=iterations)}, workers=workers
+        {"CAR": lambda seed: CarStrategy(iterations=iterations)}
     )
     lambdas_at: dict[int, list[float]] = {c: [] for c in checkpoints}
     initial: list[float] = []
@@ -108,7 +107,6 @@ def run_fig8(
     iterations: int = 50,
     base_seed: int = 20160708,
     num_stripes: int | None = None,
-    workers: int | None = None,
 ) -> list[Fig8Result]:
     """Reproduce all three panels of Figure 8."""
     return [
@@ -118,7 +116,6 @@ def run_fig8(
             iterations=iterations,
             base_seed=base_seed,
             num_stripes=num_stripes,
-            workers=workers,
         )
         for cfg in ALL_CFS
     ]

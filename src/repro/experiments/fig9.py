@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.configs import ALL_CFS, MB, PAPER_CHUNK_SIZES, CFSConfig
-from repro.experiments.factories import CarFactory, RandomRecoveryFactory
 from repro.experiments.runner import ExperimentRunner, Series, mean_std
+from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
 from repro.recovery.planner import plan_recovery
 from repro.sim.hardware import HardwareModel
 from repro.sim.recovery_sim import RecoverySimulator
@@ -52,7 +52,6 @@ def run_fig9_single(
     base_seed: int = 20160709,
     num_stripes: int | None = None,
     include_disk: bool = True,
-    workers: int | None = None,
 ) -> Fig9Result:
     """Reproduce one panel (one CFS) of Figure 9.
 
@@ -62,10 +61,7 @@ def run_fig9_single(
     runner = ExperimentRunner(
         config, runs=runs, base_seed=base_seed, num_stripes=num_stripes
     )
-    results = runner.run_all(
-        {"CAR": CarFactory(), "RR": RandomRecoveryFactory()},
-        workers=workers,
-    )
+    results = runner.run_all({"CAR": lambda seed: CarStrategy(), "RR": RandomRecoveryStrategy})
     times: dict[str, dict[int, list[float]]] = {
         name: {size: [] for size in chunk_sizes} for name in ("CAR", "RR")
     }
@@ -105,7 +101,6 @@ def run_fig9(
     chunk_sizes: tuple[int, ...] = PAPER_CHUNK_SIZES,
     base_seed: int = 20160709,
     num_stripes: int | None = None,
-    workers: int | None = None,
 ) -> list[Fig9Result]:
     """Reproduce all three panels of Figure 9."""
     return [
@@ -115,7 +110,6 @@ def run_fig9(
             chunk_sizes=chunk_sizes,
             base_seed=base_seed,
             num_stripes=num_stripes,
-            workers=workers,
         )
         for cfg in ALL_CFS
     ]

@@ -32,19 +32,18 @@ from repro.analysis.bounds import (
 )
 from repro.erasure.piggyback import balanced_groups
 from repro.experiments.configs import ALL_CFS, MB, PAPER_CHUNK_SIZES, CFSConfig
-from repro.experiments.factories import (
-    CarFactory,
-    PiggybackFactory,
-    RackMSRFactory,
-    RandomRecoveryFactory,
-)
 from repro.experiments.runner import (
     ExperimentRunner,
     RunResult,
     Series,
     mean_std,
 )
-from repro.recovery.regenerating import rack_msr_params
+from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
+from repro.recovery.regenerating import (
+    PiggybackStrategy,
+    RackAwareMSRStrategy,
+    rack_msr_params,
+)
 
 __all__ = [
     "StrategyOutcome",
@@ -182,7 +181,6 @@ def run_regen_single(
     chunk_sizes: tuple[int, ...] = PAPER_CHUNK_SIZES,
     base_seed: int = 20190104,
     num_stripes: int | None = None,
-    workers: int | None = None,
     telemetry: str | Path | None = None,
 ) -> RegenResult:
     """The regenerating-code sweep on one CFS configuration.
@@ -201,11 +199,10 @@ def run_regen_single(
     )
     random_results = random_runner.run_all(
         {
-            "CAR": CarFactory(),
-            "RR": RandomRecoveryFactory(),
-            "Piggyback": PiggybackFactory(),
-        },
-        workers=workers,
+            "CAR": lambda seed: CarStrategy(),
+            "RR": RandomRecoveryStrategy,
+            "Piggyback": lambda seed: PiggybackStrategy(),
+        }
     )
     aligned_runner = ExperimentRunner(
         config, runs=runs, base_seed=base_seed, num_stripes=num_stripes,
@@ -213,7 +210,7 @@ def run_regen_single(
         placement_policy="rack_aligned",
     )
     aligned_results = aligned_runner.run_all(
-        {"RackMSR": RackMSRFactory()}, workers=workers
+        {"RackMSR": lambda seed: RackAwareMSRStrategy()}
     )
     outcomes = {
         name: _summarise(
@@ -233,7 +230,6 @@ def run_regen(
     chunk_sizes: tuple[int, ...] = PAPER_CHUNK_SIZES,
     base_seed: int = 20190104,
     num_stripes: int | None = None,
-    workers: int | None = None,
     telemetry: str | Path | None = None,
 ) -> list[RegenResult]:
     """The regenerating-code sweep on all three CFS configurations."""
@@ -244,7 +240,6 @@ def run_regen(
             chunk_sizes=chunk_sizes,
             base_seed=base_seed,
             num_stripes=num_stripes,
-            workers=workers,
             telemetry=(
                 Path(telemetry) / cfg.name if telemetry is not None else None
             ),

@@ -19,6 +19,7 @@ from repro.experiments.fig8 import Fig8Result
 from repro.experiments.fig9 import Fig9Result
 from repro.experiments.fig10 import Fig10Result
 from repro.experiments.regen import RegenResult
+from repro.obs.report import format_table
 
 __all__ = [
     "format_table",
@@ -31,18 +32,6 @@ __all__ = [
     "render_oversubscription",
     "render_greedy_vs_optimal",
 ]
-
-
-def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Render an aligned text table."""
-    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = []
-    for idx, row in enumerate(cells):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        if idx == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
 
 
 def render_fig7(results: Sequence[Fig7Result]) -> str:

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-import pickle
 import statistics
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,13 +38,12 @@ _NULL_CTX = nullcontext()
 
 @dataclass(frozen=True)
 class RunTelemetry:
-    """Telemetry captured by one run, serialisable across processes.
+    """Telemetry captured by one run, as plain data.
 
     Attributes:
         events: the run's JSONL-ready trace records (spans + events).
-        metrics: the run's registry snapshot (no cache section — cache
-            stats are process-local and would not aggregate
-            deterministically across worker counts).
+        metrics: the run's registry snapshot (no cache section — caches
+            live for the whole process, so they are not one run's).
     """
 
     events: tuple[dict, ...]
@@ -123,23 +120,16 @@ class ExperimentRunner:
             placement and failure choice.
         num_stripes: stripes per run (paper: 100).
         telemetry: optional directory.  When set, every run records a
-            span trace and a fresh per-run metrics registry (shipped
-            back from worker processes as plain dicts), and
+            span trace and a fresh per-run metrics registry, and
             :meth:`run_all` persists ``trace.jsonl`` (each record
             annotated with its run index), ``metrics.json`` (the
-            per-run registries merged in run order — identical for any
-            worker count), and ``profile.jsonl`` (coordinator resource
-            samples over the batch) into the directory.
+            per-run registries merged in run order, plus the batch's
+            ``profile.*`` resource gauges), and ``profile.jsonl``
+            (resource samples over the batch) into the directory.
         placement_policy: forwarded to
             :func:`~repro.experiments.configs.build_state` — the regen
             experiment runs its rack-aware MSR arm on the
             ``"rack_aligned"`` layout.
-        profile_interval: seconds between resource samples of the
-            batch-wide :class:`~repro.obs.profile.ResourceSampler`
-            (only active when ``telemetry`` is set).  The sampler runs
-            in the coordinator process only and folds into
-            ``metrics.json`` as ``profile.*`` gauges *after* workers
-            finish, so the snapshot stays worker-count invariant.
     """
 
     def __init__(
@@ -150,7 +140,6 @@ class ExperimentRunner:
         num_stripes: int | None = None,
         telemetry: str | Path | None = None,
         placement_policy: str = "random",
-        profile_interval: float = 0.05,
     ) -> None:
         self.config = config
         self.runs = runs
@@ -158,64 +147,29 @@ class ExperimentRunner:
         self.num_stripes = num_stripes
         self.telemetry = Path(telemetry) if telemetry is not None else None
         self.placement_policy = placement_policy
-        self.profile_interval = profile_interval
 
     def run_all(
         self,
         strategy_factories: dict[str, Callable[[int], RecoveryStrategy]],
-        workers: int | None = None,
     ) -> list[RunResult]:
-        """Execute every run with freshly built strategies.
+        """Execute every run, in order, with freshly built strategies.
 
         Args:
-            strategy_factories: name -> factory taking the run seed and
+            strategy_factories: name -> callable taking the run seed and
                 returning a strategy instance (strategies with RNGs must
-                be re-seeded per run for reproducibility).
-            workers: number of worker processes.  ``None`` or ``1`` runs
-                serially in-process; larger values fan the independent
-                runs out over a :class:`ProcessPoolExecutor`.  Each run
-                is a pure function of ``(config, base_seed + i,
-                factories)``, and results are gathered in run order, so
-                the output is identical for every worker count.
-
-        Raises:
-            ConfigurationError: if ``workers`` is not positive, or the
-                factories cannot be pickled for worker processes (use
-                the classes in :mod:`repro.experiments.factories`
-                instead of lambdas when parallelising).
+                be re-seeded per run for reproducibility), e.g.
+                ``RandomRecoveryStrategy`` itself or
+                ``lambda seed: CarStrategy(iterations=20)``.
         """
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         sampler = None
         if self.telemetry is not None:
             from repro.obs.profile import ResourceSampler
 
-            sampler = ResourceSampler(interval=self.profile_interval).start()
+            sampler = ResourceSampler().start()
         try:
-            if workers is None or workers == 1 or self.runs <= 1:
-                results = [
-                    self.run_one(i, strategy_factories)
-                    for i in range(self.runs)
-                ]
-                return self._persist_telemetry(results, sampler)
-            # Probe picklability exactly once and keep the payload: every
-            # submit ships the already-serialised bytes instead of
-            # re-pickling the factory dict per run.
-            try:
-                payload = pickle.dumps(strategy_factories)
-            except Exception as exc:
-                raise ConfigurationError(
-                    "strategy factories must be picklable for workers > 1 "
-                    "(lambdas are not; use repro.experiments.factories)"
-                ) from exc
-            with ProcessPoolExecutor(
-                max_workers=min(workers, self.runs)
-            ) as pool:
-                futures = [
-                    pool.submit(_run_one_from_payload, self, i, payload)
-                    for i in range(self.runs)
-                ]
-                results = [f.result() for f in futures]
+            results = [
+                self.run_one(i, strategy_factories) for i in range(self.runs)
+            ]
             return self._persist_telemetry(results, sampler)
         finally:
             if sampler is not None:
@@ -226,13 +180,10 @@ class ExperimentRunner:
     ) -> list[RunResult]:
         """Write the aggregate trace + metrics of a telemetry-enabled batch.
 
-        Per-run snapshots merge in run order, so the ``metrics.json``
-        aggregate is bit-identical for any worker count; the cache
-        section reflects this (parent) process only.  The batch-wide
-        resource sampler (coordinator process only) lands as
+        Per-run snapshots merge in run order; the cache section is the
+        process's.  The batch-wide resource sampler lands as
         ``profile.jsonl`` plus ``profile.*`` gauges in the merged
-        snapshot — gauges are last-write-wins on merge, so they too are
-        identical for any worker count.
+        snapshot.
         """
         if self.telemetry is None:
             return results
@@ -274,9 +225,7 @@ class ExperimentRunner:
 
         With telemetry enabled the run gets its own tracer and a fresh
         :class:`MetricsRegistry` installed as the current registry for
-        its duration — runs are then self-contained telemetry units
-        that aggregate identically regardless of which process (or how
-        many workers) executed them.
+        its duration, so each run is a self-contained telemetry unit.
         """
         seed = self.base_seed + run_index
         if self.telemetry is None:
@@ -339,18 +288,6 @@ class ExperimentRunner:
             solutions=solutions,
             strategies=strategies,
         )
-
-
-def _run_one_from_payload(
-    runner: ExperimentRunner, run_index: int, payload: bytes
-) -> RunResult:
-    """Worker entry point: rebuild the factories from the probe payload.
-
-    Module-level so it pickles by reference; the factories cross the
-    process boundary as the bytes the picklability probe already
-    produced, not as a fresh serialisation per run.
-    """
-    return runner.run_one(run_index, pickle.loads(payload))
 
 
 # -- durable (crash-resumable) single runs --------------------------------

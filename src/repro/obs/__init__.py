@@ -7,8 +7,8 @@ stripe, per rack, and per run:
 - :mod:`repro.obs.tracer` — zero-dependency span tracer (parent/child
   nesting, injected clock, structured JSONL events);
 - :mod:`repro.obs.metrics` — Counter/Gauge/Histogram registry with
-  labels, deterministic ``merge()`` for the parallel experiment
-  driver, and named-cache registration;
+  labels, deterministic ``merge()`` of per-run snapshots, and
+  named-cache registration;
 - :mod:`repro.obs.report` — plain-text rendering behind the
   ``repro-car trace`` / ``repro-car metrics`` subcommands;
 - :mod:`repro.obs.export` — Chrome Trace Event Format (Perfetto /

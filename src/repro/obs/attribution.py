@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.obs.report import _table
+from repro.obs.report import _seconds, format_table
 
 __all__ = [
     "StageBreakdown",
@@ -212,10 +212,6 @@ def attribute(events: list[dict], top_k: int = 5) -> TraceAttribution:
     return att
 
 
-def _seconds(value: float) -> str:
-    return f"{value:.6f}" if value < 10 else f"{value:.3f}"
-
-
 def render_attribution(att: TraceAttribution) -> str:
     """Render an attribution as the ``repro-car report`` text."""
     if not att.stages:
@@ -237,7 +233,7 @@ def render_attribution(att: TraceAttribution) -> str:
     ]
     parts.append(
         "Per-stage breakdown (exclusive span time)\n"
-        + _table(
+        + format_table(
             ["stage", "spans", "events", "self_s", "share", "bytes"], rows
         )
     )
@@ -252,7 +248,7 @@ def render_attribution(att: TraceAttribution) -> str:
         ]
         parts.append(
             f"Slowest stripes ({att.stripe_span_name})\n"
-            + _table(["stripe", "seconds"], rows)
+            + format_table(["stripe", "seconds"], rows)
         )
     if att.critical_path:
         rows = [
@@ -261,6 +257,6 @@ def render_attribution(att: TraceAttribution) -> str:
         ]
         parts.append(
             f"Critical path ({_seconds(att.critical_path_seconds)} s)\n"
-            + _table(["span", "seconds"], rows)
+            + format_table(["span", "seconds"], rows)
         )
     return "\n\n".join(parts)

@@ -12,9 +12,8 @@ the temporal half).  Three metric types, all supporting labels
 
 Registries serialise to plain dicts (:meth:`MetricsRegistry.snapshot`)
 and **merge deterministically** (:meth:`MetricsRegistry.merge`): the
-parallel experiment driver gives each run a fresh registry in whatever
-worker process executes it, ships the snapshot back, and folds them in
-run order — so the aggregate is identical for any worker count.
+experiment runner gives each run a fresh registry and folds the
+snapshots in run order.
 
 Instrumented hot paths use the *current* registry
 (:func:`current_registry`), a process-global slot installed by

@@ -11,10 +11,8 @@ batch runs:
 
 Samples are plain dicts (JSONL-ready, like trace records) and the
 summary folds into a :class:`~repro.obs.metrics.MetricsRegistry` as
-gauges — :meth:`ResourceSampler.merge_into` runs in the coordinator
-process only, *after* workers finish, so the persisted snapshot is
-identical for any worker count (the invariance contract the parallel
-runner's metrics already keep).
+gauges (:meth:`ResourceSampler.merge_into`, after the sampled work
+finishes).
 
 Attachment points: ``PlanExecutor(profiler=...)`` brackets
 ``execute`` (and ``RobustExecutor.run``) with start/stop, and

@@ -217,7 +217,7 @@ def compare(
 
 def render_comparison(report: ComparisonReport) -> str:
     """Human-readable comparison table (regressions first)."""
-    from repro.obs.report import _table
+    from repro.obs.report import format_table
 
     lines = [
         f"Bench comparison — suite {report.suite}, "
@@ -239,7 +239,7 @@ def render_comparison(report: ComparisonReport) -> str:
     ]
     if rows:
         lines.append(
-            _table(
+            format_table(
                 ["bench", "metric", "baseline", "fresh", "ratio", "verdict"],
                 rows,
             )

@@ -3,26 +3,28 @@
 Backs the ``repro-car trace <trace.jsonl>`` and ``repro-car metrics
 <metrics.json>`` subcommands: compact per-stage / per-rack summaries of
 a recorded recovery, and a table view of a metrics snapshot including
-named-cache effectiveness.
+named-cache effectiveness.  :func:`format_table` is the one aligned
+text table every ``repro-car`` report prints through.
 """
 
 from __future__ import annotations
 
 from collections import Counter as TallyCounter
 from collections import defaultdict
+from collections.abc import Sequence
 
-__all__ = ["render_trace", "render_metrics"]
+__all__ = ["format_table", "render_trace", "render_metrics"]
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def fmt(cells):
-        return "  ".join(str(c).ljust(w) for c, w in zip(cells, widths)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """Render an aligned text table: two-space gutter, a dash rule."""
+    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
+    lines = []
+    for idx, row in enumerate(cells):
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        if idx == 0:
+            lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
 
@@ -66,7 +68,7 @@ def render_trace(events: list[dict]) -> str:
         ]
         parts.append(
             "Spans\n"
-            + _table(["name", "count", "total_s", "mean_s", "max_s"], rows)
+            + format_table(["name", "count", "total_s", "mean_s", "max_s"], rows)
         )
 
     stage_events = [p for p in points if p["name"] == "exec.stage"]
@@ -84,7 +86,7 @@ def render_trace(events: list[dict]) -> str:
         ]
         parts.append(
             "Pipeline stages (exec.stage)\n"
-            + _table(["stage", "count", "racks"], rows)
+            + format_table(["stage", "count", "racks"], rows)
         )
         by_rack: TallyCounter = TallyCounter()
         for p in stage_events:
@@ -94,7 +96,7 @@ def render_trace(events: list[dict]) -> str:
             for rack, count in sorted(by_rack.items(), key=lambda kv: str(kv[0]))
         ]
         parts.append(
-            "Per-rack stage checkpoints\n" + _table(["rack", "events"], rows)
+            "Per-rack stage checkpoints\n" + format_table(["rack", "events"], rows)
         )
 
     notable = [
@@ -105,7 +107,7 @@ def render_trace(events: list[dict]) -> str:
     if notable:
         tally: TallyCounter = TallyCounter(p["name"] for p in notable)
         rows = [[name, str(n)] for name, n in sorted(tally.items())]
-        parts.append("Faults & responses\n" + _table(["event", "count"], rows))
+        parts.append("Faults & responses\n" + format_table(["event", "count"], rows))
 
     sim_spans = [s for s in spans if s["name"] == "sim.stripe"]
     if sim_spans:
@@ -114,7 +116,7 @@ def render_trace(events: list[dict]) -> str:
         rows = [[k.removesuffix("_s"), _seconds(v)] for k, v in totals.items()]
         parts.append(
             f"Simulated time breakdown ({len(sim_spans)} stripes)\n"
-            + _table(["stage", "busy_s"], rows)
+            + format_table(["stage", "busy_s"], rows)
         )
 
     return "\n\n".join(parts)
@@ -143,7 +145,7 @@ def render_metrics(snapshot: dict) -> str:
                     [name, _fmt_labels(series["labels"]), f"{series['value']:g}"]
                 )
         if rows:
-            parts.append(f"{title}\n" + _table(["name", "labels", "value"], rows))
+            parts.append(f"{title}\n" + format_table(["name", "labels", "value"], rows))
 
     rows = []
     for name, entry in sorted(metrics.items()):
@@ -164,7 +166,7 @@ def render_metrics(snapshot: dict) -> str:
     if rows:
         parts.append(
             "Histograms\n"
-            + _table(["name", "labels", "count", "mean", "sum"], rows)
+            + format_table(["name", "labels", "count", "mean", "sum"], rows)
         )
 
     caches = snapshot.get("caches", {})
@@ -183,7 +185,7 @@ def render_metrics(snapshot: dict) -> str:
         ]
         parts.append(
             "Caches\n"
-            + _table(
+            + format_table(
                 ["name", "inst", "hits", "misses", "hit_rate", "entries",
                  "evictions"],
                 rows,

@@ -100,8 +100,6 @@ class Coordinator:
             pacing fine-grained).
         crash_after_records: arm a coordinator crash inside the *next*
             repair session (the durable layer's crash hook).
-        verify_reads: compare degraded-read reconstructions against the
-            data store's ground truth and report the verdict.
         tracer: event-loop tracer (defaults to a fresh one).
     """
 
@@ -119,7 +117,6 @@ class Coordinator:
         detector_interval: float = 0.2,
         repair_window: int = 4,
         crash_after_records: int | None = None,
-        verify_reads: bool = True,
         tracer: Tracer | None = None,
     ) -> None:
         if state.data is None:
@@ -145,7 +142,6 @@ class Coordinator:
         self.detector_interval = float(detector_interval)
         self.repair_window = repair_window
         self.crash_after_records = crash_after_records
-        self.verify_reads = verify_reads
         self.tracer = tracer if tracer is not None else Tracer()
         self.selector = CarSelector(state.topology, state.code.k)
         self._dtype = buffer_dtype(gf(state.code.w))
@@ -403,11 +399,9 @@ class Coordinator:
         delay = self.admission.client_delay(chunk_size * max(1, racks))
         await asyncio.sleep(self.clock.to_real(delay))
         end = start + delay
-        ok = True
-        if self.verify_reads:
-            ok = self.state.data.matches(
-                stripe, chunk, np.frombuffer(buf, dtype=self._dtype)
-            )
+        ok = self.state.data.matches(
+            stripe, chunk, np.frombuffer(buf, dtype=self._dtype)
+        )
         self.reads_served += 1
         if degraded:
             self.degraded_reads += 1

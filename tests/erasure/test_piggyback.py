@@ -3,7 +3,7 @@
 Byte-identity and bound-compliance properties live in
 ``tests/analysis/test_regen_bounds.py``; this file covers the
 structural API — group partitioning, source lists, validation and
-error paths, and ``__reduce__`` for pool workers.
+error paths, and the ``__reduce__`` pickle round trip.
 """
 
 import pickle

@@ -2,9 +2,8 @@
 
 Covers the flat :class:`PMMSRCode` (parameter validation, the
 degenerate ``d = k`` point at ``k = 2``), the two-tier
-:class:`RackAwareMSRCode`, and pickling both across a real
-``ProcessPoolExecutor`` — the experiment driver ships codes to pool
-workers via ``__reduce__``.
+:class:`RackAwareMSRCode`, and pickling both through ``__reduce__``,
+across a real ``ProcessPoolExecutor`` too.
 """
 
 import pickle

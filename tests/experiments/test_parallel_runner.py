@@ -1,20 +1,15 @@
-"""The parallel experiment driver must be invisible in the results.
+"""The experiment runner's batch is its run loop, and nothing else.
 
-``run_all(workers=N)`` fans independent runs over worker processes;
-every run is a pure function of ``(config, base_seed + i, factories)``
-and results are gathered in submission order, so the output must be
-byte-identical to the serial loop for any worker count.
+Every run is a pure function of ``(config, base_seed + i, factories)``,
+so ``run_all`` must equal the runs taken one by one, two batches must
+agree, and the telemetry a batch persists must match its in-memory
+merge.  Fault-layer objects still pickle, for callers that ship them.
 """
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.experiments import (
-    CFS1,
-    CarFactory,
-    ExperimentRunner,
-    RandomRecoveryFactory,
-)
+from repro.experiments import CFS1, ExperimentRunner
+from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
 
 
 def _runner(runs=3):
@@ -39,23 +34,21 @@ def _fingerprint(results):
     return out
 
 
-FACTORIES = {"CAR": CarFactory(), "RR": RandomRecoveryFactory()}
+FACTORIES = {"CAR": lambda seed: CarStrategy(), "RR": RandomRecoveryStrategy}
 
 
 class TestParallelIdentity:
-    def test_workers_2_identical_to_serial(self):
-        serial = _runner().run_all(FACTORIES, workers=1)
-        parallel = _runner().run_all(FACTORIES, workers=2)
-        assert _fingerprint(serial) == _fingerprint(parallel)
-
     def test_workers_none_is_serial_default(self):
-        assert _fingerprint(_runner().run_all(FACTORIES)) == _fingerprint(
-            _runner().run_all(FACTORIES, workers=1)
+        runner = _runner()
+        assert _fingerprint(runner.run_all(FACTORIES)) == _fingerprint(
+            [runner.run_one(i, FACTORIES) for i in range(runner.runs)]
         )
 
     def test_parallel_preserves_strategy_artifacts(self):
-        """Balance traces survive the pickle trip back from workers."""
-        results = _runner(runs=2).run_all({"CAR": CarFactory()}, workers=2)
+        """Each run keeps its strategy instances and their balance traces."""
+        results = _runner(runs=2).run_all(
+            {"CAR": lambda seed: CarStrategy()}
+        )
         for r in results:
             trace = r.strategies["CAR"].last_trace
             assert trace is not None
@@ -63,21 +56,20 @@ class TestParallelIdentity:
 
 
 class TestTelemetryAggregation:
-    """Merged metrics must not depend on how runs were distributed."""
+    """Merged metrics are a function of the runs, not of the batch."""
 
-    def _merged_snapshot(self, tmp_path, workers, tag):
+    def _merged_snapshot(self, tmp_path, tag):
         runner = ExperimentRunner(
             CFS1, runs=4, num_stripes=12, telemetry=tmp_path / tag
         )
-        results = runner.run_all(FACTORIES, workers=workers)
+        results = runner.run_all(FACTORIES)
         return runner.merged_metrics(results).snapshot()
 
     def test_metric_aggregate_identical_for_any_worker_count(self, tmp_path):
-        serial = self._merged_snapshot(tmp_path, None, "serial")
-        two = self._merged_snapshot(tmp_path, 2, "w2")
-        three = self._merged_snapshot(tmp_path, 3, "w3")
-        assert serial["metrics"]
-        assert serial == two == three
+        first = self._merged_snapshot(tmp_path, "first")
+        second = self._merged_snapshot(tmp_path, "second")
+        assert first["metrics"]
+        assert first == second
 
     def test_written_metrics_match_in_memory_merge(self, tmp_path):
         import json
@@ -85,11 +77,11 @@ class TestTelemetryAggregation:
         runner = ExperimentRunner(
             CFS1, runs=2, num_stripes=12, telemetry=tmp_path / "out"
         )
-        results = runner.run_all(FACTORIES, workers=2)
+        results = runner.run_all(FACTORIES)
         written = json.loads((tmp_path / "out" / "metrics.json").read_text())
         merged = runner.merged_metrics(results).snapshot(include_caches=True)
-        # The written file additionally carries the coordinator's
-        # resource-profile gauges, sampled once in the parent process.
+        # The written file additionally carries the batch's
+        # resource-profile gauges.
         profile = {
             k: v for k, v in written["metrics"].items()
             if k.startswith("profile.")
@@ -107,7 +99,7 @@ class TestTelemetryAggregation:
         runner = ExperimentRunner(
             CFS1, runs=3, num_stripes=12, telemetry=tmp_path / "out"
         )
-        runner.run_all(FACTORIES, workers=2)
+        runner.run_all(FACTORIES)
         events = read_jsonl(tmp_path / "out" / "trace.jsonl")
         assert validate_events(events) == len(events) > 0
         assert {e["run"] for e in events} == {0, 1, 2}
@@ -118,19 +110,7 @@ class TestTelemetryAggregation:
 
 
 class TestParallelValidation:
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ConfigurationError):
-            _runner().run_all(FACTORIES, workers=0)
-
-    def test_rejects_unpicklable_factories(self):
-        with pytest.raises(ConfigurationError, match="picklable"):
-            _runner().run_all(
-                {"CAR": lambda seed: None}, workers=2
-            )
-
     def test_lambdas_still_fine_serially(self):
-        from repro.recovery.baselines import CarStrategy
-
         results = _runner(runs=1).run_all(
             {"CAR": lambda seed: CarStrategy()}
         )
@@ -138,7 +118,7 @@ class TestParallelValidation:
 
 
 class TestFaultArtifactPickling:
-    """Fault-layer objects must survive the worker pickle boundary.
+    """Fault-layer objects must survive a process boundary.
 
     Regression suite: ``RecoveryAbort``/``InjectedCrashError`` carry
     required constructor arguments, and exceptions with such signatures

@@ -3,8 +3,8 @@
 Strategy-level behaviour of :class:`RackAwareMSRStrategy` and
 :class:`PiggybackStrategy`: parameter derivation, weighted solutions,
 planner volume accounting, :class:`StrategyError` naming (including the
-``__init_subclass__`` annotation of foreign errors), and factory
-pickling for the parallel experiment driver.
+``__init_subclass__`` annotation of foreign errors), and that the
+strategies pickle as built.
 """
 
 import pickle
@@ -23,7 +23,6 @@ from repro.errors import (
     annotate_strategy,
 )
 from repro.experiments.configs import CFS1, CFS2, build_state
-from repro.experiments.factories import PiggybackFactory, RackMSRFactory
 from repro.recovery.baselines import RecoveryStrategy
 from repro.recovery.planner import plan_recovery
 from repro.recovery.regenerating import (
@@ -226,18 +225,19 @@ class TestStrategyErrorPlumbing:
 
 
 class TestFactories:
+    """A sweep builds these per run; the instances are plain data."""
+
     @pytest.mark.parametrize(
-        "factory,cls",
-        [
-            (RackMSRFactory(), RackAwareMSRStrategy),
-            (PiggybackFactory(), PiggybackStrategy),
-        ],
+        "cls", [RackAwareMSRStrategy, PiggybackStrategy],
         ids=["rackmsr", "piggyback"],
     )
-    def test_pickle_and_build(self, factory, cls):
-        clone = pickle.loads(pickle.dumps(factory))
-        assert isinstance(clone(seed=1), cls)
+    def test_pickle_and_build(self, cls):
+        state, _ = aligned_failed_state()
+        clone = pickle.loads(pickle.dumps(cls()))
+        assert isinstance(clone, cls)
+        assert (clone.solve(state).traffic_by_rack()
+                == cls().solve(state).traffic_by_rack())
 
     def test_rackmsr_factory_forwards_kbar(self):
-        strategy = RackMSRFactory(kbar=2)(seed=0)
-        assert strategy.kbar == 2
+        clone = pickle.loads(pickle.dumps(RackAwareMSRStrategy(kbar=2)))
+        assert clone.kbar == 2

@@ -101,8 +101,7 @@ def render() -> str:
         "(`repro.durable`);",
         "[PERFORMANCE.md](PERFORMANCE.md) covers the batched GF kernels,",
         "cache bounds, the windowed repair pipeline (lazy plans,",
-        "shared-memory chunk stores, batched dispatch), and the parallel",
-        "experiment driver;",
+        "batched dispatch), and why the sweeps run in one process;",
         "[OBSERVABILITY.md](OBSERVABILITY.md) covers the telemetry layer",
         "(`repro.obs`) — span tracing, the metrics registry, and the",
         "JSONL trace schema;",
