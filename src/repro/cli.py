@@ -541,6 +541,7 @@ def _run_stream(args: argparse.Namespace) -> str:
         "peak_rss_kib": peak_rss_kib,
         "cross_rack_bytes": result.cross_rack_bytes,
         "intra_rack_bytes": result.intra_rack_bytes,
+        "rebuilt_stripes": len(result.per_stripe_ok),
         "verified": ok_count == affected,
     }
     lines = [

@@ -25,6 +25,8 @@ import abc
 import random
 from collections.abc import Iterator, Mapping
 
+import numpy as np
+
 from repro.errors import ConfigurationError, PlacementError
 from repro.cluster.topology import ClusterTopology
 
@@ -72,6 +74,7 @@ class Placement:
         for key, nid in sorted(self._node_of.items()):
             self._chunks_on_node.setdefault(nid, []).append(key)
         self._validate()
+        self._table: np.ndarray | None = None
 
     def _validate(self) -> None:
         n = self.k + self.m
@@ -96,6 +99,27 @@ class Placement:
             raise PlacementError(
                 f"no placement for stripe {stripe_id} chunk {chunk_index}"
             ) from None
+
+    def node_table(self) -> np.ndarray:
+        """``(stripes, k + m)`` read-only array: the node of every chunk.
+
+        Built on first use, so a planner can look up a whole window of
+        holders in one indexing operation.
+        """
+        if self._table is None:
+            n = self.k + self.m
+            table = np.fromiter(
+                (
+                    self._node_of[(stripe, c)]
+                    for stripe in range(self.num_stripes)
+                    for c in range(n)
+                ),
+                dtype=np.int32,
+                count=self.num_stripes * n,
+            ).reshape(self.num_stripes, n)
+            table.setflags(write=False)
+            self._table = table
+        return self._table
 
     def rack_of_chunk(self, stripe_id: int, chunk_index: int) -> int:
         """Rack storing the given chunk."""

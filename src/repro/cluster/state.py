@@ -99,6 +99,19 @@ class DataStore:
         except KeyError:
             raise UnknownChunkError((stripe_id, chunk_index)) from None
 
+    def gather(self, stripe_ids, chunk_indices) -> list[np.ndarray]:
+        """The stored buffers of many chunks: one per (stripe, chunk) pair.
+
+        Raises:
+            UnknownChunkError: if any of the chunks does not exist.
+        """
+        try:
+            return list(
+                map(self._chunks.__getitem__, zip(stripe_ids, chunk_indices))
+            )
+        except KeyError as exc:
+            raise UnknownChunkError(exc.args[0]) from None
+
     def matches(self, stripe_id: int, chunk_index: int, buf: np.ndarray) -> bool:
         """True iff ``buf`` equals the ground-truth chunk byte-for-byte."""
         return bool(np.array_equal(self.chunk(stripe_id, chunk_index), buf))

@@ -58,6 +58,7 @@ __all__ = [
     "batch_dot",
     "segment_dot",
     "xor_segments",
+    "rows_equal",
 ]
 
 #: Per-(w, c) product tables for w <= 8: 256 entries, 256 B each.
@@ -411,6 +412,19 @@ def xor_segments(rows, starts, *, consume: bool = False) -> list[np.ndarray]:
             np.bitwise_xor(acc, row, out=acc)
         sums.append(acc)
     return sums
+
+
+def rows_equal(rows, others) -> list[bool]:
+    """Pairwise byte-for-byte equality of two equally long buffer lists.
+
+    A repair window's ground-truth check: short rows compare as bytes
+    (one copy and one ``memcmp`` each, a tenth of ``np.array_equal``'s
+    per-call cost); from ``_SHORT_ROW`` elements up, where that copy
+    would cost more than the comparison, without copying.
+    """
+    if rows and rows[0].shape[0] < _SHORT_ROW:
+        return [a.tobytes() == b.tobytes() for a, b in zip(rows, others)]
+    return list(map(np.array_equal, rows, others))
 
 
 def _dot_short(

@@ -105,6 +105,14 @@ class ShmDataStore:
             raise UnknownChunkError((stripe_id, chunk_index))
         return self._array[stripe_id, chunk_index]
 
+    def gather(self, stripe_ids, chunk_indices) -> list[np.ndarray]:
+        """The buffers of many chunks: one view per (stripe, chunk) pair.
+
+        Raises:
+            UnknownChunkError: if any of the chunks does not exist.
+        """
+        return [self.chunk(s, c) for s, c in zip(stripe_ids, chunk_indices)]
+
     def matches(self, stripe_id: int, chunk_index: int, buf: np.ndarray) -> bool:
         """True iff ``buf`` equals the ground-truth chunk byte-for-byte."""
         return bool(np.array_equal(self.chunk(stripe_id, chunk_index), buf))

@@ -19,7 +19,9 @@ Instrumented hot paths use the *current* registry
 (:func:`current_registry`), a process-global slot installed by
 :func:`telemetry_scope`.  When no scope is active the slot is ``None``
 and instrumentation reduces to one global load and an ``is None``
-check — the "disabled" cost the kernel bench bounds at <5%.
+check — the "disabled" cost the kernel bench bounds at <5%.  The
+mutators (``inc``, ``set``, ``add``, ``observe``, metric creation) share
+one lock, so two threads may record into one registry at once.
 
 :class:`~repro.cache.BoundedCache` instances constructed with a
 ``name`` self-register here (:func:`register_cache`, weakly) so cache
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import weakref
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
@@ -67,6 +70,10 @@ COUNT_BUCKETS: tuple[float, ...] = (
 
 _EMPTY: tuple = ()
 
+#: Held by every metric mutator: a repair's stage A counts GF kernel
+#: dispatches from its worker thread while stage B counts stripes.
+_LOCK = threading.Lock()
+
 
 def _label_key(labels: dict) -> tuple:
     if not labels:
@@ -96,7 +103,8 @@ class Counter:
                 f"counter {self.name}: negative increment {amount}"
             )
         key = _label_key(labels)
-        self._series[key] = self._series.get(key, 0) + amount
+        with _LOCK:
+            self._series[key] = self._series.get(key, 0) + amount
 
     def value(self, **labels) -> float:
         """Current value of one labelled series (0 if never touched)."""
@@ -132,12 +140,15 @@ class Gauge:
 
     def set(self, value: float, **labels) -> None:
         """Overwrite the labelled series."""
-        self._series[_label_key(labels)] = value
+        key = _label_key(labels)
+        with _LOCK:
+            self._series[key] = value
 
     def add(self, amount: float, **labels) -> None:
         """Adjust the labelled series by ``amount`` (may be negative)."""
         key = _label_key(labels)
-        self._series[key] = self._series.get(key, 0) + amount
+        with _LOCK:
+            self._series[key] = self._series.get(key, 0) + amount
 
     def value(self, **labels) -> float:
         """Current value (0 if never written)."""
@@ -192,16 +203,18 @@ class Histogram:
             self._series[key] = state
         return state
 
-    def observe(self, value: float, **labels) -> None:
-        """Record one observation into its bucket."""
-        state = self._state(_label_key(labels))
-        counts, _, _ = state
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[i] += 1
-                break
-        state[1] += 1
-        state[2] += value
+    def observe(self, value: float, n: int = 1, **labels) -> None:
+        """Record ``n`` observations of ``value`` into its bucket."""
+        key = _label_key(labels)
+        with _LOCK:
+            state = self._state(key)
+            counts, _, _ = state
+            for i, bound in enumerate(self.buckets):
+                if value <= bound:
+                    counts[i] += n
+                    break
+            state[1] += n
+            state[2] += value * n
 
     def count(self, **labels) -> int:
         """Observations recorded for one label set."""
@@ -276,7 +289,7 @@ class _NullMetric:
     def inc(self, amount: float = 1, **labels) -> None: ...
     def set(self, value: float, **labels) -> None: ...
     def add(self, amount: float, **labels) -> None: ...
-    def observe(self, value: float, **labels) -> None: ...
+    def observe(self, value: float, n: int = 1, **labels) -> None: ...
     def value(self, **labels) -> float:
         return 0.0
     def count(self, **labels) -> int:
@@ -310,9 +323,11 @@ class MetricsRegistry:
             return _NULL_METRIC
         metric = self._metrics.get(name)
         if metric is None:
-            metric = cls(name, help=help, **kwargs)
-            self._metrics[name] = metric
-        elif not isinstance(metric, cls):
+            with _LOCK:
+                metric = self._metrics.setdefault(
+                    name, cls(name, help=help, **kwargs)
+                )
+        if not isinstance(metric, cls):
             raise ConfigurationError(
                 f"metric {name!r} already registered as {metric.kind}"
             )

@@ -26,8 +26,10 @@ from repro.recovery.planner import (
     StreamingRecoveryPlan,
     StripePlan,
     Transfer,
+    WindowPlan,
     plan_recovery,
     plan_recovery_streaming,
+    plan_window,
 )
 from repro.recovery.selector import (
     CarSelector,
@@ -68,8 +70,10 @@ __all__ = [
     "StreamingRecoveryPlan",
     "StripePlan",
     "Transfer",
+    "WindowPlan",
     "plan_recovery",
     "plan_recovery_streaming",
+    "plan_window",
     "ReplacementPolicy",
     "SameNodeReplacementPolicy",
     "SameRackReplacementPolicy",

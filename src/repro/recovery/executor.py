@@ -10,31 +10,37 @@ the per-node compute and per-scope transfer byte counters that the
 timing model (:mod:`repro.sim`) consumes.
 
 There is one way a stripe is repaired.  :meth:`PlanExecutor.execute`
-takes ``(solution, stripe_plan)`` pairs a *window* at a time through two
-stages: **stage A** (:func:`repro.recovery.streaming.compute_window`,
-pure computation, one window ahead on a worker thread) decodes the
-window as one table, a kernel call for all its partials; **stage B**
-(:meth:`PlanExecutor._ship_stripe`, this thread) takes its stripes in
-order — derives each one's traffic and compute once, walks its
-checkpoint/delivery events if anything consumes them, and only then
-records, sinks and commits it.
+takes the plan a *window* at a time — a
+:class:`~repro.recovery.planner.WindowPlan`, the window as columns —
+through two stages: **stage A**
+(:func:`repro.recovery.streaming.compute_window`, pure computation, one
+window ahead on a worker thread) decodes the window as one table, a
+kernel call for all its partials; **stage B**
+(:meth:`PlanExecutor._ship_window`, this thread) takes its stripes in
+order — walks each one's checkpoint/delivery events if anything consumes
+them, records, sinks and commits it — and then charges the window's
+traffic and compute, counted once from the columns.
 
 The event walk is organised around named *pipeline stages*
 (:class:`PipelineStage`).  Before each stage the executor calls the
 :meth:`PlanExecutor._checkpoint` hook with the acting node's identity —
-telemetry and journal records here; the fault-injection layer
+trace events and journal records here; the fault-injection layer
 (:mod:`repro.faults`) overrides it to crash helpers, stall disks, or
-drop flows at exactly that point.  With no tracer, metrics registry,
-journal, integrity check or overriding subclass every event would be a
-no-op, so the walk is skipped; the result is the same either way.
+drop flows at exactly that point.  With no tracer, journal, integrity
+check or overriding subclass every event would be a no-op, so the walk
+is skipped — and so are the stripe's :class:`Transfer` objects, which
+only the walk reads; the result is the same either way.  A metrics
+registry does not need the walk: its ``exec.*`` counters are bumped
+once per window from the columns.
 
 Two orthogonal durability features (both off by default):
 
 - ``verify_integrity=True`` routes every transferred buffer — raw
   helper chunks and partially decoded aggregates alike — through
-  :meth:`PlanExecutor._deliver`: checksummed at creation, passed
-  through the :meth:`_transmit` hook (where the fault layer can corrupt
-  bytes in flight), and verified on receipt.  A mismatch invokes
+  :meth:`PlanExecutor._deliver`: handed to the :meth:`_transmit` hook
+  as a read-only view (where the fault layer can substitute corrupted
+  bytes in flight), and checksummed against the sender's bytes whenever
+  the hook hands back a different buffer.  A mismatch invokes
   :meth:`_on_corrupt` — here a hard :class:`IntegrityError`, in the
   robust executor a retransmit ladder — so no stripe is recorded, sunk
   or committed on an unverified byte.
@@ -65,7 +71,13 @@ from repro.errors import ConfigurationError, IntegrityError, PlanError
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.recovery import streaming as _streaming
-from repro.recovery.planner import RecoveryPlan, StreamingRecoveryPlan
+from repro.recovery.planner import (
+    RecoveryPlan,
+    StreamingRecoveryPlan,
+    WindowPlan,
+    plan_window,
+    windows,
+)
 from repro.recovery.solution import MultiStripeSolution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -139,14 +151,7 @@ class ExecutionResult:
         return sum(self.bytes_computed_by_node.values())
 
     def record(
-        self,
-        stripe_id: int,
-        rebuilt: np.ndarray,
-        ok: bool,
-        cross_bytes: int,
-        intra_bytes: int,
-        charges: dict[int, int],
-        sink=None,
+        self, stripe_id: int, rebuilt: np.ndarray, ok: bool, sink=None
     ) -> None:
         """Fold one repaired stripe in; with a ``sink`` the rebuilt
         chunk is handed off instead of retained."""
@@ -155,6 +160,11 @@ class ExecutionResult:
         else:
             self.reconstructed[stripe_id] = rebuilt
         self.per_stripe_ok[stripe_id] = ok
+
+    def charge(
+        self, cross_bytes: int, intra_bytes: int, charges: dict[int, int]
+    ) -> None:
+        """Add traffic and per-node compute."""
         self.cross_rack_bytes += cross_bytes
         self.intra_rack_bytes += intra_bytes
         computed = self.bytes_computed_by_node
@@ -203,10 +213,8 @@ class PlanExecutor:
         a :class:`~repro.recovery.planner.StreamingRecoveryPlan` with a
         ``sink`` to keep even million-stripe runs flat).  The stage A /
         stage B overlap is recorded as ``exec.stream.aggregate`` /
-        ``exec.stream.ship`` spans when tracing is on; because the
-        metrics registry is not thread-safe, an active registry runs the
-        two stages one after the other (on the same two threads).  The
-        result does not depend on ``window`` or ``workers``.
+        ``exec.stream.ship`` spans when tracing is on.  The result does
+        not depend on ``window`` or ``workers``.
 
         Args:
             plan: a :class:`RecoveryPlan` (pass the ``solution`` it was
@@ -252,41 +260,50 @@ class PlanExecutor:
         self._windows_done = 0
         return self.profiler if self.profiler is not None else nullcontext()
 
-    def _pairs(
+    def _window_source(
         self,
         plan: RecoveryPlan | StreamingRecoveryPlan,
         solution: MultiStripeSolution | None,
+        window: int,
     ):
-        """Either plan form as one lazy ``(sol, sp)`` iterator."""
+        """Either plan form as ``(lazy windows, stripe-plan lookup)``."""
         if isinstance(plan, StreamingRecoveryPlan):
             if solution is not None:
                 raise PlanError(
                     "a streaming plan carries its own solutions; "
                     "pass solution=None"
                 )
-            yield from plan.iter_stripe_plans()
-            return
+            return plan.iter_windows(window), plan.stripe_plan
         if solution is None:
             raise PlanError(
                 "executing a RecoveryPlan needs the MultiStripeSolution "
                 "it was built from"
             )
         by_id = {sp.stripe_id: sp for sp in plan.stripe_plans}
-        for sol in solution.solutions:
-            if sol.stripe_id not in by_id:
-                raise PlanError(f"no stripe plan for stripe {sol.stripe_id}")
-            yield sol, by_id[sol.stripe_id]
+
+        def columns():
+            for sols in windows(solution.solutions, window):
+                for sol in sols:
+                    if sol.stripe_id not in by_id:
+                        raise PlanError(
+                            f"no stripe plan for stripe {sol.stripe_id}"
+                        )
+                yield plan_window(
+                    self.state, plan.replacement_node, sols,
+                    aggregated=plan.aggregated,
+                )
+
+        return columns(), lambda sol: by_id[sol.stripe_id]
 
     def _observed(self) -> bool:
         """Whether anything consumes a stripe's checkpoint/delivery events.
 
-        With no tracer, registry, journal or integrity check, and no
-        subclass hooking checkpoints or deliveries (fault injection),
-        every event of the walk is a strict no-op.
+        With no tracer, journal or integrity check, and no subclass
+        hooking checkpoints or deliveries (fault injection), every event
+        of the walk is a strict no-op.
         """
         return (
             self.tracer.enabled
-            or _metrics.CURRENT is not None
             or self.journal is not None
             or self.verify_integrity
             or type(self)._checkpoint is not PlanExecutor._checkpoint
@@ -317,8 +334,7 @@ class PlanExecutor:
             window = _streaming.default_window(data.chunk_size)
         if window < 1:
             raise PlanError(f"window must be >= 1, got {window}")
-        aggregated, repl = plan.aggregated, plan.replacement_node
-        observed = self._observed()
+        walk = self._observed()
         if workers is not None and workers > 1:
             if self.journal is not None or self.verify_integrity:
                 raise ConfigurationError(
@@ -326,44 +342,37 @@ class PlanExecutor:
                     "the write-ahead journal is single-writer and workers "
                     "skip the in-flight delivery pipeline (run workers=1)"
                 )
+            # Workers return no partials, so there is nothing to walk.
+            walk = False
             stage_a = _streaming.process_stage(
-                code, data, aggregated, repl, workers=workers, shm=shm
+                code, data, workers=workers, shm=shm
             )
             depth = 2 * workers
-
-            def ship(shipment) -> None:
-                result.record(*shipment, sink)
         else:
-            stage_a = _streaming.thread_stage(
-                code, data, aggregated, keep_partials=observed
-            )
+            stage_a = _streaming.thread_stage(code, data, keep_partials=walk)
             depth = 1
-
-            def ship(outcome) -> None:
-                self._ship_stripe(
-                    outcome, result, aggregated, repl, sink, observed
-                )
+        plan_windows, stripe_plan = self._window_source(plan, solution, window)
 
         uncommitted = 0  # journal intents whose commits have not landed
         inflight: deque = deque()
 
         def ship_oldest(last: bool = False) -> None:
             nonlocal uncommitted
-            idx, computed = inflight.popleft()
-            outcomes, a0, a1 = computed.result()
+            idx, win, computed = inflight.popleft()
+            outcome = computed.result()
             b0 = time.perf_counter()
             before_cross = result.cross_rack_bytes
             before_intra = result.intra_rack_bytes
-            for outcome in outcomes:
-                ship(outcome)
+            self._ship_window(win, outcome, stripe_plan, result, sink, walk)
             if self.journal is not None:
                 # Group commit: one disk sync makes the whole window's
                 # commits durable.
                 self.journal.sync()
             if self.tracer.enabled:
-                n = len(outcomes)
+                n = len(win)
                 self.tracer.emit_span(
-                    "exec.stream.aggregate", a0, a1, window=idx, stripes=n
+                    "exec.stream.aggregate", outcome.started,
+                    outcome.finished, window=idx, stripes=n,
                 )
                 self.tracer.emit_span(
                     "exec.stream.ship", b0, time.perf_counter(),
@@ -373,26 +382,25 @@ class PlanExecutor:
                 )
             self._windows_done += 1
             if self.journal is not None:
-                uncommitted -= len(outcomes)
+                uncommitted -= len(win)
             if progress is not None and not last:
                 # Journal lag is the crash-exposure window.
                 self._report_progress(progress, result, lag=uncommitted)
 
         with stage_a as submit:
-            pairs = self._pairs(plan, solution)
-            for idx, win in enumerate(_streaming.windows(pairs, window)):
+            for idx, win in enumerate(plan_windows):
                 if self.journal is not None:
                     # Intent for every stripe of the window up front:
                     # on a crash mid-window the un-committed stripes are
                     # exactly the journal's pending set.
-                    for sol, _sp in win:
+                    for sol in win.solutions:
                         self.journal.stripe_intent(
                             sol.stripe_id,
-                            aggregated=aggregated,
+                            aggregated=win.aggregated,
                             lost_chunk=sol.lost_chunk,
                         )
                     uncommitted += len(win)
-                inflight.append((idx, submit(win)))
+                inflight.append((idx, win, submit(win)))
                 if len(inflight) > depth:
                     ship_oldest()
             while inflight:
@@ -415,56 +423,62 @@ class PlanExecutor:
             journal_lag=lag,
         )
 
-    def _ship_stripe(
-        self, outcome, result, aggregated, repl, sink, observed
+    def _ship_window(
+        self, win: WindowPlan, outcome, stripe_plan, result, sink, walk
     ) -> None:
-        """Stage B for one decoded stripe: walk, record, commit.
+        """Stage B for one decoded window: walk, record, commit, charge.
 
-        The stripe's traffic and compute are derived once, from its
-        plan; the event walk (checkpoints, verified deliveries) only
-        decides *whether* the stripe completes.  If a hook raises, the
-        stripe is neither recorded nor sunk nor committed.
+        Stripes ship in order.  If a hook raises, that stripe is neither
+        recorded nor sunk nor committed; either way the window's traffic
+        and compute are then charged, from its columns, for exactly the
+        stripes that shipped.
         """
-        sol = outcome.sol
-        cross, intra, charges = _streaming.stripe_accounting(
-            outcome, aggregated, repl, self.state.data.chunk_size
-        )
-        if observed:
-            with self.tracer.span(
-                "exec.stripe", stripe_id=sol.stripe_id, aggregated=aggregated
-            ):
-                self._walk_stripe(outcome, aggregated, repl)
-            reg = _metrics.CURRENT
-            if reg is not None:
-                mode = "aggregated" if aggregated else "direct"
-                reg.counter("exec.stripes").inc(mode=mode)
-        result.record(
-            sol.stripe_id, outcome.rebuilt, outcome.ok,
-            cross, intra, charges, sink,
-        )
-        if self.journal is not None:
-            self.journal.stripe_commit(
-                sol.stripe_id,
-                outcome.rebuilt,
-                lost_chunk=sol.lost_chunk,
-                ok=outcome.ok,
-                cross_rack_bytes=cross,
-                intra_rack_bytes=intra,
-                bytes_computed_by_node=charges,
-            )
+        chunk_bytes = self.state.data.chunk_size
+        shipped = 0
+        try:
+            for i, sol in enumerate(win.solutions):
+                if walk:
+                    sp = stripe_plan(sol)
+                    with self.tracer.span(
+                        "exec.stripe", stripe_id=sol.stripe_id,
+                        aggregated=win.aggregated,
+                    ):
+                        self._walk_stripe(sol, sp, outcome, i, win)
+                result.record(
+                    sol.stripe_id, outcome.rebuilt[i], outcome.ok[i], sink
+                )
+                if self.journal is not None:
+                    cross, intra, charges = _streaming.stripe_accounting(
+                        sp, chunk_bytes
+                    )
+                    self.journal.stripe_commit(
+                        sol.stripe_id,
+                        outcome.rebuilt[i],
+                        lost_chunk=sol.lost_chunk,
+                        ok=outcome.ok[i],
+                        cross_rack_bytes=cross,
+                        intra_rack_bytes=intra,
+                        bytes_computed_by_node=charges,
+                    )
+                shipped += 1
+        finally:
+            if shipped:
+                result.charge(*win.ledger(chunk_bytes, shipped))
+                reg = _metrics.CURRENT
+                if reg is not None:
+                    _count_window(reg, win, shipped)
 
-    def _walk_stripe(self, outcome, aggregated: bool, repl: int) -> None:
+    def _walk_stripe(self, sol, sp, outcome, i: int, win: WindowPlan) -> None:
         """Fire one stripe's checkpoints and deliveries in pipeline order.
 
         Every helper chunk is read, raw chunks move to their delegate or
         the replacement node, each delegate partially decodes and ships
         its partial, the replacement node folds the failed rack's
         survivors and combines.  The decode itself already happened in
-        stage A; a delivery hands back the verified copy of a buffer
-        stage A read, so its bytes are the ones that were decoded.
+        stage A; a delivery ships a buffer stage A read or produced, so
+        its bytes are the ones that were decoded.
         """
-        sol, sp = outcome.sol, outcome.sp
-        sid = sol.stripe_id
+        sid, repl = sol.stripe_id, win.replacement_node
         data, topology = self.state.data, self.state.topology
         for c in sol.helpers:
             node = self.state.placement.node_of(sid, c)
@@ -485,9 +499,10 @@ class PlanExecutor:
                 stripe_id=sid, node=t.src_node, rack=t.src_rack,
                 chunk=t.chunk_index,
             )
-        if aggregated:
+        if win.aggregated:
+            partials = outcome.partials_of(i)
             for group in sorted(
-                outcome.groups,
+                outcome.decodes[i].groups,
                 key=lambda g: (g.group_key != sol.failed_rack, g.group_key),
             ):
                 rack = group.group_key
@@ -509,7 +524,7 @@ class PlanExecutor:
                     )
                 self._deliver(
                     _transfer_stage(partial_from[node]),
-                    outcome.partials[rack],
+                    partials[rack],
                     stripe_id=sid, node=node, rack=rack, is_partial=True,
                 )
         self._checkpoint(
@@ -531,9 +546,9 @@ class PlanExecutor:
     ) -> None:
         """Stage hook; the fault-injection executor extends this.
 
-        The base emits one ``exec.stage`` trace event (and a per-stage
-        counter) per checkpoint when telemetry is enabled; it is a
-        strict no-op otherwise.
+        The base emits one ``exec.stage`` trace event per checkpoint when
+        tracing is enabled and a journal record at the journalled
+        stages; it is a strict no-op otherwise.
         """
         if self.tracer.enabled:
             self.tracer.event(
@@ -545,9 +560,6 @@ class PlanExecutor:
                 chunk=chunk,
                 is_partial=is_partial,
             )
-        reg = _metrics.CURRENT
-        if reg is not None:
-            reg.counter("exec.stage.checkpoints").inc(stage=stage.value)
         if self.journal is not None and stage in _JOURNALED_STAGES:
             self.journal.stage(
                 stripe_id,
@@ -575,9 +587,11 @@ class PlanExecutor:
         crash/stall/drop semantics and checkpoint ordering).  With
         integrity verification off this is the whole story and the
         sender's buffer is returned untouched.  With it on, the buffer
-        is checksummed at creation, pushed through :meth:`_transmit`
-        (where the fault layer may corrupt it), and re-checksummed on
-        receipt; every mismatch calls :meth:`_on_corrupt` and, if that
+        goes through :meth:`_transmit` as a read-only view, so the hook
+        can hand back other bytes but never alter the sender's.  What
+        comes back as that same view is the sender's bytes and needs no
+        checksum; anything else is checksummed against the sender's
+        bytes, and every mismatch calls :meth:`_on_corrupt` and, if that
         returns, retransmits.  Only a buffer whose received checksum
         matches the sender's is ever returned to a decode.
         """
@@ -591,19 +605,27 @@ class PlanExecutor:
         )
         if not self.verify_integrity:
             return buf
-        expected = chunk_checksum(buf)
+        sent = buf.view()
+        sent.flags.writeable = False
+        expected = None
         attempt = 0
         while True:
             received = self._transmit(
                 stage,
-                buf,
+                sent,
                 stripe_id=stripe_id,
                 node=node,
                 rack=rack,
                 attempt=attempt,
                 is_partial=is_partial,
             )
-            if chunk_checksum(received) == expected:
+            if received is not sent:
+                if expected is None:
+                    expected = chunk_checksum(buf)
+                intact = chunk_checksum(received) == expected
+            else:
+                intact = True
+            if intact:
                 reg = _metrics.CURRENT
                 if reg is not None:
                     reg.counter("integrity.verified").inc(stage=stage.value)
@@ -634,8 +656,9 @@ class PlanExecutor:
     ) -> np.ndarray:
         """Network hook: what the receiver sees.
 
-        The base network is perfect — the sender's buffer arrives as
-        is.  The fault layer overrides this to corrupt bytes in flight
+        ``buf`` is a read-only view of the sender's bytes.  The base
+        network is perfect — the sender's buffer arrives as is.  The
+        fault layer overrides this to return corrupted copies in flight
         (:attr:`~repro.faults.events.FaultKind.IN_FLIGHT_CORRUPT`).
         """
         return buf
@@ -669,3 +692,26 @@ def _transfer_stage(transfer) -> PipelineStage:
         if transfer.cross_rack
         else PipelineStage.INTRA_TRANSFER
     )
+
+
+def _count_window(reg, win: WindowPlan, shipped: int) -> None:
+    """The ``exec.*`` counters of a window's first ``shipped`` stripes.
+
+    Counted from the columns, once per window: the stripes, and the
+    checkpoints each shipped stripe's walk fires (or would fire) at
+    every stage.
+    """
+    mode = "aggregated" if win.aggregated else "direct"
+    reg.counter("exec.stripes").inc(shipped, mode=mode)
+    checkpoints = reg.counter("exec.stage.checkpoints")
+    for stage, column in (
+        (PipelineStage.DISK_READ, win.reads),
+        (PipelineStage.INTRA_TRANSFER, win.intra),
+        (PipelineStage.CROSS_TRANSFER, win.cross),
+        (PipelineStage.PARTIAL_DECODE, win.partial_decodes),
+        (PipelineStage.LOCAL_FOLD, win.local_folds),
+    ):
+        n = int(column[:shipped].sum())
+        if n:
+            checkpoints.inc(n, stage=stage.value)
+    checkpoints.inc(shipped, stage=PipelineStage.FINAL_COMBINE.value)

@@ -18,12 +18,27 @@ Plan construction follows the paper's methodology section:
   partials together.
 - **RR (direct)**: every helper node sends its chunk straight to the
   replacement node; flows from other racks cross the core.
+
+A plan is columns before it is objects.  :func:`plan_window` plans a
+window of stripes as one :class:`WindowPlan`: integer arrays of shape
+(stripes, helpers) — helper chunk, holder node, holder rack,
+destination — plus a repair-signature id per stripe, checked in bulk.
+Every figure the executor needs (transfers by scope, compute by node,
+stage counts) is counted from those arrays.  :class:`Transfer`,
+:class:`ComputeTask` and :class:`StripePlan` objects are built from a
+solution by :meth:`StreamingRecoveryPlan.stripe_plan`, the one
+constructor, only for the callers that read them: the executor's
+per-stripe event walk, the fault ladder's ``final_plan`` and
+:func:`plan_recovery`, which the timing simulator consumes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
+
+import numpy as np
 
 from repro.cluster.state import ClusterState, FailureEvent
 from repro.errors import PlanError
@@ -35,10 +50,21 @@ __all__ = [
     "ComputeTask",
     "StripePlan",
     "RecoveryPlan",
+    "WindowPlan",
     "StreamingRecoveryPlan",
     "plan_recovery",
     "plan_recovery_streaming",
+    "plan_window",
+    "windows",
 ]
+
+#: Column value of a helper slot a stripe does not fill: a local (LRC)
+#: repair reads fewer helpers than the widest stripe of its window.
+NO_HELPER = -1
+
+#: Stripes per window of columns while :func:`plan_recovery` builds its
+#: objects: what the window bounds is the columns' scratch, not the plan.
+MATERIALISE_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -174,6 +200,232 @@ class RecoveryPlan:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class WindowPlan:
+    """A window of stripes planned as columns.
+
+    Row ``i`` is ``solutions[i]``; column ``j`` is its ``j``-th helper in
+    *decode order*: grouped by rack, racks in the order of their lowest
+    helper chunk, chunks ascending within a rack (a direct repair is one
+    group).  That is the order of the repair vector's
+    :class:`~repro.erasure.repair.PartialDecodePlan` groups, so a
+    window's helper buffers are its decode table's rows as they stand.
+    Slots past a stripe's last helper hold :data:`NO_HELPER`.
+
+    Attributes:
+        solutions: the window's per-stripe solutions, in order.
+        aggregated: whether partial decoding is used.
+        replacement_node: destination of every reconstruction.
+        stripe_id / lost_chunk: ``(S,)``.
+        chunk: ``(S, H)`` helper chunk indices.
+        node: ``(S, H)`` the node holding each helper chunk.
+        rack: ``(S, H)`` its rack, as the solution groups it.
+        dest: ``(S, H)`` where the chunk is combined — its rack's
+            delegate, or the replacement node (the failed rack's
+            survivors, every helper of a direct repair).
+        signature: ``(S,)`` index into ``signatures``: stripes with one
+            id repair with one coefficient table.
+        signatures: the window's distinct repair signatures (lost chunk
+            and helper columns as bytes).
+        reads / cross / intra / partial_decodes / local_folds: ``(S,)``
+            per-stripe counts of helper reads, cross- and intra-rack
+            transfers, delegate partial decodes and replacement-node
+            local folds.
+        racks_accessed: ``(S,)`` racks each stripe reads from.
+    """
+
+    solutions: tuple[PerStripeSolution, ...]
+    aggregated: bool
+    replacement_node: int
+    stripe_id: np.ndarray
+    lost_chunk: np.ndarray
+    chunk: np.ndarray
+    node: np.ndarray
+    rack: np.ndarray
+    dest: np.ndarray
+    signature: np.ndarray
+    signatures: tuple[bytes, ...]
+    reads: np.ndarray
+    cross: np.ndarray
+    intra: np.ndarray
+    partial_decodes: np.ndarray
+    local_folds: np.ndarray
+    racks_accessed: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.solutions)
+
+    def ledger(
+        self, chunk_bytes: int, stripes: int | None = None
+    ) -> tuple[int, int, dict[int, int]]:
+        """``(cross_bytes, intra_bytes, charges)`` of the first ``stripes``.
+
+        Every planned flow moves one chunk-sized buffer.  Compute is
+        charged in GF input bytes: each helper chunk to the node that
+        combines it (its delegate, or the replacement node), plus, when
+        aggregated, one buffer per rack group to the replacement node's
+        final combine.
+        """
+        rows = slice(0, len(self) if stripes is None else stripes)
+        dest = self.dest[rows]
+        counts = np.bincount(
+            dest[dest != NO_HELPER], minlength=self.replacement_node + 1
+        )
+        if self.aggregated:
+            counts[self.replacement_node] += int(
+                self.partial_decodes[rows].sum() + self.local_folds[rows].sum()
+            )
+        nodes = np.flatnonzero(counts)
+        return (
+            int(self.cross[rows].sum()) * chunk_bytes,
+            int(self.intra[rows].sum()) * chunk_bytes,
+            dict(zip(nodes.tolist(), (counts[nodes] * chunk_bytes).tolist())),
+        )
+
+
+def plan_window(
+    state: ClusterState,
+    replacement_node: int,
+    solutions,
+    *,
+    aggregated: bool,
+    dead_nodes: frozenset[int] | set[int] = frozenset(),
+) -> WindowPlan:
+    """Plan a window of per-stripe solutions as columns.
+
+    The only per-stripe Python is reading each solution's rack grouping;
+    holders, delegates, destinations, transfer counts and signatures are
+    array operations over the whole window.
+
+    Raises:
+        PlanError: if a solution reads a chunk on the failed node or on a
+            dead node — the error of the window's first such stripe,
+            word for word what :meth:`StreamingRecoveryPlan.stripe_plan`
+            raises for it.
+        PlacementError: for a chunk the placement does not hold.
+    """
+    sols = tuple(solutions)
+    chunks: list[int] = []
+    racks: list[int] = []
+    counts: list[int] = []
+    for sol in sols:
+        n = 0
+        for rack, members in sol.chunks_by_rack.items():
+            chunks.extend(members)
+            racks.extend([rack] * len(members))
+            n += len(members)
+        counts.append(n)
+    stripes, width = len(sols), max(counts)
+    cols = np.arange(width)
+    # One row per stripe, ordered by chunk; unused slots sort last.
+    chunk = np.full((stripes, width), np.iinfo(np.intp).max)
+    rack = np.full((stripes, width), NO_HELPER)
+    used = cols < np.array(counts)[:, None]
+    chunk[used] = chunks
+    rack[used] = racks
+    order = np.argsort(chunk, axis=1, kind="stable")
+    chunk = np.take_along_axis(chunk, order, axis=1)
+    rack = np.take_along_axis(rack, order, axis=1)
+    # Each helper's rack-mate of lowest chunk: the column its group
+    # starts at once racks are grouped in the order of those chunks.
+    head = (rack[:, :, None] == rack[:, None, :]).argmax(axis=2)
+    lead = used & (head == cols)
+    racks_accessed = lead.sum(axis=1)
+    if aggregated:
+        order = np.argsort(head * width + cols, axis=1)
+        chunk = np.take_along_axis(chunk, order, axis=1)
+        rack = np.take_along_axis(rack, order, axis=1)
+        lead = used & np.concatenate(
+            (np.ones((stripes, 1), bool), rack[:, 1:] != rack[:, :-1]), axis=1
+        )
+        head = np.maximum.accumulate(np.where(lead, cols, 0), axis=1)
+    chunk[~used] = NO_HELPER
+
+    stripe_id = np.array([sol.stripe_id for sol in sols])
+    lost_chunk = np.array([sol.lost_chunk for sol in sols])
+    # Holders from the placement's node table; an index it does not have
+    # is left for the per-stripe constructor to report.
+    table = state.placement.node_table()
+    known = used & ((stripe_id >= 0) & (stripe_id < len(table)))[:, None]
+    known &= (chunk >= 0) & (chunk < table.shape[1])
+    node = np.where(
+        known,
+        table[np.where(known, stripe_id[:, None], 0), np.where(known, chunk, 0)],
+        NO_HELPER,
+    )
+    bad = used & ~known
+    for unusable in (state.failed_node, *dead_nodes):
+        if unusable is not None:
+            bad |= known & (node == unusable)
+    if bad.any():
+        sol = sols[int(bad.any(axis=1).argmax())]
+        _plan_stripe(state, replacement_node, sol, aggregated, frozenset(dead_nodes))
+        raise PlanError(f"stripe {sol.stripe_id}: unplannable helper")
+
+    repl = replacement_node
+    repl_rack = state.topology.rack_of(repl)
+    if aggregated:
+        failed_rack = np.array([sol.failed_rack for sol in sols])
+        to_repl = rack == failed_rack[:, None]
+        dest = np.where(to_repl, repl, np.take_along_axis(node, head, axis=1))
+        raw = used & (node != dest)
+        partial = lead & ~to_repl
+    else:
+        to_repl = np.ones_like(used)
+        dest = np.full_like(node, repl)
+        raw = used
+        partial = np.zeros_like(used)
+    dest[~used] = NO_HELPER
+    dest_rack = np.where(to_repl, repl_rack, rack)
+    cross = (raw & (rack != dest_rack)).sum(axis=1) + (
+        partial & (rack != repl_rack)
+    ).sum(axis=1)
+
+    keys = np.concatenate(
+        (lost_chunk[:, None], chunk) + ((rack,) if aggregated else ()), axis=1
+    ).astype(np.int32)
+    index: dict[bytes, int] = {}
+    signature = np.array(
+        [
+            index.setdefault(key, len(index))
+            for key in keys.view(np.dtype((np.void, keys.shape[1] * 4)))
+            .ravel()
+            .tolist()
+        ]
+    )
+    partial_decodes = partial.sum(axis=1)
+    return WindowPlan(
+        solutions=sols,
+        aggregated=aggregated,
+        replacement_node=repl,
+        stripe_id=stripe_id,
+        lost_chunk=lost_chunk,
+        chunk=chunk,
+        node=node,
+        rack=rack,
+        dest=dest,
+        signature=signature,
+        signatures=tuple(index),
+        reads=used.sum(axis=1),
+        cross=cross,
+        intra=raw.sum(axis=1) + partial_decodes - cross,
+        partial_decodes=partial_decodes,
+        local_folds=(lead & to_repl).sum(axis=1) if aggregated
+        else np.zeros(stripes, dtype=np.intp),
+        racks_accessed=racks_accessed,
+    )
+
+
+def windows(items, window: int):
+    """Slice an iterator into lists of ``window`` items."""
+    items = iter(items)
+    while True:
+        chunk = list(islice(items, window))
+        if not chunk:
+            return
+        yield chunk
+
+
 def plan_recovery(
     state: ClusterState,
     event: FailureEvent,
@@ -182,8 +434,8 @@ def plan_recovery(
 ) -> RecoveryPlan:
     """Build the executable plan for ``solution`` on ``state``.
 
-    The materialised form of :func:`plan_recovery_streaming`: the same
-    per-stripe planner, drained into a tuple.
+    The materialised form of :func:`plan_recovery_streaming`: its
+    windows of columns, then every stripe's :class:`StripePlan`.
 
     Args:
         dead_nodes: helper nodes that crashed mid-recovery (secondary
@@ -198,28 +450,33 @@ def plan_recovery(
         state, event, solution, dead_nodes=dead_nodes
     )
     return RecoveryPlan(
-        stripe_plans=tuple(sp for _sol, sp in lazy.iter_stripe_plans()),
+        stripe_plans=tuple(
+            lazy.stripe_plan(sol)
+            for win in lazy.iter_windows(MATERIALISE_WINDOW)
+            for sol in win.solutions
+        ),
         replacement_node=lazy.replacement_node,
         aggregated=lazy.aggregated,
     )
 
 
-def _record_stripe_metrics(
-    reg, sol: PerStripeSolution, sp: StripePlan, aggregated: bool
-) -> None:
-    """One stripe's share of the plan.* metrics.
+def _record_window_metrics(reg, win: WindowPlan) -> None:
+    """One window's share of the plan.* metrics, counted from its columns.
 
-    Recorded per stripe, as each plan is built, so a lazily drained
-    plan and a materialised one leave the same totals.
+    Recorded as each window is planned, so a lazily drained plan and a
+    materialised one leave the same totals.
     """
-    mode = "aggregated" if aggregated else "direct"
-    reg.counter("plan.stripes").inc(mode=mode)
-    reg.histogram(
-        "plan.racks_accessed", buckets=_metrics.COUNT_BUCKETS
-    ).observe(len(sol.chunks_by_rack))
+    mode = "aggregated" if win.aggregated else "direct"
+    reg.counter("plan.stripes").inc(len(win), mode=mode)
+    racks = reg.histogram("plan.racks_accessed", buckets=_metrics.COUNT_BUCKETS)
+    for value, n in enumerate(np.bincount(win.racks_accessed).tolist()):
+        if n:
+            racks.observe(value, n)
     transfers = reg.counter("plan.transfers")
-    for t in sp.transfers:
-        transfers.inc(scope="cross" if t.cross_rack else "intra")
+    for scope, column in (("cross", win.cross), ("intra", win.intra)):
+        total = int(column.sum())
+        if total:
+            transfers.inc(total, scope=scope)
 
 
 class StreamingRecoveryPlan:
@@ -228,14 +485,14 @@ class StreamingRecoveryPlan:
     Instead of materialising one :class:`StripePlan` per affected stripe
     up front (at million-stripe scale the transfer dataclasses dominate
     the coordinator's heap), the streaming plan holds only the inputs —
-    cluster state, failure event, per-stripe solutions — and builds each
-    stripe's plan on demand inside :meth:`iter_stripe_plans`.  Memory is
-    O(1) in the stripe count; the executor's window is the only buffer.
+    cluster state, failure event, per-stripe solutions — and plans a
+    window of them at a time, as columns, inside :meth:`iter_windows`.
+    Memory is O(window) in the stripe count.
 
-    The iterator is single-shot: per-stripe plans are yielded once, in
-    solution order, and the ``plan.*`` metrics are recorded per stripe so
-    a fully drained streaming plan leaves identical metric totals to the
-    eager :func:`plan_recovery`.
+    The iterator is single-shot: windows are yielded once, in solution
+    order, and the ``plan.*`` metrics are recorded per window so a fully
+    drained streaming plan leaves identical metric totals to the eager
+    :func:`plan_recovery`.
 
     Attributes:
         replacement_node: destination of every reconstruction.
@@ -252,33 +509,37 @@ class StreamingRecoveryPlan:
         dead_nodes: frozenset[int] | set[int] = frozenset(),
     ) -> None:
         self._state = state
-        self._event = event
         self._solutions = iter(solutions)
         self._dead = frozenset(dead_nodes)
         self._consumed = False
         self.replacement_node = event.replacement_node
         self.aggregated = aggregated
 
-    def iter_stripe_plans(self) -> Iterator[tuple[PerStripeSolution, StripePlan]]:
-        """Yield ``(solution, stripe_plan)`` pairs lazily, in order.
+    def iter_windows(self, window: int) -> Iterator[WindowPlan]:
+        """Yield the plan ``window`` stripes at a time, as columns.
 
         Raises:
             PlanError: on a second call (the underlying solution iterator
-                is consumed), or if a solution references chunks the
-                placement does not hold where expected.
+                is consumed), or as :func:`plan_window`.
         """
         if self._consumed:
             raise PlanError("streaming plan already consumed (single-shot)")
         self._consumed = True
-        plan_stripe = (
-            _plan_stripe_aggregated if self.aggregated else _plan_stripe_direct
-        )
-        for sol in self._solutions:
-            sp = plan_stripe(self._state, self._event, sol, self._dead)
+        for sols in windows(self._solutions, window):
+            win = plan_window(
+                self._state, self.replacement_node, sols,
+                aggregated=self.aggregated, dead_nodes=self._dead,
+            )
             reg = _metrics.CURRENT
             if reg is not None:
-                _record_stripe_metrics(reg, sol, sp, self.aggregated)
-            yield sol, sp
+                _record_window_metrics(reg, win)
+            yield win
+
+    def stripe_plan(self, sol: PerStripeSolution) -> StripePlan:
+        """One stripe's :class:`StripePlan`, built on demand."""
+        return _plan_stripe(
+            self._state, self.replacement_node, sol, self.aggregated, self._dead
+        )
 
 
 def plan_recovery_streaming(
@@ -334,13 +595,25 @@ def _holder(
     return node
 
 
+def _plan_stripe(
+    state: ClusterState,
+    repl: int,
+    sol: PerStripeSolution,
+    aggregated: bool,
+    dead_nodes: frozenset[int] = frozenset(),
+) -> StripePlan:
+    """The one :class:`StripePlan` constructor."""
+    if aggregated:
+        return _plan_stripe_aggregated(state, repl, sol, dead_nodes)
+    return _plan_stripe_direct(state, repl, sol, dead_nodes)
+
+
 def _plan_stripe_aggregated(
     state: ClusterState,
-    event: FailureEvent,
+    repl: int,
     sol: PerStripeSolution,
     dead_nodes: frozenset[int] = frozenset(),
 ) -> StripePlan:
-    repl = event.replacement_node
     repl_rack = state.topology.rack_of(repl)
     transfers: list[Transfer] = []
     compute: list[ComputeTask] = []
@@ -436,11 +709,10 @@ def _plan_stripe_aggregated(
 
 def _plan_stripe_direct(
     state: ClusterState,
-    event: FailureEvent,
+    repl: int,
     sol: PerStripeSolution,
     dead_nodes: frozenset[int] = frozenset(),
 ) -> StripePlan:
-    repl = event.replacement_node
     repl_rack = state.topology.rack_of(repl)
     transfers: list[Transfer] = []
     units = sol.cross_rack_chunks(False)

@@ -1,6 +1,8 @@
 """Metrics registry: labelled series, deterministic merge, cache stats."""
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -81,6 +83,43 @@ class TestHistogram:
         for d in (1, 2, 2, 3):
             h.observe(d)
         assert h.quantile(0.5) == 2
+
+    def test_observe_n_times_at_once(self):
+        one, bulk = MetricsRegistry(), MetricsRegistry()
+        for _ in range(3):
+            one.histogram("racks", buckets=COUNT_BUCKETS).observe(2, mode="x")
+        bulk.histogram("racks", buckets=COUNT_BUCKETS).observe(2, 3, mode="x")
+        assert one.snapshot() == bulk.snapshot()
+
+
+class TestThreads:
+    def test_no_update_is_lost_across_threads(self):
+        """Stage A counts kernels from its thread while stage B counts
+        stripes: every mutator must be atomic."""
+        reg = MetricsRegistry()
+        threads, rounds = 8, 20000
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def work():
+                counter, gauge = reg.counter("c"), reg.gauge("g")
+                histogram = reg.histogram("h", buckets=COUNT_BUCKETS)
+                for _ in range(rounds):
+                    counter.inc(kernel="k")
+                    gauge.add(1)
+                    histogram.observe(1, 2)
+
+            pool = [threading.Thread(target=work) for _ in range(threads)]
+            for th in pool:
+                th.start()
+            for th in pool:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in pool)
+        finally:
+            sys.setswitchinterval(previous)
+        assert reg.counter("c").total == threads * rounds
+        assert reg.gauge("g").value() == threads * rounds
+        assert reg.histogram("h").count() == 2 * threads * rounds
 
 
 class TestSnapshotMerge:

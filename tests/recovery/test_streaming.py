@@ -10,7 +10,9 @@ identically whichever window wrote it, and a fault-injected run leaves
 the same :class:`FaultLog` and wasted-byte totals at every window.
 """
 
+import itertools
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -60,14 +62,14 @@ from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
 from repro.recovery.executor import PlanExecutor
 from repro.recovery.lrc import LrcLocalRecoveryStrategy
 from repro.recovery.metrics import traffic_report
-from repro.recovery.planner import plan_recovery, plan_recovery_streaming
-from repro.recovery.streaming import (
-    REPAIR_GROUP_CACHE,
-    compute_window,
-    default_window,
-    repair_signature,
+from repro.recovery import streaming as _streaming
+from repro.recovery.planner import (
+    plan_recovery,
+    plan_recovery_streaming,
+    plan_window,
     windows,
 )
+from repro.recovery.streaming import compute_window, default_window
 
 #: ``None`` is the window the executor derives from the chunk size.
 WINDOWS = (1, 3, 64, None)
@@ -297,6 +299,50 @@ class TestStreamingEquivalence:
             assert "exec.stream.aggregate" in names
             assert "exec.stream.ship" in names
 
+    def test_a_registry_keeps_stage_a_one_window_ahead(self, monkeypatch):
+        """Telemetry does not change which code path runs: with a metrics
+        registry active, stage A of window i+1 runs while window i ships,
+        and the registry's totals are the quiet run's figures."""
+        state, event = failed_cluster(seed=9, stripes=40)
+        sol = CarStrategy().solve(state)
+        plan = plan_recovery(state, event, sol)
+        quiet = PlanExecutor(state).execute(plan, sol, window=4)
+        shipping = threading.Event()
+        overlapped = []
+        decode = _streaming.compute_window
+        calls = itertools.count()
+
+        def watched(*args, **kwargs):
+            if next(calls) == 1:
+                # Window 1 waits here until window 0 has begun to ship.
+                overlapped.append(shipping.wait(timeout=10))
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(_streaming, "compute_window", watched)
+        with _metrics.telemetry_scope(_metrics.MetricsRegistry()) as reg:
+            result = PlanExecutor(state).execute(
+                plan_recovery_streaming(state, event, sol), window=4,
+                sink=lambda sid, buf, ok: shipping.set(),
+            )
+        assert overlapped == [True]
+        assert result.per_stripe_ok == quiet.per_stripe_ok
+        assert result.cross_rack_bytes == quiet.cross_rack_bytes
+        assert result.intra_rack_bytes == quiet.intra_rack_bytes
+        assert result.bytes_computed_by_node == quiet.bytes_computed_by_node
+        chunk = state.data.chunk_size
+        transfers = reg.counter("plan.transfers")
+        assert transfers.value(scope="cross") * chunk == quiet.cross_rack_bytes
+        assert transfers.value(scope="intra") * chunk == quiet.intra_rack_bytes
+        assert reg.counter("exec.stripes").total == len(quiet.per_stripe_ok)
+        assert reg.counter("gf.kernel.bytes").total == sum(
+            s.helper_count for s in sol.solutions
+        ) * chunk
+        assert reg.counter("exec.stage.checkpoints").total == sum(
+            s.helper_count for s in sol.solutions
+        ) + sum(
+            len(sp.transfers) + len(sp.compute) for sp in plan.stripe_plans
+        )
+
     def test_repair_group_cache_is_a_named_metric(self):
         state, event = failed_cluster(seed=5)
         sol = CarStrategy().solve(state)
@@ -344,11 +390,12 @@ class TestStreamingEquivalence:
 
 
 def window_of(state, event, strategy):
-    """Every stripe of the failure as one window's ``(sol, sp)`` pairs."""
+    """Every stripe of the failure as one window's columns."""
     sol = strategy.solve(state)
-    plan = plan_recovery(state, event, sol)
-    by_id = {sp.stripe_id: sp for sp in plan.stripe_plans}
-    return [(s, by_id[s.stripe_id]) for s in sol.solutions], plan.aggregated
+    return plan_window(
+        state, event.replacement_node, sol.solutions,
+        aggregated=sol.aggregated,
+    )
 
 
 #: (code, strategy, placement policy) for every code the executor accepts
@@ -387,46 +434,46 @@ class TestColumnarWindow:
     @pytest.mark.parametrize("case", WINDOW_CASES)
     def test_equals_stripe_by_stripe_partial_decode(self, case, chunk_size):
         state, event, strategy = self.build(case, chunk_size)
-        pairs, aggregated = window_of(state, event, strategy)
-        assert len(pairs) > 1
-        outcomes, _, _ = compute_window(
-            state.code, state.data, pairs, aggregated, keep_partials=True
+        win = window_of(state, event, strategy)
+        assert len(win) > 1
+        outcome = compute_window(
+            state.code, state.data, win, keep_partials=True
         )
-        assert [o.sol for o in outcomes] == [sol for sol, _ in pairs]
-        for outcome in outcomes:
-            sol = outcome.sol
+        for i, sol in enumerate(win.solutions):
             plan = split_repair_vector(
                 state.code, sol.lost_chunk, sol.helpers,
-                sol.rack_map() if aggregated else dict.fromkeys(sol.helpers),
+                sol.rack_map() if win.aggregated
+                else dict.fromkeys(sol.helpers),
             )
             partials = execute_partial_decode(
                 state.code, plan,
                 {h: state.data.chunk(sol.stripe_id, h) for h in sol.helpers},
             )
-            assert outcome.partials.keys() == partials.keys()
+            got = outcome.partials_of(i)
+            assert got.keys() == partials.keys()
             for key, partial in partials.items():
-                assert np.array_equal(outcome.partials[key], partial)
+                assert np.array_equal(got[key], partial)
                 # A shipped partial is never the accumulator.
-                assert not np.shares_memory(outcome.partials[key], outcome.rebuilt)
+                assert not np.shares_memory(got[key], outcome.rebuilt[i])
             assert np.array_equal(
-                outcome.rebuilt, combine_partials(state.code, partials)
+                outcome.rebuilt[i], combine_partials(state.code, partials)
             )
-            assert outcome.ok is True
-        lean, _, _ = compute_window(state.code, state.data, pairs, aggregated)
-        for outcome, kept in zip(lean, outcomes):
-            assert outcome.partials is None
-            assert outcome.ok is True
-            assert np.array_equal(outcome.rebuilt, kept.rebuilt)
+            assert outcome.ok[i] is True
+        lean = compute_window(state.code, state.data, win)
+        assert lean.partials is None
+        for i in range(len(win)):
+            assert lean.ok[i] is True
+            assert np.array_equal(lean.rebuilt[i], outcome.rebuilt[i])
 
     @pytest.mark.parametrize("chunk_size", [64, _SHORT_ROW])
     def test_a_flipped_truth_byte_fails_exactly_that_stripe(self, chunk_size):
         state, event, strategy = self.build("rs-car-random", chunk_size)
-        pairs, aggregated = window_of(state, event, strategy)
-        victim = pairs[len(pairs) // 2][0]
+        win = window_of(state, event, strategy)
+        victim = win.solutions[len(win) // 2]
         state.data.corrupt(victim.stripe_id, victim.lost_chunk)
-        outcomes, _, _ = compute_window(state.code, state.data, pairs, aggregated)
-        assert [o.ok for o in outcomes] == [
-            sol.stripe_id != victim.stripe_id for sol, _ in pairs
+        outcome = compute_window(state.code, state.data, win)
+        assert outcome.ok == [
+            sol.stripe_id != victim.stripe_id for sol in win.solutions
         ]
 
     def test_a_window_is_one_kernel_dispatch(self):
@@ -849,10 +896,16 @@ class TestStreamingHelpers:
         assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
     def test_repair_signature_batches_equal_repairs(self):
-        state, _ = failed_cluster(seed=4)
+        state, event = failed_cluster(seed=4)
         sol = CarStrategy().solve(state)
-        for s in sol.solutions:
-            assert repair_signature(s, True) == repair_signature(s, True)
         a, b = sol.solutions[0], sol.solutions[1]
-        if (a.lost_chunk, a.helpers) != (b.lost_chunk, b.helpers):
-            assert repair_signature(a, False) != repair_signature(b, False)
+        for aggregated in (True, False):
+            win = plan_window(
+                state, event.replacement_node, [a, b, a],
+                aggregated=aggregated,
+            )
+            ids = win.signature.tolist()
+            assert ids[0] == ids[2]
+            assert len(win.signatures) == len(set(ids))
+            if (a.lost_chunk, a.helpers) != (b.lost_chunk, b.helpers):
+                assert ids[0] != ids[1]
