@@ -481,7 +481,7 @@ def _run_stream(args: argparse.Namespace) -> str:
     )
     event = FailureInjector(rng=seed).fail_random_node(state)
     solution = strategy_from_label(args.strategy, seed).solve(state)
-    affected = len(solution.solutions)
+    affected = len(solution)
     plan = plan_recovery_streaming(state, event, solution)
     # Opt-in observability: --telemetry records trace + metrics +
     # resource profile (so every stripe's stage events are walked —

@@ -11,7 +11,7 @@ plans can be *executed* and verified byte-for-byte, not just counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,13 @@ from repro.erasure.code import ErasureCode
 from repro.gf.field import gf
 from repro.gf.vector import buffer_dtype
 
-__all__ = ["DataStore", "FailureEvent", "StripeView", "ClusterState"]
+__all__ = [
+    "DataStore",
+    "FailureEvent",
+    "StripeView",
+    "FailureColumns",
+    "ClusterState",
+]
 
 
 class DataStore:
@@ -200,36 +206,107 @@ class StripeView:
     def rack_members(
         self, topology: ClusterTopology
     ) -> dict[int, tuple[int, ...]]:
-        """rack_id -> sorted surviving chunk indices, memoised per view.
-
-        The CAR selector asks for per-rack membership once per candidate
-        rack per candidate solution; computing the grouping once turns
-        those queries into dict lookups.  The memo is keyed on topology
-        identity (a view only ever meets one topology in practice).
-        """
-        cached = self.__dict__.get("_rack_members")
-        if cached is None or self.__dict__.get("_rack_topology") is not topology:
-            grouped: dict[int, list[int]] = {}
-            for c, nid in sorted(self.surviving.items()):
-                grouped.setdefault(topology.rack_of(nid), []).append(c)
-            cached = {rack: tuple(cs) for rack, cs in grouped.items()}
-            object.__setattr__(self, "_rack_members", cached)
-            object.__setattr__(self, "_rack_topology", topology)
-        return cached
+        """rack_id -> sorted surviving chunk indices."""
+        grouped: dict[int, list[int]] = {}
+        for c, nid in sorted(self.surviving.items()):
+            grouped.setdefault(topology.rack_of(nid), []).append(c)
+        return {rack: tuple(cs) for rack, cs in grouped.items()}
 
     def chunks_in_rack(self, rack_id: int, topology: ClusterTopology) -> list[int]:
         """Surviving chunk indices of this stripe stored in ``rack_id``."""
         return list(self.rack_members(topology).get(rack_id, ()))
 
-    def __getstate__(self):
-        # Drop the memo (it holds a topology reference) so pickled views
-        # stay small and rebuild their cache lazily after transfer.
-        return {
-            k: v for k, v in self.__dict__.items() if not k.startswith("_")
-        }
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+@dataclass(frozen=True, eq=False)
+class FailureColumns:
+    """The stripes a failure touched, as integer columns.
+
+    Row ``i`` is one affected stripe, in stripe order; a chunk column is
+    one of the stripe's ``k + m`` chunks and a rack column one of the
+    ``r`` racks.  This is what Theorem 1 and Algorithm 2 count over
+    (:mod:`repro.recovery.selector`, :mod:`repro.recovery.balancer`).
+
+    Attributes:
+        stripe_id / lost_chunk: ``(S,)``.
+        chunk_rack: ``(S, n)`` the rack of every chunk (-1 where unknown
+            and not alive).
+        alive: ``(S, n)`` the chunk can be read: it is not the lost one
+            and is on no dead node.
+        counts: ``(S, r)`` alive chunks per rack — ``c'_{f,j}`` at the
+            failed rack and ``c_{i,j}`` elsewhere (Equation 1).
+        failed_rack: the paper's ``A_f``.
+    """
+
+    stripe_id: np.ndarray
+    lost_chunk: np.ndarray
+    chunk_rack: np.ndarray
+    alive: np.ndarray
+    counts: np.ndarray
+    failed_rack: int
+
+    def __len__(self) -> int:
+        return len(self.stripe_id)
+
+    @property
+    def num_racks(self) -> int:
+        """The paper's ``r``."""
+        return self.counts.shape[1]
+
+    def rows(self, index) -> "FailureColumns":
+        """The columns of the rows ``index`` (a slice, mask or indices)."""
+        return FailureColumns(
+            stripe_id=self.stripe_id[index],
+            lost_chunk=self.lost_chunk[index],
+            chunk_rack=self.chunk_rack[index],
+            alive=self.alive[index],
+            counts=self.counts[index],
+            failed_rack=self.failed_rack,
+        )
+
+    @classmethod
+    def from_views(
+        cls, views, topology: ClusterTopology | None = None
+    ) -> "FailureColumns":
+        """The columns of explicit :class:`StripeView` s, in their order.
+
+        The counts are the views' own ``rack_counts``; the racks of their
+        surviving chunks come from ``topology`` (left -1 without one,
+        which is enough for Theorem 1's counting).
+
+        Raises:
+            PlacementError: if the views disagree on the failed rack or
+                on the number of racks.
+        """
+        views = list(views)
+        failed = {v.failed_rack for v in views}
+        widths = {len(v.rack_counts) for v in views}
+        if len(failed) > 1 or len(widths) > 1:
+            raise PlacementError(
+                f"views disagree on the failed rack or the rack count: "
+                f"{failed}, {widths}"
+            )
+        width = 1 + max(
+            (max([v.lost_chunk, *v.surviving]) for v in views), default=-1
+        )
+        chunk_rack = np.full((len(views), width), -1, dtype=np.intp)
+        alive = np.zeros((len(views), width), dtype=bool)
+        for i, v in enumerate(views):
+            chunks = list(v.surviving)
+            if topology is not None:
+                chunk_rack[i, chunks] = [
+                    topology.rack_of(v.surviving[c]) for c in chunks
+                ]
+            alive[i, chunks] = True
+        return cls(
+            stripe_id=np.array([v.stripe_id for v in views], dtype=np.intp),
+            lost_chunk=np.array([v.lost_chunk for v in views], dtype=np.intp),
+            chunk_rack=chunk_rack,
+            alive=alive,
+            counts=np.array(
+                [v.rack_counts for v in views], dtype=np.intp
+            ).reshape(len(views), widths.pop() if widths else 0),
+            failed_rack=failed.pop() if failed else 0,
+        )
 
 
 class ClusterState:
@@ -320,6 +397,56 @@ class ClusterState:
             lost_chunk=lost_chunk,
             surviving=surviving,
             rack_counts=tuple(counts),
+            failed_rack=self.topology.rack_of(self.failed_node),
+        )
+
+    def failure_columns(
+        self, dead_nodes=(), stripes=None
+    ) -> FailureColumns:
+        """The failure's :class:`FailureColumns`, from the node table.
+
+        Args:
+            dead_nodes: helper nodes lost since the failure; their chunks
+                are not alive (a re-plan's view of the cluster).
+            stripes: restrict to these affected stripes (default: every
+                stripe that lost a chunk).
+
+        Raises:
+            NoFailureError: if no node is failed.
+            UnknownChunkError: if a requested stripe lost no chunk.
+        """
+        if self.failed_node is None:
+            raise NoFailureError("no failed node")
+        table = self.placement.node_table()
+        hit = table == self.failed_node
+        if stripes is None:
+            stripe_id = np.flatnonzero(hit.any(axis=1))
+        else:
+            stripe_id = np.array(sorted(stripes), dtype=np.intp)
+            missed = [s for s in stripe_id.tolist() if not hit[s].any()]
+            if missed:
+                raise UnknownChunkError(
+                    f"stripe {missed[0]} has no chunk on node {self.failed_node}"
+                )
+        nodes = table[stripe_id]
+        lost_chunk = hit[stripe_id].argmax(axis=1)
+        rows = np.arange(len(stripe_id))
+        alive = np.ones(nodes.shape, dtype=bool)
+        alive[rows, lost_chunk] = False
+        if dead_nodes:
+            alive &= ~np.isin(nodes, list(dead_nodes))
+        chunk_rack = self.topology.rack_array()[nodes]
+        num_racks = self.topology.num_racks
+        counts = np.bincount(
+            (rows[:, None] * num_racks + chunk_rack)[alive],
+            minlength=len(rows) * num_racks,
+        ).reshape(len(rows), num_racks)
+        return FailureColumns(
+            stripe_id=stripe_id,
+            lost_chunk=lost_chunk,
+            chunk_rack=chunk_rack,
+            alive=alive,
+            counts=counts,
             failed_rack=self.topology.rack_of(self.failed_node),
         )
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ConfigurationError, UnknownNodeError
 
 __all__ = ["BandwidthProfile", "Node", "Rack", "ClusterTopology"]
@@ -139,6 +141,7 @@ class ClusterTopology:
         self._rack_of = {n.node_id: n.rack_id for n in nodes}
         if len(self._rack_of) != len(nodes):
             raise ConfigurationError("duplicate node ids in topology")
+        self._rack_array: np.ndarray | None = None
         for rack in racks:
             for nid in rack.node_ids:
                 if self._rack_of.get(nid) != rack.rack_id:
@@ -204,6 +207,21 @@ class ClusterTopology:
             return self._rack_of[node_id]
         except KeyError:
             raise UnknownNodeError(node_id) from None
+
+    def rack_array(self) -> np.ndarray:
+        """Read-only array: entry ``n`` is the rack of node ``n``.
+
+        Built on first use, so a whole table of node ids maps to racks
+        in one indexing operation.
+        """
+        if self._rack_array is None:
+            racks = np.full(
+                max(self._rack_of, default=-1) + 1, -1, dtype=np.intp
+            )
+            racks[list(self._rack_of)] = list(self._rack_of.values())
+            racks.setflags(write=False)
+            self._rack_array = racks
+        return self._rack_array
 
     def node(self, node_id: int) -> Node:
         """The :class:`Node` with the given id."""

@@ -80,6 +80,9 @@ class RecoveryJournal:
             :class:`CoordinatorCrashError` right after this incarnation
             appends its ``n``-th record (the record *is* durable; the
             crash lands on the boundary before the next one).
+        replay: the :meth:`JournalReplay.load` of this same file, for an
+            appending journal: it continues from the replay's end offset
+            and last ``seq`` instead of reading the file a second time.
     """
 
     def __init__(
@@ -88,12 +91,18 @@ class RecoveryJournal:
         *,
         append: bool = False,
         crash_after_records: int | None = None,
+        replay: "JournalReplay | None" = None,
     ) -> None:
         if crash_after_records is not None and crash_after_records < 1:
             raise JournalError("crash_after_records must be >= 1 (or None)")
+        if replay is not None and (not append or replay.end_offset is None):
+            raise JournalError(
+                "a replay resumes an appending journal, from a loaded file"
+            )
         self.path = Path(path)
         self.crash_after = crash_after_records
         self._append_mode = append
+        self._replay = replay
         self._fd: int | None = None
         self._seq = 0
         self._appended = 0  # records appended by this incarnation
@@ -109,7 +118,10 @@ class RecoveryJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         resuming = self._append_mode and not self._created
         flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
-        if resuming:
+        if resuming and self._replay is not None:
+            self._size = self._replay.end_offset
+            self._seq = self._replay.records[-1]["seq"]
+        elif resuming:
             records, self._size = _scan(self.path)
             if not records:
                 raise JournalError(
@@ -435,16 +447,19 @@ class JournalReplay:
 
     Attributes:
         records: the journal's records, in ``seq`` order.
+        end_offset: for a loaded file, the byte offset just past its last
+            whole record — where a resuming writer appends.
     """
 
     records: list[dict] = field(default_factory=list)
+    end_offset: int | None = None
 
     @classmethod
     def load(cls, path: str | Path) -> "JournalReplay":
         """Read and structurally validate a journal file."""
-        records = read_journal(path)
+        records, end = _scan(Path(path))
         validate_journal_records(records)
-        return cls(records=records)
+        return cls(records=records, end_offset=end)
 
     @property
     def session(self) -> dict:

@@ -178,7 +178,7 @@ class RecoverySession:
                 journal on disk is the resume point.
         """
         solution = self._solve()
-        stripes = sorted(s.stripe_id for s in solution.solutions)
+        stripes = list(solution.stripe_ids())
         journal = RecoveryJournal(
             self.journal_path, crash_after_records=self.crash_after_records
         )
@@ -221,6 +221,7 @@ class RecoverySession:
             self.journal_path,
             append=True,
             crash_after_records=self.crash_after_records,
+            replay=replay,
         )
         journal.resume_marker(
             replayed=sorted(committed), pending=sorted(pending)
@@ -228,7 +229,7 @@ class RecoverySession:
         robust = None
         if pending:
             solution = self._solve().restricted_to(pending)
-            if {s.stripe_id for s in solution.solutions} != set(pending):
+            if set(solution.stripe_ids()) != set(pending):
                 raise JournalError(
                     "strategy did not re-produce solutions for the "
                     f"pending stripes {sorted(pending)}"

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.failure import degraded_view
 from repro.cluster.state import ClusterState, FailureEvent
 from repro.errors import CoordinatorCrashError, NoValidSolutionError
 from repro.faults.backoff import BackoffPolicy
@@ -56,10 +55,10 @@ from repro.faults.injector import FaultInjector
 from repro.faults.timeline import FaultTimeline
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import NullTracer, Tracer
-from repro.recovery.baselines import CarStrategy, _solution_from_helpers
+from repro.recovery.baselines import CarStrategy
 from repro.recovery.executor import ExecutionResult, PipelineStage, PlanExecutor
 from repro.recovery.planner import RecoveryPlan, plan_recovery
-from repro.recovery.solution import MultiStripeSolution
+from repro.recovery.solution import MultiStripeSolution, SolutionColumns
 
 __all__ = ["RobustExecutionResult", "RobustExecutor", "recover_with_faults"]
 
@@ -471,9 +470,9 @@ class RobustExecutor(PlanExecutor):
             except InjectedCrashError as exc:
                 crash = exc
             pending = {
-                s.stripe_id
-                for s in current_sol.solutions
-                if s.stripe_id not in merged.per_stripe_ok
+                s
+                for s in current_sol.stripe_ids()
+                if s not in merged.per_stripe_ok
             }
             if crash.node == event.replacement_node:
                 self._record(
@@ -566,25 +565,17 @@ class RobustExecutor(PlanExecutor):
 
     # -- re-planning ------------------------------------------------------
 
-    def _pending_views(self, pending: set[int], dead: set[int]):
-        """The pending stripes' views, minus the chunks on dead nodes."""
-        return [
-            degraded_view(
-                self.state.stripe_view(stripe), dead, self.state.topology
-            )
-            for stripe in sorted(pending)
-        ]
-
     def _replan_aggregated(
         self, pending: set[int], dead: set[int]
     ) -> MultiStripeSolution:
         """CAR re-plan of the pending stripes over the surviving racks:
-        Theorem-1 minimal picks, then Algorithm 2 again so the degraded
-        solution keeps the rack loads level."""
-        return CarStrategy().solve_views(
+        the same solve as the first plan, with the dead nodes' chunks
+        marked not alive, so the picks are Theorem-1 minimal over what
+        survives and Algorithm 2 keeps the rack loads level."""
+        return CarStrategy().solve_failure(
             self.state.topology,
             self.state.code.k,
-            self._pending_views(pending, dead),
+            self.state.failure_columns(dead_nodes=dead, stripes=pending),
         )
 
     def _replan_direct(
@@ -592,19 +583,19 @@ class RobustExecutor(PlanExecutor):
     ) -> MultiStripeSolution:
         """RR-style fallback: the first ``k`` survivors, shipped raw."""
         k = self.state.code.k
-        solutions = []
-        for view in self._pending_views(pending, dead):
-            survivors = sorted(view.surviving)
-            if len(survivors) < k:
-                raise NoValidSolutionError(
-                    f"stripe {view.stripe_id}: only {len(survivors)} "
-                    f"survivors remain, need {k}"
-                )
-            solutions.append(
-                _solution_from_helpers(self.state, view, survivors[:k])
+        failure = self.state.failure_columns(dead_nodes=dead, stripes=pending)
+        alive = failure.alive
+        survivors = alive.sum(axis=1)
+        if (survivors < k).any():
+            i = int((survivors < k).argmax())
+            raise NoValidSolutionError(
+                f"stripe {int(failure.stripe_id[i])}: only "
+                f"{int(survivors[i])} survivors remain, need {k}"
             )
-        return MultiStripeSolution(
-            solutions,
+        return MultiStripeSolution.from_columns(
+            SolutionColumns.from_mask(
+                failure, alive & (np.cumsum(alive, axis=1) <= k)
+            ),
             num_racks=self.state.topology.num_racks,
             aggregated=False,
         )

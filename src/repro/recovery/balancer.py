@@ -19,16 +19,30 @@ iteration:
 The loop stops after ``e`` iterations or at the first iteration with no
 possible substitution.  The full λ trajectory is recorded in a
 :class:`BalanceTrace` so Figure 8 can be regenerated directly.
+
+The loop runs on a ``(stripes, racks)`` racks-used mask
+(:meth:`GreedyLoadBalancer.balance_racks`): traffic is its column sums,
+step 3 is one vectorised validity test per candidate rack
+(:func:`~repro.recovery.selector.substitutable`), and a substitution
+flips two cells.  Which chunks each stripe then reads follows from the
+final mask by the take rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.state import StripeView
+import numpy as np
+
+from repro.cluster.state import FailureColumns, StripeView
+from repro.cluster.topology import ClusterTopology
 from repro.errors import RecoveryError
-from repro.recovery.selector import CarSelector
-from repro.recovery.solution import MultiStripeSolution, balancing_rate
+from repro.recovery.selector import CarSelector, substitutable, take_chunks
+from repro.recovery.solution import (
+    MultiStripeSolution,
+    SolutionColumns,
+    balancing_rate,
+)
 
 __all__ = ["BalanceTrace", "GreedyLoadBalancer"]
 
@@ -85,7 +99,8 @@ class GreedyLoadBalancer:
             recorded λ trace is then computed over baseline + current.
 
     The measure's ``uplink`` is not an argument: it is read from the
-    topology of the selector handed to :meth:`balance`.
+    topology handed to :meth:`balance_racks` (or the selector's, for
+    :meth:`balance`).
     """
 
     def __init__(
@@ -100,21 +115,15 @@ class GreedyLoadBalancer:
             None if baseline_traffic is None else list(baseline_traffic)
         )
 
-    def _loaded_traffic(self, solution: MultiStripeSolution) -> list[int]:
-        t = solution.traffic_by_rack()
+    def _loaded_traffic(self, traffic: list[int]) -> list[int]:
         if self.baseline_traffic is None:
-            return t
-        if len(self.baseline_traffic) != len(t):
+            return traffic
+        if len(self.baseline_traffic) != len(traffic):
             raise RecoveryError(
                 f"baseline has {len(self.baseline_traffic)} racks, "
-                f"solution has {len(t)}"
+                f"solution has {len(traffic)}"
             )
-        return [a + b for a, b in zip(t, self.baseline_traffic)]
-
-    def _lambda(self, solution: MultiStripeSolution) -> float:
-        return balancing_rate(
-            self._loaded_traffic(solution), solution.failed_rack
-        )
+        return [a + b for a, b in zip(traffic, self.baseline_traffic)]
 
     def balance(
         self,
@@ -122,46 +131,115 @@ class GreedyLoadBalancer:
         initial: MultiStripeSolution,
         selector: CarSelector,
     ) -> tuple[MultiStripeSolution, BalanceTrace]:
-        """Run the greedy balancing loop.
+        """Balance an explicit multi-stripe solution.
 
         Args:
             views: stripe_id -> :class:`StripeView` for every stripe in
                 ``initial`` (needed to re-derive valid substitutes).
             initial: the starting multi-stripe solution (aggregated).
-            selector: the per-stripe selector for substitution checks.
+            selector: supplies ``k`` and the topology.
 
         Returns:
-            The balanced solution and its :class:`BalanceTrace`.
+            The balanced solution — ``initial`` itself if nothing was
+            substituted, else ``initial`` with each substituted stripe's
+            solution rebuilt by the take rule — and its
+            :class:`BalanceTrace`.
+
+        Raises:
+            RecoveryError: if ``initial`` is not aggregated or a stripe
+                of it has no view.
         """
         if not initial.aggregated:
             raise RecoveryError(
                 "load balancing operates on aggregated (CAR) solutions"
             )
-        current = initial
-        trace = BalanceTrace(lambdas=[self._lambda(current)])
+        stripes = initial.stripe_ids()
+        missing = [s for s in stripes if s not in views]
+        if missing:
+            raise RecoveryError(
+                f"no stripe view supplied for stripe {missing[0]}"
+            )
+        failure = FailureColumns.from_views(
+            [views[s] for s in stripes], selector.topology
+        )
+        used = initial.columns().racks_used(failure.num_racks)
+        balanced, trace = self.balance_racks(
+            failure, used, selector.k, selector.topology
+        )
+        changed = np.flatnonzero((balanced != used).any(axis=1))
+        if not len(changed):
+            return initial, trace
+        rows = failure.rows(changed)
+        moved = SolutionColumns.from_mask(
+            rows, take_chunks(rows, balanced[changed], selector.k)
+        )
+        solutions = list(initial.solutions)
+        for i, row in enumerate(changed.tolist()):
+            solutions[row] = moved.solution(i)
+        return (
+            MultiStripeSolution(solutions, initial.num_racks, aggregated=True),
+            trace,
+        )
+
+    def balance_racks(
+        self,
+        failure: FailureColumns,
+        used: np.ndarray,
+        k: int,
+        topology: ClusterTopology,
+    ) -> tuple[np.ndarray, BalanceTrace]:
+        """Algorithm 2 on a racks-used mask: the balancing loop itself.
+
+        Args:
+            failure: the stripes being repaired, one row each, in stripe
+                order.
+            used: ``(S, r)`` the intact racks each row reads (the failed
+                rack's column is False); not modified.
+            k: the decode threshold.
+            topology: supplies each rack's uplink capacity.
+
+        Returns:
+            The balanced mask and the :class:`BalanceTrace`.  Traffic is
+            the mask's column sums (one aggregated chunk per rack read),
+            so the chunks to take follow from the mask by
+            :func:`~repro.recovery.selector.take_chunks`.
+        """
+        counts, failed = failure.counts, failure.failed_rack
+        used = used.copy()
+        supply = counts[:, failed] + (counts * used).sum(axis=1)
+        traffic = used.sum(axis=0).tolist()
+        uplink = [
+            topology.bandwidth.uplink_for(r) for r in range(len(traffic))
+        ]
+        intact = [r for r in range(len(traffic)) if r != failed]
+        trace = BalanceTrace(
+            lambdas=[balancing_rate(self._loaded_traffic(traffic), failed)]
+        )
         for it in range(self.iterations):
-            substituted = self._try_substitute(views, current, selector)
-            if substituted is None:
+            move = self._substitution(
+                counts, used, supply, k, self._loaded_traffic(traffic),
+                uplink, intact,
+            )
+            if move is None:
                 trace.converged_at = it
                 break
-            current = substituted
+            row, l_rack, i_rack = move
+            used[row, l_rack], used[row, i_rack] = False, True
+            supply[row] += counts[row, i_rack] - counts[row, l_rack]
+            traffic[l_rack] -= 1
+            traffic[i_rack] += 1
             trace.substitutions += 1
-            trace.lambdas.append(self._lambda(current))
-        return current, trace
+            trace.lambdas.append(
+                balancing_rate(self._loaded_traffic(traffic), failed)
+            )
+        return used, trace
 
-    def _try_substitute(
-        self,
-        views: dict[int, StripeView],
-        current: MultiStripeSolution,
-        selector: CarSelector,
-    ) -> MultiStripeSolution | None:
-        """One iteration body (steps 5-11); None if no substitution exists."""
-        load = self._loaded_traffic(current)
-        bandwidth = selector.topology.bandwidth
-        uplink = [bandwidth.uplink_for(r) for r in range(current.num_racks)]
-        intact = [
-            r for r in range(current.num_racks) if r != current.failed_rack
-        ]
+    @staticmethod
+    def _substitution(
+        counts, used, supply, k, load, uplink, intact
+    ) -> tuple[int, int, int] | None:
+        """One iteration body (steps 5-11): ``(row, A_l, A_i)`` of the
+        substitution to make, or None if none exists."""
         if not intact:
             return None
         # Loads are compared cross-multiplied, load_a * uplink_b against
@@ -183,14 +261,10 @@ class GreedyLoadBalancer:
             ),
             key=lambda r: ((load[r] + 1) / uplink[r], r),
         )
+        # Step 8: the first stripe, in stripe order, reading A_l that
+        # admits a valid substitute reading A_i instead.
         for i_rack in candidates:
-            for sol in current.solutions_using(l_rack):
-                view = views.get(sol.stripe_id)
-                if view is None:
-                    raise RecoveryError(
-                        f"no stripe view supplied for stripe {sol.stripe_id}"
-                    )
-                replacement = selector.substitute(view, sol, l_rack, i_rack)
-                if replacement is not None:
-                    return current.replace(replacement)
+            ok = substitutable(counts, used, supply, l_rack, i_rack, k)
+            if ok.any():
+                return int(ok.argmax()), l_rack, i_rack
         return None

@@ -25,9 +25,10 @@ import abc
 import functools
 import itertools
 import random
-from collections.abc import Sequence
 
-from repro.cluster.state import ClusterState, StripeView
+import numpy as np
+
+from repro.cluster.state import ClusterState, FailureColumns, StripeView
 from repro.cluster.topology import ClusterTopology
 from repro.errors import (
     ConfigurationError,
@@ -37,8 +38,18 @@ from repro.errors import (
     annotate_strategy,
 )
 from repro.recovery.balancer import BalanceTrace, GreedyLoadBalancer
-from repro.recovery.selector import CarSelector, build_solution
-from repro.recovery.solution import MultiStripeSolution, PerStripeSolution
+from repro.recovery.selector import (
+    CarSelector,
+    pick_racks,
+    racks_needed,
+    take_chunks,
+)
+from repro.recovery.solution import (
+    MultiStripeSolution,
+    PerStripeSolution,
+    SolutionColumns,
+    balancing_rate,
+)
 
 __all__ = [
     "RecoveryStrategy",
@@ -91,6 +102,25 @@ class RecoveryStrategy(abc.ABC):
         if not views:
             raise NoValidSolutionError("the failed node stored no chunks")
         return views
+
+
+def _failure(state: ClusterState) -> FailureColumns:
+    """The columns of every stripe the state's failure touched."""
+    failure = state.failure_columns()
+    if not len(failure):
+        raise NoValidSolutionError("the failed node stored no chunks")
+    return failure
+
+
+def _columns_solution(
+    failure: FailureColumns, helper: np.ndarray, aggregated: bool
+) -> MultiStripeSolution:
+    """The multi-stripe solution of a helper mask over ``failure``."""
+    return MultiStripeSolution.from_columns(
+        SolutionColumns.from_mask(failure, helper),
+        num_racks=failure.num_racks,
+        aggregated=aggregated,
+    )
 
 
 def _solution_from_helpers(
@@ -148,49 +178,50 @@ class CarStrategy(RecoveryStrategy):
             self.name = "CAR" if load_balance else "CAR-noLB"
 
     def solve(self, state: ClusterState) -> MultiStripeSolution:
-        return self.solve_views(
-            state.topology, state.code.k, self._views(state)
+        return self.solve_failure(
+            state.topology, state.code.k, _failure(state)
         )
 
-    def solve_views(
-        self, topology: ClusterTopology, k: int, views: Sequence[StripeView]
+    def solve_failure(
+        self, topology: ClusterTopology, k: int, failure: FailureColumns
     ) -> MultiStripeSolution:
-        """CAR over the given stripe views: initial picks, then Algorithm 2.
+        """CAR over a failure's columns: Theorem 1, the initial pick,
+        Algorithm 2, then the chunk-take rule — each one array pass.
 
-        The one place CAR is composed.  :meth:`solve` passes the views of
-        every stripe the failure touched; a re-plan after a helper death
-        passes the pending stripes' views with the dead nodes' chunks
-        removed, so both balance by the same rack-load measure.
+        The one place CAR is composed.  :meth:`solve` passes every stripe
+        the failure touched; a re-plan after a helper death passes the
+        pending stripes with the dead nodes' chunks marked not alive, so
+        both balance by the same rack-load measure.
         """
-        selector = CarSelector(topology, k)
+        d = racks_needed(failure, k)
         if self.warm_start:
             running = [0] * topology.num_racks
             if self.baseline_traffic is not None:
                 running = list(self.baseline_traffic)
-            solutions = []
-            for v in views:
-                sol = selector.initial_solution(v, traffic_hint=running)
-                for rack, amount in sol.cross_rack_chunks(True).items():
-                    running[rack] += amount
-                solutions.append(sol)
-        else:
-            solutions = [selector.initial_solution(v) for v in views]
-        initial = MultiStripeSolution(
-            solutions, num_racks=topology.num_racks, aggregated=True
-        )
-        if not self.load_balance:
-            self.last_trace = BalanceTrace(
-                lambdas=[initial.load_balancing_rate()]
+            uplink_for = topology.bandwidth.uplink_for
+            used = pick_racks(
+                failure, d, running,
+                [uplink_for(r) for r in range(topology.num_racks)],
             )
-            return initial
-        balancer = GreedyLoadBalancer(
-            iterations=self.iterations,
-            baseline_traffic=self.baseline_traffic,
-        )
-        balanced, self.last_trace = balancer.balance(
-            {v.stripe_id: v for v in views}, initial, selector
-        )
-        return balanced
+        else:
+            used = pick_racks(failure, d)
+        if self.load_balance:
+            balancer = GreedyLoadBalancer(
+                iterations=self.iterations,
+                baseline_traffic=self.baseline_traffic,
+            )
+            used, self.last_trace = balancer.balance_racks(
+                failure, used, k, topology
+            )
+        else:
+            self.last_trace = BalanceTrace(
+                lambdas=[
+                    balancing_rate(
+                        used.sum(axis=0).tolist(), failure.failed_rack
+                    )
+                ]
+            )
+        return _columns_solution(failure, take_chunks(failure, used, k), True)
 
 
 class RandomRecoveryStrategy(RecoveryStrategy):
@@ -231,13 +262,9 @@ class MinRackNoAggregationStrategy(RecoveryStrategy):
     aggregated = False
 
     def solve(self, state: ClusterState) -> MultiStripeSolution:
-        selector = CarSelector(state.topology, state.code.k)
-        solutions = [
-            selector.initial_solution(v) for v in self._views(state)
-        ]
-        return MultiStripeSolution(
-            solutions, num_racks=state.topology.num_racks, aggregated=False
-        )
+        k, failure = state.code.k, _failure(state)
+        used = pick_racks(failure, racks_needed(failure, k))
+        return _columns_solution(failure, take_chunks(failure, used, k), False)
 
 
 class RandomAggregatedStrategy(RecoveryStrategy):

@@ -76,7 +76,6 @@ from repro.recovery.planner import (
     StreamingRecoveryPlan,
     WindowPlan,
     plan_window,
-    windows,
 )
 from repro.recovery.solution import MultiStripeSolution
 
@@ -282,14 +281,12 @@ class PlanExecutor:
         by_id = {sp.stripe_id: sp for sp in plan.stripe_plans}
 
         def columns():
-            for sols in windows(solution.solutions, window):
-                for sol in sols:
-                    if sol.stripe_id not in by_id:
-                        raise PlanError(
-                            f"no stripe plan for stripe {sol.stripe_id}"
-                        )
+            for rows in solution.columns().windows(window):
+                for stripe in rows.stripe_id.tolist():
+                    if stripe not in by_id:
+                        raise PlanError(f"no stripe plan for stripe {stripe}")
                 yield plan_window(
-                    self.state, plan.replacement_node, sols,
+                    self.state, plan.replacement_node, rows,
                     aggregated=plan.aggregated,
                 )
 
@@ -393,11 +390,11 @@ class PlanExecutor:
                     # Intent for every stripe of the window up front:
                     # on a crash mid-window the un-committed stripes are
                     # exactly the journal's pending set.
-                    for sol in win.solutions:
+                    for stripe, lost in zip(
+                        win.stripe_id.tolist(), win.lost_chunk.tolist()
+                    ):
                         self.journal.stripe_intent(
-                            sol.stripe_id,
-                            aggregated=win.aggregated,
-                            lost_chunk=sol.lost_chunk,
+                            stripe, aggregated=win.aggregated, lost_chunk=lost
                         )
                     uncommitted += len(win)
                 inflight.append((idx, win, submit(win)))
@@ -436,23 +433,22 @@ class PlanExecutor:
         chunk_bytes = self.state.data.chunk_size
         shipped = 0
         try:
-            for i, sol in enumerate(win.solutions):
+            for i, stripe in enumerate(win.stripe_id.tolist()):
                 if walk:
+                    sol = win.solutions[i]
                     sp = stripe_plan(sol)
                     with self.tracer.span(
-                        "exec.stripe", stripe_id=sol.stripe_id,
+                        "exec.stripe", stripe_id=stripe,
                         aggregated=win.aggregated,
                     ):
                         self._walk_stripe(sol, sp, outcome, i, win)
-                result.record(
-                    sol.stripe_id, outcome.rebuilt[i], outcome.ok[i], sink
-                )
+                result.record(stripe, outcome.rebuilt[i], outcome.ok[i], sink)
                 if self.journal is not None:
                     cross, intra, charges = _streaming.stripe_accounting(
                         sp, chunk_bytes
                     )
                     self.journal.stripe_commit(
-                        sol.stripe_id,
+                        stripe,
                         outcome.rebuilt[i],
                         lost_chunk=sol.lost_chunk,
                         ok=outcome.ok[i],

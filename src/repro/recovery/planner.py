@@ -20,9 +20,10 @@ Plan construction follows the paper's methodology section:
   replacement node; flows from other racks cross the core.
 
 A plan is columns before it is objects.  :func:`plan_window` plans a
-window of stripes as one :class:`WindowPlan`: integer arrays of shape
-(stripes, helpers) — helper chunk, holder node, holder rack,
-destination — plus a repair-signature id per stripe, checked in bulk.
+window of a solution's :class:`~repro.recovery.solution.SolutionColumns`
+as one :class:`WindowPlan`: integer arrays of shape (stripes, helpers) —
+helper chunk, holder node, holder rack, destination — plus a
+repair-signature id per stripe, checked in bulk.
 Every figure the executor needs (transfers by scope, compute by node,
 stage counts) is counted from those arrays.  :class:`Transfer`,
 :class:`ComputeTask` and :class:`StripePlan` objects are built from a
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -43,7 +45,12 @@ import numpy as np
 from repro.cluster.state import ClusterState, FailureEvent
 from repro.errors import PlanError
 from repro.obs import metrics as _metrics
-from repro.recovery.solution import MultiStripeSolution, PerStripeSolution
+from repro.recovery.solution import (
+    NO_HELPER,
+    MultiStripeSolution,
+    PerStripeSolution,
+    SolutionColumns,
+)
 
 __all__ = [
     "Transfer",
@@ -57,10 +64,6 @@ __all__ = [
     "plan_window",
     "windows",
 ]
-
-#: Column value of a helper slot a stripe does not fill: a local (LRC)
-#: repair reads fewer helpers than the widest stripe of its window.
-NO_HELPER = -1
 
 #: Stripes per window of columns while :func:`plan_recovery` builds its
 #: objects: what the window bounds is the columns' scratch, not the plan.
@@ -204,8 +207,8 @@ class RecoveryPlan:
 class WindowPlan:
     """A window of stripes planned as columns.
 
-    Row ``i`` is ``solutions[i]``; column ``j`` is its ``j``-th helper in
-    *decode order*: grouped by rack, racks in the order of their lowest
+    Row ``i`` is row ``i`` of ``source``; column ``j`` is its ``j``-th
+    helper in *decode order*: grouped by rack, racks in the order of their lowest
     helper chunk, chunks ascending within a rack (a direct repair is one
     group).  That is the order of the repair vector's
     :class:`~repro.erasure.repair.PartialDecodePlan` groups, so a
@@ -213,7 +216,7 @@ class WindowPlan:
     Slots past a stripe's last helper hold :data:`NO_HELPER`.
 
     Attributes:
-        solutions: the window's per-stripe solutions, in order.
+        source: the window's rows of the solution's columns.
         aggregated: whether partial decoding is used.
         replacement_node: destination of every reconstruction.
         stripe_id / lost_chunk: ``(S,)``.
@@ -234,7 +237,7 @@ class WindowPlan:
         racks_accessed: ``(S,)`` racks each stripe reads from.
     """
 
-    solutions: tuple[PerStripeSolution, ...]
+    source: SolutionColumns
     aggregated: bool
     replacement_node: int
     stripe_id: np.ndarray
@@ -253,7 +256,13 @@ class WindowPlan:
     racks_accessed: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self.stripe_id)
+
+    @cached_property
+    def solutions(self) -> tuple[PerStripeSolution, ...]:
+        """The window's per-stripe solutions, built on first use (by the
+        per-stripe walk, the journal and the fault ladder only)."""
+        return tuple(self.source.solution(i) for i in range(len(self)))
 
     def ledger(
         self, chunk_bytes: int, stripes: int | None = None
@@ -291,10 +300,13 @@ def plan_window(
     aggregated: bool,
     dead_nodes: frozenset[int] | set[int] = frozenset(),
 ) -> WindowPlan:
-    """Plan a window of per-stripe solutions as columns.
+    """Plan a window of solutions as columns.
 
-    The only per-stripe Python is reading each solution's rack grouping;
-    holders, delegates, destinations, transfer counts and signatures are
+    Args:
+        solutions: the window's :class:`SolutionColumns`, or per-stripe
+            solutions (read into columns first).
+
+    Holders, delegates, destinations, transfer counts and signatures are
     array operations over the whole window.
 
     Raises:
@@ -304,28 +316,16 @@ def plan_window(
             raises for it.
         PlacementError: for a chunk the placement does not hold.
     """
-    sols = tuple(solutions)
-    chunks: list[int] = []
-    racks: list[int] = []
-    counts: list[int] = []
-    for sol in sols:
-        n = 0
-        for rack, members in sol.chunks_by_rack.items():
-            chunks.extend(members)
-            racks.extend([rack] * len(members))
-            n += len(members)
-        counts.append(n)
-    stripes, width = len(sols), max(counts)
+    source = (
+        solutions
+        if isinstance(solutions, SolutionColumns)
+        else SolutionColumns.from_solutions(solutions)
+    )
+    # One row per stripe, ordered by chunk; unused slots come last.
+    chunk, rack = source.chunk.copy(), source.rack
+    stripes, width = chunk.shape
     cols = np.arange(width)
-    # One row per stripe, ordered by chunk; unused slots sort last.
-    chunk = np.full((stripes, width), np.iinfo(np.intp).max)
-    rack = np.full((stripes, width), NO_HELPER)
-    used = cols < np.array(counts)[:, None]
-    chunk[used] = chunks
-    rack[used] = racks
-    order = np.argsort(chunk, axis=1, kind="stable")
-    chunk = np.take_along_axis(chunk, order, axis=1)
-    rack = np.take_along_axis(rack, order, axis=1)
+    used = chunk != NO_HELPER
     # Each helper's rack-mate of lowest chunk: the column its group
     # starts at once racks are grouped in the order of those chunks.
     head = (rack[:, :, None] == rack[:, None, :]).argmax(axis=2)
@@ -341,8 +341,7 @@ def plan_window(
         head = np.maximum.accumulate(np.where(lead, cols, 0), axis=1)
     chunk[~used] = NO_HELPER
 
-    stripe_id = np.array([sol.stripe_id for sol in sols])
-    lost_chunk = np.array([sol.lost_chunk for sol in sols])
+    stripe_id, lost_chunk = source.stripe_id, source.lost_chunk
     # Holders from the placement's node table; an index it does not have
     # is left for the per-stripe constructor to report.
     table = state.placement.node_table()
@@ -358,15 +357,14 @@ def plan_window(
         if unusable is not None:
             bad |= known & (node == unusable)
     if bad.any():
-        sol = sols[int(bad.any(axis=1).argmax())]
+        sol = source.solution(int(bad.any(axis=1).argmax()))
         _plan_stripe(state, replacement_node, sol, aggregated, frozenset(dead_nodes))
         raise PlanError(f"stripe {sol.stripe_id}: unplannable helper")
 
     repl = replacement_node
     repl_rack = state.topology.rack_of(repl)
     if aggregated:
-        failed_rack = np.array([sol.failed_rack for sol in sols])
-        to_repl = rack == failed_rack[:, None]
+        to_repl = rack == source.failed_rack[:, None]
         dest = np.where(to_repl, repl, np.take_along_axis(node, head, axis=1))
         raw = used & (node != dest)
         partial = lead & ~to_repl
@@ -395,7 +393,7 @@ def plan_window(
     )
     partial_decodes = partial.sum(axis=1)
     return WindowPlan(
-        solutions=sols,
+        source=source,
         aggregated=aggregated,
         replacement_node=repl,
         stripe_id=stripe_id,
@@ -485,9 +483,10 @@ class StreamingRecoveryPlan:
     Instead of materialising one :class:`StripePlan` per affected stripe
     up front (at million-stripe scale the transfer dataclasses dominate
     the coordinator's heap), the streaming plan holds only the inputs —
-    cluster state, failure event, per-stripe solutions — and plans a
-    window of them at a time, as columns, inside :meth:`iter_windows`.
-    Memory is O(window) in the stripe count.
+    cluster state, failure event, the solution's columns or an iterable
+    of per-stripe solutions — and plans a window of them at a time, as
+    columns, inside :meth:`iter_windows`.  Planning memory is O(window)
+    in the stripe count.
 
     The iterator is single-shot: windows are yielded once, in solution
     order, and the ``plan.*`` metrics are recorded per window so a fully
@@ -509,7 +508,10 @@ class StreamingRecoveryPlan:
         dead_nodes: frozenset[int] | set[int] = frozenset(),
     ) -> None:
         self._state = state
-        self._solutions = iter(solutions)
+        self._solutions = (
+            solutions if isinstance(solutions, SolutionColumns)
+            else iter(solutions)
+        )
         self._dead = frozenset(dead_nodes)
         self._consumed = False
         self.replacement_node = event.replacement_node
@@ -525,9 +527,14 @@ class StreamingRecoveryPlan:
         if self._consumed:
             raise PlanError("streaming plan already consumed (single-shot)")
         self._consumed = True
-        for sols in windows(self._solutions, window):
+        source = self._solutions
+        for rows in (
+            source.windows(window)
+            if isinstance(source, SolutionColumns)
+            else windows(source, window)
+        ):
             win = plan_window(
-                self._state, self.replacement_node, sols,
+                self._state, self.replacement_node, rows,
                 aggregated=self.aggregated, dead_nodes=self._dead,
             )
             reg = _metrics.CURRENT
@@ -554,7 +561,8 @@ def plan_recovery_streaming(
 
     Args:
         solutions: a :class:`~repro.recovery.solution.MultiStripeSolution`
-            (``aggregated`` is taken from it) or any iterable of
+            (``aggregated`` is taken from it, windows are read from its
+            columns) or any iterable of
             :class:`~repro.recovery.solution.PerStripeSolution` — e.g. a
             generator produced by a strategy that solves stripes lazily —
             in which case ``aggregated`` must be given explicitly.
@@ -566,7 +574,7 @@ def plan_recovery_streaming(
     if isinstance(solutions, MultiStripeSolution):
         if aggregated is None:
             aggregated = solutions.aggregated
-        solutions = solutions.solutions
+        solutions = solutions.columns()
     if aggregated is None:
         raise PlanError(
             "aggregated= is required when streaming from a bare solution "

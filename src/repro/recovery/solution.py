@@ -22,18 +22,25 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
-from copy import copy
 from dataclasses import dataclass, field
 from operator import attrgetter
+
+import numpy as np
 
 from repro.errors import RecoveryError
 
 __all__ = [
+    "NO_HELPER",
     "PerStripeSolution",
     "WeightedStripeSolution",
+    "SolutionColumns",
     "MultiStripeSolution",
     "balancing_rate",
 ]
+
+#: Column value of a helper slot a stripe does not fill: a local (LRC)
+#: repair reads fewer helpers than the widest stripe of its rows.
+NO_HELPER = -1
 
 _stripe_id = attrgetter("stripe_id")
 
@@ -184,8 +191,157 @@ class WeightedStripeSolution(PerStripeSolution):
         return dict(self.rack_units)
 
 
+@dataclass(frozen=True, eq=False)
+class SolutionColumns:
+    """Per-stripe solutions as columns, one row per stripe.
+
+    Row ``i`` reads the helper chunks ``chunk[i]``, ascending, and slots
+    past its last helper hold :data:`NO_HELPER`; ``rack[i]`` is the rack
+    each helper is read from.  CAR's solve produces these directly
+    (:meth:`from_mask`); the planner reads its windows from them.
+
+    Attributes:
+        stripe_id / lost_chunk / failed_rack: ``(S,)``.
+        chunk / rack: ``(S, H)``.
+        objects: the per-stripe solution of each row when the columns
+            were built from objects (:meth:`from_solutions`), so that
+            :meth:`solution` hands back the object itself — a weighted
+            solution's fractional payloads live only there.
+    """
+
+    stripe_id: np.ndarray
+    lost_chunk: np.ndarray
+    failed_rack: np.ndarray
+    chunk: np.ndarray
+    rack: np.ndarray
+    objects: tuple[PerStripeSolution, ...] | None = None
+
+    def __len__(self) -> int:
+        return len(self.stripe_id)
+
+    @classmethod
+    def from_mask(cls, failure, helper: np.ndarray) -> "SolutionColumns":
+        """The rows of a ``(S, k + m)`` helper mask over a failure's
+        :class:`~repro.cluster.state.FailureColumns`."""
+        reads = helper.sum(axis=1)
+        width = int(reads.max(initial=0))
+        # Helper chunks first, each row's in ascending order.
+        order = np.argsort(~helper, axis=1, kind="stable")[:, :width]
+        pad = np.arange(width) >= reads[:, None]
+        row = np.arange(len(reads))[:, None]
+        return cls(
+            stripe_id=failure.stripe_id,
+            lost_chunk=failure.lost_chunk,
+            failed_rack=np.full(len(reads), failure.failed_rack),
+            chunk=np.where(pad, NO_HELPER, order),
+            rack=np.where(pad, NO_HELPER, failure.chunk_rack[row, order]),
+        )
+
+    @classmethod
+    def from_solutions(cls, solutions) -> "SolutionColumns":
+        """The rows of per-stripe solution objects, in their order."""
+        sols = tuple(solutions)
+        chunks: list[int] = []
+        racks: list[int] = []
+        counts: list[int] = []
+        for sol in sols:
+            n = 0
+            for rack, members in sol.chunks_by_rack.items():
+                chunks.extend(members)
+                racks.extend([rack] * len(members))
+                n += len(members)
+            counts.append(n)
+        width = max(counts, default=0)
+        # Unused slots sort last, then become NO_HELPER.
+        chunk = np.full((len(sols), width), np.iinfo(np.intp).max)
+        rack = np.full((len(sols), width), NO_HELPER)
+        used = np.arange(width) < np.array(counts, dtype=np.intp)[:, None]
+        chunk[used] = chunks
+        rack[used] = racks
+        order = np.argsort(chunk, axis=1, kind="stable")
+        chunk = np.take_along_axis(chunk, order, axis=1)
+        chunk[~used] = NO_HELPER
+        return cls(
+            stripe_id=np.array([s.stripe_id for s in sols], dtype=np.intp),
+            lost_chunk=np.array([s.lost_chunk for s in sols], dtype=np.intp),
+            failed_rack=np.array([s.failed_rack for s in sols], dtype=np.intp),
+            chunk=chunk,
+            rack=np.take_along_axis(rack, order, axis=1),
+            objects=sols,
+        )
+
+    def rows(self, index) -> "SolutionColumns":
+        """The columns of the rows ``index`` (a slice, mask or indices)."""
+        objects = self.objects
+        if objects is not None:
+            picked = np.arange(len(self))[index].tolist()
+            objects = tuple(objects[i] for i in picked)
+        return SolutionColumns(
+            stripe_id=self.stripe_id[index],
+            lost_chunk=self.lost_chunk[index],
+            failed_rack=self.failed_rack[index],
+            chunk=self.chunk[index],
+            rack=self.rack[index],
+            objects=objects,
+        )
+
+    def rack_reads(self, num_racks: int) -> np.ndarray:
+        """``(S, r)`` helper chunks each row reads from each rack."""
+        used = self.chunk != NO_HELPER
+        rows = np.arange(len(self))[:, None]
+        return np.bincount(
+            (rows * num_racks + self.rack)[used],
+            minlength=len(self) * num_racks,
+        ).reshape(len(self), num_racks)
+
+    def racks_used(self, num_racks: int) -> np.ndarray:
+        """``(S, r)`` the intact racks each row reads from (the racks-used
+        mask of :mod:`repro.recovery.selector`)."""
+        used = self.rack_reads(num_racks) > 0
+        used[np.arange(len(self)), self.failed_rack] = False
+        return used
+
+    def windows(self, size: int):
+        """The rows ``size`` at a time, in order."""
+        for start in range(0, len(self), size):
+            yield self.rows(slice(start, start + size))
+
+    def solution(self, i: int) -> PerStripeSolution:
+        """Row ``i`` as a :class:`PerStripeSolution`, built on demand.
+
+        Its racks are listed in the order the take rule fills them: the
+        failed rack, then the rest largest first, ties by rack id.
+        """
+        if self.objects is not None:
+            return self.objects[i]
+        chunks, racks = self.chunk[i].tolist(), self.rack[i].tolist()
+        groups: dict[int, list[int]] = {}
+        for c, rack in zip(chunks, racks):
+            if c != NO_HELPER:
+                groups.setdefault(rack, []).append(c)
+        failed = int(self.failed_rack[i])
+        return PerStripeSolution(
+            stripe_id=int(self.stripe_id[i]),
+            lost_chunk=int(self.lost_chunk[i]),
+            failed_rack=failed,
+            chunks_by_rack={
+                rack: tuple(groups[rack])
+                for rack in sorted(
+                    groups,
+                    key=lambda r: (r != failed, -len(groups[r]), r),
+                )
+            },
+        )
+
+
 class MultiStripeSolution:
     """One per-stripe solution for every affected stripe, plus λ math.
+
+    Backed either by per-stripe solution objects (the constructor) or by
+    :class:`SolutionColumns` (:meth:`from_columns`, what CAR's solve
+    returns).  Over columns, traffic, λ and :meth:`solutions_using` are
+    counted from the arrays, and a :class:`PerStripeSolution` exists only
+    once someone asks for it.
 
     Args:
         solutions: per-stripe solutions (any order; stored stripe-sorted).
@@ -207,33 +363,94 @@ class MultiStripeSolution:
             raise RecoveryError(
                 f"solutions disagree on the failed rack: {failed_racks}"
             )
-        self.solutions = sorted(solutions, key=_stripe_id)
+        self._objects: list[PerStripeSolution] | None = sorted(
+            solutions, key=_stripe_id
+        )
+        self._columns: SolutionColumns | None = None
+        self._columnar = False
         self.num_racks = num_racks
         self.aggregated = aggregated
         self.failed_rack = failed_racks.pop()
-        # Lazy caches: solutions never change after construction
-        # (replace() builds a new object and hands it these, adjusted),
-        # so traffic totals and the rack -> solutions index are computed
-        # at most once along a chain of substitutions.
+        # Solutions never change after construction, so traffic is
+        # counted at most once.
         self._traffic: list[int] | None = None
-        self._by_rack: dict[int, tuple[PerStripeSolution, ...]] | None = None
+        self._reads: np.ndarray | None = None
+
+    @classmethod
+    def from_columns(
+        cls, columns: SolutionColumns, num_racks: int, aggregated: bool
+    ) -> "MultiStripeSolution":
+        """A solution backed by stripe-sorted :class:`SolutionColumns`."""
+        if not len(columns):
+            raise RecoveryError("multi-stripe solution needs at least one stripe")
+        failed_racks = set(np.unique(columns.failed_rack).tolist())
+        if len(failed_racks) != 1:
+            raise RecoveryError(
+                f"solutions disagree on the failed rack: {failed_racks}"
+            )
+        self = cls.__new__(cls)
+        self._objects = None
+        self._columns = columns
+        self._columnar = True
+        self.num_racks = num_racks
+        self.aggregated = aggregated
+        self.failed_rack = failed_racks.pop()
+        self._traffic = None
+        self._reads = None
+        return self
+
+    @property
+    def solutions(self) -> list[PerStripeSolution]:
+        """The per-stripe solutions, stripe-sorted (built once, on
+        demand, over columns)."""
+        if self._objects is None:
+            columns = self._columns
+            self._objects = [columns.solution(i) for i in range(len(columns))]
+        return self._objects
+
+    def columns(self) -> SolutionColumns:
+        """The solution as :class:`SolutionColumns` (derived once from
+        the objects when it was built from objects)."""
+        if self._columns is None:
+            self._columns = SolutionColumns.from_solutions(self._objects)
+        return self._columns
+
+    def stripe_ids(self) -> tuple[int, ...]:
+        """The stripes this solution repairs, ascending."""
+        if self._columnar:
+            return tuple(self._columns.stripe_id.tolist())
+        return tuple(s.stripe_id for s in self._objects)
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self._columns) if self._columnar else len(self._objects)
 
     def __iter__(self):
         return iter(self.solutions)
 
     def _position(self, stripe_id: int) -> int:
-        """Index of ``stripe_id`` in the stripe-sorted list.
+        """Index of ``stripe_id`` in stripe order.
 
         Raises:
             RecoveryError: if the stripe is not part of this solution.
         """
-        i = bisect_left(self.solutions, stripe_id, key=_stripe_id)
-        if i == len(self.solutions) or self.solutions[i].stripe_id != stripe_id:
+        if self._columnar:
+            ids = self._columns.stripe_id
+            i = int(np.searchsorted(ids, stripe_id))
+            found = i < len(ids) and ids[i] == stripe_id
+        else:
+            i = bisect_left(self._objects, stripe_id, key=_stripe_id)
+            found = i < len(self._objects) and (
+                self._objects[i].stripe_id == stripe_id
+            )
+        if not found:
             raise RecoveryError(f"no solution for stripe {stripe_id}")
         return i
+
+    def _solution_at(self, i: int) -> PerStripeSolution:
+        """Row ``i``'s solution, without building the others."""
+        if self._objects is None:
+            return self._columns.solution(i)
+        return self._objects[i]
 
     def solution_for(self, stripe_id: int) -> PerStripeSolution:
         """The per-stripe solution for ``stripe_id``.
@@ -241,26 +458,31 @@ class MultiStripeSolution:
         Raises:
             RecoveryError: if the stripe is not part of this solution.
         """
-        return self.solutions[self._position(stripe_id)]
+        return self._solution_at(self._position(stripe_id))
 
     def restricted_to(self, stripes) -> "MultiStripeSolution":
         """The same solution for just the given stripes (those it has)."""
         keep = set(stripes)
+        if self._columnar:
+            columns = self._columns
+            return MultiStripeSolution.from_columns(
+                columns.rows(np.isin(columns.stripe_id, list(keep))),
+                num_racks=self.num_racks,
+                aggregated=self.aggregated,
+            )
         return MultiStripeSolution(
-            [s for s in self.solutions if s.stripe_id in keep],
+            [s for s in self._objects if s.stripe_id in keep],
             num_racks=self.num_racks,
             aggregated=self.aggregated,
         )
 
     def replace(self, new: PerStripeSolution) -> "MultiStripeSolution":
-        """A copy with the solution for ``new.stripe_id`` substituted.
+        """A copy, backed by objects, with the solution for
+        ``new.stripe_id`` substituted; ``self`` is left untouched.
 
-        The copy inherits whatever this object has already derived —
-        traffic totals, the rack -> solutions index — adjusted for the
-        two solutions that differ, so a substitution costs its own size,
-        not a pass over every stripe (fractional ``rack_units`` are
-        carried by float subtraction and addition).  ``self`` is left
-        untouched.
+        Raises:
+            RecoveryError: if the stripe is not part of this solution or
+                ``new`` names another failed rack.
         """
         i = self._position(new.stripe_id)
         if new.failed_rack != self.failed_rack:
@@ -268,55 +490,43 @@ class MultiStripeSolution:
                 "solutions disagree on the failed rack: "
                 f"{{{self.failed_rack}, {new.failed_rack}}}"
             )
-        old = self.solutions[i]
-        clone = copy(self)
-        clone.solutions = self.solutions.copy()
-        clone.solutions[i] = new
-        if self._traffic is not None:
-            clone._traffic = t = self._traffic.copy()
-            for rack, amount in old.cross_rack_chunks(self.aggregated).items():
-                t[rack] -= amount
-            for rack, amount in new.cross_rack_chunks(self.aggregated).items():
-                t[rack] += amount
-        if self._by_rack is not None:
-            clone._by_rack = index = self._by_rack.copy()
-            for rack in old.chunks_by_rack.keys() | new.chunks_by_rack.keys():
-                users = list(index.get(rack, ()))
-                j = bisect_left(users, new.stripe_id, key=_stripe_id)
-                # ``old`` sits at j iff it reads this rack.
-                users[j : j + (rack in old.chunks_by_rack)] = (
-                    [new] if rack in new.chunks_by_rack else []
-                )
-                index[rack] = tuple(users)
-        return clone
+        solutions = list(self.solutions)
+        solutions[i] = new
+        return MultiStripeSolution(solutions, self.num_racks, self.aggregated)
 
     # -- traffic metrics ----------------------------------------------------
+
+    def _rack_reads(self) -> np.ndarray:
+        """``(S, r)`` helper chunks each stripe reads from each rack."""
+        if self._reads is None:
+            self._reads = self.columns().rack_reads(self.num_racks)
+        return self._reads
 
     def traffic_by_rack(self) -> list[int]:
         """``t_{i,f}`` in chunk units for every rack ``i`` (0 at ``A_f``)."""
         if self._traffic is None:
-            t = [0] * self.num_racks
-            for sol in self.solutions:
-                for rack, amount in sol.cross_rack_chunks(
-                    self.aggregated
-                ).items():
-                    t[rack] += amount
-            self._traffic = t
+            if self._columnar:
+                reads = self._rack_reads()
+                t = (reads > 0).sum(axis=0) if self.aggregated else reads.sum(axis=0)
+                t[self.failed_rack] = 0
+                self._traffic = t.tolist()
+            else:
+                t = [0] * self.num_racks
+                for sol in self._objects:
+                    for rack, amount in sol.cross_rack_chunks(
+                        self.aggregated
+                    ).items():
+                        t[rack] += amount
+                self._traffic = t
         return list(self._traffic)
 
     def solutions_using(self, rack_id: int) -> tuple[PerStripeSolution, ...]:
-        """Per-stripe solutions that read from ``rack_id``, stripe-sorted.
-
-        Backed by a lazily built rack -> solutions index so Algorithm 2
-        does not rescan every stripe per substitution attempt.
-        """
-        if self._by_rack is None:
-            index: dict[int, list[PerStripeSolution]] = {}
-            for sol in self.solutions:
-                for rack in sol.chunks_by_rack:
-                    index.setdefault(rack, []).append(sol)
-            self._by_rack = {r: tuple(s) for r, s in index.items()}
-        return self._by_rack.get(rack_id, ())
+        """Per-stripe solutions that read from ``rack_id``, stripe-sorted
+        (the rows are found in the columns; only theirs are built)."""
+        if not 0 <= rack_id < self.num_racks:
+            return ()
+        rows = np.flatnonzero(self._rack_reads()[:, rack_id])
+        return tuple(self._solution_at(i) for i in rows.tolist())
 
     def total_cross_rack_traffic(self) -> int:
         """Total cross-rack repair traffic, in chunk units."""
@@ -328,7 +538,7 @@ class MultiStripeSolution:
 
     def __repr__(self) -> str:
         return (
-            f"MultiStripeSolution(stripes={len(self.solutions)}, "
+            f"MultiStripeSolution(stripes={len(self)}, "
             f"racks={self.num_racks}, aggregated={self.aggregated}, "
             f"traffic={self.total_cross_rack_traffic()}, "
             f"lambda={self.load_balancing_rate():.3f})"

@@ -56,7 +56,8 @@ from repro.cache import BoundedCache
 from repro.erasure.repair import PartialDecodePlan, split_repair_vector
 from repro.gf.field import gf
 from repro.gf.vector import rows_equal, segment_dot, xor_segments
-from repro.recovery.planner import NO_HELPER, StripePlan, WindowPlan
+from repro.recovery.planner import StripePlan, WindowPlan
+from repro.recovery.solution import NO_HELPER
 
 __all__ = [
     "REPAIR_GROUP_CACHE",

@@ -203,27 +203,6 @@ class TestReplaceCarriesWhatWasDerived:
                 assert derived(receiver) == before
             assert current.solution_for(new.stripe_id) is new
 
-    def test_a_substitution_costs_its_own_size(self, monkeypatch):
-        """Fifty substitutions into 200 stripes, reading traffic and the
-        rack index after each (Algorithm 2's loop): only the two
-        solutions that differ are ever asked for their traffic again."""
-        asked = []
-        original = PerStripeSolution.cross_rack_chunks
-        monkeypatch.setattr(
-            PerStripeSolution,
-            "cross_rack_chunks",
-            lambda self, aggregated: asked.append(self.stripe_id)
-            or original(self, aggregated),
-        )
-        ms = MultiStripeSolution([sol(stripe=i) for i in range(200)], 4, True)
-        assert ms.traffic_by_rack() == [0, 200, 200, 0]
-        assert len(ms.solutions_using(1)) == 200 and len(asked) == 200
-        for i in range(50):
-            ms = ms.replace(sol(stripe=i, chunks_by_rack={0: (1, 2), 3: (3, 4, 5)}))
-            assert ms.traffic_by_rack() == [0, 199 - i, 199 - i, i + 1]
-            assert [s.stripe_id for s in ms.solutions_using(3)] == list(range(i + 1))
-        assert len(asked) == 200 + 2 * 50
-
     def test_replace_refuses_another_failed_rack(self):
         ms = MultiStripeSolution([sol(stripe=0), sol(stripe=1)], 4, True)
         ms.traffic_by_rack()

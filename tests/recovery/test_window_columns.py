@@ -40,12 +40,15 @@ CHUNK = 256
 def solve_around(state, dead, aggregated):
     """CAR (re-planned over the survivors) or RR-style direct recovery
     that reads nothing from ``dead``."""
+    if aggregated:
+        return CarStrategy().solve_failure(
+            state.topology, state.code.k,
+            state.failure_columns(dead_nodes=dead),
+        )
     views = [
         degraded_view(state.stripe_view(s), dead, state.topology)
         for s in state.affected_stripes()
     ]
-    if aggregated:
-        return CarStrategy().solve_views(state.topology, state.code.k, views)
     return MultiStripeSolution(
         [
             _solution_from_helpers(
