@@ -35,13 +35,24 @@ __all__ = [
     "ClusterState",
 ]
 
+#: Most bytes one RNG call draws when a store is built (see
+#: :class:`DataStore`): small enough that each draw stays in cache on
+#: its way into the array.
+DRAW_BYTES = 1 << 16
+
 
 class DataStore:
     """Holds the actual bytes of every chunk of every stripe.
 
-    Data chunks are filled from a seeded RNG (deterministic per stripe),
-    parity chunks are encoded with the stripe's code — so any
-    reconstruction can be checked against ground truth.
+    The bytes are one ``(stripes, n, elements)`` array: chunk ``c`` of
+    stripe ``s`` is ``array[s, c]``, and row ``s * n + c`` of
+    :meth:`rows`.  Data chunks are filled from a seeded RNG
+    (deterministic per stripe), parity chunks are encoded with the
+    stripe's code straight into the array — so any reconstruction can be
+    checked against ground truth.
+
+    Readers get read-only views (:meth:`chunk`, :meth:`rows`); only
+    :meth:`overwrite`, :meth:`corrupt` and :meth:`add_stripe` write.
     """
 
     def __init__(
@@ -49,27 +60,57 @@ class DataStore:
     ) -> None:
         self.code = code
         self.chunk_size = chunk_size
-        self.num_stripes = num_stripes
         dtype = buffer_dtype(gf(code.w))
+        elements = chunk_size // dtype.itemsize
+        self._hold(np.empty((num_stripes, code.n, elements), dtype), num_stripes)
         rng = np.random.default_rng(seed)
-        self._chunks: dict[ChunkKey, np.ndarray] = {}
         high = int(np.iinfo(dtype).max) + 1
-        elements = chunk_size if dtype == np.uint8 else chunk_size // 2
-        for stripe in range(num_stripes):
-            data = [
-                rng.integers(0, high, elements, dtype=dtype)
-                for _ in range(code.k)
-            ]
-            for idx, buf in enumerate(code.encode_stripe(data)):
-                self._chunks[(stripe, idx)] = buf
+        # The generator deals whole 32-bit words per call.  Where a chunk
+        # is a whole number of words, a stripe's data chunks are one run
+        # of words, and any whole-word pieces of it draw the bytes that
+        # one call per chunk would: pieces of DRAW_BYTES.  Other chunks
+        # are drawn one call each.
+        chunk_bytes = elements * dtype.itemsize
+        step = DRAW_BYTES // dtype.itemsize if chunk_bytes % 4 == 0 else elements
+        for stripe in self._array:
+            data = stripe[: code.k].reshape(-1)
+            for lo in range(0, data.size, step):
+                piece = data[lo : lo + step]
+                piece[...] = rng.integers(0, high, piece.size, dtype=dtype)
+            code.encode_into(stripe)
 
     @classmethod
     def empty(cls, code: ErasureCode, chunk_size: int) -> "DataStore":
         """A store with no stripes yet (filled via :meth:`add_stripe`)."""
         return cls(code, num_stripes=0, chunk_size=chunk_size)
 
+    @classmethod
+    def over(cls, code: ErasureCode, array: np.ndarray) -> "DataStore":
+        """A store over an existing ``(stripes, n, elements)`` array.
+
+        The array is not copied, and a read-only array makes a read-only
+        store (how :class:`~repro.io_shm.SharedChunkStore` hands out its
+        mapping).
+        """
+        store = cls.empty(code, array.shape[2] * array.itemsize)
+        store._hold(array, len(array))
+        return store
+
+    def _hold(self, array: np.ndarray, num_stripes: int) -> None:
+        self._array = array
+        self._view = array.view()
+        self._view.setflags(write=False)
+        self.num_stripes = num_stripes
+
+    def __reduce__(self):
+        # The array once, not the array and its read-only view apart.
+        return DataStore.over, (self.code, self._array[: self.num_stripes])
+
     def add_stripe(self, stripe_id: int, chunks: list[np.ndarray]) -> None:
-        """Register the full chunk set of a new stripe.
+        """Register the full chunk set of a new stripe (copied in).
+
+        The array grows by doubling, so ``S`` stripes cost ``O(S)``
+        copying in all.
 
         Raises:
             UnknownChunkError: if the stripe id is not the next dense id
@@ -80,50 +121,67 @@ class DataStore:
                 f"stripe ids must be dense; expected {self.num_stripes}, "
                 f"got {stripe_id}"
             )
-        if len(chunks) != self.code.k + self.code.m:
-            raise UnknownChunkError(
-                f"stripe needs {self.code.k + self.code.m} chunks, "
-                f"got {len(chunks)}"
-            )
+        _, n, elements = self._array.shape
+        if len(chunks) != n:
+            raise UnknownChunkError(f"stripe needs {n} chunks, got {len(chunks)}")
         for buf in chunks:
-            if buf.nbytes != self.chunk_size:
+            if buf.shape != (elements,) or buf.dtype != self._array.dtype:
                 raise UnknownChunkError(
-                    f"chunk is {buf.nbytes} bytes, store uses {self.chunk_size}"
+                    f"chunk is {buf.nbytes} bytes of {buf.dtype}, store uses "
+                    f"{self.chunk_size} of {self._array.dtype}"
                 )
-        for idx, buf in enumerate(chunks):
-            self._chunks[(stripe_id, idx)] = buf.copy()
+        if self.num_stripes == len(self._array):
+            grown = np.empty(
+                (max(1, 2 * self.num_stripes), n, elements), self._array.dtype
+            )
+            grown[: self.num_stripes] = self._array
+            self._hold(grown, self.num_stripes)
+        for row, buf in zip(self._array[stripe_id], chunks):
+            row[:] = buf
         self.num_stripes += 1
 
     def chunk(self, stripe_id: int, chunk_index: int) -> np.ndarray:
-        """The stored buffer for one chunk.
+        """The stored buffer for one chunk: a read-only view, never a copy.
 
         Raises:
             UnknownChunkError: if the chunk does not exist.
         """
-        try:
-            return self._chunks[(stripe_id, chunk_index)]
-        except KeyError:
-            raise UnknownChunkError((stripe_id, chunk_index)) from None
+        if not (
+            0 <= stripe_id < self.num_stripes
+            and 0 <= chunk_index < self._array.shape[1]
+        ):
+            raise UnknownChunkError((stripe_id, chunk_index))
+        return self._view[stripe_id, chunk_index]
 
-    def gather(self, stripe_ids, chunk_indices) -> list[np.ndarray]:
-        """The stored buffers of many chunks: one per (stripe, chunk) pair.
+    def rows(self) -> np.ndarray:
+        """Every chunk as one read-only ``(stripes * n, elements)`` matrix.
+
+        Row ``s * n + c`` is chunk ``c`` of stripe ``s`` (:meth:`row_ids`).
+        """
+        return self._view[: self.num_stripes].reshape(-1, self._view.shape[2])
+
+    def row_ids(self, stripe_ids, chunk_indices) -> np.ndarray:
+        """The :meth:`rows` index of every (stripe, chunk) pair.
 
         Raises:
-            UnknownChunkError: if any of the chunks does not exist.
+            UnknownChunkError: naming the first pair that does not exist.
         """
-        try:
-            return list(
-                map(self._chunks.__getitem__, zip(stripe_ids, chunk_indices))
-            )
-        except KeyError as exc:
-            raise UnknownChunkError(exc.args[0]) from None
+        stripes = np.asarray(stripe_ids, dtype=np.intp)
+        chunks = np.asarray(chunk_indices, dtype=np.intp)
+        n = self._array.shape[1]
+        bad = (stripes < 0) | (stripes >= self.num_stripes)
+        bad |= (chunks < 0) | (chunks >= n)
+        if bad.any():
+            first = int(bad.argmax())
+            raise UnknownChunkError((int(stripes[first]), int(chunks[first])))
+        return stripes * n + chunks
 
     def matches(self, stripe_id: int, chunk_index: int, buf: np.ndarray) -> bool:
         """True iff ``buf`` equals the ground-truth chunk byte-for-byte."""
         return bool(np.array_equal(self.chunk(stripe_id, chunk_index), buf))
 
     def overwrite(self, stripe_id: int, chunk_index: int, buf: np.ndarray) -> None:
-        """Replace one stored chunk (used by scrubbing repair).
+        """Replace one stored chunk's bytes (used by scrubbing repair).
 
         Raises:
             UnknownChunkError: if the chunk does not exist.
@@ -134,23 +192,22 @@ class DataStore:
                 f"replacement buffer mismatch for stripe {stripe_id} "
                 f"chunk {chunk_index}"
             )
-        self._chunks[(stripe_id, chunk_index)] = buf.copy()
+        self._array[stripe_id, chunk_index] = buf
 
     def corrupt(
         self, stripe_id: int, chunk_index: int, seed: int = 0
     ) -> np.ndarray:
-        """Flip bytes of one chunk in place (silent-corruption injection).
+        """Flip one element of one chunk in place (silent-corruption
+        injection): a view taken before the call sees the flip.
 
-        Returns the pristine original so tests can compare.
+        Returns a copy of the pristine original, so tests can compare.
         """
         original = self.chunk(stripe_id, chunk_index).copy()
         rng = np.random.default_rng(seed)
-        corrupted = original.copy()
-        pos = int(rng.integers(0, corrupted.size))
+        pos = int(rng.integers(0, original.size))
         # XOR with a nonzero mask guarantees the value changes.
-        mask = corrupted.dtype.type(int(rng.integers(1, 255)))
-        corrupted[pos] ^= mask
-        self._chunks[(stripe_id, chunk_index)] = corrupted
+        mask = original.dtype.type(int(rng.integers(1, 255)))
+        self._array[stripe_id, chunk_index, pos] ^= mask
         return original
 
 

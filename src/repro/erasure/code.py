@@ -41,6 +41,11 @@ class ErasureCode(abc.ABC):
     def encode(self, data_chunks: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Compute the ``m`` parity chunks from the ``k`` data chunks."""
 
+    def encode_into(self, stripe: np.ndarray) -> None:
+        """Fill rows ``k ..`` of an ``(n, L)`` stripe with the parity of
+        its first ``k`` rows, in place."""
+        stripe[self.k :] = self.encode(list(stripe[: self.k]))
+
     @abc.abstractmethod
     def decode(self, available: Mapping[int, np.ndarray]) -> list[np.ndarray]:
         """Reconstruct all ``k`` data chunks from any ``k`` available chunks.

@@ -44,7 +44,7 @@ from repro.errors import (
 from repro.erasure.code import ErasureCode
 from repro.erasure.matrix import GFMatrix
 from repro.gf.field import GaloisField, gf
-from repro.gf.vector import buffer_dtype, dot_rows, matrix_apply
+from repro.gf.vector import batch_dot, buffer_dtype, dot_rows, matrix_apply
 
 __all__ = ["LRCCode"]
 
@@ -195,6 +195,14 @@ class LRCCode(ErasureCode):
     def encode_stripe(self, data_chunks: Sequence[np.ndarray]) -> list[np.ndarray]:
         """The full stripe: data chunks followed by local then global parity."""
         return list(data_chunks) + self.encode(data_chunks)
+
+    def encode_into(self, stripe: np.ndarray) -> None:
+        """Parity of an ``(n, L)`` stripe's first ``k`` rows, encoded
+        straight into its last ``l + g`` rows."""
+        batch_dot(
+            self.field, self.generator.data[self.k :, :], stripe[: self.k],
+            out=stripe[self.k :],
+        )
 
     def is_recoverable(self, available: Sequence[int]) -> bool:
         """True iff the available chunks span the data space."""

@@ -32,7 +32,7 @@ from repro.errors import (
 from repro.erasure.code import ErasureCode
 from repro.erasure.matrix import GFMatrix
 from repro.gf.field import GaloisField, gf
-from repro.gf.vector import buffer_dtype, dot_rows, matrix_apply
+from repro.gf.vector import batch_dot, buffer_dtype, dot_rows, matrix_apply
 
 __all__ = ["RSCode", "default_width_for"]
 
@@ -152,6 +152,13 @@ class RSCode(ErasureCode):
     def encode_stripe(self, data_chunks: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Return the full stripe: the data chunks followed by parity."""
         return list(data_chunks) + self.encode(data_chunks)
+
+    def encode_into(self, stripe: np.ndarray) -> None:
+        """Parity of an ``(n, L)`` stripe's first ``k`` rows, encoded
+        straight into its last ``m`` rows."""
+        batch_dot(
+            self.field, self.parity_rows, stripe[: self.k], out=stripe[self.k :]
+        )
 
     def _invert_rows(self, rows: tuple[int, ...]) -> GFMatrix:
         """Inverse of the generator's submatrix for the given row indices."""

@@ -374,18 +374,19 @@ def _xor_segments(rows: np.ndarray, starts: np.ndarray, out: np.ndarray) -> None
         )
 
 
-def xor_segments(rows, starts, *, consume: bool = False) -> list[np.ndarray]:
+def xor_segments(rows, starts, *, consume: bool = False):
     """Field addition per segment: XOR each run of consecutive buffers.
 
     Segment ``i`` is ``rows[starts[i]:starts[i + 1]]`` (the last one runs
     to the end) and contributes one buffer to the result.  This is the
     replacement node's final combine (Algorithm 1, line 6) for a whole
-    window of stripes at once.  Short rows are stacked and reduced in
-    one pass; from ``_SHORT_ROW`` elements up a pass per row is cheaper
-    than stacking.
+    window of stripes at once.  Short rows are reduced in one pass over
+    a matrix — ``rows`` as it stands if it is one, else stacked once —
+    into the rows of one result matrix; from ``_SHORT_ROW`` elements up a
+    pass per row is cheaper than stacking, and the result is a list.
 
     Args:
-        rows: equal-length buffers of one dtype.
+        rows: equal-length buffers of one dtype (a list or a matrix).
         starts: first row of each segment, rising strictly from 0.
         consume: the caller is done with ``rows``, so one buffer of each
             segment may serve as its accumulator instead of a copy — at
@@ -397,10 +398,10 @@ def xor_segments(rows, starts, *, consume: bool = False) -> list[np.ndarray]:
     starts = _segment_starts(starts, len(rows))
     size = rows[0].shape[0]
     if size < _SHORT_ROW:
-        stacked = np.concatenate(rows).reshape(len(rows), size)
+        stacked = np.asarray(rows)
         out = np.empty((len(starts), size), dtype=stacked.dtype)
         _xor_segments(stacked, starts, out)
-        return list(out)
+        return out
     bounds = starts.tolist() + [len(rows)]
     sums = []
     for lo, hi in zip(bounds, bounds[1:]):
@@ -414,45 +415,60 @@ def xor_segments(rows, starts, *, consume: bool = False) -> list[np.ndarray]:
     return sums
 
 
-def rows_equal(rows, others) -> list[bool]:
-    """Pairwise byte-for-byte equality of two equally long buffer lists.
+def _picked(rows, ids):
+    """Rows ``ids`` of ``rows`` as a list of views (``rows`` itself
+    without ids): long rows are never copied."""
+    return rows if ids is None else [rows[i] for i in ids.tolist()]
 
-    A repair window's ground-truth check: short rows compare as bytes
-    (one copy and one ``memcmp`` each, a tenth of ``np.array_equal``'s
-    per-call cost); from ``_SHORT_ROW`` elements up, where that copy
-    would cost more than the comparison, without copying.
+
+def rows_equal(rows, others, ids=None) -> list[bool]:
+    """Pairwise byte-for-byte equality: ``rows[ids[i]]`` against ``others[i]``.
+
+    A repair window's ground-truth check, with ``rows`` the chunk store's
+    matrix and ``ids`` the lost chunks' rows (without ``ids``, ``rows[i]``
+    itself).  Short rows compare as one matrix, ``(a == b).all(axis=1)``;
+    from ``_SHORT_ROW`` elements up, where gathering them would cost more
+    than the comparison, row by row over views.
     """
-    if rows and rows[0].shape[0] < _SHORT_ROW:
-        return [a.tobytes() == b.tobytes() for a, b in zip(rows, others)]
-    return list(map(np.array_equal, rows, others))
+    if not len(others):
+        return []
+    if others[0].shape[0] < _SHORT_ROW:
+        picked = np.asarray(rows) if ids is None else np.take(rows, ids, axis=0)
+        return (picked == np.asarray(others)).all(axis=1).tolist()
+    return list(map(np.array_equal, _picked(rows, ids), others))
 
 
 def _dot_short(
-    field: GaloisField, coeffs: np.ndarray, bufs, starts: np.ndarray,
+    field: GaloisField, coeffs: np.ndarray, rows, ids, starts: np.ndarray,
     out: np.ndarray,
 ) -> None:
     """Per-segment w <= 8 dots of short rows: one gather per row block.
 
-    Rows are stacked a block at a time — about ``_TILE`` elements, cut at
-    a segment boundary — indexed into :func:`_product_table` by
-    ``coefficient * order + element``, gathered once and XORed down to
-    one row per segment, straight into ``out``.  Scratch is O(block)
-    whatever the number of segments.  Stacking is also the dtype check:
-    ``casting="no"`` lets nothing but the field's dtype into the block.
+    Term ``t`` multiplies row ``ids[t]`` of the matrix ``rows`` (row
+    ``t`` of ``rows`` without ids).  Terms are stacked a block at a time
+    — about ``_TILE`` elements, cut at a segment boundary — by one
+    ``np.take`` over their row ids, indexed into :func:`_product_table`
+    by ``coefficient * order + element``, gathered once and XORed down
+    to one row per segment, straight into ``out``.  Scratch is O(block)
+    whatever the number of segments.  Without ids a block is stacked by
+    concatenating its rows, which is also the dtype check:
+    ``casting="no"`` lets nothing but the field's dtype into the block
+    (a matrix with ids is checked by :func:`_row_ids`).
     """
     size = out.shape[1]
     order = field.order
     table = _product_table(field)
+    terms = len(coeffs)
     base = np.multiply(coeffs, order, dtype=np.uint16, casting="unsafe")[:, None]
-    # Blocks of whole segments: a new one wherever the row count passes a
-    # multiple of a tile's worth of rows.
+    # Blocks of whole segments: a new one wherever the term count passes
+    # a multiple of a tile's worth of rows.
     block_rows = _TILE // max(size, 1)
     cuts = {0, len(starts)}
-    if len(bufs) > block_rows:
-        every = np.arange(block_rows, len(bufs), block_rows)
+    if terms > block_rows:
+        every = np.arange(block_rows, terms, block_rows)
         cuts.update(np.searchsorted(starts, every).tolist())
     cuts = sorted(cuts)
-    bounds = starts.tolist() + [len(bufs)]
+    bounds = starts.tolist() + [terms]
     cap = max(bounds[s1] - bounds[s0] for s0, s1 in zip(cuts, cuts[1:]))
     stacked = np.empty((cap, size), dtype=out.dtype)
     index = np.empty((cap, size), dtype=np.uint16)
@@ -460,15 +476,18 @@ def _dot_short(
     for s0, s1 in zip(cuts, cuts[1:]):
         lo, hi = bounds[s0], bounds[s1]
         n = hi - lo
-        block = bufs[lo:hi]
-        if {buf.shape for buf in block} != {(size,)}:
-            raise FieldError(f"buffers must all be {size}-element rows")
-        try:
-            np.concatenate(block, out=stacked[:n].reshape(-1), casting="no")
-        except TypeError as exc:
-            raise FieldError(
-                f"buffer dtype does not match GF(2^{field.w}) ({out.dtype})"
-            ) from exc
+        if ids is not None:
+            np.take(rows, ids[lo:hi], axis=0, out=stacked[:n])
+        else:
+            block = rows[lo:hi]
+            if {buf.shape for buf in block} != {(size,)}:
+                raise FieldError(f"buffers must all be {size}-element rows")
+            try:
+                np.concatenate(block, out=stacked[:n].reshape(-1), casting="no")
+            except TypeError as exc:
+                raise FieldError(
+                    f"buffer dtype does not match GF(2^{field.w}) ({out.dtype})"
+                ) from exc
         if field.w < 8 and int(stacked[:n].max(initial=0)) >= order:
             raise FieldError(f"buffer holds a byte outside GF(2^{field.w})")
         np.add(stacked[:n], base[lo:hi], out=index[:n])
@@ -491,7 +510,9 @@ def _dot_single_u8(
     :func:`_dot_short` instead.
     """
     if _short_rows(field, out_row.shape[0]):
-        _dot_short(field, coeffs, bufs, np.zeros(1, dtype=np.intp), out_row[None])
+        _dot_short(
+            field, coeffs, bufs, None, np.zeros(1, dtype=np.intp), out_row[None]
+        )
         return
     terms = [(c, bufs[j]) for j, c in enumerate(coeffs.tolist()) if c]
     if not terms:
@@ -666,52 +687,78 @@ def dot_rows(field: GaloisField, coeffs: list[int] | np.ndarray, bufs: list[np.n
     return batch_dot(field, np.asarray(coeffs).reshape(1, -1), bufs)[0]
 
 
-def segment_dot(field: GaloisField, coeffs, rows, starts) -> list[np.ndarray]:
-    """Many :func:`dot_rows` at once: ``sum_t coeffs[t] * rows[t]`` per segment.
+def _row_ids(field: GaloisField, rows, ids) -> np.ndarray:
+    """``ids`` as an index array into the matrix ``rows``, checked:
+    ``np.take`` would wrap a negative id and cast another dtype."""
+    dtype = buffer_dtype(field)
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
+        raise FieldError("row ids index the rows of a 2-D matrix")
+    if rows.dtype != dtype:
+        raise FieldError(
+            f"buffer dtype {rows.dtype} does not match GF(2^{field.w}) ({dtype})"
+        )
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.ndim != 1 or (
+        ids.size and (int(ids.min()) < 0 or int(ids.max()) >= len(rows))
+    ):
+        raise FieldError(f"row ids must be a 1-D index below {len(rows)}")
+    return ids
 
-    Segment ``i`` covers ``rows[starts[i]:starts[i + 1]]`` (the last one
-    runs to the end) with the matching coefficients; row ``i`` of the
-    result is its linear combination, so ``dot_rows`` is the one-segment
-    case.  A repair window's per-rack partial decodes (Equation 7) are
-    one call: short rows of every segment share gathers over the full
-    product table (:func:`_dot_short`), longer rows — and GF(2^16) at
-    every length — go segment by segment through :func:`dot_rows`.
+
+def segment_dot(field: GaloisField, coeffs, rows, starts, ids=None):
+    """Many :func:`dot_rows` at once: ``sum_t coeffs[t] * rows[ids[t]]`` per segment.
+
+    Segment ``i`` covers terms ``starts[i]:starts[i + 1]`` (the last one
+    runs to the end); row ``i`` of the result is its linear combination,
+    so ``dot_rows`` is the one-segment case.  A repair window's per-rack
+    partial decodes (Equation 7) are one call, with ``rows`` the chunk
+    store's matrix and ``ids`` the helper chunks' rows: short rows of
+    every segment share gathers over the full product table
+    (:func:`_dot_short`) and come back as the rows of one matrix; longer
+    rows — and GF(2^16) at every length — go segment by segment through
+    :func:`dot_rows` over views, and come back as a list.
 
     Args:
         field: the coefficient field.
-        coeffs: one coefficient per row.
+        coeffs: one coefficient per term.
         rows: equal-length 1-D buffers of the field's dtype (a list or
             the rows of a matrix); only read, may be read-only/strided.
-        starts: first row of each segment, rising strictly from 0.
+        starts: first term of each segment, rising strictly from 0.
+        ids: the row each term reads, when ``rows`` is a matrix
+            (default: term ``t`` reads row ``t``).
 
     Returns:
-        The per-segment sums, one buffer each, in segment order.
+        The per-segment sums, one row each, in segment order.
 
     Raises:
-        FieldError: on count, segment, dtype, coefficient-range or
-            (w < 8) element-range mismatches.
+        FieldError: on count, segment, dtype, row-id, coefficient-range
+            or (w < 8) element-range mismatches.
     """
     coeffs = np.asarray(coeffs)
-    if coeffs.ndim != 1 or len(coeffs) != len(rows):
+    if ids is not None:
+        ids = _row_ids(field, rows, ids)
+    terms = len(rows) if ids is None else len(ids)
+    if coeffs.ndim != 1 or len(coeffs) != terms:
         raise FieldError("coefficient/buffer count mismatch")
-    if not len(rows):
+    if not terms:
         raise FieldError("segment_dot requires at least one buffer")
     if int(coeffs.min()) < 0 or int(coeffs.max()) >= field.order:
         raise FieldError(f"coefficients outside GF(2^{field.w})")
-    starts = _segment_starts(starts, len(rows))
+    starts = _segment_starts(starts, terms)
     size = rows[0].shape[0]
     if not _short_rows(field, size):
-        bounds = starts.tolist() + [len(rows)]
+        bufs = _picked(rows, ids)
+        bounds = starts.tolist() + [terms]
         coeffs = coeffs.tolist()
         return [
-            dot_rows(field, coeffs[lo:hi], rows[lo:hi])
+            dot_rows(field, coeffs[lo:hi], bufs[lo:hi])
             for lo, hi in zip(bounds, bounds[1:])
         ]
     out = np.empty((len(starts), size), dtype=buffer_dtype(field))
-    _dot_short(field, coeffs, rows, starts, out)
+    _dot_short(field, coeffs, rows, ids, starts, out)
     if _metrics.CURRENT is not None:
-        _count_kernel("segment_dot", len(rows) * size * out.itemsize)
-    return list(out)
+        _count_kernel("segment_dot", terms * size * out.itemsize)
+    return out
 
 
 def matrix_apply(field: GaloisField, rows: np.ndarray, bufs: list[np.ndarray]) -> list[np.ndarray]:

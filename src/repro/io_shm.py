@@ -12,8 +12,8 @@ whole chunk array in one ``multiprocessing.shared_memory`` segment:
   :meth:`SharedChunkStore.attach`, mapping the same physical pages
   (zero-copy — no bytes cross the pipe);
 - :meth:`SharedChunkStore.store` wraps the mapping in a read-only
-  :class:`ShmDataStore` that satisfies the executor's DataStore
-  interface (``chunk`` / ``matches`` / ``chunk_size`` / ``num_stripes``).
+  :class:`~repro.cluster.state.DataStore` — the store already is one
+  ``(stripes, n, elements)`` array, so the mapping is that array.
 
 Lifecycle is explicit because shared memory outlives processes: every
 attachment must :meth:`~SharedChunkStore.close` (detach) and exactly one
@@ -30,9 +30,12 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.errors import ConfigurationError, UnknownChunkError
+from repro.cluster.state import DataStore
+from repro.gf.field import gf
+from repro.gf.vector import buffer_dtype
+from repro.errors import ConfigurationError
 
-__all__ = ["ShmHandle", "ShmDataStore", "SharedChunkStore"]
+__all__ = ["ShmHandle", "SharedChunkStore"]
 
 
 def _untrack(shm: shared_memory.SharedMemory) -> None:
@@ -66,56 +69,15 @@ class ShmHandle:
 
     Attributes:
         name: the OS-level shared-memory segment name.
+        code: the stripes' erasure code (fixes ``n`` and the dtype).
         num_stripes: stripes held.
-        chunks_per_stripe: chunks per stripe (``k + m``).
         chunk_size: bytes per chunk.
-        dtype: numpy dtype name of the chunk buffers ("uint8"/"uint16").
     """
 
     name: str
+    code: object
     num_stripes: int
-    chunks_per_stripe: int
     chunk_size: int
-    dtype: str
-
-
-class ShmDataStore:
-    """Read-only DataStore facade over a shared ``(S, n, L)`` array.
-
-    ``chunk`` returns zero-copy views into the shared segment, so a
-    worker's decode reads the parent's pages directly.  The store is
-    deliberately read-only: recovery never mutates helper data, and a
-    read-only contract keeps concurrent windows race-free.
-    """
-
-    def __init__(self, array: np.ndarray, chunk_size: int) -> None:
-        self._array = array
-        self.chunk_size = chunk_size
-        self.num_stripes = int(array.shape[0])
-        self._array.setflags(write=False)
-
-    def chunk(self, stripe_id: int, chunk_index: int) -> np.ndarray:
-        """The stored buffer for one chunk (a view, never a copy).
-
-        Raises:
-            UnknownChunkError: if the chunk does not exist.
-        """
-        s, n, _ = self._array.shape
-        if not (0 <= stripe_id < s and 0 <= chunk_index < n):
-            raise UnknownChunkError((stripe_id, chunk_index))
-        return self._array[stripe_id, chunk_index]
-
-    def gather(self, stripe_ids, chunk_indices) -> list[np.ndarray]:
-        """The buffers of many chunks: one view per (stripe, chunk) pair.
-
-        Raises:
-            UnknownChunkError: if any of the chunks does not exist.
-        """
-        return [self.chunk(s, c) for s, c in zip(stripe_ids, chunk_indices)]
-
-    def matches(self, stripe_id: int, chunk_index: int, buf: np.ndarray) -> bool:
-        """True iff ``buf`` equals the ground-truth chunk byte-for-byte."""
-        return bool(np.array_equal(self.chunk(stripe_id, chunk_index), buf))
 
 
 class SharedChunkStore:
@@ -136,10 +98,13 @@ class SharedChunkStore:
         self._handle = handle
         self._owner = owner
         self._closed = False
-        elements = handle.chunk_size // np.dtype(handle.dtype).itemsize
+        dtype = buffer_dtype(gf(handle.code.w))
         self._array = np.ndarray(
-            (handle.num_stripes, handle.chunks_per_stripe, elements),
-            dtype=np.dtype(handle.dtype),
+            (
+                handle.num_stripes, handle.code.n,
+                handle.chunk_size // dtype.itemsize,
+            ),
+            dtype=dtype,
             buffer=shm.buf,
         )
         # Backstop: if the owner is garbage-collected without close(),
@@ -152,31 +117,25 @@ class SharedChunkStore:
             self._finalizer = None
 
     @classmethod
-    def from_datastore(cls, data) -> "SharedChunkStore":
-        """Copy a :class:`~repro.cluster.state.DataStore` into shared memory.
+    def from_datastore(cls, data: DataStore) -> "SharedChunkStore":
+        """Copy a :class:`~repro.cluster.state.DataStore` into shared
+        memory: one copy of its array.
 
         Raises:
             ConfigurationError: if the store holds no stripes.
         """
-        code = data.code
-        n = code.k + code.m
+        rows = data.rows()
         if data.num_stripes < 1:
             raise ConfigurationError("cannot share an empty data store")
-        probe = data.chunk(0, 0)
-        dtype = probe.dtype
-        total = data.num_stripes * n * data.chunk_size
-        shm = shared_memory.SharedMemory(create=True, size=total)
+        shm = shared_memory.SharedMemory(create=True, size=rows.nbytes)
         handle = ShmHandle(
             name=shm.name,
+            code=data.code,
             num_stripes=data.num_stripes,
-            chunks_per_stripe=n,
             chunk_size=data.chunk_size,
-            dtype=dtype.name,
         )
         store = cls(shm, handle, owner=True)
-        for stripe in range(data.num_stripes):
-            for idx in range(n):
-                store._array[stripe, idx] = data.chunk(stripe, idx)
+        store._array.reshape(rows.shape)[:] = rows
         store._array.setflags(write=False)
         return store
 
@@ -192,9 +151,12 @@ class SharedChunkStore:
         """The picklable handle workers attach with."""
         return self._handle
 
-    def store(self) -> ShmDataStore:
-        """A DataStore-compatible read-only view of the segment."""
-        return ShmDataStore(self._array, self._handle.chunk_size)
+    def store(self) -> DataStore:
+        """A read-only :class:`~repro.cluster.state.DataStore` over the
+        mapping (its chunks are views into the segment)."""
+        array = self._array.view()
+        array.setflags(write=False)
+        return DataStore.over(self._handle.code, array)
 
     def close(self) -> None:
         """Detach this process's mapping (safe to call twice).

@@ -10,17 +10,19 @@ never touches the tracer, the journal or the fault hooks:
   memory is O(window) regardless of stripe count;
 - :func:`compute_window` performs every GF decode of a window in one
   columnar pass over its :class:`~repro.recovery.planner.WindowPlan`.
-  The window's helper columns are already in decode order — one row
-  per helper chunk, the rows of one rack group adjacent (a *segment*),
-  the segments of one stripe adjacent — so every per-rack partial
-  decode (Equation 7) of the window is a single
-  :func:`~repro.gf.vector.segment_dot` call and every final combine a
-  single :func:`~repro.gf.vector.xor_segments` call; how those treat
-  256-byte rows and 4 MiB rows differently is the kernels' business —
-  nothing here looks at the chunk size;
-- the per-signature coefficient table is memoised in the named
-  :data:`REPAIR_GROUP_CACHE`, looked up once per distinct signature id
-  of a window, whose hit/miss rates surface through the
+  The window's helper columns are already in decode order — one term
+  per helper chunk, the terms of one rack group adjacent (a *segment*),
+  the segments of one stripe adjacent — and each is a row id into the
+  chunk store's one matrix (:meth:`~repro.cluster.state.DataStore.rows`),
+  so every per-rack partial decode (Equation 7) of the window is a
+  single :func:`~repro.gf.vector.segment_dot` call, every final combine
+  a single :func:`~repro.gf.vector.xor_segments` call and the truth
+  check a single :func:`~repro.gf.vector.rows_equal` call; how those
+  treat 256-byte rows and 4 MiB rows differently is the kernels'
+  business — nothing here looks at the chunk size;
+- the per-signature decode table is memoised per (code, repair mode)
+  and looked up once per distinct signature of a window; the caches'
+  hit/miss rates surface as ``exec.repair_groups`` through the
   :mod:`repro.obs` metrics registry (the hit rate is how often stripes
   share a repair vector);
 - :func:`stripe_accounting` derives one stripe's traffic and compute
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import pickle
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -60,7 +63,6 @@ from repro.recovery.planner import StripePlan, WindowPlan
 from repro.recovery.solution import NO_HELPER
 
 __all__ = [
-    "REPAIR_GROUP_CACHE",
     "WindowOutcome",
     "default_window",
     "compute_window",
@@ -78,20 +80,36 @@ WINDOW_BYTES = 2 << 20
 #: of.
 STRIPE_OVERHEAD_BYTES = 4096
 
-#: Memoised per-signature repair decompositions.  Named, so the cache
-#: self-registers with the metrics registry: its hit rate quantifies how
-#: often stripes share a repair vector and shows up in ``repro-car
-#: metrics`` next to the GF table caches.
-REPAIR_GROUP_CACHE = BoundedCache(4096, name="exec.repair_groups")
+#: Memoised decode tables: one cache per (code, repair mode), keyed by
+#: signature bytes, so a window hashes its code once and each distinct
+#: signature costs one lookup.  The code itself is part of the key: two
+#: codes of one shape (say the Vandermonde and Cauchy RS constructions)
+#: repair with different coefficients.
+_DECODE_TABLES = BoundedCache(16)
+
+
+def _repair_groups(code, aggregated: bool) -> BoundedCache:
+    """The per-signature cache of one (code, repair mode).
+
+    Every such cache carries the metric name ``exec.repair_groups``, so
+    their stats aggregate in the :mod:`repro.obs` metrics registry and
+    ``repro-car metrics``, next to the GF table caches: the hit rate
+    quantifies how often stripes share a repair vector.
+    """
+    return _DECODE_TABLES.get_or_build(
+        (code, aggregated),
+        lambda: BoundedCache(4096, name="exec.repair_groups"),
+    )
 
 
 class _Layout(NamedTuple):
-    """One signature's decode table: its plan, one coefficient per helper
-    column and the size of each rack group, in column order."""
+    """One signature's decode table, one entry per helper column of the
+    window (padding columns included): its plan, each column's
+    coefficient, and whether a rack group starts at the column."""
 
     plan: PartialDecodePlan
     coefficients: np.ndarray
-    sizes: np.ndarray
+    heads: np.ndarray
 
 
 @dataclass
@@ -100,14 +118,14 @@ class WindowOutcome:
 
     Attributes:
         rebuilt: per stripe, the reconstructed chunk (at small chunk
-            sizes a row of the window's result matrix, which it keeps
-            alive).
+            sizes the rows of one result matrix).
         ok: per stripe, byte-exact match against ground truth.
         decodes: per stripe, the repair decomposition — one group per
             rack when aggregated (used for checkpoint ordering), a
             single one holding every helper when direct.
         partials: every group's partially decoded buffer, in window
-            order; only kept when the executor walks the stripes'
+            order (at small chunk sizes the rows of one matrix); only
+            kept when the executor walks the stripes'
             checkpoint/delivery events (telemetry, journal, integrity
             verification or a fault-injecting subclass).
         first_partial: per stripe, the index of its first group.
@@ -115,10 +133,10 @@ class WindowOutcome:
             emits them as a pipeline span).
     """
 
-    rebuilt: list[np.ndarray]
+    rebuilt: Sequence[np.ndarray]
     ok: list[bool]
     decodes: list[PartialDecodePlan]
-    partials: list[np.ndarray] | None
+    partials: Sequence[np.ndarray] | None
     first_partial: list[int]
     started: float
     finished: float
@@ -151,29 +169,26 @@ def _layout(code, aggregated: bool, signature: bytes) -> _Layout:
     aggregated, their racks), so it fixes the repair vector and its
     grouping.  Aggregated repairs split the repair vector per rack
     (Equation 7); a direct repair is the same arithmetic with every
-    helper in one group, decoded at the replacement node.  The code
-    itself is part of the cache key: two codes of one shape (say the
-    Vandermonde and Cauchy RS constructions) repair with different
-    coefficients.
+    helper in one group, decoded at the replacement node.  The window's
+    helper columns are in the groups' order, so the coefficients fill
+    the used columns in that order; padding columns get coefficient 0.
     """
-
-    def build() -> _Layout:
-        row = np.frombuffer(signature, dtype=np.int32).tolist()
-        lost, columns = row[0], row[1:]
-        width = len(columns) // 2 if aggregated else len(columns)
-        helpers = [c for c in columns[:width] if c != NO_HELPER]
-        plan = split_repair_vector(
-            code, lost, sorted(helpers),
-            dict(zip(helpers, columns[width:])) if aggregated
-            else dict.fromkeys(helpers),
-        )
-        return _Layout(
-            plan,
-            np.array([c for g in plan.groups for c in g.coefficients]),
-            np.array([g.size for g in plan.groups]),
-        )
-
-    return REPAIR_GROUP_CACHE.get_or_build((code, aggregated, signature), build)
+    row = np.frombuffer(signature, dtype=np.int32).tolist()
+    lost, columns = row[0], row[1:]
+    width = len(columns) // 2 if aggregated else len(columns)
+    used = [j for j in range(width) if columns[j] != NO_HELPER]
+    helpers = [columns[j] for j in used]
+    plan = split_repair_vector(
+        code, lost, sorted(helpers),
+        dict(zip(helpers, columns[width:])) if aggregated
+        else dict.fromkeys(helpers),
+    )
+    coefficients = np.zeros(width, dtype=np.intp)
+    coefficients[used] = [c for g in plan.groups for c in g.coefficients]
+    heads = np.zeros(width, dtype=bool)
+    sizes = [g.size for g in plan.groups]
+    heads[np.take(used, np.cumsum(sizes) - sizes)] = True
+    return _Layout(plan, coefficients, heads)
 
 
 def compute_window(
@@ -181,35 +196,49 @@ def compute_window(
 ) -> WindowOutcome:
     """Stage A: decode every stripe of one window in one columnar pass.
 
-    The outcome is **in window order** and carries the stage's
-    wall-clock start/end (this function itself must stay
-    telemetry-free, see the module docstring).
+    The window's decode table is one stack of its distinct signatures'
+    tables, indexed by each stripe's signature and masked to its helper
+    columns; the helpers and the lost chunks are row ids into the chunk
+    store's matrix, which the kernels gather from.  The outcome is **in
+    window order** and carries the stage's wall-clock start/end (this
+    function itself must stay telemetry-free, see the module docstring).
     """
     start = time.perf_counter()
-    layouts = [_layout(code, win.aggregated, s) for s in win.signatures]
-    per_stripe = [layouts[u] for u in win.signature.tolist()]
-    sizes = np.concatenate([layout.sizes for layout in per_stripe])
-    groups = np.array([len(layout.sizes) for layout in layouts])[win.signature]
+    memo = _repair_groups(code, win.aggregated)
+    layouts = [
+        memo.get_or_build(s, lambda s=s: _layout(code, win.aggregated, s))
+        for s in win.signatures
+    ]
+    shape = (len(layouts), win.chunk.shape[1])
+    coefficients = np.concatenate(
+        [layout.coefficients for layout in layouts]
+    ).reshape(shape)[win.signature]
+    heads = np.concatenate([layout.heads for layout in layouts]).reshape(
+        shape
+    )[win.signature]
     used = win.chunk != NO_HELPER
-    rows = data.gather(
-        np.broadcast_to(win.stripe_id[:, None], used.shape)[used].tolist(),
-        win.chunk[used].tolist(),
+    rows = data.rows()
+    helpers = data.row_ids(
+        np.broadcast_to(win.stripe_id[:, None], used.shape)[used],
+        win.chunk[used],
     )
     partials = segment_dot(
         gf(code.w),
-        np.concatenate([layout.coefficients for layout in per_stripe]),
+        coefficients[used],
         rows,
-        np.cumsum(sizes) - sizes,
+        np.flatnonzero(heads[used]),
+        ids=helpers,
     )
+    groups = heads.sum(axis=1)
     first_partial = (np.cumsum(groups) - groups).tolist()
     # A shipped partial must stay as decoded: only when none is kept may
     # the combine accumulate into one.
     rebuilt = xor_segments(partials, first_partial, consume=not keep_partials)
-    truth = data.gather(win.stripe_id.tolist(), win.lost_chunk.tolist())
+    lost = data.row_ids(win.stripe_id, win.lost_chunk)
     return WindowOutcome(
         rebuilt=rebuilt,
-        ok=rows_equal(truth, rebuilt),
-        decodes=[layout.plan for layout in per_stripe],
+        ok=rows_equal(rows, rebuilt, ids=lost),
+        decodes=[layouts[u].plan for u in win.signature.tolist()],
         partials=partials if keep_partials else None,
         first_partial=first_partial,
         started=start,

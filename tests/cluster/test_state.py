@@ -1,12 +1,19 @@
 """Tests for cluster state, data store, and stripe views."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.cluster.filestore import FileStore
 from repro.cluster.placement import RandomPlacementPolicy, RoundRobinPlacementPolicy
-from repro.cluster.state import ClusterState, DataStore
+from repro.cluster.state import DRAW_BYTES, ClusterState, DataStore
 from repro.cluster.topology import ClusterTopology
+from repro.erasure.lrc import LRCCode
 from repro.erasure.rs import RSCode
+from repro.experiments.configs import CFS1, CFS2, CFS3
+from repro.gf.field import gf
+from repro.gf.vector import buffer_dtype
 from repro.errors import (
     NoFailureError,
     PlacementError,
@@ -45,6 +52,167 @@ class TestDataStore:
         store = DataStore(code, 1, chunk_size=64)
         assert store.chunk(0, 0).dtype == np.uint16
         assert store.chunk(0, 0).nbytes == 64
+
+
+def dict_store(code, num_stripes, chunk_size, seed):
+    """The bytes as the store built them when it was a ``(stripe, chunk)
+    -> buffer`` dict: k draws per stripe, then ``encode_stripe``."""
+    dtype = buffer_dtype(gf(code.w))
+    rng = np.random.default_rng(seed)
+    high = int(np.iinfo(dtype).max) + 1
+    elements = chunk_size if dtype == np.uint8 else chunk_size // 2
+    chunks = {}
+    for stripe in range(num_stripes):
+        data = [
+            rng.integers(0, high, elements, dtype=dtype) for _ in range(code.k)
+        ]
+        for idx, buf in enumerate(code.encode_stripe(data)):
+            chunks[(stripe, idx)] = buf
+    return chunks
+
+
+def assert_same_bytes(store, chunks):
+    assert store.num_stripes * store.code.n == len(chunks)
+    for (stripe, idx), buf in chunks.items():
+        got = store.chunk(stripe, idx)
+        assert got.dtype == buf.dtype
+        assert got.tobytes() == buf.tobytes()
+
+
+class TestStoreBytes:
+    """The array store holds, byte for byte, what the dict store held.
+    66-byte chunks are not a whole number of 32-bit words, so their data
+    chunks are drawn one call each; 64-byte ones share a call per stripe,
+    and larger ones are drawn in pieces that cross chunk boundaries."""
+
+    @pytest.mark.parametrize("chunk_size", [64, 66])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("config", [CFS1, CFS2, CFS3], ids=lambda c: c.name)
+    def test_cfs_stores(self, config, seed, chunk_size):
+        code = config.code()
+        store = DataStore(code, 12, chunk_size, seed=seed)
+        assert_same_bytes(store, dict_store(code, 12, chunk_size, seed))
+
+    @pytest.mark.parametrize("chunk_size", [64, 66])
+    def test_gf16_store(self, chunk_size):
+        code = RSCode(6, 3, w=16)
+        store = DataStore(code, 5, chunk_size, seed=4)
+        assert_same_bytes(store, dict_store(code, 5, chunk_size, 4))
+
+    @pytest.mark.parametrize("chunk_size", [DRAW_BYTES // 3 * 4, DRAW_BYTES + 4])
+    def test_draws_that_cross_chunks(self, rs63, chunk_size):
+        """A stripe's data is drawn in pieces of ``DRAW_BYTES`` that start
+        and end inside chunks."""
+        store = DataStore(rs63, 2, chunk_size, seed=6)
+        assert_same_bytes(store, dict_store(rs63, 2, chunk_size, 6))
+
+    def test_gf16_draws_that_cross_chunks(self):
+        code = RSCode(6, 3, w=16)
+        store = DataStore(code, 2, DRAW_BYTES + 4, seed=7)
+        assert_same_bytes(store, dict_store(code, 2, DRAW_BYTES + 4, 7))
+
+    def test_lrc_store(self):
+        code = LRCCode(6, 2, 2)
+        store = DataStore(code, 5, 64, seed=8)
+        assert_same_bytes(store, dict_store(code, 5, 64, 8))
+
+    def test_filestore_grown_by_add_stripe(self):
+        code = RSCode(6, 3)
+        topology = ClusterTopology.from_rack_sizes([4, 3, 3, 3])
+        files = FileStore(topology, code, chunk_size=32, rng=3)
+        rng = np.random.default_rng(5)
+        payloads = [rng.bytes(size) for size in (1, 500, 191, 192, 1000)]
+        chunks, stripe = {}, 0
+        for i, payload in enumerate(payloads):
+            files.write(f"f{i}", payload)
+            per_stripe = code.k * 32
+            padded = payload + b"\0" * (-len(payload) % per_stripe)
+            for offset in range(0, len(padded), per_stripe):
+                data = [
+                    np.frombuffer(
+                        padded[offset + j * 32 : offset + (j + 1) * 32],
+                        dtype=np.uint8,
+                    ).copy()
+                    for j in range(code.k)
+                ]
+                for idx, buf in enumerate(code.encode_stripe(data)):
+                    chunks[(stripe, idx)] = buf
+                stripe += 1
+        assert_same_bytes(files.cluster_state().data, chunks)
+        for i, payload in enumerate(payloads):
+            assert files.read(f"f{i}") == payload
+
+
+class TestStoreArray:
+    def test_readers_get_read_only_views(self, rs63):
+        store = DataStore(rs63, 3, 64, seed=1)
+        with pytest.raises(ValueError):
+            store.chunk(1, 2)[0] = 7
+        with pytest.raises(ValueError):
+            store.rows()[0, 0] = 7
+        assert store.rows().shape == (3 * rs63.n, 64)
+        assert np.shares_memory(store.chunk(1, 2), store.rows())
+
+    def test_rows_are_indexed_by_row_ids(self, rs63):
+        store = DataStore(rs63, 3, 64, seed=1)
+        ids = store.row_ids([0, 2, 1], [8, 0, 3])
+        assert ids.tolist() == [8, 2 * rs63.n, rs63.n + 3]
+        for row, (stripe, idx) in zip(ids, [(0, 8), (2, 0), (1, 3)]):
+            assert np.array_equal(store.rows()[row], store.chunk(stripe, idx))
+
+    @pytest.mark.parametrize(
+        "pair", [(3, 0), (-1, 0), (0, 9), (0, -1)], ids=str
+    )
+    def test_row_ids_name_the_first_unknown_chunk(self, rs63, pair):
+        store = DataStore(rs63, 3, 64)
+        with pytest.raises(UnknownChunkError) as info:
+            store.row_ids([1, pair[0], 5], [1, pair[1], 99])
+        assert info.value.args[0] == pair
+        with pytest.raises(UnknownChunkError):
+            store.chunk(*pair)
+
+    def test_corrupt_flips_in_place_and_returns_the_original(self, rs63):
+        store = DataStore(rs63, 2, 64, seed=3)
+        before = store.chunk(1, 4)
+        pristine = before.copy()
+        original = store.corrupt(1, 4, seed=2)
+        assert np.array_equal(original, pristine)
+        assert not np.shares_memory(original, store.rows())
+        # The view taken before the call sees the flip.
+        assert (before != pristine).sum() == 1
+        assert np.array_equal(before, store.chunk(1, 4))
+
+    def test_overwrite_writes_into_the_array(self, rs63):
+        store = DataStore(rs63, 2, 64, seed=3)
+        before = store.chunk(0, 0)
+        store.overwrite(0, 0, np.arange(64, dtype=np.uint8))
+        assert np.array_equal(before, np.arange(64))
+
+    def test_add_stripe_grows_and_keeps_what_it_held(self, rs63):
+        store = DataStore.empty(rs63, 16)
+        rng = np.random.default_rng(0)
+        stripes = [
+            list(rng.integers(0, 256, (rs63.n, 16), dtype=np.uint8))
+            for _ in range(9)
+        ]
+        for sid, chunks in enumerate(stripes):
+            store.add_stripe(sid, chunks)
+        assert store.num_stripes == 9
+        assert store.rows().shape == (9 * rs63.n, 16)
+        for sid, chunks in enumerate(stripes):
+            for idx, buf in enumerate(chunks):
+                assert np.array_equal(store.chunk(sid, idx), buf)
+        with pytest.raises(UnknownChunkError):
+            store.add_stripe(10, stripes[0])
+        with pytest.raises(UnknownChunkError):  # another dtype
+            store.add_stripe(9, [b.astype(np.uint16) for b in stripes[0]])
+
+    def test_pickles_as_one_array(self, rs63):
+        store = DataStore(rs63, 3, 64, seed=1)
+        copy = pickle.loads(pickle.dumps(store))
+        assert np.array_equal(copy.rows(), store.rows())
+        assert copy.chunk_size == store.chunk_size
+        assert copy.code == store.code
 
 
 class TestStateConstruction:
