@@ -35,11 +35,6 @@ __all__ = [
     "ClusterState",
 ]
 
-#: Most bytes one RNG call draws when a store is built (see
-#: :class:`DataStore`): small enough that each draw stays in cache on
-#: its way into the array.
-DRAW_BYTES = 1 << 16
-
 
 class DataStore:
     """Holds the actual bytes of every chunk of every stripe.
@@ -65,18 +60,9 @@ class DataStore:
         self._hold(np.empty((num_stripes, code.n, elements), dtype), num_stripes)
         rng = np.random.default_rng(seed)
         high = int(np.iinfo(dtype).max) + 1
-        # The generator deals whole 32-bit words per call.  Where a chunk
-        # is a whole number of words, a stripe's data chunks are one run
-        # of words, and any whole-word pieces of it draw the bytes that
-        # one call per chunk would: pieces of DRAW_BYTES.  Other chunks
-        # are drawn one call each.
-        chunk_bytes = elements * dtype.itemsize
-        step = DRAW_BYTES // dtype.itemsize if chunk_bytes % 4 == 0 else elements
         for stripe in self._array:
-            data = stripe[: code.k].reshape(-1)
-            for lo in range(0, data.size, step):
-                piece = data[lo : lo + step]
-                piece[...] = rng.integers(0, high, piece.size, dtype=dtype)
+            for chunk in stripe[: code.k]:
+                chunk[:] = rng.integers(0, high, elements, dtype=dtype)
             code.encode_into(stripe)
 
     @classmethod

@@ -421,19 +421,19 @@ def _picked(rows, ids):
     return rows if ids is None else [rows[i] for i in ids.tolist()]
 
 
-def rows_equal(rows, others, ids=None) -> list[bool]:
+def rows_equal(rows: np.ndarray, others, ids) -> list[bool]:
     """Pairwise byte-for-byte equality: ``rows[ids[i]]`` against ``others[i]``.
 
     A repair window's ground-truth check, with ``rows`` the chunk store's
-    matrix and ``ids`` the lost chunks' rows (without ``ids``, ``rows[i]``
-    itself).  Short rows compare as one matrix, ``(a == b).all(axis=1)``;
-    from ``_SHORT_ROW`` elements up, where gathering them would cost more
-    than the comparison, row by row over views.
+    matrix and ``ids`` the lost chunks' rows.  Short rows compare as one
+    matrix, ``(a == b).all(axis=1)``; from ``_SHORT_ROW`` elements up,
+    where gathering them would cost more than the comparison, row by row
+    over views.
     """
     if not len(others):
         return []
     if others[0].shape[0] < _SHORT_ROW:
-        picked = np.asarray(rows) if ids is None else np.take(rows, ids, axis=0)
+        picked = np.take(rows, ids, axis=0)
         return (picked == np.asarray(others)).all(axis=1).tolist()
     return list(map(np.array_equal, _picked(rows, ids), others))
 

@@ -20,9 +20,9 @@ never touches the tracer, the journal or the fault hooks:
   check a single :func:`~repro.gf.vector.rows_equal` call; how those
   treat 256-byte rows and 4 MiB rows differently is the kernels'
   business — nothing here looks at the chunk size;
-- the per-signature decode table is memoised per (code, repair mode)
-  and looked up once per distinct signature of a window; the caches'
-  hit/miss rates surface as ``exec.repair_groups`` through the
+- the per-signature decode table is memoised in the named
+  :data:`REPAIR_GROUP_CACHE`, looked up once per distinct signature of
+  a window, whose hit/miss rates surface through the
   :mod:`repro.obs` metrics registry (the hit rate is how often stripes
   share a repair vector);
 - :func:`stripe_accounting` derives one stripe's traffic and compute
@@ -45,6 +45,7 @@ hold a lock, so the two stages overlap whether telemetry is on or off.
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import time
 from collections.abc import Sequence
@@ -63,6 +64,7 @@ from repro.recovery.planner import StripePlan, WindowPlan
 from repro.recovery.solution import NO_HELPER
 
 __all__ = [
+    "REPAIR_GROUP_CACHE",
     "WindowOutcome",
     "default_window",
     "compute_window",
@@ -80,26 +82,25 @@ WINDOW_BYTES = 2 << 20
 #: of.
 STRIPE_OVERHEAD_BYTES = 4096
 
-#: Memoised decode tables: one cache per (code, repair mode), keyed by
-#: signature bytes, so a window hashes its code once and each distinct
-#: signature costs one lookup.  The code itself is part of the key: two
-#: codes of one shape (say the Vandermonde and Cauchy RS constructions)
-#: repair with different coefficients.
-_DECODE_TABLES = BoundedCache(16)
+#: Memoised per-signature decode tables, keyed by (code id, signature)
+#: (see :func:`_code_id`).  Named, so the cache self-registers with the
+#: metrics registry: its hit rate quantifies how often stripes share a
+#: repair vector and shows up in ``repro-car metrics`` next to the GF
+#: table caches.
+REPAIR_GROUP_CACHE = BoundedCache(4096, name="exec.repair_groups")
+
+#: (code, repair mode) -> a small int naming it in cache keys.
+_CODE_IDS: dict = {}
+_NEXT_CODE_ID = itertools.count()
 
 
-def _repair_groups(code, aggregated: bool) -> BoundedCache:
-    """The per-signature cache of one (code, repair mode).
-
-    Every such cache carries the metric name ``exec.repair_groups``, so
-    their stats aggregate in the :mod:`repro.obs` metrics registry and
-    ``repro-car metrics``, next to the GF table caches: the hit rate
-    quantifies how often stripes share a repair vector.
-    """
-    return _DECODE_TABLES.get_or_build(
-        (code, aggregated),
-        lambda: BoundedCache(4096, name="exec.repair_groups"),
-    )
+def _code_id(code, aggregated: bool) -> int:
+    """A small int for one (code, repair mode), so a window hashes its
+    code once, not once per signature.  The code itself is part of the
+    key: two codes of one shape (say the Vandermonde and Cauchy RS
+    constructions) repair with different coefficients."""
+    # One atomic setdefault, so two threads never share an id.
+    return _CODE_IDS.setdefault((code, aggregated), next(_NEXT_CODE_ID))
 
 
 class _Layout(NamedTuple):
@@ -204,9 +205,11 @@ def compute_window(
     function itself must stay telemetry-free, see the module docstring).
     """
     start = time.perf_counter()
-    memo = _repair_groups(code, win.aggregated)
+    ident = _code_id(code, win.aggregated)
     layouts = [
-        memo.get_or_build(s, lambda s=s: _layout(code, win.aggregated, s))
+        REPAIR_GROUP_CACHE.get_or_build(
+            (ident, s), lambda s=s: _layout(code, win.aggregated, s)
+        )
         for s in win.signatures
     ]
     shape = (len(layouts), win.chunk.shape[1])

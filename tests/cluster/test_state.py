@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster.filestore import FileStore
 from repro.cluster.placement import RandomPlacementPolicy, RoundRobinPlacementPolicy
-from repro.cluster.state import DRAW_BYTES, ClusterState, DataStore
+from repro.cluster.state import ClusterState, DataStore
 from repro.cluster.topology import ClusterTopology
 from repro.erasure.lrc import LRCCode
 from repro.erasure.rs import RSCode
@@ -80,10 +80,7 @@ def assert_same_bytes(store, chunks):
 
 
 class TestStoreBytes:
-    """The array store holds, byte for byte, what the dict store held.
-    66-byte chunks are not a whole number of 32-bit words, so their data
-    chunks are drawn one call each; 64-byte ones share a call per stripe,
-    and larger ones are drawn in pieces that cross chunk boundaries."""
+    """The array store holds, byte for byte, what the dict store held."""
 
     @pytest.mark.parametrize("chunk_size", [64, 66])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -99,17 +96,11 @@ class TestStoreBytes:
         store = DataStore(code, 5, chunk_size, seed=4)
         assert_same_bytes(store, dict_store(code, 5, chunk_size, 4))
 
-    @pytest.mark.parametrize("chunk_size", [DRAW_BYTES // 3 * 4, DRAW_BYTES + 4])
-    def test_draws_that_cross_chunks(self, rs63, chunk_size):
-        """A stripe's data is drawn in pieces of ``DRAW_BYTES`` that start
-        and end inside chunks."""
-        store = DataStore(rs63, 2, chunk_size, seed=6)
-        assert_same_bytes(store, dict_store(rs63, 2, chunk_size, 6))
-
-    def test_gf16_draws_that_cross_chunks(self):
-        code = RSCode(6, 3, w=16)
-        store = DataStore(code, 2, DRAW_BYTES + 4, seed=7)
-        assert_same_bytes(store, dict_store(code, 2, DRAW_BYTES + 4, 7))
+    @pytest.mark.parametrize("w", [8, 16])
+    def test_large_chunks(self, w):
+        code = RSCode(6, 3, w=w)
+        store = DataStore(code, 2, (1 << 16) + 4, seed=6)
+        assert_same_bytes(store, dict_store(code, 2, (1 << 16) + 4, 6))
 
     def test_lrc_store(self):
         code = LRCCode(6, 2, 2)

@@ -329,6 +329,16 @@ class TestSegmentDot:
             segment_dot(GF8, [1, 2, 3], rows, starts)
         with pytest.raises(FieldError):
             segment_dot(GF8, [], [], [0])
+        # A matrix with row ids: np.take would wrap a negative id.
+        matrix = np.zeros((4, 8), dtype=np.uint8)
+        ids = [3, 0, 2, 1]
+        with pytest.raises(FieldError):  # dtype
+            segment_dot(GF8, [1, 2, 3, 4], matrix.astype(np.uint16), starts, ids=ids)
+        with pytest.raises(FieldError):  # not a matrix
+            segment_dot(GF8, [1, 2, 3, 4], matrix[0], starts, ids=ids)
+        for bad in (-1, len(matrix)):
+            with pytest.raises(FieldError):
+                segment_dot(GF8, [1, 2, 3, 4], matrix, starts, ids=[3, bad, 2, 1])
 
     @pytest.mark.parametrize("position", [0, 1, 2, 3])
     def test_out_of_field_byte_raises_in_gf4(self, position):
@@ -341,6 +351,8 @@ class TestSegmentDot:
             segment_dot(GF4, [2, 3, 4, 5], rows, [0, 1, 3])
         with pytest.raises(FieldError):
             dot_rows(GF4, [2, 3, 4, 5], rows)
+        with pytest.raises(FieldError):  # the same rows as a matrix, by id
+            segment_dot(GF4, [2, 3, 4, 5], np.stack(rows), [0, 1, 3], ids=[0, 1, 2, 3])
 
     @pytest.mark.parametrize(
         "starts", [[], [1], [0, 0], [0, 2, 1], [0, 4], [[0, 1]]]
