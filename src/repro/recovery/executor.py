@@ -19,7 +19,9 @@ kernel call for all its partials; **stage B**
 (:meth:`PlanExecutor._ship_window`, this thread) takes its stripes in
 order — walks each one's checkpoint/delivery events if anything consumes
 them, records, sinks and commits it — and then charges the window's
-traffic and compute, counted once from the columns.
+traffic and compute, counted once from the columns.  A stripe's figures,
+whether charged to the result or committed to the journal, come from
+one place: :meth:`~repro.recovery.planner.WindowPlan.ledger`.
 
 The event walk is organised around named *pipeline stages*
 (:class:`PipelineStage`).  Before each stage the executor calls the
@@ -29,9 +31,10 @@ trace events and journal records here; the fault-injection layer
 drop flows at exactly that point.  With no tracer, journal, integrity
 check or overriding subclass every event would be a no-op, so the walk
 is skipped — and so are the stripe's :class:`Transfer` objects, which
-only the walk reads; the result is the same either way.  A metrics
-registry does not need the walk: its ``exec.*`` counters are bumped
-once per window from the columns.
+only the walk reads (its row of the window,
+:meth:`~repro.recovery.planner.WindowPlan.stripe_plan`); the result is
+the same either way.  A metrics registry does not need the walk: its
+``exec.*`` counters are bumped once per window from the columns.
 
 Two orthogonal durability features (both off by default):
 
@@ -49,9 +52,10 @@ Two orthogonal durability features (both off by default):
   record for every stripe of a window as the window enters the
   pipeline, stage records as cross-rack payloads ship and decodes land,
   and a commit record (rebuilt bytes plus the stripe's traffic and
-  compute) once the stripe verifies, so a crash mid-window leaves
-  exactly the uncommitted stripes pending.  The journal is synced to
-  disk once per window, after the window's last commit.
+  compute, its row of the window's ledger) once the stripe verifies, so
+  a crash mid-window leaves exactly the uncommitted stripes pending.
+  The journal is synced to disk once per window, after the window's
+  last commit.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ from repro.recovery.planner import (
     WindowPlan,
     plan_window,
 )
-from repro.recovery.solution import MultiStripeSolution
+from repro.recovery.solution import NO_HELPER, MultiStripeSolution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.durable.journal import RecoveryJournal
@@ -265,32 +269,32 @@ class PlanExecutor:
         solution: MultiStripeSolution | None,
         window: int,
     ):
-        """Either plan form as ``(lazy windows, stripe-plan lookup)``."""
+        """Either plan form as lazy windows of columns."""
         if isinstance(plan, StreamingRecoveryPlan):
             if solution is not None:
                 raise PlanError(
                     "a streaming plan carries its own solutions; "
                     "pass solution=None"
                 )
-            return plan.iter_windows(window), plan.stripe_plan
+            return plan.iter_windows(window)
         if solution is None:
             raise PlanError(
                 "executing a RecoveryPlan needs the MultiStripeSolution "
                 "it was built from"
             )
-        by_id = {sp.stripe_id: sp for sp in plan.stripe_plans}
+        planned = {sp.stripe_id for sp in plan.stripe_plans}
 
         def columns():
             for rows in solution.columns().windows(window):
                 for stripe in rows.stripe_id.tolist():
-                    if stripe not in by_id:
+                    if stripe not in planned:
                         raise PlanError(f"no stripe plan for stripe {stripe}")
                 yield plan_window(
                     self.state, plan.replacement_node, rows,
                     aggregated=plan.aggregated,
                 )
 
-        return columns(), lambda sol: by_id[sol.stripe_id]
+        return columns()
 
     def _observed(self) -> bool:
         """Whether anything consumes a stripe's checkpoint/delivery events.
@@ -348,7 +352,7 @@ class PlanExecutor:
         else:
             stage_a = _streaming.thread_stage(code, data, keep_partials=walk)
             depth = 1
-        plan_windows, stripe_plan = self._window_source(plan, solution, window)
+        plan_windows = self._window_source(plan, solution, window)
 
         uncommitted = 0  # journal intents whose commits have not landed
         inflight: deque = deque()
@@ -360,7 +364,7 @@ class PlanExecutor:
             b0 = time.perf_counter()
             before_cross = result.cross_rack_bytes
             before_intra = result.intra_rack_bytes
-            self._ship_window(win, outcome, stripe_plan, result, sink, walk)
+            self._ship_window(win, outcome, result, sink, walk)
             if self.journal is not None:
                 # Group commit: one disk sync makes the whole window's
                 # commits durable.
@@ -421,36 +425,34 @@ class PlanExecutor:
         )
 
     def _ship_window(
-        self, win: WindowPlan, outcome, stripe_plan, result, sink, walk
+        self, win: WindowPlan, outcome, result, sink, walk
     ) -> None:
         """Stage B for one decoded window: walk, record, commit, charge.
 
         Stripes ship in order.  If a hook raises, that stripe is neither
         recorded nor sunk nor committed; either way the window's traffic
         and compute are then charged, from its columns, for exactly the
-        stripes that shipped.
+        stripes that shipped.  A commit's figures are its row's ledger.
         """
         chunk_bytes = self.state.data.chunk_size
         shipped = 0
         try:
             for i, stripe in enumerate(win.stripe_id.tolist()):
                 if walk:
-                    sol = win.solutions[i]
-                    sp = stripe_plan(sol)
                     with self.tracer.span(
                         "exec.stripe", stripe_id=stripe,
                         aggregated=win.aggregated,
                     ):
-                        self._walk_stripe(sol, sp, outcome, i, win)
+                        self._walk_stripe(win.stripe_plan(i), outcome, i, win)
                 result.record(stripe, outcome.rebuilt[i], outcome.ok[i], sink)
                 if self.journal is not None:
-                    cross, intra, charges = _streaming.stripe_accounting(
-                        sp, chunk_bytes
+                    cross, intra, charges = win.ledger(
+                        chunk_bytes, slice(i, i + 1)
                     )
                     self.journal.stripe_commit(
                         stripe,
                         outcome.rebuilt[i],
-                        lost_chunk=sol.lost_chunk,
+                        lost_chunk=int(win.lost_chunk[i]),
                         ok=outcome.ok[i],
                         cross_rack_bytes=cross,
                         intra_rack_bytes=intra,
@@ -459,35 +461,37 @@ class PlanExecutor:
                 shipped += 1
         finally:
             if shipped:
-                result.charge(*win.ledger(chunk_bytes, shipped))
+                result.charge(*win.ledger(chunk_bytes, slice(0, shipped)))
                 reg = _metrics.CURRENT
                 if reg is not None:
                     _count_window(reg, win, shipped)
 
-    def _walk_stripe(self, sol, sp, outcome, i: int, win: WindowPlan) -> None:
+    def _walk_stripe(self, sp, outcome, i: int, win: WindowPlan) -> None:
         """Fire one stripe's checkpoints and deliveries in pipeline order.
 
-        Every helper chunk is read, raw chunks move to their delegate or
-        the replacement node, each delegate partially decodes and ships
-        its partial, the replacement node folds the failed rack's
-        survivors and combines.  The decode itself already happened in
-        stage A; a delivery ships a buffer stage A read or produced, so
-        its bytes are the ones that were decoded.
+        ``sp`` is row ``i`` of ``win``.  Every helper chunk is read, raw
+        chunks move to their delegate or the replacement node, the
+        replacement node folds the failed rack's survivors, each delegate
+        partially decodes and ships its partial, and the replacement node
+        combines.  The decode itself already happened in stage A; a
+        delivery ships a buffer stage A read or produced, so its bytes
+        are the ones that were decoded.
         """
-        sid, repl = sol.stripe_id, win.replacement_node
+        sid, repl = sp.stripe_id, win.replacement_node
         data, topology = self.state.data, self.state.topology
-        for c in sol.helpers:
-            node = self.state.placement.node_of(sid, c)
+        for c, node in sorted(zip(win.chunk[i].tolist(), win.node[i].tolist())):
+            if c == NO_HELPER:
+                continue
             self._checkpoint(
                 PipelineStage.DISK_READ,
                 stripe_id=sid, node=node, rack=topology.rack_of(node),
                 chunk=c,
             )
-        partial_from = {}
+        partials = []
         for t in sp.transfers:
             if t.is_partial:
                 # Shipped with its decode, below, to keep pipeline order.
-                partial_from[t.src_node] = t
+                partials.append(t)
                 continue
             self._deliver(
                 _transfer_stage(t),
@@ -495,37 +499,27 @@ class PlanExecutor:
                 stripe_id=sid, node=t.src_node, rack=t.src_rack,
                 chunk=t.chunk_index,
             )
-        if win.aggregated:
-            partials = outcome.partials_of(i)
-            for group in sorted(
-                outcome.decodes[i].groups,
-                key=lambda g: (g.group_key != sol.failed_rack, g.group_key),
-            ):
-                rack = group.group_key
-                if rack == sol.failed_rack:
-                    self._checkpoint(
-                        PipelineStage.LOCAL_FOLD,
-                        stripe_id=sid, node=repl,
-                        rack=topology.rack_of(repl),
-                    )
-                    continue
-                node = sp.delegates[rack]
-                self._checkpoint(
-                    PipelineStage.PARTIAL_DECODE,
-                    stripe_id=sid, node=node, rack=rack, is_partial=True,
-                )
-                if node not in partial_from:
-                    raise PlanError(
-                        f"no partial transfer leaves delegate {node}"
-                    )
-                self._deliver(
-                    _transfer_stage(partial_from[node]),
-                    partials[rack],
-                    stripe_id=sid, node=node, rack=rack, is_partial=True,
-                )
+        if win.local_folds[i]:
+            self._checkpoint(
+                PipelineStage.LOCAL_FOLD,
+                stripe_id=sid, node=repl, rack=win.replacement_rack,
+            )
+        buffers = outcome.partials_of(i)
+        for t in partials:
+            self._checkpoint(
+                PipelineStage.PARTIAL_DECODE,
+                stripe_id=sid, node=t.src_node, rack=t.src_rack,
+                is_partial=True,
+            )
+            self._deliver(
+                _transfer_stage(t),
+                buffers[t.src_rack],
+                stripe_id=sid, node=t.src_node, rack=t.src_rack,
+                is_partial=True,
+            )
         self._checkpoint(
             PipelineStage.FINAL_COMBINE,
-            stripe_id=sid, node=repl, rack=topology.rack_of(repl),
+            stripe_id=sid, node=repl, rack=win.replacement_rack,
         )
 
     # -- hooks ------------------------------------------------------------

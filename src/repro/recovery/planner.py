@@ -23,13 +23,14 @@ A plan is columns before it is objects.  :func:`plan_window` plans a
 window of a solution's :class:`~repro.recovery.solution.SolutionColumns`
 as one :class:`WindowPlan`: integer arrays of shape (stripes, helpers) —
 helper chunk, holder node, holder rack, destination — plus a
-repair-signature id per stripe, checked in bulk.
-Every figure the executor needs (transfers by scope, compute by node,
-stage counts) is counted from those arrays.  :class:`Transfer`,
-:class:`ComputeTask` and :class:`StripePlan` objects are built from a
-solution by :meth:`StreamingRecoveryPlan.stripe_plan`, the one
-constructor, only for the callers that read them: the executor's
-per-stripe event walk, the fault ladder's ``final_plan`` and
+repair-signature id per stripe, checked in bulk.  The rule above —
+delegates, destinations, which flows cross the core — is written once,
+there.  Every figure the executor needs (transfers by scope, compute by
+node, stage counts, one stripe's journal commit) is counted from those
+arrays by :meth:`WindowPlan.ledger`.  A stripe's :class:`Transfer`,
+:class:`ComputeTask` and :class:`StripePlan` objects are a row of its
+window, built by :meth:`WindowPlan.stripe_plan` only for the callers
+that read them: the executor's per-stripe event walk and
 :func:`plan_recovery`, which the timing simulator consumes.
 """
 
@@ -37,8 +38,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from repro.obs import metrics as _metrics
 from repro.recovery.solution import (
     NO_HELPER,
     MultiStripeSolution,
-    PerStripeSolution,
     SolutionColumns,
 )
 
@@ -80,9 +80,6 @@ class Transfer:
         src_rack / dst_rack: their racks (cached for the simulator).
         chunk_index: the stripe-local chunk carried, or None when the
             payload is a partially decoded chunk.
-        volume: payload size as a fraction of one chunk (1.0 for plain
-            chunk/partial flows; regenerating strategies ship sub-chunk
-            packets).
     """
 
     stripe_id: int
@@ -91,7 +88,6 @@ class Transfer:
     src_rack: int
     dst_rack: int
     chunk_index: int | None
-    volume: float = 1.0
 
     @property
     def cross_rack(self) -> bool:
@@ -137,11 +133,6 @@ class StripePlan:
     compute: tuple[ComputeTask, ...]
     delegates: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def cross_rack_transfers(self) -> tuple[Transfer, ...]:
-        """Flows crossing the core."""
-        return tuple(t for t in self.transfers if t.cross_rack)
-
 
 @dataclass(frozen=True)
 class RecoveryPlan:
@@ -183,25 +174,6 @@ class RecoveryPlan:
                 out[t.src_rack] += 1
         return out
 
-    def cross_rack_volume(self) -> float:
-        """Cross-rack traffic in (fractional) chunk units — equals
-        :meth:`cross_rack_chunks` for plans of full-chunk strategies."""
-        return sum(t.volume for t in self.all_transfers() if t.cross_rack)
-
-    def intra_rack_volume(self) -> float:
-        """Intra-rack traffic in (fractional) chunk units."""
-        return sum(
-            t.volume for t in self.all_transfers() if not t.cross_rack
-        )
-
-    def cross_rack_volume_by_rack(self, num_racks: int) -> list[float]:
-        """Cross-rack chunk units sourced from each rack."""
-        out = [0.0] * num_racks
-        for t in self.all_transfers():
-            if t.cross_rack:
-                out[t.src_rack] += t.volume
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class WindowPlan:
@@ -218,7 +190,8 @@ class WindowPlan:
     Attributes:
         source: the window's rows of the solution's columns.
         aggregated: whether partial decoding is used.
-        replacement_node: destination of every reconstruction.
+        replacement_node / replacement_rack: destination of every
+            reconstruction, and its rack.
         stripe_id / lost_chunk: ``(S,)``.
         chunk: ``(S, H)`` helper chunk indices.
         node: ``(S, H)`` the node holding each helper chunk.
@@ -240,6 +213,7 @@ class WindowPlan:
     source: SolutionColumns
     aggregated: bool
     replacement_node: int
+    replacement_rack: int
     stripe_id: np.ndarray
     lost_chunk: np.ndarray
     chunk: np.ndarray
@@ -258,24 +232,18 @@ class WindowPlan:
     def __len__(self) -> int:
         return len(self.stripe_id)
 
-    @cached_property
-    def solutions(self) -> tuple[PerStripeSolution, ...]:
-        """The window's per-stripe solutions, built on first use (by the
-        per-stripe walk, the journal and the fault ladder only)."""
-        return tuple(self.source.solution(i) for i in range(len(self)))
-
     def ledger(
-        self, chunk_bytes: int, stripes: int | None = None
+        self, chunk_bytes: int, rows: slice = slice(None)
     ) -> tuple[int, int, dict[int, int]]:
-        """``(cross_bytes, intra_bytes, charges)`` of the first ``stripes``.
+        """``(cross_bytes, intra_bytes, charges)`` of the stripes ``rows``.
 
         Every planned flow moves one chunk-sized buffer.  Compute is
         charged in GF input bytes: each helper chunk to the node that
         combines it (its delegate, or the replacement node), plus, when
         aggregated, one buffer per rack group to the replacement node's
-        final combine.
+        final combine.  Over one row this is that stripe's journal commit;
+        over the shipped rows, the window's share of the result.
         """
-        rows = slice(0, len(self) if stripes is None else stripes)
         dest = self.dest[rows]
         counts = np.bincount(
             dest[dest != NO_HELPER], minlength=self.replacement_node + 1
@@ -289,6 +257,69 @@ class WindowPlan:
             int(self.cross[rows].sum()) * chunk_bytes,
             int(self.intra[rows].sum()) * chunk_bytes,
             dict(zip(nodes.tolist(), (counts[nodes] * chunk_bytes).tolist())),
+        )
+
+    def stripe_plan(self, i: int) -> StripePlan:
+        """Row ``i`` as a :class:`StripePlan`, built on demand.
+
+        Racks ascending and chunks ascending within a rack.  Aggregated,
+        a rack's raw chunks flow to its row's ``dest`` (the failed rack's
+        to the replacement node, folded ``"local"``; an intact rack's to
+        its delegate, which decodes a ``"partial"`` and ships it); a
+        ``"final"`` combine closes the stripe.  Direct, every helper
+        flows to the replacement node, which decodes them all.
+        """
+        sid, repl, repl_rack = (
+            int(self.stripe_id[i]), self.replacement_node, self.replacement_rack
+        )
+        helpers = sorted(
+            (rack, chunk, node, dest)
+            for rack, chunk, node, dest in zip(
+                self.rack[i].tolist(), self.chunk[i].tolist(),
+                self.node[i].tolist(), self.dest[i].tolist(),
+            )
+            if chunk != NO_HELPER
+        )
+        transfers: list[Transfer] = []
+        compute: list[ComputeTask] = []
+        delegates: dict[int, int] = {}
+        if not self.aggregated:
+            transfers = [
+                Transfer(sid, node, repl, rack, repl_rack, chunk)
+                for rack, chunk, node, _ in helpers
+            ]
+            compute.append(ComputeTask(
+                sid, repl, len(helpers), "final",
+                tuple(sorted(chunk for _, chunk, _, _ in helpers)),
+            ))
+        else:
+            failed_rack = int(self.source.failed_rack[i])
+            for rack, group in groupby(helpers, key=itemgetter(0)):
+                group = list(group)
+                dest = group[0][3]
+                local = rack == failed_rack
+                transfers += [
+                    Transfer(sid, node, dest, rack,
+                             repl_rack if local else rack, chunk)
+                    for _, chunk, node, _ in group
+                    if node != dest
+                ]
+                compute.append(ComputeTask(
+                    sid, dest, len(group), "local" if local else "partial",
+                    tuple(chunk for _, chunk, _, _ in group),
+                ))
+                if not local:
+                    delegates[rack] = dest
+                    transfers.append(
+                        Transfer(sid, dest, repl, rack, repl_rack, None)
+                    )
+            compute.append(ComputeTask(sid, repl, len(compute), "final"))
+        return StripePlan(
+            stripe_id=sid,
+            lost_chunk=int(self.lost_chunk[i]),
+            transfers=tuple(transfers),
+            compute=tuple(compute),
+            delegates=delegates,
         )
 
 
@@ -311,10 +342,11 @@ def plan_window(
 
     Raises:
         PlanError: if a solution reads a chunk on the failed node or on a
-            dead node — the error of the window's first such stripe,
-            word for word what :meth:`StreamingRecoveryPlan.stripe_plan`
-            raises for it.
+            dead node.
         PlacementError: for a chunk the placement does not hold.
+
+    Either names the first stripe of the window with an unusable helper,
+    and its first such helper in (rack, chunk) order.
     """
     source = (
         solutions
@@ -343,7 +375,7 @@ def plan_window(
 
     stripe_id, lost_chunk = source.stripe_id, source.lost_chunk
     # Holders from the placement's node table; an index it does not have
-    # is left for the per-stripe constructor to report.
+    # is reported by the placement itself.
     table = state.placement.node_table()
     known = used & ((stripe_id >= 0) & (stripe_id < len(table)))[:, None]
     known &= (chunk >= 0) & (chunk < table.shape[1])
@@ -357,9 +389,19 @@ def plan_window(
         if unusable is not None:
             bad |= known & (node == unusable)
     if bad.any():
-        sol = source.solution(int(bad.any(axis=1).argmax()))
-        _plan_stripe(state, replacement_node, sol, aggregated, frozenset(dead_nodes))
-        raise PlanError(f"stripe {sol.stripe_id}: unplannable helper")
+        i = int(bad.any(axis=1).argmax())
+        sid = int(stripe_id[i])
+        _, c, holder = min(
+            (int(rack[i, j]), int(chunk[i, j]), int(node[i, j]))
+            for j in np.flatnonzero(bad[i])
+        )
+        if holder == NO_HELPER:
+            state.placement.node_of(sid, c)
+        raise PlanError(
+            f"stripe {sid}: chunk {c} lives on the failed node"
+            if holder == state.failed_node
+            else f"stripe {sid}: chunk {c} lives on dead node {holder}"
+        )
 
     repl = replacement_node
     repl_rack = state.topology.rack_of(repl)
@@ -396,6 +438,7 @@ def plan_window(
         source=source,
         aggregated=aggregated,
         replacement_node=repl,
+        replacement_rack=repl_rack,
         stripe_id=stripe_id,
         lost_chunk=lost_chunk,
         chunk=chunk,
@@ -449,9 +492,9 @@ def plan_recovery(
     )
     return RecoveryPlan(
         stripe_plans=tuple(
-            lazy.stripe_plan(sol)
+            win.stripe_plan(i)
             for win in lazy.iter_windows(MATERIALISE_WINDOW)
-            for sol in win.solutions
+            for i in range(len(win))
         ),
         replacement_node=lazy.replacement_node,
         aggregated=lazy.aggregated,
@@ -542,12 +585,6 @@ class StreamingRecoveryPlan:
                 _record_window_metrics(reg, win)
             yield win
 
-    def stripe_plan(self, sol: PerStripeSolution) -> StripePlan:
-        """One stripe's :class:`StripePlan`, built on demand."""
-        return _plan_stripe(
-            self._state, self.replacement_node, sol, self.aggregated, self._dead
-        )
-
 
 def plan_recovery_streaming(
     state: ClusterState,
@@ -584,177 +621,3 @@ def plan_recovery_streaming(
         state, event, solutions, aggregated=aggregated, dead_nodes=dead_nodes
     )
 
-
-def _holder(
-    state: ClusterState,
-    sol: PerStripeSolution,
-    chunk: int,
-    dead_nodes: frozenset[int] = frozenset(),
-) -> int:
-    node = state.placement.node_of(sol.stripe_id, chunk)
-    if node == state.failed_node:
-        raise PlanError(
-            f"stripe {sol.stripe_id}: chunk {chunk} lives on the failed node"
-        )
-    if node in dead_nodes:
-        raise PlanError(
-            f"stripe {sol.stripe_id}: chunk {chunk} lives on dead node {node}"
-        )
-    return node
-
-
-def _plan_stripe(
-    state: ClusterState,
-    repl: int,
-    sol: PerStripeSolution,
-    aggregated: bool,
-    dead_nodes: frozenset[int] = frozenset(),
-) -> StripePlan:
-    """The one :class:`StripePlan` constructor."""
-    if aggregated:
-        return _plan_stripe_aggregated(state, repl, sol, dead_nodes)
-    return _plan_stripe_direct(state, repl, sol, dead_nodes)
-
-
-def _plan_stripe_aggregated(
-    state: ClusterState,
-    repl: int,
-    sol: PerStripeSolution,
-    dead_nodes: frozenset[int] = frozenset(),
-) -> StripePlan:
-    repl_rack = state.topology.rack_of(repl)
-    transfers: list[Transfer] = []
-    compute: list[ComputeTask] = []
-    delegates: dict[int, int] = {}
-    partials_at_repl = 0
-    # Per-rack cross-rack payload in chunk units: 1 per intact rack for
-    # plain aggregated solutions, fractional for weighted (regenerating)
-    # solutions.
-    units = sol.cross_rack_chunks(True)
-
-    for rack in sorted(sol.chunks_by_rack):
-        chunks = sol.chunks_from_rack(rack)
-        holders = {c: _holder(state, sol, c, dead_nodes) for c in chunks}
-        if rack == sol.failed_rack:
-            # Survivors in A_f ship intra-rack to the replacement node,
-            # which folds them locally (one more "partial" input).
-            for c, node in sorted(holders.items()):
-                if node != repl:
-                    transfers.append(
-                        Transfer(
-                            stripe_id=sol.stripe_id,
-                            src_node=node,
-                            dst_node=repl,
-                            src_rack=rack,
-                            dst_rack=repl_rack,
-                            chunk_index=c,
-                        )
-                    )
-            compute.append(
-                ComputeTask(
-                    stripe_id=sol.stripe_id,
-                    node=repl,
-                    input_chunks=len(chunks),
-                    kind="local",
-                    chunks=tuple(chunks),
-                )
-            )
-            partials_at_repl += 1
-            continue
-        # Intact rack: delegate = holder of the lowest retrieved chunk.
-        delegate = holders[min(holders)]
-        delegates[rack] = delegate
-        for c, node in sorted(holders.items()):
-            if node != delegate:
-                transfers.append(
-                    Transfer(
-                        stripe_id=sol.stripe_id,
-                        src_node=node,
-                        dst_node=delegate,
-                        src_rack=rack,
-                        dst_rack=rack,
-                        chunk_index=c,
-                    )
-                )
-        compute.append(
-            ComputeTask(
-                stripe_id=sol.stripe_id,
-                node=delegate,
-                input_chunks=len(chunks),
-                kind="partial",
-                chunks=tuple(chunks),
-            )
-        )
-        transfers.append(
-            Transfer(
-                stripe_id=sol.stripe_id,
-                src_node=delegate,
-                dst_node=repl,
-                src_rack=rack,
-                dst_rack=repl_rack,
-                chunk_index=None,
-                volume=float(units.get(rack, 1)),
-            )
-        )
-        partials_at_repl += 1
-
-    compute.append(
-        ComputeTask(
-            stripe_id=sol.stripe_id,
-            node=repl,
-            input_chunks=partials_at_repl,
-            kind="final",
-        )
-    )
-    return StripePlan(
-        stripe_id=sol.stripe_id,
-        lost_chunk=sol.lost_chunk,
-        transfers=tuple(transfers),
-        compute=tuple(compute),
-        delegates=delegates,
-    )
-
-
-def _plan_stripe_direct(
-    state: ClusterState,
-    repl: int,
-    sol: PerStripeSolution,
-    dead_nodes: frozenset[int] = frozenset(),
-) -> StripePlan:
-    repl_rack = state.topology.rack_of(repl)
-    transfers: list[Transfer] = []
-    units = sol.cross_rack_chunks(False)
-    for rack in sorted(sol.chunks_by_rack):
-        chunks = sol.chunks_from_rack(rack)
-        # Weighted solutions ship sub-chunk payloads; split the rack's
-        # chunk-unit total evenly so per-rack volumes stay exact.
-        volume = units.get(rack, len(chunks)) / len(chunks)
-        for c in chunks:
-            node = _holder(state, sol, c, dead_nodes)
-            transfers.append(
-                Transfer(
-                    stripe_id=sol.stripe_id,
-                    src_node=node,
-                    dst_node=repl,
-                    src_rack=rack,
-                    dst_rack=repl_rack,
-                    chunk_index=c,
-                    volume=volume,
-                )
-            )
-    compute = (
-        ComputeTask(
-            stripe_id=sol.stripe_id,
-            node=repl,
-            input_chunks=sol.helper_count,
-            kind="final",
-            chunks=sol.helpers,
-        ),
-    )
-    return StripePlan(
-        stripe_id=sol.stripe_id,
-        lost_chunk=sol.lost_chunk,
-        transfers=tuple(transfers),
-        compute=compute,
-        delegates={},
-    )

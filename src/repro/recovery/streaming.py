@@ -25,10 +25,6 @@ never touches the tracer, the journal or the fault hooks:
   a window, whose hit/miss rates surface through the
   :mod:`repro.obs` metrics registry (the hit rate is how often stripes
   share a repair vector);
-- :func:`stripe_accounting` derives one stripe's traffic and compute
-  from its materialised :class:`~repro.recovery.planner.StripePlan` —
-  the per-object counterpart of
-  :meth:`~repro.recovery.planner.WindowPlan.ledger`;
 - :func:`thread_stage` / :func:`process_stage` run stage A on one
   worker thread (overlapping the executor's stage B) or fan it out over
   a process pool, with chunk data mapped zero-copy through
@@ -60,7 +56,7 @@ from repro.cache import BoundedCache
 from repro.erasure.repair import PartialDecodePlan, split_repair_vector
 from repro.gf.field import gf
 from repro.gf.vector import rows_equal, segment_dot, xor_segments
-from repro.recovery.planner import StripePlan, WindowPlan
+from repro.recovery.planner import WindowPlan
 from repro.recovery.solution import NO_HELPER
 
 __all__ = [
@@ -68,7 +64,6 @@ __all__ = [
     "WindowOutcome",
     "default_window",
     "compute_window",
-    "stripe_accounting",
     "thread_stage",
     "process_stage",
 ]
@@ -246,31 +241,6 @@ def compute_window(
         first_partial=first_partial,
         started=start,
         finished=time.perf_counter(),
-    )
-
-
-def stripe_accounting(
-    sp: StripePlan, chunk_bytes: int
-) -> tuple[int, int, dict[int, int]]:
-    """One stripe's ``(cross_bytes, intra_bytes, charges)`` from its plan.
-
-    Counted from the materialised objects: every transfer moves one
-    chunk-sized buffer, across the core or inside a rack, and every
-    compute task charges its node the GF input bytes it combines.  The
-    journal's commit records take their figures from here; the result
-    ledger counts the same quantities from the window's columns
-    (:meth:`~repro.recovery.planner.WindowPlan.ledger`).
-    """
-    crossing = sum(1 for t in sp.transfers if t.cross_rack)
-    charges: dict[int, int] = {}
-    for task in sp.compute:
-        charges[task.node] = (
-            charges.get(task.node, 0) + task.input_chunks * chunk_bytes
-        )
-    return (
-        crossing * chunk_bytes,
-        (len(sp.transfers) - crossing) * chunk_bytes,
-        charges,
     )
 
 

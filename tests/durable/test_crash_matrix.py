@@ -8,6 +8,8 @@ again), and demand:
 
 - the final reconstruction is byte-identical to the uninterrupted run;
 - the journal validates and ends complete;
+- the traffic and compute accounting (cross-rack, intra-rack and
+  per-node compute bytes) equals the uninterrupted run's;
 - the cross-rack transfers actually shipped never exceed the
   uninterrupted count by more than one stripe's worth per crash (only
   the stripe in flight when the crash hit is re-shipped).
@@ -92,10 +94,14 @@ def test_crash_at_every_record_boundary(strategy_name, tmp_path):
             assert np.array_equal(out.reconstructed[stripe], buf), (
                 f"crash point {crash_after}: stripe {stripe} bytes differ"
             )
-        # Logical accounting matches the uninterrupted run exactly.
-        assert out.cross_rack_bytes == base.cross_rack_bytes, (
-            f"crash point {crash_after}"
-        )
+        # Logical accounting matches the uninterrupted run exactly: the
+        # replayed commits' figures plus the live run's, every field.
+        for figure in (
+            "cross_rack_bytes", "intra_rack_bytes", "bytes_computed_by_node"
+        ):
+            assert getattr(out, figure) == getattr(base, figure), (
+                f"crash point {crash_after}: {figure}"
+            )
         replay = JournalReplay.load(path)
         assert replay.complete
         # The traffic bound: at most one in-flight stripe re-ships.

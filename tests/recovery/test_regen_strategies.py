@@ -1,10 +1,10 @@
 """Tests for the regenerating-code recovery strategies.
 
 Strategy-level behaviour of :class:`RackAwareMSRStrategy` and
-:class:`PiggybackStrategy`: parameter derivation, weighted solutions,
-planner volume accounting, :class:`StrategyError` naming (including the
-``__init_subclass__`` annotation of foreign errors), and that the
-strategies pickle as built.
+:class:`PiggybackStrategy`: parameter derivation, weighted solutions
+(whose fractional units are the one account of sub-chunk payloads),
+:class:`StrategyError` naming (including the ``__init_subclass__``
+annotation of foreign errors), and that the strategies pickle as built.
 """
 
 import pickle
@@ -24,7 +24,6 @@ from repro.errors import (
 )
 from repro.experiments.configs import CFS1, CFS2, build_state
 from repro.recovery.baselines import RecoveryStrategy
-from repro.recovery.planner import plan_recovery
 from repro.recovery.regenerating import (
     PiggybackStrategy,
     RackAwareMSRStrategy,
@@ -135,34 +134,6 @@ class TestPiggybackStrategy:
             PiggybackStrategy().solve(state)
         assert exc.value.strategy == "Piggyback"
         assert "m >= 2" in str(exc.value)
-
-
-class TestPlannerVolumes:
-    @pytest.mark.parametrize(
-        "strategy", [RackAwareMSRStrategy(), PiggybackStrategy()],
-        ids=["rackmsr", "piggyback"],
-    )
-    def test_plan_volume_matches_solution_units(self, strategy):
-        state, event = aligned_failed_state(seed=4)
-        solution = strategy.solve(state)
-        plan = plan_recovery(state, event, solution)
-        expected = sum(
-            sum(s.cross_rack_chunks(solution.aggregated).values())
-            for s in solution
-        )
-        assert plan.cross_rack_volume() == pytest.approx(expected)
-
-    def test_volume_by_rack_matches_solution(self):
-        state, event = aligned_failed_state(seed=6)
-        solution = RackAwareMSRStrategy().solve(state)
-        plan = plan_recovery(state, event, solution)
-        num_racks = state.topology.num_racks
-        per_rack = [0.0] * num_racks
-        for s in solution:
-            for rack, units in s.cross_rack_chunks(True).items():
-                per_rack[rack] += units
-        got = plan.cross_rack_volume_by_rack(num_racks)
-        assert got == pytest.approx(per_rack)
 
 
 class TestWeightedSolutionValidation:

@@ -439,7 +439,8 @@ class TestColumnarWindow:
         outcome = compute_window(
             state.code, state.data, win, keep_partials=True
         )
-        for i, sol in enumerate(win.solutions):
+        for i in range(len(win)):
+            sol = win.source.solution(i)
             plan = split_repair_vector(
                 state.code, sol.lost_chunk, sol.helpers,
                 sol.rack_map() if win.aggregated
@@ -469,11 +470,11 @@ class TestColumnarWindow:
     def test_a_flipped_truth_byte_fails_exactly_that_stripe(self, chunk_size):
         state, event, strategy = self.build("rs-car-random", chunk_size)
         win = window_of(state, event, strategy)
-        victim = win.solutions[len(win) // 2]
+        victim = win.source.solution(len(win) // 2)
         state.data.corrupt(victim.stripe_id, victim.lost_chunk)
         outcome = compute_window(state.code, state.data, win)
         assert outcome.ok == [
-            sol.stripe_id != victim.stripe_id for sol in win.solutions
+            stripe != victim.stripe_id for stripe in win.stripe_id.tolist()
         ]
 
     def test_a_window_is_one_kernel_dispatch(self):
@@ -511,6 +512,26 @@ class TestStreamingValidation:
         plan = plan_recovery(state, event, sol)
         with pytest.raises(PlanError):
             PlanExecutor(state).execute_streaming(plan)
+
+    def test_eager_plan_must_cover_the_solution(self):
+        """A solution with a stripe its plan lacks fails at that stripe's
+        window, naming it; what shipped before is a prefix without it."""
+        state, event = failed_cluster(seed=1)
+        sol = CarStrategy().solve(state)
+        missing = sol.stripe_ids()[-1]
+        plan = plan_recovery(
+            state, event, sol.restricted_to(sol.stripe_ids()[:-1])
+        )
+        shipped = []
+        with pytest.raises(
+            PlanError, match=f"no stripe plan for stripe {missing}$"
+        ):
+            PlanExecutor(state).execute(
+                plan, sol, window=4,
+                sink=lambda stripe, rebuilt, ok: shipped.append(stripe),
+            )
+        assert missing not in shipped
+        assert shipped == list(sol.stripe_ids())[: len(shipped)]
 
     def test_streaming_plan_rejects_solution_argument(self):
         state, event = failed_cluster(seed=1)

@@ -1,13 +1,17 @@
-"""A window is columns from planner to ledger.
+"""A stripe's plan is a row of its window.
 
-The executor charges traffic and compute from a window's integer columns
-and never builds a stripe's :class:`Transfer` objects unless something
-reads them.  These tests hold the columns to figures computed three
-other ways — the materialised plan's objects
-(:func:`~repro.recovery.streaming.stripe_accounting`), the solution's
-own traffic model (:func:`~repro.recovery.metrics.traffic_report`) and
-the eager :func:`plan_recovery` — and count the objects a quiet run
-builds.
+The planner writes the plan rule once, as columns; a stripe's
+:class:`Transfer` / :class:`ComputeTask` / :class:`StripePlan` objects
+are built from its row (:meth:`WindowPlan.stripe_plan`), and the
+executor charges traffic and compute — the result's and each journal
+commit's — from the rows' ledger (:meth:`WindowPlan.ledger`).  These
+tests hold both to an independent per-stripe planner transcribed below
+(it plans one stripe from its solution object, the way the planner did
+before it planned windows), to the solution's own traffic model
+(:func:`~repro.recovery.metrics.traffic_report`) and to the eager
+:func:`plan_recovery`, and count the objects a quiet run builds.
+
+Select a larger example budget with ``HYPOTHESIS_PROFILE=thorough``.
 """
 
 from collections import Counter
@@ -18,23 +22,127 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.failure import FailureInjector, degraded_view
-from repro.errors import PlanError
+from repro.erasure.lrc import LRCCode
+from repro.errors import PlacementError, PlanError
 from repro.experiments.configs import CFS1, CFS2, CFS3, build_state
 from repro.obs.metrics import MetricsRegistry, telemetry_scope
 from repro.recovery import planner
-from repro.recovery.baselines import CarStrategy, _solution_from_helpers
+from repro.recovery.baselines import (
+    CarStrategy,
+    MinRackNoAggregationStrategy,
+    RandomAggregatedStrategy,
+    RandomRecoveryStrategy,
+    _solution_from_helpers,
+)
 from repro.recovery.executor import PlanExecutor
+from repro.recovery.lrc import LrcLocalRecoveryStrategy
 from repro.recovery.metrics import traffic_report
-from repro.recovery.replacement import eligible_replacements, with_replacement
 from repro.recovery.planner import (
+    ComputeTask,
+    StripePlan,
+    Transfer,
     plan_recovery,
     plan_recovery_streaming,
     plan_window,
 )
-from repro.recovery.solution import MultiStripeSolution
-from repro.recovery.streaming import stripe_accounting
+from repro.recovery.regenerating import PiggybackStrategy, RackAwareMSRStrategy
+from repro.recovery.replacement import eligible_replacements, with_replacement
+from repro.recovery.solution import (
+    MultiStripeSolution,
+    PerStripeSolution,
+    WeightedStripeSolution,
+)
+
+from tests.recovery.test_streaming import failed_cluster
 
 CHUNK = 256
+
+
+# -- the reference: one stripe planned from its solution object ------------
+
+
+def ref_holder(state, sol, chunk, dead_nodes):
+    node = state.placement.node_of(sol.stripe_id, chunk)
+    if node == state.failed_node:
+        raise PlanError(
+            f"stripe {sol.stripe_id}: chunk {chunk} lives on the failed node"
+        )
+    if node in dead_nodes:
+        raise PlanError(
+            f"stripe {sol.stripe_id}: chunk {chunk} lives on dead node {node}"
+        )
+    return node
+
+
+def ref_plan(state, repl, sol, aggregated, dead_nodes=frozenset()):
+    """One stripe's plan: under aggregation, each intact rack's delegate
+    (the holder of its lowest chunk) gathers the rack's chunks and ships
+    one partial; the failed rack's survivors go to the replacement node.
+    Direct, every helper ships its chunk to the replacement node."""
+    repl_rack = state.topology.rack_of(repl)
+    sid = sol.stripe_id
+    transfers, compute, delegates = [], [], {}
+    if not aggregated:
+        for rack in sorted(sol.chunks_by_rack):
+            for c in sol.chunks_from_rack(rack):
+                node = ref_holder(state, sol, c, dead_nodes)
+                transfers.append(Transfer(sid, node, repl, rack, repl_rack, c))
+        compute.append(
+            ComputeTask(sid, repl, sol.helper_count, "final", sol.helpers)
+        )
+    else:
+        for rack in sorted(sol.chunks_by_rack):
+            chunks = sol.chunks_from_rack(rack)
+            holders = {c: ref_holder(state, sol, c, dead_nodes) for c in chunks}
+            if rack == sol.failed_rack:
+                for c, node in sorted(holders.items()):
+                    if node != repl:
+                        transfers.append(
+                            Transfer(sid, node, repl, rack, repl_rack, c)
+                        )
+                compute.append(
+                    ComputeTask(sid, repl, len(chunks), "local", tuple(chunks))
+                )
+                continue
+            delegate = holders[min(holders)]
+            delegates[rack] = delegate
+            for c, node in sorted(holders.items()):
+                if node != delegate:
+                    transfers.append(Transfer(sid, node, delegate, rack, rack, c))
+            compute.append(
+                ComputeTask(sid, delegate, len(chunks), "partial", tuple(chunks))
+            )
+            transfers.append(Transfer(sid, delegate, repl, rack, repl_rack, None))
+        compute.append(ComputeTask(sid, repl, len(compute), "final"))
+    return StripePlan(sid, sol.lost_chunk, tuple(transfers), tuple(compute),
+                      delegates)
+
+
+def ref_accounting(sp, chunk_bytes):
+    """``(cross, intra, charges)`` counted from the objects: every flow
+    moves one chunk, every compute task charges its inputs."""
+    crossing = sum(1 for t in sp.transfers if t.cross_rack)
+    charges = Counter()
+    for task in sp.compute:
+        charges[task.node] += task.input_chunks * chunk_bytes
+    return (
+        crossing * chunk_bytes,
+        (len(sp.transfers) - crossing) * chunk_bytes,
+        dict(charges),
+    )
+
+
+def ref_error(state, repl, sols, aggregated, dead_nodes=frozenset()):
+    """The error the reference raises for the first unplannable stripe."""
+    for sol in sols:
+        try:
+            ref_plan(state, repl, sol, aggregated, dead_nodes)
+        except (PlanError, PlacementError) as exc:
+            return exc
+    return None
+
+
+# -- scenarios ----------------------------------------------------------------
 
 
 def solve_around(state, dead, aggregated):
@@ -61,64 +169,106 @@ def solve_around(state, dead, aggregated):
     )
 
 
-def row_figures(win, i):
-    """Stripe ``i``'s ``(cross, intra, charges)`` from the columns alone."""
-    c1, i1, ch1 = win.ledger(CHUNK, i + 1)
-    c0, i0, ch0 = win.ledger(CHUNK, i)
-    return c1 - c0, i1 - i0, {
-        node: b - ch0.get(node, 0)
-        for node, b in ch1.items()
-        if b != ch0.get(node, 0)
-    }
+#: Strategies planned from a fixed solve (no dead helpers to avoid).
+STRATEGIES = {
+    "car-nolb": lambda seed: CarStrategy(load_balance=False),
+    "rr": lambda seed: RandomRecoveryStrategy(rng=seed),
+    "min-rack": lambda seed: MinRackNoAggregationStrategy(),
+    "random-aggregated": lambda seed: RandomAggregatedStrategy(rng=seed),
+    "rack-msr": lambda seed: RackAwareMSRStrategy(),
+    "piggyback": lambda seed: PiggybackStrategy(),
+    "lrc-local": lambda seed: LrcLocalRecoveryStrategy(),
+    "lrc-direct": lambda seed: LrcLocalRecoveryStrategy(aggregated=False),
+}
+
+
+def scenario(name, config, seed):
+    """``(state, event, strategy)`` for one strategy name."""
+    if name.startswith("lrc"):
+        state, event = failed_cluster(seed, stripes=30, code=LRCCode(6, 2, 2))
+    else:
+        state = build_state(
+            config, seed, num_stripes=30,
+            placement_policy="rack_aligned" if name == "rack-msr" else "random",
+        )
+        event = FailureInjector(rng=seed).fail_random_node(state)
+    return state, event, STRATEGIES[name](seed)
+
+
+def assert_rows_match_reference(state, event, sol, window, dead=frozenset()):
+    """Every row's objects and ledger equal the reference's, and the
+    eager plan is the rows in order."""
+    repl = event.replacement_node
+    lazy = plan_recovery_streaming(state, event, sol, dead_nodes=dead)
+    rows = []
+    for win in lazy.iter_windows(window):
+        assert len(win) <= window
+        for i in range(len(win)):
+            s = win.source.solution(i)
+            ref = ref_plan(state, repl, s, sol.aggregated, dead)
+            sp = win.stripe_plan(i)
+            assert sp == ref
+            # Stripe i's (cross, intra, charges): its row of the ledger.
+            figures = win.ledger(CHUNK, slice(i, i + 1))
+            assert figures == ref_accounting(ref, CHUNK)
+            # The traffic model counts whole chunks, shipped into the
+            # failed rack.
+            if not isinstance(s, WeightedStripeSolution) and (
+                state.topology.rack_of(repl) == s.failed_rack
+            ):
+                single = MultiStripeSolution(
+                    [s], num_racks=state.topology.num_racks,
+                    aggregated=sol.aggregated,
+                )
+                assert figures[0] == traffic_report(single, CHUNK).total_bytes
+            rows.append(sp)
+    assert len(rows) == len(sol)
+    eager = plan_recovery(state, event, sol, dead_nodes=dead)
+    assert eager.stripe_plans == tuple(rows)
 
 
 class TestColumnsAgreeWithObjects:
-    @settings(max_examples=40, deadline=None)
+    @settings(deadline=None)
     @given(
         config=st.sampled_from([CFS1, CFS2, CFS3]),
+        name=st.sampled_from(["car-around", *STRATEGIES]),
         aggregated=st.booleans(),
-        window=st.sampled_from([1, 3, 256]),
+        window=st.sampled_from([1, 3, 7, 256]),
         seed=st.integers(0, 500),
         dead_count=st.integers(0, 2),
+        moved=st.booleans(),
         data=st.data(),
     )
     def test_three_figures_per_stripe(
-        self, config, aggregated, window, seed, dead_count, data
+        self, config, name, aggregated, window, seed, dead_count, moved, data
     ):
-        state = build_state(config, seed, num_stripes=30)
-        event = FailureInjector(rng=seed).fail_random_node(state)
-        others = [
-            n.node_id for n in state.topology.nodes
-            if n.node_id != event.failed_node
-        ]
-        dead = frozenset(
-            data.draw(
-                st.lists(st.sampled_from(others), max_size=dead_count,
-                         unique=True)
-            )
-        )
-        sol = solve_around(state, dead, aggregated)
-        eager = plan_recovery(state, event, sol, dead_nodes=dead)
-        by_id = {sp.stripe_id: sp for sp in eager.stripe_plans}
-        lazy = plan_recovery_streaming(state, event, sol, dead_nodes=dead)
-        seen = 0
-        for win in lazy.iter_windows(window):
-            assert len(win) <= window
-            for i, s in enumerate(win.solutions):
-                sp = lazy.stripe_plan(s)
-                # Built on demand, field for field the eager object.
-                assert sp == by_id[s.stripe_id]
-                columns = row_figures(win, i)
-                assert columns == stripe_accounting(sp, CHUNK)
-                single = MultiStripeSolution(
-                    [s], num_racks=state.topology.num_racks,
-                    aggregated=aggregated,
+        if name == "car-around":
+            state = build_state(config, seed, num_stripes=30)
+            event = FailureInjector(rng=seed).fail_random_node(state)
+            others = [
+                n.node_id for n in state.topology.nodes
+                if n.node_id != event.failed_node
+            ]
+            dead = frozenset(
+                data.draw(
+                    st.lists(st.sampled_from(others), max_size=dead_count,
+                             unique=True)
                 )
-                assert columns[0] == traffic_report(single, CHUNK).total_bytes
-                seen += 1
-        assert seen == len(sol)
+            )
+            sol = solve_around(state, dead, aggregated)
+        else:
+            state, event, strategy = scenario(name, config, seed)
+            dead = frozenset()
+            sol = strategy.solve(state)
+        if moved:
+            # Any live node: an eligible one, or one holding helpers.
+            event = with_replacement(event, data.draw(st.sampled_from([
+                n.node_id for n in state.topology.nodes
+                if n.node_id not in dead
+            ])))
+        assert_rows_match_reference(state, event, sol, window, dead)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(deadline=None)
     @given(
         config=st.sampled_from([CFS1, CFS2, CFS3]),
         aggregated=st.booleans(),
@@ -136,33 +286,79 @@ class TestColumnsAgreeWithObjects:
         )
         cross = intra = 0
         charges = Counter()
-        for sp in plan_recovery(state, event, sol).stripe_plans:
-            c, i, ch = stripe_accounting(sp, CHUNK)
+        for s in sol.solutions:
+            c, i, ch = ref_accounting(
+                ref_plan(state, event.replacement_node, s, aggregated), CHUNK
+            )
             cross, intra = cross + c, intra + i
             charges.update(ch)
         assert win.ledger(CHUNK) == (cross, intra, dict(charges))
         assert cross == traffic_report(sol, CHUNK).total_bytes
 
     def test_a_dead_helper_fails_the_same_stripe_with_the_same_words(self):
+        for where in ("dead", "failed", "unplaced", "both"):
+            for aggregated in (True, False):
+                self.check_first_unusable_helper(where, aggregated)
+
+    @staticmethod
+    def check_first_unusable_helper(where, aggregated):
+        """Helpers on dead nodes, on the failed node, a chunk index the
+        placement lacks, or the last two at once: the window raises what
+        the reference raises for its first unplannable stripe and that
+        stripe's first unusable helper, word for word."""
         state = build_state(CFS2, 3, num_stripes=30)
         event = FailureInjector(rng=3).fail_random_node(state)
-        sol = CarStrategy().solve(state)
+        sol = solve_around(state, frozenset(), aggregated)
         victim = sol.solutions[len(sol) // 2]
-        dead = {state.placement.node_of(victim.stripe_id, victim.helpers[-1])}
-        first = next(
-            s for s in sol.solutions
-            if any(
-                state.placement.node_of(s.stripe_id, c) in dead
-                for c in s.helpers
-            )
+        dead = frozenset()
+        if where == "dead":
+            dead = {
+                state.placement.node_of(victim.stripe_id, c)
+                for c in (victim.helpers[0], victim.helpers[-1])
+            }
+        else:
+            # The victim also reads the chunk on the failed node (and
+            # names another chunk lost) and/or a chunk index the
+            # placement lacks.
+            lost, unplaced = victim.lost_chunk, state.code.n
+            extras = {
+                "failed": (lost,), "unplaced": (unplaced,),
+                "both": (lost, unplaced),
+            }[where]
+            if lost in extras:
+                lost = next(
+                    c for c in range(state.code.n)
+                    if c not in extras and c not in victim.helpers
+                )
+            rack = victim.failed_rack
+            sol = sol.replace(PerStripeSolution(
+                stripe_id=victim.stripe_id,
+                lost_chunk=lost,
+                failed_rack=rack,
+                chunks_by_rack={
+                    **victim.chunks_by_rack,
+                    rack: tuple(sorted((*victim.chunks_from_rack(rack), *extras))),
+                },
+            ))
+        expected = ref_error(
+            state, event.replacement_node, sol.solutions, aggregated, dead
         )
+        if where == "unplaced":
+            assert str(expected) == (
+                f"no placement for stripe {victim.stripe_id} chunk {unplaced}"
+            )
+            assert isinstance(expected, PlacementError)
+        elif where != "dead":
+            assert str(expected) == (
+                f"stripe {victim.stripe_id}: chunk {victim.lost_chunk} lives "
+                "on the failed node"
+            )
+        assert isinstance(expected, PlacementError if where == "unplaced"
+                          else PlanError)
         lazy = plan_recovery_streaming(state, event, sol, dead_nodes=dead)
-        with pytest.raises(PlanError) as per_stripe:
-            lazy.stripe_plan(first)
-        with pytest.raises(PlanError) as columns:
+        with pytest.raises(type(expected)) as columns:
             next(lazy.iter_windows(len(sol)))
-        assert str(columns.value) == str(per_stripe.value)
-        assert f"stripe {first.stripe_id}: " in str(columns.value)
+        assert str(columns.value) == str(expected)
 
 
 class TestQuietRunBuildsNoObjects:
