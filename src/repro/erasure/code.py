@@ -69,6 +69,16 @@ class ErasureCode(abc.ABC):
                 (must not contain ``lost_index``).
         """
 
+    def repair_vectors(
+        self, lost_indices: np.ndarray, helper_indices: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`repair_vector` of ``(S,)`` lost chunks over ``(S, h)``
+        helper rows, as ``(S, h)`` coefficients: row by row, unless a
+        code solves the batch at once."""
+        lost, helpers = np.asarray(lost_indices), np.asarray(helper_indices)
+        out = [self.repair_vector(*row) for row in zip(lost.tolist(), helpers.tolist())]
+        return np.array(out, dtype=np.int64).reshape(helpers.shape)
+
     def reconstruct(
         self, lost_index: int, helpers: Mapping[int, np.ndarray]
     ) -> np.ndarray:

@@ -3,19 +3,21 @@
 Matrices are stored as 2-D numpy arrays of the field's element dtype and
 wrapped in :class:`GFMatrix`, which provides multiplication, Gauss-Jordan
 inversion, rank, and the classical erasure-coding constructors
-(Vandermonde, Cauchy, and their systematic reductions).
+(Vandermonde, Cauchy, and their systematic reductions), and
+:func:`solve_right_stack`, which solves a stack of systems at once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
 from repro.errors import CodingError, FieldError, SingularMatrixError
-from repro.gf.field import GaloisField
+from repro.gf.field import GaloisField, gf
 
-__all__ = ["GFMatrix"]
+__all__ = ["GFMatrix", "solve_right_stack"]
 
 
 class GFMatrix:
@@ -158,30 +160,19 @@ class GFMatrix:
             raise FieldError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        f = self.field
-        out = np.zeros((self.rows, other.cols), dtype=f.tables.dtype)
-        # Row-by-row schoolbook multiply through the log tables; matrix
-        # dimensions here are tiny (k + m <= ~20) so clarity wins.
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = 0
-                for t in range(self.cols):
-                    acc ^= f.mul(int(self.data[i, t]), int(other.data[t, j]))
-                out[i, j] = acc
-        return GFMatrix(f, out)
+        products = _mul(
+            self.field,
+            self.data.astype(np.int64)[:, :, None],
+            other.data.astype(np.int64)[None, :, :],
+        )
+        return GFMatrix(self.field, np.bitwise_xor.reduce(products, axis=1))
 
     def mul_vector(self, vec: Sequence[int]) -> list[int]:
         """Matrix-vector product over the field."""
         if len(vec) != self.cols:
             raise FieldError(f"vector length {len(vec)} != cols {self.cols}")
-        f = self.field
-        out = []
-        for i in range(self.rows):
-            acc = 0
-            for t in range(self.cols):
-                acc ^= f.mul(int(self.data[i, t]), int(vec[t]))
-            out.append(acc)
-        return out
+        column = GFMatrix(self.field, [[v] for v in vec])
+        return (self @ column).data[:, 0].tolist()
 
     def transpose(self) -> "GFMatrix":
         """Matrix transpose."""
@@ -374,3 +365,63 @@ class GFMatrix:
             )
         top = GFMatrix(self.field, self.data[:k, :])
         return self @ top.invert()
+
+
+@lru_cache(maxsize=None)
+def _product_table(w: int) -> np.ndarray:
+    """``T[a << w | b] = a * b`` over the whole of GF(2^w), w <= 8."""
+    a, b = np.divmod(np.arange(1 << 2 * w), 1 << w)
+    return _mul_logs(gf(w).tables, a, b)
+
+
+def _mul_logs(t, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` through the log/exp tables, zero operands masked."""
+    zero = (a == 0) | (b == 0)
+    out = t.exp[np.where(zero, 0, t.log[a] + t.log[b])].astype(np.int64)
+    out[zero] = 0
+    return out
+
+
+def _mul(field: GaloisField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise product of two broadcastable int64 element arrays."""
+    if field.w <= 8:
+        return _product_table(field.w)[(a << field.w) | b]
+    return _mul_logs(field.tables, a, b)
+
+
+def solve_right_stack(
+    field: GaloisField, matrices: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """``(S, k)`` int64 ``y`` with ``y[s] @ matrices[s] == rhs[s]``, for
+    ``(S, k, k)`` matrices and ``(S, k)`` right-hand sides.
+
+    One Gauss-Jordan pass reduces the ``(S, k, k + 1)`` stack of
+    augmented blocks ``[matrices[s]^T | rhs[s]]`` column by column, each
+    system on its own pivot, so the cost is ``k`` steps of numpy work
+    whatever ``S`` is.  Raises :class:`SingularMatrixError` naming the
+    first singular system.
+    """
+    stack, k = matrices.shape[:2]
+    aug = np.concatenate(
+        (np.swapaxes(matrices, 1, 2), rhs[:, :, None]), axis=2
+    ).astype(np.int64)
+    systems = np.arange(stack)
+    singular = np.zeros(stack, dtype=bool)
+    for col in range(k):
+        nonzero = aug[:, col:, col] != 0
+        singular |= ~nonzero.any(axis=1)
+        pivot = col + nonzero.argmax(axis=1)
+        row = aug[systems, pivot]
+        aug[systems, pivot] = aug[:, col]
+        # A singular system's pivot is 0, whose table inverse is 0: its
+        # rows go to zero and it is reported below.
+        inverse = field.tables.inv[row[:, col : col + 1]].astype(np.int64)
+        aug[:, col] = _mul(field, inverse, row)
+        factors = aug[:, :, col : col + 1].copy()
+        factors[:, col] = 0
+        aug[:, :, col:] ^= _mul(field, factors, aug[:, None, col, col:])
+    if singular.any():
+        raise SingularMatrixError(
+            f"system {int(singular.argmax())} is singular over the field"
+        )
+    return aug[:, :, k]

@@ -30,7 +30,7 @@ from repro.errors import (
     InvalidCodeParametersError,
 )
 from repro.erasure.code import ErasureCode
-from repro.erasure.matrix import GFMatrix
+from repro.erasure.matrix import GFMatrix, solve_right_stack
 from repro.gf.field import GaloisField, gf
 from repro.gf.vector import batch_dot, buffer_dtype, dot_rows, matrix_apply
 
@@ -96,8 +96,7 @@ class RSCode(ErasureCode):
         self.field: GaloisField = field
         self.generator: GFMatrix = self._build_generator()
         # Cache decode matrices keyed by the surviving-row tuple and
-        # repair vectors keyed by (lost, helpers); repair is called once
-        # per stripe during recovery and patterns repeat heavily.
+        # one-row repair vectors keyed by (lost, helpers).
         self._inverse_cache = BoundedCache(maxsize=512, name="rs.decode_matrix")
         self._repair_cache = BoundedCache(maxsize=2048, name="rs.repair_vector")
 
@@ -188,24 +187,43 @@ class RSCode(ErasureCode):
 
     # -- single-failure repair ------------------------------------------------
 
-    def _repair_vector_uncached(self, lost_index: int, helpers: tuple[int, ...]) -> tuple[int, ...]:
-        """``y = g_lost · X`` as one vectorised log/exp pass.
+    def _check_repair(self, lost_index: int, helpers: Sequence[int]) -> None:
+        """Raise the error a bad ``(lost, helpers)`` row deserves."""
+        if not 0 <= lost_index < self.n:
+            raise CodingError(f"lost index {lost_index} out of range")
+        if len(helpers) != self.k:
+            raise InsufficientChunksError(
+                f"repair needs exactly k={self.k} helpers, got {len(helpers)}"
+            )
+        for h in helpers:
+            if not 0 <= h < self.n:
+                raise CodingError(f"helper index {h} out of range")
+        if lost_index in helpers:
+            raise CodingError("helper set must not contain the lost chunk")
+        if len(set(helpers)) != len(helpers):
+            raise CodingError("helper indices must be distinct")
 
-        The double loop over ``mul`` calls is replaced with table
-        gathers: products are ``exp[log[a] + log[b]]`` computed for the
-        whole ``k x k`` operand grid at once, zero operands masked out,
-        then XOR-reduced down the columns.
-        """
-        inverse = self._invert_rows(helpers)
-        t = self.field.tables
-        g_lost = self.generator.row(lost_index).astype(np.int64)
-        x = inverse.data.astype(np.int64)
-        nonzero = (g_lost[:, None] != 0) & (x != 0)
-        logs = t.log[g_lost][:, None] + t.log[x]
-        logs[~nonzero] = 0  # log[0] is a sentinel; keep indices in range
-        products = t.exp[logs]
-        products[~nonzero] = 0
-        return tuple(int(v) for v in np.bitwise_xor.reduce(products, axis=0))
+    def repair_vectors(
+        self, lost_indices: np.ndarray, helper_indices: np.ndarray
+    ) -> np.ndarray:
+        """Every row's ``y = g_lost · X``, solving ``y · G[helpers[s]] =
+        G[lost[s]]`` for all rows in one
+        :func:`~repro.erasure.matrix.solve_right_stack` call.  A bad row
+        raises what :meth:`repair_vector` raises for it."""
+        lost = np.asarray(lost_indices, dtype=np.int64)
+        helpers = np.asarray(helper_indices, dtype=np.int64)
+        ordered = np.sort(helpers, axis=1)
+        bad = (
+            (helpers.shape[1] != self.k) | (lost < 0) | (lost >= self.n)
+            | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            | ((helpers < 0) | (helpers >= self.n)).any(axis=1)
+            | (helpers == lost[:, None]).any(axis=1)
+        )
+        if bad.any():
+            s = int(bad.argmax())
+            self._check_repair(int(lost[s]), helpers[s].tolist())
+        g = self.generator.data
+        return solve_right_stack(self.field, g[helpers], g[lost])
 
     def repair_vector(
         self, lost_index: int, helper_indices: Sequence[int]
@@ -214,24 +232,14 @@ class RSCode(ErasureCode):
 
         ``X`` is the inverse of the generator submatrix for the helper
         rows; the returned list is ordered to match ``helper_indices``.
-        The result is cached per ``(lost_index, helpers)`` — recovery
-        plans repeat the same few helper patterns across stripes.
+        The one-row case of :meth:`repair_vectors`, cached per
+        ``(lost_index, helpers)``.
         """
-        if not 0 <= lost_index < self.n:
-            raise CodingError(f"lost index {lost_index} out of range")
         helpers = tuple(helper_indices)
-        if len(helpers) != self.k:
-            raise InsufficientChunksError(
-                f"repair needs exactly k={self.k} helpers, got {len(helpers)}"
-            )
-        if lost_index in helpers:
-            raise CodingError("helper set must not contain the lost chunk")
-        if len(set(helpers)) != len(helpers):
-            raise CodingError("helper indices must be distinct")
         return list(
             self._repair_cache.get_or_build(
                 (lost_index, helpers),
-                lambda: self._repair_vector_uncached(lost_index, helpers),
+                lambda: tuple(self.repair_vectors([lost_index], [helpers])[0].tolist()),
             )
         )
 

@@ -24,7 +24,8 @@ never touches the tracer, the journal or the fault hooks:
   :data:`REPAIR_GROUP_CACHE`, looked up once per distinct signature of
   a window, whose hit/miss rates surface through the
   :mod:`repro.obs` metrics registry (the hit rate is how often stripes
-  share a repair vector);
+  share a repair vector); a window's misses get their repair vectors
+  from one batched solve (:func:`_coefficients`);
 - :func:`thread_stage` / :func:`process_stage` run stage A on one
   worker thread (overlapping the executor's stage B) or fan it out over
   a process pool, with chunk data mapped zero-copy through
@@ -48,12 +49,10 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from repro.cache import BoundedCache
-from repro.erasure.repair import PartialDecodePlan, split_repair_vector
 from repro.gf.field import gf
 from repro.gf.vector import rows_equal, segment_dot, xor_segments
 from repro.recovery.planner import WindowPlan
@@ -98,16 +97,6 @@ def _code_id(code, aggregated: bool) -> int:
     return _CODE_IDS.setdefault((code, aggregated), next(_NEXT_CODE_ID))
 
 
-class _Layout(NamedTuple):
-    """One signature's decode table, one entry per helper column of the
-    window (padding columns included): its plan, each column's
-    coefficient, and whether a rack group starts at the column."""
-
-    plan: PartialDecodePlan
-    coefficients: np.ndarray
-    heads: np.ndarray
-
-
 @dataclass
 class WindowOutcome:
     """Everything stage B (shipping) needs about one decoded window.
@@ -116,9 +105,9 @@ class WindowOutcome:
         rebuilt: per stripe, the reconstructed chunk (at small chunk
             sizes the rows of one result matrix).
         ok: per stripe, byte-exact match against ground truth.
-        decodes: per stripe, the repair decomposition — one group per
-            rack when aggregated (used for checkpoint ordering), a
-            single one holding every helper when direct.
+        heads: ``(S, H)`` whether a group starts at a helper column:
+            one group per rack when aggregated, one in all when direct.
+        rack: ``(S, H)`` helper racks, the group keys; ``None`` (direct).
         partials: every group's partially decoded buffer, in window
             order (at small chunk sizes the rows of one matrix); only
             kept when the executor walks the stripes'
@@ -131,19 +120,21 @@ class WindowOutcome:
 
     rebuilt: Sequence[np.ndarray]
     ok: list[bool]
-    decodes: list[PartialDecodePlan]
+    heads: np.ndarray
+    rack: np.ndarray | None
     partials: Sequence[np.ndarray] | None
     first_partial: list[int]
     started: float
     finished: float
 
     def partials_of(self, i: int) -> dict:
-        """Stripe ``i``'s group key -> partially decoded buffer."""
+        """Stripe ``i``'s group key -> partially decoded buffer: its rack,
+        or ``None`` for the one group of a direct repair."""
         first = self.first_partial[i]
-        return {
-            group.group_key: self.partials[first + j]
-            for j, group in enumerate(self.decodes[i].groups)
-        }
+        if self.rack is None:
+            return {None: self.partials[first]}
+        keys = self.rack[i, self.heads[i]].tolist()
+        return {key: self.partials[first + j] for j, key in enumerate(keys)}
 
 
 def default_window(chunk_size: int) -> int:
@@ -158,33 +149,32 @@ def default_window(chunk_size: int) -> int:
     return max(1, WINDOW_BYTES // (chunk_size + STRIPE_OVERHEAD_BYTES))
 
 
-def _layout(code, aggregated: bool, signature: bytes) -> _Layout:
-    """A signature's decode table, built from the signature's own bytes.
+def _coefficients(code, signatures: Sequence[bytes], width: int) -> np.ndarray:
+    """The decode-table rows of the given signatures, read from their
+    own bytes: each helper column's repair coefficient, padding 0.
 
-    A signature is the lost chunk and the helper columns (plus, when
-    aggregated, their racks), so it fixes the repair vector and its
-    grouping.  Aggregated repairs split the repair vector per rack
-    (Equation 7); a direct repair is the same arithmetic with every
-    helper in one group, decoded at the replacement node.  The window's
-    helper columns are in the groups' order, so the coefficients fill
-    the used columns in that order; padding columns get coefficient 0.
+    A signature starts with the lost chunk and the ``width`` helper
+    columns, so it fixes the repair vector.  Every row's vector comes
+    from one :meth:`~repro.erasure.code.ErasureCode.repair_vectors` call
+    per helper count (one call for an MDS code), over the helpers in
+    ascending order.
     """
-    row = np.frombuffer(signature, dtype=np.int32).tolist()
-    lost, columns = row[0], row[1:]
-    width = len(columns) // 2 if aggregated else len(columns)
-    used = [j for j in range(width) if columns[j] != NO_HELPER]
-    helpers = [columns[j] for j in used]
-    plan = split_repair_vector(
-        code, lost, sorted(helpers),
-        dict(zip(helpers, columns[width:])) if aggregated
-        else dict.fromkeys(helpers),
+    keys = np.frombuffer(b"".join(signatures), dtype=np.int32).reshape(
+        len(signatures), -1
     )
-    coefficients = np.zeros(width, dtype=np.intp)
-    coefficients[used] = [c for g in plan.groups for c in g.coefficients]
-    heads = np.zeros(width, dtype=bool)
-    sizes = [g.size for g in plan.groups]
-    heads[np.take(used, np.cumsum(sizes) - sizes)] = True
-    return _Layout(plan, coefficients, heads)
+    lost, chunk = keys[:, 0], keys[:, 1 : 1 + width]
+    used = chunk != NO_HELPER
+    # Padding sorts last: ``order[:, :n]`` are n helpers, ascending.
+    order = np.argsort(np.where(used, chunk, np.iinfo(np.int32).max), axis=1)
+    count = used.sum(axis=1)
+    out = np.zeros(chunk.shape, dtype=np.intp)
+    for n in np.unique(count).tolist():
+        rows = np.flatnonzero(count == n)
+        cols = order[rows, :n]
+        out[rows[:, None], cols] = code.repair_vectors(
+            lost[rows], np.take_along_axis(chunk[rows], cols, axis=1)
+        )
+    return out
 
 
 def compute_window(
@@ -193,28 +183,28 @@ def compute_window(
     """Stage A: decode every stripe of one window in one columnar pass.
 
     The window's decode table is one stack of its distinct signatures'
-    tables, indexed by each stripe's signature and masked to its helper
-    columns; the helpers and the lost chunks are row ids into the chunk
-    store's matrix, which the kernels gather from.  The outcome is **in
-    window order** and carries the stage's wall-clock start/end (this
-    function itself must stay telemetry-free, see the module docstring).
+    rows (those the cache lacks derived by one :func:`_coefficients`
+    call), indexed by each stripe's signature and masked to its helper
+    columns; a group (Equation 7) starts wherever the rack changes, or
+    once when direct.  The helpers and the lost chunks are row ids into
+    the chunk store's matrix, which the kernels gather from.  The
+    outcome is **in window order** and carries the stage's wall-clock
+    start/end (this function itself must stay telemetry-free, see the
+    module docstring).
     """
     start = time.perf_counter()
     ident = _code_id(code, win.aggregated)
-    layouts = [
-        REPAIR_GROUP_CACHE.get_or_build(
-            (ident, s), lambda s=s: _layout(code, win.aggregated, s)
-        )
-        for s in win.signatures
-    ]
-    shape = (len(layouts), win.chunk.shape[1])
-    coefficients = np.concatenate(
-        [layout.coefficients for layout in layouts]
-    ).reshape(shape)[win.signature]
-    heads = np.concatenate([layout.heads for layout in layouts]).reshape(
-        shape
-    )[win.signature]
+    tables = [REPAIR_GROUP_CACHE.get((ident, s)) for s in win.signatures]
+    missing = [u for u, row in enumerate(tables) if row is None]
+    if missing:
+        signatures = [win.signatures[u] for u in missing]
+        derived = _coefficients(code, signatures, win.chunk.shape[1])
+        for u, s, row in zip(missing, signatures, derived):
+            tables[u] = REPAIR_GROUP_CACHE.put((ident, s), row)
+    coefficients = np.stack(tables)[win.signature]
     used = win.chunk != NO_HELPER
+    heads = used.copy()
+    heads[:, 1:] &= (win.rack[:, 1:] != win.rack[:, :-1]) & win.aggregated
     rows = data.rows()
     helpers = data.row_ids(
         np.broadcast_to(win.stripe_id[:, None], used.shape)[used],
@@ -236,7 +226,8 @@ def compute_window(
     return WindowOutcome(
         rebuilt=rebuilt,
         ok=rows_equal(rows, rebuilt, ids=lost),
-        decodes=[layouts[u].plan for u in win.signature.tolist()],
+        heads=heads,
+        rack=win.rack if win.aggregated else None,
         partials=partials if keep_partials else None,
         first_partial=first_partial,
         started=start,
