@@ -4,21 +4,24 @@ These are the hot-path kernels used by erasure encoding/decoding: they
 operate element-wise on whole chunk buffers (numpy arrays of ``uint8``
 for w <= 8 or ``uint16`` for w == 16).
 
-Three table schemes back the kernels:
+Four table schemes back the kernels:
 
-- **w <= 8**: one 256-entry product table per constant (``t[x] = c*x``),
-  gathered with ``np.take``.  For multi-output kernels up to four
-  constants' tables are *packed into one uint32 table* so a single
-  gather produces four products at once (the byte lanes of the packed
-  accumulator are the output rows).
-- **w <= 8, rows shorter than** ``_SHORT_ROW``: the field's one *full
-  product table* (``T[c * order + x] = c * x``, 64 KiB at w = 8).  A
-  buffer that is smaller than a per-constant-pair table never pays for
+- **Multi-output, w <= 8**: one 256-entry product table per constant
+  (``t[x] = c*x``), gathered with ``np.take``.  Up to four constants'
+  tables are *packed into one uint32 table* so a single gather produces
+  four products at once (the byte lanes of the packed accumulator are
+  the output rows).
+- **Multi-output, w == 16**: *split low/high-nibble tables* —
+  ``lo[x] = c * x`` for the low byte and ``hi[x] = c * (x << 8)`` for
+  the high byte, 256 entries each, packed two lanes at a time.
+  ``c * v == lo[v & 0xFF] ^ hi[v >> 8]``.
+- **One output, long rows**: one 65 536-entry *word table* per constant
+  (128 KiB), which multiplies a whole 16-bit word per gather — two
+  elements at w <= 8, one at w == 16.
+- **One output, w <= 8, rows shorter than** ``_SHORT_ROW``: the field's
+  one *full product table* (``T[c * order + x] = c * x``, 64 KiB at
+  w = 8).  A buffer that is smaller than a word table never pays for
   building one, and rows with different constants share a gather.
-- **w == 16**: *split low/high-nibble tables* — ``lo[x] = c * x`` for
-  the low byte and ``hi[x] = c * (x << 8)`` for the high byte, 256
-  entries each (1 KiB per constant instead of the 128 KiB a full
-  2^16-entry table would cost).  ``c * v == lo[v & 0xFF] ^ hi[v >> 8]``.
 
 The central batched primitive is :func:`batch_dot`: apply an ``r x n``
 coefficient matrix to ``n`` input buffers in one fused pass.  It
@@ -65,8 +68,8 @@ __all__ = [
 _MUL_TABLE_CACHE = BoundedCache(maxsize=1024, name="gf.mul_table")
 #: Per-(w, c) split-nibble table pairs for w == 16: 2 x 256 uint16 = 1 KiB each.
 _NIBBLE_TABLE_CACHE = BoundedCache(maxsize=1024, name="gf.nibble_table")
-#: Per-(w, c1, c2) fused pair tables for w <= 8: 64 KiB each, so <= 4 MiB total.
-_PAIR_TABLE_CACHE = BoundedCache(maxsize=64, name="gf.pair_table")
+#: Per-(w, c) word tables: 2^16 uint16 = 128 KiB each, so <= 8 MiB total.
+_WORD_TABLE_CACHE = BoundedCache(maxsize=64, name="gf.word_table")
 #: Per-(w, column of constants) packed lane tables: <= 2 KiB each.
 _PACKED_TABLE_CACHE = BoundedCache(maxsize=1024, name="gf.packed_table")
 #: Per-w full product tables for w <= 8: order^2 entries, <= 64 KiB each.
@@ -76,12 +79,12 @@ _PRODUCT_TABLE_CACHE = BoundedCache(maxsize=8, name="gf.product_table")
 #: sweep that picked it).  One tile of everything the widest kernel
 #: touches — uint32 accumulator and gather target, the intp copy of the
 #: indices ``np.take`` makes, inputs, outputs — is ~0.6 MiB, inside a
-#: per-core L2 with room left for a 64 KiB pair table.
+#: per-core L2.  A single-output tile is ``_TILE`` 16-bit words.
 _TILE = 1 << 15
 
 #: Rows of fewer elements than this (w <= 8) are multiplied through the
 #: field's full product table, a ``_TILE`` of rows per gather; longer
-#: rows go through per-constant pair tables, which cost 64 KiB each to
+#: rows go through per-constant word tables, which cost 128 KiB each to
 #: build (docs/PERFORMANCE.md has the sweep that put the crossover here).
 _SHORT_ROW = 1 << 12
 
@@ -142,19 +145,20 @@ def as_field_buffer(
     return view
 
 
+def _products(field: GaloisField, c: int) -> np.ndarray:
+    """Read-only ``t[x] = c * x`` over every element ``x`` of the field."""
+    t = field.tables
+    table = np.zeros(t.order, dtype=t.dtype)
+    if c != 0:
+        logs = t.log[1:].astype(np.int64) + int(t.log[c])
+        table[1:] = t.exp[logs]
+    table.setflags(write=False)
+    return table
+
+
 def _mul_table(field: GaloisField, c: int) -> np.ndarray:
     """Full product table ``t[x] = c * x`` for w <= 8 constants (cached)."""
-    key = (field.w, c)
-    table = _MUL_TABLE_CACHE.get(key)
-    if table is None:
-        t = field.tables
-        table = np.zeros(t.order, dtype=t.dtype)
-        if c != 0:
-            logs = t.log[1:].astype(np.int64) + int(t.log[c])
-            table[1:] = t.exp[logs]
-        table.setflags(write=False)
-        _MUL_TABLE_CACHE.put(key, table)
-    return table
+    return _MUL_TABLE_CACHE.get_or_build((field.w, c), lambda: _products(field, c))
 
 
 def _nibble_tables(field: GaloisField, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,22 +188,26 @@ def _nibble_tables(field: GaloisField, c: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _pair_table(field: GaloisField, c1: int, c2: int) -> np.ndarray:
-    """Fused table ``P[x1 * 256 + x2] = c1*x1 ^ c2*x2`` for w <= 8 (cached).
+def _word_table(field: GaloisField, c: int) -> np.ndarray:
+    """Products of 16-bit words, ``W[x] = c * x`` for all 2^16 ``x`` (cached).
 
-    Lets a two-term GF multiply-accumulate run as a *single* gather over
-    a combined 16-bit index — the dominant cost of the repair kernel is
-    gathers, so halving their count nearly halves its runtime.
+    At w == 16 a word is one element.  At w <= 8 it is two:
+    ``W[x1 * 256 + x0] = (c*x1) << 8 | c*x0``, which is right in either
+    byte order — a word's first byte is its low byte on a little-endian
+    host and its high byte on a big-endian one, and the entry is stored
+    the same way.  Lets a long row multiply two bytes per gather, and
+    gather straight from the index its input already is.
     """
-    key = (field.w, c1, c2)
-    table = _PAIR_TABLE_CACHE.get(key)
-    if table is None:
-        t1 = _mul_table(field, c1)
-        t2 = _mul_table(field, c2)
-        table = (t1[:, None] ^ t2[None, :]).reshape(-1)
+    def build():
+        if field.w == 16:
+            return _products(field, c)
+        byte = np.zeros(256, dtype=np.uint16)
+        byte[: field.order] = _mul_table(field, c)
+        table = (byte[:, None] << 8 | byte).reshape(-1)
         table.setflags(write=False)
-        _PAIR_TABLE_CACHE.put(key, table)
-    return table
+        return table
+
+    return _WORD_TABLE_CACHE.get_or_build((field.w, c), build)
 
 
 def _product_table(field: GaloisField) -> np.ndarray:
@@ -253,49 +261,54 @@ def xor_into(dst: np.ndarray, src: np.ndarray) -> None:
     np.bitwise_xor(dst, src, out=dst)
 
 
-def _scaled(field: GaloisField, c: int, buf: np.ndarray) -> np.ndarray:
-    """New buffer ``c * buf`` for a constant other than 0 and 1."""
-    if field.w <= 8:
-        return np.take(_mul_table(field, c), buf)
-    lo, hi = _nibble_tables(field, c)
-    out = lo[buf & 0xFF]
-    out ^= hi[buf >> 8]
-    return out
+def _check_buffers(field: GaloisField, bufs) -> None:
+    """Every buffer holds field elements.  The gathers are unchecked
+    (``mode="wrap"``), so no index may exceed its table: the dtype bounds
+    it at w = 8 and 16, and smaller fields are range-checked instead."""
+    dtype = buffer_dtype(field)
+    for buf in bufs:
+        if buf.dtype != dtype:
+            raise FieldError(
+                f"buffer dtype {buf.dtype} does not match GF(2^{field.w}) ({dtype})"
+            )
+        if field.w < 8 and buf.size and int(buf.max()) >= field.order:
+            raise FieldError(f"buffer holds a byte outside GF(2^{field.w})")
+
+
+def _scale(field: GaloisField, c: int, x: np.ndarray, out: np.ndarray,
+           accumulate: bool = False) -> None:
+    """``out = c * x`` — ``out ^= c * x`` when accumulating — as a
+    one-term :func:`_dot_single` (two terms, ``out`` the unit first one,
+    when accumulating), so scratch is O(tile) and ``out`` may be ``x``."""
+    field.check(c)
+    coeffs, bufs = ([1, c], [out, x]) if accumulate else ([c], [x])
+    _check_buffers(field, bufs)
+    if x.ndim != 1 or out.shape != x.shape:
+        raise FieldError(f"need 1-D buffers of one length, got {x.shape}, {out.shape}")
+    _dot_single(field, np.array(coeffs), bufs, out)
 
 
 def mul_scalar(field: GaloisField, c: int, buf: np.ndarray) -> np.ndarray:
     """Return a new buffer equal to ``c * buf`` element-wise."""
-    field.check(c)
     if _metrics.CURRENT is not None:
         _count_kernel("mul_scalar", buf.size * buf.itemsize)
-    if c == 0:
-        return np.zeros_like(buf)
-    if c == 1:
-        return buf.copy()
-    return _scaled(field, c, buf)
+    out = np.empty(buf.shape, dtype=buf.dtype)
+    _scale(field, c, buf, out)
+    return out
 
 
 def scale_inplace(field: GaloisField, c: int, buf: np.ndarray) -> None:
     """``buf *= c`` element-wise, in place."""
-    field.check(c)
     if _metrics.CURRENT is not None:
         _count_kernel("scale_inplace", buf.size * buf.itemsize)
-    if c == 1:
-        return
-    if c == 0:
-        buf[:] = 0
-        return
-    buf[:] = _scaled(field, c, buf)
+    _scale(field, c, buf, buf)
 
 
 def axpy(field: GaloisField, c: int, x: np.ndarray, y: np.ndarray) -> None:
     """``y ^= c * x`` — the fused multiply-accumulate of GF coding loops."""
-    field.check(c)
     if _metrics.CURRENT is not None:
         _count_kernel("axpy", x.size * x.itemsize)
-    if c == 0:
-        return
-    np.bitwise_xor(y, x if c == 1 else _scaled(field, c, x), out=y)
+    _scale(field, c, x, y, accumulate=True)
 
 
 def _unpack_lane(acc: np.ndarray, lane: int, lane_size: int) -> np.ndarray:
@@ -327,14 +340,6 @@ def _tiled(tile_fn, xs, out: np.ndarray, scratch_dtypes) -> None:
             out[..., lo:hi],
             *[s[: hi - lo] for s in scratch],
         )
-
-
-def _short_rows(field: GaloisField, size: int) -> bool:
-    """Whether ``size``-element rows use the full product table.
-
-    The one place the single-output table scheme is chosen by length.
-    """
-    return field.w <= 8 and size < _SHORT_ROW
 
 
 def _segment_starts(starts, rows: int) -> np.ndarray:
@@ -428,14 +433,25 @@ def rows_equal(rows: np.ndarray, others, ids) -> list[bool]:
     matrix and ``ids`` the lost chunks' rows.  Short rows compare as one
     matrix, ``(a == b).all(axis=1)``; from ``_SHORT_ROW`` elements up,
     where gathering them would cost more than the comparison, row by row
-    over views.
+    over views, contiguous rows as 8-byte words.
     """
     if not len(others):
         return []
     if others[0].shape[0] < _SHORT_ROW:
         picked = np.take(rows, ids, axis=0)
         return (picked == np.asarray(others)).all(axis=1).tolist()
-    return list(map(np.array_equal, _picked(rows, ids), others))
+    return list(map(_row_equal, _picked(rows, ids), others))
+
+
+def _row_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal`` of two rows; contiguous ones as 8-byte words."""
+    if not (a.dtype == b.dtype and a.shape == b.shape
+            and a.flags.c_contiguous and b.flags.c_contiguous):
+        return np.array_equal(a, b)
+    words = a.nbytes // 8 * 8 // a.itemsize
+    return np.array_equal(
+        a[:words].view(np.uint64), b[:words].view(np.uint64)
+    ) and np.array_equal(a[words:], b[words:])
 
 
 def _dot_short(
@@ -497,56 +513,65 @@ def _dot_short(
         _xor_segments(product[:n], starts[s0:s1] - lo, out[s0:s1])
 
 
-def _dot_single_u8(
+def _dot_words(
     field: GaloisField, coeffs: np.ndarray, bufs, out_row: np.ndarray
 ) -> None:
-    """Single-output w <= 8 dot: fused pair-table gathers.
+    """Single-output dot of long rows: one 16-bit word per gather.
 
-    Consecutive nonzero terms are consumed two at a time through
-    :func:`_pair_table`, so ``k`` inputs cost ``ceil(k/2)`` gathers
-    instead of ``k``.  The first gather lands in the output tile; later
-    ones go through a one-tile scratch and are XORed in.  Rows smaller
-    than the pair tables they would have to build are one segment of
-    :func:`_dot_short` instead.
+    Each nonzero term gathers its input's ``uint16`` words through
+    :func:`_word_table`, ``_TILE`` words at a time: the first product
+    lands in the output tile, later ones go through a one-tile scratch
+    and are XORed in, and a unit coefficient is a copy or an XOR.  A
+    strided input is made contiguous a tile at a time, a strided output
+    tile is summed in scratch and copied out, and at w <= 8 an odd last
+    byte is one scalar product per term.
     """
-    if _short_rows(field, out_row.shape[0]):
-        _dot_short(
-            field, coeffs, bufs, None, np.zeros(1, dtype=np.intp), out_row[None]
-        )
-        return
+    size = out_row.shape[0]
     terms = [(c, bufs[j]) for j, c in enumerate(coeffs.tolist()) if c]
     if not terms:
         out_row[:] = 0
         return
-    tables = [
-        _pair_table(field, terms[i][0], terms[i + 1][0])
-        for i in range(0, len(terms) - 1, 2)
-    ]
-    if len(terms) % 2:
-        c = terms[-1][0]
-        tables.append(None if c == 1 else _mul_table(field, c))
-    stride = np.uint16(field.order)
+    tables = [None if c == 1 else _word_table(field, c) for c, _ in terms]
+    per_word = 2 if field.w <= 8 else 1
+    even = size - size % per_word
+    span = _TILE * per_word
+    gathered, acc = np.empty((2, min(even, span) // per_word), dtype=np.uint16)
+    direct = out_row.flags.c_contiguous
+    for lo in range(0, even, span):
+        hi = min(lo + span, even)
+        dst = out_row[lo:hi]
+        tile = dst.view(np.uint16) if direct else acc[: (hi - lo) // per_word]
+        for i, (table, (_, x)) in enumerate(zip(tables, terms)):
+            x = np.ascontiguousarray(x[lo:hi]).view(np.uint16)
+            if table is not None:
+                x = table.take(x, out=gathered[: tile.size] if i else tile, mode="wrap")
+            if i:
+                np.bitwise_xor(tile, x, out=tile)
+            elif x is not tile:  # a unit first term
+                np.copyto(tile, x)
+        if not direct:
+            dst[:] = tile.view(out_row.dtype)
+    if even < size:
+        out_row[-1] = np.bitwise_xor.reduce(
+            [field.mul(c, int(x[-1])) for c, x in terms]
+        )
 
-    def tile(xs, out, idx, s):
-        dst = out
-        # Inputs two at a time; an odd one out is the unpaired tail.
-        for table, x, x2 in zip(tables, xs[::2], xs[1::2] + [None]):
-            if x2 is not None:
-                np.multiply(x, stride, out=idx)
-                np.bitwise_or(idx, x2, out=idx)
-                x = idx
-            if table is None:  # unit coefficient: the product is x itself
-                if dst is out:
-                    out[:] = x
-                else:
-                    np.bitwise_xor(out, x, out=out)
-            else:
-                table.take(x, out=dst, mode="wrap")
-                if dst is s:
-                    np.bitwise_xor(out, s, out=out)
-            dst = s
 
-    _tiled(tile, [x for _, x in terms], out_row, (np.uint16, np.uint8))
+def _dot_single(
+    field: GaloisField, coeffs: np.ndarray, bufs, out_row: np.ndarray
+) -> None:
+    """Single-output dot, by row length: rows smaller than the word tables
+    they would have to build are one segment of :func:`_dot_short` at
+    w <= 8, one nibble lane of :func:`_dot_packed` at w == 16.
+    ``out_row`` may be the first input: each tile of it is read before
+    it is written."""
+    if out_row.shape[0] >= _SHORT_ROW:
+        _dot_words(field, coeffs, bufs, out_row)
+    elif field.w <= 8:
+        starts = np.zeros(1, dtype=np.intp)
+        _dot_short(field, coeffs, bufs, None, starts, out_row[None])
+    else:
+        _dot_packed(field, coeffs[None], bufs, out_row[None])
 
 
 def _dot_packed(
@@ -558,8 +583,7 @@ def _dot_packed(
     (w == 16, 16-bit lanes).  Each tile accumulates in a packed scratch
     accumulator whose lanes are then unpacked into the output tile.  At
     w == 16 every input costs two gathers, indexed by its low and high
-    bytes (split per tile), and a lone row needs no packing, so it
-    accumulates in the output tile itself.
+    bytes (split per tile).
     """
     columns = [tuple(column) for column in rows.T.tolist()]
     used = [j for j, cs in enumerate(columns) if any(cs)]
@@ -570,11 +594,8 @@ def _dot_packed(
     pack_dtype = tables[0][0].dtype
     split = field.w == 16
     lane_size = 2 if split else 1
-    packed_lanes = len(out) > 1
 
     def tile(xs, out_tile, acc, gathered, lo=None, hi=None):
-        if not packed_lanes:
-            acc = out_tile[0]
         dst = acc  # the first gather lands in the accumulator itself
         for packed, x in zip(tables, xs):
             if split:
@@ -588,9 +609,8 @@ def _dot_packed(
                 if dst is gathered:
                     np.bitwise_xor(acc, gathered, out=acc)
                 dst = gathered
-        if packed_lanes:
-            for lane, row in enumerate(out_tile):
-                row[:] = _unpack_lane(acc, lane, lane_size)
+        for lane, row in enumerate(out_tile):
+            row[:] = _unpack_lane(acc, lane, lane_size)
 
     scratch = (pack_dtype, pack_dtype) + ((np.uint8, np.uint8) if split else ())
     _tiled(tile, [bufs[j] for j in used], out, scratch)
@@ -638,18 +658,7 @@ def batch_dot(
         raise FieldError(f"coefficients outside GF(2^{field.w})")
     size = bufs[0].shape[0]
     dtype = buffer_dtype(field)
-    for buf in bufs:
-        # The gathers are unchecked (``mode="wrap"`` lets ``np.take`` write
-        # straight into ``out``), so no index may exceed its table: the
-        # dtype bounds it at w = 8 (uint8 / paired uint16 indices) and
-        # w = 16 (byte indices into the nibble tables); smaller fields
-        # share the byte dtype and are range-checked here instead.
-        if buf.dtype != dtype:
-            raise FieldError(
-                f"buffer dtype {buf.dtype} does not match GF(2^{field.w}) ({dtype})"
-            )
-        if field.w < 8 and buf.size and int(buf.max()) >= field.order:
-            raise FieldError(f"buffer holds a byte outside GF(2^{field.w})")
+    _check_buffers(field, bufs)
     if out is None:
         out = np.empty((r, size), dtype=dtype)
     elif out.shape != (r, size) or out.dtype != dtype:
@@ -660,8 +669,8 @@ def batch_dot(
         return out
     group = 4 if field.w <= 8 else 2
     for g0 in range(0, r, group):
-        if field.w <= 8 and g0 == r - 1:
-            _dot_single_u8(field, rows[g0], bufs, out[g0])
+        if g0 == r - 1:
+            _dot_single(field, rows[g0], bufs, out[g0])
         else:
             _dot_packed(field, rows[g0 : g0 + group], bufs, out[g0 : g0 + group])
     if _metrics.CURRENT is not None:
@@ -746,7 +755,7 @@ def segment_dot(field: GaloisField, coeffs, rows, starts, ids=None):
         raise FieldError(f"coefficients outside GF(2^{field.w})")
     starts = _segment_starts(starts, terms)
     size = rows[0].shape[0]
-    if not _short_rows(field, size):
+    if field.w == 16 or size >= _SHORT_ROW:
         bufs = _picked(rows, ids)
         bounds = starts.tolist() + [terms]
         coeffs = coeffs.tolist()

@@ -102,6 +102,17 @@ class TestStoreBytes:
         store = DataStore(code, 2, (1 << 16) + 4, seed=6)
         assert_same_bytes(store, dict_store(code, 2, (1 << 16) + 4, 6))
 
+    @pytest.mark.parametrize(
+        "chunk_size", [*range(1, 10), 12, 14, 256, 1030, 4102]
+    )
+    @pytest.mark.parametrize("w", [8, 16])
+    def test_word_draws_keep_the_element_draws(self, w, chunk_size):
+        """Data chunks drawn as 32-bit words hold the bytes the
+        per-element draw gave, whatever the chunk's length mod 4."""
+        code = RSCode(3, 2, w=w)
+        store = DataStore(code, 4, chunk_size, seed=chunk_size)
+        assert_same_bytes(store, dict_store(code, 4, chunk_size, chunk_size))
+
     def test_lrc_store(self):
         code = LRCCode(6, 2, 2)
         store = DataStore(code, 5, 64, seed=8)

@@ -1,7 +1,7 @@
 """Property tests: the batched GF kernels equal the scalar reference.
 
 The batched kernels in :mod:`repro.gf.vector` (packed-lane gathers,
-pair tables, split-nibble GF(2^16) tables) are pure optimisations — for
+word tables, split-nibble GF(2^16) tables) are pure optimisations — for
 every field width they must reproduce, bit for bit, the double loop
 over :meth:`GaloisField.mul` they replaced.
 """
@@ -16,6 +16,7 @@ from repro.gf.field import GF4, GF8, GF16, gf
 from repro.gf.vector import (
     _SHORT_ROW,
     _TILE,
+    _WORD_TABLE_CACHE,
     as_field_buffer,
     batch_dot,
     buffer_dtype,
@@ -131,7 +132,7 @@ def logexp_batch_dot(field, rows, bufs):
 
 
 def mixed_layout_inputs(field, length, seed):
-    """Five inputs, one per memory layout a caller may hand the kernel."""
+    """Six inputs, one per memory layout a caller may hand the kernel."""
     dtype = buffer_dtype(field)
     rng = np.random.default_rng(seed)
 
@@ -144,6 +145,7 @@ def mixed_layout_inputs(field, length, seed):
         draw(3, length)[1],  # row of an (n, L) matrix
         draw(length)[::-1],  # negative stride
         draw(length),
+        draw(length + 1)[1:],  # at w <= 8, its uint16 words are unaligned
     ]
 
 
@@ -152,7 +154,17 @@ class TestTileBoundaries:
 
     @pytest.mark.parametrize("r", range(1, 7))
     @pytest.mark.parametrize(
-        "length", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3]
+        "length",
+        [
+            _SHORT_ROW + 1,
+            _TILE - 1,
+            _TILE,
+            _TILE + 1,
+            2 * _TILE - 1,
+            2 * _TILE,
+            2 * _TILE + 1,
+            2 * _TILE + 3,
+        ],
     )
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"w{f.w}")
     def test_matches_logexp_reference(self, field, length, r):
@@ -308,7 +320,7 @@ class TestSegmentDot:
     def test_one_segment_is_dot_rows_on_any_layout(self, field):
         for length in (33, _SHORT_ROW + 1):
             bufs = mixed_layout_inputs(field, length, seed=length)
-            coeffs = [2, 0, 1, field.order - 1, 3]
+            coeffs = [2, 0, 1, field.order - 1, 3, 5]
             (got,) = segment_dot(field, coeffs, bufs, [0])
             assert np.array_equal(got, logexp_batch_dot(field, [coeffs], bufs)[0])
             assert np.array_equal(got, dot_rows(field, coeffs, bufs))
@@ -365,18 +377,32 @@ class TestSegmentDot:
             xor_segments(rows, starts)
 
     def test_short_buffers_never_build_a_pair_table(self):
-        """A 256-byte buffer is smaller than the 64 KiB pair table each
-        new coefficient pair used to cost it."""
+        """A 256-byte buffer is smaller than the 128 KiB word table each
+        new coefficient would cost it."""
         bufs = [np.arange(256, dtype=np.uint8), np.arange(256, dtype=np.uint8)[::-1]]
-        before = cache_stats()["gf.pair_table"]
+        before = cache_stats()["gf.word_table"]
         for c in range(100):
             got = dot_rows(GF8, [c + 2, 255 - c], bufs)
             assert np.array_equal(
                 got, logexp_batch_dot(GF8, [[c + 2, 255 - c]], bufs)[0]
             )
-        after = cache_stats()["gf.pair_table"]
+        after = cache_stats()["gf.word_table"]
         assert after["misses"] == before["misses"]
         assert after["entries"] == before["entries"]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"w{f.w}")
+    def test_long_row_builds_one_word_table_per_coefficient(self, field):
+        """One table per distinct coefficient outside {0, 1}, and none
+        when the same dot runs again."""
+        _WORD_TABLE_CACHE.clear()
+        bufs = mixed_layout_inputs(field, _SHORT_ROW, seed=3)
+        coeffs = [5, 0, 1, 7, 5, 9]
+        want = logexp_batch_dot(field, [coeffs], bufs)[0]
+        for built in (3, 0):  # 5, 7 and 9; then all three cached
+            before = cache_stats()["gf.word_table"]["misses"]
+            assert np.array_equal(dot_rows(field, coeffs, bufs), want)
+            assert cache_stats()["gf.word_table"]["misses"] - before == built
+        assert cache_stats()["gf.word_table"]["entries"] == 3
 
 
 class TestAsFieldBufferViews:

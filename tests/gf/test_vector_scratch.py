@@ -79,3 +79,20 @@ def test_segment_dot_scratch_is_bounded_by_the_block_not_the_window():
     )
     assert peak < MB
     assert _module_array_bytes() == retained
+
+
+def test_scalar_ops_scratch_is_bounded():
+    """``mul_scalar``, ``scale_inplace`` and ``axpy`` on a long buffer are
+    one-term dots: O(tile) scratch, not an index array per element."""
+    small = _inputs(4096)[0]
+    for op in (vector.mul_scalar, vector.scale_inplace):
+        op(GF8, 7, small.copy())  # build and cache the word table
+    vector.axpy(GF8, 7, small, small.copy())
+    retained = _module_array_bytes()
+
+    x, y = _inputs(8 * MB)[:2]
+    assert _peak_beyond_output(lambda: vector.mul_scalar(GF8, 7, x)) < MB
+    assert _peak_beyond_output(lambda: vector.scale_inplace(GF8, 7, x)) < MB
+    assert _peak_beyond_output(lambda: vector.axpy(GF8, 7, x, y)) < MB
+
+    assert _module_array_bytes() == retained
