@@ -32,7 +32,6 @@ from repro.errors import JournalError
 from repro.faults.backoff import BackoffPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.robust import RobustExecutionResult, RobustExecutor
-from repro.recovery.planner import plan_recovery
 from repro.recovery.solution import MultiStripeSolution
 
 __all__ = ["DurableRecoveryResult", "RecoverySession"]
@@ -159,9 +158,8 @@ class RecoverySession:
         self, journal: RecoveryJournal, solution: MultiStripeSolution
     ) -> RobustExecutionResult:
         try:
-            plan = plan_recovery(self.state, self.event, solution)
             return self._executor(journal).run(
-                self.event, solution, plan,
+                self.event, solution,
                 window=self.window, progress=self.progress,
             )
         finally:

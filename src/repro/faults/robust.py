@@ -35,7 +35,8 @@ of the window, because stage B ships stripes one at a time, in order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -55,10 +56,14 @@ from repro.faults.injector import FaultInjector
 from repro.faults.timeline import FaultTimeline
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import NullTracer, Tracer
-from repro.recovery.baselines import CarStrategy
+from repro.recovery.baselines import CarStrategy, _columns_solution
 from repro.recovery.executor import ExecutionResult, PipelineStage, PlanExecutor
-from repro.recovery.planner import RecoveryPlan, plan_recovery
-from repro.recovery.solution import MultiStripeSolution, SolutionColumns
+from repro.recovery.planner import (
+    RecoveryPlan,
+    plan_recovery,
+    plan_recovery_streaming,
+)
+from repro.recovery.solution import MultiStripeSolution
 
 __all__ = ["RobustExecutionResult", "RobustExecutor", "recover_with_faults"]
 
@@ -103,7 +108,12 @@ class RobustExecutionResult:
     backoff_seconds: float
     stall_seconds: float
     final_solution: MultiStripeSolution
-    final_plan: RecoveryPlan
+    _plan: partial = field(repr=False, compare=False)
+
+    @cached_property
+    def final_plan(self) -> RecoveryPlan:
+        """The last round's :class:`RecoveryPlan`, built on first read."""
+        return self._plan()
 
     @property
     def verified(self) -> bool:
@@ -394,7 +404,6 @@ class RobustExecutor(PlanExecutor):
         self,
         event: FailureEvent,
         solution: MultiStripeSolution,
-        plan: RecoveryPlan | None = None,
         *,
         window: int | None = None,
         progress=None,
@@ -418,7 +427,7 @@ class RobustExecutor(PlanExecutor):
         self._delivered.clear()
         try:
             with self._run_scope():
-                return self._run(event, solution, plan, log, window, progress)
+                return self._run(event, solution, log, window, progress)
         finally:
             self._log = None
 
@@ -426,7 +435,6 @@ class RobustExecutor(PlanExecutor):
         self,
         event: FailureEvent,
         solution: MultiStripeSolution,
-        plan: RecoveryPlan | None,
         log: FaultLog,
         window: int | None,
         progress,
@@ -438,11 +446,6 @@ class RobustExecutor(PlanExecutor):
         replans = 0
         rounds = 0
         current_sol = solution
-        current_plan = (
-            plan
-            if plan is not None
-            else plan_recovery(self.state, event, solution)
-        )
         # Each round either finishes or kills at least one more node, so
         # this bound is never hit by a live scenario — it is a guard
         # against a mis-specified injector.
@@ -463,8 +466,10 @@ class RobustExecutor(PlanExecutor):
                 # has recorded (and committed) exactly the stripes before
                 # it, and everything after it is still pending.
                 self._run_windows(
-                    current_plan, current_sol, merged,
-                    window=window, progress=progress,
+                    plan_recovery_streaming(
+                        self.state, event, current_sol, dead_nodes=dead
+                    ),
+                    None, merged, window=window, progress=progress,
                 )
                 break
             except InjectedCrashError as exc:
@@ -527,9 +532,6 @@ class RobustExecutor(PlanExecutor):
                             )
                         )
                     current_sol = self._replan_direct(pending, dead)
-                current_plan = plan_recovery(
-                    self.state, event, current_sol, dead_nodes=frozenset(dead)
-                )
             except NoValidSolutionError as exc:
                 self._record(
                     RecoveryAction(action=ActionKind.ABORT, detail=str(exc))
@@ -560,7 +562,10 @@ class RobustExecutor(PlanExecutor):
             backoff_seconds=self._backoff_total,
             stall_seconds=self._stall_total,
             final_solution=current_sol,
-            final_plan=current_plan,
+            _plan=partial(
+                plan_recovery, self.state, event, current_sol,
+                dead_nodes=frozenset(dead),
+            ),
         )
 
     # -- re-planning ------------------------------------------------------
@@ -592,12 +597,8 @@ class RobustExecutor(PlanExecutor):
                 f"stripe {int(failure.stripe_id[i])}: only "
                 f"{int(survivors[i])} survivors remain, need {k}"
             )
-        return MultiStripeSolution.from_columns(
-            SolutionColumns.from_mask(
-                failure, alive & (np.cumsum(alive, axis=1) <= k)
-            ),
-            num_racks=self.state.topology.num_racks,
-            aggregated=False,
+        return _columns_solution(
+            failure, alive & (np.cumsum(alive, axis=1) <= k), False
         )
 
 
@@ -621,7 +622,6 @@ def recover_with_faults(
         RecoveryAbort: as :meth:`RobustExecutor.run`.
     """
     solution = strategy.solve(state)
-    plan = plan_recovery(state, event, solution)
     executor = RobustExecutor(
         state,
         injector=injector,
@@ -631,4 +631,4 @@ def recover_with_faults(
         verify_integrity=verify_integrity,
         tracer=tracer,
     )
-    return executor.run(event, solution, plan)
+    return executor.run(event, solution)

@@ -22,9 +22,9 @@ touches the tracer hot path.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
+from repro.obs.export import exclusive_times, span_key
 from repro.obs.report import _seconds, format_table
 
 __all__ = [
@@ -144,22 +144,8 @@ def attribute(events: list[dict], top_k: int = 5) -> TraceAttribution:
         and isinstance(e.get("end"), (int, float))
     ]
     att = TraceAttribution()
-    # Spans are unique per (run, span_id): the runner concatenates
-    # per-run streams whose ids restart from 1.
-    def key(s):
-        return (s.get("run", 0), s["span_id"])
-
-    by_id = {key(s): s for s in spans if isinstance(s.get("span_id"), int)}
-    child_time: dict[tuple, float] = defaultdict(float)
-    children: dict[tuple, list[dict]] = defaultdict(list)
-    for s in spans:
-        parent = (s.get("run", 0), s.get("parent_id"))
-        if parent in by_id:
-            child_time[parent] += s["end"] - s["start"]
-            children[parent].append(s)
-    for s in spans:
-        duration = s["end"] - s["start"]
-        self_time = max(0.0, duration - child_time.get(key(s), 0.0))
+    by_id, children, exclusive = exclusive_times(spans)
+    for s, self_time in zip(spans, exclusive):
         stage = att.stages.setdefault(stage_of(str(s["name"])), StageBreakdown())
         stage.seconds += self_time
         stage.bytes += _span_bytes(s.get("attrs"))
@@ -202,12 +188,12 @@ def attribute(events: list[dict], top_k: int = 5) -> TraceAttribution:
     if roots:
         node = max(roots, key=lambda s: s["end"] - s["start"])
         seen: set[tuple] = set()
-        while node is not None and key(node) not in seen:
-            seen.add(key(node))
+        while node is not None and span_key(node) not in seen:
+            seen.add(span_key(node))
             att.critical_path.append(
                 (str(node["name"]), node["end"] - node["start"])
             )
-            kids = children.get(key(node))
+            kids = children.get(span_key(node))
             node = max(kids, key=lambda s: s["end"] - s["start"]) if kids else None
     return att
 

@@ -149,40 +149,69 @@ def to_chrome_trace(events: list[dict]) -> dict:
     return {"traceEvents": meta + out, "displayTimeUnit": "ms"}
 
 
+def span_key(span: dict) -> tuple:
+    """A span's identity in a trace: ``(run, span_id)``.  The experiment
+    runner concatenates per-run streams whose ids restart from 1."""
+    return (span.get("run", 0), span.get("span_id"))
+
+
+def exclusive_times(
+    spans: list[dict],
+) -> tuple[dict[tuple, dict], dict[tuple, list[dict]], list[float]]:
+    """The span tree of ``spans`` and each span's exclusive seconds.
+
+    Returns:
+        ``(by_key, children, exclusive)``: the spans with an integer id
+        by :func:`span_key`; each key's direct children; and, in the
+        order of ``spans``, each span's duration minus its direct
+        children's, floored at zero.
+    """
+    by_key = {
+        span_key(s): s for s in spans if isinstance(s.get("span_id"), int)
+    }
+    children: dict[tuple, list[dict]] = defaultdict(list)
+    for s in spans:
+        parent = (s.get("run", 0), s.get("parent_id"))
+        if parent in by_key:
+            children[parent].append(s)
+    exclusive = [
+        max(0.0, (s["end"] - s["start"]) - sum(
+            c["end"] - c["start"] for c in children.get(span_key(s), ())
+        ))
+        for s in spans
+    ]
+    return by_key, children, exclusive
+
+
 def to_collapsed_stacks(events: list[dict]) -> list[str]:
     """Fold span parent chains into collapsed-stack lines.
 
     Each span contributes its *exclusive* time (duration minus the
-    duration of its direct children) to the stack named by its
-    root-to-span name chain; equal stacks aggregate.  Lines are sorted
-    for determinism; weights are integer microseconds (zero-weight
-    stacks are kept so every span name appears).
+    duration of its direct children, :func:`exclusive_times`) to the
+    stack named by its root-to-span name chain, in its own run; equal
+    stacks aggregate across runs.  Lines are sorted for determinism;
+    weights are integer microseconds (zero-weight stacks are kept so
+    every span name appears).
     """
-    spans = {
-        e["span_id"]: e
-        for e in events
+    spans = [
+        e for e in events
         if e.get("type") == "span" and isinstance(e.get("span_id"), int)
-    }
-    child_time: dict[int, float] = defaultdict(float)
-    for s in spans.values():
-        parent = s.get("parent_id")
-        if parent in spans:
-            child_time[parent] += s["end"] - s["start"]
+    ]
+    by_key, _, exclusive = exclusive_times(spans)
 
     def stack(span: dict) -> str:
         names: list[str] = []
-        seen: set[int] = set()
+        seen: set[tuple] = set()
         node: dict | None = span
-        while node is not None and node["span_id"] not in seen:
-            seen.add(node["span_id"])
+        while node is not None and span_key(node) not in seen:
+            seen.add(span_key(node))
             names.append(str(node["name"]))
-            node = spans.get(node.get("parent_id"))
+            node = by_key.get((node.get("run", 0), node.get("parent_id")))
         return ";".join(reversed(names))
 
     weights: dict[str, int] = defaultdict(int)
-    for s in spans.values():
-        self_time = (s["end"] - s["start"]) - child_time[s["span_id"]]
-        weights[stack(s)] += max(0, round(self_time * 1_000_000))
+    for s, self_time in zip(spans, exclusive):
+        weights[stack(s)] += round(self_time * 1_000_000)
     return [f"{name} {weight}" for name, weight in sorted(weights.items())]
 
 

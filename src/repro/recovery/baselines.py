@@ -1,7 +1,8 @@
 """Recovery strategies: CAR, the paper's RR baseline, and ablations.
 
-Strategy objects turn a failed :class:`~repro.cluster.state.ClusterState`
-into a :class:`~repro.recovery.solution.MultiStripeSolution`:
+Every strategy's solve is a helper mask over the failure's
+:class:`~repro.cluster.state.FailureColumns`, one row per affected
+stripe, read into a :class:`~repro.recovery.solution.MultiStripeSolution`:
 
 - :class:`CarStrategy` — the paper's contribution: Theorem-1 rack
   selection + partial decoding + Algorithm-2 balancing.
@@ -23,12 +24,11 @@ from __future__ import annotations
 
 import abc
 import functools
-import itertools
 import random
 
 import numpy as np
 
-from repro.cluster.state import ClusterState, FailureColumns, StripeView
+from repro.cluster.state import ClusterState, FailureColumns
 from repro.cluster.topology import ClusterTopology
 from repro.errors import (
     ConfigurationError,
@@ -97,12 +97,6 @@ class RecoveryStrategy(abc.ABC):
     def solve(self, state: ClusterState) -> MultiStripeSolution:
         """Produce a solution for the current failure of ``state``."""
 
-    def _views(self, state: ClusterState) -> list[StripeView]:
-        views = state.views()
-        if not views:
-            raise NoValidSolutionError("the failed node stored no chunks")
-        return views
-
 
 def _failure(state: ClusterState) -> FailureColumns:
     """The columns of every stripe the state's failure touched."""
@@ -113,30 +107,38 @@ def _failure(state: ClusterState) -> FailureColumns:
 
 
 def _columns_solution(
-    failure: FailureColumns, helper: np.ndarray, aggregated: bool
+    failure: FailureColumns,
+    helper: np.ndarray,
+    aggregated: bool,
+    units: np.ndarray | None = None,
 ) -> MultiStripeSolution:
-    """The multi-stripe solution of a helper mask over ``failure``."""
+    """The multi-stripe solution of a helper mask over ``failure``
+    (``units``: the cross-rack chunk units each helper ships, when
+    fractional)."""
     return MultiStripeSolution.from_columns(
-        SolutionColumns.from_mask(failure, helper),
+        SolutionColumns.from_mask(failure, helper, units),
         num_racks=failure.num_racks,
         aggregated=aggregated,
     )
 
 
-def _solution_from_helpers(
-    state: ClusterState, view: StripeView, helpers: list[int]
-) -> PerStripeSolution:
-    """Group an explicit helper-chunk list by rack into a solution."""
-    chunks_by_rack: dict[int, list[int]] = {}
-    for c in helpers:
-        rack = state.topology.rack_of(view.surviving[c])
-        chunks_by_rack.setdefault(rack, []).append(c)
-    return PerStripeSolution(
-        stripe_id=view.stripe_id,
-        lost_chunk=view.lost_chunk,
-        failed_rack=view.failed_rack,
-        chunks_by_rack={r: tuple(sorted(cs)) for r, cs in chunks_by_rack.items()},
-    )
+def _sampled_helpers(
+    failure: FailureColumns, k: int, rng: random.Random
+) -> np.ndarray:
+    """``k`` of each row's alive chunks drawn by ``rng.sample``, rows in
+    stripe order."""
+    picks = []
+    for i, row in enumerate(failure.alive.tolist()):
+        survivors = [c for c, alive in enumerate(row) if alive]
+        if len(survivors) < k:
+            raise NoValidSolutionError(
+                f"stripe {int(failure.stripe_id[i])} has "
+                f"{len(survivors)} < k survivors"
+            )
+        picks.append(rng.sample(survivors, k))
+    helper = np.zeros_like(failure.alive)
+    helper[np.arange(len(picks))[:, None], np.array(picks)] = True
+    return helper
 
 
 class CarStrategy(RecoveryStrategy):
@@ -236,18 +238,11 @@ class RandomRecoveryStrategy(RecoveryStrategy):
         self.rng = rng or random.Random()
 
     def solve(self, state: ClusterState) -> MultiStripeSolution:
-        k = state.code.k
-        solutions = []
-        for view in self._views(state):
-            survivors = sorted(view.surviving)
-            if len(survivors) < k:
-                raise NoValidSolutionError(
-                    f"stripe {view.stripe_id} has {len(survivors)} < k survivors"
-                )
-            helpers = self.rng.sample(survivors, k)
-            solutions.append(_solution_from_helpers(state, view, helpers))
-        return MultiStripeSolution(
-            solutions, num_racks=state.topology.num_racks, aggregated=False
+        failure = _failure(state)
+        return _columns_solution(
+            failure,
+            _sampled_helpers(failure, state.code.k, self.rng),
+            self.aggregated,
         )
 
 
@@ -267,7 +262,7 @@ class MinRackNoAggregationStrategy(RecoveryStrategy):
         return _columns_solution(failure, take_chunks(failure, used, k), False)
 
 
-class RandomAggregatedStrategy(RecoveryStrategy):
+class RandomAggregatedStrategy(RandomRecoveryStrategy):
     """Ablation: random helper choice, but with intra-rack aggregation.
 
     Isolates the value of partial decoding without rack minimisation.
@@ -275,22 +270,6 @@ class RandomAggregatedStrategy(RecoveryStrategy):
 
     name = "Random+Agg"
     aggregated = True
-
-    def __init__(self, rng: random.Random | int | None = None) -> None:
-        if isinstance(rng, int):
-            rng = random.Random(rng)
-        self.rng = rng or random.Random()
-
-    def solve(self, state: ClusterState) -> MultiStripeSolution:
-        k = state.code.k
-        solutions = []
-        for view in self._views(state):
-            survivors = sorted(view.surviving)
-            helpers = self.rng.sample(survivors, k)
-            solutions.append(_solution_from_helpers(state, view, helpers))
-        return MultiStripeSolution(
-            solutions, num_racks=state.topology.num_racks, aggregated=True
-        )
 
 
 class EnumerationBalancedStrategy(RecoveryStrategy):
@@ -311,10 +290,10 @@ class EnumerationBalancedStrategy(RecoveryStrategy):
         self.combinations_tried = 0
 
     def solve(self, state: ClusterState) -> MultiStripeSolution:
-        views = self._views(state)
+        failed_rack = _failure(state).failed_rack
         selector = CarSelector(state.topology, state.code.k)
         per_stripe: list[list[PerStripeSolution]] = [
-            selector.all_valid_solutions(v) for v in views
+            selector.all_valid_solutions(v) for v in state.views()
         ]
         total = 1
         for opts in per_stripe:
@@ -325,20 +304,29 @@ class EnumerationBalancedStrategy(RecoveryStrategy):
             raise RecoveryError(
                 f"enumeration space {total} exceeds {self.max_combinations}"
             )
-        best: MultiStripeSolution | None = None
-        best_key: tuple[float, int] | None = None
+        # Every combination's traffic vector, in itertools.product order:
+        # the sum of its options' vectors (one chunk per intact rack read).
         num_racks = state.topology.num_racks
-        for combo in itertools.product(*per_stripe):
-            candidate = MultiStripeSolution(
-                list(combo), num_racks=num_racks, aggregated=True
-            )
-            t = candidate.traffic_by_rack()
-            key = (candidate.load_balancing_rate(), max(t))
-            if best_key is None or key < best_key:
-                best, best_key = candidate, key
+        traffic = np.zeros((1, num_racks), dtype=np.intp)
+        for opts in per_stripe:
+            option = SolutionColumns.from_solutions(opts).racks_used(num_racks)
+            traffic = (traffic[:, None] + option[None]).reshape(-1, num_racks)
+        # balancing_rate of every row, the same float operations.
+        intact = np.delete(traffic, failed_rack, axis=1)
+        moved = intact.sum(axis=1)
+        rate = np.ones(total)
+        some = moved > 0
+        rate[some] = intact.max(axis=1)[some] / (moved[some] / intact.shape[1])
+        # Lowest (λ, max traffic); lexsort is stable, so ties go to the
+        # first combination found.
+        best = np.lexsort((traffic.max(axis=1), rate))[0]
+        picks = np.unravel_index(best, [len(opts) for opts in per_stripe])
         self.combinations_tried = total
-        assert best is not None
-        return best
+        return MultiStripeSolution(
+            [opts[int(j)] for opts, j in zip(per_stripe, picks)],
+            num_racks=num_racks,
+            aggregated=True,
+        )
 
 
 def strategy_from_label(label: str, seed: int = 0) -> RecoveryStrategy:

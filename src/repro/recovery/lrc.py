@@ -9,10 +9,10 @@ related work (Huang et al. ATC'12, Sathiamoorthy et al. VLDB'13)
 advocates, and the natural comparison point for CAR's
 keep-MDS-optimise-the-recovery approach.
 
-The strategy emits ordinary :class:`PerStripeSolution` objects (with
-fewer than ``k`` helpers — LRC's repair vectors support that), so the
-existing planner, executor, metrics, and simulators all apply
-unchanged.
+The strategy emits a helper mask over the failure's columns, like every
+other strategy (with fewer than ``k`` helpers per row — LRC's repair
+vectors support that), so the planner, executor, metrics, and
+simulators all apply unchanged.
 
 Reached by ``benchmarks/test_bench_lrc.py`` (DESIGN.md section 5, "LRC vs
 CAR") and the LRC row of EXPERIMENTS.md "Repair landscape".
@@ -20,10 +20,16 @@ CAR") and the LRC row of EXPERIMENTS.md "Repair landscape".
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cluster.state import ClusterState
 from repro.erasure.lrc import LRCCode
 from repro.errors import RecoveryError
-from repro.recovery.baselines import RecoveryStrategy, _solution_from_helpers
+from repro.recovery.baselines import (
+    RecoveryStrategy,
+    _columns_solution,
+    _failure,
+)
 from repro.recovery.solution import MultiStripeSolution
 
 __all__ = ["LrcLocalRecoveryStrategy", "lrc_groups_for_placement"]
@@ -60,18 +66,18 @@ class LrcLocalRecoveryStrategy(RecoveryStrategy):
             raise RecoveryError(
                 f"{type(self).__name__} requires an LRCCode, got {code!r}"
             )
-        solutions = []
-        for view in self._views(state):
-            helpers = list(code.minimal_repair_helpers(view.lost_chunk))
-            missing = [h for h in helpers if h not in view.surviving]
-            if missing:
-                raise RecoveryError(
-                    f"stripe {view.stripe_id}: local helpers {missing} are "
-                    f"unavailable (not a single-failure scenario)"
-                )
-            solutions.append(_solution_from_helpers(state, view, helpers))
-        return MultiStripeSolution(
-            solutions,
-            num_racks=state.topology.num_racks,
-            aggregated=self.aggregated,
-        )
+        failure = _failure(state)
+        # Row c of the table: the helper mask of a lost chunk c.
+        table = np.zeros((code.n, code.n), dtype=bool)
+        for lost in range(code.n):
+            table[lost, list(code.minimal_repair_helpers(lost))] = True
+        helper = table[failure.lost_chunk]
+        missing = helper & ~failure.alive
+        if missing.any():
+            i = int(missing.any(axis=1).argmax())
+            raise RecoveryError(
+                f"stripe {int(failure.stripe_id[i])}: local helpers "
+                f"{np.flatnonzero(missing[i]).tolist()} are "
+                f"unavailable (not a single-failure scenario)"
+            )
+        return _columns_solution(failure, helper, self.aggregated)

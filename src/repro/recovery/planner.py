@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
@@ -62,7 +62,6 @@ __all__ = [
     "plan_recovery",
     "plan_recovery_streaming",
     "plan_window",
-    "windows",
 ]
 
 #: Stripes per window of columns while :func:`plan_recovery` builds its
@@ -326,16 +325,12 @@ class WindowPlan:
 def plan_window(
     state: ClusterState,
     replacement_node: int,
-    solutions,
+    source: SolutionColumns,
     *,
     aggregated: bool,
     dead_nodes: frozenset[int] | set[int] = frozenset(),
 ) -> WindowPlan:
-    """Plan a window of solutions as columns.
-
-    Args:
-        solutions: the window's :class:`SolutionColumns`, or per-stripe
-            solutions (read into columns first).
+    """Plan a window of a solution's columns.
 
     Holders, delegates, destinations, transfer counts and signatures are
     array operations over the whole window.
@@ -348,11 +343,6 @@ def plan_window(
     Either names the first stripe of the window with an unusable helper,
     and its first such helper in (rack, chunk) order.
     """
-    source = (
-        solutions
-        if isinstance(solutions, SolutionColumns)
-        else SolutionColumns.from_solutions(solutions)
-    )
     # One row per stripe, ordered by chunk; unused slots come last.
     chunk, rack = source.chunk.copy(), source.rack
     stripes, width = chunk.shape
@@ -457,16 +447,6 @@ def plan_window(
     )
 
 
-def windows(items, window: int):
-    """Slice an iterator into lists of ``window`` items."""
-    items = iter(items)
-    while True:
-        chunk = list(islice(items, window))
-        if not chunk:
-            return
-        yield chunk
-
-
 def plan_recovery(
     state: ClusterState,
     event: FailureEvent,
@@ -526,56 +506,46 @@ class StreamingRecoveryPlan:
     Instead of materialising one :class:`StripePlan` per affected stripe
     up front (at million-stripe scale the transfer dataclasses dominate
     the coordinator's heap), the streaming plan holds only the inputs —
-    cluster state, failure event, the solution's columns or an iterable
-    of per-stripe solutions — and plans a window of them at a time, as
-    columns, inside :meth:`iter_windows`.  Planning memory is O(window)
-    in the stripe count.
+    cluster state, failure event, the solution's columns — and plans a
+    window of rows at a time, as columns, inside :meth:`iter_windows`.
+    Planning memory is O(window) in the stripe count.
 
-    The iterator is single-shot: windows are yielded once, in solution
-    order, and the ``plan.*`` metrics are recorded per window so a fully
-    drained streaming plan leaves identical metric totals to the eager
-    :func:`plan_recovery`.
+    The iterator is single-shot: windows are yielded once, in stripe
+    order, and the ``plan.*`` metrics are recorded per window as it is
+    planned, so a fully drained streaming plan leaves identical metric
+    totals to the eager :func:`plan_recovery`.
 
     Attributes:
         replacement_node: destination of every reconstruction.
-        aggregated: whether partial decoding is used.
+        aggregated: whether partial decoding is used (the solution's).
     """
 
     def __init__(
         self,
         state: ClusterState,
         event: FailureEvent,
-        solutions,
+        solution: MultiStripeSolution,
         *,
-        aggregated: bool,
         dead_nodes: frozenset[int] | set[int] = frozenset(),
     ) -> None:
         self._state = state
-        self._solutions = (
-            solutions if isinstance(solutions, SolutionColumns)
-            else iter(solutions)
-        )
+        self._columns = solution.columns()
         self._dead = frozenset(dead_nodes)
         self._consumed = False
         self.replacement_node = event.replacement_node
-        self.aggregated = aggregated
+        self.aggregated = solution.aggregated
 
     def iter_windows(self, window: int) -> Iterator[WindowPlan]:
         """Yield the plan ``window`` stripes at a time, as columns.
 
         Raises:
-            PlanError: on a second call (the underlying solution iterator
-                is consumed), or as :func:`plan_window`.
+            PlanError: on a second call (single-shot), or as
+                :func:`plan_window`.
         """
         if self._consumed:
             raise PlanError("streaming plan already consumed (single-shot)")
         self._consumed = True
-        source = self._solutions
-        for rows in (
-            source.windows(window)
-            if isinstance(source, SolutionColumns)
-            else windows(source, window)
-        ):
+        for rows in self._columns.windows(window):
             win = plan_window(
                 self._state, self.replacement_node, rows,
                 aggregated=self.aggregated, dead_nodes=self._dead,
@@ -589,35 +559,13 @@ class StreamingRecoveryPlan:
 def plan_recovery_streaming(
     state: ClusterState,
     event: FailureEvent,
-    solutions,
+    solution: MultiStripeSolution,
     *,
-    aggregated: bool | None = None,
     dead_nodes: frozenset[int] | set[int] = frozenset(),
 ) -> StreamingRecoveryPlan:
-    """Build a lazy :class:`StreamingRecoveryPlan` for ``solutions``.
+    """Build a lazy :class:`StreamingRecoveryPlan` for ``solution``.
 
     Args:
-        solutions: a :class:`~repro.recovery.solution.MultiStripeSolution`
-            (``aggregated`` is taken from it, windows are read from its
-            columns) or any iterable of
-            :class:`~repro.recovery.solution.PerStripeSolution` — e.g. a
-            generator produced by a strategy that solves stripes lazily —
-            in which case ``aggregated`` must be given explicitly.
         dead_nodes: as for :func:`plan_recovery`.
-
-    Raises:
-        PlanError: if ``aggregated`` cannot be determined.
     """
-    if isinstance(solutions, MultiStripeSolution):
-        if aggregated is None:
-            aggregated = solutions.aggregated
-        solutions = solutions.columns()
-    if aggregated is None:
-        raise PlanError(
-            "aggregated= is required when streaming from a bare solution "
-            "iterable"
-        )
-    return StreamingRecoveryPlan(
-        state, event, solutions, aggregated=aggregated, dead_nodes=dead_nodes
-    )
-
+    return StreamingRecoveryPlan(state, event, solution, dead_nodes=dead_nodes)

@@ -1,8 +1,9 @@
 """Regenerating-code recovery strategies: rack-aware MSR and piggybacked RS.
 
-Both strategies ship *sub-chunk* payloads, so their solutions are
-:class:`~repro.recovery.solution.WeightedStripeSolution` objects whose
-``rack_units`` carry fractional cross-rack chunk units:
+Both strategies ship *sub-chunk* payloads, so their solutions carry
+fractional cross-rack chunk units per helper
+(:attr:`~repro.recovery.solution.SolutionColumns.units`; a stripe's
+object is a :class:`~repro.recovery.solution.WeightedStripeSolution`):
 
 - :class:`RackAwareMSRStrategy` models the striped rack-aware MSR
   construction (Chen & Barg, arXiv:1901.04419; kernels in
@@ -33,12 +34,18 @@ EXPERIMENTS.md "Regenerating codes vs CAR".
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cluster.state import ClusterState
 from repro.erasure.piggyback import PiggybackRSCode
 from repro.errors import StrategyError
 from repro.obs import metrics as _metrics
-from repro.recovery.baselines import RecoveryStrategy
-from repro.recovery.solution import MultiStripeSolution, WeightedStripeSolution
+from repro.recovery.baselines import (
+    RecoveryStrategy,
+    _columns_solution,
+    _failure,
+)
+from repro.recovery.solution import MultiStripeSolution
 
 __all__ = [
     "RackAwareMSRStrategy",
@@ -100,7 +107,7 @@ class RackAwareMSRStrategy(RecoveryStrategy):
         self.last_params: tuple[int, int] | None = None
 
     def solve(self, state: ClusterState) -> MultiStripeSolution:
-        views = self._views(state)
+        failure = _failure(state)
         num_racks = state.topology.num_racks
         if self.kbar is None:
             kbar, dbar = rack_msr_params(num_racks)
@@ -114,52 +121,36 @@ class RackAwareMSRStrategy(RecoveryStrategy):
             )
         self.last_params = (kbar, dbar)
         beta = 1.0 / (kbar - 1)
+        # Each rack's lowest alive chunk, per row: one node per helper
+        # rack computes the packet, this chunk its representative input.
+        in_rack = failure.chunk_rack[:, None] == np.arange(num_racks)[:, None]
+        lowest = (in_rack & failure.alive[:, None]).argmax(axis=2)
+        holds = failure.counts > 0
+        holds[:, failure.failed_rack] = False
+        units = np.zeros(failure.alive.shape)
         running = [0.0] * num_racks
-        solutions = []
-        for view in views:
-            members = view.rack_members(state.topology)
-            candidates = [
-                rack
-                for rack, chunks in members.items()
-                if rack != view.failed_rack and chunks
-            ]
+        for i, row in enumerate(holds.tolist()):
+            candidates = [rack for rack, held in enumerate(row) if held]
             if len(candidates) < dbar:
                 raise StrategyError(
-                    f"stripe {view.stripe_id}: only {len(candidates)} "
-                    f"intact racks hold survivors, repair needs "
-                    f"dbar={dbar} (use a rack-aligned placement)",
+                    f"stripe {int(failure.stripe_id[i])}: only "
+                    f"{len(candidates)} intact racks hold survivors, repair "
+                    f"needs dbar={dbar} (use a rack-aligned placement)",
                     strategy=self.name,
                 )
             candidates.sort(key=lambda rack: (running[rack], rack))
-            helpers = candidates[:dbar]
-            chunks_by_rack = {}
-            rack_units = {}
-            for rack in helpers:
-                # One node per helper rack computes the packet; pin the
-                # lowest surviving chunk as its representative input.
-                chunks_by_rack[rack] = (min(members[rack]),)
-                rack_units[rack] = beta
+            for rack in candidates[:dbar]:
+                units[i, lowest[i, rack]] = beta
                 running[rack] += beta
-            solutions.append(
-                WeightedStripeSolution(
-                    stripe_id=view.stripe_id,
-                    lost_chunk=view.lost_chunk,
-                    failed_rack=view.failed_rack,
-                    chunks_by_rack=chunks_by_rack,
-                    rack_units=rack_units,
-                )
-            )
         reg = _metrics.CURRENT
         if reg is not None:
             reg.counter("strategy.regen.stripes").inc(
-                len(solutions), strategy=self.name
+                len(failure), strategy=self.name
             )
             reg.counter("strategy.regen.cross_rack_units").inc(
-                beta * dbar * len(solutions), strategy=self.name
+                beta * dbar * len(failure), strategy=self.name
             )
-        return MultiStripeSolution(
-            solutions, num_racks=num_racks, aggregated=True
-        )
+        return _columns_solution(failure, units > 0, True, units)
 
 
 class PiggybackStrategy(RecoveryStrategy):
@@ -185,55 +176,36 @@ class PiggybackStrategy(RecoveryStrategy):
                 strategy=self.name,
             )
         pb = PiggybackRSCode(k, m)
-        solutions = []
-        for view in self._views(state):
-            per_chunk: dict[int, float] = {}
-            if pb.is_data(view.lost_chunk):
-                for c, _half in pb.data_repair_sources(view.lost_chunk):
-                    per_chunk[c] = per_chunk.get(c, 0.0) + 0.5
-            else:
-                for c, _half in pb.parity_repair_sources():
-                    per_chunk[c] = per_chunk.get(c, 0.0) + 0.5
-            missing = sorted(c for c in per_chunk if c not in view.surviving)
-            if missing:
-                # Cannot happen for a single failure (sources never
-                # include the lost chunk); guards multi-failure misuse.
-                raise StrategyError(
-                    f"stripe {view.stripe_id}: piggyback sources "
-                    f"{missing} are not surviving",
-                    strategy=self.name,
-                )
-            chunks_by_rack: dict[int, list[int]] = {}
-            rack_units: dict[int, float] = {}
-            for c, units in per_chunk.items():
-                rack = state.topology.rack_of(view.surviving[c])
-                chunks_by_rack.setdefault(rack, []).append(c)
-                if rack != view.failed_rack:
-                    rack_units[rack] = rack_units.get(rack, 0.0) + units
-            solutions.append(
-                WeightedStripeSolution(
-                    stripe_id=view.stripe_id,
-                    lost_chunk=view.lost_chunk,
-                    failed_rack=view.failed_rack,
-                    chunks_by_rack={
-                        r: tuple(sorted(cs))
-                        for r, cs in chunks_by_rack.items()
-                    },
-                    rack_units=rack_units,
-                )
+        failure = _failure(state)
+        # Row c of the table: the half-chunk units each chunk ships to
+        # rebuild a lost chunk c.
+        table = np.zeros((k + m, k + m))
+        for lost in range(k + m):
+            sources = (
+                pb.data_repair_sources(lost) if pb.is_data(lost)
+                else pb.parity_repair_sources()
             )
+            for c, _half in sources:
+                table[lost, c] += 0.5
+        units = table[failure.lost_chunk]
+        helper = units > 0
+        missing = helper & ~failure.alive
+        if missing.any():
+            # Cannot happen for a single failure (sources never include
+            # the lost chunk); guards multi-failure misuse.
+            i = int(missing.any(axis=1).argmax())
+            raise StrategyError(
+                f"stripe {int(failure.stripe_id[i])}: piggyback sources "
+                f"{np.flatnonzero(missing[i]).tolist()} are not surviving",
+                strategy=self.name,
+            )
+        units[failure.chunk_rack == failure.failed_rack] = 0.0
         reg = _metrics.CURRENT
         if reg is not None:
             reg.counter("strategy.regen.stripes").inc(
-                len(solutions), strategy=self.name
+                len(failure), strategy=self.name
             )
             reg.counter("strategy.regen.cross_rack_units").inc(
-                sum(
-                    sum(s.rack_units.values())
-                    for s in solutions
-                ),
-                strategy=self.name,
+                float(units.sum()), strategy=self.name
             )
-        return MultiStripeSolution(
-            solutions, num_racks=state.topology.num_racks, aggregated=False
-        )
+        return _columns_solution(failure, helper, False, units)

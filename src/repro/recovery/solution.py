@@ -20,7 +20,6 @@ counted as cross-rack traffic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -197,16 +196,18 @@ class SolutionColumns:
 
     Row ``i`` reads the helper chunks ``chunk[i]``, ascending, and slots
     past its last helper hold :data:`NO_HELPER`; ``rack[i]`` is the rack
-    each helper is read from.  CAR's solve produces these directly
-    (:meth:`from_mask`); the planner reads its windows from them.
+    each helper is read from.  Every strategy's solve produces these
+    directly (:meth:`from_mask`); the planner reads its windows from them.
 
     Attributes:
         stripe_id / lost_chunk / failed_rack: ``(S,)``.
         chunk / rack: ``(S, H)``.
+        units: ``(S, H)`` cross-rack chunk units each helper ships, for
+            strategies whose payloads are fractional (regenerating
+            codes); ``None`` when traffic is counted in whole chunks.
         objects: the per-stripe solution of each row when the columns
             were built from objects (:meth:`from_solutions`), so that
-            :meth:`solution` hands back the object itself — a weighted
-            solution's fractional payloads live only there.
+            :meth:`solution` hands back the object itself.
     """
 
     stripe_id: np.ndarray
@@ -214,15 +215,19 @@ class SolutionColumns:
     failed_rack: np.ndarray
     chunk: np.ndarray
     rack: np.ndarray
+    units: np.ndarray | None = None
     objects: tuple[PerStripeSolution, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.stripe_id)
 
     @classmethod
-    def from_mask(cls, failure, helper: np.ndarray) -> "SolutionColumns":
+    def from_mask(
+        cls, failure, helper: np.ndarray, units: np.ndarray | None = None
+    ) -> "SolutionColumns":
         """The rows of a ``(S, k + m)`` helper mask over a failure's
-        :class:`~repro.cluster.state.FailureColumns`."""
+        :class:`~repro.cluster.state.FailureColumns`, with ``units`` (the
+        mask's shape) the cross-rack chunk units each helper ships."""
         reads = helper.sum(axis=1)
         width = int(reads.max(initial=0))
         # Helper chunks first, each row's in ascending order.
@@ -235,14 +240,30 @@ class SolutionColumns:
             failed_rack=np.full(len(reads), failure.failed_rack),
             chunk=np.where(pad, NO_HELPER, order),
             rack=np.where(pad, NO_HELPER, failure.chunk_rack[row, order]),
+            units=None if units is None
+            else np.where(pad, 0.0, units[row, order]),
         )
 
     @classmethod
     def from_solutions(cls, solutions) -> "SolutionColumns":
-        """The rows of per-stripe solution objects, in their order."""
+        """The rows of per-stripe solution objects, in their order.
+
+        A :class:`WeightedStripeSolution`'s units for a rack go on the
+        rack's lowest helper.
+
+        Raises:
+            RecoveryError: if weighted and unweighted solutions mix.
+        """
         sols = tuple(solutions)
+        kinds = {isinstance(s, WeightedStripeSolution) for s in sols}
+        if len(kinds) > 1:
+            raise RecoveryError(
+                "weighted and unweighted solutions cannot be mixed"
+            )
+        weighted = kinds == {True}
         chunks: list[int] = []
         racks: list[int] = []
+        units: list[float] = []
         counts: list[int] = []
         for sol in sols:
             n = 0
@@ -250,6 +271,9 @@ class SolutionColumns:
                 chunks.extend(members)
                 racks.extend([rack] * len(members))
                 n += len(members)
+                if weighted:
+                    low, share = min(members), sol.rack_units.get(rack, 0.0)
+                    units.extend(share if c == low else 0.0 for c in members)
             counts.append(n)
         width = max(counts, default=0)
         # Unused slots sort last, then become NO_HELPER.
@@ -261,12 +285,18 @@ class SolutionColumns:
         order = np.argsort(chunk, axis=1, kind="stable")
         chunk = np.take_along_axis(chunk, order, axis=1)
         chunk[~used] = NO_HELPER
+        share = None
+        if weighted:
+            share = np.zeros((len(sols), width))
+            share[used] = units
+            share = np.take_along_axis(share, order, axis=1)
         return cls(
             stripe_id=np.array([s.stripe_id for s in sols], dtype=np.intp),
             lost_chunk=np.array([s.lost_chunk for s in sols], dtype=np.intp),
             failed_rack=np.array([s.failed_rack for s in sols], dtype=np.intp),
             chunk=chunk,
             rack=np.take_along_axis(rack, order, axis=1),
+            units=share,
             objects=sols,
         )
 
@@ -282,6 +312,7 @@ class SolutionColumns:
             failed_rack=self.failed_rack[index],
             chunk=self.chunk[index],
             rack=self.rack[index],
+            units=None if self.units is None else self.units[index],
             objects=objects,
         )
 
@@ -307,7 +338,9 @@ class SolutionColumns:
             yield self.rows(slice(start, start + size))
 
     def solution(self, i: int) -> PerStripeSolution:
-        """Row ``i`` as a :class:`PerStripeSolution`, built on demand.
+        """Row ``i`` as a :class:`PerStripeSolution` — a
+        :class:`WeightedStripeSolution` when ``units`` is set — built on
+        demand.
 
         Its racks are listed in the order the take rule fills them: the
         failed rack, then the rest largest first, ties by rack id.
@@ -320,28 +353,30 @@ class SolutionColumns:
             if c != NO_HELPER:
                 groups.setdefault(rack, []).append(c)
         failed = int(self.failed_rack[i])
-        return PerStripeSolution(
+        order = sorted(groups, key=lambda r: (r != failed, -len(groups[r]), r))
+        fields = dict(
             stripe_id=int(self.stripe_id[i]),
             lost_chunk=int(self.lost_chunk[i]),
             failed_rack=failed,
-            chunks_by_rack={
-                rack: tuple(groups[rack])
-                for rack in sorted(
-                    groups,
-                    key=lambda r: (r != failed, -len(groups[r]), r),
-                )
-            },
+            chunks_by_rack={rack: tuple(groups[rack]) for rack in order},
         )
+        if self.units is None:
+            return PerStripeSolution(**fields)
+        shipped = {
+            rack: float(self.units[i, self.rack[i] == rack].sum())
+            for rack in order if rack != failed
+        }
+        return WeightedStripeSolution(**fields, rack_units=shipped)
 
 
 class MultiStripeSolution:
     """One per-stripe solution for every affected stripe, plus λ math.
 
-    Backed either by per-stripe solution objects (the constructor) or by
-    :class:`SolutionColumns` (:meth:`from_columns`, what CAR's solve
-    returns).  Over columns, traffic, λ and :meth:`solutions_using` are
-    counted from the arrays, and a :class:`PerStripeSolution` exists only
-    once someone asks for it.
+    Backed by :class:`SolutionColumns`: every strategy's solve builds
+    them (:meth:`from_columns`), and the constructor reads its objects
+    into them once.  Traffic, λ and :meth:`solutions_using` are counted
+    from the arrays, and a :class:`PerStripeSolution` exists only once
+    someone asks for it.
 
     Args:
         solutions: per-stripe solutions (any order; stored stripe-sorted).
@@ -356,31 +391,24 @@ class MultiStripeSolution:
         num_racks: int,
         aggregated: bool,
     ) -> None:
-        if not solutions:
-            raise RecoveryError("multi-stripe solution needs at least one stripe")
-        failed_racks = {s.failed_rack for s in solutions}
-        if len(failed_racks) != 1:
-            raise RecoveryError(
-                f"solutions disagree on the failed rack: {failed_racks}"
-            )
-        self._objects: list[PerStripeSolution] | None = sorted(
-            solutions, key=_stripe_id
+        self._adopt(
+            SolutionColumns.from_solutions(sorted(solutions, key=_stripe_id)),
+            num_racks,
+            aggregated,
         )
-        self._columns: SolutionColumns | None = None
-        self._columnar = False
-        self.num_racks = num_racks
-        self.aggregated = aggregated
-        self.failed_rack = failed_racks.pop()
-        # Solutions never change after construction, so traffic is
-        # counted at most once.
-        self._traffic: list[int] | None = None
-        self._reads: np.ndarray | None = None
 
     @classmethod
     def from_columns(
         cls, columns: SolutionColumns, num_racks: int, aggregated: bool
     ) -> "MultiStripeSolution":
         """A solution backed by stripe-sorted :class:`SolutionColumns`."""
+        self = cls.__new__(cls)
+        self._adopt(columns, num_racks, aggregated)
+        return self
+
+    def _adopt(
+        self, columns: SolutionColumns, num_racks: int, aggregated: bool
+    ) -> None:
         if not len(columns):
             raise RecoveryError("multi-stripe solution needs at least one stripe")
         failed_racks = set(np.unique(columns.failed_rack).tolist())
@@ -388,41 +416,35 @@ class MultiStripeSolution:
             raise RecoveryError(
                 f"solutions disagree on the failed rack: {failed_racks}"
             )
-        self = cls.__new__(cls)
-        self._objects = None
         self._columns = columns
-        self._columnar = True
         self.num_racks = num_racks
         self.aggregated = aggregated
         self.failed_rack = failed_racks.pop()
-        self._traffic = None
-        self._reads = None
-        return self
+        # Solutions never change after construction, so traffic is
+        # counted and objects are built at most once.
+        self._objects: list[PerStripeSolution] | None = None
+        self._traffic: list | None = None
+        self._reads: np.ndarray | None = None
 
     @property
     def solutions(self) -> list[PerStripeSolution]:
         """The per-stripe solutions, stripe-sorted (built once, on
-        demand, over columns)."""
+        demand)."""
         if self._objects is None:
             columns = self._columns
             self._objects = [columns.solution(i) for i in range(len(columns))]
         return self._objects
 
     def columns(self) -> SolutionColumns:
-        """The solution as :class:`SolutionColumns` (derived once from
-        the objects when it was built from objects)."""
-        if self._columns is None:
-            self._columns = SolutionColumns.from_solutions(self._objects)
+        """The solution as :class:`SolutionColumns`."""
         return self._columns
 
     def stripe_ids(self) -> tuple[int, ...]:
         """The stripes this solution repairs, ascending."""
-        if self._columnar:
-            return tuple(self._columns.stripe_id.tolist())
-        return tuple(s.stripe_id for s in self._objects)
+        return tuple(self._columns.stripe_id.tolist())
 
     def __len__(self) -> int:
-        return len(self._columns) if self._columnar else len(self._objects)
+        return len(self._columns)
 
     def __iter__(self):
         return iter(self.solutions)
@@ -433,16 +455,9 @@ class MultiStripeSolution:
         Raises:
             RecoveryError: if the stripe is not part of this solution.
         """
-        if self._columnar:
-            ids = self._columns.stripe_id
-            i = int(np.searchsorted(ids, stripe_id))
-            found = i < len(ids) and ids[i] == stripe_id
-        else:
-            i = bisect_left(self._objects, stripe_id, key=_stripe_id)
-            found = i < len(self._objects) and (
-                self._objects[i].stripe_id == stripe_id
-            )
-        if not found:
+        ids = self._columns.stripe_id
+        i = int(np.searchsorted(ids, stripe_id))
+        if not (i < len(ids) and ids[i] == stripe_id):
             raise RecoveryError(f"no solution for stripe {stripe_id}")
         return i
 
@@ -462,23 +477,16 @@ class MultiStripeSolution:
 
     def restricted_to(self, stripes) -> "MultiStripeSolution":
         """The same solution for just the given stripes (those it has)."""
-        keep = set(stripes)
-        if self._columnar:
-            columns = self._columns
-            return MultiStripeSolution.from_columns(
-                columns.rows(np.isin(columns.stripe_id, list(keep))),
-                num_racks=self.num_racks,
-                aggregated=self.aggregated,
-            )
-        return MultiStripeSolution(
-            [s for s in self._objects if s.stripe_id in keep],
+        columns = self._columns
+        return MultiStripeSolution.from_columns(
+            columns.rows(np.isin(columns.stripe_id, list(set(stripes)))),
             num_racks=self.num_racks,
             aggregated=self.aggregated,
         )
 
     def replace(self, new: PerStripeSolution) -> "MultiStripeSolution":
-        """A copy, backed by objects, with the solution for
-        ``new.stripe_id`` substituted; ``self`` is left untouched.
+        """A copy with the solution for ``new.stripe_id`` substituted;
+        ``self`` is left untouched.
 
         Raises:
             RecoveryError: if the stripe is not part of this solution or
@@ -499,25 +507,28 @@ class MultiStripeSolution:
     def _rack_reads(self) -> np.ndarray:
         """``(S, r)`` helper chunks each stripe reads from each rack."""
         if self._reads is None:
-            self._reads = self.columns().rack_reads(self.num_racks)
+            self._reads = self._columns.rack_reads(self.num_racks)
         return self._reads
 
-    def traffic_by_rack(self) -> list[int]:
-        """``t_{i,f}`` in chunk units for every rack ``i`` (0 at ``A_f``)."""
+    def traffic_by_rack(self) -> list:
+        """``t_{i,f}`` in chunk units for every rack ``i`` (0 at ``A_f``).
+
+        Whole chunks count one per rack read (aggregated) or one per
+        helper; fractional units are summed rack by rack in stripe order.
+        """
         if self._traffic is None:
-            if self._columnar:
+            columns = self._columns
+            if columns.units is not None:
+                used = columns.chunk != NO_HELPER
+                t = np.bincount(
+                    columns.rack[used], weights=columns.units[used],
+                    minlength=self.num_racks,
+                )
+            else:
                 reads = self._rack_reads()
                 t = (reads > 0).sum(axis=0) if self.aggregated else reads.sum(axis=0)
-                t[self.failed_rack] = 0
-                self._traffic = t.tolist()
-            else:
-                t = [0] * self.num_racks
-                for sol in self._objects:
-                    for rack, amount in sol.cross_rack_chunks(
-                        self.aggregated
-                    ).items():
-                        t[rack] += amount
-                self._traffic = t
+            t[self.failed_rack] = 0
+            self._traffic = t.tolist()
         return list(self._traffic)
 
     def solutions_using(self, rack_id: int) -> tuple[PerStripeSolution, ...]:

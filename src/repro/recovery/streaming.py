@@ -5,9 +5,10 @@ stripe through one two-stage pipeline; this module is the half that
 never touches the tracer, the journal or the fault hooks:
 
 - :func:`default_window` sizes a window from the chunk size against a
-  fixed byte budget; the planner cuts the solutions into windows of that
-  many stripes (:func:`~repro.recovery.planner.windows`), so coordinator
-  memory is O(window) regardless of stripe count;
+  fixed byte budget; the planner cuts the solution's columns into
+  windows of that many stripes
+  (:meth:`~repro.recovery.solution.SolutionColumns.windows`), so
+  coordinator memory is O(window) regardless of stripe count;
 - :func:`compute_window` performs every GF decode of a window in one
   columnar pass over its :class:`~repro.recovery.planner.WindowPlan`.
   The window's helper columns are already in decode order — one term

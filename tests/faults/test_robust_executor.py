@@ -48,7 +48,7 @@ class TestFaultFreeBehaviour:
         solution = CarStrategy().solve(state)
         plan = plan_recovery(state, event, solution)
         plain = PlanExecutor(state).execute(plan, solution)
-        robust = RobustExecutor(state).run(event, solution, plan)
+        robust = RobustExecutor(state).run(event, solution)
         assert robust.verified and plain.verified
         assert robust.result.cross_rack_bytes == plain.cross_rack_bytes
         assert robust.result.intra_rack_bytes == plain.intra_rack_bytes
@@ -341,3 +341,54 @@ class TestByteAccounting:
         assert set(r.result.reconstructed) == {
             s.stripe_id for s in solution.solutions
         }
+
+
+class TestPlanObjectsOnlyForTheirReaders:
+    """A round executes the solution's columns; the :class:`RecoveryPlan`
+    objects are built only when ``final_plan`` is read."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.faults import robust
+        from repro.recovery import planner
+
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return plan_recovery(*args, **kwargs)
+
+        for module in (planner, robust):
+            monkeypatch.setattr(module, "plan_recovery", counting)
+        return made
+
+    def test_fault_free_session_and_ladder_build_no_plan(self, calls, tmp_path):
+        from repro.durable.session import RecoverySession
+
+        state, event = build()
+        session = RecoverySession(state, event, CarStrategy(), tmp_path / "j")
+        assert session.run().verified
+        robust = recover_with_faults(*build(), CarStrategy())
+        assert robust.verified
+        assert calls == []
+        first = robust.final_plan
+        assert robust.final_plan is first
+        assert len(calls) == 1
+
+    def test_final_plan_after_a_replan_excludes_the_dead(self, calls):
+        state, event = build()
+        robust = recover_with_faults(
+            state, event, CarStrategy(),
+            injector=FaultInjector([
+                FaultSpec(kind=FaultKind.HELPER_CRASH,
+                          stage=PipelineStage.DISK_READ)
+            ]),
+        )
+        assert robust.verified and robust.replans == 1
+        assert calls == []
+        expected = plan_recovery(
+            state, event, robust.final_solution,
+            dead_nodes=robust.dead_nodes,
+        )
+        assert robust.final_plan.stripe_plans == expected.stripe_plans
+        assert len(calls) == 1

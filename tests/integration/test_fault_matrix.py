@@ -240,10 +240,7 @@ class TestMatrixWindowIndependence:
                 backoff=BackoffPolicy(max_attempts=3),
             )
             try:
-                r = executor.run(
-                    event, solution, plan_recovery(state, event, solution),
-                    window=window,
-                )
+                r = executor.run(event, solution, window=window)
             except RecoveryAbort as abort:
                 return ("abort", abort.log, sorted(abort.dead_nodes))
             assert r.verified

@@ -13,6 +13,7 @@ from repro.obs import (
     write_chrome_trace,
     write_collapsed_stacks,
 )
+from repro.obs.attribution import attribute
 from repro.obs.export import COORDINATOR_TID
 
 
@@ -145,6 +146,37 @@ class TestCollapsedStacks:
             events.extend({**e, "run": run} for e in t.events)
         lines = to_collapsed_stacks(events)
         assert any(line.startswith("root ") for line in lines)
+
+    def test_run_tagged_trace_folds_every_run(self):
+        """Two runs whose span ids both start at 1 fold to the sum of
+        their own folds, and the folded total is what attribution
+        counts."""
+
+        def run(index, length, child):
+            return [
+                {"type": "span", "name": "run", "span_id": 1,
+                 "parent_id": None, "start": 0.0, "end": length,
+                 "run": index},
+                {"type": "span", "name": "solve", "span_id": 2,
+                 "parent_id": 1, "start": 1.0, "end": 1.0 + child,
+                 "run": index},
+            ]
+
+        def folded(events):
+            return {
+                name: int(w)
+                for name, w in (l.rsplit(" ", 1) for l in to_collapsed_stacks(events))
+            }
+
+        first, second = run(0, 10.0, 3.0), run(1, 20.0, 6.0)
+        both = folded(first + second)
+        assert both == {
+            name: folded(first).get(name, 0) + folded(second).get(name, 0)
+            for name in both
+        }
+        assert both == {"run": 21_000_000, "run;solve": 9_000_000}
+        total = attribute(first + second).total_span_seconds
+        assert sum(both.values()) == round(total * 1_000_000)
 
     def test_write_one_line_per_stack(self, tmp_path):
         path = write_collapsed_stacks(recorded_events(), tmp_path / "f.folded")

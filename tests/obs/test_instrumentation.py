@@ -72,7 +72,7 @@ def faulty_recovery(tracer, registry):
             state, injector=injector, backoff=BackoffPolicy(max_attempts=4),
             tracer=tracer,
         )
-        robust = executor.run(event, solution, plan)
+        robust = executor.run(event, solution)
         sim = RecoverySimulator(state, tracer=tracer)
         timing = sim.simulate(
             robust.final_plan, CHUNK, timeline=robust.timeline

@@ -62,13 +62,14 @@ from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
 from repro.recovery.executor import PlanExecutor
 from repro.recovery.lrc import LrcLocalRecoveryStrategy
 from repro.recovery.metrics import traffic_report
+from repro.recovery import planner
 from repro.recovery import streaming as _streaming
 from repro.recovery.planner import (
     plan_recovery,
     plan_recovery_streaming,
     plan_window,
-    windows,
 )
+from repro.recovery.solution import SolutionColumns
 from repro.recovery.streaming import compute_window, default_window
 
 #: ``None`` is the window the executor derives from the chunk size.
@@ -179,27 +180,28 @@ class TestStreamingEquivalence:
                 )
                 assert_identical(in_process, fanned)
 
-    def test_workers_keep_a_bounded_number_of_windows_in_flight(self):
+    def test_workers_keep_a_bounded_number_of_windows_in_flight(
+        self, monkeypatch
+    ):
         state, event = failed_cluster(seed=7, stripes=60)
         sol = CarStrategy().solve(state)
         assert len(sol.solutions) >= 12
         consumed = 0
         consumed_at_first_fold = []
+        plan_window = planner.plan_window
 
-        def counting(solutions):
+        def counting(state, replacement_node, source, **kwargs):
             nonlocal consumed
-            for solution in solutions:
-                consumed += 1
-                yield solution
+            consumed += len(source)
+            return plan_window(state, replacement_node, source, **kwargs)
 
         def sink(stripe_id, rebuilt, ok):
             if not consumed_at_first_fold:
                 consumed_at_first_fold.append(consumed)
 
-        # The lazy plan pulls solutions only as windows are cut.
-        splan = plan_recovery_streaming(
-            state, event, counting(sol.solutions), aggregated=True
-        )
+        # The lazy plan plans stripes only as windows are cut.
+        monkeypatch.setattr(planner, "plan_window", counting)
+        splan = plan_recovery_streaming(state, event, sol)
         result = PlanExecutor(state).execute(
             splan, window=1, workers=2, sink=sink
         )
@@ -393,7 +395,7 @@ def window_of(state, event, strategy):
     """Every stripe of the failure as one window's columns."""
     sol = strategy.solve(state)
     return plan_window(
-        state, event.replacement_node, sol.solutions,
+        state, event.replacement_node, sol.columns(),
         aggregated=sol.aggregated,
     )
 
@@ -848,7 +850,7 @@ class TestWindowIndependenceUnderFaults:
         plan = plan_recovery(state, event, sol)
         runs = [
             RobustExecutor(state, injector=crash_chain_injector()).run(
-                event, sol, plan, window=window
+                event, sol, window=window
             )
             for window in (1, 4)
         ]
@@ -913,7 +915,9 @@ class TestSharedChunkStore:
 
 class TestStreamingHelpers:
     def test_windows_partition_in_order(self):
-        chunks = list(windows(iter(range(10)), 4))
+        ids = np.arange(10)
+        columns = SolutionColumns(ids, ids, ids, ids[:, None], ids[:, None])
+        chunks = [w.stripe_id.tolist() for w in columns.windows(4)]
         assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
     def test_repair_signature_batches_equal_repairs(self):
@@ -922,7 +926,8 @@ class TestStreamingHelpers:
         a, b = sol.solutions[0], sol.solutions[1]
         for aggregated in (True, False):
             win = plan_window(
-                state, event.replacement_node, [a, b, a],
+                state, event.replacement_node,
+                SolutionColumns.from_solutions([a, b, a]),
                 aggregated=aggregated,
             )
             ids = win.signature.tolist()

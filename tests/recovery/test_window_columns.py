@@ -17,11 +17,12 @@ Select a larger example budget with ``HYPOTHESIS_PROFILE=thorough``.
 from collections import Counter
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.failure import FailureInjector, degraded_view
+from repro.cluster.failure import FailureInjector
 from repro.erasure.lrc import LRCCode
 from repro.errors import PlacementError, PlanError
 from repro.experiments.configs import CFS1, CFS2, CFS3, build_state
@@ -32,7 +33,6 @@ from repro.recovery.baselines import (
     MinRackNoAggregationStrategy,
     RandomAggregatedStrategy,
     RandomRecoveryStrategy,
-    _solution_from_helpers,
 )
 from repro.recovery.executor import PlanExecutor
 from repro.recovery.lrc import LrcLocalRecoveryStrategy
@@ -50,6 +50,7 @@ from repro.recovery.replacement import eligible_replacements, with_replacement
 from repro.recovery.solution import (
     MultiStripeSolution,
     PerStripeSolution,
+    SolutionColumns,
     WeightedStripeSolution,
 )
 
@@ -153,17 +154,12 @@ def solve_around(state, dead, aggregated):
             state.topology, state.code.k,
             state.failure_columns(dead_nodes=dead),
         )
-    views = [
-        degraded_view(state.stripe_view(s), dead, state.topology)
-        for s in state.affected_stripes()
-    ]
-    return MultiStripeSolution(
-        [
-            _solution_from_helpers(
-                state, view, sorted(view.surviving)[: state.code.k]
-            )
-            for view in views
-        ],
+    failure = state.failure_columns(dead_nodes=dead)
+    alive = failure.alive
+    return MultiStripeSolution.from_columns(
+        SolutionColumns.from_mask(
+            failure, alive & (np.cumsum(alive, axis=1) <= state.code.k)
+        ),
         num_racks=state.topology.num_racks,
         aggregated=False,
     )
@@ -281,7 +277,7 @@ class TestColumnsAgreeWithObjects:
         event = FailureInjector(rng=seed).fail_random_node(state)
         sol = solve_around(state, frozenset(), aggregated)
         win = plan_window(
-            state, event.replacement_node, sol.solutions,
+            state, event.replacement_node, sol.columns(),
             aggregated=aggregated,
         )
         cross = intra = 0
