@@ -6,7 +6,7 @@ asks for a chunk whose node just died.  Instead of waiting for full
 node recovery, we serve the single stripe on demand:
 
 1. find the minimum-rack recovery solution for just that stripe
-   (Theorem 1);
+   (Theorem 1) — CAR's solve over a one-row failure;
 2. split the repair vector by rack and let each rack's delegate
    partially decode (Equation 7);
 3. XOR the per-rack partials and hand the bytes to the client —
@@ -31,7 +31,7 @@ from repro.erasure import (
     execute_partial_decode,
     split_repair_vector,
 )
-from repro.recovery import CarSelector
+from repro.recovery import CarStrategy
 
 
 def main() -> None:
@@ -43,20 +43,21 @@ def main() -> None:
 
     event = FailureInjector(rng=5).fail_random_node(state)
     stripe_id = event.stripes[0]
-    view = state.stripe_view(stripe_id)
-    print(
-        f"client read hits stripe {stripe_id}, chunk {view.lost_chunk} "
-        f"on failed node {topology.node(event.failed_node).name}"
-    )
 
     # 1. Minimum-rack solution for this one stripe.
-    selector = CarSelector(topology, code.k)
-    solution = selector.initial_solution(view)
+    failure = state.failure_columns(stripes=[stripe_id])
+    solution = CarStrategy(load_balance=False).solve_failure(
+        topology, code.k, failure
+    ).solution_for(stripe_id)
+    print(
+        f"client read hits stripe {stripe_id}, chunk {solution.lost_chunk} "
+        f"on failed node {topology.node(event.failed_node).name}"
+    )
     racks = [topology.rack(r).name for r in solution.intact_racks_accessed]
+    local = solution.chunks_from_rack(solution.failed_rack)
     print(
         f"Theorem 1: read from {len(racks)} intact rack(s) {racks} "
-        f"plus {len(solution.chunks_from_rack(view.failed_rack))} local chunk(s) "
-        f"in the failed rack"
+        f"plus {len(local)} local chunk(s) in the failed rack"
     )
 
     # 2. Per-rack partial decoding.
@@ -73,7 +74,7 @@ def main() -> None:
 
     # 3. Combine and serve.
     rebuilt = combine_partials(code, partials)
-    assert np.array_equal(rebuilt, data.chunk(stripe_id, view.lost_chunk))
+    assert np.array_equal(rebuilt, data.chunk(stripe_id, solution.lost_chunk))
     cross = solution.num_intact_racks
     print(
         f"served {rebuilt.nbytes // 1024} KiB to the client; "

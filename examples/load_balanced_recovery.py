@@ -17,11 +17,7 @@ from repro.cluster import (
     RandomPlacementPolicy,
 )
 from repro.erasure import RSCode
-from repro.recovery import (
-    CarSelector,
-    GreedyLoadBalancer,
-    MultiStripeSolution,
-)
+from repro.recovery import CarStrategy
 
 NUM_STRIPES = 100
 
@@ -43,18 +39,13 @@ def main() -> None:
         f"{event.num_stripes} stripes to repair\n"
     )
 
-    # Build the initial (per-stripe minimal, unbalanced) solution.
-    selector = CarSelector(topology, code.k)
-    views = {v.stripe_id: v for v in state.views()}
-    initial = MultiStripeSolution(
-        [selector.initial_solution(v) for v in views.values()],
-        num_racks=topology.num_racks,
-        aggregated=True,
-    )
+    # The initial (per-stripe minimal, unbalanced) solution.
+    initial = CarStrategy(load_balance=False).solve(state)
 
     # Run Algorithm 2 and keep the iteration trace.
-    balancer = GreedyLoadBalancer(iterations=50)
-    balanced, trace = balancer.balance(views, initial, selector)
+    car = CarStrategy(iterations=50)
+    balanced = car.solve(state)
+    trace = car.last_trace
 
     print("per-rack cross-rack traffic (chunks shipped during repair):")
     print(f"{'rack':>6}  {'before':>7}  {'after':>6}")

@@ -20,7 +20,7 @@ from repro.cluster.transition import (
     ReplicatedStore,
     TransitionPlan,
 )
-from repro.cluster.state import ClusterState, DataStore, FailureEvent, StripeView
+from repro.cluster.state import ClusterState, DataStore, FailureEvent
 from repro.cluster.topology import BandwidthProfile, ClusterTopology, Node, Rack
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "ClusterState",
     "DataStore",
     "FailureEvent",
-    "StripeView",
     "FailureInjector",
     "FileStore",
     "FileInfo",

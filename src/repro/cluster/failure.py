@@ -5,49 +5,20 @@ chunks ... use the same node as the replacement node, and trigger the
 recovery operation."  :class:`FailureInjector` reproduces that, plus a
 rack-failure drill used by the fault-tolerance tests.
 
-:func:`degraded_view` supports *secondary* failures during repair (the
-:mod:`repro.faults` subsystem): it re-derives a stripe's solver view
-after additional helper nodes have died, so the selector can re-plan
-with Theorem-1 minimality over the surviving racks only.
+A *secondary* failure during repair or a degraded read is not an event
+here: it is a dead-node mask on
+:meth:`~repro.cluster.state.ClusterState.failure_columns`, so the re-plan
+is Theorem-1 minimal over the surviving racks only.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
 
 from repro.errors import NoFailureError
-from repro.cluster.state import ClusterState, FailureEvent, StripeView
-from repro.cluster.topology import ClusterTopology
+from repro.cluster.state import ClusterState, FailureEvent
 
-__all__ = ["FailureInjector", "degraded_view"]
-
-
-def degraded_view(
-    view: StripeView,
-    dead_nodes: Iterable[int],
-    topology: ClusterTopology,
-) -> StripeView:
-    """A copy of ``view`` with chunks on ``dead_nodes`` removed.
-
-    The returned view's ``surviving`` map and ``rack_counts`` reflect
-    only chunks on still-alive nodes, so every Theorem-1 quantity
-    (``c_{i,j}``, ``c'_{f,j}``, ``d_j``) is computed over the surviving
-    cluster.  The primary failure (``lost_chunk`` / ``failed_rack``) is
-    unchanged.
-    """
-    dead = set(dead_nodes)
-    surviving = {c: n for c, n in view.surviving.items() if n not in dead}
-    counts = [0] * topology.num_racks
-    for nid in surviving.values():
-        counts[topology.rack_of(nid)] += 1
-    return StripeView(
-        stripe_id=view.stripe_id,
-        lost_chunk=view.lost_chunk,
-        surviving=surviving,
-        rack_counts=tuple(counts),
-        failed_rack=view.failed_rack,
-    )
+__all__ = ["FailureInjector"]
 
 
 class FailureInjector:

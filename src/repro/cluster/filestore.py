@@ -38,7 +38,7 @@ from repro.erasure.repair import (
     split_repair_vector,
 )
 from repro.errors import ClusterError, ConfigurationError
-from repro.recovery.selector import CarSelector
+from repro.recovery.baselines import CarStrategy
 
 __all__ = ["FileInfo", "FileStore"]
 
@@ -224,9 +224,10 @@ class FileStore:
         if minimal is not None:
             helpers = tuple(minimal(lost_chunk))
         else:
-            selector = CarSelector(self.topology, self.code.k)
-            view = state.stripe_view(stripe_id)
-            helpers = selector.initial_solution(view).helpers
+            failure = state.failure_columns(stripes=[stripe_id])
+            helpers = CarStrategy(load_balance=False).solve_failure(
+                self.topology, self.code.k, failure
+            ).solutions[0].helpers
         rack_map = {
             c: self.topology.rack_of(self._assignment[(stripe_id, c)])
             for c in helpers

@@ -27,7 +27,7 @@ from collections.abc import Iterator, Mapping
 
 import numpy as np
 
-from repro.errors import ConfigurationError, PlacementError
+from repro.errors import ConfigurationError, PlacementError, UnknownChunkError
 from repro.cluster.topology import ClusterTopology
 
 __all__ = [
@@ -130,7 +130,13 @@ class Placement:
         return tuple(self._chunks_on_node.get(node_id, ()))
 
     def stripe_layout(self, stripe_id: int) -> dict[int, int]:
-        """chunk_index -> node_id for one stripe."""
+        """chunk_index -> node_id for one stripe.
+
+        Raises:
+            UnknownChunkError: if the placement holds no such stripe.
+        """
+        if not 0 <= stripe_id < self.num_stripes:
+            raise UnknownChunkError(f"no placement for stripe {stripe_id}")
         return {
             c: self._node_of[(stripe_id, c)] for c in range(self.k + self.m)
         }
@@ -228,11 +234,11 @@ class RandomPlacementPolicy(PlacementPolicy):
         self._check_fits(topology, k, m)
         cap = self._per_rack_cap(m)
         n = k + m
-        min_racks_needed = -(-n // cap)  # ceil
-        if min_racks_needed > topology.num_racks:
+        fewest_racks = -(-n // cap)  # ceil
+        if fewest_racks > topology.num_racks:
             raise PlacementError(
                 f"k+m={n} with per-rack cap {cap} needs at least "
-                f"{min_racks_needed} racks, topology has {topology.num_racks}"
+                f"{fewest_racks} racks, topology has {topology.num_racks}"
             )
         assignment: dict[ChunkKey, int] = {}
         node_ids = [node.node_id for node in topology.nodes]

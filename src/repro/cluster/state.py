@@ -234,7 +234,10 @@ class FailureEvent:
 
 @dataclass(frozen=True)
 class StripeView:
-    """Everything the per-stripe solver needs to know about one stripe.
+    """One affected stripe as an object, a row of :class:`FailureColumns`.
+
+    Kept for ``benchmarks/e2e/probes.py`` until the benchmark re-cut;
+    every solve in the package reads :meth:`ClusterState.failure_columns`.
 
     Attributes:
         stripe_id: which stripe.
@@ -250,19 +253,6 @@ class StripeView:
     surviving: dict[int, int]
     rack_counts: tuple[int, ...]
     failed_rack: int
-
-    def rack_members(
-        self, topology: ClusterTopology
-    ) -> dict[int, tuple[int, ...]]:
-        """rack_id -> sorted surviving chunk indices."""
-        grouped: dict[int, list[int]] = {}
-        for c, nid in sorted(self.surviving.items()):
-            grouped.setdefault(topology.rack_of(nid), []).append(c)
-        return {rack: tuple(cs) for rack, cs in grouped.items()}
-
-    def chunks_in_rack(self, rack_id: int, topology: ClusterTopology) -> list[int]:
-        """Surviving chunk indices of this stripe stored in ``rack_id``."""
-        return list(self.rack_members(topology).get(rack_id, ()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +309,11 @@ class FailureColumns:
 
         The counts are the views' own ``rack_counts``; the racks of their
         surviving chunks come from ``topology`` (left -1 without one,
-        which is enough for Theorem 1's counting).
+        which is enough for Theorem 1's counting).  Kept for
+        ``benchmarks/e2e/probes.py`` (through
+        :meth:`~repro.recovery.selector.CarSelector.initial_solution` and
+        :meth:`~repro.recovery.balancer.GreedyLoadBalancer.balance`) until
+        the benchmark re-cut.
 
         Raises:
             PlacementError: if the views disagree on the failed rack or
@@ -420,7 +414,10 @@ class ClusterState:
     # -- layout queries --------------------------------------------------------
 
     def stripe_view(self, stripe_id: int) -> StripeView:
-        """Build the solver's view of one affected stripe.
+        """One affected stripe as a :class:`StripeView`.
+
+        Kept for ``benchmarks/e2e/probes.py`` until the benchmark re-cut;
+        a solve reads :meth:`failure_columns`.
 
         Raises:
             NoFailureError: if no node is failed.
@@ -457,27 +454,42 @@ class ClusterState:
             dead_nodes: helper nodes lost since the failure; their chunks
                 are not alive (a re-plan's view of the cluster).
             stripes: restrict to these affected stripes (default: every
-                stripe that lost a chunk).
+                stripe that lost a chunk).  A one-row failure is one
+                degraded read's solve; only its rows of the node table
+                are read.
 
         Raises:
             NoFailureError: if no node is failed.
-            UnknownChunkError: if a requested stripe lost no chunk.
+            UnknownChunkError: if a requested stripe is not placed, is
+                requested twice, or lost no chunk.
         """
         if self.failed_node is None:
             raise NoFailureError("no failed node")
         table = self.placement.node_table()
-        hit = table == self.failed_node
         if stripes is None:
-            stripe_id = np.flatnonzero(hit.any(axis=1))
+            stripe_id = np.flatnonzero((table == self.failed_node).any(axis=1))
         else:
             stripe_id = np.array(sorted(stripes), dtype=np.intp)
-            missed = [s for s in stripe_id.tolist() if not hit[s].any()]
-            if missed:
+            bad = (stripe_id < 0) | (stripe_id >= len(table))
+            if bad.any():
                 raise UnknownChunkError(
-                    f"stripe {missed[0]} has no chunk on node {self.failed_node}"
+                    f"no placement for stripe {int(stripe_id[bad.argmax()])}"
+                )
+            twice = stripe_id[1:] == stripe_id[:-1]
+            if twice.any():
+                raise UnknownChunkError(
+                    f"stripe {int(stripe_id[1:][twice.argmax()])} "
+                    f"requested twice"
                 )
         nodes = table[stripe_id]
-        lost_chunk = hit[stripe_id].argmax(axis=1)
+        hit = nodes == self.failed_node
+        missed = ~hit.any(axis=1)
+        if missed.any():
+            raise UnknownChunkError(
+                f"stripe {int(stripe_id[missed.argmax()])} has no chunk on "
+                f"node {self.failed_node}"
+            )
+        lost_chunk = hit.argmax(axis=1)
         rows = np.arange(len(stripe_id))
         alive = np.ones(nodes.shape, dtype=bool)
         alive[rows, lost_chunk] = False
@@ -507,5 +519,6 @@ class ClusterState:
         )
 
     def views(self) -> list[StripeView]:
-        """StripeView for every affected stripe, in stripe order."""
+        """StripeView for every affected stripe, in stripe order (kept for
+        ``benchmarks/e2e/probes.py`` until the benchmark re-cut)."""
         return [self.stripe_view(s) for s in self.affected_stripes()]

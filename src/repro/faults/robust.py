@@ -10,8 +10,9 @@ not safe from failures:
   accounted as simulated wall-clock, never real sleeps;
 - **permanent faults** (helper/delegate crashes, or transients that
   exhaust their retry budget) void the current plan for the not-yet
-  repaired stripes: the selector and planner are re-invoked with the
-  dead nodes excluded, so the re-plan is Theorem-1 minimal over the
+  repaired stripes: the strategy re-solves their columns with the dead
+  nodes' chunks marked not alive (the mask a degraded read's one-row
+  solve uses too), so the re-plan is Theorem-1 minimal over the
   *surviving* racks;
 - after ``max_replans`` aggregated re-plans the executor **degrades**
   to direct RR-style recovery (any ``k`` survivors shipped raw), the

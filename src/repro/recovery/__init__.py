@@ -1,4 +1,4 @@
-"""CAR recovery layer: per-stripe selection, balancing, planning, execution."""
+"""CAR recovery layer: rack selection, balancing, planning, execution."""
 
 from repro.recovery.balancer import BalanceTrace, GreedyLoadBalancer
 from repro.recovery.baselines import (
@@ -30,12 +30,6 @@ from repro.recovery.planner import (
     plan_recovery,
     plan_recovery_streaming,
     plan_window,
-)
-from repro.recovery.selector import (
-    CarSelector,
-    build_solution,
-    iter_valid_rack_sets,
-    min_racks_needed,
 )
 from repro.recovery.regenerating import (
     PiggybackStrategy,
@@ -80,10 +74,6 @@ __all__ = [
     "LeastLoadedReplacementPolicy",
     "eligible_replacements",
     "with_replacement",
-    "CarSelector",
-    "build_solution",
-    "iter_valid_rack_sets",
-    "min_racks_needed",
     "MultiStripeSolution",
     "PerStripeSolution",
     "WeightedStripeSolution",

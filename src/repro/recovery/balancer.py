@@ -131,7 +131,10 @@ class GreedyLoadBalancer:
         initial: MultiStripeSolution,
         selector: CarSelector,
     ) -> tuple[MultiStripeSolution, BalanceTrace]:
-        """Balance an explicit multi-stripe solution.
+        """Balance an explicit multi-stripe solution over its views.
+
+        Kept for ``benchmarks/e2e/probes.py`` until the benchmark re-cut;
+        a solve calls :meth:`balance_racks`.
 
         Args:
             views: stripe_id -> :class:`StripeView` for every stripe in

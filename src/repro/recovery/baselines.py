@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import abc
 import functools
+import itertools
+import math
 import random
 
 import numpy as np
@@ -38,15 +40,9 @@ from repro.errors import (
     annotate_strategy,
 )
 from repro.recovery.balancer import BalanceTrace, GreedyLoadBalancer
-from repro.recovery.selector import (
-    CarSelector,
-    pick_racks,
-    racks_needed,
-    take_chunks,
-)
+from repro.recovery.selector import pick_racks, racks_needed, take_chunks
 from repro.recovery.solution import (
     MultiStripeSolution,
-    PerStripeSolution,
     SolutionColumns,
     balancing_rate,
 )
@@ -290,29 +286,45 @@ class EnumerationBalancedStrategy(RecoveryStrategy):
         self.combinations_tried = 0
 
     def solve(self, state: ClusterState) -> MultiStripeSolution:
-        failed_rack = _failure(state).failed_rack
-        selector = CarSelector(state.topology, state.code.k)
-        per_stripe: list[list[PerStripeSolution]] = [
-            selector.all_valid_solutions(v) for v in state.views()
-        ]
-        total = 1
-        for opts in per_stripe:
-            if not opts:
-                raise NoValidSolutionError("a stripe has no valid solution")
-            total *= len(opts)
+        k, failure = state.code.k, _failure(state)
+        failed = failure.failed_rack
+        # Each row's options: its valid d_j-rack sets (Section IV-B), in
+        # itertools.combinations order over its non-empty intact racks.
+        option_row, option_used, sizes = [], [], []
+        for i, (row, d) in enumerate(
+            zip(failure.counts.tolist(), racks_needed(failure, k).tolist())
+        ):
+            local = row[failed]
+            intact = [r for r, c in enumerate(row) if r != failed and c > 0]
+            sets = [
+                combo for combo in itertools.combinations(intact, d)
+                if local + sum(row[r] for r in combo) >= k
+            ]
+            sizes.append(len(sets))
+            for combo in sets:
+                option_row.append(i)
+                option_used.append([r in combo for r in range(len(row))])
+        total = math.prod(sizes)
         if total > self.max_combinations:
             raise RecoveryError(
                 f"enumeration space {total} exceeds {self.max_combinations}"
             )
+        options = failure.rows(np.array(option_row, dtype=np.intp))
+        columns = SolutionColumns.from_mask(
+            options, take_chunks(options, np.array(option_used), k)
+        )
         # Every combination's traffic vector, in itertools.product order:
         # the sum of its options' vectors (one chunk per intact rack read).
-        num_racks = state.topology.num_racks
+        num_racks = failure.num_racks
+        option = columns.racks_used(num_racks)
+        starts = np.cumsum([0] + sizes)
         traffic = np.zeros((1, num_racks), dtype=np.intp)
-        for opts in per_stripe:
-            option = SolutionColumns.from_solutions(opts).racks_used(num_racks)
-            traffic = (traffic[:, None] + option[None]).reshape(-1, num_racks)
+        for start, stop in zip(starts[:-1], starts[1:]):
+            traffic = (
+                traffic[:, None] + option[None, start:stop]
+            ).reshape(-1, num_racks)
         # balancing_rate of every row, the same float operations.
-        intact = np.delete(traffic, failed_rack, axis=1)
+        intact = np.delete(traffic, failed, axis=1)
         moved = intact.sum(axis=1)
         rate = np.ones(total)
         some = moved > 0
@@ -320,12 +332,10 @@ class EnumerationBalancedStrategy(RecoveryStrategy):
         # Lowest (λ, max traffic); lexsort is stable, so ties go to the
         # first combination found.
         best = np.lexsort((traffic.max(axis=1), rate))[0]
-        picks = np.unravel_index(best, [len(opts) for opts in per_stripe])
+        picks = starts[:-1] + np.array(np.unravel_index(best, sizes))
         self.combinations_tried = total
-        return MultiStripeSolution(
-            [opts[int(j)] for opts, j in zip(per_stripe, picks)],
-            num_racks=num_racks,
-            aggregated=True,
+        return MultiStripeSolution.from_columns(
+            columns.rows(picks), num_racks=num_racks, aggregated=True
         )
 
 

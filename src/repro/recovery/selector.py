@@ -18,17 +18,15 @@ chunks per rack.  Every step is an array operation over all rows:
 - :func:`substitutable` — Algorithm 2's step 8 validity test for every
   row at once.
 
-The per-stripe entry points — :func:`min_racks_needed`,
-:func:`build_solution` and :class:`CarSelector` — are the one-row case of
-these functions over a :class:`~repro.cluster.state.StripeView`.
-:func:`iter_valid_rack_sets` enumerates the valid-solution space of one
-stripe (Section IV-B).
+A single stripe is a one-row failure: a degraded read solves
+``failure_columns(stripes=[s])`` with the same functions.
+:class:`CarSelector` is the one per-stripe entry point left, for the
+benchmark harness.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -43,9 +41,6 @@ __all__ = [
     "pick_racks",
     "take_chunks",
     "substitutable",
-    "min_racks_needed",
-    "iter_valid_rack_sets",
-    "build_solution",
     "CarSelector",
 ]
 
@@ -209,83 +204,13 @@ def substitutable(
     )
 
 
-def _intact_counts(view: StripeView) -> list[tuple[int, int]]:
-    """(rack_id, surviving count) for intact racks with at least 1 chunk."""
-    return [
-        (rack, count)
-        for rack, count in enumerate(view.rack_counts)
-        if rack != view.failed_rack and count > 0
-    ]
-
-
-def min_racks_needed(view: StripeView, k: int) -> int:
-    """The paper's ``d_j`` (Theorem 1) for one stripe.
-
-    Raises:
-        NoValidSolutionError: if even all racks together hold fewer than
-            ``k`` survivors (the stripe is unrecoverable).
-    """
-    return int(racks_needed(FailureColumns.from_views([view]), k)[0])
-
-
-def iter_valid_rack_sets(view: StripeView, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield every valid set of ``d_j`` intact racks, as sorted tuples.
-
-    A rack set ``S`` (|S| = d_j) is valid iff
-    ``sum_{i in S} c_{i,j} + c'_{f,j} >= k`` (Section IV-B).
-    """
-    d = min_racks_needed(view, k)
-    if d == 0:
-        yield ()
-        return
-    local = view.rack_counts[view.failed_rack]
-    intact = _intact_counts(view)
-    for combo in itertools.combinations(intact, d):
-        if local + sum(c for _, c in combo) >= k:
-            yield tuple(sorted(rack for rack, _ in combo))
-
-
-def _one_row(
-    view: StripeView,
-    topology: ClusterTopology,
-    k: int,
-    used: np.ndarray,
-    failure: FailureColumns | None = None,
-) -> PerStripeSolution:
-    """The take rule's solution for one view and its racks-used row."""
-    if failure is None:
-        failure = FailureColumns.from_views([view], topology)
-    used = used.reshape(1, -1)
-    helper = take_chunks(failure, used, k)
-    return SolutionColumns.from_mask(failure, helper).solution(0)
-
-
-def build_solution(
-    view: StripeView,
-    rack_set: Sequence[int],
-    k: int,
-    topology: ClusterTopology,
-) -> PerStripeSolution:
-    """Materialise one stripe's solution for a chosen intact-rack set.
-
-    The one-row case of :func:`take_chunks`.
-
-    Raises:
-        RecoveryError: if the rack set lists the failed rack, cannot
-            supply ``k`` helpers, or is not minimal.
-    """
-    racks = list(rack_set)
-    if view.failed_rack in racks:
-        raise RecoveryError("rack set must contain intact racks only")
-    used = np.zeros(len(view.rack_counts), dtype=bool)
-    used[racks] = True
-    return _one_row(view, topology, k, used)
-
-
 class CarSelector:
-    """Per-stripe solution selection for CAR.
+    """One stripe's initial pick, from a :class:`StripeView`.
 
-    The one-row case of the column functions above.
+    Kept for ``benchmarks/e2e/probes.py`` until the benchmark re-cut:
+    every solve in the package — the repair, a re-plan, a degraded read —
+    runs the column functions above over
+    :meth:`~repro.cluster.state.ClusterState.failure_columns`.
 
     Args:
         topology: the cluster.
@@ -296,85 +221,9 @@ class CarSelector:
         self.topology = topology
         self.k = k
 
-    def min_racks(self, view: StripeView) -> int:
-        """Theorem 1's ``d_j`` for one stripe."""
-        return min_racks_needed(view, self.k)
-
-    def initial_solution(
-        self,
-        view: StripeView,
-        traffic_hint: Sequence[int] | None = None,
-    ) -> PerStripeSolution:
-        """Algorithm 2's step 2 pick for one stripe (:func:`pick_racks`).
-
-        With a ``traffic_hint`` (current per-rack cross-rack traffic),
-        equally-sized racks are taken least-loaded first, load being the
-        balancer's measure: traffic over the rack's uplink capacity.
-        """
+    def initial_solution(self, view: StripeView) -> PerStripeSolution:
+        """Algorithm 2's step 2 pick for one stripe (:func:`pick_racks`)."""
         failure = FailureColumns.from_views([view], self.topology)
-        uplink = None
-        if traffic_hint is not None:
-            uplink_for = self.topology.bandwidth.uplink_for
-            uplink = [uplink_for(r) for r in range(failure.num_racks)]
-        used = pick_racks(
-            failure, racks_needed(failure, self.k), traffic_hint, uplink
-        )
-        return _one_row(view, self.topology, self.k, used, failure)
-
-    def degraded_solution(
-        self,
-        view: StripeView,
-        dead_nodes: Iterable[int],
-        traffic_hint: Sequence[int] | None = None,
-    ) -> PerStripeSolution:
-        """Re-plan one stripe after secondary failures.
-
-        Removes chunks stored on ``dead_nodes`` from the view and runs
-        the normal Algorithm-2 initial pick on what is left, so the
-        returned solution is Theorem-1 minimal over the *surviving*
-        racks.  Raises :class:`NoValidSolutionError` if fewer than ``k``
-        chunks survive (data loss).
-        """
-        from repro.cluster.failure import degraded_view
-
-        return self.initial_solution(
-            degraded_view(view, dead_nodes, self.topology),
-            traffic_hint=traffic_hint,
-        )
-
-    def valid_rack_sets(self, view: StripeView) -> list[tuple[int, ...]]:
-        """All valid ``d_j``-sized intact-rack sets."""
-        return list(iter_valid_rack_sets(view, self.k))
-
-    def all_valid_solutions(self, view: StripeView) -> list[PerStripeSolution]:
-        """Materialised solutions for every valid rack set."""
-        return [
-            build_solution(view, rs, self.k, self.topology)
-            for rs in self.valid_rack_sets(view)
-        ]
-
-    def substitute(
-        self,
-        view: StripeView,
-        current: PerStripeSolution,
-        avoid_rack: int,
-        use_rack: int,
-    ) -> PerStripeSolution | None:
-        """Find ``R'_j``: same stripe, reads from ``use_rack`` not ``avoid_rack``.
-
-        The one-row case of :func:`substitutable`, then the take rule over
-        the new rack set.  Returns None if no such valid solution exists.
-        """
-        num_racks = len(view.rack_counts)
-        if not (0 <= avoid_rack < num_racks and 0 <= use_rack < num_racks):
-            return None
-        if view.failed_rack in (avoid_rack, use_rack):
-            return None
-        counts = np.array([view.rack_counts], dtype=np.intp)
-        used = np.zeros((1, num_racks), dtype=bool)
-        used[0, list(current.intact_racks_accessed)] = True
-        supply = counts[:, view.failed_rack] + counts[used].sum()
-        if not substitutable(counts, used, supply, avoid_rack, use_rack, self.k)[0]:
-            return None
-        used[0, [avoid_rack, use_rack]] = False, True
-        return _one_row(view, self.topology, self.k, used)
+        used = pick_racks(failure, racks_needed(failure, self.k))
+        helper = take_chunks(failure, used, self.k)
+        return SolutionColumns.from_mask(failure, helper).solution(0)

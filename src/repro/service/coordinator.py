@@ -53,8 +53,8 @@ from repro.errors import (
 from repro.gf.field import gf
 from repro.gf.vector import buffer_dtype
 from repro.obs.tracer import Tracer
-from repro.recovery.baselines import strategy_from_label
-from repro.recovery.selector import CarSelector
+from repro.recovery.baselines import CarStrategy, strategy_from_label
+from repro.recovery.solution import PerStripeSolution
 from repro.service.admission import AdmissionController
 from repro.service.heartbeat import FailureDetector, NodeHealth
 from repro.service.protocol import (
@@ -143,7 +143,6 @@ class Coordinator:
         self.repair_window = repair_window
         self.crash_after_records = crash_after_records
         self.tracer = tracer if tracer is not None else Tracer()
-        self.selector = CarSelector(state.topology, state.code.k)
         self._dtype = buffer_dtype(gf(state.code.w))
 
         self._server: FrameServer | None = None
@@ -452,29 +451,37 @@ class Coordinator:
         raise ServiceError(f"stripe {stripe}: no live node holds a chunk")
 
     async def _degraded_read(self, stripe: int):
-        """Rebuild the lost chunk from one partial per rack, CAR-style."""
-        view = self.state.stripe_view(stripe)
-        secondary = self.detector.dead_nodes() - {self.state.failed_node}
-        if secondary:
-            solution = self.selector.degraded_solution(view, secondary)
-        else:
-            solution = self.selector.initial_solution(view)
+        """Rebuild the lost chunk from one partial per rack, CAR-style.
+
+        The solve is a one-row failure: Algorithm 2's initial pick over
+        ``failure_columns(stripes=[stripe])``, with every node the
+        detector buried — and, on a re-plan, every helper lost inside
+        its lease — marked not alive.
+        """
+        dead = self.detector.dead_nodes() - {self.state.failed_node}
+        solution = self._solve_read(stripe, dead)
         try:
-            rebuilt = await self._decode_by_rack(view, solution)
+            rebuilt = await self._decode_by_rack(solution)
         except _HelpersLost as lost:
             # A helper died inside its lease (the detector has not
             # buried it yet): plan once more around that request's nodes.
             self.tracer.event(
                 "service.read.replan", stripe=stripe, nodes=sorted(lost.nodes)
             )
-            solution = self.selector.degraded_solution(
-                view, secondary | lost.nodes
-            )
-            rebuilt = await self._decode_by_rack(view, solution)
+            solution = self._solve_read(stripe, dead | lost.nodes)
+            rebuilt = await self._decode_by_rack(solution)
         racks = len(solution.intact_racks_accessed)
-        return rebuilt, view.lost_chunk, True, racks
+        return rebuilt, solution.lost_chunk, True, racks
 
-    async def _decode_by_rack(self, view, solution) -> bytearray:
+    def _solve_read(self, stripe: int, dead) -> PerStripeSolution:
+        """The read's helpers: CAR's initial pick over the stripe's row
+        (Algorithm 2 has nothing to move in a single row)."""
+        failure = self.state.failure_columns(dead_nodes=dead, stripes=[stripe])
+        return CarStrategy(load_balance=False).solve_failure(
+            self.state.topology, self.state.code.k, failure
+        ).solutions[0]
+
+    async def _decode_by_rack(self, solution) -> bytearray:
         """One ``partial-decode`` per rack of ``solution``, XORed together.
 
         Raises:
@@ -483,11 +490,11 @@ class Coordinator:
                 one chunk per intact rack the solution planned.
         """
         plan = split_repair_vector(
-            self.state.code, view.lost_chunk, solution.helpers,
+            self.state.code, solution.lost_chunk, solution.helpers,
             solution.rack_map(),
         )
         partials = await asyncio.gather(
-            *(self._partial(view, group) for group in plan.groups),
+            *(self._partial(solution.stripe_id, g) for g in plan.groups),
             return_exceptions=True,
         )
         failures = [p for p in partials if isinstance(p, BaseException)]
@@ -507,8 +514,8 @@ class Coordinator:
         )
         if cross != planned:
             raise ServiceError(
-                f"stripe {view.stripe_id}: {cross} cross-rack bytes arrived, "
-                f"the solution planned {planned}"
+                f"stripe {solution.stripe_id}: {cross} cross-rack bytes "
+                f"arrived, the solution planned {planned}"
             )
         self.wire_cross_rack_bytes += cross
         rebuilt = partials[0][1]
@@ -517,9 +524,10 @@ class Coordinator:
             np.bitwise_xor(acc, np.frombuffer(blob, dtype=np.uint8), out=acc)
         return rebuilt
 
-    async def _partial(self, view, group) -> tuple[int, bytearray]:
+    async def _partial(self, stripe: int, group) -> tuple[int, bytearray]:
         """``(rack, partial)`` as one rack's delegate answered it."""
-        nodes = [view.surviving[c] for c in group.helper_indices]
+        table = self.state.placement.node_table()
+        nodes = table[stripe, list(group.helper_indices)].tolist()
         servers = [self.detector.server_of(n) for n in nodes]
         # The delegate's daemon hosts as much of the group as any does;
         # what it does not host, it pulls from its rack-mates.
@@ -527,7 +535,7 @@ class Coordinator:
         delegate = nodes[servers.index(home)]
         request = {
             "type": MsgType.PARTIAL_DECODE,
-            "stripe": view.stripe_id,
+            "stripe": stripe,
             "w": self.state.code.w,
             "delegate": delegate,
             "helpers": list(
@@ -549,7 +557,7 @@ class Coordinator:
             # A refusal that names the node it could not read costs the
             # next plan that node, not the whole group.
             raise _HelpersLost(
-                f"stripe {view.stripe_id}: {reply.get('error', reply['type'])}",
+                f"stripe {stripe}: {reply.get('error', reply['type'])}",
                 reply.get("nodes") or nodes,
             )
         return reply["rack"], blob

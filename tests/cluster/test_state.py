@@ -270,6 +270,37 @@ class TestFailures:
             small_state.fail_node(999)
 
 
+class TestFailureColumnsRows:
+    def test_one_row_is_the_full_failure_row(self, failed_state):
+        full = failed_state.failure_columns(dead_nodes={5})
+        for i, stripe in enumerate(full.stripe_id.tolist()):
+            one = failed_state.failure_columns(dead_nodes={5}, stripes=[stripe])
+            assert one.stripe_id.tolist() == [stripe]
+            for name in ("lost_chunk", "chunk_rack", "alive", "counts"):
+                assert np.array_equal(
+                    getattr(one, name), getattr(full, name)[[i]]
+                ), name
+
+    @pytest.mark.parametrize("stripe", [-1, 20, 10**6])
+    def test_unplaced_stripe_rejected(self, failed_state, stripe):
+        with pytest.raises(UnknownChunkError, match=f"stripe {stripe}"):
+            failed_state.failure_columns(stripes=[stripe])
+        # A KeyError too, as a missing placement always was.
+        with pytest.raises(KeyError):
+            failed_state.placement.stripe_layout(stripe)
+
+    def test_duplicate_stripe_rejected(self, failed_state):
+        stripe = failed_state.affected_stripes()[0]
+        with pytest.raises(UnknownChunkError, match="requested twice"):
+            failed_state.failure_columns(stripes=[stripe, stripe])
+
+    def test_unaffected_stripe_rejected(self, failed_state):
+        affected = set(failed_state.affected_stripes())
+        spare = next(s for s in range(20) if s not in affected)
+        with pytest.raises(UnknownChunkError, match="has no chunk on node"):
+            failed_state.failure_columns(stripes=[spare])
+
+
 class TestStripeView:
     def test_requires_failure(self, small_state):
         with pytest.raises(NoFailureError):
@@ -299,13 +330,20 @@ class TestStripeView:
                 small_state.stripe_view(unaffected[0])
 
     def test_chunks_in_rack(self, failed_state):
-        view = failed_state.views()[0]
+        """A row's alive chunks per rack are its counts, and each sits
+        on a node of that rack."""
+        failure = failed_state.failure_columns()
         topo = failed_state.topology
+        stripe = int(failure.stripe_id[0])
         for rack in range(topo.num_racks):
-            chunks = view.chunks_in_rack(rack, topo)
-            assert len(chunks) == view.rack_counts[rack]
+            chunks = [
+                c for c in range(failed_state.code.n)
+                if failure.alive[0, c] and failure.chunk_rack[0, c] == rack
+            ]
+            assert len(chunks) == failure.counts[0, rack]
             for c in chunks:
-                assert topo.rack_of(view.surviving[c]) == rack
+                node = failed_state.placement.node_of(stripe, c)
+                assert topo.rack_of(node) == rack
 
     def test_failed_rack_counts_exclude_lost_chunk(self, rs63):
         """c'_{f,j} = c_{f,j} - 1 when the failed node held a chunk (Eq. 1)."""

@@ -149,9 +149,8 @@ class TestDegradationLadder:
                 assert state.placement.node_of(sol.stripe_id, chunk) != dead
 
     def test_replan_preserves_rack_minimality_over_survivors(self):
-        """Theorem 1 must hold on the degraded views, not the originals."""
-        from repro.cluster.failure import degraded_view
-        from repro.recovery.selector import min_racks_needed
+        """Theorem 1 must hold over the survivors, not the originals."""
+        from repro.recovery.selector import racks_needed
 
         state, event = build()
         r = recover_with_faults(
@@ -164,11 +163,10 @@ class TestDegradationLadder:
         assert r.replans == 1
         k = state.code.k
         for sol in r.final_solution.solutions:
-            view = degraded_view(
-                state.stripe_view(sol.stripe_id), r.dead_nodes,
-                state.topology,
+            row = state.failure_columns(
+                dead_nodes=r.dead_nodes, stripes=[sol.stripe_id]
             )
-            assert sol.num_intact_racks == min_racks_needed(view, k)
+            assert sol.num_intact_racks == racks_needed(row, k)[0]
             assert sol.helper_count == k
 
     def test_replan_weighs_racks_by_their_uplinks(self):

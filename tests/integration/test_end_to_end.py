@@ -20,7 +20,7 @@ from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
 from repro.recovery.executor import PlanExecutor
 from repro.recovery.metrics import reduction_ratio, traffic_report
 from repro.recovery.planner import plan_recovery
-from repro.recovery.selector import min_racks_needed
+from repro.recovery.selector import racks_needed
 from repro.sim.recovery_sim import RecoverySimulator
 
 MB = 1 << 20
@@ -90,7 +90,7 @@ class TestFullPipeline:
         byte-exact, and λ >= 1."""
         state, event = build(seed, (4, 3, 3, 3), 6, 3, stripes=10)
         car = CarStrategy().solve(state)
-        expected = sum(min_racks_needed(v, 6) for v in state.views())
+        expected = int(racks_needed(state.failure_columns(), 6).sum())
         assert car.total_cross_rack_traffic() == expected
         assert car.load_balancing_rate() >= 1.0
         plan = plan_recovery(state, event, car)

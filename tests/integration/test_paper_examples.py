@@ -12,12 +12,16 @@ has λ = 16/9; one Algorithm 2 substitution (A2 → A3) lowers it to
 λ = 12/9.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 
-from repro.cluster.state import StripeView
+from repro.cluster.state import FailureColumns, StripeView
 from repro.cluster.topology import ClusterTopology
+from repro.errors import RecoveryError
 from repro.recovery.balancer import GreedyLoadBalancer
-from repro.recovery.selector import CarSelector, iter_valid_rack_sets, min_racks_needed
+from repro.recovery.selector import CarSelector, racks_needed, take_chunks
 from repro.recovery.solution import MultiStripeSolution, PerStripeSolution
 
 K = 8  # the running example's (k=8, m=6) RS code
@@ -39,6 +43,29 @@ def view_with_counts(counts, failed_rack, topology, stripe_id=0):
         surviving=surviving,
         rack_counts=tuple(counts),
         failed_rack=failed_rack,
+    )
+
+
+def row_with_counts(counts, failed_rack):
+    """A one-row failure with ``counts[i]`` survivors in rack ``i``."""
+    racks = [r for r, c in enumerate(counts) for _ in range(c)]
+    alive = np.ones((1, len(racks) + 1), dtype=bool)
+    alive[0, -1] = False
+    return FailureColumns(
+        stripe_id=np.zeros(1, dtype=np.intp),
+        lost_chunk=np.array([len(racks)], dtype=np.intp),
+        chunk_rack=np.array([racks + [failed_rack]], dtype=np.intp),
+        alive=alive,
+        counts=np.array([counts], dtype=np.intp),
+        failed_rack=failed_rack,
+    )
+
+
+def chunks_in_rack(view, rack, topology):
+    """A view's surviving chunk indices stored in ``rack``, ascending."""
+    return sorted(
+        c for c, node in view.surviving.items()
+        if topology.rack_of(node) == rack
     )
 
 
@@ -86,12 +113,20 @@ class TestFigure4:
     """Theorem 1's worked example."""
 
     def test_d_is_two(self, figure1_topology):
-        view = view_with_counts([3, 1, 3, 2, 4], 0, figure1_topology)
-        assert min_racks_needed(view, K) == 2
+        row = row_with_counts([3, 1, 3, 2, 4], 0)
+        assert racks_needed(row, K)[0] == 2
 
     def test_valid_sets_match_paper(self, figure1_topology):
-        view = view_with_counts([3, 1, 3, 2, 4], 0, figure1_topology)
-        sets = set(iter_valid_rack_sets(view, K))
+        row = row_with_counts([3, 1, 3, 2, 4], 0)
+        sets = set()
+        for combo in itertools.combinations(range(1, 5), 2):
+            used = np.zeros((1, 5), dtype=bool)
+            used[0, list(combo)] = True
+            try:
+                take_chunks(row, used, K)
+            except RecoveryError:
+                continue
+            sets.add(combo)
         # The paper names {A3, A5} (i.e. racks 2 and 4) and {A3, A4}
         # (racks 2 and 3); Equation 2 also admits {A2, A5} (1 + 4 + 3 =
         # 8) and {A4, A5}.
@@ -130,12 +165,12 @@ class TestFigure6:
             views[stripe_id] = view
             chunks_by_rack = {}
             # local chunks first
-            chunks = view.chunks_in_rack(0, figure1_topology)
+            chunks = chunks_in_rack(view, 0, figure1_topology)
             need = K - len(chunks)
             chunks_by_rack[0] = tuple(chunks)
             for rack in racks:
                 take = min(counts[rack], need)
-                rack_chunks = view.chunks_in_rack(rack, figure1_topology)
+                rack_chunks = chunks_in_rack(view, rack, figure1_topology)
                 chunks_by_rack[rack] = tuple(rack_chunks[:take])
                 need -= take
             assert need == 0

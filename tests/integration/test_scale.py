@@ -18,7 +18,7 @@ from repro.erasure.rs import RSCode
 from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
 from repro.recovery.executor import PlanExecutor
 from repro.recovery.planner import plan_recovery
-from repro.recovery.selector import min_racks_needed
+from repro.recovery.selector import racks_needed
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +37,8 @@ class TestBigCluster:
         solution = CarStrategy(iterations=100).solve(big_cluster)
         elapsed = time.monotonic() - start
         assert elapsed < 5.0  # planning, not data movement
-        assert solution.total_cross_rack_traffic() == sum(
-            min_racks_needed(v, 12) for v in big_cluster.views()
+        assert solution.total_cross_rack_traffic() == int(
+            racks_needed(big_cluster.failure_columns(), 12).sum()
         )
 
     def test_traffic_savings_hold_at_scale(self, big_cluster):

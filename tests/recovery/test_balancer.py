@@ -10,7 +10,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.erasure.rs import RSCode
 from repro.errors import RecoveryError
 from repro.recovery.balancer import BalanceTrace, GreedyLoadBalancer
-from repro.recovery.selector import CarSelector
+from repro.recovery.selector import CarSelector, racks_needed
 from repro.recovery.solution import MultiStripeSolution
 
 
@@ -147,8 +147,8 @@ class TestBalancer:
             views, initial, selector
         )
         for sol in balanced.solutions:
-            view = views[sol.stripe_id]
-            assert sol.num_intact_racks == selector.min_racks(view)
+            row = state.failure_columns(stripes=[sol.stripe_id])
+            assert sol.num_intact_racks == racks_needed(row, state.code.k)[0]
             assert sol.helper_count == state.code.k
 
     def test_missing_view_raises(self):

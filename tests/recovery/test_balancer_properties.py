@@ -15,7 +15,7 @@ from repro.cluster.state import ClusterState
 from repro.cluster.topology import ClusterTopology
 from repro.erasure.rs import RSCode
 from repro.recovery.balancer import GreedyLoadBalancer
-from repro.recovery.selector import CarSelector, min_racks_needed
+from repro.recovery.selector import CarSelector, racks_needed
 from repro.recovery.solution import MultiStripeSolution
 
 
@@ -100,7 +100,8 @@ class TestAlgorithm2Properties:
                 start.chunks_from_rack(start.failed_rack)
             )
             # Theorem-1 minimality (d_j) is preserved by every swap.
-            assert sol.num_intact_racks == min_racks_needed(view, k)
+            row = state.failure_columns(stripes=[sol.stripe_id])
+            assert sol.num_intact_racks == racks_needed(row, k)[0]
 
     @settings(max_examples=200, deadline=None)
     @given(failed_clusters())

@@ -17,7 +17,7 @@ from repro.recovery.baselines import (
     RandomAggregatedStrategy,
     RandomRecoveryStrategy,
 )
-from repro.recovery.selector import CarSelector, min_racks_needed
+from repro.recovery.selector import racks_needed
 
 
 def failed_cluster(seed=0, stripes=20, racks=(4, 3, 3, 3), k=6, m=3):
@@ -40,8 +40,8 @@ class TestCarStrategy:
         the sum of the per-stripe minimum rack counts d_j."""
         state = failed_cluster(seed=4)
         sol = CarStrategy().solve(state)
-        expected = sum(
-            min_racks_needed(v, state.code.k) for v in state.views()
+        expected = int(
+            racks_needed(state.failure_columns(), state.code.k).sum()
         )
         assert sol.total_cross_rack_traffic() == expected
 

@@ -8,48 +8,43 @@ exactly ``k`` chunks.
 
 import itertools
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.state import StripeView
-from repro.cluster.topology import ClusterTopology
-from repro.recovery.selector import (
-    CarSelector,
-    build_solution,
-    iter_valid_rack_sets,
-    min_racks_needed,
-)
+from repro.cluster.state import FailureColumns
+from repro.errors import RecoveryError
+from repro.recovery.selector import pick_racks, racks_needed, take_chunks
+from repro.recovery.solution import SolutionColumns
 
 
-def make_view(rack_counts, failed_rack=0):
-    """A synthetic view with ``rack_counts[i]`` survivors in rack ``i``."""
-    topo = ClusterTopology.from_rack_sizes([max(1, c) for c in rack_counts])
-    surviving = {}
-    chunk = 0
-    for rack, count in enumerate(rack_counts):
-        nodes = topo.nodes_in_rack(rack)
-        for i in range(count):
-            surviving[chunk] = nodes[i]
-            chunk += 1
-    view = StripeView(
-        stripe_id=0,
-        lost_chunk=sum(rack_counts),
-        surviving=surviving,
-        rack_counts=tuple(rack_counts),
+def make_failure(rack_counts, failed_rack=0):
+    """A one-row failure with ``rack_counts[i]`` survivors in rack ``i``
+    (numbered densely rack by rack; the lost chunk comes last)."""
+    racks = [r for r, c in enumerate(rack_counts) for _ in range(c)]
+    alive = np.ones((1, len(racks) + 1), dtype=bool)
+    alive[0, -1] = False
+    return FailureColumns(
+        stripe_id=np.zeros(1, dtype=np.intp),
+        lost_chunk=np.array([len(racks)], dtype=np.intp),
+        chunk_rack=np.array([racks + [failed_rack]], dtype=np.intp),
+        alive=alive,
+        counts=np.array([rack_counts], dtype=np.intp),
         failed_rack=failed_rack,
     )
-    return view, topo
 
 
-def brute_force_min_racks(view: StripeView, k: int) -> int:
+def solve_row(failure, used, k):
+    """The take rule's solution for one row's racks-used mask."""
+    helper = take_chunks(failure, used, k)
+    return SolutionColumns.from_mask(failure, helper).solution(0), helper
+
+
+def brute_force_min_racks(counts, failed_rack, k: int) -> int:
     """Smallest intact-rack subset that, with the local survivors,
     reaches ``k`` chunks — by trying every subset size in order."""
-    local = view.rack_counts[view.failed_rack]
-    intact = [
-        c
-        for rack, c in enumerate(view.rack_counts)
-        if rack != view.failed_rack
-    ]
+    local = counts[failed_rack]
+    intact = [c for rack, c in enumerate(counts) if rack != failed_rack]
     for d in range(len(intact) + 1):
         for combo in itertools.combinations(intact, d):
             if local + sum(combo) >= k:
@@ -58,59 +53,65 @@ def brute_force_min_racks(view: StripeView, k: int) -> int:
 
 
 @st.composite
-def feasible_views(draw):
+def feasible_rows(draw):
     num_racks = draw(st.integers(2, 6))
     counts = [draw(st.integers(0, 6)) for _ in range(num_racks)]
     failed_rack = draw(st.integers(0, num_racks - 1))
     k = draw(st.integers(1, 12))
     assume(sum(counts) >= k)
-    view, topo = make_view(counts, failed_rack=failed_rack)
-    return view, topo, k
+    return counts, failed_rack, k
 
 
 class TestTheorem1Properties:
     @settings(max_examples=200, deadline=None)
-    @given(feasible_views())
+    @given(feasible_rows())
     def test_d_j_matches_brute_force(self, case):
-        view, _, k = case
-        assert min_racks_needed(view, k) == brute_force_min_racks(view, k)
+        counts, failed, k = case
+        d = int(racks_needed(make_failure(counts, failed), k)[0])
+        assert d == brute_force_min_racks(counts, failed, k)
 
     @settings(max_examples=200, deadline=None)
-    @given(feasible_views())
+    @given(feasible_rows())
     def test_every_valid_rack_set_supplies_k_chunks(self, case):
-        view, topo, k = case
-        d = min_racks_needed(view, k)
-        rack_sets = list(iter_valid_rack_sets(view, k))
-        assert rack_sets, "at least one valid rack set must exist"
-        local = view.rack_counts[view.failed_rack]
-        for rack_set in rack_sets:
-            assert len(rack_set) == d
-            available = local + sum(view.rack_counts[r] for r in rack_set)
-            assert available >= k
-            sol = build_solution(view, rack_set, k, topo)
+        counts, failed, k = case
+        failure = make_failure(counts, failed)
+        d = int(racks_needed(failure, k)[0])
+        local = counts[failed]
+        intact = [r for r in range(len(counts)) if r != failed]
+        valid = 0
+        for rack_set in itertools.combinations(intact, d):
+            used = np.zeros((1, len(counts)), dtype=bool)
+            used[0, list(rack_set)] = True
+            available = local + sum(counts[r] for r in rack_set)
+            if available < k:
+                # The take rule refuses a set that cannot reach k.
+                try:
+                    solve_row(failure, used, k)
+                except RecoveryError:
+                    continue
+                raise AssertionError(f"{rack_set} accepted short of k")
+            valid += 1
+            sol, helper = solve_row(failure, used, k)
             assert sol.helper_count == k
             assert sol.num_intact_racks == d
-            # Helpers must be real survivors on real nodes.
-            for chunk in sol.helpers:
-                assert chunk in view.surviving
+            # Helpers must be real survivors.
+            assert not (helper & ~failure.alive).any()
+        assert valid, "at least one valid rack set must exist"
 
     @settings(max_examples=200, deadline=None)
-    @given(feasible_views())
+    @given(feasible_rows())
     def test_initial_solution_is_minimal_and_complete(self, case):
-        view, topo, k = case
-        selector = CarSelector(topo, k)
-        sol = selector.initial_solution(view)
+        counts, failed, k = case
+        failure = make_failure(counts, failed)
+        used = pick_racks(failure, racks_needed(failure, k))
+        sol, helper = solve_row(failure, used, k)
         assert sol.helper_count == k
-        assert sol.num_intact_racks == brute_force_min_racks(view, k)
-        assert set(sol.helpers) <= set(view.surviving)
+        assert sol.num_intact_racks == brute_force_min_racks(counts, failed, k)
+        assert not (helper & ~failure.alive).any()
         # No solution over any rack subset can touch fewer intact racks.
         for d in range(sol.num_intact_racks):
-            local = view.rack_counts[view.failed_rack]
-            intact = [
-                c
-                for rack, c in enumerate(view.rack_counts)
-                if rack != view.failed_rack
-            ]
+            local = counts[failed]
+            intact = [c for rack, c in enumerate(counts) if rack != failed]
             assert all(
                 local + sum(combo) < k
                 for combo in itertools.combinations(intact, d)

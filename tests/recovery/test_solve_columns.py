@@ -30,7 +30,6 @@ from repro.recovery import solution as solution_module
 from repro.recovery.baselines import CarStrategy
 from repro.recovery.executor import PlanExecutor
 from repro.recovery.planner import plan_recovery_streaming
-from repro.recovery.selector import iter_valid_rack_sets
 from repro.recovery.solution import PerStripeSolution, balancing_rate
 
 
@@ -319,11 +318,17 @@ class TestColumnsMatchTheReference:
         k = state.code.k
         for stripe, view in views.items():
             mine = sol.solution_for(stripe)
-            valid = list(iter_valid_rack_sets(view, k))
+            local = view.rack_counts[view.failed_rack]
+            valid = [
+                combo
+                for combo in itertools.combinations(
+                    [r for r, _ in ref_intact(view)], ref_min_racks(view, k)
+                )
+                if local + sum(view.rack_counts[r] for r in combo) >= k
+            ]
             assert mine.intact_racks_accessed in valid
             assert mine.helper_count == k
             # No smaller rack set reaches k: d_j is the minimum.
-            local = view.rack_counts[view.failed_rack]
             if mine.num_intact_racks:
                 assert not any(
                     local + sum(view.rack_counts[r] for r in combo) >= k
@@ -332,6 +337,58 @@ class TestColumnsMatchTheReference:
                         mine.num_intact_racks - 1,
                     )
                 )
+
+
+@st.composite
+def one_row_reads(draw):
+    config = draw(st.sampled_from([CFS1, CFS2, CFS3]))
+    seed = draw(st.integers(0, 10_000))
+    state = build_state(
+        config, seed, num_stripes=draw(st.integers(1, 40)),
+        placement_policy=draw(st.sampled_from(["random", "rack_aligned"])),
+    )
+    event = FailureInjector(rng=seed).fail_random_node(state)
+    others = [
+        n.node_id for n in state.topology.nodes
+        if n.node_id != event.failed_node
+    ]
+    dead = frozenset(
+        draw(st.lists(st.sampled_from(others), max_size=2, unique=True))
+    )
+    return state, dead
+
+
+class TestOneRowSolve:
+    """A degraded read's solve: one stripe's row, dead helpers masked."""
+
+    @settings(deadline=None)
+    @given(one_row_reads())
+    def test_one_row_matches_the_reference_initial_pick(self, case):
+        state, dead = case
+        topo, k = state.topology, state.code.k
+        for view in ref_views(state, dead):
+            stripe = view.stripe_id
+            try:
+                expected, expected_error = ref_initial(view, k, topo), None
+            except NoValidSolutionError as exc:
+                expected, expected_error = None, str(exc)
+            failure = state.failure_columns(dead_nodes=dead, stripes=[stripe])
+            if expected_error is not None:
+                with pytest.raises(NoValidSolutionError) as raised:
+                    CarStrategy(load_balance=False).solve_failure(
+                        topo, k, failure
+                    )
+                assert str(raised.value) == expected_error
+                continue
+            sol = CarStrategy(load_balance=False).solve_failure(
+                topo, k, failure
+            )
+            assert sol.stripe_ids() == (stripe,)
+            mine = sol.solution_for(stripe)
+            assert list(mine.chunks_by_rack.items()) == list(
+                expected.chunks_by_rack.items()
+            )
+            assert mine == expected
 
 
 def _selector_metrics(reg):

@@ -42,7 +42,6 @@ from repro.recovery.baselines import (
 )
 from repro.recovery.lrc import LrcLocalRecoveryStrategy, lrc_groups_for_placement
 from repro.recovery.regenerating import PiggybackStrategy, RackAwareMSRStrategy
-from repro.recovery.selector import CarSelector
 from repro.recovery.solution import PerStripeSolution, WeightedStripeSolution
 
 
@@ -54,6 +53,14 @@ def ref_views(state):
     if not views:
         raise NoValidSolutionError("the failed node stored no chunks")
     return views
+
+
+def ref_members(state, view):
+    """rack -> the view's surviving chunk indices there, ascending."""
+    members = {}
+    for c, node in sorted(view.surviving.items()):
+        members.setdefault(state.topology.rack_of(node), []).append(c)
+    return members
 
 
 def ref_group(state, view, helpers):
@@ -106,7 +113,7 @@ def ref_msr(state):
     dbar, beta = 2 * kbar - 2, 1.0 / (kbar - 1)
     running, out = [0.0] * num_racks, []
     for view in views:
-        members = view.rack_members(state.topology)
+        members = ref_members(state, view)
         candidates = [
             r for r, cs in members.items() if r != view.failed_rack and cs
         ]
@@ -192,9 +199,42 @@ def ref_lambda(traffic, failed_rack):
     return max(intact) / (total / len(intact))
 
 
+def ref_valid_solutions(state, view):
+    """Every valid ``d_j``-rack set's solution (Section IV-B), in
+    combination order over the non-empty intact racks: the failed rack's
+    survivors first, then the set's racks largest first, lowest chunk ids
+    first, until ``k`` are taken."""
+    k, failed, counts = state.code.k, view.failed_rack, view.rack_counts
+    members = ref_members(state, view)
+    local = counts[failed]
+    intact = [r for r, c in enumerate(counts) if r != failed and c > 0]
+    largest = sorted((counts[r] for r in intact), reverse=True)
+    d = next(
+        d for d in range(len(intact) + 1) if local + sum(largest[:d]) >= k
+    )
+    out = []
+    for combo in itertools.combinations(intact, d):
+        if local + sum(counts[r] for r in combo) < k:
+            continue
+        by_rack, need = {}, k
+        for rack in [failed] + sorted(combo, key=lambda r: (-counts[r], r)):
+            take = members.get(rack, [])[:need]
+            if take:
+                by_rack[rack] = tuple(take)
+                need -= len(take)
+        out.append(
+            PerStripeSolution(
+                stripe_id=view.stripe_id,
+                lost_chunk=view.lost_chunk,
+                failed_rack=failed,
+                chunks_by_rack=by_rack,
+            )
+        )
+    return out
+
+
 def ref_enumeration(state, limit):
-    selector = CarSelector(state.topology, state.code.k)
-    options = [selector.all_valid_solutions(v) for v in ref_views(state)]
+    options = [ref_valid_solutions(state, v) for v in ref_views(state)]
     total = 1
     for opts in options:
         if not opts:

@@ -19,8 +19,12 @@ from repro.errors import ConfigurationError, RecoveryError
 from repro.experiments.configs import ALL_CFS
 from repro.recovery.balancer import GreedyLoadBalancer
 from repro.recovery.baselines import CarStrategy
-from repro.recovery.selector import CarSelector
-from repro.recovery.solution import MultiStripeSolution, balancing_rate
+from repro.recovery.selector import CarSelector, racks_needed
+from repro.recovery.solution import (
+    MultiStripeSolution,
+    PerStripeSolution,
+    balancing_rate,
+)
 
 SLOW_A2 = (1.0, 0.25, 1.0, 1.0)  # rack A2 has a quarter-speed uplink
 
@@ -59,6 +63,41 @@ def picks(solution):
     return [dict(s.chunks_by_rack) for s in solution.solutions]
 
 
+def reference_substitute(view, sol, avoid, use, k, topology):
+    """The per-stripe substitute: ``sol``'s intact racks with ``avoid``
+    swapped for ``use``, chunks re-taken by the take rule (failed rack
+    first, then largest racks first, lowest chunk ids first); None if
+    the swap is not possible or cannot reach ``k``."""
+    failed, counts = view.failed_rack, view.rack_counts
+    if failed in (avoid, use) or not 0 <= use < len(counts):
+        return None
+    if avoid not in sol.chunks_by_rack or use in sol.chunks_by_rack:
+        return None
+    racks = [r for r in sol.intact_racks_accessed if r != avoid] + [use]
+    if counts[use] == 0 or counts[failed] + sum(counts[r] for r in racks) < k:
+        return None
+
+    def members(rack):
+        return sorted(
+            c for c, node in view.surviving.items()
+            if topology.rack_of(node) == rack
+        )
+
+    by_rack, need = {}, k
+    for rack in [failed] + sorted(racks, key=lambda r: (-counts[r], r)):
+        take = members(rack)[:need]
+        if take:
+            by_rack[rack] = tuple(take)
+            need -= len(take)
+    assert need == 0 and len(by_rack) - (failed in by_rack) == len(racks)
+    return PerStripeSolution(
+        stripe_id=view.stripe_id,
+        lost_chunk=view.lost_chunk,
+        failed_rack=failed,
+        chunks_by_rack=by_rack,
+    )
+
+
 def reference_equation8(views, initial, selector, iterations):
     """Algorithm 2 as the paper prints it: integer counts, no capacities."""
     current, substitutions = initial, 0
@@ -76,8 +115,9 @@ def reference_equation8(views, initial, selector, iterations):
                 new
                 for i_rack in targets
                 for sol in current.solutions
-                if (new := selector.substitute(
-                    views[sol.stripe_id], sol, l_rack, i_rack
+                if (new := reference_substitute(
+                    views[sol.stripe_id], sol, l_rack, i_rack, selector.k,
+                    selector.topology,
                 ))
             ),
             None,
@@ -237,10 +277,9 @@ class TestHeterogeneous:
             out.total_cross_rack_traffic()
             == initial.total_cross_rack_traffic()
         )
-        for sol in out.solutions:
-            assert sol.num_intact_racks == selector.min_racks(
-                views[sol.stripe_id]
-            )
+        d = racks_needed(state.failure_columns(), selector.k)
+        for sol, d_j in zip(out.solutions, d.tolist()):
+            assert sol.num_intact_racks == d_j
 
     def test_slow_rack_gets_less_traffic_than_unweighted(self):
         """The point of reading the uplinks: the quarter-speed one ends

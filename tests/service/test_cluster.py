@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.errors import ConfigurationError, NoValidSolutionError
+from repro.errors import ConfigurationError, NoValidSolutionError, ServiceError
 from repro.obs.tracer import validate_events
 from repro.recovery.baselines import CarStrategy
 from repro.service.bench import run_bench_service
@@ -60,6 +60,30 @@ class TestHealthyReads:
                 assert not reply["degraded"]
                 assert reply["data"] == cluster.state.data.chunk(
                     0, reply["chunk"]
+                ).tobytes()
+                await client.close()
+            finally:
+                await cluster.stop()
+
+        asyncio.run(drill())
+
+    def test_a_read_of_an_unplaced_stripe_is_an_error_reply(self, tmp_path):
+        """An unknown stripe id is refused with an ERROR frame; the
+        connection stays up and serves the next read."""
+        async def drill():
+            cluster = make_cluster(tmp_path)
+            await cluster.start()
+            try:
+                client = await cluster.client()
+                for stripe in (10**6, -1):
+                    with pytest.raises(
+                        ServiceError, match=f"no placement for stripe {stripe}"
+                    ):
+                        await client.read(stripe)
+                reply = await client.read(3)
+                assert reply["ok"]
+                assert reply["data"] == cluster.state.data.chunk(
+                    3, reply["chunk"]
                 ).tobytes()
                 await client.close()
             finally:

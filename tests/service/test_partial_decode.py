@@ -23,6 +23,7 @@ from repro.erasure.repair import (
 )
 from repro.errors import ServiceError
 from repro.experiments.configs import ALL_CFS, config_by_name
+from repro.recovery.baselines import CarStrategy
 from repro.recovery.metrics import traffic_report
 from repro.recovery.selector import CarSelector
 from repro.recovery.solution import MultiStripeSolution
@@ -341,9 +342,10 @@ class TestHelperLostInsideItsLease:
             assert reply["data"] == state.data.chunk(
                 stripe, view.lost_chunk
             ).tobytes()
-            replanned = CarSelector(topo, state.code.k).degraded_solution(
-                view, {second}
-            )
+            replanned = CarStrategy(load_balance=False).solve_failure(
+                topo, state.code.k,
+                state.failure_columns(dead_nodes={second}, stripes=[stripe]),
+            ).solution_for(stripe)
             assert reply["racks"] == len(replanned.intact_racks_accessed)
             replans = [
                 e for e in cluster.all_events()
