@@ -21,11 +21,9 @@ from repro.recovery.replacement import (
     with_replacement,
 )
 from repro.recovery.planner import (
-    ComputeTask,
     RecoveryPlan,
     StreamingRecoveryPlan,
     StripePlan,
-    Transfer,
     WindowPlan,
     plan_recovery,
     plan_recovery_streaming,
@@ -59,11 +57,9 @@ __all__ = [
     "TrafficReport",
     "traffic_report",
     "reduction_ratio",
-    "ComputeTask",
     "RecoveryPlan",
     "StreamingRecoveryPlan",
     "StripePlan",
-    "Transfer",
     "WindowPlan",
     "plan_recovery",
     "plan_recovery_streaming",

@@ -30,10 +30,10 @@ trace events and journal records here; the fault-injection layer
 (:mod:`repro.faults`) overrides it to crash helpers, stall disks, or
 drop flows at exactly that point.  With no tracer, journal, integrity
 check or overriding subclass every event would be a no-op, so the walk
-is skipped — and so are the stripe's :class:`Transfer` objects, which
-only the walk reads (its row of the window,
-:meth:`~repro.recovery.planner.WindowPlan.stripe_plan`); the result is
-the same either way.  A metrics registry does not need the walk: its
+is skipped; the result is the same either way.  The walk reads a
+stripe's flows from its row of the window
+(:meth:`~repro.recovery.planner.WindowPlan.helpers`) and builds no
+per-stripe plan object.  A metrics registry does not need the walk: its
 ``exec.*`` counters are bumped once per window from the columns.
 
 Two orthogonal durability features (both off by default):
@@ -241,7 +241,9 @@ class PlanExecutor:
                 transport for ``workers > 1``; None picks shared memory.
 
         Raises:
-            PlanError: bad window, or plan/solution mismatch.
+            PlanError: bad window, plan/solution mismatch, or a solution
+                that ships fractional chunk units (refused before its
+                first window is submitted).
             ConfigurationError: ``workers > 1`` with a journal or
                 integrity verification attached.
         """
@@ -390,6 +392,7 @@ class PlanExecutor:
 
         with stage_a as submit:
             for idx, win in enumerate(plan_windows):
+                win.require_whole_chunks()
                 if self.journal is not None:
                     # Intent for every stripe of the window up front:
                     # on a crash mid-window the un-committed stripes are
@@ -443,7 +446,7 @@ class PlanExecutor:
                         "exec.stripe", stripe_id=stripe,
                         aggregated=win.aggregated,
                     ):
-                        self._walk_stripe(win.stripe_plan(i), outcome, i, win)
+                        self._walk_stripe(stripe, outcome, i, win)
                 result.record(stripe, outcome.rebuilt[i], outcome.ok[i], sink)
                 if self.journal is not None:
                     cross, intra, charges = win.ledger(
@@ -466,18 +469,20 @@ class PlanExecutor:
                 if reg is not None:
                     _count_window(reg, win, shipped)
 
-    def _walk_stripe(self, sp, outcome, i: int, win: WindowPlan) -> None:
+    def _walk_stripe(
+        self, sid: int, outcome, i: int, win: WindowPlan
+    ) -> None:
         """Fire one stripe's checkpoints and deliveries in pipeline order.
 
-        ``sp`` is row ``i`` of ``win``.  Every helper chunk is read, raw
-        chunks move to their delegate or the replacement node, the
-        replacement node folds the failed rack's survivors, each delegate
-        partially decodes and ships its partial, and the replacement node
-        combines.  The decode itself already happened in stage A; a
+        ``sid`` is the stripe of row ``i`` of ``win``.  Every helper chunk
+        is read, raw chunks move to their delegate or the replacement
+        node, the replacement node folds the failed rack's survivors, each
+        delegate partially decodes and ships its partial, and the
+        replacement node combines.  The decode itself already happened in stage A; a
         delivery ships a buffer stage A read or produced, so its bytes
         are the ones that were decoded.
         """
-        sid, repl = sp.stripe_id, win.replacement_node
+        repl = win.replacement_node
         data, topology = self.state.data, self.state.topology
         for c, node in sorted(zip(win.chunk[i].tolist(), win.node[i].tolist())):
             if c == NO_HELPER:
@@ -487,35 +492,29 @@ class PlanExecutor:
                 stripe_id=sid, node=node, rack=topology.rack_of(node),
                 chunk=c,
             )
-        partials = []
-        for t in sp.transfers:
-            if t.is_partial:
-                # Shipped with its decode, below, to keep pipeline order.
-                partials.append(t)
-                continue
-            self._deliver(
-                _transfer_stage(t),
-                data.chunk(sid, t.chunk_index),
-                stripe_id=sid, node=t.src_node, rack=t.src_rack,
-                chunk=t.chunk_index,
-            )
+        helpers = win.helpers(i)
+        for rack, c, node, _, raw, _, crossing in helpers:
+            if raw:
+                self._deliver(
+                    _scope(crossing), data.chunk(sid, c),
+                    stripe_id=sid, node=node, rack=rack, chunk=c,
+                )
         if win.local_folds[i]:
             self._checkpoint(
                 PipelineStage.LOCAL_FOLD,
                 stripe_id=sid, node=repl, rack=win.replacement_rack,
             )
         buffers = outcome.partials_of(i)
-        for t in partials:
+        for rack, _, _, delegate, _, partial, crossing in helpers:
+            if not partial:
+                continue
             self._checkpoint(
                 PipelineStage.PARTIAL_DECODE,
-                stripe_id=sid, node=t.src_node, rack=t.src_rack,
-                is_partial=True,
+                stripe_id=sid, node=delegate, rack=rack, is_partial=True,
             )
             self._deliver(
-                _transfer_stage(t),
-                buffers[t.src_rack],
-                stripe_id=sid, node=t.src_node, rack=t.src_rack,
-                is_partial=True,
+                _scope(crossing), buffers[rack],
+                stripe_id=sid, node=delegate, rack=rack, is_partial=True,
             )
         self._checkpoint(
             PipelineStage.FINAL_COMBINE,
@@ -676,10 +675,10 @@ class PlanExecutor:
         )
 
 
-def _transfer_stage(transfer) -> PipelineStage:
+def _scope(crossing: bool) -> PipelineStage:
+    """The transfer stage of a flow that does or does not cross the core."""
     return (
-        PipelineStage.CROSS_TRANSFER
-        if transfer.cross_rack
+        PipelineStage.CROSS_TRANSFER if crossing
         else PipelineStage.INTRA_TRANSFER
     )
 

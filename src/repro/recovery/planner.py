@@ -19,27 +19,26 @@ Plan construction follows the paper's methodology section:
 - **RR (direct)**: every helper node sends its chunk straight to the
   replacement node; flows from other racks cross the core.
 
-A plan is columns before it is objects.  :func:`plan_window` plans a
-window of a solution's :class:`~repro.recovery.solution.SolutionColumns`
-as one :class:`WindowPlan`: integer arrays of shape (stripes, helpers) —
-helper chunk, holder node, holder rack, destination — plus a
-repair-signature id per stripe, checked in bulk.  The rule above —
-delegates, destinations, which flows cross the core — is written once,
-there.  Every figure the executor needs (transfers by scope, compute by
-node, stage counts, one stripe's journal commit) is counted from those
-arrays by :meth:`WindowPlan.ledger`.  A stripe's :class:`Transfer`,
-:class:`ComputeTask` and :class:`StripePlan` objects are a row of its
-window, built by :meth:`WindowPlan.stripe_plan` only for the callers
-that read them: the executor's per-stripe event walk and
-:func:`plan_recovery`, which the timing simulator consumes.
+A plan is columns.  :func:`plan_window` plans a window of a solution's
+:class:`~repro.recovery.solution.SolutionColumns` as one
+:class:`WindowPlan`: integer arrays of shape (stripes, helpers) —
+helper chunk, holder node, holder rack, destination — and masks of the
+same shape — which helpers flow raw, which ship their rack's partial,
+which flows cross the core — plus a repair-signature id per stripe,
+checked in bulk.  The rule above — delegates, destinations, which flows
+cross the core — is written once, there.  Every figure the executor needs
+(transfers by scope, compute by node, stage counts, one stripe's
+journal commit) is counted from those arrays by
+:meth:`WindowPlan.ledger`; the executor's per-stripe event walk and
+both time models (:mod:`repro.sim`) read a stripe's flows and decodes
+from its row (:meth:`WindowPlan.helpers`).  A :class:`RecoveryPlan`
+holds every affected stripe's row, a :class:`StripePlan` handle each.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +52,6 @@ from repro.recovery.solution import (
 )
 
 __all__ = [
-    "Transfer",
-    "ComputeTask",
     "StripePlan",
     "RecoveryPlan",
     "WindowPlan",
@@ -64,73 +61,44 @@ __all__ = [
     "plan_window",
 ]
 
-#: Stripes per window of columns while :func:`plan_recovery` builds its
-#: objects: what the window bounds is the columns' scratch, not the plan.
+#: Stripes per window of a :func:`plan_recovery` plan: what the window
+#: bounds is the columns' scratch while planning, not the plan.
 MATERIALISE_WINDOW = 256
 
 
-@dataclass(frozen=True)
-class Transfer:
-    """One chunk-sized flow between two nodes.
-
-    Attributes:
-        stripe_id: stripe this flow serves.
-        src_node / dst_node: endpoints.
-        src_rack / dst_rack: their racks (cached for the simulator).
-        chunk_index: the stripe-local chunk carried, or None when the
-            payload is a partially decoded chunk.
-    """
-
-    stripe_id: int
-    src_node: int
-    dst_node: int
-    src_rack: int
-    dst_rack: int
-    chunk_index: int | None
-
-    @property
-    def cross_rack(self) -> bool:
-        """True iff the flow traverses the over-subscribed core."""
-        return self.src_rack != self.dst_rack
-
-    @property
-    def is_partial(self) -> bool:
-        """True iff the payload is a partially decoded chunk."""
-        return self.chunk_index is None
-
-
-@dataclass(frozen=True)
-class ComputeTask:
-    """A GF linear combination charged to one node's CPU.
-
-    Attributes:
-        stripe_id: stripe this computation serves.
-        node: where it runs.
-        input_chunks: how many chunk-sized buffers are combined.
-        kind: ``"partial"`` (rack delegate, Equation 7), ``"local"``
-            (replacement node folding the failed rack's survivors) or
-            ``"final"`` (replacement node XOR-combining partials /
-            decoding raw chunks).
-        chunks: the stripe-local raw chunk indices combined (empty for a
-            ``"final"`` task that combines partially decoded buffers).
-    """
-
-    stripe_id: int
-    node: int
-    input_chunks: int
-    kind: str
-    chunks: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StripePlan:
-    """Plan for one stripe: its transfers, compute tasks, and delegates."""
+    """One stripe's plan: row ``row`` of ``window``.
 
-    stripe_id: int
-    lost_chunk: int
-    transfers: tuple[Transfer, ...]
-    compute: tuple[ComputeTask, ...]
-    delegates: dict[int, int] = field(default_factory=dict)
+    A handle, not a copy: its flows and decodes are the window's columns
+    (:meth:`WindowPlan.helpers`).  It exists only because
+    ``benchmarks/e2e/`` slices :attr:`RecoveryPlan.stripe_plans` and
+    ``dataclasses.replace``-s it.  Two handles are equal when their rows
+    plan the same flows and decodes.
+    """
+
+    window: WindowPlan
+    row: int
+
+    @property
+    def stripe_id(self) -> int:
+        return int(self.window.stripe_id[self.row])
+
+    @property
+    def lost_chunk(self) -> int:
+        return int(self.window.lost_chunk[self.row])
+
+    def _key(self) -> tuple:
+        win = self.window
+        return (
+            win.aggregated, win.replacement_node, self.stripe_id,
+            self.lost_chunk, win.helpers(self.row),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StripePlan):
+            return NotImplemented
+        return self._key() == other._key()
 
 
 @dataclass(frozen=True)
@@ -138,7 +106,9 @@ class RecoveryPlan:
     """Executable plan for a whole multi-stripe recovery.
 
     Attributes:
-        stripe_plans: one per affected stripe, stripe-sorted.
+        stripe_plans: one row handle per affected stripe, stripe-sorted
+            (a tuple of handles only because ``benchmarks/e2e/`` slices
+            and ``dataclasses.replace``-s it).
         replacement_node: destination of every reconstruction.
         aggregated: whether partial decoding is used.
     """
@@ -147,31 +117,14 @@ class RecoveryPlan:
     replacement_node: int
     aggregated: bool
 
-    def all_transfers(self) -> Iterator[Transfer]:
-        """Every flow in the plan."""
-        for sp in self.stripe_plans:
-            yield from sp.transfers
-
-    def all_compute(self) -> Iterator[ComputeTask]:
-        """Every compute task in the plan."""
-        for sp in self.stripe_plans:
-            yield from sp.compute
-
     def cross_rack_chunks(self) -> int:
-        """Cross-rack traffic in chunk units (must match the solution)."""
-        return sum(1 for t in self.all_transfers() if t.cross_rack)
+        """Cross-rack flows, each one whole chunk.
 
-    def intra_rack_chunks(self) -> int:
-        """Intra-rack traffic in chunk units."""
-        return sum(1 for t in self.all_transfers() if not t.cross_rack)
-
-    def cross_rack_by_rack(self, num_racks: int) -> list[int]:
-        """Cross-rack chunks sourced from each rack (the plan's t_{i,f})."""
-        out = [0] * num_racks
-        for t in self.all_transfers():
-            if t.cross_rack:
-                out[t.src_rack] += 1
-        return out
+        The solution's traffic in chunk units, unless the solution ships
+        fractional units — which a plan can be neither executed nor timed
+        with (:meth:`WindowPlan.require_whole_chunks`).
+        """
+        return sum(int(sp.window.cross[sp.row]) for sp in self.stripe_plans)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +151,13 @@ class WindowPlan:
         dest: ``(S, H)`` where the chunk is combined — its rack's
             delegate, or the replacement node (the failed rack's
             survivors, every helper of a direct repair).
+        raw: ``(S, H)`` the helper's chunk flows to ``dest`` (aggregated,
+            iff its holder is not ``dest``; direct, every helper).
+        partial: ``(S, H)`` the helper leads an intact rack's group, whose
+            delegate decodes a partial and ships it to the replacement
+            node.
+        crossing: ``(S, H)`` the helper's flow — its raw chunk, or its
+            rack's partial — crosses the core.
         signature: ``(S,)`` index into ``signatures``: stripes with one
             id repair with one coefficient table.
         signatures: the window's distinct repair signatures (lost chunk
@@ -219,6 +179,9 @@ class WindowPlan:
     node: np.ndarray
     rack: np.ndarray
     dest: np.ndarray
+    raw: np.ndarray
+    partial: np.ndarray
+    crossing: np.ndarray
     signature: np.ndarray
     signatures: tuple[bytes, ...]
     reads: np.ndarray
@@ -258,68 +221,41 @@ class WindowPlan:
             dict(zip(nodes.tolist(), (counts[nodes] * chunk_bytes).tolist())),
         )
 
-    def stripe_plan(self, i: int) -> StripePlan:
-        """Row ``i`` as a :class:`StripePlan`, built on demand.
-
-        Racks ascending and chunks ascending within a rack.  Aggregated,
-        a rack's raw chunks flow to its row's ``dest`` (the failed rack's
-        to the replacement node, folded ``"local"``; an intact rack's to
-        its delegate, which decodes a ``"partial"`` and ships it); a
-        ``"final"`` combine closes the stripe.  Direct, every helper
-        flows to the replacement node, which decodes them all.
-        """
-        sid, repl, repl_rack = (
-            int(self.stripe_id[i]), self.replacement_node, self.replacement_rack
-        )
-        helpers = sorted(
-            (rack, chunk, node, dest)
-            for rack, chunk, node, dest in zip(
+    def helpers(self, i: int) -> list[tuple]:
+        """Row ``i``'s helpers as ``(rack, chunk, node, dest, raw,
+        partial, crossing)``, racks ascending and chunks ascending within
+        a rack: the order the event walk fires deliveries in and the time
+        models build their tasks in.  A rack's partial is flagged on its
+        first helper."""
+        return sorted(
+            helper
+            for helper in zip(
                 self.rack[i].tolist(), self.chunk[i].tolist(),
                 self.node[i].tolist(), self.dest[i].tolist(),
+                self.raw[i].tolist(), self.partial[i].tolist(),
+                self.crossing[i].tolist(),
             )
-            if chunk != NO_HELPER
+            if helper[1] != NO_HELPER
         )
-        transfers: list[Transfer] = []
-        compute: list[ComputeTask] = []
-        delegates: dict[int, int] = {}
-        if not self.aggregated:
-            transfers = [
-                Transfer(sid, node, repl, rack, repl_rack, chunk)
-                for rack, chunk, node, _ in helpers
-            ]
-            compute.append(ComputeTask(
-                sid, repl, len(helpers), "final",
-                tuple(sorted(chunk for _, chunk, _, _ in helpers)),
-            ))
-        else:
-            failed_rack = int(self.source.failed_rack[i])
-            for rack, group in groupby(helpers, key=itemgetter(0)):
-                group = list(group)
-                dest = group[0][3]
-                local = rack == failed_rack
-                transfers += [
-                    Transfer(sid, node, dest, rack,
-                             repl_rack if local else rack, chunk)
-                    for _, chunk, node, _ in group
-                    if node != dest
-                ]
-                compute.append(ComputeTask(
-                    sid, dest, len(group), "local" if local else "partial",
-                    tuple(chunk for _, chunk, _, _ in group),
-                ))
-                if not local:
-                    delegates[rack] = dest
-                    transfers.append(
-                        Transfer(sid, dest, repl, rack, repl_rack, None)
-                    )
-            compute.append(ComputeTask(sid, repl, len(compute), "final"))
-        return StripePlan(
-            stripe_id=sid,
-            lost_chunk=int(self.lost_chunk[i]),
-            transfers=tuple(transfers),
-            compute=tuple(compute),
-            delegates=delegates,
-        )
+
+    def require_whole_chunks(self) -> None:
+        """Refuse a solution whose payloads are fractional.
+
+        A plan moves and decodes whole chunks; a regenerating-code
+        solution ships sub-chunk ``units`` that the executor and the time
+        models cannot carry.
+
+        Raises:
+            PlanError: if the window's solution has ``units``.
+        """
+        units = self.source.units
+        if units is not None:
+            shipped = units[0][units[0] > 0].tolist()
+            raise PlanError(
+                "the solution ships fractional chunk units (stripe "
+                f"{int(self.stripe_id[0])}: units {shipped}); a plan moves "
+                "whole chunks, so it can be neither executed nor timed"
+            )
 
 
 def plan_window(
@@ -407,9 +343,8 @@ def plan_window(
         partial = np.zeros_like(used)
     dest[~used] = NO_HELPER
     dest_rack = np.where(to_repl, repl_rack, rack)
-    cross = (raw & (rack != dest_rack)).sum(axis=1) + (
-        partial & (rack != repl_rack)
-    ).sum(axis=1)
+    crossing = (raw & (rack != dest_rack)) | (partial & (rack != repl_rack))
+    cross = crossing.sum(axis=1)
 
     keys = np.concatenate(
         (lost_chunk[:, None], chunk) + ((rack,) if aggregated else ()), axis=1
@@ -435,6 +370,9 @@ def plan_window(
         node=node,
         rack=rack,
         dest=dest,
+        raw=raw,
+        partial=partial,
+        crossing=crossing,
         signature=signature,
         signatures=tuple(index),
         reads=used.sum(axis=1),
@@ -456,7 +394,8 @@ def plan_recovery(
     """Build the executable plan for ``solution`` on ``state``.
 
     The materialised form of :func:`plan_recovery_streaming`: its
-    windows of columns, then every stripe's :class:`StripePlan`.
+    windows of columns, held as one :class:`StripePlan` row handle per
+    stripe.
 
     Args:
         dead_nodes: helper nodes that crashed mid-recovery (secondary
@@ -472,7 +411,7 @@ def plan_recovery(
     )
     return RecoveryPlan(
         stripe_plans=tuple(
-            win.stripe_plan(i)
+            StripePlan(win, i)
             for win in lazy.iter_windows(MATERIALISE_WINDOW)
             for i in range(len(win))
         ),
@@ -503,9 +442,9 @@ def _record_window_metrics(reg, win: WindowPlan) -> None:
 class StreamingRecoveryPlan:
     """Lazy counterpart of :class:`RecoveryPlan` for bounded-memory runs.
 
-    Instead of materialising one :class:`StripePlan` per affected stripe
-    up front (at million-stripe scale the transfer dataclasses dominate
-    the coordinator's heap), the streaming plan holds only the inputs —
+    Instead of planning every affected stripe up front (a materialised
+    plan holds every window's columns, and a handle per stripe, at
+    once), the streaming plan holds only the inputs —
     cluster state, failure event, the solution's columns — and plans a
     window of rows at a time, as columns, inside :meth:`iter_windows`.
     Planning memory is O(window) in the stripe count.

@@ -14,9 +14,11 @@ failed node when no other candidate qualifies — which is the common
 case at realistic stripe counts, and exactly why the paper's setting is
 the sensible default.
 
-Traffic for a non-default replacement must be read from the *plan*
-(:meth:`RecoveryPlan.cross_rack_chunks`), which accounts flows by their
-actual endpoints; solution-level counters assume the paper's setting.
+Traffic for a non-default replacement must be read from the *plan's
+rows* (:meth:`RecoveryPlan.cross_rack_chunks`, or a window's
+:meth:`~repro.recovery.planner.WindowPlan.ledger`), whose ``crossing``
+mask counts flows by their actual endpoints; solution-level counters
+assume the paper's setting.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Recovery-time simulation: plan -> task DAG -> fluid network simulation.
 
 Converts a :class:`~repro.recovery.planner.RecoveryPlan` into the task
-DAG the fluid simulator executes:
+DAG the fluid simulator executes, reading each stripe's flows and
+decodes from its row of the plan's window
+(:meth:`~repro.recovery.planner.WindowPlan.helpers`):
 
 - every raw chunk leaving a node is preceded by a sequential **disk
   read** on that node (serial per-disk resource);
@@ -29,16 +31,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.cluster.state import ClusterState
-from repro.errors import PlanError
 from repro.network.flow import SimTask, flow_task, serial_task
 from repro.network.links import FabricModel
 from repro.network.simulator import FluidNetworkSimulator, SimResult
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.recovery.planner import RecoveryPlan, StripePlan
+from repro.recovery.planner import RecoveryPlan, WindowPlan
 from repro.sim.hardware import HardwareModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -162,13 +165,17 @@ def build_tasks(
             retransmissions) to weave into the DAG.
         durability: optional durability costs — per-stripe journal
             intent/commit appends and per-flow receipt checksums.
+
+    Raises:
+        PlanError: if the plan's solution ships fractional chunk units.
     """
     tasks: list[SimTask] = []
     for sp in plan.stripe_plans:
+        sp.window.require_whole_chunks()
         tasks.extend(
             _stripe_tasks(
-                state, plan, sp, fabric, hardware, chunk_size, include_disk,
-                timeline, durability,
+                state, sp.window, sp.row, fabric, hardware, chunk_size,
+                include_disk, timeline, durability,
             )
         )
     return tasks
@@ -176,8 +183,8 @@ def build_tasks(
 
 def _stripe_tasks(
     state: ClusterState,
-    plan: RecoveryPlan,
-    sp: StripePlan,
+    win: WindowPlan,
+    i: int,
     fabric: FabricModel,
     hardware: HardwareModel,
     chunk_size: int,
@@ -185,44 +192,37 @@ def _stripe_tasks(
     timeline: "FaultTimeline | None" = None,
     durability: DurabilityCostModel | None = None,
 ) -> list[SimTask]:
-    s = sp.stripe_id
-    repl = plan.replacement_node
+    """Row ``i`` of ``win`` as tasks, in the order the simulator queues
+    them."""
+    s = int(win.stripe_id[i])
+    repl = win.replacement_node
+    helpers = win.helpers(i)
     tasks: list[SimTask] = []
     read_ids: dict[int, str] = {}  # chunk index -> disk-read task id
     stall_ids: dict[int, str] = {}  # node -> injected-stall task id
+
+    def serial(tid: str, resource, duration: float, deps=(), tag="") -> str:
+        tasks.append(serial_task(tid, resource, duration, deps, tag))
+        return tid
 
     # The write-ahead intent lands on the coordinator's journal disk
     # before any of the stripe's work may start.
     intent_deps: list[str] = []
     if durability is not None:
-        intent_tid = f"s{s}:durable:intent"
-        tasks.append(
-            serial_task(
-                intent_tid,
-                resource=("disk", repl),
-                duration=durability.journal_append_seconds,
-                tag="durable:journal",
-            )
-        )
-        intent_deps = [intent_tid]
+        intent_deps = [serial(
+            f"s{s}:durable:intent", ("disk", repl),
+            durability.journal_append_seconds, tag="durable:journal",
+        )]
 
     def stall_dep(node: int) -> list[str]:
         """Injected disk stall this stripe's work on ``node`` queues behind."""
-        if timeline is None:
-            return []
-        seconds = timeline.stall_for(s, node)
+        seconds = timeline.stall_for(s, node) if timeline is not None else 0
         if seconds <= 0:
             return []
         if node not in stall_ids:
-            tid = f"s{s}:fault:stall:n{node}"
-            stall_ids[node] = tid
-            tasks.append(
-                serial_task(
-                    tid,
-                    resource=("disk", node),
-                    duration=seconds,
-                    tag="fault:stall",
-                )
+            stall_ids[node] = serial(
+                f"s{s}:fault:stall:n{node}", ("disk", node), seconds,
+                tag="fault:stall",
             )
         return [stall_ids[node]]
 
@@ -232,22 +232,16 @@ def _stripe_tasks(
             # Without modelled disks a stall still delays the node's flows.
             return stall_dep(node)
         if chunk not in read_ids:
-            tid = f"s{s}:read:c{chunk}"
-            read_ids[chunk] = tid
-            tasks.append(
-                serial_task(
-                    tid,
-                    resource=("disk", node),
-                    duration=hardware.profile(node).disk_read_seconds(chunk_size),
-                    deps=stall_dep(node) + intent_deps,
-                    tag="disk:read",
-                )
+            read_ids[chunk] = serial(
+                f"s{s}:read:c{chunk}", ("disk", node),
+                hardware.profile(node).disk_read_seconds(chunk_size),
+                stall_dep(node) + intent_deps, "disk:read",
             )
         return [read_ids[chunk]]
 
     def make_flow(
-        tid: str, src_node: int, dst_node: int, path, deps: list[str],
-        tag: str,
+        tid: str, src_node: int, dst_node: int, deps: list[str],
+        crossing: bool,
     ) -> str:
         """A flow, preceded by its injected retransmissions (if any).
 
@@ -256,172 +250,97 @@ def _stripe_tasks(
         verification, so nothing downstream touches an unverified
         payload (mirroring the executor's delivery contract).
         """
+        path = fabric.path(src_node, dst_node)
         retries = timeline.retries_for(s, src_node) if timeline else 0
         prev = list(deps) + intent_deps
-        for i in range(1, retries + 1):
-            rid = f"{tid}:retry{i}"
-            tasks.append(
-                flow_task(
-                    rid,
-                    path=path,
-                    size_bytes=chunk_size,
-                    deps=prev,
-                    tag="xfer:retry",
-                )
-            )
+        for n in range(1, retries + 1):
+            rid = f"{tid}:retry{n}"
+            tasks.append(flow_task(rid, path, chunk_size, prev, "xfer:retry"))
             prev = [rid]
-        tasks.append(
-            flow_task(tid, path=path, size_bytes=chunk_size, deps=prev, tag=tag)
-        )
+        tag = "xfer:cross" if crossing else "xfer:intra"
+        tasks.append(flow_task(tid, path, chunk_size, prev, tag))
         if durability is None:
             return tid
-        vid = f"{tid}:verify"
-        tasks.append(
-            serial_task(
-                vid,
-                resource=("cpu", dst_node),
-                duration=durability.verify_seconds(chunk_size),
-                deps=[tid],
-                tag="durable:verify",
-            )
+        return serial(
+            f"{tid}:verify", ("cpu", dst_node),
+            durability.verify_seconds(chunk_size), [tid], "durable:verify",
         )
-        return vid
 
     # Raw chunk flows (intra-rack to delegates / replacement, or the
     # direct RR flows).  Partial flows are added with their decode below.
-    raw_flow_ids: dict[int, str] = {}  # chunk -> flow id
     inbound_to_repl: list[str] = []
     inbound_to_delegate: dict[int, list[str]] = {}
-    for t in sp.transfers:
-        if t.is_partial:
-            continue  # handled with its compute task below
-        assert t.chunk_index is not None
-        deps = read_task(t.chunk_index, t.src_node)
-        tid = f"s{s}:xfer:c{t.chunk_index}"
-        tag = "xfer:cross" if t.cross_rack else "xfer:intra"
-        got = make_flow(
-            tid, t.src_node, t.dst_node,
-            fabric.path(t.src_node, t.dst_node), deps, tag,
-        )
-        raw_flow_ids[t.chunk_index] = got
-        if t.dst_node == repl:
-            inbound_to_repl.append(got)
-        else:
-            inbound_to_delegate.setdefault(t.dst_node, []).append(got)
+    for _, chunk, node, dest, raw, _, crossing in helpers:
+        if raw:
+            got = make_flow(
+                f"s{s}:xfer:c{chunk}", node, dest, read_task(chunk, node),
+                crossing,
+            )
+            if dest == repl:
+                inbound_to_repl.append(got)
+            else:
+                inbound_to_delegate.setdefault(dest, []).append(got)
 
-    # Compute tasks.  The GF combine-efficiency width is the stripe's
-    # full decode width: CAR's pieces stream with the efficiency of the
-    # whole k-input decode they jointly implement.
-    decode_width = sum(
-        ct.input_chunks for ct in sp.compute if ct.kind in ("partial", "local")
-    )
+    # Compute tasks, one per rack group.  The GF combine-efficiency width
+    # is the stripe's full decode width: CAR's pieces stream with the
+    # efficiency of the whole k-input decode they jointly implement.
     final_deps: list[str] = list(inbound_to_repl)
-    partial_transfers = [t for t in sp.transfers if t.is_partial]
-    for ct in sp.compute:
-        duration = hardware.profile(ct.node).gf_seconds(
-            ct.input_chunks * chunk_size, inputs=decode_width or ct.input_chunks
+    reads = int(win.reads[i])
+    groups = groupby(helpers, key=itemgetter(0)) if win.aggregated else ()
+    for _, group in groups:
+        group = list(group)
+        _, _, _, dest, _, partial, crossing = group[0]
+        duration = hardware.profile(dest).gf_seconds(
+            len(group) * chunk_size, inputs=reads
         )
-        if ct.kind == "partial":
-            rack = state.topology.rack_of(ct.node)
-            # Inputs: the delegate's own chunk reads + intra-rack flows.
-            deps: list[str] = list(inbound_to_delegate.get(ct.node, []))
-            delivered = {
-                t.chunk_index for t in sp.transfers if t.chunk_index is not None
-            }
-            for chunk in ct.chunks:
-                if chunk not in delivered:
-                    deps.extend(read_task(chunk, ct.node))
-            ctid = f"s{s}:partial:r{rack}"
-            tasks.append(
-                serial_task(
-                    ctid,
-                    resource=("cpu", ct.node),
-                    duration=duration,
-                    deps=deps,
-                    tag="compute:partial",
-                )
-            )
-            xfer = _find_partial_transfer(partial_transfers, ct.node)
-            ftid = f"s{s}:xfer:partial:r{rack}"
-            final_deps.append(
-                make_flow(
-                    ftid,
-                    xfer.src_node,
-                    xfer.dst_node,
-                    fabric.path(xfer.src_node, xfer.dst_node),
-                    [ctid],
-                    "xfer:cross" if xfer.cross_rack else "xfer:intra",
-                )
-            )
-        elif ct.kind == "local":
-            ltid = f"s{s}:local-fold"
-            tasks.append(
-                serial_task(
-                    ltid,
-                    resource=("cpu", ct.node),
-                    duration=duration,
-                    deps=list(inbound_to_repl),
-                    tag="compute:local",
-                )
-            )
-            final_deps.append(ltid)
-        elif ct.kind == "final":
-            pass  # added last, below, once all deps are known
-        else:  # pragma: no cover - planner only emits the three kinds
-            raise PlanError(f"unknown compute kind {ct.kind!r}")
+        if not partial:
+            final_deps.append(serial(
+                f"s{s}:local-fold", ("cpu", dest), duration,
+                list(inbound_to_repl), "compute:local",
+            ))
+            continue
+        rack = state.topology.rack_of(dest)
+        # Inputs: the delegate's own chunk reads + intra-rack flows.
+        deps = list(inbound_to_delegate.get(dest, []))
+        for _, chunk, _, _, raw, _, _ in group:
+            if not raw:
+                deps.extend(read_task(chunk, dest))
+        ctid = serial(
+            f"s{s}:partial:r{rack}", ("cpu", dest), duration, deps,
+            "compute:partial",
+        )
+        final_deps.append(make_flow(
+            f"s{s}:xfer:partial:r{rack}", dest, repl, [ctid], crossing
+        ))
 
-    final = next(ct for ct in sp.compute if ct.kind == "final")
-    profile = hardware.profile(final.node)
-    final_bytes = final.input_chunks * chunk_size
-    # In an aggregated plan the final combine only XORs partially decoded
-    # buffers; in a direct plan it is a full GF decode of k raw chunks.
+    profile = hardware.profile(repl)
+    # In an aggregated plan the final combine only XORs one partially
+    # decoded buffer per rack group; in a direct plan it is a full GF
+    # decode of every raw chunk.
     final_duration = (
-        profile.xor_seconds(final_bytes)
-        if plan.aggregated
-        else profile.gf_seconds(final_bytes)
-    )
-    ftid = f"s{s}:final"
-    tasks.append(
-        serial_task(
-            ftid,
-            resource=("cpu", final.node),
-            duration=final_duration,
-            deps=final_deps,
-            tag="compute:final",
+        profile.xor_seconds(
+            int(win.partial_decodes[i] + win.local_folds[i]) * chunk_size
         )
+        if win.aggregated
+        else profile.gf_seconds(reads * chunk_size)
     )
-    last = ftid
+    last = serial(
+        f"s{s}:final", ("cpu", repl), final_duration, final_deps,
+        "compute:final",
+    )
     if include_disk:
-        last = f"s{s}:write"
-        tasks.append(
-            serial_task(
-                last,
-                resource=("disk", repl),
-                duration=hardware.profile(repl).disk_write_seconds(chunk_size),
-                deps=[ftid],
-                tag="disk:write",
-            )
+        last = serial(
+            f"s{s}:write", ("disk", repl),
+            profile.disk_write_seconds(chunk_size), [last], "disk:write",
         )
     if durability is not None:
         # The commit record — checksummed payload included — seals the
         # stripe on the journal disk once the rebuilt chunk is durable.
-        tasks.append(
-            serial_task(
-                f"s{s}:durable:commit",
-                resource=("disk", repl),
-                duration=durability.commit_seconds(chunk_size),
-                deps=[last],
-                tag="durable:journal",
-            )
+        serial(
+            f"s{s}:durable:commit", ("disk", repl),
+            durability.commit_seconds(chunk_size), [last], "durable:journal",
         )
     return tasks
-
-
-def _find_partial_transfer(transfers, delegate: int):
-    for t in transfers:
-        if t.src_node == delegate:
-            return t
-    raise PlanError(f"no partial transfer leaves delegate {delegate}")
 
 
 class RecoverySimulator:
@@ -455,6 +374,10 @@ class RecoverySimulator:
                 (see :attr:`repro.faults.robust.RobustExecutionResult.timeline`);
                 injected stalls and retransmissions then count toward
                 ``total_time`` and are broken out as ``fault_time``.
+
+        Raises:
+            PlanError: if the plan's solution ships fractional chunk
+                units.
         """
         tasks = build_tasks(
             self.state, plan, self.fabric, self.hardware, chunk_size,
@@ -503,48 +426,25 @@ class RecoverySimulator:
         """
         per_stripe: dict[int, dict] = {}
         for task in tasks:
-            tid = task.task_id
-            if not tid.startswith("s") or ":" not in tid:
-                continue  # pragma: no cover - all builder ids match
-            head = tid.split(":", 1)[0]
-            try:
-                stripe = int(head[1:])
-            except ValueError:  # pragma: no cover - defensive
-                continue
-            start = result.start_times.get(tid)
-            end = result.finish_times.get(tid)
-            if start is None or end is None:
-                continue  # pragma: no cover - every task completes
-            acc = per_stripe.setdefault(
-                stripe,
-                {
-                    "start": start, "end": end, "tasks": 0,
-                    "read_s": 0.0, "transfer_s": 0.0, "aggregate_s": 0.0,
-                    "decode_s": 0.0, "fault_s": 0.0, "durable_s": 0.0,
-                },
-            )
+            tid = task.task_id  # "s{stripe}:..."
+            start, end = result.start_times[tid], result.finish_times[tid]
+            acc = per_stripe.setdefault(int(tid[1:tid.index(":")]), {
+                "start": start, "end": end, "tasks": 0,
+                "read_s": 0.0, "transfer_s": 0.0, "aggregate_s": 0.0,
+                "decode_s": 0.0, "fault_s": 0.0, "durable_s": 0.0,
+            })
             acc["start"] = min(acc["start"], start)
             acc["end"] = max(acc["end"], end)
             acc["tasks"] += 1
-            tag = task.tag or ""
             for prefix, family in self._TAG_FAMILIES:
-                if tag.startswith(prefix):
+                if task.tag.startswith(prefix):
                     acc[f"{family}_s"] += end - start
                     break
         for stripe in sorted(per_stripe):
             acc = per_stripe[stripe]
+            start, end = acc.pop("start"), acc.pop("end")
             self.tracer.emit_span(
-                "sim.stripe",
-                acc["start"],
-                acc["end"],
-                stripe_id=stripe,
-                tasks=acc["tasks"],
-                read_s=acc["read_s"],
-                transfer_s=acc["transfer_s"],
-                aggregate_s=acc["aggregate_s"],
-                decode_s=acc["decode_s"],
-                fault_s=acc["fault_s"],
-                durable_s=acc["durable_s"],
+                "sim.stripe", start, end, stripe_id=stripe, **acc
             )
 
     def _summarise(

@@ -26,17 +26,21 @@ direct (RR) pipeline per stripe::
 
 ``transmission = A + C`` and ``computation = B + D``, which is the
 breakdown Figure 10(a) reports; Figure 10(b)'s normalised computation
-time compares the computation components.
+time compares the computation components.  Every stage term is read
+from the stripe's row of the plan's window
+(:meth:`~repro.recovery.planner.WindowPlan.helpers`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from repro.cluster.state import ClusterState
-from repro.errors import PlanError
 from repro.network.links import gbps_to_bytes_per_s
-from repro.recovery.planner import RecoveryPlan, StripePlan
+from repro.recovery.planner import RecoveryPlan, WindowPlan
 from repro.sim.hardware import HardwareModel
 
 __all__ = ["StripeTiming", "SerialRecoveryTiming", "StripeSerialTimingModel"]
@@ -121,83 +125,75 @@ class StripeSerialTimingModel:
         )
 
     def evaluate(self, plan: RecoveryPlan, chunk_size: int) -> SerialRecoveryTiming:
-        """Time every stripe of ``plan`` under the serialized pipeline."""
-        stripes = tuple(
-            self._stripe(plan, sp, chunk_size) for sp in plan.stripe_plans
-        )
-        return SerialRecoveryTiming(stripes=stripes)
+        """Time every stripe of ``plan`` under the serialized pipeline.
+
+        Raises:
+            PlanError: if the plan's solution ships fractional chunk
+                units.
+        """
+        stripes = []
+        for sp in plan.stripe_plans:
+            win = sp.window
+            win.require_whole_chunks()
+            stripe = self._aggregated if win.aggregated else self._direct
+            stripes.append(stripe(win, sp.row, chunk_size))
+        return SerialRecoveryTiming(stripes=tuple(stripes))
 
     # -- internals -----------------------------------------------------
 
-    def _stripe(
-        self, plan: RecoveryPlan, sp: StripePlan, chunk_size: int
+    def _aggregated(
+        self, win: WindowPlan, i: int, chunk_size: int
     ) -> StripeTiming:
-        if plan.aggregated:
-            return self._stripe_aggregated(plan, sp, chunk_size)
-        return self._stripe_direct(plan, sp, chunk_size)
-
-    def _stripe_aggregated(
-        self, plan: RecoveryPlan, sp: StripePlan, chunk_size: int
-    ) -> StripeTiming:
-        repl = plan.replacement_node
+        helpers = win.helpers(i)
         # Stage A: intra-rack gathers, parallel across racks; each
         # receiver's downlink serialises its inbound raw chunks.
-        inbound: dict[int, int] = {}
-        for t in sp.transfers:
-            if not t.is_partial:
-                inbound[t.dst_node] = inbound.get(t.dst_node, 0) + 1
-        stage_a = max(
-            (n * chunk_size / self._nic for n in inbound.values()), default=0.0
-        )
-        # Stage B: partial decodes and the local fold.  The paper's
-        # computation time counts the *duration of the decoding
-        # operations* — CAR splits the same k-input decode into per-rack
-        # pieces without shrinking the total decode work (Section V-D),
-        # so the pieces are summed, not overlapped.
+        inbound = Counter(dest for _, _, _, dest, raw, _, _ in helpers if raw)
+        stage_a = max(inbound.values(), default=0) * chunk_size / self._nic
+        # Stage B: partial decodes and the local fold, one per rack
+        # group.  The paper's computation time counts the *duration of
+        # the decoding operations* — CAR splits the same k-input decode
+        # into per-rack pieces without shrinking the total decode work
+        # (Section V-D), so the pieces are summed, not overlapped.
         # The efficiency width is the stripe's full decode width (k):
-        # CAR splits one k-input decode into per-rack pieces, and each
-        # piece streams with the same per-input efficiency the whole
-        # decode would have.
-        decode_width = sum(
-            ct.input_chunks
-            for ct in sp.compute
-            if ct.kind in ("partial", "local")
+        # each piece streams with the same per-input efficiency the
+        # whole decode would have.
+        reads = int(win.reads[i])
+        stage_b = sum(
+            self.hardware.profile(group[0][3]).gf_seconds(
+                len(group) * chunk_size, inputs=reads
+            )
+            for group in (
+                list(g) for _, g in groupby(helpers, key=itemgetter(0))
+            )
         )
-        stage_b = 0.0
-        for ct in sp.compute:
-            if ct.kind in ("partial", "local"):
-                stage_b += self.hardware.profile(ct.node).gf_seconds(
-                    ct.input_chunks * chunk_size, inputs=decode_width
-                )
         # Stage C: one partial per intact rack into the replacement
         # downlink (each source rack's uplink carries one chunk and
         # cannot bottleneck below the shared downlink unless slower).
-        partials = [t for t in sp.transfers if t.is_partial]
+        partial_racks = [rack for rack, *_, partial, _ in helpers if partial]
         stage_c = max(
-            [len(partials) * chunk_size / self._nic]
-            + [chunk_size / self._uplink(t.src_rack) for t in partials]
+            [len(partial_racks) * chunk_size / self._nic]
+            + [chunk_size / self._uplink(rack) for rack in partial_racks]
         )
-        # Stage D: final XOR combine.
-        final = self._final_task(sp)
-        stage_d = self.hardware.profile(final.node).xor_seconds(
-            final.input_chunks * chunk_size
+        # Stage D: final XOR combine of one buffer per rack group.
+        groups = int(win.partial_decodes[i] + win.local_folds[i])
+        stage_d = self.hardware.profile(win.replacement_node).xor_seconds(
+            groups * chunk_size
         )
         return StripeTiming(
-            stripe_id=sp.stripe_id,
+            stripe_id=int(win.stripe_id[i]),
             transmission=stage_a + stage_c,
             computation=stage_b + stage_d,
         )
 
-    def _stripe_direct(
-        self, plan: RecoveryPlan, sp: StripePlan, chunk_size: int
+    def _direct(
+        self, win: WindowPlan, i: int, chunk_size: int
     ) -> StripeTiming:
-        repl_rack = self.state.topology.rack_of(plan.replacement_node)
-        total = len(sp.transfers)
-        per_uplink: dict[int, int] = {}
-        for t in sp.transfers:
-            if t.cross_rack:
-                per_uplink[t.src_rack] = per_uplink.get(t.src_rack, 0) + 1
-        downlink_time = total * chunk_size / self._nic
+        reads = int(win.reads[i])
+        per_uplink = Counter(
+            rack for rack, _, _, _, _, _, crossing in win.helpers(i)
+            if crossing
+        )
+        downlink_time = reads * chunk_size / self._nic
         uplink_time = max(
             (
                 n * chunk_size / self._uplink(rack)
@@ -205,19 +201,11 @@ class StripeSerialTimingModel:
             ),
             default=0.0,
         )
-        final = self._final_task(sp)
-        compute = self.hardware.profile(final.node).gf_seconds(
-            final.input_chunks * chunk_size, inputs=final.input_chunks
+        compute = self.hardware.profile(win.replacement_node).gf_seconds(
+            reads * chunk_size, inputs=reads
         )
         return StripeTiming(
-            stripe_id=sp.stripe_id,
+            stripe_id=int(win.stripe_id[i]),
             transmission=max(downlink_time, uplink_time),
             computation=compute,
         )
-
-    @staticmethod
-    def _final_task(sp: StripePlan):
-        for ct in sp.compute:
-            if ct.kind == "final":
-                return ct
-        raise PlanError(f"stripe {sp.stripe_id} has no final compute task")

@@ -72,7 +72,15 @@ class TestExecution:
         plan = plan_recovery(state, event, sol)
         result = PlanExecutor(state).execute(plan, sol)
         assert result.cross_rack_bytes == plan.cross_rack_chunks() * 128
-        assert result.intra_rack_bytes == plan.intra_rack_chunks() * 128
+        # Every raw chunk and every partial is one flow.
+        flows = sum(
+            raw + partial
+            for sp in plan.stripe_plans
+            for *_, raw, partial, _ in sp.window.helpers(sp.row)
+        )
+        assert result.intra_rack_bytes == (
+            flows - plan.cross_rack_chunks()
+        ) * 128
 
     def test_compute_charged_to_delegates_and_replacement(self):
         state, event = failed_cluster(seed=3)
@@ -81,8 +89,12 @@ class TestExecution:
         result = PlanExecutor(state).execute(plan, sol)
         assert event.replacement_node in result.bytes_computed_by_node
         delegate_nodes = {
-            d for sp in plan.stripe_plans for d in sp.delegates.values()
+            dest
+            for sp in plan.stripe_plans
+            for _, _, _, dest, _, partial, _ in sp.window.helpers(sp.row)
+            if partial
         }
+        assert delegate_nodes
         for d in delegate_nodes:
             assert result.bytes_computed_by_node.get(d, 0) > 0
 

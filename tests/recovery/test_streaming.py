@@ -113,15 +113,40 @@ def assert_ground_truth(state, event, reconstructed):
 
 
 def assert_plan_figures(state, plan, sol, result):
-    """Accounting equals what the plan says, computed without the executor."""
+    """Accounting equals what the plan's rows say, computed without the
+    executor: every raw chunk and partial is one flow, every helper chunk
+    is GF input where it is combined, and under aggregation every rack
+    group's buffer is input to the final combine."""
     chunk = state.data.chunk_size
-    assert result.cross_rack_bytes == plan.cross_rack_chunks() * chunk
-    assert result.intra_rack_bytes == plan.intra_rack_chunks() * chunk
-    assert result.cross_rack_bytes == traffic_report(sol, chunk).total_bytes
+    cross = intra = 0
     compute = {}
-    for task in plan.all_compute():
-        compute[task.node] = compute.get(task.node, 0) + task.input_chunks * chunk
+    for sp in plan.stripe_plans:
+        helpers = sp.window.helpers(sp.row)
+        for _, _, _, dest, raw, partial, crossing in helpers:
+            cross += crossing
+            intra += raw + partial - crossing
+            compute[dest] = compute.get(dest, 0) + chunk
+        if plan.aggregated:
+            repl, groups = plan.replacement_node, len({h[0] for h in helpers})
+            compute[repl] = compute.get(repl, 0) + groups * chunk
+    assert result.cross_rack_bytes == plan.cross_rack_chunks() * chunk
+    assert result.cross_rack_bytes == cross * chunk
+    assert result.intra_rack_bytes == intra * chunk
+    assert result.cross_rack_bytes == traffic_report(sol, chunk).total_bytes
     assert result.bytes_computed_by_node == compute
+
+
+def flows_and_decodes(plan):
+    """Flows plus decodes over the plan's rows: each raw chunk and each
+    partial moves once, each rack group decodes once under aggregation,
+    and each stripe combines once."""
+    total = 0
+    for sp in plan.stripe_plans:
+        helpers = sp.window.helpers(sp.row)
+        total += sum(raw or partial for *_, raw, partial, _ in helpers) + 1
+        if plan.aggregated:
+            total += len({h[0] for h in helpers})
+    return total
 
 
 class TestStreamingEquivalence:
@@ -276,9 +301,7 @@ class TestStreamingEquivalence:
         checkpoints = sum(s["value"] for s in m1["exec.stage.checkpoints"]["series"])
         assert checkpoints == sum(
             s.helper_count for s in sol.solutions
-        ) + sum(
-            len(sp.transfers) + len(sp.compute) for sp in plan.stripe_plans
-        )
+        ) + flows_and_decodes(plan)
         for window in (4, None):
             mw, tw = run(window)
             # Checkpoint and stripe counters are label-for-label
@@ -341,9 +364,7 @@ class TestStreamingEquivalence:
         ) * chunk
         assert reg.counter("exec.stage.checkpoints").total == sum(
             s.helper_count for s in sol.solutions
-        ) + sum(
-            len(sp.transfers) + len(sp.compute) for sp in plan.stripe_plans
-        )
+        ) + flows_and_decodes(plan)
 
     def test_repair_group_cache_is_a_named_metric(self):
         state, event = failed_cluster(seed=5)
@@ -706,7 +727,10 @@ class TestStreamingDurability:
                 expected.append(("intent", pairs[i + 1][0].stripe_id))
             # Per delegate rack, in rack order: decode, then its partial
             # crosses the core; then the replacement node combines.
-            for rack in sorted(sp.delegates):
+            delegate_racks = [
+                h[0] for h in sp.window.helpers(sp.row) if h[5]
+            ]
+            for rack in delegate_racks:
                 expected.append(("stage", sid, "partial_decode", rack))
                 expected.append(("stage", sid, "cross_transfer", rack))
             expected.append(("stage", sid, "final_combine"))

@@ -1,21 +1,24 @@
 """A stripe's plan is a row of its window.
 
-The planner writes the plan rule once, as columns; a stripe's
-:class:`Transfer` / :class:`ComputeTask` / :class:`StripePlan` objects
-are built from its row (:meth:`WindowPlan.stripe_plan`), and the
-executor charges traffic and compute — the result's and each journal
-commit's — from the rows' ledger (:meth:`WindowPlan.ledger`).  These
-tests hold both to an independent per-stripe planner transcribed below
-(it plans one stripe from its solution object, the way the planner did
-before it planned windows), to the solution's own traffic model
+The planner writes the plan rule once, as columns; a stripe's flows and
+decodes are its row (:meth:`WindowPlan.helpers` and the ``raw`` /
+``partial`` / ``crossing`` masks), and the executor charges traffic and
+compute — the result's and each journal commit's — from the rows'
+ledger (:meth:`WindowPlan.ledger`).  These tests hold both to an
+independent per-stripe planner transcribed below (it plans one stripe
+from its solution object as flow and decode tuples, the way the planner
+did before it planned windows), to the solution's own traffic model
 (:func:`~repro.recovery.metrics.traffic_report`) and to the eager
-:func:`plan_recovery`, and count the objects a quiet run builds.
+:func:`plan_recovery`, and count the row handles a quiet run builds.
 
 Select a larger example budget with ``HYPOTHESIS_PROFILE=thorough``.
 """
 
 from collections import Counter
 from contextlib import nullcontext
+from itertools import groupby
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from repro.erasure.lrc import LRCCode
 from repro.errors import PlacementError, PlanError
 from repro.experiments.configs import CFS1, CFS2, CFS3, build_state
 from repro.obs.metrics import MetricsRegistry, telemetry_scope
-from repro.recovery import planner
+from repro.recovery import planner, streaming
 from repro.recovery.baselines import (
     CarStrategy,
     MinRackNoAggregationStrategy,
@@ -38,9 +41,7 @@ from repro.recovery.executor import PlanExecutor
 from repro.recovery.lrc import LrcLocalRecoveryStrategy
 from repro.recovery.metrics import traffic_report
 from repro.recovery.planner import (
-    ComputeTask,
     StripePlan,
-    Transfer,
     plan_recovery,
     plan_recovery_streaming,
     plan_window,
@@ -53,6 +54,8 @@ from repro.recovery.solution import (
     SolutionColumns,
     WeightedStripeSolution,
 )
+from repro.sim.recovery_sim import RecoverySimulator
+from repro.sim.timing import StripeSerialTimingModel
 
 from tests.recovery.test_streaming import failed_cluster
 
@@ -60,6 +63,34 @@ CHUNK = 256
 
 
 # -- the reference: one stripe planned from its solution object ------------
+
+
+class _Flow(NamedTuple):
+    """One chunk-sized flow; ``chunk`` is None for a partial."""
+
+    src: int
+    dst: int
+    rack: int
+    chunk: int | None
+    cross: bool
+
+
+class _Decode(NamedTuple):
+    """A GF combine: ``partial`` (a delegate), ``local`` (the failed
+    rack's survivors at the replacement node) or ``final``."""
+
+    node: int
+    inputs: int
+    kind: str
+    chunks: tuple = ()
+
+
+class _Plan(NamedTuple):
+    stripe_id: int
+    lost_chunk: int
+    flows: tuple
+    decodes: tuple
+    delegates: dict
 
 
 def ref_holder(state, sol, chunk, dead_nodes):
@@ -87,9 +118,9 @@ def ref_plan(state, repl, sol, aggregated, dead_nodes=frozenset()):
         for rack in sorted(sol.chunks_by_rack):
             for c in sol.chunks_from_rack(rack):
                 node = ref_holder(state, sol, c, dead_nodes)
-                transfers.append(Transfer(sid, node, repl, rack, repl_rack, c))
+                transfers.append(_Flow(node, repl, rack, c, rack != repl_rack))
         compute.append(
-            ComputeTask(sid, repl, sol.helper_count, "final", sol.helpers)
+            _Decode(repl, sol.helper_count, "final", sol.helpers)
         )
     else:
         for rack in sorted(sol.chunks_by_rack):
@@ -99,36 +130,74 @@ def ref_plan(state, repl, sol, aggregated, dead_nodes=frozenset()):
                 for c, node in sorted(holders.items()):
                     if node != repl:
                         transfers.append(
-                            Transfer(sid, node, repl, rack, repl_rack, c)
+                            _Flow(node, repl, rack, c, rack != repl_rack)
                         )
                 compute.append(
-                    ComputeTask(sid, repl, len(chunks), "local", tuple(chunks))
+                    _Decode(repl, len(chunks), "local", tuple(chunks))
                 )
                 continue
             delegate = holders[min(holders)]
             delegates[rack] = delegate
             for c, node in sorted(holders.items()):
                 if node != delegate:
-                    transfers.append(Transfer(sid, node, delegate, rack, rack, c))
+                    transfers.append(_Flow(node, delegate, rack, c, False))
             compute.append(
-                ComputeTask(sid, delegate, len(chunks), "partial", tuple(chunks))
+                _Decode(delegate, len(chunks), "partial", tuple(chunks))
             )
-            transfers.append(Transfer(sid, delegate, repl, rack, repl_rack, None))
-        compute.append(ComputeTask(sid, repl, len(compute), "final"))
-    return StripePlan(sid, sol.lost_chunk, tuple(transfers), tuple(compute),
-                      delegates)
+            transfers.append(
+                _Flow(delegate, repl, rack, None, rack != repl_rack)
+            )
+        compute.append(_Decode(repl, len(compute), "final"))
+    return _Plan(sid, sol.lost_chunk, tuple(transfers), tuple(compute),
+                 delegates)
+
+
+def row_plan(win, i):
+    """Row ``i`` of ``win`` in the reference's form: the flows and
+    decodes its accessor and masks encode, and nothing else."""
+    repl = win.replacement_node
+    helpers = win.helpers(i)
+    flows, decodes, delegates = [], [], {}
+    if not win.aggregated:
+        flows = [
+            _Flow(node, dest, rack, c, crossing)
+            for rack, c, node, dest, raw, _, crossing in helpers
+            if raw
+        ]
+        decodes.append(_Decode(
+            repl, len(helpers), "final", tuple(sorted(h[1] for h in helpers))
+        ))
+    else:
+        for rack, group in groupby(helpers, key=itemgetter(0)):
+            group = list(group)
+            _, _, _, dest, _, partial, crossing = group[0]
+            flows += [
+                _Flow(node, to, rack, c, cross)
+                for _, c, node, to, raw, _, cross in group
+                if raw
+            ]
+            decodes.append(_Decode(
+                dest, len(group), "partial" if partial else "local",
+                tuple(h[1] for h in group),
+            ))
+            if partial:
+                delegates[rack] = dest
+                flows.append(_Flow(dest, repl, rack, None, crossing))
+        decodes.append(_Decode(repl, len(decodes), "final"))
+    return _Plan(int(win.stripe_id[i]), int(win.lost_chunk[i]), tuple(flows),
+                 tuple(decodes), delegates)
 
 
 def ref_accounting(sp, chunk_bytes):
-    """``(cross, intra, charges)`` counted from the objects: every flow
-    moves one chunk, every compute task charges its inputs."""
-    crossing = sum(1 for t in sp.transfers if t.cross_rack)
+    """``(cross, intra, charges)`` counted from the tuples: every flow
+    moves one chunk, every decode charges its inputs."""
+    crossing = sum(1 for t in sp.flows if t.cross)
     charges = Counter()
-    for task in sp.compute:
-        charges[task.node] += task.input_chunks * chunk_bytes
+    for task in sp.decodes:
+        charges[task.node] += task.inputs * chunk_bytes
     return (
         crossing * chunk_bytes,
-        (len(sp.transfers) - crossing) * chunk_bytes,
+        (len(sp.flows) - crossing) * chunk_bytes,
         dict(charges),
     )
 
@@ -192,8 +261,8 @@ def scenario(name, config, seed):
 
 
 def assert_rows_match_reference(state, event, sol, window, dead=frozenset()):
-    """Every row's objects and ledger equal the reference's, and the
-    eager plan is the rows in order."""
+    """Every row's flows, decodes and ledger equal the reference's, and
+    the eager plan is the rows in order."""
     repl = event.replacement_node
     lazy = plan_recovery_streaming(state, event, sol, dead_nodes=dead)
     rows = []
@@ -202,8 +271,7 @@ def assert_rows_match_reference(state, event, sol, window, dead=frozenset()):
         for i in range(len(win)):
             s = win.source.solution(i)
             ref = ref_plan(state, repl, s, sol.aggregated, dead)
-            sp = win.stripe_plan(i)
-            assert sp == ref
+            assert row_plan(win, i) == ref
             # Stripe i's (cross, intra, charges): its row of the ledger.
             figures = win.ledger(CHUNK, slice(i, i + 1))
             assert figures == ref_accounting(ref, CHUNK)
@@ -217,7 +285,7 @@ def assert_rows_match_reference(state, event, sol, window, dead=frozenset()):
                     aggregated=sol.aggregated,
                 )
                 assert figures[0] == traffic_report(single, CHUNK).total_bytes
-            rows.append(sp)
+            rows.append(StripePlan(win, i))
     assert len(rows) == len(sol)
     eager = plan_recovery(state, event, sol, dead_nodes=dead)
     assert eager.stripe_plans == tuple(rows)
@@ -360,14 +428,20 @@ class TestColumnsAgreeWithObjects:
 class TestQuietRunBuildsNoObjects:
     @pytest.fixture
     def made(self, monkeypatch):
+        """Counts row handles built and rows read through the accessor."""
         counts = Counter()
-        for cls in (planner.Transfer, planner.ComputeTask, planner.StripePlan):
-            def counting(self, *args, _init=cls.__init__, _name=cls.__name__,
-                         **kwargs):
-                counts[_name] += 1
-                _init(self, *args, **kwargs)
+        init, helpers = planner.StripePlan.__init__, planner.WindowPlan.helpers
 
-            monkeypatch.setattr(cls, "__init__", counting)
+        def counting_init(self, *args, **kwargs):
+            counts["StripePlan"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_helpers(self, i):
+            counts["helpers"] += 1
+            return helpers(self, i)
+
+        monkeypatch.setattr(planner.StripePlan, "__init__", counting_init)
+        monkeypatch.setattr(planner.WindowPlan, "helpers", counting_helpers)
         return counts
 
     @pytest.mark.parametrize("registry", [False, True])
@@ -384,15 +458,16 @@ class TestQuietRunBuildsNoObjects:
         assert len(result.per_stripe_ok) == len(sol) > 256
         assert result.verified
         assert made == Counter()
-        # The counting wrapper does count what a materialised plan builds.
+        # The counting wrapper does count what a materialised plan builds:
+        # one handle per stripe, and no row read until a reader asks.
         plan_recovery(state, event, sol)
-        assert made["Transfer"] > 0 and made["StripePlan"] == len(sol)
+        assert made == Counter(StripePlan=len(sol))
 
 
 def test_ledger_charges_match_the_executor_for_a_moved_replacement():
     """A replacement outside the failed rack turns its survivors' flows
-    cross-rack; the columns count flows by their endpoints, as the
-    objects do."""
+    cross-rack; the ledger counts flows by their endpoints, as the rows'
+    flows and decodes do."""
     for seed in range(50):
         state = build_state(
             CFS2, seed, with_data=True, chunk_size=64, num_stripes=2
@@ -409,9 +484,61 @@ def test_ledger_charges_match_the_executor_for_a_moved_replacement():
     plan = plan_recovery(state, moved, sol)
     result = PlanExecutor(state).execute(plan, sol)
     assert result.verified
-    assert result.cross_rack_bytes == plan.cross_rack_chunks() * 64
-    assert result.intra_rack_bytes == plan.intra_rack_chunks() * 64
+    cross = intra = 0
     compute = Counter()
-    for task in plan.all_compute():
-        compute[task.node] += task.input_chunks * 64
+    for sp in plan.stripe_plans:
+        c, i, charges = ref_accounting(row_plan(sp.window, sp.row), 64)
+        cross, intra = cross + c, intra + i
+        compute.update(charges)
+    assert cross > 0
+    assert result.cross_rack_bytes == plan.cross_rack_chunks() * 64 == cross
+    assert result.intra_rack_bytes == intra
     assert result.bytes_computed_by_node == dict(compute)
+
+
+class TestSubChunkSolutionsAreRefused:
+    """A regenerating-code solution ships fractional chunk units, which a
+    plan of whole-chunk flows can neither carry nor time.  Planning it is
+    allowed; the executor and both time models refuse it by name."""
+
+    @staticmethod
+    def planned(config, strategy, with_data=False):
+        state = build_state(
+            config, 1, with_data=with_data, chunk_size=CHUNK,
+            placement_policy="rack_aligned",
+        )
+        event = FailureInjector(rng=1).fail_random_node(state)
+        sol = strategy.solve(state)
+        return state, plan_recovery(state, event, sol), sol
+
+    @pytest.mark.parametrize("config,strategy,whole,units", [
+        (CFS1, PiggybackStrategy(), 226, 157.5),
+        (CFS3, RackAwareMSRStrategy(), 204, 102.0),
+    ])
+    def test_the_plan_counts_whole_chunks(self, config, strategy, whole,
+                                          units):
+        _, plan, sol = self.planned(config, strategy)
+        assert plan.cross_rack_chunks() == whole
+        assert traffic_report(sol, 1).total_chunks == units
+
+    def test_the_executor_refuses_before_a_window_is_submitted(
+        self, monkeypatch
+    ):
+        state, plan, sol = self.planned(CFS1, PiggybackStrategy(), True)
+        decoded = []
+        monkeypatch.setattr(
+            streaming, "compute_window", lambda *a, **k: decoded.append(a)
+        )
+        with pytest.raises(PlanError, match=r"fractional chunk units .*0\.5"):
+            PlanExecutor(state).execute(plan, sol)
+        assert decoded == []
+
+    def test_the_fluid_simulator_refuses(self):
+        state, plan, _ = self.planned(CFS1, PiggybackStrategy())
+        with pytest.raises(PlanError, match="fractional chunk units"):
+            RecoverySimulator(state).simulate(plan, CHUNK)
+
+    def test_the_serial_model_refuses(self):
+        state, plan, _ = self.planned(CFS3, RackAwareMSRStrategy())
+        with pytest.raises(PlanError, match="fractional chunk units"):
+            StripeSerialTimingModel(state).evaluate(plan, CHUNK)

@@ -110,8 +110,9 @@ class TestHelperLostMidRepair:
         }
         assert not before & {sp.stripe_id for sp in final.stripe_plans}
         assert all(
-            dead not in (t.src_node, t.dst_node)
-            for t in final.all_transfers()
+            dead not in (node, dest)
+            for sp in final.stripe_plans
+            for _, _, node, dest, *_ in sp.window.helpers(sp.row)
         )
 
     def test_a_dead_node_nobody_reads_costs_nothing(self, tmp_path):

@@ -99,7 +99,7 @@ class TestSerialModel:
             timing = StripeSerialTimingModel(state).evaluate(plan, 4 * MB)
             per_stripe[label] = {
                 sp.stripe_id: (
-                    [t.src_rack for t in sp.transfers if t.is_partial],
+                    [h[0] for h in sp.window.helpers(sp.row) if h[5]],
                     st.transmission,
                 )
                 for sp, st in zip(plan.stripe_plans, timing.stripes)
