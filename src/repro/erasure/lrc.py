@@ -13,7 +13,9 @@ group's local parity instead of ``k`` chunks.  The code is linear but
 *not* MDS: decode succeeds for any erasure pattern whose surviving
 generator rows span the data space (which covers all patterns of up to
 ``g + 1`` erasures with the construction below, the "Maximally
-Recoverable" regime Azure targets for its (12, 2, 2) code).
+Recoverable" regime Azure targets for its (12, 2, 2) code).  Encode,
+decode and repair are :class:`~repro.erasure.code.LinearCode`'s: a
+repair may take any helper set whose rows span the lost row.
 
 Chunk index layout: ``0..k-1`` data, ``k..k+l-1`` local parities (group
 order), ``k+l..k+l+g-1`` global parities.
@@ -30,26 +32,19 @@ landscape" (DESIGN.md section 5, "LRC vs CAR").
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.cache import BoundedCache
-from repro.errors import (
-    CodingError,
-    InsufficientChunksError,
-    InvalidCodeParametersError,
-    SingularMatrixError,
-)
-from repro.erasure.code import ErasureCode
+from repro.errors import CodingError, InvalidCodeParametersError
+from repro.erasure.code import LinearCode
 from repro.erasure.matrix import GFMatrix
 from repro.gf.field import GaloisField, gf
-from repro.gf.vector import batch_dot, buffer_dtype, dot_rows, matrix_apply
 
 __all__ = ["LRCCode"]
 
 
-class LRCCode(ErasureCode):
+class LRCCode(LinearCode):
     """A systematic ``LRC(k, l, g)`` code over GF(2^w).
 
     Args:
@@ -78,15 +73,10 @@ class LRCCode(ErasureCode):
             raise InvalidCodeParametersError(
                 f"LRC(k={k}, l={l}, g={g}) does not fit GF(2^{w})"
             )
-        self.k = k
         self.l = l
         self.g = g
-        self.m = l + g
-        self.w = w
-        self.field: GaloisField = field
         self.group_size = k // l
-        self.generator: GFMatrix = self._build_generator()
-        self._repair_cache = BoundedCache(maxsize=1024, name="lrc.repair_vector")
+        super().__init__(self._build_generator(field, k), k, "lrc")
 
     def __reduce__(self):
         # Rebuild from parameters (generator is deterministic; the repair
@@ -95,13 +85,12 @@ class LRCCode(ErasureCode):
 
     # -- construction ----------------------------------------------------
 
-    def _build_generator(self) -> GFMatrix:
-        f = self.field
-        rows = np.zeros((self.n, self.k), dtype=f.tables.dtype)
-        rows[: self.k, : self.k] = np.eye(self.k, dtype=f.tables.dtype)
+    def _build_generator(self, f: GaloisField, k: int) -> GFMatrix:
+        rows = np.zeros((k + self.l + self.g, k), dtype=f.tables.dtype)
+        rows[:k, :k] = np.eye(k, dtype=f.tables.dtype)
         # Local parity rows: XOR of the group's data chunks.
         for group in range(self.l):
-            row = self.k + group
+            row = k + group
             for j in self.group_members(group):
                 rows[row, j] = 1
         # Global parity rows: Vandermonde over distinct nonzero points,
@@ -110,17 +99,12 @@ class LRCCode(ErasureCode):
         for i in range(self.g):
             alpha = 2 + i
             acc = 1
-            for j in range(self.k):
-                rows[self.k + self.l + i, j] = acc
+            for j in range(k):
+                rows[k + self.l + i, j] = acc
                 acc = f.mul(acc, alpha)
         return GFMatrix(f, rows)
 
     # -- structure queries ---------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Total chunks per stripe: ``k + l + g``."""
-        return self.k + self.l + self.g
 
     def group_of(self, index: int) -> int | None:
         """Local group of a chunk; None for global parities."""
@@ -168,117 +152,11 @@ class LRCCode(ErasureCode):
         """Raw-to-useful storage ratio ``n / k`` (non-MDS premium)."""
         return self.n / self.k
 
-    # -- encode / decode -------------------------------------------------------
-
-    def _check_chunks(self, chunks: Sequence[np.ndarray]) -> None:
-        sizes = {c.shape for c in chunks}
-        if len(sizes) > 1:
-            raise CodingError(f"chunks have differing shapes: {sizes}")
-        dtype = buffer_dtype(self.field)
-        for c in chunks:
-            if c.dtype != dtype:
-                raise CodingError(
-                    f"chunk dtype {c.dtype} does not match field dtype {dtype}"
-                )
-
-    def encode(self, data_chunks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Compute the ``l + g`` parity chunks."""
-        if len(data_chunks) != self.k:
-            raise CodingError(
-                f"encode expects k={self.k} data chunks, got {len(data_chunks)}"
-            )
-        self._check_chunks(data_chunks)
-        return matrix_apply(
-            self.field, self.generator.data[self.k :, :], list(data_chunks)
-        )
-
-    def encode_stripe(self, data_chunks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """The full stripe: data chunks followed by local then global parity."""
-        return list(data_chunks) + self.encode(data_chunks)
-
-    def encode_into(self, stripe: np.ndarray) -> None:
-        """Parity of an ``(n, L)`` stripe's first ``k`` rows, encoded
-        straight into its last ``l + g`` rows."""
-        batch_dot(
-            self.field, self.generator.data[self.k :, :], stripe[: self.k],
-            out=stripe[self.k :],
-        )
-
     def is_recoverable(self, available: Sequence[int]) -> bool:
         """True iff the available chunks span the data space."""
-        rows = self.generator.take_rows(sorted(set(available)))
-        return rows.rank() == self.k
-
-    def decode(self, available: Mapping[int, np.ndarray]) -> list[np.ndarray]:
-        """Reconstruct all data chunks from any spanning available set.
-
-        Raises:
-            InsufficientChunksError: if the surviving rows do not span
-                the data space (the pattern is unrecoverable).
-        """
-        indices = sorted(available)
-        for i in indices:
-            if not 0 <= i < self.n:
-                raise CodingError(f"chunk index {i} out of range for n={self.n}")
-        sub = self.generator.take_rows(indices)
-        basis = sub.independent_rows()
-        if len(basis) < self.k:
-            raise InsufficientChunksError(
-                f"available chunks {indices} do not span the data space "
-                f"(rank {len(basis)} < k={self.k})"
-            )
-        chosen = [indices[b] for b in basis[: self.k]]
-        square = self.generator.take_rows(chosen)
-        inverse = square.invert()
-        bufs = [available[i] for i in chosen]
-        self._check_chunks(bufs)
-        return matrix_apply(self.field, inverse.data, bufs)
-
-    # -- repair ----------------------------------------------------------------
-
-    def _repair_vector_cached(
-        self, lost_index: int, helpers: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        sub = self.generator.take_rows(list(helpers))
-        target = [int(v) for v in self.generator.row(lost_index)]
-        try:
-            return tuple(sub.solve_right(target))
-        except SingularMatrixError as exc:
-            raise InsufficientChunksError(
-                f"chunk {lost_index} cannot be repaired from helpers {helpers}"
-            ) from exc
-
-    def repair_vector(
-        self, lost_index: int, helper_indices: Sequence[int]
-    ) -> list[int]:
-        """Coefficients over an arbitrary-size helper set.
-
-        Unlike MDS RS codes, the helper set may be *smaller* than ``k``
-        (local repair) — it only needs to span the lost row.
-        """
-        if not 0 <= lost_index < self.n:
-            raise CodingError(f"lost index {lost_index} out of range")
-        helpers = tuple(helper_indices)
-        if lost_index in helpers:
-            raise CodingError("helper set must not contain the lost chunk")
-        if len(set(helpers)) != len(helpers):
-            raise CodingError("helper indices must be distinct")
-        return list(
-            self._repair_cache.get_or_build(
-                (lost_index, helpers),
-                lambda: self._repair_vector_cached(lost_index, helpers),
-            )
-        )
-
-    def reconstruct(
-        self, lost_index: int, helpers: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        """Rebuild one chunk from any spanning helper set."""
-        indices = sorted(helpers)
-        y = self.repair_vector(lost_index, indices)
-        bufs = [helpers[i] for i in indices]
-        self._check_chunks(bufs)
-        return dot_rows(self.field, y, bufs)
+        indices = sorted(set(available))
+        self._check_indices(indices)
+        return self.generator.take_rows(indices).rank() == self.k
 
     def __repr__(self) -> str:
         return f"LRCCode(k={self.k}, l={self.l}, g={self.g}, w={self.w})"

@@ -1,21 +1,28 @@
 """Dense matrix algebra over GF(2^w).
 
 Matrices are stored as 2-D numpy arrays of the field's element dtype and
-wrapped in :class:`GFMatrix`, which provides multiplication, Gauss-Jordan
-inversion, rank, and the classical erasure-coding constructors
-(Vandermonde, Cauchy, and their systematic reductions), and
-:func:`solve_right_stack`, which solves a stack of systems at once.
+wrapped in :class:`GFMatrix`, which provides multiplication and the
+classical erasure-coding constructors (Vandermonde, Cauchy, and their
+systematic reductions).
+
+There is one elimination: a Gauss-Jordan reduction over an ``(S, R, C)``
+stack of systems, each pivoting on its own rows, in whole-stack numpy
+steps with products gathered from the field's product table.  ``invert``
+reduces ``[A | I]``, ``rank`` counts pivots, ``independent_rows`` reads
+the pivot columns of ``A^T``, and :func:`solve_right_stack` reduces
+``[M^T | rhs]`` for a whole stack of systems at once, of which
+``solve_right`` is the one-system case.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
 
 import numpy as np
 
 from repro.errors import CodingError, FieldError, SingularMatrixError
-from repro.gf.field import GaloisField, gf
+from repro.gf.field import GaloisField
+from repro.gf.vector import _product_table
 
 __all__ = ["GFMatrix", "solve_right_stack"]
 
@@ -160,11 +167,7 @@ class GFMatrix:
             raise FieldError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        products = _mul(
-            self.field,
-            self.data.astype(np.int64)[:, :, None],
-            other.data.astype(np.int64)[None, :, :],
-        )
+        products = _mul(self.field, self.data[:, :, None], other.data[None, :, :])
         return GFMatrix(self.field, np.bitwise_xor.reduce(products, axis=1))
 
     def mul_vector(self, vec: Sequence[int]) -> list[int]:
@@ -181,7 +184,7 @@ class GFMatrix:
     # -- elimination ------------------------------------------------------
 
     def invert(self) -> "GFMatrix":
-        """Inverse via Gauss-Jordan elimination.
+        """Inverse: ``[A | I]`` reduced to ``[I | A^-1]``.
 
         Raises:
             SingularMatrixError: if the matrix is not square or singular.
@@ -189,56 +192,15 @@ class GFMatrix:
         if self.rows != self.cols:
             raise SingularMatrixError(f"cannot invert non-square {self.shape}")
         n = self.rows
-        f = self.field
-        # Work in a wide augmented matrix [A | I].
-        aug = np.zeros((n, 2 * n), dtype=np.int64)
-        aug[:, :n] = self.data
-        aug[:, n:] = np.eye(n, dtype=np.int64)
-        for col in range(n):
-            pivot = next(
-                (r for r in range(col, n) if aug[r, col] != 0), None
-            )
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular over the field")
-            if pivot != col:
-                aug[[col, pivot]] = aug[[pivot, col]]
-            inv_p = f.inv(int(aug[col, col]))
-            for j in range(2 * n):
-                aug[col, j] = f.mul(int(aug[col, j]), inv_p)
-            for r in range(n):
-                if r == col or aug[r, col] == 0:
-                    continue
-                factor = int(aug[r, col])
-                for j in range(2 * n):
-                    aug[r, j] ^= f.mul(factor, int(aug[col, j]))
-        return GFMatrix(f, aug[:, n:])
+        aug = np.concatenate((self.data, np.eye(n, dtype=self.data.dtype)), axis=1)
+        pivots = _eliminate(self.field, aug[None], n)
+        if not pivots.all():
+            raise SingularMatrixError("matrix is singular over the field")
+        return GFMatrix(self.field, aug[:, n:])
 
     def rank(self) -> int:
-        """Rank over the field (row echelon form)."""
-        f = self.field
-        work = self.data.astype(np.int64, copy=True)
-        rank = 0
-        for col in range(self.cols):
-            pivot = next(
-                (r for r in range(rank, self.rows) if work[r, col] != 0), None
-            )
-            if pivot is None:
-                continue
-            if pivot != rank:
-                work[[rank, pivot]] = work[[pivot, rank]]
-            inv_p = f.inv(int(work[rank, col]))
-            for j in range(self.cols):
-                work[rank, j] = f.mul(int(work[rank, j]), inv_p)
-            for r in range(self.rows):
-                if r == rank or work[r, col] == 0:
-                    continue
-                factor = int(work[r, col])
-                for j in range(self.cols):
-                    work[r, j] ^= f.mul(factor, int(work[rank, j]))
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
+        """Rank over the field: the pivot count of its reduction."""
+        return int(_eliminate(self.field, self.data[None].copy(), self.cols).sum())
 
     def is_invertible(self) -> bool:
         """True iff square and full-rank."""
@@ -252,35 +214,14 @@ class GFMatrix:
         Greedy: rows are considered in order and kept iff they increase
         the rank — so the returned list is the lexicographically first
         basis, which decode paths use to prefer low-index (data) chunks.
+        Those are the pivot columns of the transpose's reduction.
         """
-        f = self.field
-        work = self.data.astype(np.int64, copy=True)
-        kept: list[int] = []
-        pivot_cols: list[int] = []
-        for r in range(self.rows):
-            # Reduce row r by previously chosen pivots.
-            row = work[r].copy()
-            for prow, pcol in zip(kept, pivot_cols):
-                factor = int(row[pcol])
-                if factor:
-                    for j in range(self.cols):
-                        row[j] ^= f.mul(factor, int(work[prow, j]))
-            nonzero = np.nonzero(row)[0]
-            if nonzero.size == 0:
-                continue
-            pcol = int(nonzero[0])
-            inv_p = f.inv(int(row[pcol]))
-            for j in range(self.cols):
-                row[j] = f.mul(int(row[j]), inv_p)
-            work[r] = row
-            kept.append(r)
-            pivot_cols.append(pcol)
-            if len(kept) == self.cols:
-                break
-        return kept
+        pivots = _eliminate(self.field, self.data.T[None].copy(), self.rows)
+        return np.flatnonzero(pivots[0]).tolist()
 
     def solve_right(self, rhs: Sequence[int]) -> list[int]:
-        """Solve ``x @ self == rhs`` for a row vector ``x``.
+        """Solve ``x @ self == rhs`` for a row vector ``x``: the one-system
+        reduction behind :func:`solve_right_stack`, free unknowns set to 0.
 
         Used to express one generator row (``rhs``) as a combination of
         helper rows (``self``) — the general repair-vector computation
@@ -294,56 +235,15 @@ class GFMatrix:
             raise FieldError(
                 f"rhs length {len(rhs)} does not match cols {self.cols}"
             )
-        f = self.field
-        # Gaussian elimination on the transposed system:
-        # self^T (cols x rows) @ x^T = rhs^T.
-        a = self.data.T.astype(np.int64)  # (cols, rows)
-        aug = np.zeros((self.cols, self.rows + 1), dtype=np.int64)
-        aug[:, : self.rows] = a
-        aug[:, self.rows] = [f.check(int(v)) for v in rhs]
-        n_rows, n_cols = self.cols, self.rows
-        pivots: list[tuple[int, int]] = []
-        row_idx = 0
-        for col in range(n_cols):
-            pivot = next(
-                (r for r in range(row_idx, n_rows) if aug[r, col] != 0), None
+        target = GFMatrix(self.field, [[self.field.check(int(v)) for v in rhs]])
+        x, pivots = _solve(self.field, self.data[None], target.data)
+        # The right-hand column pivots iff rhs is outside the row span;
+        # the product re-checks the solution.
+        if pivots[0, -1] or GFMatrix(self.field, x) @ self != target:
+            raise SingularMatrixError(
+                "target row is not in the span of the helper rows"
             )
-            if pivot is None:
-                continue
-            if pivot != row_idx:
-                aug[[row_idx, pivot]] = aug[[pivot, row_idx]]
-            inv_p = f.inv(int(aug[row_idx, col]))
-            for j in range(n_cols + 1):
-                aug[row_idx, j] = f.mul(int(aug[row_idx, j]), inv_p)
-            for r in range(n_rows):
-                if r == row_idx or aug[r, col] == 0:
-                    continue
-                factor = int(aug[r, col])
-                for j in range(n_cols + 1):
-                    aug[r, j] ^= f.mul(factor, int(aug[row_idx, j]))
-            pivots.append((row_idx, col))
-            row_idx += 1
-            if row_idx == n_rows:
-                break
-        # Inconsistency check: a zero row with nonzero rhs.
-        for r in range(row_idx, n_rows):
-            if aug[r, n_cols] != 0 and not aug[r, :n_cols].any():
-                raise SingularMatrixError(
-                    "target row is not in the span of the helper rows"
-                )
-        x = [0] * n_cols
-        for r, c in pivots:
-            x[c] = int(aug[r, n_cols])
-        # Verify (also catches inconsistent systems with free variables).
-        if self.field is not None:
-            check = GFMatrix(self.field, [x]) @ self
-            if [int(v) for v in check.data[0]] != [
-                f.check(int(v)) for v in rhs
-            ]:
-                raise SingularMatrixError(
-                    "target row is not in the span of the helper rows"
-                )
-        return x
+        return x[0].tolist()
 
     # -- systematic reduction ----------------------------------------------
 
@@ -367,61 +267,90 @@ class GFMatrix:
         return self @ top.invert()
 
 
-@lru_cache(maxsize=None)
-def _product_table(w: int) -> np.ndarray:
-    """``T[a << w | b] = a * b`` over the whole of GF(2^w), w <= 8."""
-    a, b = np.divmod(np.arange(1 << 2 * w), 1 << w)
-    return _mul_logs(gf(w).tables, a, b)
-
-
-def _mul_logs(t, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a * b`` through the log/exp tables, zero operands masked."""
-    zero = (a == 0) | (b == 0)
-    out = t.exp[np.where(zero, 0, t.log[a] + t.log[b])].astype(np.int64)
-    out[zero] = 0
-    return out
-
-
 def _mul(field: GaloisField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of two broadcastable int64 element arrays."""
+    """Elementwise product of two broadcastable element arrays: one
+    gather from the field's product table (:mod:`repro.gf.vector`,
+    ``T[a << w | b] = a * b``) for w <= 8, log/exp otherwise."""
     if field.w <= 8:
-        return _product_table(field.w)[(a << field.w) | b]
-    return _mul_logs(field.tables, a, b)
+        return _product_table(field)[np.left_shift(a, field.w, dtype=np.intp) | b]
+    t = field.tables
+    zero = (a == 0) | (b == 0)
+    return np.where(zero, 0, t.exp[np.where(zero, 0, t.log[a] + t.log[b])])
+
+
+def _eliminate(field: GaloisField, aug: np.ndarray, width: int) -> np.ndarray:
+    """Gauss-Jordan over an ``(S, R, C)`` stack, in place.
+
+    Each system pivots on its own next row within the first ``width``
+    columns: the first nonzero entry at or below it is swapped up,
+    scaled to 1 and cleared from every other row.  A system without a
+    pivot in a column is carried through the same whole-stack update
+    with a zero factor and an inverse of 1, so no step copies a subset.
+    Returns the ``(S, width)`` pivot mask; system ``s``'s first
+    ``mask[s].sum()`` rows are then its reduced pivot rows, in column
+    order, and the rest are zero within those columns.
+    """
+    stack, rows, _ = aug.shape
+    systems, row_ids = np.arange(stack), np.arange(rows)
+    rank = np.zeros(stack, dtype=np.intp)
+    pivots = np.zeros((stack, width), dtype=bool)
+    for col in range(width):
+        if (rank == rows).all():
+            break
+        nonzero = (aug[:, :, col] != 0) & (row_ids >= rank[:, None])
+        found = nonzero.any(axis=1)
+        target = np.minimum(rank, rows - 1)
+        pivot = np.where(found, nonzero.argmax(axis=1), target)
+        row = aug[systems, pivot]
+        aug[systems, pivot] = aug[systems, target]
+        inverse = np.where(found, field.tables.inv[row[:, col]], 1)
+        row = _mul(field, inverse[:, None], row[:, col:])
+        aug[systems, target, col:] = row
+        factors = np.where(found[:, None], aug[:, :, col], 0)
+        factors[systems, target] = 0
+        aug[:, :, col:] ^= _mul(field, factors[:, :, None], row[:, None, :])
+        pivots[:, col] = found
+        rank += found
+    return pivots
+
+
+def _solve(
+    field: GaloisField, matrices: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``[matrices[s]^T | rhs[s]]`` reduced, for ``(S, h, c)`` matrices
+    and ``(S, c)`` right-hand sides.
+
+    Returns ``y``, ``(S, h)`` with every free unknown 0, and the
+    ``(S, h + 1)`` pivot mask: ``y[s] @ matrices[s] == rhs[s]`` iff
+    ``mask[s, h]`` is clear (the right-hand column pivots exactly when
+    ``rhs[s]`` is outside the row span), and the solution is unique iff
+    also ``mask[s, :h]`` is all set.
+    """
+    stack, h, _ = matrices.shape
+    aug = np.concatenate((np.swapaxes(matrices, 1, 2), rhs[:, :, None]), axis=2)
+    pivots = _eliminate(field, aug, h + 1)
+    y = np.zeros((stack, h), dtype=np.int64)
+    # Row r of a system holds the unknown of its r-th pivot column.
+    ranks = pivots[:, :h].sum(axis=1)
+    y[pivots[:, :h]] = aug[:, :, h][np.arange(aug.shape[1]) < ranks[:, None]]
+    return y, pivots
 
 
 def solve_right_stack(
     field: GaloisField, matrices: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """``(S, k)`` int64 ``y`` with ``y[s] @ matrices[s] == rhs[s]``, for
+    """``(S, k)`` ``y`` with ``y[s] @ matrices[s] == rhs[s]``, for
     ``(S, k, k)`` matrices and ``(S, k)`` right-hand sides.
 
-    One Gauss-Jordan pass reduces the ``(S, k, k + 1)`` stack of
-    augmented blocks ``[matrices[s]^T | rhs[s]]`` column by column, each
-    system on its own pivot, so the cost is ``k`` steps of numpy work
-    whatever ``S`` is.  Raises :class:`SingularMatrixError` naming the
-    first singular system.
+    One stacked reduction of the augmented blocks ``[matrices[s]^T |
+    rhs[s]]``, each system on its own pivots, so the cost is ``k``
+    steps of numpy work whatever ``S`` is.  Raises
+    :class:`SingularMatrixError` naming the first singular system.
     """
-    stack, k = matrices.shape[:2]
-    aug = np.concatenate(
-        (np.swapaxes(matrices, 1, 2), rhs[:, :, None]), axis=2
-    ).astype(np.int64)
-    systems = np.arange(stack)
-    singular = np.zeros(stack, dtype=bool)
-    for col in range(k):
-        nonzero = aug[:, col:, col] != 0
-        singular |= ~nonzero.any(axis=1)
-        pivot = col + nonzero.argmax(axis=1)
-        row = aug[systems, pivot]
-        aug[systems, pivot] = aug[:, col]
-        # A singular system's pivot is 0, whose table inverse is 0: its
-        # rows go to zero and it is reported below.
-        inverse = field.tables.inv[row[:, col : col + 1]].astype(np.int64)
-        aug[:, col] = _mul(field, inverse, row)
-        factors = aug[:, :, col : col + 1].copy()
-        factors[:, col] = 0
-        aug[:, :, col:] ^= _mul(field, factors, aug[:, None, col, col:])
+    y, pivots = _solve(field, matrices, rhs)
+    singular = ~pivots[:, :-1].all(axis=1)
     if singular.any():
         raise SingularMatrixError(
             f"system {int(singular.argmax())} is singular over the field"
         )
-    return aug[:, :, k]
+    return y

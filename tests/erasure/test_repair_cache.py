@@ -18,10 +18,13 @@ from repro.erasure.lrc import LRCCode
 from repro.erasure.rs import RSCode
 from repro.errors import ConfigurationError
 
+from tests.erasure import _gauss_reference as gauss
+
 
 def reference_repair_vector(code, lost_index, helpers):
-    """``y = g_lost · X`` via the scalar double loop (pre-optimisation)."""
-    inverse = code.generator.take_rows(list(helpers)).invert()
+    """``y = g_lost · X`` via the scalar double loop (pre-optimisation),
+    ``X`` from the scalar Gauss-Jordan reference."""
+    inverse = gauss.invert(code.generator.take_rows(list(helpers)))
     g_lost = code.generator.row(lost_index)
     f = code.field
     y = []

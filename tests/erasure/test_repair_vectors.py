@@ -1,13 +1,15 @@
 """The batched repair-vector solve against its per-row references.
 
 ``RSCode.repair_vectors`` derives a whole batch of repair vectors in one
-vectorised Gauss-Jordan pass (:func:`~repro.erasure.matrix.solve_right_stack`).
-Every row must equal, bit for bit, both the scalar double loop of
-``reference_repair_vector`` and ``g_lost`` times the inverse that
-``GFMatrix.invert`` gives, for Vandermonde and Cauchy RS codes at w = 8
-and RS(20, 10) at w = 16; batches of size 0 and 1 and batches that
-repeat a row are drawn on purpose.  Singular systems and malformed rows
-fail the way the per-row API fails.
+vectorised Gauss-Jordan pass (the stacked reduction behind
+:func:`~repro.erasure.matrix.solve_right_stack`).  Every row must equal,
+bit for bit, both the scalar double loop of ``reference_repair_vector``
+and ``g_lost`` times the inverse the scalar Gauss-Jordan reference
+(``tests/erasure/_gauss_reference.py``) gives, for Vandermonde and
+Cauchy RS codes at w = 8 and RS(20, 10) at w = 16; batches of size 0
+and 1 and batches that repeat a row are drawn on purpose.  Singular
+systems and malformed rows — for RS and LRC alike — fail the way the
+per-row API fails.
 """
 
 import numpy as np
@@ -21,13 +23,14 @@ from repro.erasure.rs import RSCode
 from repro.errors import CodingError, SingularMatrixError
 from repro.gf.field import GF8, GF16
 
+from tests.erasure import _gauss_reference as gauss
 from tests.erasure.test_repair_cache import reference_repair_vector
 
 
 def inverse_repair_vector(code, lost, helpers):
-    """``g_lost · X`` with ``X`` from :meth:`GFMatrix.invert`."""
+    """``g_lost · X`` with ``X`` from the scalar Gauss-Jordan reference."""
     g_lost = GFMatrix(code.field, [code.generator.row(lost)])
-    inverse = code.generator.take_rows(list(helpers)).invert()
+    inverse = gauss.invert(code.generator.take_rows(list(helpers)))
     return (g_lost @ inverse).data[0].tolist()
 
 
@@ -145,7 +148,7 @@ class TestSingular:
         stack = singular_stack(data.draw, field, k, rows)
         rhs = np.ones((rows, k), dtype=np.int64)
         first = next(
-            s for s in range(rows) if not GFMatrix(field, stack[s]).is_invertible()
+            s for s in range(rows) if not gauss.is_invertible(GFMatrix(field, stack[s]))
         )
         with pytest.raises(SingularMatrixError, match=f"^system {first} is singular"):
             solve_right_stack(field, stack, rhs)
@@ -159,31 +162,57 @@ class TestSingular:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         stack = rng.integers(0, field.order, (rows, k, k))
         rhs = rng.integers(0, field.order, (rows, k))
-        keep = [GFMatrix(field, m).is_invertible() for m in stack]
+        keep = [gauss.is_invertible(GFMatrix(field, m)) for m in stack]
         stack, rhs = stack[keep], rhs[keep]
         got = solve_right_stack(field, stack, rhs)
         for y, m, b in zip(got.tolist(), stack, rhs.tolist()):
-            assert y == GFMatrix(field, m).solve_right(b)
+            assert y == gauss.solve_right(GFMatrix(field, m), b)
 
 
-BAD_ROWS = [
-    pytest.param(0, [0, 1, 2, 3, 4, 5], "helper set must not contain", id="lost-in-helpers"),
-    pytest.param(0, [1, 2, 3, 4, 5, 5], "helper indices must be distinct", id="duplicate"),
-    pytest.param(9, [1, 2, 3, 4, 5, 6], "lost index 9 out of range", id="lost-range"),
-    pytest.param(0, [1, 2, 3, 4, 5, 9], "helper index 9 out of range", id="helper-range"),
-    pytest.param(0, [1, 2, 3, 4, 5, -1], "helper index -1 out of range", id="negative"),
-]
+def bad_rows(code, prefix=""):
+    """One malformed ``(lost, helpers)`` row per check, for RS(6, 3) or
+    LRC(6, 2, 2); ``code.n`` is the first index out of range."""
+    n = code.n
+    return [
+        pytest.param(code, 0, [0, 1, 2, 3, 4, 5], "helper set must not contain",
+                     id=f"{prefix}lost-in-helpers"),
+        pytest.param(code, 0, [1, 2, 3, 4, 5, 5], "helper indices must be distinct",
+                     id=f"{prefix}duplicate"),
+        pytest.param(code, n, [1, 2, 3, 4, 5, 6], f"lost index {n} out of range",
+                     id=f"{prefix}lost-range"),
+        pytest.param(code, 0, [1, 2, 3, 4, 5, n], f"helper index {n} out of range",
+                     id=f"{prefix}helper-range"),
+        pytest.param(code, 0, [1, 2, 3, 4, 5, -1], "helper index -1 out of range",
+                     id=f"{prefix}negative"),
+    ]
+
+
+BAD_ROWS = bad_rows(RSCode(6, 3)) + bad_rows(LRCCode(6, 2, 2), prefix="lrc-")
+CODES = [RSCode(6, 3), LRCCode(6, 2, 2)]
 
 
 class TestMalformedRows:
-    @pytest.mark.parametrize("lost, helpers, message", BAD_ROWS)
-    def test_batch_words_errors_like_the_per_row_api(self, lost, helpers, message):
-        code = RSCode(6, 3)
+    @pytest.mark.parametrize("code, lost, helpers, message", BAD_ROWS)
+    def test_batch_words_errors_like_the_per_row_api(self, code, lost, helpers, message):
         with pytest.raises(CodingError, match=message):
             code.repair_vector(lost, helpers)
         good = [1, 2, 3, 4, 5, 6]
         with pytest.raises(CodingError, match=message):
-            code.repair_vectors([0, lost, 9], [good, helpers, good])
+            code.repair_vectors([0, lost, code.n], [good, helpers, good])
+
+    @pytest.mark.parametrize("code", CODES, ids=repr)
+    @pytest.mark.parametrize("index", [-1, "n"])
+    def test_decode_rejects_an_index_out_of_range(self, code, index):
+        index = code.n if index == "n" else index
+        stripe = {i: np.zeros(4, dtype=np.uint8) for i in range(code.k)}
+        stripe[index] = np.zeros(4, dtype=np.uint8)
+        with pytest.raises(CodingError, match=f"chunk index {index} out of range"):
+            code.decode(stripe)
+
+    @pytest.mark.parametrize("index", [-1, 10])
+    def test_is_recoverable_rejects_an_index_out_of_range(self, index):
+        with pytest.raises(CodingError, match=f"chunk index {index} out of range"):
+            LRCCode(6, 2, 2).is_recoverable([0, 1, 2, 3, 4, index])
 
     def test_names_the_first_bad_row(self):
         code = RSCode(6, 3)
