@@ -483,19 +483,22 @@ def _run_stream(args: argparse.Namespace) -> str:
     solution = strategy_from_label(args.strategy, seed).solve(state)
     affected = len(solution)
     plan = plan_recovery_streaming(state, event, solution)
-    # Opt-in observability: --telemetry records trace + metrics +
-    # resource profile (so every stripe's stage events are walked —
-    # that is the point); --progress renders a live stderr line either
-    # way.  Neither flag set keeps the hot path untouched.
+    # Opt-in observability: --telemetry records trace, metrics and
+    # resource profile; --progress renders a live stderr line either
+    # way.  Neither changes which code path the repair takes.
     telemetry_dir = Path(args.telemetry) if args.telemetry else None
-    tracer = registry = profiler = progress = None
+    tracer = registry = progress = None
+    sampler = scope = nullcontext()
     if telemetry_dir is not None:
-        from repro.obs import MetricsRegistry, ResourceSampler, Tracer
+        from repro.obs import (
+            MetricsRegistry, ResourceSampler, Tracer, telemetry_scope,
+        )
 
         telemetry_dir.mkdir(parents=True, exist_ok=True)
         tracer = Tracer()
         registry = MetricsRegistry()
-        profiler = ResourceSampler()
+        sampler = ResourceSampler()
+        scope = telemetry_scope(registry)
     if telemetry_dir is not None or args.progress:
         from repro.obs import ProgressReporter, jsonl_sink
 
@@ -509,21 +512,15 @@ def _run_stream(args: argparse.Namespace) -> str:
             stream=sys.stderr if args.progress else None,
             tty=args.progress and sys.stderr.isatty(),
         )
-    executor = PlanExecutor(state, tracer, profiler=profiler)
+    executor = PlanExecutor(state, tracer)
     ok_count = 0
 
     def sink(stripe_id, rebuilt, ok):
         nonlocal ok_count
         ok_count += ok
 
-    if registry is not None:
-        from repro.obs import telemetry_scope
-
-        scope = telemetry_scope(registry)
-    else:
-        scope = nullcontext()
     t0 = time.perf_counter()
-    with scope:
+    with sampler, scope:
         result = executor.execute(
             plan, window=window, sink=sink, progress=progress
         )
@@ -555,12 +552,11 @@ def _run_stream(args: argparse.Namespace) -> str:
         f"  verified : {'yes' if payload['verified'] else 'NO'}",
     ]
     if telemetry_dir is not None:
+        from repro.experiments.runner import RunTelemetry, write_telemetry
         from repro.obs import write_chrome_trace
 
-        tracer.write_jsonl(telemetry_dir / "trace.jsonl")
-        profiler.merge_into(registry)
-        profiler.write_jsonl(telemetry_dir / "profile.jsonl")
-        registry.write_json(telemetry_dir / "metrics.json")
+        telemetry = RunTelemetry(tuple(tracer.events), registry.snapshot())
+        write_telemetry(telemetry_dir, [(0, telemetry)], sampler)
         write_chrome_trace(tracer.events, telemetry_dir / "trace.chrome.json")
         lines.append(
             f"  wrote trace.jsonl, trace.chrome.json, metrics.json, "

@@ -105,9 +105,6 @@ class RecoverySession:
             :class:`~repro.obs.progress.ProgressReporter` — heartbeats
             carry journal lag (intents without commits), the
             crash-exposure window a durable run cares about.
-        profiler: optional
-            :class:`~repro.obs.profile.ResourceSampler` bracketing each
-            incarnation's live execution.
     """
 
     def __init__(
@@ -124,7 +121,6 @@ class RecoverySession:
         session_meta: dict | None = None,
         window: int | None = None,
         progress=None,
-        profiler=None,
     ) -> None:
         self.state = state
         self.event = event
@@ -137,7 +133,6 @@ class RecoverySession:
         self.session_meta = dict(session_meta or {})
         self.window = window
         self.progress = progress
-        self.profiler = profiler
 
     # -- internals -------------------------------------------------------
 
@@ -148,7 +143,6 @@ class RecoverySession:
             backoff=self.backoff,
             tracer=self.tracer,
             journal=journal,
-            profiler=self.profiler,
         )
 
     def _solve(self) -> MultiStripeSolution:

@@ -29,7 +29,7 @@ from repro.recovery.solution import MultiStripeSolution
 
 __all__ = [
     "RunTelemetry", "RunResult", "Series", "ExperimentRunner", "mean_std",
-    "run_durable_recovery", "resume_durable_recovery",
+    "run_durable_recovery", "resume_durable_recovery", "write_telemetry",
 ]
 
 #: Reusable no-op context for the telemetry-disabled run path.
@@ -110,6 +110,34 @@ def mean_std(values: Sequence[float]) -> tuple[float, float]:
     return mean, std
 
 
+def write_telemetry(
+    directory: Path,
+    runs: Sequence[tuple[int, RunTelemetry]],
+    sampler=None,
+) -> None:
+    """Persist a batch's telemetry into ``directory``.
+
+    Writes ``trace.jsonl`` (every record tagged with its run index),
+    ``metrics.json`` (the runs' snapshots merged in run order; the cache
+    section is the process's) and, given the batch's resource
+    ``sampler``, ``profile.jsonl`` plus ``profile.*`` gauges in the
+    merged snapshot.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    merged = MetricsRegistry()
+    with (directory / "trace.jsonl").open("w", encoding="utf-8") as fh:
+        for index, telemetry in runs:
+            merged.merge(telemetry.metrics)
+            for record in telemetry.events:
+                fh.write(json.dumps({**record, "run": index}, sort_keys=True))
+                fh.write("\n")
+    if sampler is not None:
+        sampler.stop()
+        sampler.merge_into(merged)
+        sampler.write_jsonl(directory / "profile.jsonl")
+    merged.write_json(directory / "metrics.json")
+
+
 class ExperimentRunner:
     """Repeats the paper's run loop for one CFS configuration.
 
@@ -170,43 +198,16 @@ class ExperimentRunner:
             results = [
                 self.run_one(i, strategy_factories) for i in range(self.runs)
             ]
-            return self._persist_telemetry(results, sampler)
+            if self.telemetry is not None:
+                write_telemetry(
+                    self.telemetry,
+                    [(r.run_index, r.telemetry) for r in results],
+                    sampler,
+                )
+            return results
         finally:
             if sampler is not None:
                 sampler.stop()
-
-    def _persist_telemetry(
-        self, results: list[RunResult], sampler=None
-    ) -> list[RunResult]:
-        """Write the aggregate trace + metrics of a telemetry-enabled batch.
-
-        Per-run snapshots merge in run order; the cache section is the
-        process's.  The batch-wide resource sampler lands as
-        ``profile.jsonl`` plus ``profile.*`` gauges in the merged
-        snapshot.
-        """
-        if self.telemetry is None:
-            return results
-        self.telemetry.mkdir(parents=True, exist_ok=True)
-        merged = MetricsRegistry()
-        trace_path = self.telemetry / "trace.jsonl"
-        with trace_path.open("w", encoding="utf-8") as fh:
-            for r in results:
-                if r.telemetry is None:  # pragma: no cover - defensive
-                    continue
-                merged.merge(r.telemetry.metrics)
-                for record in r.telemetry.events:
-                    fh.write(
-                        json.dumps({**record, "run": r.run_index},
-                                   sort_keys=True)
-                        + "\n"
-                    )
-        if sampler is not None:
-            sampler.stop()
-            sampler.merge_into(merged)
-            sampler.write_jsonl(self.telemetry / "profile.jsonl")
-        merged.write_json(self.telemetry / "metrics.json")
-        return results
 
     def merged_metrics(self, results: Sequence[RunResult]) -> MetricsRegistry:
         """Fold the per-run snapshots of ``results`` into one registry."""

@@ -152,14 +152,12 @@ class RobustExecutor(PlanExecutor):
         tracer: Tracer | NullTracer | None = None,
         journal=None,
         verify_integrity: bool = True,
-        profiler=None,
     ) -> None:
         super().__init__(
             state,
             tracer=tracer,
             journal=journal,
             verify_integrity=verify_integrity,
-            profiler=profiler,
         )
         self.injector = injector or FaultInjector()
         self.backoff = backoff or BackoffPolicy()
@@ -426,9 +424,9 @@ class RobustExecutor(PlanExecutor):
         self._backoff_total = 0.0
         self._stall_total = 0.0
         self._delivered.clear()
+        self._windows_done = 0
         try:
-            with self._run_scope():
-                return self._run(event, solution, log, window, progress)
+            return self._run(event, solution, log, window, progress)
         finally:
             self._log = None
 

@@ -14,9 +14,10 @@ stripe, per rack, and per run:
 - :mod:`repro.obs.export` — Chrome Trace Event Format (Perfetto /
   ``chrome://tracing``) and collapsed-stack flamegraph export;
 - :mod:`repro.obs.attribution` — per-stage time/bytes breakdown,
-  slowest stripes, and critical path (``repro-car report``);
-- :mod:`repro.obs.profile` — background RSS/CPU/GC sampler attachable
-  to executors and experiment batches;
+  slowest windows (or simulated stripes), and critical path
+  (``repro-car report``);
+- :mod:`repro.obs.profile` — background RSS/CPU/GC sampler a caller
+  brackets its work with (experiment batches, ``repro-car stream``);
 - :mod:`repro.obs.progress` — rate-limited heartbeats (JSONL + opt-in
   TTY status line) for streaming/durable recoveries;
 - :mod:`repro.obs.regress` — benchmark-baseline comparison and the

@@ -10,8 +10,10 @@ subcommand prints:
   inclusive, so the stage totals partition the trace: their sum equals
   the raw sum of span durations minus parent/child double counting,
   and the report's totals are reproducible from the spans by hand;
-- **top-k slowest stripes** — the ``exec.stripe`` (or, for simulator
-  traces, ``sim.stripe``) spans with the largest durations;
+- **top-k slowest entries** — the executor's windows
+  (``exec.stream.ship``, by ``window``) or, for simulator traces, the
+  stripes (``sim.stripe``, by ``stripe_id``) with the largest
+  durations;
 - **critical-path estimate** — the longest root span and the chain of
   largest children inside it, the lower bound on wall time any
   concurrency tuning has to beat.
@@ -51,6 +53,10 @@ _STAGE_RULES: tuple[tuple[str, tuple[str, ...]], ...] = (
 #: Span-attr keys summed into a stage's byte totals.
 _BYTE_SUFFIX = "_bytes"
 
+#: The span families :func:`attribute` ranks, in order of preference,
+#: each with the attr naming an entry.
+_RANKED = {"exec.stream.ship": "window", "sim.stripe": "stripe_id"}
+
 
 def stage_of(name: str) -> str:
     """The pipeline stage a span/event name is attributed to."""
@@ -79,9 +85,11 @@ class TraceAttribution:
         total_span_seconds: sum of every span's exclusive time — equal
             to the sum over ``stages`` by construction.
         wall_seconds: latest span end minus earliest span start.
-        slowest_stripes: ``(stripe_id, seconds)`` sorted descending.
-        stripe_span_name: which span family the stripe ranking used
-            (``exec.stripe`` or ``sim.stripe``; empty when neither).
+        slowest: ``(id, seconds)`` sorted descending, the id being the
+            ranked span's ``window`` or ``stripe_id``.
+        slowest_span: which span family the ranking used
+            (``exec.stream.ship`` or ``sim.stripe``; empty when
+            neither).
         critical_path: root-to-leaf ``(name, seconds)`` chain of
             largest children inside the longest root span.
     """
@@ -89,8 +97,8 @@ class TraceAttribution:
     stages: dict[str, StageBreakdown] = field(default_factory=dict)
     total_span_seconds: float = 0.0
     wall_seconds: float = 0.0
-    slowest_stripes: list[tuple[int, float]] = field(default_factory=list)
-    stripe_span_name: str = ""
+    slowest: list[tuple[int, float]] = field(default_factory=list)
+    slowest_span: str = ""
     critical_path: list[tuple[str, float]] = field(default_factory=list)
 
     @property
@@ -112,8 +120,8 @@ class TraceAttribution:
             },
             "total_span_seconds": self.total_span_seconds,
             "wall_seconds": self.wall_seconds,
-            "slowest_stripes": [list(t) for t in self.slowest_stripes],
-            "stripe_span_name": self.stripe_span_name,
+            "slowest": [list(t) for t in self.slowest],
+            "slowest_span": self.slowest_span,
             "critical_path": [list(t) for t in self.critical_path],
             "critical_path_seconds": self.critical_path_seconds,
         }
@@ -134,7 +142,7 @@ def attribute(events: list[dict], top_k: int = 5) -> TraceAttribution:
 
     Args:
         events: records loaded by :func:`~repro.obs.tracer.read_jsonl`.
-        top_k: stripes to keep in the slowest-stripe ranking.
+        top_k: entries to keep in the slowest-entry ranking.
     """
     spans = [
         e
@@ -161,26 +169,22 @@ def attribute(events: list[dict], top_k: int = 5) -> TraceAttribution:
         att.wall_seconds = max(s["end"] for s in spans) - min(
             s["start"] for s in spans
         )
-    # Slowest stripes: prefer real-time executor spans, fall back to
-    # the simulator's sim-time spans.
-    for name in ("exec.stripe", "sim.stripe"):
-        stripe_spans = [
-            s
-            for s in spans
-            if s["name"] == name
-            and isinstance(s.get("attrs"), dict)
-            and "stripe_id" in s["attrs"]
-        ]
-        if stripe_spans:
-            ranked = sorted(
-                (
-                    (s["attrs"]["stripe_id"], s["end"] - s["start"])
-                    for s in stripe_spans
-                ),
-                key=lambda t: (-t[1], t[0]),
-            )
-            att.slowest_stripes = ranked[:top_k]
-            att.stripe_span_name = name
+    # Slowest entries: prefer the executor's real-time windows, fall
+    # back to the simulator's sim-time stripes.
+    for name, key in _RANKED.items():
+        ranked = sorted(
+            (
+                (s["attrs"][key], s["end"] - s["start"])
+                for s in spans
+                if s["name"] == name
+                and isinstance(s.get("attrs"), dict)
+                and key in s["attrs"]
+            ),
+            key=lambda t: (-t[1], t[0]),
+        )
+        if ranked:
+            att.slowest = ranked[:top_k]
+            att.slowest_span = name
             break
     # Critical path: longest root span, then its largest child, and so
     # on down — the chain any latency optimisation must shorten.
@@ -227,14 +231,11 @@ def render_attribution(att: TraceAttribution) -> str:
         f"Totals: span self-time {_seconds(total)} s over wall "
         f"{_seconds(att.wall_seconds)} s"
     )
-    if att.slowest_stripes:
-        rows = [
-            [str(stripe_id), _seconds(seconds)]
-            for stripe_id, seconds in att.slowest_stripes
-        ]
+    if att.slowest:
+        rows = [[str(ident), _seconds(seconds)] for ident, seconds in att.slowest]
         parts.append(
-            f"Slowest stripes ({att.stripe_span_name})\n"
-            + format_table(["stripe", "seconds"], rows)
+            f"Slowest {att.slowest_span} spans\n"
+            + format_table([_RANKED[att.slowest_span], "seconds"], rows)
         )
     if att.critical_path:
         rows = [

@@ -14,12 +14,11 @@ summary folds into a :class:`~repro.obs.metrics.MetricsRegistry` as
 gauges (:meth:`ResourceSampler.merge_into`, after the sampled work
 finishes).
 
-Attachment points: ``PlanExecutor(profiler=...)`` brackets
-``execute`` (and ``RobustExecutor.run``) with start/stop, and
-``ExperimentRunner(telemetry=dir)`` profiles the whole batch into
-``dir/profile.jsonl`` plus ``profile.*`` gauges in ``metrics.json``.
-With no profiler attached the cost is one ``is None`` check per
-*call*, not per stripe — telemetry off stays free.
+A sampler is a context manager: the caller brackets the work it
+profiles (``with sampler:``); nothing in the repair pipeline knows about
+it.  ``ExperimentRunner(telemetry=dir)`` profiles the whole batch, and
+``repro-car stream --telemetry dir`` the run, into ``dir/profile.jsonl``
+plus ``profile.*`` gauges in ``metrics.json``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Plain-text rendering of traces and metrics snapshots.
 
 Backs the ``repro-car trace <trace.jsonl>`` and ``repro-car metrics
-<metrics.json>`` subcommands: compact per-stage / per-rack summaries of
+<metrics.json>`` subcommands: compact per-span and per-stage summaries of
 a recorded recovery, and a table view of a metrics snapshot including
 named-cache effectiveness.  :func:`format_table` is the one aligned
 text table every ``repro-car`` report prints through.
@@ -28,6 +28,11 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
+#: Suffix of an ``exec.stream.ship`` attribute counting one stage's
+#: checkpoints in the window.
+_CHECKPOINTS = "_checkpoints"
+
+
 def _seconds(value: float) -> str:
     return f"{value:.6f}" if value < 10 else f"{value:.3f}"
 
@@ -39,7 +44,10 @@ def _attrs(record: dict) -> dict:
 
 
 def render_trace(events: list[dict]) -> str:
-    """Summarise a JSONL trace: spans, stages, racks, faults, sim time."""
+    """Summarise a JSONL trace: spans, stage checkpoints, faults, sim time.
+
+    The stage checkpoints are the ``exec.stream.ship`` spans' counts.
+    """
     spans = [e for e in events if e.get("type") == "span"]
     points = [e for e in events if e.get("type") == "event"]
     stripes = {
@@ -71,32 +79,22 @@ def render_trace(events: list[dict]) -> str:
             + format_table(["name", "count", "total_s", "mean_s", "max_s"], rows)
         )
 
-    stage_events = [p for p in points if p["name"] == "exec.stage"]
-    if stage_events:
-        by_stage: dict[str, TallyCounter] = defaultdict(TallyCounter)
-        for p in stage_events:
-            by_stage[_attrs(p).get("stage", "?")][_attrs(p).get("rack")] += 1
-        rows = [
-            [
-                stage,
-                str(sum(racks.values())),
-                ",".join(str(r) for r in sorted(racks, key=str)),
-            ]
-            for stage, racks in sorted(by_stage.items())
-        ]
+    ships = [_attrs(s) for s in spans if s["name"] == "exec.stream.ship"]
+    by_stage: TallyCounter = TallyCounter()
+    shipped = 0
+    for attrs in ships:
+        for key, value in attrs.items():
+            if not isinstance(value, int):
+                continue
+            if key.endswith(_CHECKPOINTS):
+                by_stage[key.removesuffix(_CHECKPOINTS)] += value
+            elif key == "stripes":
+                shipped += value
+    if by_stage:
+        rows = [[stage, str(n)] for stage, n in sorted(by_stage.items())]
         parts.append(
-            "Pipeline stages (exec.stage)\n"
-            + format_table(["stage", "count", "racks"], rows)
-        )
-        by_rack: TallyCounter = TallyCounter()
-        for p in stage_events:
-            by_rack[_attrs(p).get("rack")] += 1
-        rows = [
-            [str(rack), str(count)]
-            for rack, count in sorted(by_rack.items(), key=lambda kv: str(kv[0]))
-        ]
-        parts.append(
-            "Per-rack stage checkpoints\n" + format_table(["rack", "events"], rows)
+            f"Pipeline stages ({len(ships)} windows, {shipped} stripes "
+            "shipped)\n" + format_table(["stage", "checkpoints"], rows)
         )
 
     notable = [

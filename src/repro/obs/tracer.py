@@ -4,14 +4,13 @@ A :class:`Tracer` records two kinds of structured events into one
 ordered stream:
 
 - **spans** — named intervals with parent/child nesting (``with
-  tracer.span("exec.stripe", stripe_id=3):``), timestamped by an
+  tracer.span("solve", strategy="car"):``), timestamped by an
   *injected clock* so the same tracer works for wall-clock sections
   (default ``time.perf_counter``) and for simulated time
   (:meth:`Tracer.emit_span` takes explicit start/end, which is how the
   recovery simulator reports per-stripe sim-time);
-- **point events** — instantaneous facts (a pipeline-stage checkpoint,
-  an injected fault, a recovery action) attached to the currently open
-  span.
+- **point events** — instantaneous facts (an injected fault, a
+  recovery action) attached to the currently open span.
 
 Every record is a plain dict that serialises to one JSON line; the
 whole stream round-trips through :meth:`Tracer.write_jsonl` /

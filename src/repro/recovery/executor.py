@@ -26,15 +26,16 @@ one place: :meth:`~repro.recovery.planner.WindowPlan.ledger`.
 The event walk is organised around named *pipeline stages*
 (:class:`PipelineStage`).  Before each stage the executor calls the
 :meth:`PlanExecutor._checkpoint` hook with the acting node's identity —
-trace events and journal records here; the fault-injection layer
-(:mod:`repro.faults`) overrides it to crash helpers, stall disks, or
-drop flows at exactly that point.  With no tracer, journal, integrity
-check or overriding subclass every event would be a no-op, so the walk
-is skipped; the result is the same either way.  The walk reads a
-stripe's flows from its row of the window
-(:meth:`~repro.recovery.planner.WindowPlan.helpers`) and builds no
-per-stripe plan object.  A metrics registry does not need the walk: its
-``exec.*`` counters are bumped once per window from the columns.
+journal records here; the fault-injection layer (:mod:`repro.faults`)
+overrides it to crash helpers, stall disks, or drop flows at exactly
+that point.  With no journal, integrity check or overriding subclass
+every event would be a no-op, so the walk is skipped; the result is the
+same either way.  The walk reads a stripe's flows from its row of the
+window (:meth:`~repro.recovery.planner.WindowPlan.helpers`) and builds
+no per-stripe plan object.  Telemetry does not need the walk, so it
+does not change which code path runs: a tracer records two spans per
+window, and the ``exec.*`` counters and the ship span's checkpoint
+counts come from the window's columns (:func:`_count_window`).
 
 Two orthogonal durability features (both off by default):
 
@@ -63,7 +64,6 @@ from __future__ import annotations
 import enum
 import time
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -85,7 +85,6 @@ from repro.recovery.solution import NO_HELPER, MultiStripeSolution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.durable.journal import RecoveryJournal
-    from repro.obs.profile import ResourceSampler
     from repro.obs.progress import ProgressReporter
 
 __all__ = ["PipelineStage", "ExecutionResult", "PlanExecutor"]
@@ -185,7 +184,6 @@ class PlanExecutor:
         *,
         journal: "RecoveryJournal | None" = None,
         verify_integrity: bool = False,
-        profiler: "ResourceSampler | None" = None,
     ) -> None:
         if state.data is None:
             raise PlanError("executing a plan requires a DataStore")
@@ -193,9 +191,6 @@ class PlanExecutor:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = journal
         self.verify_integrity = verify_integrity
-        # Optional background resource sampler bracketing a run.  One
-        # ``is None`` check per call; stripes never see it.
-        self.profiler = profiler
         self._windows_done = 0  # of the run in progress (heartbeats)
 
     def execute(
@@ -248,22 +243,17 @@ class PlanExecutor:
                 integrity verification attached.
         """
         result = ExecutionResult()
-        with self._run_scope():
-            self._run_windows(
-                plan, solution, result, window=window, sink=sink,
-                progress=progress, workers=workers, shm=shm,
-            )
-            if progress is not None:
-                self._report_progress(progress, result, final=True)
+        self._windows_done = 0
+        self._run_windows(
+            plan, solution, result, window=window, sink=sink,
+            progress=progress, workers=workers, shm=shm,
+        )
+        if progress is not None:
+            self._report_progress(progress, result, final=True)
         return result
 
     #: The name the windowed pipeline had while there was a second path.
     execute_streaming = execute
-
-    def _run_scope(self):
-        """Bracket one run: heartbeat counters reset, profiler sampling."""
-        self._windows_done = 0
-        return self.profiler if self.profiler is not None else nullcontext()
 
     def _window_source(
         self,
@@ -299,15 +289,15 @@ class PlanExecutor:
         return columns()
 
     def _observed(self) -> bool:
-        """Whether anything consumes a stripe's checkpoint/delivery events.
+        """Whether anything acts on a stripe's checkpoint/delivery events.
 
-        With no tracer, journal or integrity check, and no subclass
-        hooking checkpoints or deliveries (fault injection), every event
-        of the walk is a strict no-op.
+        With no journal or integrity check, and no subclass hooking
+        checkpoints or deliveries (fault injection), every event of the
+        walk is a strict no-op.  A tracer is not asked: it records
+        windows, so it cannot change which code path runs.
         """
         return (
-            self.tracer.enabled
-            or self.journal is not None
+            self.journal is not None
             or self.verify_integrity
             or type(self)._checkpoint is not PlanExecutor._checkpoint
             or type(self)._deliver is not PlanExecutor._deliver
@@ -362,27 +352,7 @@ class PlanExecutor:
         def ship_oldest(last: bool = False) -> None:
             nonlocal uncommitted
             idx, win, computed = inflight.popleft()
-            outcome = computed.result()
-            b0 = time.perf_counter()
-            before_cross = result.cross_rack_bytes
-            before_intra = result.intra_rack_bytes
-            self._ship_window(win, outcome, result, sink, walk)
-            if self.journal is not None:
-                # Group commit: one disk sync makes the whole window's
-                # commits durable.
-                self.journal.sync()
-            if self.tracer.enabled:
-                n = len(win)
-                self.tracer.emit_span(
-                    "exec.stream.aggregate", outcome.started,
-                    outcome.finished, window=idx, stripes=n,
-                )
-                self.tracer.emit_span(
-                    "exec.stream.ship", b0, time.perf_counter(),
-                    window=idx, stripes=n,
-                    cross_rack_bytes=result.cross_rack_bytes - before_cross,
-                    intra_rack_bytes=result.intra_rack_bytes - before_intra,
-                )
+            self._ship_window(idx, win, computed.result(), result, sink, walk)
             self._windows_done += 1
             if self.journal is not None:
                 uncommitted -= len(win)
@@ -428,25 +398,25 @@ class PlanExecutor:
         )
 
     def _ship_window(
-        self, win: WindowPlan, outcome, result, sink, walk
+        self, idx: int, win: WindowPlan, outcome, result, sink, walk
     ) -> None:
-        """Stage B for one decoded window: walk, record, commit, charge.
+        """Stage B for window ``idx``: walk, record, commit, charge.
 
         Stripes ship in order.  If a hook raises, that stripe is neither
         recorded nor sunk nor committed; either way the window's traffic
         and compute are then charged, from its columns, for exactly the
-        stripes that shipped.  A commit's figures are its row's ledger.
+        stripes that shipped, and a tracer gets the window's
+        ``exec.stream.aggregate`` / ``exec.stream.ship`` spans, the
+        latter carrying those stripes' bytes and checkpoint counts.  A
+        commit's figures are its row's ledger.
         """
+        b0 = time.perf_counter()
         chunk_bytes = self.state.data.chunk_size
         shipped = 0
         try:
             for i, stripe in enumerate(win.stripe_id.tolist()):
                 if walk:
-                    with self.tracer.span(
-                        "exec.stripe", stripe_id=stripe,
-                        aggregated=win.aggregated,
-                    ):
-                        self._walk_stripe(stripe, outcome, i, win)
+                    self._walk_stripe(stripe, outcome, i, win)
                 result.record(stripe, outcome.rebuilt[i], outcome.ok[i], sink)
                 if self.journal is not None:
                     cross, intra, charges = win.ledger(
@@ -462,12 +432,24 @@ class PlanExecutor:
                         bytes_computed_by_node=charges,
                     )
                 shipped += 1
+            if self.journal is not None:
+                # Group commit: one disk sync makes the whole window's
+                # commits durable.
+                self.journal.sync()
         finally:
-            if shipped:
-                result.charge(*win.ledger(chunk_bytes, slice(0, shipped)))
-                reg = _metrics.CURRENT
-                if reg is not None:
-                    _count_window(reg, win, shipped)
+            cross, intra, charges = win.ledger(chunk_bytes, slice(0, shipped))
+            result.charge(cross, intra, charges)
+            checkpoints = _count_window(_metrics.CURRENT, win, shipped)
+            if self.tracer.enabled:
+                self.tracer.emit_span(
+                    "exec.stream.aggregate", outcome.started,
+                    outcome.finished, window=idx, stripes=len(win),
+                )
+                self.tracer.emit_span(
+                    "exec.stream.ship", b0, time.perf_counter(),
+                    window=idx, stripes=shipped, cross_rack_bytes=cross,
+                    intra_rack_bytes=intra, **checkpoints,
+                )
 
     def _walk_stripe(
         self, sid: int, outcome, i: int, win: WindowPlan
@@ -476,9 +458,10 @@ class PlanExecutor:
 
         ``sid`` is the stripe of row ``i`` of ``win``.  Every helper chunk
         is read, raw chunks move to their delegate or the replacement
-        node, the replacement node folds the failed rack's survivors, each
-        delegate partially decodes and ships its partial, and the
-        replacement node combines.  The decode itself already happened in stage A; a
+        node, the replacement node folds each group it combines itself
+        (the failed rack's survivors, say), each delegate partially
+        decodes and ships its partial, and the replacement node
+        combines.  The decode itself already happened in stage A; a
         delivery ships a buffer stage A read or produced, so its bytes
         are the ones that were decoded.
         """
@@ -499,7 +482,7 @@ class PlanExecutor:
                     _scope(crossing), data.chunk(sid, c),
                     stripe_id=sid, node=node, rack=rack, chunk=c,
                 )
-        if win.local_folds[i]:
+        for _ in range(int(win.local_folds[i])):
             self._checkpoint(
                 PipelineStage.LOCAL_FOLD,
                 stripe_id=sid, node=repl, rack=win.replacement_rack,
@@ -535,20 +518,9 @@ class PlanExecutor:
     ) -> None:
         """Stage hook; the fault-injection executor extends this.
 
-        The base emits one ``exec.stage`` trace event per checkpoint when
-        tracing is enabled and a journal record at the journalled
-        stages; it is a strict no-op otherwise.
+        The base writes a journal record at the journalled stages; it is
+        a strict no-op otherwise.
         """
-        if self.tracer.enabled:
-            self.tracer.event(
-                "exec.stage",
-                stage=stage.value,
-                stripe_id=stripe_id,
-                node=node,
-                rack=rack,
-                chunk=chunk,
-                is_partial=is_partial,
-            )
         if self.journal is not None and stage in _JOURNALED_STAGES:
             self.journal.stage(
                 stripe_id,
@@ -683,24 +655,31 @@ def _scope(crossing: bool) -> PipelineStage:
     )
 
 
-def _count_window(reg, win: WindowPlan, shipped: int) -> None:
-    """The ``exec.*`` counters of a window's first ``shipped`` stripes.
+def _count_window(reg, win: WindowPlan, shipped: int) -> dict[str, int]:
+    """The checkpoints of a window's first ``shipped`` stripes, by stage.
 
-    Counted from the columns, once per window: the stripes, and the
-    checkpoints each shipped stripe's walk fires (or would fire) at
-    every stage.
+    Counted from the columns, once per window: the checkpoints each
+    shipped stripe's walk fires (or would fire) at every stage, keyed
+    ``<stage>_checkpoints`` as the ship span carries them.  With a
+    registry ``reg`` they also bump ``exec.stripes`` and
+    ``exec.stage.checkpoints``.
     """
-    mode = "aggregated" if win.aggregated else "direct"
-    reg.counter("exec.stripes").inc(shipped, mode=mode)
-    checkpoints = reg.counter("exec.stage.checkpoints")
-    for stage, column in (
-        (PipelineStage.DISK_READ, win.reads),
-        (PipelineStage.INTRA_TRANSFER, win.intra),
-        (PipelineStage.CROSS_TRANSFER, win.cross),
-        (PipelineStage.PARTIAL_DECODE, win.partial_decodes),
-        (PipelineStage.LOCAL_FOLD, win.local_folds),
-    ):
-        n = int(column[:shipped].sum())
-        if n:
-            checkpoints.inc(n, stage=stage.value)
-    checkpoints.inc(shipped, stage=PipelineStage.FINAL_COMBINE.value)
+    counts = {
+        stage: int(column[:shipped].sum())
+        for stage, column in (
+            (PipelineStage.DISK_READ, win.reads),
+            (PipelineStage.INTRA_TRANSFER, win.intra),
+            (PipelineStage.CROSS_TRANSFER, win.cross),
+            (PipelineStage.PARTIAL_DECODE, win.partial_decodes),
+            (PipelineStage.LOCAL_FOLD, win.local_folds),
+        )
+    }
+    counts[PipelineStage.FINAL_COMBINE] = shipped
+    if reg is not None and shipped:
+        mode = "aggregated" if win.aggregated else "direct"
+        reg.counter("exec.stripes").inc(shipped, mode=mode)
+        checkpoints = reg.counter("exec.stage.checkpoints")
+        for stage, n in counts.items():
+            if n:
+                checkpoints.inc(n, stage=stage.value)
+    return {f"{stage.value}_checkpoints": n for stage, n in counts.items()}

@@ -15,9 +15,13 @@ Plan construction follows the paper's methodology section:
   sends it across the core (one cross-rack flow per rack).  Survivors
   in the failed rack send intra-rack straight to the replacement node,
   which folds them in with their repair coefficients and XORs all
-  partials together.
+  partials together.  A rack whose delegate would be the replacement
+  node itself is folded the same way.
 - **RR (direct)**: every helper node sends its chunk straight to the
   replacement node; flows from other racks cross the core.
+
+In both, a helper chunk the replacement node holds stays where it is:
+no flow runs from a node to itself.
 
 A plan is columns.  :func:`plan_window` plans a window of a solution's
 :class:`~repro.recovery.solution.SolutionColumns` as one
@@ -150,12 +154,12 @@ class WindowPlan:
         rack: ``(S, H)`` its rack, as the solution groups it.
         dest: ``(S, H)`` where the chunk is combined — its rack's
             delegate, or the replacement node (the failed rack's
-            survivors, every helper of a direct repair).
-        raw: ``(S, H)`` the helper's chunk flows to ``dest`` (aggregated,
-            iff its holder is not ``dest``; direct, every helper).
-        partial: ``(S, H)`` the helper leads an intact rack's group, whose
-            delegate decodes a partial and ships it to the replacement
-            node.
+            survivors, a rack the replacement node would delegate,
+            every helper of a direct repair).
+        raw: ``(S, H)`` the helper's chunk flows to ``dest``: iff its
+            holder is not ``dest``.
+        partial: ``(S, H)`` the helper leads a group whose delegate
+            decodes a partial and ships it to the replacement node.
         crossing: ``(S, H)`` the helper's flow — its raw chunk, or its
             rack's partial — crosses the core.
         signature: ``(S,)`` index into ``signatures``: stripes with one
@@ -332,15 +336,18 @@ def plan_window(
     repl = replacement_node
     repl_rack = state.topology.rack_of(repl)
     if aggregated:
-        to_repl = rack == source.failed_rack[:, None]
-        dest = np.where(to_repl, repl, np.take_along_axis(node, head, axis=1))
-        raw = used & (node != dest)
+        # The failed rack's survivors fold at the replacement node, and
+        # so does a rack whose delegate would be the replacement node
+        # itself: nothing flows from a node to itself.
+        delegate = np.take_along_axis(node, head, axis=1)
+        to_repl = (rack == source.failed_rack[:, None]) | (delegate == repl)
+        dest = np.where(to_repl, repl, delegate)
         partial = lead & ~to_repl
     else:
         to_repl = np.ones_like(used)
         dest = np.full_like(node, repl)
-        raw = used
         partial = np.zeros_like(used)
+    raw = used & (node != dest)
     dest[~used] = NO_HELPER
     dest_rack = np.where(to_repl, repl_rack, rack)
     crossing = (raw & (rack != dest_rack)) | (partial & (rack != repl_rack))

@@ -112,7 +112,7 @@ class WindowOutcome:
         partials: every group's partially decoded buffer, in window
             order (at small chunk sizes the rows of one matrix); only
             kept when the executor walks the stripes'
-            checkpoint/delivery events (telemetry, journal, integrity
+            checkpoint/delivery events (a journal, integrity
             verification or a fault-injecting subclass).
         first_partial: per stripe, the index of its first group.
         started / finished: the stage's wall-clock bounds (the executor

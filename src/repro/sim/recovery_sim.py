@@ -287,15 +287,21 @@ def _stripe_tasks(
     final_deps: list[str] = list(inbound_to_repl)
     reads = int(win.reads[i])
     groups = groupby(helpers, key=itemgetter(0)) if win.aggregated else ()
-    for _, group in groups:
+    failed_rack = int(win.source.failed_rack[i])
+    for group_rack, group in groups:
         group = list(group)
         _, _, _, dest, _, partial, crossing = group[0]
         duration = hardware.profile(dest).gf_seconds(
             len(group) * chunk_size, inputs=reads
         )
         if not partial:
+            # The failed rack's fold, or the fold of the rack the
+            # replacement node would have been the delegate of.
+            fold = f"s{s}:local-fold" + (
+                "" if group_rack == failed_rack else f":r{group_rack}"
+            )
             final_deps.append(serial(
-                f"s{s}:local-fold", ("cpu", dest), duration,
+                fold, ("cpu", dest), duration,
                 list(inbound_to_repl), "compute:local",
             ))
             continue

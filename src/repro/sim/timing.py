@@ -193,7 +193,9 @@ class StripeSerialTimingModel:
             rack for rack, _, _, _, _, _, crossing in win.helpers(i)
             if crossing
         )
-        downlink_time = reads * chunk_size / self._nic
+        # The replacement node's own helper chunk, if any, never crosses
+        # its downlink.
+        downlink_time = int(win.raw[i].sum()) * chunk_size / self._nic
         uplink_time = max(
             (
                 n * chunk_size / self._uplink(rack)

@@ -117,22 +117,26 @@ class TestAttributePartition:
 
 class TestRankingAndCriticalPath:
     def test_top_k_slowest_stripes(self):
+        """The executor's entries are its windows, ranked by ship time;
+        they win over the simulator's stripes."""
         t = Tracer(clock=FakeClock())
         durations = {0: 1.0, 1: 5.0, 2: 3.0, 3: 2.0}
         start = 0.0
-        for sid, dur in durations.items():
-            t.emit_span("exec.stripe", start, start + dur, stripe_id=sid)
+        for window, dur in durations.items():
+            t.emit_span("exec.stream.ship", start, start + dur, window=window)
             start += dur
+        t.emit_span("sim.stripe", 0.0, 9.0, stripe_id=4)
         att = attribute(t.events, top_k=2)
-        assert att.stripe_span_name == "exec.stripe"
-        assert att.slowest_stripes == [(1, 5.0), (2, 3.0)]
+        assert att.slowest_span == "exec.stream.ship"
+        assert att.slowest == [(1, 5.0), (2, 3.0)]
+        assert "Slowest exec.stream.ship spans" in render_attribution(att)
 
     def test_sim_stripes_used_when_no_exec(self):
         t = Tracer(clock=FakeClock())
         t.emit_span("sim.stripe", 0.0, 2.0, stripe_id=7)
         att = attribute(t.events)
-        assert att.stripe_span_name == "sim.stripe"
-        assert att.slowest_stripes == [(7, 2.0)]
+        assert att.slowest_span == "sim.stripe"
+        assert att.slowest == [(7, 2.0)]
 
     def test_critical_path_follows_largest_children(self):
         t = Tracer(clock=FakeClock(step=0.0))  # manual spans only
@@ -166,12 +170,15 @@ class TestEndToEndStreamingRun:
         tracer = Tracer()
         PlanExecutor(state, tracer).execute_streaming(plan, window=8)
         att = attribute(tracer.events)
-        for stage in ("aggregate", "ship", "execute"):
+        for stage in ("aggregate", "ship"):
             assert stage in att.stages, stage
+        # Two spans a window and nothing per stripe.
+        assert set(att.stages) == {"aggregate", "ship"}
         assert att.stages["ship"].bytes > 0
         assert sum(b.seconds for b in att.stages.values()) == pytest.approx(
             att.total_span_seconds
         )
         out = render_attribution(att)
         assert "Per-stage breakdown" in out
-        assert "Slowest stripes (exec.stripe)" in out
+        assert "Slowest exec.stream.ship spans" in out
+        assert att.slowest_span == "exec.stream.ship"

@@ -151,14 +151,17 @@ class TestExecutorIntegration:
                             chunk_size=64, num_stripes=12)
         event = FailureInjector(rng=2).fail_random_node(state)
         solution = CarStrategy().solve(state)
+        # The caller brackets each call; the executor knows no sampler.
         sampler = ResourceSampler(interval=10.0)
-        executor = PlanExecutor(state, profiler=sampler)
+        executor = PlanExecutor(state)
         plan = plan_recovery(state, event, solution)
-        result = executor.execute(plan, solution)
+        with sampler:
+            result = executor.execute(plan, solution)
         assert result.verified
         assert len(sampler.samples) == 2
         # Same executor, second call: sampler restarts and accumulates.
         splan = plan_recovery_streaming(state, event, solution)
-        result = executor.execute_streaming(splan, window=4)
+        with sampler:
+            result = executor.execute_streaming(splan, window=4)
         assert result.verified
         assert len(sampler.samples) == 4

@@ -12,16 +12,20 @@ class TestRenderTraceRobustness:
 
     def test_records_without_attrs_key(self):
         events = [
-            {"type": "span", "name": "exec.stripe", "span_id": 1,
+            {"type": "span", "name": "exec.stream.ship", "span_id": 1,
              "parent_id": None, "start": 0.0, "end": 1.0},
-            {"type": "event", "name": "exec.stage", "span_id": 1,
+            {"type": "span", "name": "exec.stream.ship", "span_id": 2,
+             "parent_id": None, "start": 1.0, "end": 2.0,
+             "attrs": {"stripes": 2, "disk_read_checkpoints": 8}},
+            {"type": "event", "name": "fault.crash", "span_id": 1,
              "time": 0.5},
         ]
         out = render_trace(events)
-        assert "1 spans" in out
-        assert "exec.stripe" in out
-        # The attr-less stage event lands in the '?' stage bucket.
-        assert "Pipeline stages" in out
+        assert "2 spans" in out
+        assert "exec.stream.ship" in out
+        # The attr-less ship span counts as a window and adds nothing.
+        assert "Pipeline stages (2 windows, 2 stripes shipped)" in out
+        assert "disk_read  8" in out
 
     def test_non_dict_attrs_tolerated(self):
         events = [

@@ -316,13 +316,22 @@ class TestStreamingEquivalence:
             assert gf_total(m1, "gf.kernel.bytes") == gf_total(
                 mw, "gf.kernel.bytes"
             )
-            stripe = lambda tr: [
-                e for e in tr.events if e.get("name") == "exec.stripe"
-            ]
-            assert len(stripe(t1)) == len(stripe(tw)) == len(sol.solutions)
+            # The ship spans carry the stripes and the checkpoints the
+            # counter holds, whatever the window.
+            for metrics, tracer in ((m1, t1), (mw, tw)):
+                ships = [e["attrs"] for e in tracer.events
+                         if e["name"] == "exec.stream.ship"]
+                assert sum(a["stripes"] for a in ships) == len(sol.solutions)
+                series = metrics["exec.stage.checkpoints"]["series"]
+                for s in series:
+                    key = f"{s['labels']['stage']}_checkpoints"
+                    assert sum(a[key] for a in ships) == s["value"], key
+                assert sum(
+                    n for a in ships for key, n in a.items()
+                    if key.endswith("_checkpoints")
+                ) == sum(s["value"] for s in series)
             names = {e.get("name") for e in tw.events}
-            assert "exec.stream.aggregate" in names
-            assert "exec.stream.ship" in names
+            assert names == {"exec.stream.aggregate", "exec.stream.ship"}
 
     def test_a_registry_keeps_stage_a_one_window_ahead(self, monkeypatch):
         """Telemetry does not change which code path runs: with a metrics

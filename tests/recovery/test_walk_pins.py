@@ -44,7 +44,7 @@ class RecordingSession(RecoverySession):
     def _executor(self, journal):
         executor = RecordingExecutor(
             self.state, injector=self.injector, backoff=self.backoff,
-            tracer=self.tracer, journal=journal, profiler=self.profiler,
+            tracer=self.tracer, journal=journal,
         )
         executor.seen = self.seen
         return executor

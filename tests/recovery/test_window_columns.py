@@ -109,8 +109,9 @@ def ref_holder(state, sol, chunk, dead_nodes):
 def ref_plan(state, repl, sol, aggregated, dead_nodes=frozenset()):
     """One stripe's plan: under aggregation, each intact rack's delegate
     (the holder of its lowest chunk) gathers the rack's chunks and ships
-    one partial; the failed rack's survivors go to the replacement node.
-    Direct, every helper ships its chunk to the replacement node."""
+    one partial; the failed rack's survivors, and a rack the replacement
+    node would delegate, go to the replacement node.  Direct, every
+    helper but the replacement node's own ships its chunk there."""
     repl_rack = state.topology.rack_of(repl)
     sid = sol.stripe_id
     transfers, compute, delegates = [], [], {}
@@ -118,7 +119,10 @@ def ref_plan(state, repl, sol, aggregated, dead_nodes=frozenset()):
         for rack in sorted(sol.chunks_by_rack):
             for c in sol.chunks_from_rack(rack):
                 node = ref_holder(state, sol, c, dead_nodes)
-                transfers.append(_Flow(node, repl, rack, c, rack != repl_rack))
+                if node != repl:
+                    transfers.append(
+                        _Flow(node, repl, rack, c, rack != repl_rack)
+                    )
         compute.append(
             _Decode(repl, sol.helper_count, "final", sol.helpers)
         )
@@ -126,7 +130,7 @@ def ref_plan(state, repl, sol, aggregated, dead_nodes=frozenset()):
         for rack in sorted(sol.chunks_by_rack):
             chunks = sol.chunks_from_rack(rack)
             holders = {c: ref_holder(state, sol, c, dead_nodes) for c in chunks}
-            if rack == sol.failed_rack:
+            if rack == sol.failed_rack or holders[min(holders)] == repl:
                 for c, node in sorted(holders.items()):
                     if node != repl:
                         transfers.append(
