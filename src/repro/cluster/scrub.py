@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.state import ClusterState
-from repro.errors import ClusterError
+from repro.errors import ClusterError, CodingError
 from repro.gf.vector import matrix_apply
 from repro.obs import metrics as _metrics
 
@@ -118,9 +118,7 @@ class Scrubber:
             rest = {i: b for i, b in chunks.items() if i != candidate}
             try:
                 rebuilt_data = code.decode(rest)
-            except ClusterError:  # pragma: no cover - defensive
-                continue
-            except Exception:
+            except CodingError:
                 # Non-MDS codes may not span without this chunk.
                 continue
             full = code.encode_stripe(rebuilt_data)

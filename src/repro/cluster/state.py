@@ -80,8 +80,7 @@ class DataStore:
         """A store over an existing ``(stripes, n, elements)`` array.
 
         The array is not copied, and a read-only array makes a read-only
-        store (how :class:`~repro.io_shm.SharedChunkStore` hands out its
-        mapping).
+        store (how a pickled store is rebuilt, see ``__reduce__``).
         """
         store = cls.empty(code, array.shape[2] * array.itemsize)
         store._hold(array, len(array))

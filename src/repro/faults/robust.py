@@ -138,9 +138,10 @@ class RobustExecutor(PlanExecutor):
         max_replans: aggregated re-plans before degrading to direct.
         journal: optional write-ahead journal making the run resumable
             after a coordinator crash.
-        verify_integrity: checksum-verify every transferred payload on
-            receipt (default on — a fault-aware executor should never
-            trust the network).
+
+    Every transferred payload is checksum-verified on receipt: a
+    fault-aware executor never trusts the network, and in-flight
+    corruption is injected at that receipt.
     """
 
     def __init__(
@@ -151,13 +152,9 @@ class RobustExecutor(PlanExecutor):
         max_replans: int = 2,
         tracer: Tracer | NullTracer | None = None,
         journal=None,
-        verify_integrity: bool = True,
     ) -> None:
         super().__init__(
-            state,
-            tracer=tracer,
-            journal=journal,
-            verify_integrity=verify_integrity,
+            state, tracer=tracer, journal=journal, verify_integrity=True
         )
         self.injector = injector or FaultInjector()
         self.backoff = backoff or BackoffPolicy()
@@ -609,7 +606,6 @@ def recover_with_faults(
     backoff: BackoffPolicy | None = None,
     max_replans: int = 2,
     journal=None,
-    verify_integrity: bool = True,
     tracer=None,
 ) -> RobustExecutionResult:
     """Solve, plan, and robustly execute a recovery in one call.
@@ -627,7 +623,6 @@ def recover_with_faults(
         backoff=backoff,
         max_replans=max_replans,
         journal=journal,
-        verify_integrity=verify_integrity,
         tracer=tracer,
     )
     return executor.run(event, solution)

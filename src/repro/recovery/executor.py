@@ -14,8 +14,8 @@ takes the plan a *window* at a time — a
 :class:`~repro.recovery.planner.WindowPlan`, the window as columns —
 through two stages: **stage A**
 (:func:`repro.recovery.streaming.compute_window`, pure computation, one
-window ahead on a worker thread) decodes the window as one table, a
-kernel call for all its partials; **stage B**
+window ahead per worker thread, one thread by default) decodes the
+window as one table, a kernel call for all its partials; **stage B**
 (:meth:`PlanExecutor._ship_window`, this thread) takes its stripes in
 order — walks each one's checkpoint/delivery events if anything consumes
 them, records, sinks and commits it — and then charges the window's
@@ -71,7 +71,7 @@ import numpy as np
 
 from repro.cluster.state import ClusterState
 from repro.durable.checksum import chunk_checksum
-from repro.errors import ConfigurationError, IntegrityError, PlanError
+from repro.errors import IntegrityError, PlanError
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.recovery import streaming as _streaming
@@ -229,24 +229,24 @@ class PlanExecutor:
                 :class:`~repro.obs.progress.ProgressReporter`, updated
                 once per shipped window (stripes done, windows, traffic,
                 journal lag) and finished when the run completes.
-            workers: fan stage A over this many *processes* (chunk data
-                is shared zero-copy via :mod:`repro.io_shm` unless
-                ``shm=False``).
-            shm: force shared-memory (True) or pickled (False) chunk
-                transport for ``workers > 1``; None picks shared memory.
+            workers: stage-A threads (default one); each decodes a
+                whole window, and stage B still ships every window in
+                order on this thread, so journalling, integrity
+                verification and the fault hooks work at any count.
+            shm: ignored.  It named the retired process pool's chunk
+                transport and stays only because the benchmark harness
+                passes it; it goes when that harness is re-cut.
 
         Raises:
-            PlanError: bad window, plan/solution mismatch, or a solution
-                that ships fractional chunk units (refused before its
-                first window is submitted).
-            ConfigurationError: ``workers > 1`` with a journal or
-                integrity verification attached.
+            PlanError: bad window or ``workers``, plan/solution
+                mismatch, or a solution that ships fractional chunk
+                units (refused before its first window is submitted).
         """
         result = ExecutionResult()
         self._windows_done = 0
         self._run_windows(
             plan, solution, result, window=window, sink=sink,
-            progress=progress, workers=workers, shm=shm,
+            progress=progress, workers=workers,
         )
         if progress is not None:
             self._report_progress(progress, result, final=True)
@@ -313,37 +313,26 @@ class PlanExecutor:
         sink=None,
         progress: "ProgressReporter | None" = None,
         workers: int | None = None,
-        shm: bool | None = None,
     ) -> None:
         """The pipeline: repair the plan into ``result``, window by window.
 
-        Stage A runs ``depth`` windows ahead of stage B; a stripe is in
-        ``result`` (and sunk, and committed) only once stage B has
-        shipped it, so an exception leaves ``result`` holding exactly
-        the stripes that completed.
+        Stage A runs ``depth`` windows ahead of stage B, one per stage-A
+        thread; a stripe is in ``result`` (and sunk, and committed) only
+        once stage B has shipped it, so an exception leaves ``result``
+        holding exactly the stripes that completed.
         """
         code, data = self.state.code, self.state.data
         if window is None:
             window = _streaming.default_window(data.chunk_size)
         if window < 1:
             raise PlanError(f"window must be >= 1, got {window}")
+        depth = 1 if workers is None else workers
+        if not isinstance(depth, int) or depth < 1:
+            raise PlanError(f"workers must be None or >= 1, got {workers!r}")
         walk = self._observed()
-        if workers is not None and workers > 1:
-            if self.journal is not None or self.verify_integrity:
-                raise ConfigurationError(
-                    "workers > 1 can neither journal nor verify integrity: "
-                    "the write-ahead journal is single-writer and workers "
-                    "skip the in-flight delivery pipeline (run workers=1)"
-                )
-            # Workers return no partials, so there is nothing to walk.
-            walk = False
-            stage_a = _streaming.process_stage(
-                code, data, workers=workers, shm=shm
-            )
-            depth = 2 * workers
-        else:
-            stage_a = _streaming.thread_stage(code, data, keep_partials=walk)
-            depth = 1
+        stage_a = _streaming.thread_stage(
+            code, data, keep_partials=walk, workers=depth
+        )
         plan_windows = self._window_source(plan, solution, window)
 
         uncommitted = 0  # journal intents whose commits have not landed

@@ -28,8 +28,7 @@ paired with
 :class:`~repro.cluster.placement.RackAlignedPlacementPolicy` in the
 regen experiment.
 
-Reached by ``repro-car regen`` (and ``repro-car serve --strategy``):
-EXPERIMENTS.md "Regenerating codes vs CAR".
+Reached by ``repro-car regen``: EXPERIMENTS.md "Regenerating codes vs CAR".
 """
 
 from __future__ import annotations

@@ -27,27 +27,26 @@ never touches the tracer, the journal or the fault hooks:
   :mod:`repro.obs` metrics registry (the hit rate is how often stripes
   share a repair vector); a window's misses get their repair vectors
   from one batched solve (:func:`_coefficients`);
-- :func:`thread_stage` / :func:`process_stage` run stage A on one
-  worker thread (overlapping the executor's stage B) or fan it out over
-  a process pool, with chunk data mapped zero-copy through
-  :mod:`repro.io_shm` instead of pickled per task.
+- :func:`thread_stage` runs stage A on a thread pool (one thread by
+  default), overlapping the executor's stage B; every window is still
+  one :func:`compute_window` call, so the outcome does not depend on
+  the pool's size.
 
 Everything here is *pure computation* over read-only state: no tracer,
 journal, or data-store mutation.  That is a hard requirement —
-:func:`compute_window` runs on a worker thread while the executor's
-thread ships the previous window (the tracer and the journal are not
+:func:`compute_window` runs on worker threads while the executor's
+thread ships the oldest window (the tracer and the journal are not
 thread-safe, so each stays on exactly one thread).  The GF kernels count
-into the metrics registry from this thread; the registry's mutators
+into the metrics registry from these threads; the registry's mutators
 hold a lock, so the two stages overlap whether telemetry is on or off.
 """
 
 from __future__ import annotations
 
 import itertools
-import pickle
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -65,7 +64,6 @@ __all__ = [
     "default_window",
     "compute_window",
     "thread_stage",
-    "process_stage",
 ]
 
 #: Bytes one window may hold in flight when the caller names no window.
@@ -240,71 +238,17 @@ def compute_window(
 
 
 @contextmanager
-def thread_stage(code, data, *, keep_partials: bool):
-    """Stage A on one worker thread: yields ``submit(window) -> future``.
+def thread_stage(code, data, *, keep_partials: bool, workers: int = 1):
+    """Stage A on ``workers`` threads: yields ``submit(window) -> future``.
 
-    The decode of the next window runs here while the caller ships the
-    previous one.
+    The decodes of the next windows run here while the caller ships the
+    oldest one.  Every window is decoded by one :func:`compute_window`
+    call, so which thread decodes it does not change its outcome.
     """
-    pool = ThreadPoolExecutor(max_workers=1)
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
         yield lambda win: pool.submit(
             compute_window, code, data, win, keep_partials=keep_partials
         )
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-
-
-#: Per-worker context installed by the pool initializer: (code, data
-#: store, shared store to close on exit).  Module-global because
-#: ProcessPoolExecutor initializers cannot return values.
-_WORKER: dict | None = None
-
-
-def _init_worker(payload: bytes) -> None:
-    from repro.io_shm import SharedChunkStore
-
-    global _WORKER
-    ctx = pickle.loads(payload)
-    if ctx["handle"] is not None:
-        shared = SharedChunkStore.attach(ctx["handle"])
-        data = shared.store()
-    else:
-        shared = None
-        data = ctx["data"]
-    _WORKER = {"code": ctx["code"], "data": data, "shared": shared}
-
-
-def _run_window(win: WindowPlan) -> WindowOutcome:
-    """Worker task: stage A for one window, returned to the parent."""
-    return compute_window(_WORKER["code"], _WORKER["data"], win)
-
-
-@contextmanager
-def process_stage(code, data, *, workers: int, shm: bool | None):
-    """Stage A over worker processes: yields ``submit(window) -> future``.
-
-    The chunk store crosses the process boundary exactly once — as a
-    shared-memory mapping by default (``shm=None``/``True``), or pickled
-    into the initializer when ``shm=False`` — never per task.
-    """
-    from repro.io_shm import SharedChunkStore
-
-    shared = SharedChunkStore.from_datastore(data) if shm is not False else None
-    payload = pickle.dumps(
-        {
-            "code": code,
-            "handle": shared.handle if shared is not None else None,
-            "data": None if shared is not None else data,
-        }
-    )
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(payload,),
-        ) as pool:
-            yield lambda win: pool.submit(_run_window, win)
-    finally:
-        if shared is not None:
-            shared.close()

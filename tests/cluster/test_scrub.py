@@ -110,6 +110,20 @@ class TestLocationAndHealing:
         assert report.all_repaired
         assert Scrubber(state).stripe_is_consistent(1)
 
+    def test_a_non_coding_decode_error_propagates(self, monkeypatch):
+        """Only a coding error means "this candidate does not span"; any
+        other decode failure is a bug and must not turn into a
+        misdiagnosed stripe."""
+        state = make_state()
+        state.data.corrupt(2, 1, seed=3)
+
+        def broken(chunks):
+            raise TypeError("kernel fault")
+
+        monkeypatch.setattr(state.code, "decode", broken)
+        with pytest.raises(TypeError, match="kernel fault"):
+            Scrubber(state).scrub()
+
 
 class TestScrubMetrics:
     """Scrub passes publish their outcome into the metrics registry."""

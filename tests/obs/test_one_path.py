@@ -52,9 +52,9 @@ def test_telemetry_takes_the_quiet_path(monkeypatch, name):
     stage = _streaming.thread_stage
     keeps = []
 
-    def watched(code, data, *, keep_partials):
+    def watched(code, data, *, keep_partials, **kwargs):
         keeps.append(keep_partials)
-        return stage(code, data, keep_partials=keep_partials)
+        return stage(code, data, keep_partials=keep_partials, **kwargs)
 
     def walked(*args, **kwargs):
         raise AssertionError("a stripe was walked")

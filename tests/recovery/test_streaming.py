@@ -39,13 +39,11 @@ from repro.erasure.repair import (
 )
 from repro.erasure.rs import RSCode
 from repro.errors import (
-    ConfigurationError,
     CoordinatorCrashError,
     IntegrityError,
     PlanError,
-    UnknownChunkError,
 )
-from repro.experiments.configs import CFS1, CFS3, build_state
+from repro.experiments.configs import CFS1, CFS2, CFS3, build_state
 from repro.faults import (
     BackoffPolicy,
     FaultInjector,
@@ -55,7 +53,6 @@ from repro.faults import (
     RobustExecutor,
 )
 from repro.gf.vector import _SHORT_ROW
-from repro.io_shm import SharedChunkStore
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import Tracer
 from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
@@ -231,8 +228,9 @@ class TestStreamingEquivalence:
             splan, window=1, workers=2, sink=sink
         )
         assert result.verified and len(result.per_stripe_ok) == consumed
-        # 2 x workers windows in flight, plus the one being folded.
-        assert consumed_at_first_fold[0] <= 2 * 2 + 1
+        # One window in flight per stage-A thread, plus the one being
+        # folded.
+        assert consumed_at_first_fold[0] <= 2 + 1
 
     def test_sink_receives_every_stripe_and_result_stays_lean(self):
         state, event = failed_cluster(seed=3)
@@ -581,18 +579,40 @@ class TestStreamingValidation:
             PlanExecutor(state).execute_streaming(splan, window=4)
 
     def test_workers_refuse_journal_and_integrity(self, tmp_path):
+        """Stage B journals and verifies at any thread count: two threads
+        commit the stripes, chunk bytes and ledger rows of one.  The
+        journal's record *order* may differ — intents are written as a
+        window enters the pipeline, ``workers`` windows ahead of the one
+        shipping — so the commits are compared without their ``seq``."""
         state, event = failed_cluster(seed=1)
         sol = CarStrategy().solve(state)
         plan = plan_recovery(state, event, sol)
-        journal = RecoveryJournal(tmp_path / "j.jsonl")
-        journal.begin_session({"stripes": []})
-        ex = PlanExecutor(state, journal=journal)
-        with pytest.raises(ConfigurationError):
-            ex.execute_streaming(plan, sol, workers=2)
-        journal.close()
-        ex = PlanExecutor(state, verify_integrity=True)
-        with pytest.raises(ConfigurationError):
-            ex.execute_streaming(plan, sol, workers=2)
+        replays = []
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.jsonl"
+            with RecoveryJournal(path) as journal:
+                journal.begin_session({"stripes": list(sol.stripe_ids())})
+                result = PlanExecutor(
+                    state, journal=journal, verify_integrity=True
+                ).execute(plan, sol, window=2, workers=workers)
+            assert result.verified
+            replays.append(JournalReplay.load(path))
+        one, two = replays
+        assert set(one.committed) == set(sol.stripe_ids())
+        assert strip_seq(two.committed) == strip_seq(one.committed)
+        for stripe in one.committed:
+            assert np.array_equal(
+                two.committed_chunk(stripe), one.committed_chunk(stripe)
+            )
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_must_be_positive(self, workers):
+        state, event = failed_cluster(seed=1)
+        sol = CarStrategy().solve(state)
+        with pytest.raises(PlanError, match="workers"):
+            PlanExecutor(state).execute(
+                plan_recovery(state, event, sol), sol, workers=workers
+            )
 
     def test_execute_streaming_is_execute(self):
         assert PlanExecutor.execute_streaming is PlanExecutor.execute
@@ -891,59 +911,98 @@ class TestWindowIndependenceUnderFaults:
         assert_identical(runs[0].result, runs[1].result)
 
 
-class TestSharedChunkStore:
-    def test_round_trip_and_views(self):
-        state, _ = failed_cluster(seed=2, stripes=6)
-        with SharedChunkStore.from_datastore(state.data) as shared:
-            store = shared.store()
-            assert store.num_stripes == state.data.num_stripes
-            assert store.chunk_size == state.data.chunk_size
-            for stripe in range(state.data.num_stripes):
-                for idx in range(state.code.k + state.code.m):
-                    assert np.array_equal(
-                        store.chunk(stripe, idx),
-                        state.data.chunk(stripe, idx),
-                    )
-                    assert store.matches(
-                        stripe, idx, state.data.chunk(stripe, idx)
-                    )
+#: (config, stripes, chunk bytes, window): a fleet-shaped state of many
+#: small chunks and a bulk-shaped one of few large chunks, each cut into
+#: several windows so that stage-A threads have windows to share.
+STAGE_A_SHAPES = {
+    "fleet": (CFS3, 600, 256, 16),
+    "bulk": (CFS2, 16, 64 << 10, 2),
+}
 
-    def test_attach_maps_same_bytes(self):
-        state, _ = failed_cluster(seed=2, stripes=4)
-        shared = SharedChunkStore.from_datastore(state.data)
-        try:
-            attached = SharedChunkStore.attach(shared.handle)
-            try:
-                assert np.array_equal(
-                    attached.store().chunk(0, 0), state.data.chunk(0, 0)
-                )
-            finally:
-                attached.close()
-        finally:
-            shared.close()
 
-    def test_views_are_read_only(self):
-        state, _ = failed_cluster(seed=2, stripes=4)
-        with SharedChunkStore.from_datastore(state.data) as shared:
-            buf = shared.store().chunk(0, 0)
-            with pytest.raises(ValueError):
-                buf[0] = 1
+class TestStageAThreads:
+    """Stage A fanned over threads: every window is one decode and stage
+    B ships in order, so the thread count changes no figure."""
 
-    def test_unknown_chunk_raises(self):
-        state, _ = failed_cluster(seed=2, stripes=4)
-        with SharedChunkStore.from_datastore(state.data) as shared:
-            store = shared.store()
-            with pytest.raises(UnknownChunkError):
-                store.chunk(99, 0)
-            with pytest.raises(UnknownChunkError):
-                store.chunk(0, 99)
+    @pytest.mark.parametrize("durable", [False, True])
+    @pytest.mark.parametrize("strat", ["car", "rr"])
+    @pytest.mark.parametrize("shape", sorted(STAGE_A_SHAPES))
+    def test_workers_change_nothing(self, tmp_path, shape, strat, durable):
+        config, stripes, chunk_size, window = STAGE_A_SHAPES[shape]
+        state = build_state(
+            config, seed=5, with_data=True, chunk_size=chunk_size,
+            num_stripes=stripes,
+        )
+        event = FailureInjector(rng=5).fail_random_node(state)
+        sol = strategy_for(strat, 5).solve(state)
+        plan = plan_recovery(state, event, sol)
+        results = []
+        for workers in (None, 2, 3):
+            journal = None
+            if durable:
+                journal = RecoveryJournal(tmp_path / f"{workers}.jsonl")
+                journal.begin_session({"stripes": list(sol.stripe_ids())})
+            executor = PlanExecutor(
+                state, journal=journal, verify_integrity=durable
+            )
+            results.append(
+                executor.execute(plan, sol, window=window, workers=workers)
+            )
+            if journal is not None:
+                journal.close()
+        assert_ground_truth(state, event, results[0].reconstructed)
+        assert_plan_figures(state, plan, sol, results[0])
+        for fanned in results[1:]:
+            assert_identical(results[0], fanned)
 
-    def test_close_is_idempotent(self):
-        state, _ = failed_cluster(seed=2, stripes=4)
-        shared = SharedChunkStore.from_datastore(state.data)
-        shared.close()
-        shared.close()  # no-op
-        shared.unlink()  # alias, also a no-op now
+    @pytest.mark.parametrize("share", [0.2, 0.5, 0.8])
+    def test_workers_crash_mid_window_then_resume_byte_identically(
+        self, tmp_path, share
+    ):
+        """A journalled two-thread run dies after ``share`` of an
+        uninterrupted run's records; a resume that runs the pending
+        stripes, again on two threads, leaves the same commits."""
+        state, event = failed_cluster(seed=13, stripes=18)
+        sol = CarStrategy().solve(state)
+        meta = {"stripes": list(sol.stripe_ids())}
+
+        def run(solution, workers, journal):
+            PlanExecutor(state, journal=journal, verify_integrity=True).execute(
+                plan_recovery(state, event, solution), solution,
+                window=3, workers=workers,
+            )
+
+        whole = tmp_path / "whole.jsonl"
+        with RecoveryJournal(whole) as journal:
+            journal.begin_session(meta)
+            run(sol, None, journal)
+        expected = JournalReplay.load(whole)
+
+        crashed = tmp_path / "crashed.jsonl"
+        journal = RecoveryJournal(
+            crashed,
+            crash_after_records=int(share * len(expected.records)),
+        )
+        journal.begin_session(meta)
+        with pytest.raises(CoordinatorCrashError):
+            run(sol, 2, journal)
+        replay = JournalReplay.load(crashed)
+        assert replay.pending
+        rest = sol.restricted_to(replay.pending)
+        with RecoveryJournal(crashed, append=True, replay=replay) as journal:
+            journal.resume_marker(
+                replayed=sorted(replay.committed),
+                pending=sorted(replay.pending),
+            )
+            run(rest, 2, journal)
+
+        resumed = JournalReplay.load(crashed)
+        assert strip_seq(resumed.committed) == strip_seq(expected.committed)
+        for stripe in expected.committed:
+            assert np.array_equal(
+                resumed.committed_chunk(stripe),
+                expected.committed_chunk(stripe),
+            )
 
 
 class TestStreamingHelpers:

@@ -3,8 +3,11 @@
 import ast
 import functools
 import importlib
+import os
 import pathlib
 import py_compile
+import subprocess
+import sys
 
 import pytest
 
@@ -82,6 +85,24 @@ class TestRootExports:
             pkg = importlib.import_module(pkg_name)
             for name in getattr(pkg, "__all__", []):
                 assert hasattr(pkg, name), f"{pkg_name}.{name}"
+
+
+class TestImportGraph:
+    def test_the_cli_loads_no_process_pool(self):
+        """Stage A runs on threads: starting the CLI imports neither
+        ``multiprocessing`` nor the process-pool executor.  A fresh
+        interpreter, because this one's test modules may import them."""
+        probe = (
+            "import sys, repro.cli; print(sorted("
+            "{'multiprocessing', 'concurrent.futures.process'}"
+            " & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestExamples:
