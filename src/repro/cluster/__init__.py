@@ -4,12 +4,10 @@ from repro.cluster.failure import FailureInjector
 from repro.cluster.filestore import FileInfo, FileStore
 from repro.cluster.placement import (
     ChunkKey,
-    FlatPlacementPolicy,
     GroupAlignedPlacementPolicy,
     Placement,
     PlacementPolicy,
     RandomPlacementPolicy,
-    RoundRobinPlacementPolicy,
 )
 from repro.cluster.rebalance import Migration, MigrationPlan, Rebalancer
 from repro.cluster.scrub import ScrubFinding, ScrubReport, Scrubber
@@ -32,8 +30,6 @@ __all__ = [
     "Placement",
     "PlacementPolicy",
     "RandomPlacementPolicy",
-    "RoundRobinPlacementPolicy",
-    "FlatPlacementPolicy",
     "GroupAlignedPlacementPolicy",
     "ClusterState",
     "DataStore",

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro.errors import NoFailureError
 from repro.cluster.state import ClusterState, FailureEvent
 
@@ -30,12 +32,9 @@ class FailureInjector:
         self.rng = rng or random.Random()
 
     def candidate_nodes(self, state: ClusterState) -> list[int]:
-        """Nodes that actually store at least one chunk."""
-        return [
-            node.node_id
-            for node in state.topology.nodes
-            if state.placement.chunks_on_node(node.node_id)
-        ]
+        """Nodes that actually store at least one chunk, ascending (the
+        victim draw indexes this list)."""
+        return np.unique(state.placement.node_table()).tolist()
 
     def fail_random_node(self, state: ClusterState) -> FailureEvent:
         """Fail a uniformly random non-empty node (paper methodology).

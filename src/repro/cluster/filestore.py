@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.placement import (
-    ChunkKey,
     Placement,
     PlacementPolicy,
     RandomPlacementPolicy,
@@ -94,10 +93,9 @@ class FileStore:
         self.code = code
         self.chunk_size = chunk_size
         self.policy = policy or RandomPlacementPolicy(rng=rng)
-        self._assignment: dict[ChunkKey, int] = {}
+        self._table = np.empty((0, code.n), dtype=np.int32)
         self._data = DataStore.empty(code, chunk_size)
         self._files: dict[str, FileInfo] = {}
-        self._num_stripes = 0
 
     # -- metadata ---------------------------------------------------------
 
@@ -140,12 +138,11 @@ class FileStore:
         per_stripe = self.stripe_payload
         num_stripes = -(-len(payload) // per_stripe)  # ceil division
         padded = payload + b"\0" * (num_stripes * per_stripe - len(payload))
-        stripe_ids = []
         new_placement = self.policy.place(
             self.topology, num_stripes, self.code.k, self.code.m
         )
-        for local in range(num_stripes):
-            stripe_id = self._num_stripes
+        stripe_ids = range(len(self._table), len(self._table) + num_stripes)
+        for local, stripe_id in enumerate(stripe_ids):
             offset = local * per_stripe
             data_chunks = [
                 np.frombuffer(
@@ -159,12 +156,7 @@ class FileStore:
             ]
             stripe = self.code.encode_stripe(data_chunks)
             self._data.add_stripe(stripe_id, stripe)
-            for chunk_index in range(self.code.n):
-                self._assignment[(stripe_id, chunk_index)] = (
-                    new_placement.node_of(local, chunk_index)
-                )
-            stripe_ids.append(stripe_id)
-            self._num_stripes += 1
+        self._table = np.concatenate((self._table, new_placement.node_table()))
         info = FileInfo(
             name=name, size=len(payload), stripe_ids=tuple(stripe_ids)
         )
@@ -194,11 +186,7 @@ class FileStore:
         state.fail_node(failed_node)
         parts = []
         for stripe_id in info.stripe_ids:
-            lost = [
-                c
-                for c in range(self.code.n)
-                if self._assignment[(stripe_id, c)] == failed_node
-            ]
+            lost = np.flatnonzero(self._table[stripe_id] == failed_node)
             for i in range(self.code.k):
                 if i not in lost:
                     parts.append(self._data.chunk(stripe_id, i).tobytes())
@@ -229,7 +217,7 @@ class FileStore:
                 self.topology, self.code.k, failure
             ).solutions[0].helpers
         rack_map = {
-            c: self.topology.rack_of(self._assignment[(stripe_id, c)])
+            c: self.topology.rack_of(self._table[stripe_id, c])
             for c in helpers
         }
         return helpers, rack_map
@@ -239,6 +227,6 @@ class FileStore:
     def cluster_state(self) -> ClusterState:
         """A :class:`ClusterState` over the store's current contents."""
         placement = Placement(
-            self.topology, self.code.k, self.code.m, self._assignment
+            self.topology, self.code.k, self.code.m, self._table
         )
         return ClusterState(self.topology, self.code, placement, self._data)

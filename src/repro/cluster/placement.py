@@ -5,25 +5,28 @@ chunks of any stripe inside one rack (``c_{i,j} <= m``) so that a whole
 rack can fail and the stripe still has ``k`` survivors elsewhere — and,
 trivially, at most one chunk of a stripe per node.
 
-:class:`Placement` is the immutable result: a map from
-``(stripe_id, chunk_index)`` to ``node_id`` plus the derived per-rack
-chunk counters ``c_{i,j}`` the CAR selector consumes.  Policies:
+:class:`Placement` is the immutable result: a ``(stripes, k + m)`` node
+table whose row ``j`` maps stripe ``j``'s chunk indices to nodes, from
+which every query — including the per-rack chunk counters ``c_{i,j}``
+the CAR selector consumes — is answered.  Policies:
 
 - :class:`RandomPlacementPolicy` — the paper's methodology ("randomly
   distribute the data and parity chunks ... while ensuring single-rack
   fault tolerance").
-- :class:`RoundRobinPlacementPolicy` — deterministic striping, handy for
-  worked examples and tests.
-- :class:`FlatPlacementPolicy` — random placement *without* the rack
-  constraint, used by ablation benches to show what the constraint
-  costs/buys.
+- :class:`RackAlignedPlacementPolicy` — the same chunk -> rack map for
+  every stripe, the layout rack-aware regenerating codes assume.
+- :class:`GroupAlignedPlacementPolicy` — each LRC repair group inside
+  one rack, so a local repair crosses no rack.
+
+A fixed or deliberately non-fault-tolerant layout needs no policy:
+write its table and hand it to :class:`Placement`.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -35,8 +38,6 @@ __all__ = [
     "Placement",
     "PlacementPolicy",
     "RandomPlacementPolicy",
-    "RoundRobinPlacementPolicy",
-    "FlatPlacementPolicy",
     "GroupAlignedPlacementPolicy",
     "RackAlignedPlacementPolicy",
 ]
@@ -48,11 +49,22 @@ ChunkKey = tuple[int, int]
 class Placement:
     """An immutable assignment of stripe chunks to nodes.
 
-    Attributes:
+    Args:
         topology: the cluster the chunks live in.
         k: data chunks per stripe.
         m: parity chunks per stripe.
+        table: integer array-like of shape ``(stripes, k + m)``; entry
+            ``[j, c]`` is the node holding chunk ``c`` of stripe ``j``.
+            It is copied.
+
+    Attributes:
+        topology / k / m: as given.
         num_stripes: how many stripes were placed.
+
+    Raises:
+        PlacementError: if the table is not integer, is not ``k + m``
+            wide, names a node outside the topology, or puts two chunks
+            of one stripe on one node.
     """
 
     def __init__(
@@ -60,65 +72,54 @@ class Placement:
         topology: ClusterTopology,
         k: int,
         m: int,
-        assignment: Mapping[ChunkKey, int],
+        table: np.ndarray | Sequence[Sequence[int]],
     ) -> None:
         self.topology = topology
         self.k = k
         self.m = m
-        self._node_of = dict(assignment)
-        stripe_ids = {s for s, _ in self._node_of}
-        self.num_stripes = len(stripe_ids)
-        if stripe_ids and stripe_ids != set(range(self.num_stripes)):
-            raise PlacementError("stripe ids must be dense from 0")
-        self._chunks_on_node: dict[int, list[ChunkKey]] = {}
-        for key, nid in sorted(self._node_of.items()):
-            self._chunks_on_node.setdefault(nid, []).append(key)
-        self._validate()
-        self._table: np.ndarray | None = None
-
-    def _validate(self) -> None:
-        n = self.k + self.m
-        for stripe in range(self.num_stripes):
-            keys = [(stripe, c) for c in range(n)]
-            missing = [key for key in keys if key not in self._node_of]
-            if missing:
-                raise PlacementError(f"stripe {stripe} missing chunks {missing}")
-            nodes = [self._node_of[key] for key in keys]
-            if len(set(nodes)) != n:
-                raise PlacementError(
-                    f"stripe {stripe} places multiple chunks on one node"
-                )
+        table = np.asarray(table)
+        if table.dtype.kind not in "iu":
+            raise PlacementError(
+                f"a node table holds integers, not {table.dtype}"
+            )
+        if table.ndim != 2 or table.shape[1] != k + m:
+            raise PlacementError(
+                f"a node table is (stripes, {k + m}), not {table.shape}"
+            )
+        outside = (table < 0) | (table >= topology.num_nodes)
+        if outside.any():
+            stripe, chunk = np.argwhere(outside)[0]
+            raise PlacementError(
+                f"stripe {stripe} chunk {chunk} is on node "
+                f"{table[stripe, chunk]}, outside 0..{topology.num_nodes - 1}"
+            )
+        ordered = np.sort(table, axis=1)
+        shared = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if shared.any():
+            raise PlacementError(
+                f"stripe {shared.argmax()} places multiple chunks on one node"
+            )
+        self._table = table.astype(np.int32)
+        self._table.setflags(write=False)
+        self.num_stripes = len(self._table)
 
     # -- queries ----------------------------------------------------------
 
     def node_of(self, stripe_id: int, chunk_index: int) -> int:
         """Node storing the given chunk."""
-        try:
-            return self._node_of[(stripe_id, chunk_index)]
-        except KeyError:
+        if not (
+            0 <= stripe_id < self.num_stripes
+            and 0 <= chunk_index < self.k + self.m
+        ):
             raise PlacementError(
                 f"no placement for stripe {stripe_id} chunk {chunk_index}"
-            ) from None
+            )
+        return int(self._table[stripe_id, chunk_index])
 
     def node_table(self) -> np.ndarray:
-        """``(stripes, k + m)`` read-only array: the node of every chunk.
-
-        Built on first use, so a planner can look up a whole window of
-        holders in one indexing operation.
-        """
-        if self._table is None:
-            n = self.k + self.m
-            table = np.fromiter(
-                (
-                    self._node_of[(stripe, c)]
-                    for stripe in range(self.num_stripes)
-                    for c in range(n)
-                ),
-                dtype=np.int32,
-                count=self.num_stripes * n,
-            ).reshape(self.num_stripes, n)
-            table.setflags(write=False)
-            self._table = table
+        """``(stripes, k + m)`` read-only array: the node of every chunk,
+        so a planner looks up a whole window of holders in one indexing
+        operation."""
         return self._table
 
     def rack_of_chunk(self, stripe_id: int, chunk_index: int) -> int:
@@ -126,8 +127,10 @@ class Placement:
         return self.topology.rack_of(self.node_of(stripe_id, chunk_index))
 
     def chunks_on_node(self, node_id: int) -> tuple[ChunkKey, ...]:
-        """All chunks stored on ``node_id`` (may span many stripes)."""
-        return tuple(self._chunks_on_node.get(node_id, ()))
+        """All chunks stored on ``node_id`` (may span many stripes), in
+        ``(stripe_id, chunk_index)`` order."""
+        stripes, chunks = np.nonzero(self._table == node_id)
+        return tuple(zip(stripes.tolist(), chunks.tolist()))
 
     def stripe_layout(self, stripe_id: int) -> dict[int, int]:
         """chunk_index -> node_id for one stripe.
@@ -137,34 +140,38 @@ class Placement:
         """
         if not 0 <= stripe_id < self.num_stripes:
             raise UnknownChunkError(f"no placement for stripe {stripe_id}")
-        return {
-            c: self._node_of[(stripe_id, c)] for c in range(self.k + self.m)
-        }
+        return dict(enumerate(self._table[stripe_id].tolist()))
 
     def rack_chunk_count(self, rack_id: int, stripe_id: int) -> int:
         """The paper's ``c_{i,j}``: chunks of stripe ``j`` in rack ``i``."""
-        return sum(
-            1
-            for c in range(self.k + self.m)
-            if self.rack_of_chunk(stripe_id, c) == rack_id
-        )
+        return int((self._racks_of(stripe_id) == rack_id).sum())
 
     def rack_counts(self, stripe_id: int) -> list[int]:
         """``c_{i,j}`` for every rack ``i`` of one stripe."""
-        counts = [0] * self.topology.num_racks
-        for c in range(self.k + self.m):
-            counts[self.rack_of_chunk(stripe_id, c)] += 1
-        return counts
+        return np.bincount(
+            self._racks_of(stripe_id), minlength=self.topology.num_racks
+        ).tolist()
+
+    def _racks_of(self, stripe_id: int) -> np.ndarray:
+        if not 0 <= stripe_id < self.num_stripes:
+            raise PlacementError(f"no placement for stripe {stripe_id}")
+        return self.topology.rack_array()[self._table[stripe_id]]
 
     def iter_chunks(self) -> Iterator[tuple[ChunkKey, int]]:
-        """Iterate ``((stripe_id, chunk_index), node_id)`` pairs."""
-        return iter(sorted(self._node_of.items()))
+        """Iterate ``((stripe_id, chunk_index), node_id)`` pairs in
+        ``(stripe_id, chunk_index)`` order."""
+        return (
+            ((stripe, chunk), node)
+            for stripe, row in enumerate(self._table.tolist())
+            for chunk, node in enumerate(row)
+        )
 
     def max_rack_colocation(self) -> int:
         """Largest ``c_{i,j}`` over all racks and stripes."""
-        return max(
-            max(self.rack_counts(s)) for s in range(self.num_stripes)
-        )
+        racks = self.topology.rack_array()[self._table]
+        stripe = np.arange(self.num_stripes)[:, None]
+        cell = stripe * self.topology.num_racks + racks
+        return int(np.bincount(cell.ravel()).max())
 
     def is_rack_fault_tolerant(self) -> bool:
         """True iff every stripe survives any single rack failure."""
@@ -175,6 +182,14 @@ class Placement:
             f"Placement(stripes={self.num_stripes}, k={self.k}, m={self.m}, "
             f"racks={self.topology.num_racks})"
         )
+
+
+def _placement(
+    topology: ClusterTopology, k: int, m: int, rows: list[list[int]]
+) -> Placement:
+    """The :class:`Placement` whose table rows are ``rows``."""
+    table = np.array(rows, dtype=np.int32).reshape(len(rows), k + m)
+    return Placement(topology, k, m, table)
 
 
 class PlacementPolicy(abc.ABC):
@@ -240,27 +255,26 @@ class RandomPlacementPolicy(PlacementPolicy):
                 f"k+m={n} with per-rack cap {cap} needs at least "
                 f"{fewest_racks} racks, topology has {topology.num_racks}"
             )
-        assignment: dict[ChunkKey, int] = {}
-        node_ids = [node.node_id for node in topology.nodes]
-        for stripe in range(num_stripes):
-            chosen = self._place_one_stripe(topology, node_ids, n, cap)
-            for chunk_index, nid in enumerate(chosen):
-                assignment[(stripe, chunk_index)] = nid
-        return Placement(topology, k, m, assignment)
+        rack_of = topology.rack_array().tolist()
+        rows = [
+            self._place_one_stripe(topology, rack_of, n, cap)
+            for _ in range(num_stripes)
+        ]
+        return _placement(topology, k, m, rows)
 
     def _place_one_stripe(
         self,
         topology: ClusterTopology,
-        node_ids: list[int],
+        rack_of: list[int],
         n: int,
         cap: int,
     ) -> list[int]:
         for _ in range(self.max_attempts):
-            sample = self.rng.sample(node_ids, n)
+            sample = self.rng.sample(range(len(rack_of)), n)
             per_rack: dict[int, int] = {}
             ok = True
             for nid in sample:
-                rid = topology.rack_of(nid)
+                rid = rack_of[nid]
                 per_rack[rid] = per_rack.get(rid, 0) + 1
                 if per_rack[rid] > cap:
                     ok = False
@@ -282,71 +296,6 @@ class RandomPlacementPolicy(PlacementPolicy):
         raise PlacementError(
             f"unable to place a stripe of width {n} with per-rack cap {cap}"
         )
-
-
-class RoundRobinPlacementPolicy(PlacementPolicy):
-    """Deterministic placement: chunk ``c`` of stripe ``s`` goes on node
-    ``(s * (k + m) + c) mod num_nodes``, skipping nodes whose rack is full.
-
-    Deterministic and rack-fault-tolerant; used by worked examples and
-    tests that need a stable layout.
-    """
-
-    def place(
-        self, topology: ClusterTopology, num_stripes: int, k: int, m: int
-    ) -> Placement:
-        self._check_fits(topology, k, m)
-        n = k + m
-        num_nodes = topology.num_nodes
-        assignment: dict[ChunkKey, int] = {}
-        cursor = 0
-        for stripe in range(num_stripes):
-            used_nodes: set[int] = set()
-            per_rack: dict[int, int] = {}
-            placed = 0
-            scanned = 0
-            while placed < n:
-                if scanned > 2 * num_nodes:
-                    raise PlacementError(
-                        f"round-robin cannot place stripe {stripe} "
-                        f"(k+m={n}, cap m={m})"
-                    )
-                nid = cursor % num_nodes
-                cursor += 1
-                scanned += 1
-                rid = topology.rack_of(nid)
-                if nid in used_nodes or per_rack.get(rid, 0) >= m:
-                    continue
-                assignment[(stripe, placed)] = nid
-                used_nodes.add(nid)
-                per_rack[rid] = per_rack.get(rid, 0) + 1
-                placed += 1
-        return Placement(topology, k, m, assignment)
-
-
-class FlatPlacementPolicy(PlacementPolicy):
-    """Random placement with *no* rack constraint (ablation baseline).
-
-    Still one chunk per node per stripe; a stripe may concentrate more
-    than ``m`` chunks in one rack, sacrificing rack fault tolerance.
-    """
-
-    def __init__(self, rng: random.Random | int | None = None) -> None:
-        if isinstance(rng, int):
-            rng = random.Random(rng)
-        self.rng = rng or random.Random()
-
-    def place(
-        self, topology: ClusterTopology, num_stripes: int, k: int, m: int
-    ) -> Placement:
-        self._check_fits(topology, k, m)
-        n = k + m
-        node_ids = [node.node_id for node in topology.nodes]
-        assignment: dict[ChunkKey, int] = {}
-        for stripe in range(num_stripes):
-            for chunk_index, nid in enumerate(self.rng.sample(node_ids, n)):
-                assignment[(stripe, chunk_index)] = nid
-        return Placement(topology, k, m, assignment)
 
 
 class RackAlignedPlacementPolicy(PlacementPolicy):
@@ -410,15 +359,17 @@ class RackAlignedPlacementPolicy(PlacementPolicy):
         for c, rid in enumerate(rack_map):
             per_rack_chunks.setdefault(rid, []).append(c)
         rack_by_id = {r.rack_id: r for r in topology.racks}
-        assignment: dict[ChunkKey, int] = {}
-        for stripe in range(num_stripes):
+        rows = []
+        for _ in range(num_stripes):
+            row = [0] * (k + m)
             for rid, chunks in per_rack_chunks.items():
                 nodes = self.rng.sample(
                     list(rack_by_id[rid].node_ids), len(chunks)
                 )
                 for c, nid in zip(chunks, nodes):
-                    assignment[(stripe, c)] = nid
-        return Placement(topology, k, m, assignment)
+                    row[c] = nid
+            rows.append(row)
+        return _placement(topology, k, m, rows)
 
 
 class GroupAlignedPlacementPolicy(PlacementPolicy):
@@ -472,18 +423,17 @@ class GroupAlignedPlacementPolicy(PlacementPolicy):
             raise PlacementError(
                 f"groups reference chunks outside 0..{n - 1}"
             )
-        loose = [c for c in range(n) if c not in grouped]
         if max((len(g) for g in self.groups), default=0) > max(
             r.size for r in topology.racks
         ):
             raise PlacementError(
                 "a group is larger than the largest rack"
             )
-        assignment: dict[ChunkKey, int] = {}
-        for stripe in range(num_stripes):
-            for chunk, node in self._place_stripe(topology, n).items():
-                assignment[(stripe, chunk)] = node
-        return Placement(topology, k, m, assignment)
+        rows = []
+        for _ in range(num_stripes):
+            chunk_to_node = self._place_stripe(topology, n)
+            rows.append([chunk_to_node[c] for c in range(n)])
+        return _placement(topology, k, m, rows)
 
     def _place_stripe(
         self, topology: ClusterTopology, n: int

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.placement import ChunkKey, Placement
+import numpy as np
+
+from repro.cluster.placement import Placement
 from repro.cluster.topology import ClusterTopology
 from repro.errors import ClusterError
 
@@ -89,41 +91,35 @@ class Rebalancer:
         The placement may be keyed on a smaller topology (before an
         expansion) as long as all its node ids exist here.
         """
-        topo = self.topology
-        assignment: dict[ChunkKey, int] = dict(placement.iter_chunks())
-        load = {n.node_id: 0 for n in topo.nodes}
-        holders: dict[tuple[int, int], set[int]] = {}
-        rack_count: dict[tuple[int, int], int] = {}
-        for (stripe, chunk), node in assignment.items():
-            load[node] += 1
-            holders.setdefault(("s", stripe), set()).add(node)
-            key = (stripe, topo.rack_of(node))
-            rack_count[key] = rack_count.get(key, 0) + 1
-        m = placement.m
+        table = placement.node_table().copy()
+        load = np.bincount(
+            table.ravel(), minlength=self.topology.num_nodes
+        ).tolist()
+        nodes = range(len(load))
         plan = MigrationPlan()
-
-        for _ in range(len(assignment) + 1):
-            donor = max(load, key=lambda n: (load[n], n))
-            receiver = min(load, key=lambda n: (load[n], n))
+        for _ in range(table.size + 1):
+            donor = max(nodes, key=lambda n: (load[n], n))
+            receiver = min(nodes, key=lambda n: (load[n], n))
             if load[donor] - load[receiver] <= self.tolerance:
                 break
-            move = self._find_move(
-                assignment, topo, load, holders, rack_count, m
-            )
+            move = self._find_move(table, load, placement.m)
             if move is None:
                 break
             plan.moves.append(move)
-            self._apply_move(move, assignment, topo, load, holders, rack_count)
+            table[move.stripe_id, move.chunk_index] = move.dst_node
+            load[move.src_node] -= 1
+            load[move.dst_node] += 1
         return plan
 
-    def _find_move(self, assignment, topo, load, holders, rack_count, m):
-        mean = sum(load.values()) / len(load)
+    def _find_move(self, table, load, m):
+        topo = self.topology
+        mean = sum(load) / len(load)
         donors = sorted(
-            (n for n in load if load[n] > mean),
+            (n for n in range(len(load)) if load[n] > mean),
             key=lambda n: (-load[n], n),
         )
         receivers = sorted(
-            (n for n in load if load[n] < mean),
+            (n for n in range(len(load)) if load[n] < mean),
             key=lambda n: (load[n], n),
         )
         # Two passes: same-rack pairs first, then cross-rack.
@@ -136,8 +132,7 @@ class Rebalancer:
                     if is_cross != cross:
                         continue
                     chunk = self._movable_chunk(
-                        assignment, topo, donor, receiver, holders,
-                        rack_count, m,
+                        table, donor, receiver, is_cross, m
                     )
                     if chunk is not None:
                         stripe, idx = chunk
@@ -150,44 +145,28 @@ class Rebalancer:
                         )
         return None
 
-    def _movable_chunk(
-        self, assignment, topo, donor, receiver, holders, rack_count, m
-    ):
-        recv_rack = topo.rack_of(receiver)
-        for (stripe, chunk), node in assignment.items():
-            if node != donor:
-                continue
-            if receiver in holders[("s", stripe)]:
+    def _movable_chunk(self, table, donor, receiver, is_cross, m):
+        """The first chunk on ``donor``, in ``(stripe, chunk)`` order,
+        that may move to ``receiver``."""
+        racks = self.topology.rack_array()
+        for stripe, chunk in zip(*np.nonzero(table == donor)):
+            row = table[stripe]
+            if receiver in row:
                 continue  # one chunk per node per stripe
-            if topo.rack_of(donor) != recv_rack:
-                if rack_count.get((stripe, recv_rack), 0) >= m:
-                    continue  # would break rack fault tolerance
-            return (stripe, chunk)
+            if is_cross and (racks[row] == racks[receiver]).sum() >= m:
+                continue  # would break rack fault tolerance
+            return int(stripe), int(chunk)
         return None
-
-    def _apply_move(self, move, assignment, topo, load, holders, rack_count):
-        key = (move.stripe_id, move.chunk_index)
-        assignment[key] = move.dst_node
-        load[move.src_node] -= 1
-        load[move.dst_node] += 1
-        holders[("s", move.stripe_id)].discard(move.src_node)
-        holders[("s", move.stripe_id)].add(move.dst_node)
-        src_rack = topo.rack_of(move.src_node)
-        dst_rack = topo.rack_of(move.dst_node)
-        if src_rack != dst_rack:
-            rack_count[(move.stripe_id, src_rack)] -= 1
-            rack_count[(move.stripe_id, dst_rack)] = (
-                rack_count.get((move.stripe_id, dst_rack), 0) + 1
-            )
 
     def apply(self, placement: Placement, plan: MigrationPlan) -> Placement:
         """The placement after executing ``plan`` (fully re-validated)."""
-        assignment = dict(placement.iter_chunks())
+        table = placement.node_table().copy()
         for move in plan.moves:
             key = (move.stripe_id, move.chunk_index)
-            if assignment.get(key) != move.src_node:
+            placement.node_of(*key)  # refuses a chunk that was never placed
+            if table[key] != move.src_node:
                 raise ClusterError(
                     f"plan is stale: chunk {key} is not on node {move.src_node}"
                 )
-            assignment[key] = move.dst_node
-        return Placement(self.topology, placement.k, placement.m, assignment)
+            table[key] = move.dst_node
+        return Placement(self.topology, placement.k, placement.m, table)

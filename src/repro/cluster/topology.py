@@ -138,16 +138,18 @@ class ClusterTopology:
                 f"per_rack_uplink_gbps has {len(per_rack)} entries "
                 f"for {len(racks)} racks"
             )
-        self._rack_of = {n.node_id: n.rack_id for n in nodes}
-        if len(self._rack_of) != len(nodes):
-            raise ConfigurationError("duplicate node ids in topology")
-        self._rack_array: np.ndarray | None = None
+        if [n.node_id for n in nodes] != list(range(len(nodes))):
+            raise ConfigurationError("node ids must be dense from 0, in order")
+        self._node_rack = np.array([n.rack_id for n in nodes], dtype=np.intp)
+        self._node_rack.setflags(write=False)
         for rack in racks:
-            for nid in rack.node_ids:
-                if self._rack_of.get(nid) != rack.rack_id:
-                    raise ConfigurationError(
-                        f"node {nid} rack assignment is inconsistent"
-                    )
+            ids = np.array(rack.node_ids, dtype=np.intp)
+            if ((ids < 0) | (ids >= len(nodes))).any() or (
+                self._node_rack[ids] != rack.rack_id
+            ).any():
+                raise ConfigurationError(
+                    f"rack {rack.rack_id} node assignment is inconsistent"
+                )
 
     @classmethod
     def from_rack_sizes(
@@ -203,25 +205,12 @@ class ClusterTopology:
         Raises:
             UnknownNodeError: if the node does not exist.
         """
-        try:
-            return self._rack_of[node_id]
-        except KeyError:
-            raise UnknownNodeError(node_id) from None
+        return self.node(node_id).rack_id
 
     def rack_array(self) -> np.ndarray:
-        """Read-only array: entry ``n`` is the rack of node ``n``.
-
-        Built on first use, so a whole table of node ids maps to racks
-        in one indexing operation.
-        """
-        if self._rack_array is None:
-            racks = np.full(
-                max(self._rack_of, default=-1) + 1, -1, dtype=np.intp
-            )
-            racks[list(self._rack_of)] = list(self._rack_of.values())
-            racks.setflags(write=False)
-            self._rack_array = racks
-        return self._rack_array
+        """Read-only array: entry ``n`` is the rack of node ``n``, so a
+        whole table of node ids maps to racks in one indexing operation."""
+        return self._node_rack
 
     def node(self, node_id: int) -> Node:
         """The :class:`Node` with the given id."""

@@ -15,9 +15,11 @@ import json
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.cluster.placement import Placement
 from repro.cluster.topology import BandwidthProfile, ClusterTopology
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PlacementError
 from repro.recovery.metrics import TrafficReport
 from repro.workloads.traces import FailureEventSpec, FailureTrace
 
@@ -54,6 +56,11 @@ def topology_to_dict(topology: ClusterTopology) -> dict:
             "node_nic_gbps": bw.node_nic_gbps,
             "rack_uplink_gbps": bw.rack_uplink_gbps,
             "core_gbps": None if bw.core_gbps == float("inf") else bw.core_gbps,
+            "per_rack_uplink_gbps": (
+                None
+                if bw.per_rack_uplink_gbps is None
+                else list(bw.per_rack_uplink_gbps)
+            ),
         },
     }
 
@@ -68,6 +75,7 @@ def topology_from_dict(data: dict) -> ClusterTopology:
         node_nic_gbps=_require(bw, "node_nic_gbps"),
         rack_uplink_gbps=_require(bw, "rack_uplink_gbps"),
         core_gbps=float("inf") if core is None else core,
+        per_rack_uplink_gbps=bw.get("per_rack_uplink_gbps"),
     )
     return ClusterTopology.from_rack_sizes(
         _require(data, "rack_sizes"), bandwidth=profile
@@ -92,16 +100,30 @@ def placement_to_dict(placement: Placement) -> dict:
 
 
 def placement_from_dict(data: dict) -> Placement:
-    """Inverse of :func:`placement_to_dict` (re-validates everything)."""
+    """Inverse of :func:`placement_to_dict` (re-validates everything).
+
+    Raises:
+        PlacementError: if a ``(stripe, chunk)`` entry is repeated or
+            missing, or the layout breaks a :class:`Placement` rule.
+    """
     if data.get("kind") != "placement":
         raise ConfigurationError("not a serialized placement")
     topology = topology_from_dict(_require(data, "topology"))
-    assignment = {
-        (int(s), int(c)): int(n) for s, c, n in _require(data, "assignment")
-    }
-    return Placement(
-        topology, int(_require(data, "k")), int(_require(data, "m")), assignment
-    )
+    k, m = int(_require(data, "k")), int(_require(data, "m"))
+    n = k + m
+    entries = np.array(_require(data, "assignment"), dtype=np.int64)
+    entries = entries.reshape(-1, 3)
+    entries = entries[np.lexsort((entries[:, 1], entries[:, 0]))]
+    # Sorted, the entries must be exactly (0, 0), (0, 1), ..., (S-1, n-1).
+    position = np.arange(len(entries))
+    wrong = (entries[:, 0] != position // n) | (entries[:, 1] != position % n)
+    if wrong.any() or len(entries) % n:
+        first = int(wrong.argmax()) if wrong.any() else len(entries)
+        raise PlacementError(
+            f"stripe {first // n} chunk {first % n} is missing or repeated "
+            f"in the assignment"
+        )
+    return Placement(topology, k, m, entries[:, 2].reshape(-1, n))
 
 
 # -- failure traces ------------------------------------------------------------

@@ -21,6 +21,7 @@ import math
 from pathlib import Path
 
 from repro.errors import ServiceError
+from repro.obs.report import format_table
 from repro.service.cluster import LocalCluster
 
 __all__ = [
@@ -276,19 +277,19 @@ def _fmt_cap(cap) -> str:
 
 
 def render_service_table(rows) -> str:
-    """The bench-service sweep as a fixed-width text table."""
-    header = (
-        f"{'repair cap':>12} {'recovery B/s':>14} {'recovery s':>11} "
-        f"{'client p50 s':>13} {'client p99 s':>13} {'reads':>6}"
+    """The bench-service sweep as an aligned text table, one row per cap."""
+    return format_table(
+        ["repair cap", "recovery B/s", "recovery s", "client p50 s",
+         "client p99 s", "reads"],
+        [
+            [
+                _fmt_cap(row.get("repair_cap_bytes_per_s")),
+                f"{row['recovery_throughput_bytes_per_s']:.0f}",
+                f"{row['recovery_model_s']:.3f}",
+                f"{row['client_p50_model_s']:.5f}",
+                f"{row['client_p99_model_s']:.5f}",
+                f"{row['reads']:d}",
+            ]
+            for row in rows
+        ],
     )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{_fmt_cap(row.get('repair_cap_bytes_per_s')):>12} "
-            f"{row['recovery_throughput_bytes_per_s']:>14.0f} "
-            f"{row['recovery_model_s']:>11.3f} "
-            f"{row['client_p50_model_s']:>13.5f} "
-            f"{row['client_p99_model_s']:>13.5f} "
-            f"{row['reads']:>6d}"
-        )
-    return "\n".join(lines)

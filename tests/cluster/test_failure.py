@@ -56,12 +56,17 @@ class TestRackLossDrill:
             assert injector.simulate_rack_loss(small_state, rack)
 
     def test_flat_placement_can_fail_the_drill(self, rs63):
-        from repro.cluster.placement import FlatPlacementPolicy
+        from repro.cluster.placement import Placement
 
         topo = ClusterTopology.from_rack_sizes([8, 2, 2])
-        placement = FlatPlacementPolicy(rng=0).place(topo, 30, 6, 3)
+        placement = Placement(
+            topo,
+            6,
+            3,
+            [[0, 1, 2, 3, 4, 5, 6, 8, 10], [0, 1, 2, 8, 9, 10, 11, 3, 4]],
+        )
         state = ClusterState(topo, rs63, placement)
         injector = FailureInjector()
-        # Rack 0 holds most nodes; some stripe almost surely keeps > m
-        # chunks there, so the drill must report non-survival.
+        # Stripe 0 keeps 7 > m chunks in rack 0, so the drill must
+        # report non-survival.
         assert not injector.simulate_rack_loss(state, 0)

@@ -102,7 +102,9 @@ class TestClusterIntegration:
         store.write("a", b"payload one" * 10)
         store.write("b", b"payload two" * 25)
         state = store.cluster_state()
-        assert state.placement.num_stripes == store._num_stripes
+        assert state.placement.num_stripes == sum(
+            f.stripes for f in store.files()
+        )
         assert state.placement.is_rack_fault_tolerant()
 
     def test_recovery_runs_against_store(self, store):

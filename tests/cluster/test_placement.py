@@ -6,14 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.placement import (
-    FlatPlacementPolicy,
-    Placement,
-    RandomPlacementPolicy,
-    RoundRobinPlacementPolicy,
-)
+from repro.cluster.placement import Placement, RandomPlacementPolicy
 from repro.cluster.topology import ClusterTopology
 from repro.errors import ConfigurationError, PlacementError
+from repro.io import placement_from_dict, placement_to_dict
 
 
 @pytest.fixture
@@ -23,13 +19,18 @@ def topo():
 
 class TestPlacementObject:
     def test_queries(self, topo):
-        placement = RoundRobinPlacementPolicy().place(topo, 2, 4, 3)
+        placement = Placement(
+            topo, 4, 3, [[0, 1, 2, 4, 5, 6, 7], [8, 9, 10, 11, 12, 3, 0]]
+        )
         assert placement.num_stripes == 2
         layout = placement.stripe_layout(0)
-        assert sorted(layout) == list(range(7))
+        assert layout == {0: 0, 1: 1, 2: 2, 3: 4, 4: 5, 5: 6, 6: 7}
         node = placement.node_of(0, 0)
-        assert (0, 0) in placement.chunks_on_node(node)
+        assert placement.chunks_on_node(node) == ((0, 0), (1, 6))
         assert placement.rack_of_chunk(0, 0) == topo.rack_of(node)
+        assert placement.rack_counts(1) == [2, 0, 2, 3]
+        assert placement.rack_chunk_count(3, 1) == 3
+        assert placement.max_rack_colocation() == 3
 
     def test_rack_counts_sum_to_stripe_width(self, topo):
         placement = RandomPlacementPolicy(rng=5).place(topo, 5, 6, 3)
@@ -37,7 +38,7 @@ class TestPlacementObject:
             assert sum(placement.rack_counts(s)) == 9
 
     def test_missing_chunk_raises(self, topo):
-        placement = RoundRobinPlacementPolicy().place(topo, 1, 4, 3)
+        placement = Placement(topo, 4, 3, [[0, 1, 2, 4, 5, 6, 7]])
         with pytest.raises(PlacementError):
             placement.node_of(0, 7)
         with pytest.raises(PlacementError):
@@ -45,20 +46,32 @@ class TestPlacementObject:
 
     def test_incomplete_stripe_rejected(self, topo):
         with pytest.raises(PlacementError):
-            Placement(topo, 2, 1, {(0, 0): 0, (0, 1): 1})  # missing chunk 2
+            Placement(topo, 2, 1, [[0, 1]])  # missing chunk 2
 
     def test_colocated_chunks_rejected(self, topo):
         with pytest.raises(PlacementError):
-            Placement(topo, 1, 1, {(0, 0): 0, (0, 1): 0})
+            Placement(topo, 1, 1, [[0, 0]])
+
+    def test_node_outside_topology_rejected(self):
+        """A chunk on node -1 used to be counted alive in the last rack."""
+        topo = ClusterTopology.from_rack_sizes([2, 2, 2])
+        for node in (-1, 6, 17):
+            with pytest.raises(PlacementError):
+                Placement(topo, 2, 2, [[0, 2, 4, node]])
 
     def test_sparse_stripe_ids_rejected(self, topo):
-        assignment = {(1, c): c for c in range(3)}
+        """A table's stripe ids are its row numbers, so only a keyed
+        layout can skip one; loading it refuses the missing stripe 0."""
+        data = placement_to_dict(Placement(topo, 2, 1, [[0, 1, 2]]))
+        data["assignment"] = [[1, c, node] for _, c, node in data["assignment"]]
         with pytest.raises(PlacementError):
-            Placement(topo, 2, 1, assignment)
+            placement_from_dict(data)
 
     def test_iter_chunks(self, topo):
-        placement = RoundRobinPlacementPolicy().place(topo, 1, 2, 1)
-        assert len(list(placement.iter_chunks())) == 3
+        placement = Placement(topo, 2, 1, [[4, 0, 8]])
+        assert list(placement.iter_chunks()) == [
+            ((0, 0), 4), ((0, 1), 0), ((0, 2), 8)
+        ]
 
 
 class TestRandomPolicy:
@@ -114,38 +127,3 @@ class TestRandomPolicy:
         policy = RandomPlacementPolicy(rng=2, max_attempts=0)
         placement = policy.place(topo, 10, 6, 3)
         assert placement.is_rack_fault_tolerant()
-
-
-class TestRoundRobinPolicy:
-    def test_deterministic(self, topo):
-        a = RoundRobinPlacementPolicy().place(topo, 4, 6, 3)
-        b = RoundRobinPlacementPolicy().place(topo, 4, 6, 3)
-        assert dict(a.iter_chunks()) == dict(b.iter_chunks())
-
-    def test_rack_fault_tolerant(self, topo):
-        placement = RoundRobinPlacementPolicy().place(topo, 10, 6, 3)
-        assert placement.is_rack_fault_tolerant()
-
-    def test_every_node_used(self, topo):
-        """Round-robin touches every node (the rack cap skips the same
-        node repeatedly on aligned cycles, so perfect balance is not
-        guaranteed — only coverage)."""
-        placement = RoundRobinPlacementPolicy().place(topo, 13, 6, 3)
-        counts = [
-            len(placement.chunks_on_node(n.node_id)) for n in topo.nodes
-        ]
-        assert min(counts) >= 1
-        assert sum(counts) == 13 * 9
-
-
-class TestFlatPolicy:
-    def test_places_all_chunks(self, topo):
-        placement = FlatPlacementPolicy(rng=4).place(topo, 5, 6, 3)
-        assert placement.num_stripes == 5
-
-    def test_may_violate_rack_constraint_eventually(self):
-        """Flat placement ignores the rack cap; over many stripes on a
-        lopsided topology it concentrates more than m chunks per rack."""
-        topo = ClusterTopology.from_rack_sizes([8, 2])
-        placement = FlatPlacementPolicy(rng=0).place(topo, 50, 6, 2)
-        assert placement.max_rack_colocation() > 2

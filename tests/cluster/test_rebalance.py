@@ -34,9 +34,7 @@ class TestWithExtraNode:
         grown = topo.with_extra_node(1)
         from repro.cluster.placement import Placement
 
-        migrated = Placement(
-            grown, 4, 3, dict(placement.iter_chunks())
-        )
+        migrated = Placement(grown, 4, 3, placement.node_table())
         assert migrated.is_rack_fault_tolerant()
 
 
@@ -47,7 +45,7 @@ class TestRebalancer:
         grown = topo.with_extra_node(2)
         from repro.cluster.placement import Placement
 
-        placement = Placement(grown, 6, 3, dict(placement.iter_chunks()))
+        placement = Placement(grown, 6, 3, placement.node_table())
         return grown, placement
 
     def test_new_node_receives_chunks(self):
@@ -81,7 +79,7 @@ class TestRebalancer:
         grown = topo.with_extra_node(0)  # new node in the big rack
         from repro.cluster.placement import Placement
 
-        placement = Placement(grown, 6, 3, dict(placement.iter_chunks()))
+        placement = Placement(grown, 6, 3, placement.node_table())
         plan = Rebalancer(grown).plan(placement)
         assert plan.total_moves > 0
         # Donors in rack 0 exist, so at least some moves stay in-rack.
@@ -122,7 +120,7 @@ class TestRebalancer:
         grown = topo.with_extra_node(seed % 4)
         from repro.cluster.placement import Placement
 
-        placement = Placement(grown, 6, 3, dict(placement.iter_chunks()))
+        placement = Placement(grown, 6, 3, placement.node_table())
         rebalancer = Rebalancer(grown)
         placement = rebalancer.apply(placement, rebalancer.plan(placement))
 

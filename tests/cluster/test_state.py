@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.filestore import FileStore
-from repro.cluster.placement import RandomPlacementPolicy, RoundRobinPlacementPolicy
+from repro.cluster.placement import RandomPlacementPolicy
 from repro.cluster.state import ClusterState, DataStore
 from repro.cluster.topology import ClusterTopology
 from repro.erasure.lrc import LRCCode
@@ -220,18 +220,18 @@ class TestStoreArray:
 class TestStateConstruction:
     def test_mismatched_code_rejected(self, small_topology):
         code = RSCode(6, 3)
-        placement = RoundRobinPlacementPolicy().place(small_topology, 2, 4, 3)
+        placement = RandomPlacementPolicy(rng=0).place(small_topology, 2, 4, 3)
         with pytest.raises(PlacementError):
             ClusterState(small_topology, code, placement)
 
     def test_mismatched_topology_rejected(self, rs63, small_topology):
         other = ClusterTopology.from_rack_sizes([4, 3, 3, 3])
-        placement = RoundRobinPlacementPolicy().place(other, 2, 6, 3)
+        placement = RandomPlacementPolicy(rng=0).place(other, 2, 6, 3)
         with pytest.raises(PlacementError):
             ClusterState(small_topology, rs63, placement)
 
     def test_short_data_store_rejected(self, rs63, small_topology):
-        placement = RoundRobinPlacementPolicy().place(small_topology, 5, 6, 3)
+        placement = RandomPlacementPolicy(rng=0).place(small_topology, 5, 6, 3)
         data = DataStore(rs63, 2, 64)
         with pytest.raises(PlacementError):
             ClusterState(small_topology, rs63, placement, data)

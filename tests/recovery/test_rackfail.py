@@ -10,17 +10,16 @@ from repro.cluster import (
     DataStore,
     RandomPlacementPolicy,
 )
-from repro.cluster.placement import FlatPlacementPolicy
+from repro.cluster.placement import Placement
 from repro.erasure import RSCode
 from repro.errors import NoValidSolutionError
 from repro.recovery.rackfail import RackRecovery
 
 
-def make_state(seed=0, stripes=12, k=6, m=3, racks=(4, 3, 3, 3), policy=None):
+def make_state(seed=0, stripes=12, k=6, m=3, racks=(4, 3, 3, 3)):
     code = RSCode(k, m)
     topo = ClusterTopology.from_rack_sizes(list(racks))
-    policy = policy or RandomPlacementPolicy(rng=seed)
-    placement = policy.place(topo, stripes, k, m)
+    placement = RandomPlacementPolicy(rng=seed).place(topo, stripes, k, m)
     data = DataStore(code, stripes, chunk_size=128, seed=seed)
     return ClusterState(topo, code, placement, data)
 
@@ -67,11 +66,12 @@ class TestSolve:
 
     def test_flat_placement_can_fail(self):
         """Without the rack constraint, rack loss can be unrecoverable."""
-        state = make_state(
-            seed=0,
-            stripes=40,
-            racks=(8, 3, 2),
-            policy=FlatPlacementPolicy(rng=0),
+        code = RSCode(6, 3)
+        topo = ClusterTopology.from_rack_sizes([8, 3, 2])
+        # Five chunks in rack 0 leave four survivors, fewer than k.
+        placement = Placement(topo, 6, 3, [[0, 1, 2, 3, 4, 8, 9, 11, 12]])
+        state = ClusterState(
+            topo, code, placement, DataStore(code, 1, chunk_size=128, seed=0)
         )
         with pytest.raises(NoValidSolutionError):
             RackRecovery(state).solve(0)

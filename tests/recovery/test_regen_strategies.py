@@ -98,9 +98,7 @@ class TestRackAwareMSRStrategy:
         # below dbar=2.
         code = RSCode(2, 2)
         topo = ClusterTopology.from_rack_sizes([2, 2, 2])
-        placement = Placement(
-            topo, 2, 2, {(0, 0): 0, (0, 1): 1, (0, 2): 2, (0, 3): 3}
-        )
+        placement = Placement(topo, 2, 2, [[0, 1, 2, 3]])
         cluster = ClusterState(topo, code, placement)
         cluster.fail_node(0)
         with pytest.raises(StrategyError) as exc:
@@ -125,9 +123,7 @@ class TestPiggybackStrategy:
     def test_m_below_two_rejected(self):
         code = RSCode(4, 1)
         topo = ClusterTopology.from_rack_sizes([1, 1, 1, 1, 1])
-        placement = Placement(
-            topo, 4, 1, {(0, c): c for c in range(5)}
-        )
+        placement = Placement(topo, 4, 1, [list(range(5))])
         state = ClusterState(topo, code, placement)
         state.fail_node(0)
         with pytest.raises(StrategyError) as exc:

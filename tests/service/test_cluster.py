@@ -15,7 +15,7 @@ import repro
 from repro.errors import ConfigurationError, NoValidSolutionError, ServiceError
 from repro.obs.tracer import validate_events
 from repro.recovery.baselines import CarStrategy
-from repro.service.bench import run_bench_service
+from repro.service.bench import render_service_table, run_bench_service
 from repro.service.cluster import LocalCluster
 
 
@@ -244,6 +244,33 @@ class TestRepairCap:
             tight["recovery_throughput_bytes_per_s"]
             < uncapped["recovery_throughput_bytes_per_s"]
         )
+
+
+    def test_sweep_table_has_one_row_per_cap(self):
+        rows = [
+            {
+                "repair_cap_bytes_per_s": cap,
+                "recovery_throughput_bytes_per_s": 1234.4,
+                "recovery_model_s": 1.23456,
+                "client_p50_model_s": 0.000123,
+                "client_p99_model_s": 0.0456789,
+                "reads": 7,
+            }
+            for cap in (16 * 1024, 2 << 20, None)
+        ]
+        header, rule, *body = render_service_table(rows).splitlines()
+        assert header.split("  ") == [
+            "repair cap", "recovery B/s", "recovery s", "client p50 s",
+            "client p99 s", "reads",
+        ]
+        assert set(rule) == {"-", " "}
+        assert [line.split()[:2] for line in body] == [
+            ["16", "KiB/s"], ["2", "MiB/s"], ["uncapped", "1234"]
+        ]
+        for line in body:
+            assert line.split()[-5:] == [
+                "1234", "1.235", "0.00012", "0.04568", "7"
+            ]
 
 
 class TestSecondaryFailure:

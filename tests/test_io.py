@@ -1,10 +1,12 @@
 """Tests for JSON serialization of experiment artefacts."""
 
+import json
+
 import pytest
 
 from repro.cluster.placement import RandomPlacementPolicy
 from repro.cluster.topology import BandwidthProfile, ClusterTopology
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PlacementError
 from repro.io import (
     load_json,
     placement_from_dict,
@@ -42,6 +44,15 @@ class TestTopology:
         assert data["bandwidth"]["core_gbps"] is None
         assert topology_from_dict(data).bandwidth.core_gbps == float("inf")
 
+    def test_per_rack_uplinks_round_trip(self):
+        topo = ClusterTopology.from_rack_sizes(
+            [2, 2, 2],
+            bandwidth=BandwidthProfile(per_rack_uplink_gbps=(1.0, 0.5, 2.0)),
+        )
+        back = topology_from_dict(json.loads(json.dumps(topology_to_dict(topo))))
+        assert back.bandwidth.per_rack_uplink_gbps == (1.0, 0.5, 2.0)
+        assert back.bandwidth == topo.bandwidth
+
     def test_wrong_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             topology_from_dict({"kind": "placement"})
@@ -61,8 +72,6 @@ class TestPlacement:
         assert back.is_rack_fault_tolerant()
 
     def test_json_serializable(self, tmp_path):
-        import json
-
         topo = ClusterTopology.from_rack_sizes([3, 3, 3])
         placement = RandomPlacementPolicy(rng=1).place(topo, 2, 3, 2)
         text = json.dumps(placement_to_dict(placement))
@@ -74,8 +83,25 @@ class TestPlacement:
         placement = RandomPlacementPolicy(rng=1).place(topo, 1, 3, 2)
         data = placement_to_dict(placement)
         data["assignment"] = data["assignment"][:-1]  # drop a chunk
-        from repro.errors import PlacementError
+        with pytest.raises(PlacementError):
+            placement_from_dict(data)
 
+    def test_repeated_entry_rejected(self):
+        """A repeated ``(stripe, chunk)`` entry used to overwrite the
+        first one silently."""
+        topo = ClusterTopology.from_rack_sizes([2, 2, 2])
+        placement = RandomPlacementPolicy(rng=1).place(topo, 1, 2, 2)
+        data = placement_to_dict(placement)
+        spare = min(set(range(6)) - set(placement.stripe_layout(0).values()))
+        data["assignment"].append([0, 3, spare])
+        with pytest.raises(PlacementError):
+            placement_from_dict(data)
+
+    def test_node_outside_topology_rejected(self):
+        topo = ClusterTopology.from_rack_sizes([2, 2, 2])
+        placement = RandomPlacementPolicy(rng=1).place(topo, 1, 2, 2)
+        data = placement_to_dict(placement)
+        data["assignment"][3] = [0, 3, 17]
         with pytest.raises(PlacementError):
             placement_from_dict(data)
 
