@@ -227,10 +227,18 @@ def render_attribution(att: TraceAttribution) -> str:
             ["stage", "spans", "events", "self_s", "share", "bytes"], rows
         )
     )
-    parts.append(
+    totals = (
         f"Totals: span self-time {_seconds(total)} s over wall "
         f"{_seconds(att.wall_seconds)} s"
     )
+    excess = total - att.wall_seconds
+    if excess > 0:
+        # Spans on different threads overlap in time; in an executor
+        # trace those are the windows stage A decodes while stage B
+        # ships an earlier one.
+        source = "stage-A overlap" if "aggregate" in att.stages else "overlap"
+        totals += f" (the {_seconds(excess)} s excess is {source})"
+    parts.append(totals)
     if att.slowest:
         rows = [[str(ident), _seconds(seconds)] for ident, seconds in att.slowest]
         parts.append(

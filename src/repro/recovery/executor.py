@@ -14,12 +14,12 @@ takes the plan a *window* at a time — a
 :class:`~repro.recovery.planner.WindowPlan`, the window as columns —
 through two stages: **stage A**
 (:func:`repro.recovery.streaming.compute_window`, pure computation, one
-window ahead per worker thread, one thread by default) decodes the
-window as one table, a kernel call for all its partials; **stage B**
-(:meth:`PlanExecutor._ship_window`, this thread) takes its stripes in
-order — walks each one's checkpoint/delivery events if anything consumes
-them, records, sinks and commits it — and then charges the window's
-traffic and compute, counted once from the columns.  A stripe's figures,
+window ahead per worker thread, a thread per usable CPU by default)
+decodes the window as one table, a kernel call for all its partials;
+**stage B** (:meth:`PlanExecutor._ship_window`, this thread) takes its
+stripes in order — walks each one's checkpoint/delivery events if
+anything consumes them, records, sinks and commits it — and then charges
+the window's traffic and compute, counted once from the columns.  A stripe's figures,
 whether charged to the result or committed to the journal, come from
 one place: :meth:`~repro.recovery.planner.WindowPlan.ledger`.
 
@@ -50,11 +50,12 @@ Two orthogonal durability features (both off by default):
   or committed on an unverified byte.
 - ``journal=`` makes execution crash-resumable: a
   :class:`~repro.durable.journal.RecoveryJournal` receives an intent
-  record for every stripe of a window as the window enters the
-  pipeline, stage records as cross-rack payloads ship and decodes land,
-  and a commit record (rebuilt bytes plus the stripe's traffic and
-  compute, its row of the window's ledger) once the stripe verifies, so
-  a crash mid-window leaves exactly the uncommitted stripes pending.
+  record for every stripe of a window just before the window ahead of
+  it ships (at any number of stage-A threads), stage records as
+  cross-rack payloads ship and decodes land, and a commit record
+  (rebuilt bytes plus the stripe's traffic and compute, its row of the
+  window's ledger) once the stripe verifies, so a crash mid-window
+  leaves exactly the uncommitted stripes pending.
   The journal is synced to disk once per window, after the window's
   last commit.
 """
@@ -62,6 +63,7 @@ Two orthogonal durability features (both off by default):
 from __future__ import annotations
 
 import enum
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -229,18 +231,23 @@ class PlanExecutor:
                 :class:`~repro.obs.progress.ProgressReporter`, updated
                 once per shipped window (stripes done, windows, traffic,
                 journal lag) and finished when the run completes.
-            workers: stage-A threads (default one); each decodes a
-                whole window, and stage B still ships every window in
-                order on this thread, so journalling, integrity
-                verification and the fault hooks work at any count.
+            workers: stage-A threads; by default one per usable CPU
+                (:func:`usable_cpus`).  Each decodes a whole window and
+                stage B still ships every window in order on this
+                thread, so journalling, integrity verification and the
+                fault hooks work at any count, and the journal, the
+                checkpoint sequence and the heartbeats are the same at
+                every count.  At most ``workers + 1`` windows are in
+                memory at once.
             shm: ignored.  It named the retired process pool's chunk
                 transport and stays only because the benchmark harness
                 passes it; it goes when that harness is re-cut.
 
         Raises:
-            PlanError: bad window or ``workers``, plan/solution
-                mismatch, or a solution that ships fractional chunk
-                units (refused before its first window is submitted).
+            PlanError: a window or ``workers`` that is not a positive
+                int, a plan/solution mismatch, or a solution that ships
+                fractional chunk units (refused before that window is
+                submitted).
         """
         result = ExecutionResult()
         self._windows_done = 0
@@ -316,42 +323,61 @@ class PlanExecutor:
     ) -> None:
         """The pipeline: repair the plan into ``result``, window by window.
 
-        Stage A runs ``depth`` windows ahead of stage B, one per stage-A
-        thread; a stripe is in ``result`` (and sunk, and committed) only
-        once stage B has shipped it, so an exception leaves ``result``
-        holding exactly the stripes that completed.
+        Two cursors walk the windows.  The *submit cursor* hands stage A
+        up to ``workers + 1`` windows, ``workers`` of them decoding
+        while stage B ships the oldest.  The *journal cursor* writes a
+        window's intents just before the window ahead of it ships, and
+        raises a window the plan refused (a plan/solution mismatch,
+        fractional chunk units) just before that window would be
+        journalled; so the journal, the checkpoint sequence, the
+        heartbeats and where an exception leaves the run depend on the
+        plan and the window, never on the thread count.  A stripe is in
+        ``result`` (and sunk, and committed) only once stage B has
+        shipped it, so an exception leaves ``result`` holding exactly
+        the stripes that completed.
         """
         code, data = self.state.code, self.state.data
         if window is None:
             window = _streaming.default_window(data.chunk_size)
-        if window < 1:
-            raise PlanError(f"window must be >= 1, got {window}")
-        depth = 1 if workers is None else workers
-        if not isinstance(depth, int) or depth < 1:
-            raise PlanError(f"workers must be None or >= 1, got {workers!r}")
+        _check_count("window", window)
+        depth = usable_cpus() if workers is None else workers
+        _check_count("workers", depth)
         walk = self._observed()
         stage_a = _streaming.thread_stage(
             code, data, keep_partials=walk, workers=depth
         )
-        plan_windows = self._window_source(plan, solution, window)
+        windows = iter(self._window_source(plan, solution, window))
 
+        inflight: deque = deque()  # (window, future), oldest first
+        refused: list[Exception] = []  # what the plan raised, if it did
+        shipped = 0  # windows stage B has shipped
+        journalled = 0  # windows whose intents are written
         uncommitted = 0  # journal intents whose commits have not landed
-        inflight: deque = deque()
 
-        def ship_oldest(last: bool = False) -> None:
-            nonlocal uncommitted
-            idx, win, computed = inflight.popleft()
-            self._ship_window(idx, win, computed.result(), result, sink, walk)
-            self._windows_done += 1
-            if self.journal is not None:
-                uncommitted -= len(win)
-            if progress is not None and not last:
-                # Journal lag is the crash-exposure window.
-                self._report_progress(progress, result, lag=uncommitted)
-
-        with stage_a as submit:
-            for idx, win in enumerate(plan_windows):
+        def pull() -> bool:
+            """Advance the submit cursor by one window, if there is one."""
+            try:
+                win = next(windows)
                 win.require_whole_chunks()
+            except StopIteration:
+                return False
+            except Exception as exc:
+                # Held until the journal cursor reaches this window.
+                refused.append(exc)
+                return False
+            inflight.append((win, submit(win)))
+            return True
+
+        def journal_through(last: int) -> None:
+            """Advance the journal cursor past window ``last``."""
+            nonlocal journalled, uncommitted
+            while journalled <= last:
+                ahead = journalled - shipped
+                if ahead == len(inflight):
+                    if refused:
+                        raise refused[0]
+                    return
+                win = inflight[ahead][0]
                 if self.journal is not None:
                     # Intent for every stripe of the window up front:
                     # on a crash mid-window the un-committed stripes are
@@ -363,11 +389,27 @@ class PlanExecutor:
                             stripe, aggregated=win.aggregated, lost_chunk=lost
                         )
                     uncommitted += len(win)
-                inflight.append((idx, win, submit(win)))
-                if len(inflight) > depth:
-                    ship_oldest()
-            while inflight:
-                ship_oldest(last=len(inflight) == 1)
+                journalled += 1
+
+        with stage_a as submit:
+            more = True
+            while True:
+                while more and len(inflight) <= depth:
+                    more = pull()
+                journal_through(shipped + 1)
+                if not inflight:
+                    break
+                win, computed = inflight.popleft()
+                self._ship_window(
+                    shipped, win, computed.result(), result, sink, walk
+                )
+                shipped += 1
+                self._windows_done += 1
+                if self.journal is not None:
+                    uncommitted -= len(win)
+                if progress is not None and inflight:
+                    # Journal lag is the crash-exposure window.
+                    self._report_progress(progress, result, lag=uncommitted)
 
     def _report_progress(
         self,
@@ -433,6 +475,7 @@ class PlanExecutor:
                 self.tracer.emit_span(
                     "exec.stream.aggregate", outcome.started,
                     outcome.finished, window=idx, stripes=len(win),
+                    thread=outcome.thread,
                 )
                 self.tracer.emit_span(
                     "exec.stream.ship", b0, time.perf_counter(),
@@ -634,6 +677,22 @@ class PlanExecutor:
             f"checksum mismatch at {stage.value}: payload from node {node} "
             f"(stripe {stripe_id}, attempt {attempt})"
         )
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask,
+    or the machine's CPU count where there is no affinity call.  It is
+    the default number of stage-A threads."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None:
+        return os.cpu_count() or 1
+    return len(affinity(0))
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a window or thread count that is not a positive int."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise PlanError(f"{name} must be a positive int, got {value!r}")
 
 
 def _scope(crossing: bool) -> PipelineStage:

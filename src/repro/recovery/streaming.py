@@ -27,10 +27,10 @@ never touches the tracer, the journal or the fault hooks:
   :mod:`repro.obs` metrics registry (the hit rate is how often stripes
   share a repair vector); a window's misses get their repair vectors
   from one batched solve (:func:`_coefficients`);
-- :func:`thread_stage` runs stage A on a thread pool (one thread by
-  default), overlapping the executor's stage B; every window is still
-  one :func:`compute_window` call, so the outcome does not depend on
-  the pool's size.
+- :func:`thread_stage` runs stage A on a thread pool (the executor
+  sizes it to the usable CPUs by default), overlapping the executor's
+  stage B; every window is still one :func:`compute_window` call, so
+  the outcome does not depend on the pool's size.
 
 Everything here is *pure computation* over read-only state: no tracer,
 journal, or data-store mutation.  That is a hard requirement —
@@ -44,6 +44,7 @@ hold a lock, so the two stages overlap whether telemetry is on or off.
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -115,6 +116,8 @@ class WindowOutcome:
         first_partial: per stripe, the index of its first group.
         started / finished: the stage's wall-clock bounds (the executor
             emits them as a pipeline span).
+        thread: which of :func:`thread_stage`'s threads decoded the
+            window, numbered from 0 in the order they started.
     """
 
     rebuilt: Sequence[np.ndarray]
@@ -125,6 +128,7 @@ class WindowOutcome:
     first_partial: list[int]
     started: float
     finished: float
+    thread: int = 0
 
     def partials_of(self, i: int) -> dict:
         """Stripe ``i``'s group key -> partially decoded buffer: its rack,
@@ -238,17 +242,28 @@ def compute_window(
 
 
 @contextmanager
-def thread_stage(code, data, *, keep_partials: bool, workers: int = 1):
+def thread_stage(code, data, *, keep_partials: bool, workers: int):
     """Stage A on ``workers`` threads: yields ``submit(window) -> future``.
 
     The decodes of the next windows run here while the caller ships the
     oldest one.  Every window is decoded by one :func:`compute_window`
-    call, so which thread decodes it does not change its outcome.
+    call, so which thread decodes it does not change its outcome; the
+    outcome names the thread.  The pool starts a thread only when a
+    window finds none idle, so a one-window run starts one.
     """
-    pool = ThreadPoolExecutor(max_workers=workers)
+    local = threading.local()
+    numbers = itertools.count()
+
+    def number_thread() -> None:
+        local.thread = next(numbers)
+
+    def decode(win: WindowPlan) -> WindowOutcome:
+        outcome = compute_window(code, data, win, keep_partials=keep_partials)
+        outcome.thread = local.thread
+        return outcome
+
+    pool = ThreadPoolExecutor(max_workers=workers, initializer=number_thread)
     try:
-        yield lambda win: pool.submit(
-            compute_window, code, data, win, keep_partials=keep_partials
-        )
+        yield lambda win: pool.submit(decode, win)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)

@@ -101,3 +101,32 @@ def test_cache_hit_survives_a_concurrent_eviction():
     assert cache.get("table") == "value"
     cache._data["table"] = "value"
     assert cache.get_or_build("table", lambda: "rebuilt") == "value"
+
+
+def test_cache_counts_every_lookup_under_contention():
+    """Stage-A threads share the repair and table caches: no hit or miss
+    is lost to a race, and the bound holds throughout."""
+    cache = BoundedCache(maxsize=8)
+    threads, lookups, keys = 4, 5000, 24
+    oversize = []
+
+    def worker(seed):
+        for i in range(lookups):
+            cache.get_or_build((seed * 7 + i) % keys, lambda: i)
+            if len(cache) > cache.maxsize:
+                oversize.append(len(cache))
+
+    pool = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(JOIN_TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert cache.hits + cache.misses == threads * lookups
+    assert cache.evictions <= cache.misses - len(cache)
+    assert len(cache) <= cache.maxsize and not oversize

@@ -151,6 +151,28 @@ class TestRankingAndCriticalPath:
         assert att.critical_path_seconds == pytest.approx(10.0)
 
 
+class TestOverlap:
+    def test_stage_a_overlap_labels_the_excess(self):
+        tracer = Tracer()
+        for thread in (0, 1):
+            tracer.emit_span(
+                "exec.stream.aggregate", 0.0, 2.0, window=thread,
+                thread=thread,
+            )
+        tracer.emit_span("exec.stream.ship", 2.0, 3.0, window=0)
+        att = attribute(tracer.events)
+        assert att.total_span_seconds == pytest.approx(5.0)
+        assert att.wall_seconds == pytest.approx(3.0)
+        out = render_attribution(att)
+        assert "excess is stage-A overlap" in out
+
+    def test_no_label_without_excess(self):
+        tracer = Tracer()
+        tracer.emit_span("exec.stream.aggregate", 0.0, 1.0, window=0)
+        tracer.emit_span("exec.stream.ship", 1.0, 2.0, window=0)
+        assert "excess" not in render_attribution(attribute(tracer.events))
+
+
 class TestEndToEndStreamingRun:
     def test_streaming_trace_attributes_cleanly(self):
         from repro.cluster.failure import FailureInjector

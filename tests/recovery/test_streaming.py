@@ -56,7 +56,7 @@ from repro.gf.vector import _SHORT_ROW
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import Tracer
 from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
-from repro.recovery.executor import PlanExecutor
+from repro.recovery.executor import PlanExecutor, usable_cpus
 from repro.recovery.lrc import LrcLocalRecoveryStrategy
 from repro.recovery.metrics import traffic_report
 from repro.recovery import planner
@@ -545,23 +545,31 @@ class TestStreamingValidation:
 
     def test_eager_plan_must_cover_the_solution(self):
         """A solution with a stripe its plan lacks fails at that stripe's
-        window, naming it; what shipped before is a prefix without it."""
+        window, naming it; what shipped before is a prefix without it,
+        and the same prefix at every thread count."""
         state, event = failed_cluster(seed=1)
         sol = CarStrategy().solve(state)
         missing = sol.stripe_ids()[-1]
         plan = plan_recovery(
             state, event, sol.restricted_to(sol.stripe_ids()[:-1])
         )
-        shipped = []
-        with pytest.raises(
-            PlanError, match=f"no stripe plan for stripe {missing}$"
-        ):
-            PlanExecutor(state).execute(
-                plan, sol, window=4,
-                sink=lambda stripe, rebuilt, ok: shipped.append(stripe),
-            )
-        assert missing not in shipped
-        assert shipped == list(sol.stripe_ids())[: len(shipped)]
+
+        def shipped_at(workers):
+            shipped = []
+            with pytest.raises(
+                PlanError, match=f"no stripe plan for stripe {missing}$"
+            ):
+                PlanExecutor(state).execute(
+                    plan, sol, window=4, workers=workers,
+                    sink=lambda stripe, rebuilt, ok: shipped.append(stripe),
+                )
+            return shipped
+
+        one = shipped_at(1)
+        assert missing not in one
+        assert one == list(sol.stripe_ids())[: len(one)]
+        for workers in (3, None):
+            assert shipped_at(workers) == one, workers
 
     def test_streaming_plan_rejects_solution_argument(self):
         state, event = failed_cluster(seed=1)
@@ -579,16 +587,15 @@ class TestStreamingValidation:
             PlanExecutor(state).execute_streaming(splan, window=4)
 
     def test_workers_refuse_journal_and_integrity(self, tmp_path):
-        """Stage B journals and verifies at any thread count: two threads
-        commit the stripes, chunk bytes and ledger rows of one.  The
-        journal's record *order* may differ — intents are written as a
-        window enters the pipeline, ``workers`` windows ahead of the one
-        shipping — so the commits are compared without their ``seq``."""
+        """Stage B journals and verifies at any thread count, and the
+        journal cursor writes a window's intents where one thread writes
+        them: the journal is the same file, ``seq`` and all, at one, two
+        and three threads and at the default."""
         state, event = failed_cluster(seed=1)
         sol = CarStrategy().solve(state)
         plan = plan_recovery(state, event, sol)
-        replays = []
-        for workers in (1, 2):
+        journals = {}
+        for workers in (1, 2, 3, None):
             path = tmp_path / f"w{workers}.jsonl"
             with RecoveryJournal(path) as journal:
                 journal.begin_session({"stripes": list(sol.stripe_ids())})
@@ -596,14 +603,11 @@ class TestStreamingValidation:
                     state, journal=journal, verify_integrity=True
                 ).execute(plan, sol, window=2, workers=workers)
             assert result.verified
-            replays.append(JournalReplay.load(path))
-        one, two = replays
-        assert set(one.committed) == set(sol.stripe_ids())
-        assert strip_seq(two.committed) == strip_seq(one.committed)
-        for stripe in one.committed:
-            assert np.array_equal(
-                two.committed_chunk(stripe), one.committed_chunk(stripe)
-            )
+            journals[workers] = path.read_bytes()
+        replay = JournalReplay.load(tmp_path / "w1.jsonl")
+        assert set(replay.committed) == set(sol.stripe_ids())
+        for workers in (2, 3, None):
+            assert journals[workers] == journals[1], workers
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_must_be_positive(self, workers):
@@ -613,6 +617,53 @@ class TestStreamingValidation:
             PlanExecutor(state).execute(
                 plan_recovery(state, event, sol), sol, workers=workers
             )
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("window", 0),
+            ("window", 2.5),
+            ("window", True),
+            ("window", "4"),
+            ("workers", 2.5),
+            ("workers", True),
+            ("workers", False),
+            ("workers", "2"),
+        ],
+    )
+    def test_counts_are_positive_ints(self, name, value):
+        state, event = failed_cluster(seed=1)
+        sol = CarStrategy().solve(state)
+        with pytest.raises(PlanError, match=name):
+            PlanExecutor(state).execute(
+                plan_recovery(state, event, sol), sol, **{name: value}
+            )
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch, cpus):
+        seen = []
+        thread_stage = _streaming.thread_stage
+
+        def recording(*args, workers, **kwargs):
+            seen.append(workers)
+            return thread_stage(*args, workers=workers, **kwargs)
+
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(cpus), raising=False
+        )
+        monkeypatch.setattr(_streaming, "thread_stage", recording)
+        state, event = failed_cluster(seed=1)
+        sol = CarStrategy().solve(state)
+        result = PlanExecutor(state).execute(plan_recovery(state, event, sol), sol)
+        assert result.verified
+        assert seen == [len(cpus)]
+
+    def test_default_workers_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
 
     def test_execute_streaming_is_execute(self):
         assert PlanExecutor.execute_streaming is PlanExecutor.execute
@@ -954,6 +1005,20 @@ class TestStageAThreads:
         assert_plan_figures(state, plan, sol, results[0])
         for fanned in results[1:]:
             assert_identical(results[0], fanned)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_aggregate_spans_name_their_thread(self, workers):
+        state, event = failed_cluster(seed=7, stripes=40)
+        sol = CarStrategy().solve(state)
+        tracer = Tracer()
+        PlanExecutor(state, tracer).execute(
+            plan_recovery(state, event, sol), sol, window=2, workers=workers
+        )
+        spans = [e["attrs"] for e in tracer.events
+                 if e["name"] == "exec.stream.aggregate"]
+        windows = -(-len(sol.solutions) // 2)
+        assert [a["window"] for a in spans] == list(range(windows))
+        assert {a["thread"] for a in spans} <= set(range(workers))
 
     @pytest.mark.parametrize("share", [0.2, 0.5, 0.8])
     def test_workers_crash_mid_window_then_resume_byte_identically(
