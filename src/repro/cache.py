@@ -8,7 +8,8 @@ both leaks memory under adversarial key streams and — in the
 process-pool experiment driver.  :class:`BoundedCache` is the shared
 replacement: a plain least-recently-used mapping with an explicit entry
 bound and hit/miss counters for observability.  Stage-A threads share
-these caches, so one lock guards each cache's map and counters.
+these caches, so one lock guards each cache's map and counters, and a
+key missed by several threads at once is built by one of them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,18 @@ V = TypeVar("V")
 _MISSING = object()
 
 
+class _Build:
+    """One key's build in flight: threads that miss the key meanwhile
+    wait on ``done``, then read ``value`` (still ``_MISSING`` if the
+    builder raised)."""
+
+    __slots__ = ("done", "value")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.value = _MISSING
+
+
 class BoundedCache:
     """A least-recently-used mapping with a fixed entry bound.
 
@@ -46,7 +59,8 @@ class BoundedCache:
     counters so benches can assert cache effectiveness.  Every lookup,
     insert, eviction and size query holds the cache's lock, so
     concurrent threads lose no count and never see it past ``maxsize``;
-    a builder runs outside the lock.
+    a builder runs outside the lock, and one key is built by one thread
+    at a time.
     """
 
     def __init__(self, maxsize: int, name: str | None = None) -> None:
@@ -58,6 +72,7 @@ class BoundedCache:
         self.misses = 0
         self.evictions = 0
         self._data: OrderedDict = OrderedDict()
+        self._building: dict = {}
         self._lock = threading.Lock()
         if name is not None:
             register_cache(name, self)
@@ -95,23 +110,55 @@ class BoundedCache:
     def put(self, key: K, value: V) -> V:
         """Insert/refresh an entry, evicting the oldest past the bound."""
         with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
+            self._insert(key, value)
         return value
+
+    def _insert(self, key: Hashable, value) -> None:
+        """:meth:`put` for a caller that holds the lock."""
+        self._data[key] = value
+        self._data.move_to_end(key)
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+            self.evictions += 1
 
     def get_or_build(self, key: K, builder: Callable[[], V]) -> V:
         """Return the cached value, building and inserting it on a miss.
 
-        Two threads that miss one key at once both build it; the later
-        ``put`` wins, and both count a miss.
+        One build runs per key at a time: a thread that misses a key
+        another thread is building waits for that build and counts a
+        hit.  A builder that raises leaves nothing cached; a thread that
+        waited on it then looks the key up again (and may build it).
         """
-        value = self.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        return self.put(key, builder())
+        while True:
+            with self._lock:
+                value = self._data.get(key, _MISSING)
+                if value is not _MISSING:
+                    self._touch(key)
+                    self.hits += 1
+                    return value
+                build = self._building.get(key)
+                if build is None:
+                    build = self._building[key] = _Build()
+                    self.misses += 1
+                    break
+            build.done.wait()
+            if build.value is not _MISSING:
+                with self._lock:
+                    self.hits += 1
+                return build.value
+        try:
+            value = builder()
+        except BaseException:
+            with self._lock:
+                del self._building[key]
+            build.done.set()
+            raise
+        with self._lock:
+            self._insert(key, value)
+            del self._building[key]
+        build.value = value
+        build.done.set()
+        return value
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""

@@ -11,6 +11,7 @@ plans can be *executed* and verified byte-for-byte, not just counted.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.errors import (
 )
 from repro.cluster.placement import ChunkKey, Placement
 from repro.cluster.topology import ClusterTopology
+from repro.cpus import usable_cpus
 from repro.erasure.code import ErasureCode
 from repro.gf.field import gf
 from repro.gf.vector import buffer_dtype
@@ -36,15 +38,26 @@ __all__ = [
 ]
 
 
+#: Data bytes drawn and encoded per block of stripes when a store is
+#: built; a block is at least one stripe.  Each encode thread holds about
+#: a block's data and parity in scratch, so the build's memory is the
+#: store plus a few blocks per thread.
+BLOCK_BYTES = 512 * 1024
+
+
 class DataStore:
     """Holds the actual bytes of every chunk of every stripe.
 
     The bytes are one ``(stripes, n, elements)`` array: chunk ``c`` of
     stripe ``s`` is ``array[s, c]``, and row ``s * n + c`` of
-    :meth:`rows`.  Data chunks are filled from a seeded RNG
-    (deterministic per stripe), parity chunks are encoded with the
-    stripe's code straight into the array — so any reconstruction can be
-    checked against ground truth.
+    :meth:`rows`.  Data chunks are filled from one seeded stream, drawn
+    and encoded by block: the stripes are cut into blocks of about
+    :data:`BLOCK_BYTES` of data, each block is one draw on the calling
+    thread, and its parity is encoded with the stripe's code straight
+    into the array on a pool of :func:`~repro.cpus.usable_cpus` threads
+    while the next block is drawn — so any reconstruction can be checked
+    against ground truth, and the bytes do not depend on the block size
+    or the thread count.
 
     Readers get read-only views (:meth:`chunk`, :meth:`rows`); only
     :meth:`overwrite`, :meth:`corrupt` and :meth:`add_stripe` write.
@@ -58,17 +71,32 @@ class DataStore:
         dtype = buffer_dtype(gf(code.w))
         elements = chunk_size // dtype.itemsize
         self._hold(np.empty((num_stripes, code.n, elements), dtype), num_stripes)
-        rng = np.random.default_rng(seed)
+        if num_stripes:
+            self._build(np.random.default_rng(seed))
+
+    def _build(self, rng: np.random.Generator) -> None:
+        """Draw every data chunk from ``rng`` and encode the parity, a
+        block of stripes at a time."""
+        k = self.code.k
+        stripes, _, elements = self._array.shape
         # A full-range uint8/uint16 draw splits each 32-bit draw into
         # its low bytes first, so drawing the words and reading them
-        # little-endian gives the same bytes, faster.
-        words = -(-elements * dtype.itemsize // 4)
-        little = dtype.newbyteorder("<")
-        for stripe in self._array:
-            for chunk in stripe[: code.k]:
-                drawn = rng.integers(0, 2**32, words, dtype=np.uint32)
-                chunk[:] = drawn.astype("<u4", copy=False).view(little)[:elements]
-            code.encode_into(stripe)
+        # little-endian gives the same bytes, faster.  PCG64's 32-bit
+        # stream runs on across calls, so one draw of a block's words
+        # is the chunks' draws end to end, whatever their length mod 4.
+        words = -(-elements * self._array.itemsize // 4)
+        little = self._array.dtype.newbyteorder("<")
+        block = max(1, BLOCK_BYTES // max(1, k * words * 4))
+        with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
+            encodes = []
+            for s0 in range(0, stripes, block):
+                s1 = min(s0 + block, stripes)
+                drawn = rng.integers(0, 2**32, (s1 - s0, k, words), dtype=np.uint32)
+                view = drawn.astype("<u4", copy=False).view(little)
+                self._array[s0:s1, :k] = view[..., :elements]
+                encodes.append(pool.submit(self.code.encode_into, self._array[s0:s1]))
+            for encode in encodes:
+                encode.result()
 
     @classmethod
     def empty(cls, code: ErasureCode, chunk_size: int) -> "DataStore":

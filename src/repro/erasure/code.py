@@ -54,10 +54,11 @@ class ErasureCode(abc.ABC):
     def encode(self, data_chunks: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Compute the ``m`` parity chunks from the ``k`` data chunks."""
 
-    def encode_into(self, stripe: np.ndarray) -> None:
-        """Fill rows ``k ..`` of an ``(n, L)`` stripe with the parity of
-        its first ``k`` rows, in place."""
-        stripe[self.k :] = self.encode(list(stripe[: self.k]))
+    def encode_into(self, stripes: np.ndarray) -> None:
+        """Fill rows ``k ..`` of every stripe of a ``(B, n, L)`` block
+        with the parity of its first ``k`` rows, in place."""
+        for stripe in stripes:
+            stripe[self.k :] = self.encode(list(stripe[: self.k]))
 
     @abc.abstractmethod
     def decode(self, available: Mapping[int, np.ndarray]) -> list[np.ndarray]:
@@ -157,13 +158,23 @@ class LinearCode(ErasureCode):
         """Return the full stripe: the data chunks followed by parity."""
         return list(data_chunks) + self.encode(data_chunks)
 
-    def encode_into(self, stripe: np.ndarray) -> None:
-        """Parity of an ``(n, L)`` stripe's first ``k`` rows, encoded
-        straight into its last ``m`` rows."""
-        batch_dot(
-            self.field, self.generator.data[self.k :], stripe[: self.k],
-            out=stripe[self.k :],
-        )
+    def encode_into(self, stripes: np.ndarray) -> None:
+        """Parity of a ``(B, n, L)`` block of stripes in one kernel call.
+
+        The block's data rows, laid side by side as ``k`` rows of
+        ``B * L`` elements, times the parity rows; the ``m`` product rows
+        are cut back into each stripe's last ``m`` rows.  A block of one
+        stripe is encoded straight into its rows.
+        """
+        parity = self.generator.data[self.k :]
+        if len(stripes) == 1:
+            stripe = stripes[0]
+            batch_dot(self.field, parity, stripe[: self.k], out=stripe[self.k :])
+            return
+        count, _, size = stripes.shape
+        data = stripes[:, : self.k].transpose(1, 0, 2).reshape(self.k, -1)
+        out = batch_dot(self.field, parity, data)
+        stripes[:, self.k :] = out.reshape(self.m, count, size).transpose(1, 0, 2)
 
     def _decode_basis(self, indices: tuple[int, ...]) -> tuple[list[int], GFMatrix]:
         """The lowest-index basis of the available rows (greedy, so the

@@ -63,7 +63,6 @@ Two orthogonal durability features (both off by default):
 from __future__ import annotations
 
 import enum
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -72,6 +71,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cluster.state import ClusterState
+from repro.cpus import usable_cpus
 from repro.durable.checksum import chunk_checksum
 from repro.errors import IntegrityError, PlanError
 from repro.obs import metrics as _metrics
@@ -232,9 +232,9 @@ class PlanExecutor:
                 once per shipped window (stripes done, windows, traffic,
                 journal lag) and finished when the run completes.
             workers: stage-A threads; by default one per usable CPU
-                (:func:`usable_cpus`).  Each decodes a whole window and
-                stage B still ships every window in order on this
-                thread, so journalling, integrity verification and the
+                (:func:`repro.cpus.usable_cpus`).  Each decodes a whole
+                window and stage B still ships every window in order on
+                this thread, so journalling, integrity verification and the
                 fault hooks work at any count, and the journal, the
                 checkpoint sequence and the heartbeats are the same at
                 every count.  At most ``workers + 1`` windows are in
@@ -677,16 +677,6 @@ class PlanExecutor:
             f"checksum mismatch at {stage.value}: payload from node {node} "
             f"(stripe {stripe_id}, attempt {attempt})"
         )
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: the size of its affinity mask,
-    or the machine's CPU count where there is no affinity call.  It is
-    the default number of stage-A threads."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None:
-        return os.cpu_count() or 1
-    return len(affinity(0))
 
 
 def _check_count(name: str, value) -> None:

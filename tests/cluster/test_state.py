@@ -1,14 +1,19 @@
 """Tests for cluster state, data store, and stripe views."""
 
+import functools
+import os
 import pickle
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.cluster.filestore import FileStore
 from repro.cluster.placement import RandomPlacementPolicy
-from repro.cluster.state import ClusterState, DataStore
+from repro.cluster.state import BLOCK_BYTES, ClusterState, DataStore
 from repro.cluster.topology import ClusterTopology
+from repro.erasure.code import ErasureCode
 from repro.erasure.lrc import LRCCode
 from repro.erasure.rs import RSCode
 from repro.experiments.configs import CFS1, CFS2, CFS3
@@ -143,6 +148,88 @@ class TestStoreBytes:
         assert_same_bytes(files.cluster_state().data, chunks)
         for i, payload in enumerate(payloads):
             assert files.read(f"f{i}") == payload
+
+
+@functools.lru_cache(maxsize=1)
+def cached_dict_store(w, num_stripes, chunk_size, seed):
+    """:func:`dict_store` of an RS(10, 4) store, kept while consecutive
+    cases share it."""
+    return dict_store(RSCode(10, 4, w=w), num_stripes, chunk_size, seed)
+
+
+def block_stripes(code, chunk_size):
+    """Stripes per block of the store build at this chunk size."""
+    words = -(-chunk_size // 4)
+    return max(1, BLOCK_BYTES // (code.k * words * 4))
+
+
+class TestBlockBuild:
+    """The store is drawn and encoded a block of stripes at a time, on
+    the usable CPUs' threads; its bytes do not depend on either."""
+
+    #: CFS3-shaped stores of several blocks with a ragged last block.
+    SHAPES = [(66, 1700), (256, 700), (1030, 725)]
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=len)
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}B")
+    @pytest.mark.parametrize("w", [8, 16])
+    def test_multi_block_stores_keep_their_bytes(self, monkeypatch, w, shape, cpus):
+        chunk_size, stripes = shape
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(cpus), raising=False
+        )
+        code = RSCode(10, 4, w=w)
+        per_block = block_stripes(code, chunk_size)
+        assert stripes > 2 * per_block and stripes % per_block
+        store = DataStore(code, stripes, chunk_size, seed=5)
+        assert_same_bytes(store, cached_dict_store(w, stripes, chunk_size, 5))
+
+    def test_a_code_with_only_encode_builds_the_same_store(self):
+        """The base class encodes a block a stripe at a time."""
+
+        class EncodeOnly(ErasureCode):
+            k, m, w = 10, 4, 8
+
+            def __init__(self):
+                self.inner = RSCode(10, 4)
+
+            def encode(self, data_chunks):
+                return self.inner.encode(data_chunks)
+
+            def decode(self, available):
+                return self.inner.decode(available)
+
+            def repair_vector(self, lost_index, helper_indices):
+                return self.inner.repair_vector(lost_index, helper_indices)
+
+        store = DataStore(EncodeOnly(), 700, 256, seed=5)
+        assert_same_bytes(store, cached_dict_store(8, 700, 256, 5))
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=len)
+    def test_the_build_holds_a_few_blocks_per_thread(self, monkeypatch, cpus):
+        """Peak traced memory is the store plus a few blocks of scratch
+        per encode thread, not a second copy of the store."""
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(cpus), raising=False
+        )
+        code = CFS3.code()
+        DataStore(code, 2, 1030)  # the kernel's tables, built once
+        tracemalloc.start()
+        try:
+            store = DataStore(code, 725, 1030, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.rows().nbytes > 16 * BLOCK_BYTES
+        assert peak - store.rows().nbytes < (2 + 4 * len(cpus)) * BLOCK_BYTES
+
+    def test_an_empty_store_starts_no_thread(self, monkeypatch, rs63):
+        def refuse(thread):
+            raise AssertionError(f"started {thread}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert DataStore.empty(rs63, 64).num_stripes == 0
+        assert DataStore(rs63, 0, 64).rows().shape == (0, 64)
 
 
 class TestStoreArray:

@@ -8,7 +8,8 @@ distinct inputs must each get exactly their single-threaded result.
 
 import sys
 import threading
-from collections import OrderedDict
+import time
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -130,3 +131,118 @@ def test_cache_counts_every_lookup_under_contention():
     assert cache.hits + cache.misses == threads * lookups
     assert cache.evictions <= cache.misses - len(cache)
     assert len(cache) <= cache.maxsize and not oversize
+
+
+def test_no_key_is_built_by_two_threads_at_once():
+    """A thread that misses a key another thread is building waits for
+    that build and counts a hit, so every miss is exactly one build."""
+    cache = BoundedCache(maxsize=8)
+    threads, lookups, keys = 4, 2000, 24
+    guard = threading.Lock()
+    in_flight, builds, overlaps = Counter(), Counter(), []
+
+    def builder(key):
+        with guard:
+            in_flight[key] += 1
+            builds[key] += 1
+            if in_flight[key] > 1:
+                overlaps.append(key)
+        time.sleep(0)  # let another thread miss the key meanwhile
+        with guard:
+            in_flight[key] -= 1
+        return key
+
+    def worker(seed):
+        for i in range(lookups):
+            key = (seed * 7 + i) % keys
+            assert cache.get_or_build(key, lambda: builder(key)) == key
+
+    pool = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(JOIN_TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert not overlaps
+    assert cache.misses == sum(builds.values())
+    assert cache.hits + cache.misses == threads * lookups
+
+
+def _wait_on_a_blocked_build(cache, first_builder):
+    """Start a build of ``"key"`` that blocks, then look the key up from a
+    second thread; returns what each thread got once the first build is
+    let go, and the second thread's build count."""
+    started, release = threading.Event(), threading.Event()
+    results, second_builds = {}, []
+
+    def first():
+        try:
+            results["first"] = cache.get_or_build(
+                "key", first_builder(started, release)
+            )
+        except RuntimeError as exc:
+            results["first"] = exc
+
+    def second():
+        def build():
+            second_builds.append(1)
+            return "second"
+
+        results["second"] = cache.get_or_build("key", build)
+
+    pool = [threading.Thread(target=first, daemon=True)]
+    try:
+        pool[0].start()
+        assert started.wait(JOIN_TIMEOUT_S)
+        pool.append(threading.Thread(target=second, daemon=True))
+        pool[1].start()
+        time.sleep(0.05)  # the second lookup now waits on the first build
+    finally:
+        release.set()
+    for thread in pool:
+        thread.join(JOIN_TIMEOUT_S)
+    assert not any(thread.is_alive() for thread in pool)
+    return results, len(second_builds)
+
+
+def test_a_waiter_gets_the_build_it_waited_for():
+    def blocked(started, release):
+        def build():
+            started.set()
+            release.wait()
+            return "first"
+
+        return build
+
+    cache = BoundedCache(maxsize=2)
+    results, second_builds = _wait_on_a_blocked_build(cache, blocked)
+    assert results == {"first": "first", "second": "first"}
+    assert second_builds == 0
+    assert (cache.misses, cache.hits) == (1, 1)
+
+
+def test_a_failed_build_caches_nothing_and_a_waiter_builds_anew():
+    def failing(started, release):
+        def build():
+            started.set()
+            release.wait()
+            raise RuntimeError("builder failed")
+
+        return build
+
+    cache = BoundedCache(maxsize=2)
+    results, second_builds = _wait_on_a_blocked_build(cache, failing)
+    assert isinstance(results["first"], RuntimeError)
+    assert results["second"] == "second" and second_builds == 1
+    assert cache.get("key") == "second"
+
+    lone, released = BoundedCache(maxsize=2), threading.Event()
+    released.set()
+    with pytest.raises(RuntimeError):
+        lone.get_or_build("key", failing(threading.Event(), released))
+    assert "key" not in lone and lone.misses == 1
