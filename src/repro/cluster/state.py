@@ -39,9 +39,10 @@ __all__ = [
 
 
 #: Data bytes drawn and encoded per block of stripes when a store is
-#: built; a block is at least one stripe.  Each encode thread holds about
-#: a block's data and parity in scratch, so the build's memory is the
-#: store plus a few blocks per thread.
+#: built; a block is at least one stripe, and a draw at most a block or
+#: one chunk.  Each encode thread holds about a block's data and parity
+#: in scratch, so the build's memory is the store plus a few blocks (or
+#: chunks) per thread.
 BLOCK_BYTES = 512 * 1024
 
 
@@ -52,12 +53,13 @@ class DataStore:
     stripe ``s`` is ``array[s, c]``, and row ``s * n + c`` of
     :meth:`rows`.  Data chunks are filled from one seeded stream, drawn
     and encoded by block: the stripes are cut into blocks of about
-    :data:`BLOCK_BYTES` of data, each block is one draw on the calling
-    thread, and its parity is encoded with the stripe's code straight
-    into the array on a pool of :func:`~repro.cpus.usable_cpus` threads
-    while the next block is drawn — so any reconstruction can be checked
-    against ground truth, and the bytes do not depend on the block size
-    or the thread count.
+    :data:`BLOCK_BYTES` of data (a stripe larger than that is a block of
+    its own, drawn a few chunks per call), each block is drawn on the
+    calling thread, and its parity is encoded with the stripe's code
+    straight into the array on a pool of :func:`~repro.cpus.usable_cpus`
+    threads while the next block is drawn — so any reconstruction can be
+    checked against ground truth, and the bytes do not depend on the
+    block size or the thread count.
 
     Readers get read-only views (:meth:`chunk`, :meth:`rows`); only
     :meth:`overwrite`, :meth:`corrupt` and :meth:`add_stripe` write.
@@ -83,17 +85,23 @@ class DataStore:
         # its low bytes first, so drawing the words and reading them
         # little-endian gives the same bytes, faster.  PCG64's 32-bit
         # stream runs on across calls, so one draw of a block's words
-        # is the chunks' draws end to end, whatever their length mod 4.
+        # is the chunks' draws end to end, whatever their length mod 4 —
+        # and so are a few draws of one stripe's chunks.
         words = -(-elements * self._array.itemsize // 4)
         little = self._array.dtype.newbyteorder("<")
-        block = max(1, BLOCK_BYTES // max(1, k * words * 4))
+        chunks = max(1, BLOCK_BYTES // max(1, words * 4))
+        block = max(1, chunks // k)
         with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
             encodes = []
             for s0 in range(0, stripes, block):
                 s1 = min(s0 + block, stripes)
-                drawn = rng.integers(0, 2**32, (s1 - s0, k, words), dtype=np.uint32)
-                view = drawn.astype("<u4", copy=False).view(little)
-                self._array[s0:s1, :k] = view[..., :elements]
+                for c0 in range(0, k, chunks):
+                    c1 = min(c0 + chunks, k)
+                    drawn = rng.integers(
+                        0, 2**32, (s1 - s0, c1 - c0, words), dtype=np.uint32
+                    )
+                    view = drawn.astype("<u4", copy=False).view(little)
+                    self._array[s0:s1, c0:c1] = view[..., :elements]
                 encodes.append(pool.submit(self.code.encode_into, self._array[s0:s1]))
             for encode in encodes:
                 encode.result()

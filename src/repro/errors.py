@@ -27,7 +27,6 @@ __all__ = [
     "StrategyError",
     "annotate_strategy",
     "PlanError",
-    "IntegrityError",
     "JournalError",
     "CoordinatorCrashError",
     "ServiceError",
@@ -165,10 +164,6 @@ def annotate_strategy(exc: BaseException, strategy: str) -> None:
 
 class PlanError(RecoveryError):
     """A recovery plan is malformed or cannot be executed."""
-
-
-class IntegrityError(RecoveryError):
-    """An in-flight buffer failed checksum verification on receipt."""
 
 
 class JournalError(RecoveryError):

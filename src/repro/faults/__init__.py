@@ -15,7 +15,7 @@ itself survivable:
   stalls and retransmissions into the timing simulator.
 """
 
-from repro.errors import CoordinatorCrashError, IntegrityError
+from repro.errors import CoordinatorCrashError
 from repro.faults.backoff import BackoffPolicy
 from repro.faults.events import (
     ActionKind,
@@ -40,7 +40,6 @@ __all__ = [
     "ActionKind",
     "BackoffPolicy",
     "CoordinatorCrashError",
-    "IntegrityError",
     "FaultEvent",
     "FaultInjector",
     "FaultKind",

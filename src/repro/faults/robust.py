@@ -23,9 +23,12 @@ The degradation ladder is therefore::
     aggregated (CAR)  ->  re-planned aggregated  ->  direct  ->  abort
 
 This is fault *policy* only.  Every round repairs its stripes through
-the base executor's windowed pipeline; the hooks below decide what an
-injected fault does to the stripe being shipped, and :meth:`run` decides
-what happens after a stripe was voided.
+the base executor's windowed pipeline, whose network is perfect; the
+two hooks below decide what an injected fault does to the stripe being
+shipped — :meth:`RobustExecutor._checkpoint` crashes, stalls and drops,
+:meth:`RobustExecutor._deliver` corrupts a payload in flight and checks
+every receipt — and :meth:`run` decides what happens after a stripe was
+voided.
 
 Every fault and every response is recorded in a
 :class:`~repro.faults.events.FaultLog`, in execution order, and the
@@ -42,6 +45,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from repro.cluster.state import ClusterState, FailureEvent
+from repro.durable.checksum import chunk_checksum
 from repro.errors import CoordinatorCrashError, NoValidSolutionError
 from repro.faults.backoff import BackoffPolicy
 from repro.faults.events import (
@@ -69,10 +73,10 @@ from repro.recovery.solution import MultiStripeSolution
 __all__ = ["RobustExecutionResult", "RobustExecutor", "recover_with_faults"]
 
 #: Kinds the checkpoint hook polls for.  In-flight corruption belongs to
-#: the transmission hook (:meth:`RobustExecutor._transmit`) — splitting
-#: the polls keeps either from draining the other's fire budgets.
+#: the receipt (:meth:`RobustExecutor._deliver`) — splitting the polls
+#: keeps either from draining the other's fire budgets.
 _CHECKPOINT_KINDS = frozenset(FaultKind) - {FaultKind.IN_FLIGHT_CORRUPT}
-_TRANSMIT_KINDS = frozenset({FaultKind.IN_FLIGHT_CORRUPT})
+_DELIVERY_KINDS = frozenset({FaultKind.IN_FLIGHT_CORRUPT})
 
 
 @dataclass
@@ -139,9 +143,9 @@ class RobustExecutor(PlanExecutor):
         journal: optional write-ahead journal making the run resumable
             after a coordinator crash.
 
-    Every transferred payload is checksum-verified on receipt: a
-    fault-aware executor never trusts the network, and in-flight
-    corruption is injected at that receipt.
+    Every transferred payload is verified on receipt: a fault-aware
+    executor never trusts the network, and in-flight corruption is
+    injected at that receipt (:meth:`_deliver`).
     """
 
     def __init__(
@@ -153,16 +157,13 @@ class RobustExecutor(PlanExecutor):
         tracer: Tracer | NullTracer | None = None,
         journal=None,
     ) -> None:
-        super().__init__(
-            state, tracer=tracer, journal=journal, verify_integrity=True
-        )
+        super().__init__(state, tracer=tracer, journal=journal)
         self.injector = injector or FaultInjector()
         self.backoff = backoff or BackoffPolicy()
         self.max_replans = max_replans
         self._log: FaultLog | None = None
         self._backoff_total = 0.0
         self._stall_total = 0.0
-        self._last_corrupt_event: FaultEvent | None = None
         # Bytes that completed a delivery this run, by transfer stage —
         # useful or, if a crash then voided their stripe, wasted.
         self._delivered: Counter = Counter()
@@ -206,7 +207,7 @@ class RobustExecutor(PlanExecutor):
             if reg is not None:
                 reg.counter("faults.actions").inc(action=entry.action.value)
 
-    # -- fault-aware pipeline hook --------------------------------------
+    # -- fault-aware pipeline hooks -------------------------------------
 
     def _checkpoint(
         self,
@@ -298,14 +299,7 @@ class RobustExecutor(PlanExecutor):
                     )
                 )
 
-    def _deliver(self, stage: PipelineStage, buf: np.ndarray, **where):
-        received = super()._deliver(stage, buf, **where)
-        self._delivered[stage] += self.state.data.chunk_size
-        return received
-
-    # -- in-flight integrity ----------------------------------------------
-
-    def _transmit(
+    def _deliver(
         self,
         stage: PipelineStage,
         buf: np.ndarray,
@@ -313,86 +307,88 @@ class RobustExecutor(PlanExecutor):
         stripe_id: int,
         node: int,
         rack: int,
-        attempt: int = 0,
+        chunk: int | None = None,
         is_partial: bool = False,
     ) -> np.ndarray:
-        """Deliver a payload, corrupting it if an armed fault fires.
+        """Ship one payload and verify it on receipt.
 
-        The corruption is a deterministic single-element bit flip (the
-        position comes from the injector's seeded RNG), so a corrupt run
-        replays byte-identically — and the receiver's checksum *must*
-        catch it, because one flipped bit changes the CRC.
+        The stage checkpoint fires first (crash, stall, drop, and the
+        journal's stage record).  Inside :meth:`run` an armed
+        :attr:`~repro.faults.events.FaultKind.IN_FLIGHT_CORRUPT` fault
+        then delivers a copy of a read-only view of the sender's bytes
+        with one bit flipped (where, from the injector's seeded RNG, so
+        a corrupt run replays byte-identically); the sender's bytes are
+        never written.  Only such a copy is checksummed against the
+        sender's, and a mismatch is retransmitted under the backoff.
+        When the budget is spent the fault escalates to an
+        :class:`InjectedCrashError` against the sending node (a link
+        that corrupts every retransmission is as dead as a crashed
+        helper), which routes into the REPLAN → DEGRADE ladder.
         """
-        if self._log is None:
-            return buf
-        event = self.injector.poll(
+        super()._deliver(
             stage,
+            buf,
             stripe_id=stripe_id,
             node=node,
             rack=rack,
-            attempt=attempt,
+            chunk=chunk,
             is_partial=is_partial,
-            kinds=_TRANSMIT_KINDS,
         )
-        if event is None:
-            return buf
-        self._record(event)
-        self._last_corrupt_event = event
-        corrupted = np.array(buf, copy=True)
-        corrupted.flat[self.injector.rng.randrange(corrupted.size)] ^= 1
-        return corrupted
-
-    def _on_corrupt(
-        self,
-        stage: PipelineStage,
-        *,
-        stripe_id: int,
-        node: int,
-        rack: int,
-        attempt: int,
-        is_partial: bool = False,
-    ) -> None:
-        """Corrupt receipt: retransmit with backoff, escalate when spent.
-
-        Escalation raises :class:`InjectedCrashError` against the
-        sending node — a link that corrupts every retransmission is as
-        dead as a crashed helper — which routes into the existing
-        REPLAN → DEGRADE ladder.
-        """
-        if self._log is None or self._last_corrupt_event is None:
-            super()._on_corrupt(
+        sent = buf.view()
+        sent.flags.writeable = False
+        received, expected, attempt = sent, None, 0
+        reg = _metrics.CURRENT
+        while self._log is not None:
+            event = self.injector.poll(
                 stage,
                 stripe_id=stripe_id,
                 node=node,
                 rack=rack,
                 attempt=attempt,
                 is_partial=is_partial,
+                kinds=_DELIVERY_KINDS,
             )
-            return
-        if attempt >= self.backoff.max_attempts:
+            if event is None:
+                received = sent
+                break
+            self._record(event)
+            received = np.array(sent, copy=True)
+            received.flat[self.injector.rng.randrange(received.size)] ^= 1
+            if expected is None:
+                expected = chunk_checksum(buf)
+            if chunk_checksum(received) == expected:
+                break
+            attempt += 1
+            if reg is not None:
+                reg.counter("integrity.corruptions").inc(stage=stage.value)
+            if attempt >= self.backoff.max_attempts:
+                self._record(
+                    RecoveryAction(
+                        action=ActionKind.ESCALATE,
+                        stripe_id=stripe_id,
+                        node=node,
+                        detail=(
+                            f"corrupt payload survived "
+                            f"{self.backoff.max_attempts} retransmissions"
+                        ),
+                    )
+                )
+                raise InjectedCrashError(event)
+            delay = self.backoff.delay(attempt)
+            self._backoff_total += delay
             self._record(
                 RecoveryAction(
-                    action=ActionKind.ESCALATE,
+                    action=ActionKind.RETRY,
                     stripe_id=stripe_id,
                     node=node,
-                    detail=(
-                        f"corrupt payload survived "
-                        f"{self.backoff.max_attempts} retransmissions"
-                    ),
+                    wait_seconds=delay,
+                    detail=f"retransmit #{attempt} after corrupt payload",
                 )
             )
-            raise InjectedCrashError(self._last_corrupt_event)
-        delay = self.backoff.delay(attempt)
-        self._backoff_total += delay
-        self._record(
-            RecoveryAction(
-                action=ActionKind.RETRY,
-                stripe_id=stripe_id,
-                node=node,
-                wait_seconds=delay,
-                detail=f"retransmit #{attempt} after corrupt payload",
-            )
-        )
+        if reg is not None:
+            reg.counter("integrity.verified").inc(stage=stage.value)
+        self._delivered[stage] += self.state.data.chunk_size
+        return received
 
     # -- the robust loop -------------------------------------------------
 

@@ -169,9 +169,7 @@ def _nibble_tables(field: GaloisField, c: int) -> tuple[np.ndarray, np.ndarray]:
     multiplication over XOR.  1 KiB per constant instead of the 128 KiB
     a full 2^16-entry table would take.
     """
-    key = (field.w, c)
-    tables = _NIBBLE_TABLE_CACHE.get(key)
-    if tables is None:
+    def build():
         t = field.tables
         lo = np.zeros(256, dtype=t.dtype)
         hi = np.zeros(256, dtype=t.dtype)
@@ -183,9 +181,9 @@ def _nibble_tables(field: GaloisField, c: int) -> tuple[np.ndarray, np.ndarray]:
             hi[1:] = t.exp[t.log[high_vals] + log_c]
         lo.setflags(write=False)
         hi.setflags(write=False)
-        tables = (lo, hi)
-        _NIBBLE_TABLE_CACHE.put(key, tables)
-    return tables
+        return lo, hi
+
+    return _NIBBLE_TABLE_CACHE.get_or_build((field.w, c), build)
 
 
 def _word_table(field: GaloisField, c: int) -> np.ndarray:
@@ -217,14 +215,14 @@ def _product_table(field: GaloisField) -> np.ndarray:
     row of a block by its own coefficient.  ``order ** 2`` entries: 64 KiB
     at w = 8, the size of *one* pair table.
     """
-    table = _PRODUCT_TABLE_CACHE.get(field.w)
-    if table is None:
+    def build():
         table = np.concatenate(
             [_mul_table(field, c) for c in range(field.order)]
         )
         table.setflags(write=False)
-        _PRODUCT_TABLE_CACHE.put(field.w, table)
-    return table
+        return table
+
+    return _PRODUCT_TABLE_CACHE.get_or_build(field.w, build)
 
 
 def _packed_tables(field: GaloisField, cs: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -236,9 +234,7 @@ def _packed_tables(field: GaloisField, cs: tuple[int, ...]) -> tuple[np.ndarray,
     ``(lo, hi)`` nibble pair for w == 16 (up to two 16-bit lanes); two
     lanes' worth of bits pack into uint16, more into uint32.
     """
-    key = (field.w, cs)
-    tables = _PACKED_TABLE_CACHE.get(key)
-    if tables is None:
+    def build():
         lane_bits = 8 if field.w <= 8 else 16
         pack_dtype = np.uint16 if len(cs) * lane_bits <= 16 else np.uint32
         per_lane = [
@@ -252,8 +248,9 @@ def _packed_tables(field: GaloisField, cs: tuple[int, ...]) -> tuple[np.ndarray,
                 packed |= table.astype(pack_dtype) << (lane_bits * lane)
             packed.setflags(write=False)
             packed_tables.append(packed)
-        tables = _PACKED_TABLE_CACHE.put(key, tuple(packed_tables))
-    return tables
+        return tuple(packed_tables)
+
+    return _PACKED_TABLE_CACHE.get_or_build((field.w, cs), build)
 
 
 def xor_into(dst: np.ndarray, src: np.ndarray) -> None:

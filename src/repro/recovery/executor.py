@@ -28,36 +28,29 @@ The event walk is organised around named *pipeline stages*
 :meth:`PlanExecutor._checkpoint` hook with the acting node's identity —
 journal records here; the fault-injection layer (:mod:`repro.faults`)
 overrides it to crash helpers, stall disks, or drop flows at exactly
-that point.  With no journal, integrity check or overriding subclass
-every event would be a no-op, so the walk is skipped; the result is the
-same either way.  The walk reads a stripe's flows from its row of the
-window (:meth:`~repro.recovery.planner.WindowPlan.helpers`) and builds
-no per-stripe plan object.  Telemetry does not need the walk, so it
-does not change which code path runs: a tracer records two spans per
-window, and the ``exec.*`` counters and the ship span's checkpoint
-counts come from the window's columns (:func:`_count_window`).
+that point.  With no journal or overriding subclass every event would
+be a no-op, so the walk is skipped; the result is the same either way.
+The walk reads a stripe's flows from its row of the window
+(:meth:`~repro.recovery.planner.WindowPlan.helpers`) and builds no
+per-stripe plan object.  Telemetry does not need the walk, so it does
+not change which code path runs: a tracer records two spans per window,
+and the ``exec.*`` counters and the ship span's checkpoint counts come
+from the window's columns (:func:`_count_window`).
 
-Two orthogonal durability features (both off by default):
+The network is perfect: a delivery hands the receiver the sender's
+buffer.  In-flight corruption, and the receipt check that catches it,
+live in the one executor that injects faults
+(:meth:`repro.faults.robust.RobustExecutor._deliver`).
 
-- ``verify_integrity=True`` routes every transferred buffer — raw
-  helper chunks and partially decoded aggregates alike — through
-  :meth:`PlanExecutor._deliver`: handed to the :meth:`_transmit` hook
-  as a read-only view (where the fault layer can substitute corrupted
-  bytes in flight), and checksummed against the sender's bytes whenever
-  the hook hands back a different buffer.  A mismatch invokes
-  :meth:`_on_corrupt` — here a hard :class:`IntegrityError`, in the
-  robust executor a retransmit ladder — so no stripe is recorded, sunk
-  or committed on an unverified byte.
-- ``journal=`` makes execution crash-resumable: a
-  :class:`~repro.durable.journal.RecoveryJournal` receives an intent
-  record for every stripe of a window just before the window ahead of
-  it ships (at any number of stage-A threads), stage records as
-  cross-rack payloads ship and decodes land, and a commit record
-  (rebuilt bytes plus the stripe's traffic and compute, its row of the
-  window's ledger) once the stripe verifies, so a crash mid-window
-  leaves exactly the uncommitted stripes pending.
-  The journal is synced to disk once per window, after the window's
-  last commit.
+``journal=`` makes execution crash-resumable: a
+:class:`~repro.durable.journal.RecoveryJournal` receives an intent
+record for every stripe of a window just before the window ahead of it
+ships (at any number of stage-A threads), stage records as cross-rack
+payloads ship and decodes land, and a commit record (rebuilt bytes plus
+the stripe's traffic and compute, its row of the window's ledger) once
+the stripe verifies, so a crash mid-window leaves exactly the
+uncommitted stripes pending.  The journal is synced to disk once per
+window, after the window's last commit.
 """
 
 from __future__ import annotations
@@ -72,8 +65,7 @@ import numpy as np
 
 from repro.cluster.state import ClusterState
 from repro.cpus import usable_cpus
-from repro.durable.checksum import chunk_checksum
-from repro.errors import IntegrityError, PlanError
+from repro.errors import PlanError
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.recovery import streaming as _streaming
@@ -185,14 +177,12 @@ class PlanExecutor:
         tracer: Tracer | NullTracer | None = None,
         *,
         journal: "RecoveryJournal | None" = None,
-        verify_integrity: bool = False,
     ) -> None:
         if state.data is None:
             raise PlanError("executing a plan requires a DataStore")
         self.state = state
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = journal
-        self.verify_integrity = verify_integrity
         self._windows_done = 0  # of the run in progress (heartbeats)
 
     def execute(
@@ -234,10 +224,9 @@ class PlanExecutor:
             workers: stage-A threads; by default one per usable CPU
                 (:func:`repro.cpus.usable_cpus`).  Each decodes a whole
                 window and stage B still ships every window in order on
-                this thread, so journalling, integrity verification and the
-                fault hooks work at any count, and the journal, the
-                checkpoint sequence and the heartbeats are the same at
-                every count.  At most ``workers + 1`` windows are in
+                this thread, so journalling and the fault hooks work at
+                any count, and the journal, the checkpoint sequence and
+                the heartbeats are the same at every count.  At most ``workers + 1`` windows are in
                 memory at once.
             shm: ignored.  It named the retired process pool's chunk
                 transport and stays only because the benchmark harness
@@ -298,14 +287,13 @@ class PlanExecutor:
     def _observed(self) -> bool:
         """Whether anything acts on a stripe's checkpoint/delivery events.
 
-        With no journal or integrity check, and no subclass hooking
-        checkpoints or deliveries (fault injection), every event of the
-        walk is a strict no-op.  A tracer is not asked: it records
-        windows, so it cannot change which code path runs.
+        With no journal, and no subclass hooking checkpoints or
+        deliveries (fault injection), every event of the walk is a
+        strict no-op.  A tracer is not asked: it records windows, so it
+        cannot change which code path runs.
         """
         return (
             self.journal is not None
-            or self.verify_integrity
             or type(self)._checkpoint is not PlanExecutor._checkpoint
             or type(self)._deliver is not PlanExecutor._deliver
         )
@@ -574,19 +562,13 @@ class PlanExecutor:
         chunk: int | None = None,
         is_partial: bool = False,
     ) -> np.ndarray:
-        """Ship one buffer through a transfer stage, verified on receipt.
+        """Ship one buffer through a transfer stage; returns what arrives.
 
-        The stage checkpoint fires first (preserving the fault layer's
-        crash/stall/drop semantics and checkpoint ordering).  With
-        integrity verification off this is the whole story and the
-        sender's buffer is returned untouched.  With it on, the buffer
-        goes through :meth:`_transmit` as a read-only view, so the hook
-        can hand back other bytes but never alter the sender's.  What
-        comes back as that same view is the sender's bytes and needs no
-        checksum; anything else is checksummed against the sender's
-        bytes, and every mismatch calls :meth:`_on_corrupt` and, if that
-        returns, retransmits.  Only a buffer whose received checksum
-        matches the sender's is ever returned to a decode.
+        The stage checkpoint fires (the fault layer's crash/stall/drop
+        point, and the journal's stage record).  The network is perfect,
+        so the sender's buffer arrives as it is.  The fault-injection
+        executor extends this with in-flight corruption and a checksum
+        on receipt.
         """
         self._checkpoint(
             stage,
@@ -596,87 +578,7 @@ class PlanExecutor:
             chunk=chunk,
             is_partial=is_partial,
         )
-        if not self.verify_integrity:
-            return buf
-        sent = buf.view()
-        sent.flags.writeable = False
-        expected = None
-        attempt = 0
-        while True:
-            received = self._transmit(
-                stage,
-                sent,
-                stripe_id=stripe_id,
-                node=node,
-                rack=rack,
-                attempt=attempt,
-                is_partial=is_partial,
-            )
-            if received is not sent:
-                if expected is None:
-                    expected = chunk_checksum(buf)
-                intact = chunk_checksum(received) == expected
-            else:
-                intact = True
-            if intact:
-                reg = _metrics.CURRENT
-                if reg is not None:
-                    reg.counter("integrity.verified").inc(stage=stage.value)
-                return received
-            attempt += 1
-            reg = _metrics.CURRENT
-            if reg is not None:
-                reg.counter("integrity.corruptions").inc(stage=stage.value)
-            self._on_corrupt(
-                stage,
-                stripe_id=stripe_id,
-                node=node,
-                rack=rack,
-                attempt=attempt,
-                is_partial=is_partial,
-            )
-
-    def _transmit(
-        self,
-        stage: PipelineStage,
-        buf: np.ndarray,
-        *,
-        stripe_id: int,
-        node: int,
-        rack: int,
-        attempt: int = 0,
-        is_partial: bool = False,
-    ) -> np.ndarray:
-        """Network hook: what the receiver sees.
-
-        ``buf`` is a read-only view of the sender's bytes.  The base
-        network is perfect — the sender's buffer arrives as is.  The
-        fault layer overrides this to return corrupted copies in flight
-        (:attr:`~repro.faults.events.FaultKind.IN_FLIGHT_CORRUPT`).
-        """
         return buf
-
-    def _on_corrupt(
-        self,
-        stage: PipelineStage,
-        *,
-        stripe_id: int,
-        node: int,
-        rack: int,
-        attempt: int,
-        is_partial: bool = False,
-    ) -> None:
-        """Checksum-mismatch hook; returning means "retransmit".
-
-        Without a fault-handling layer a corrupt receipt is fatal — the
-        plain executor has no retry policy, and silently re-reading
-        would hide real faults.  The robust executor overrides this
-        with the RETRY/ESCALATE ladder.
-        """
-        raise IntegrityError(
-            f"checksum mismatch at {stage.value}: payload from node {node} "
-            f"(stripe {stripe_id}, attempt {attempt})"
-        )
 
 
 def _check_count(name: str, value) -> None:

@@ -157,6 +157,23 @@ def cached_dict_store(w, num_stripes, chunk_size, seed):
     return dict_store(RSCode(10, 4, w=w), num_stripes, chunk_size, seed)
 
 
+def build_scratch(monkeypatch, cpus, code, stripes, chunk_size):
+    """Peak traced memory of a store build on ``cpus`` beyond the store
+    itself, the kernel's tables already built."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(cpus), raising=False
+    )
+    DataStore(code, 2, chunk_size)
+    tracemalloc.start()
+    try:
+        store = DataStore(code, stripes, chunk_size, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store.rows().nbytes > 16 * BLOCK_BYTES
+    return peak - store.rows().nbytes
+
+
 def block_stripes(code, chunk_size):
     """Stripes per block of the store build at this chunk size."""
     words = -(-chunk_size // 4)
@@ -205,23 +222,32 @@ class TestBlockBuild:
         store = DataStore(EncodeOnly(), 700, 256, seed=5)
         assert_same_bytes(store, cached_dict_store(8, 700, 256, 5))
 
+    @pytest.mark.parametrize("chunk_size", [(200 << 10) + 2, 1 << 20])
+    @pytest.mark.parametrize("w", [8, 16])
+    def test_a_stripe_larger_than_a_block_keeps_its_bytes(self, w, chunk_size):
+        """A stripe over :data:`BLOCK_BYTES` is drawn a few chunks per
+        call (two, then one, here) and holds the per-chunk draw's bytes."""
+        code = RSCode(6, 3, w=w)
+        assert code.k * chunk_size > BLOCK_BYTES
+        store = DataStore(code, 2, chunk_size, seed=3)
+        assert_same_bytes(store, dict_store(code, 2, chunk_size, 3))
+
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=len)
     def test_the_build_holds_a_few_blocks_per_thread(self, monkeypatch, cpus):
         """Peak traced memory is the store plus a few blocks of scratch
         per encode thread, not a second copy of the store."""
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: set(cpus), raising=False
-        )
-        code = CFS3.code()
-        DataStore(code, 2, 1030)  # the kernel's tables, built once
-        tracemalloc.start()
-        try:
-            store = DataStore(code, 725, 1030, seed=5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert store.rows().nbytes > 16 * BLOCK_BYTES
-        assert peak - store.rows().nbytes < (2 + 4 * len(cpus)) * BLOCK_BYTES
+        scratch = build_scratch(monkeypatch, cpus, CFS3.code(), 725, 1030)
+        assert scratch < (2 + 4 * len(cpus)) * BLOCK_BYTES
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=len)
+    def test_a_stripe_over_a_block_holds_a_few_chunks_per_thread(
+        self, monkeypatch, cpus
+    ):
+        """Where one stripe's data is larger than a block, the scratch
+        is a few chunks per encode thread, not a few stripes."""
+        chunk_size = 1 << 20
+        scratch = build_scratch(monkeypatch, cpus, RSCode(6, 3), 3, chunk_size)
+        assert scratch < (2 + 4 * len(cpus)) * chunk_size
 
     def test_an_empty_store_starts_no_thread(self, monkeypatch, rs63):
         def refuse(thread):

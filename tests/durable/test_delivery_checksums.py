@@ -1,9 +1,10 @@
 """A checksum runs once per hop, and only where bytes could have changed.
 
 A fault-free journalled stripe costs one CRC pass: the commit record's,
-over the rebuilt chunk.  A delivery hands the transmit hook a read-only
-view of the sender's buffer, so only a buffer the hook substituted needs
-checksumming — and a hook cannot alter the sender's bytes at all.
+over the rebuilt chunk.  The robust executor's receipt check checksums
+only a payload the network changed in flight (a corrupted copy of a
+read-only view of the sender's bytes), and a delivery hook gets the
+stored chunks read-only, so it cannot alter the sender's bytes at all.
 """
 
 import zlib
@@ -13,8 +14,14 @@ import pytest
 
 from repro.durable import checksum as checksum_module
 from repro.durable.session import RecoverySession
-from repro.faults import FaultInjector, FaultKind, FaultSpec, PipelineStage
-from repro.recovery import CarStrategy, PlanExecutor, plan_recovery
+from repro.faults import (
+    FaultInjector,
+    FaultKind,
+    FaultSpec,
+    PipelineStage,
+    RobustExecutor,
+)
+from repro.recovery import CarStrategy
 
 from tests.durable.conftest import build_failed_cluster
 
@@ -79,17 +86,15 @@ class TestTransmitSeesAReadOnlyView:
         before = snapshot(state)
         written = []
 
-        class ScribblingNetwork(PlanExecutor):
-            def _transmit(self, stage, buf, **where):
+        class ScribblingNetwork(RobustExecutor):
+            def _deliver(self, stage, buf, **where):
                 written.append(buf.flags.writeable)
                 buf[0] ^= 1
-                return buf
+                return super()._deliver(stage, buf, **where)
 
         sol = CarStrategy().solve(state)
         with pytest.raises(ValueError, match="read-only"):
-            ScribblingNetwork(state, verify_integrity=True).execute(
-                plan_recovery(state, event, sol), sol
-            )
+            ScribblingNetwork(state).run(event, sol)
         assert written == [False]
         after = snapshot(state)
         assert all(np.array_equal(before[k], after[k]) for k in before)
@@ -97,8 +102,6 @@ class TestTransmitSeesAReadOnlyView:
     def test_the_sender_buffer_is_returned_unchecked(self, crc_calls):
         state, event = build_failed_cluster()
         sol = CarStrategy().solve(state)
-        result = PlanExecutor(state, verify_integrity=True).execute(
-            plan_recovery(state, event, sol), sol
-        )
-        assert result.verified
+        out = RobustExecutor(state).run(event, sol)
+        assert out.verified
         assert crc_calls == []

@@ -1,9 +1,7 @@
 """End-to-end in-flight integrity: corruption detected before decode."""
 
-import numpy as np
 import pytest
 
-from repro.errors import IntegrityError
 from repro.faults import (
     ActionKind,
     BackoffPolicy,
@@ -13,6 +11,7 @@ from repro.faults import (
     InjectedCrashError,
     PipelineStage,
     RecoveryAbort,
+    RobustExecutor,
     recover_with_faults,
 )
 from repro.obs.metrics import MetricsRegistry, telemetry_scope
@@ -25,35 +24,56 @@ from tests.durable.conftest import build_failed_cluster
 CORRUPT_STAGES = [PipelineStage.INTRA_TRANSFER, PipelineStage.CROSS_TRANSFER]
 
 
-class CorruptingExecutor(PlanExecutor):
-    """A plain executor whose network flips one bit in every payload."""
+class CorruptingExecutor(RobustExecutor):
+    """A robust executor whose network flips one bit in the first
+    cross-rack payload, with no retransmission budget."""
 
-    def __init__(self, state, **kwargs):
-        super().__init__(state, verify_integrity=True, **kwargs)
-        self.transmissions = 0
-
-    def _transmit(self, stage, buf, **kwargs):
-        self.transmissions += 1
-        corrupted = np.array(buf, copy=True)
-        corrupted.flat[0] ^= 1
-        return corrupted
+    def __init__(self, state):
+        super().__init__(
+            state,
+            injector=FaultInjector(
+                [FaultSpec(kind=FaultKind.IN_FLIGHT_CORRUPT,
+                           stage=PipelineStage.CROSS_TRANSFER, max_fires=1)],
+                seed=5,
+            ),
+            backoff=BackoffPolicy(max_attempts=1),
+        )
 
 
 class TestPlainExecutorIntegrity:
     def test_default_executor_skips_verification(self, failed_cluster):
-        state, event = failed_cluster
-        assert PlanExecutor(state).verify_integrity is False
-
-    def test_corruption_is_fatal_without_fault_layer(self, failed_cluster):
+        """The plain executor's network is perfect: no delivery is
+        walked, and none is checked or counted."""
         state, event = failed_cluster
         solution = CarStrategy().solve(state)
         plan = plan_recovery(state, event, solution)
+        executor = PlanExecutor(state)
+        registry = MetricsRegistry()
+        with telemetry_scope(registry):
+            result = executor.execute(plan, solution)
+        assert result.verified
+        assert not executor._observed()
+        assert "integrity.verified" not in registry.snapshot()["metrics"]
+
+    def test_corruption_is_fatal_without_fault_layer(self, failed_cluster):
+        """With no retransmission budget the first corrupt receipt is
+        fatal to its sender: escalated as a crash, never retried, and
+        the stripe it carried is repaired around that node."""
+        state, event = failed_cluster
         executor = CorruptingExecutor(state)
-        with pytest.raises(IntegrityError, match="checksum mismatch"):
-            executor.execute(plan, solution)
-        # Detection happened on the very first corrupt receipt — no
-        # corrupt buffer ever reached a decode.
-        assert executor.transmissions == 1
+        r = executor.run(event, CarStrategy().solve(state))
+        (corrupt,) = executor.injector.history
+        assert r.log.faults == (corrupt,)
+        actions = [a.action for a in r.log.actions]
+        assert actions[:2] == [ActionKind.ESCALATE, ActionKind.REPLAN]
+        assert ActionKind.RETRY not in actions
+        assert corrupt.node in r.dead_nodes
+        # No corrupt buffer ever reached a decode.
+        assert r.verified
+        for stripe, lost in event.lost_chunks:
+            assert state.data.matches(
+                stripe, lost, r.result.reconstructed[stripe]
+            )
 
     def test_clean_network_verifies_everywhere(self, failed_cluster):
         state, event = failed_cluster
@@ -61,9 +81,7 @@ class TestPlainExecutorIntegrity:
         plan = plan_recovery(state, event, solution)
         registry = MetricsRegistry()
         with telemetry_scope(registry):
-            result = PlanExecutor(
-                state, verify_integrity=True
-            ).execute(plan, solution)
+            result = RobustExecutor(state).execute(plan, solution)
         assert result.verified
         metrics = registry.snapshot()["metrics"]
         verified = sum(

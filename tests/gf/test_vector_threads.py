@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cache import BoundedCache
+from repro.gf import vector
 from repro.gf.field import GF8, GF16
 from repro.gf.vector import batch_dot, buffer_dtype, dot_rows, segment_dot
 
@@ -246,3 +247,66 @@ def test_a_failed_build_caches_nothing_and_a_waiter_builds_anew():
     with pytest.raises(RuntimeError):
         lone.get_or_build("key", failing(threading.Event(), released))
     assert "key" not in lone and lone.misses == 1
+
+
+#: How long the first table build waits for the other threads to miss
+#: its key; a lookup that waits on that build never arrives.
+GATE_S = 1.0
+
+
+def _packed_route():
+    rows = np.random.default_rng(3).integers(1, 256, (4, 10))
+    bufs = _inputs(GF8, 10, 3)
+    return (
+        "_PACKED_TABLE_CACHE",
+        lambda: batch_dot(GF8, rows, bufs),
+        len({tuple(column) for column in rows.T.tolist()}),
+    )
+
+
+def _product_route():
+    return "_PRODUCT_TABLE_CACHE", _window_kernel(4), 1
+
+
+@pytest.mark.parametrize(
+    "route", [_packed_route, _product_route], ids=["packed", "product"]
+)
+def test_a_table_missed_by_every_thread_is_built_once(monkeypatch, route):
+    """Threads racing one kernel call build each table once: the first
+    build blocks until every thread has missed its key (or the gate's
+    timeout), and the cache still counts one miss per distinct key."""
+    name, kernel, keys = route()
+    reference = kernel()
+    cache = BoundedCache(maxsize=1024)
+    monkeypatch.setattr(vector, name, cache)
+    threads = 4
+    arrived, guard, gate = set(), threading.Lock(), threading.Event()
+    mul_table = vector._mul_table
+
+    def gated(field, c):
+        with guard:
+            arrived.add(threading.get_ident())
+            if len(arrived) == threads:
+                gate.set()
+        gate.wait(GATE_S)
+        gate.set()  # one wait opens the gate for every later build
+        return mul_table(field, c)
+
+    monkeypatch.setattr(vector, "_mul_table", gated)
+    results, errors = [None] * threads, []
+
+    def worker(slot):
+        try:
+            results[slot] = kernel()
+        except Exception as exc:  # surfaced through the assertion below
+            errors.append(exc)
+
+    pool = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join(JOIN_TIMEOUT_S)
+    assert not any(thread.is_alive() for thread in pool)
+    assert not errors
+    assert all(np.array_equal(got, reference) for got in results)
+    assert cache.misses == keys

@@ -11,8 +11,8 @@ import pytest
 
 from repro.cluster.failure import FailureInjector
 from repro.experiments.configs import CFS1, CFS2, CFS3, build_state
+from repro.faults.robust import RobustExecutor
 from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
-from repro.recovery.executor import PlanExecutor
 from repro.recovery.planner import plan_recovery
 from repro.recovery.replacement import eligible_replacements, with_replacement
 from repro.sim.recovery_sim import RecoverySimulator
@@ -57,9 +57,7 @@ def test_a_replacement_holding_a_helper_plans_no_self_flow(
         plan = plan_recovery(state, with_replacement(event, node), solution)
         planned = flows(plan)
         assert all(src != dst for src, dst, _ in planned), node
-        result = PlanExecutor(state, verify_integrity=True).execute(
-            plan, solution
-        )
+        result = RobustExecutor(state).execute(plan, solution)
         assert result.verified, node
         cross = sum(crossing for _, _, crossing in planned)
         assert result.cross_rack_bytes == cross * CHUNK

@@ -38,11 +38,7 @@ from repro.erasure.repair import (
     split_repair_vector,
 )
 from repro.erasure.rs import RSCode
-from repro.errors import (
-    CoordinatorCrashError,
-    IntegrityError,
-    PlanError,
-)
+from repro.errors import CoordinatorCrashError, PlanError
 from repro.experiments.configs import CFS1, CFS2, CFS3, build_state
 from repro.faults import (
     BackoffPolicy,
@@ -599,9 +595,9 @@ class TestStreamingValidation:
             path = tmp_path / f"w{workers}.jsonl"
             with RecoveryJournal(path) as journal:
                 journal.begin_session({"stripes": list(sol.stripe_ids())})
-                result = PlanExecutor(
-                    state, journal=journal, verify_integrity=True
-                ).execute(plan, sol, window=2, workers=workers)
+                result = RobustExecutor(state, journal=journal).execute(
+                    plan, sol, window=2, workers=workers
+                )
             assert result.verified
             journals[workers] = path.read_bytes()
         replay = JournalReplay.load(tmp_path / "w1.jsonl")
@@ -832,23 +828,22 @@ class TestStreamingDurability:
         plan = plan_recovery(state, event, sol)
         bad = sol.solutions[5].stripe_id
 
+        class Corrupt(Exception):
+            pass
+
         class CorruptingNetwork(PlanExecutor):
-            def _transmit(self, stage, buf, *, stripe_id, **where):
-                if stripe_id != bad:
-                    return buf
-                flipped = buf.copy()
-                flipped[0] ^= 1
-                return flipped
+            def _deliver(self, stage, buf, *, stripe_id, **where):
+                if stripe_id == bad:
+                    raise Corrupt(stripe_id)
+                return super()._deliver(stage, buf, stripe_id=stripe_id, **where)
 
         journal = RecoveryJournal(tmp_path / "j.jsonl")
         journal.begin_session(
             {"stripes": [s.stripe_id for s in sol.solutions]}
         )
         sunk = []
-        with pytest.raises(IntegrityError):
-            CorruptingNetwork(
-                state, journal=journal, verify_integrity=True
-            ).execute(
+        with pytest.raises(Corrupt):
+            CorruptingNetwork(state, journal=journal).execute(
                 plan, sol, window=window,
                 sink=lambda sid, buf, ok: sunk.append(sid),
             )
@@ -993,8 +988,8 @@ class TestStageAThreads:
             if durable:
                 journal = RecoveryJournal(tmp_path / f"{workers}.jsonl")
                 journal.begin_session({"stripes": list(sol.stripe_ids())})
-            executor = PlanExecutor(
-                state, journal=journal, verify_integrity=durable
+            executor = (RobustExecutor if durable else PlanExecutor)(
+                state, journal=journal
             )
             results.append(
                 executor.execute(plan, sol, window=window, workers=workers)
@@ -1032,7 +1027,7 @@ class TestStageAThreads:
         meta = {"stripes": list(sol.stripe_ids())}
 
         def run(solution, workers, journal):
-            PlanExecutor(state, journal=journal, verify_integrity=True).execute(
+            PlanExecutor(state, journal=journal).execute(
                 plan_recovery(state, event, solution), solution,
                 window=3, workers=workers,
             )
