@@ -575,6 +575,8 @@ def _render_serve_summary(summary: dict) -> str:
         f"Live service run — {summary['config']}, {summary['strategy']},"
         f" node {summary['failed_node']} failed"
         f" ({summary['stripes']} stripes affected)",
+        f"  detect   : {summary['detect_model_s']:.3f} model-s"
+        " from the kill to the repair's start",
         f"  repair   : {summary['replayed']} replayed"
         f" + {summary['executed']} executed,"
         f" verified {'yes' if summary['verified'] else 'NO'}",

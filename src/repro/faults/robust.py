@@ -309,21 +309,22 @@ class RobustExecutor(PlanExecutor):
         rack: int,
         chunk: int | None = None,
         is_partial: bool = False,
-    ) -> np.ndarray:
+    ) -> None:
         """Ship one payload and verify it on receipt.
 
         The stage checkpoint fires first (crash, stall, drop, and the
         journal's stage record).  Inside :meth:`run` an armed
         :attr:`~repro.faults.events.FaultKind.IN_FLIGHT_CORRUPT` fault
-        then delivers a copy of a read-only view of the sender's bytes
-        with one bit flipped (where, from the injector's seeded RNG, so
-        a corrupt run replays byte-identically); the sender's bytes are
-        never written.  Only such a copy is checksummed against the
-        sender's, and a mismatch is retransmitted under the backoff.
-        When the budget is spent the fault escalates to an
-        :class:`InjectedCrashError` against the sending node (a link
-        that corrupts every retransmission is as dead as a crashed
-        helper), which routes into the REPLAN → DEGRADE ladder.
+        then delivers a copy of the sender's bytes with one bit flipped
+        (where, from the injector's seeded RNG, so a corrupt run replays
+        byte-identically); the sender's bytes are never written.  Only
+        such a copy is checksummed against the sender's, and a mismatch
+        is retransmitted under the backoff.  When the budget is spent
+        the fault escalates to an :class:`InjectedCrashError` against
+        the sending node (a link that corrupts every retransmission is
+        as dead as a crashed helper), which routes into the REPLAN →
+        DEGRADE ladder.  Nothing is returned: the receipt gates the
+        stripe's record and commit by raising.
         """
         super()._deliver(
             stage,
@@ -334,9 +335,7 @@ class RobustExecutor(PlanExecutor):
             chunk=chunk,
             is_partial=is_partial,
         )
-        sent = buf.view()
-        sent.flags.writeable = False
-        received, expected, attempt = sent, None, 0
+        expected, attempt = None, 0
         reg = _metrics.CURRENT
         while self._log is not None:
             event = self.injector.poll(
@@ -349,10 +348,9 @@ class RobustExecutor(PlanExecutor):
                 kinds=_DELIVERY_KINDS,
             )
             if event is None:
-                received = sent
                 break
             self._record(event)
-            received = np.array(sent, copy=True)
+            received = np.array(buf, copy=True)
             received.flat[self.injector.rng.randrange(received.size)] ^= 1
             if expected is None:
                 expected = chunk_checksum(buf)
@@ -388,7 +386,6 @@ class RobustExecutor(PlanExecutor):
         if reg is not None:
             reg.counter("integrity.verified").inc(stage=stage.value)
         self._delivered[stage] += self.state.data.chunk_size
-        return received
 
     # -- the robust loop -------------------------------------------------
 

@@ -561,14 +561,16 @@ class PlanExecutor:
         rack: int,
         chunk: int | None = None,
         is_partial: bool = False,
-    ) -> np.ndarray:
-        """Ship one buffer through a transfer stage; returns what arrives.
+    ) -> None:
+        """Ship one buffer through a transfer stage.
 
         The stage checkpoint fires (the fault layer's crash/stall/drop
         point, and the journal's stage record).  The network is perfect,
-        so the sender's buffer arrives as it is.  The fault-injection
-        executor extends this with in-flight corruption and a checksum
-        on receipt.
+        so the sender's buffer arrives as it is.  Nothing is returned:
+        the decode already ran in stage A, so a receipt gates the
+        stripe's record and commit by raising, never by what it hands
+        back.  The fault-injection executor extends this with in-flight
+        corruption and a checksum on receipt.
         """
         self._checkpoint(
             stage,
@@ -578,7 +580,6 @@ class PlanExecutor:
             chunk=chunk,
             is_partial=is_partial,
         )
-        return buf
 
 
 def _check_count(name: str, value) -> None:

@@ -123,9 +123,10 @@ async def _run_once(
     await cluster.start()
     try:
         victim = cluster.pick_victim()
+        killed_at = cluster.clock.now()
         cluster.kill_node(victim)
-        # The detector must notice (timeout, not notification) before
-        # degraded stripes exist to read.
+        # The detector must notice (the victim's daemon leaves it out
+        # of its next heartbeat) before degraded stripes exist to read.
         deadline = asyncio.get_running_loop().time() + repair_timeout
         while cluster.coordinator.repair is None:
             if asyncio.get_running_loop().time() > deadline:
@@ -155,6 +156,7 @@ async def _run_once(
             "config": cluster.config.name,
             "strategy": cluster.strategy,
             "failed_node": victim,
+            "detect_model_s": repair.started_model - killed_at,
             "stripes": len(stripes),
             "chunk_size": chunk_size,
             "verified": result.verified,

@@ -16,9 +16,10 @@ with several disks).  It runs two things on the shared event loop:
 
 Failure injection is subtractive: :meth:`Chunkserver.kill_node` drops
 one node from both serving and heartbeats (a dead disk on a live host),
-:meth:`Chunkserver.kill` silences the whole daemon abruptly (process
-death) — either way the coordinator's failure detector notices by
-timeout, never by notification, exactly like a real cluster.
+and the coordinator's failure detector buries it at the first beat
+that leaves it out; :meth:`Chunkserver.kill` silences the whole daemon
+abruptly (process death), which nothing reports — the detector notices
+only when the daemon's leases run out.
 """
 
 from __future__ import annotations

@@ -342,7 +342,9 @@ class LocalCluster:
         return await ServiceClient.connect(self.coordinator.address)
 
     def kill_node(self, node_id: int) -> None:
-        """Kill one node: it silently vanishes from heartbeats."""
+        """Kill one node on a live daemon: it stops serving, and the
+        daemon's next heartbeat leaves it out, which the coordinator
+        takes as the node's death (one beat, not a lease)."""
         for cs in self.chunkservers:
             if node_id in cs.nodes:
                 cs.kill_node(node_id)

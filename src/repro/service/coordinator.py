@@ -3,8 +3,10 @@
 One asyncio server owns the whole control plane:
 
 - **membership** — chunkservers register (``hello``) and heartbeat;
-  a :class:`~repro.service.heartbeat.FailureDetector` poll loop turns
-  silence into SUSPECT/DEAD transitions (timeout, never notification).
+  a :class:`~repro.service.heartbeat.FailureDetector` turns two things
+  into DEAD transitions: a node its live daemon leaves out of a
+  heartbeat dies at that beat, and a poll loop expires the leases of
+  daemons that went silent (ALIVE -> SUSPECT -> DEAD by timeout).
   The loop measures the gap between its own polls: time this process
   spent not observing (a stalled event loop, a suspended host) is
   excused, not counted as every node's silence;
@@ -231,20 +233,22 @@ class Coordinator:
                     "service.detector.pause", seconds=late, model_t=now
                 )
             last = now
-            for tr in self.detector.check(now):
-                self._trace_lease(tr)
-                if tr.new is NodeHealth.DEAD:
-                    self._on_node_dead(tr.node_id)
+            self._on_transitions(self.detector.check(now))
 
-    def _trace_lease(self, tr) -> None:
-        self.tracer.event(
-            "service.lease",
-            node=tr.node_id,
-            server=tr.server_id,
-            old=tr.old.value if tr.old else None,
-            new=tr.new.value,
-            model_t=tr.at,
-        )
+    def _on_transitions(self, transitions) -> None:
+        """Trace every lease transition; a DEAD one is a failure,
+        whether a beat reported it or a lease ran out."""
+        for tr in transitions:
+            self.tracer.event(
+                "service.lease",
+                node=tr.node_id,
+                server=tr.server_id,
+                old=tr.old.value if tr.old else None,
+                new=tr.new.value,
+                model_t=tr.at,
+            )
+            if tr.new is NodeHealth.DEAD:
+                self._on_node_dead(tr.node_id)
 
     def _on_node_dead(self, node_id: int) -> None:
         if self.state.failed_node is None:
@@ -375,9 +379,11 @@ class Coordinator:
         )
 
     def _handle_heartbeat(self, msg: dict) -> None:
-        now = self.clock.now()
-        for tr in self.detector.beat(str(msg["server"]), msg["nodes"], now):
-            self._trace_lease(tr)
+        self._on_transitions(
+            self.detector.beat(
+                str(msg["server"]), msg["nodes"], self.clock.now()
+            )
+        )
 
     # -- read path -------------------------------------------------------
 

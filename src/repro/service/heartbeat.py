@@ -1,4 +1,4 @@
-"""Heartbeat bookkeeping and timeout-based failure detection.
+"""Heartbeat bookkeeping and failure detection.
 
 Pure state machine, no I/O: the coordinator feeds it ``beat()`` calls
 as heartbeat frames arrive and polls ``check()`` on its detector loop.
@@ -13,18 +13,27 @@ several modelled nodes, like a host with several disks) holds a lease:
        |                                                        |
        +-- re-register (new incarnation) -- DEAD <-- no beat > dead_after
 
-``SUSPECT`` is a grace state: a late heartbeat fully restores the
-lease.  ``DEAD`` is sticky — a dead node's chunkserver must
-re-``register()`` (a new incarnation) to serve again, which keeps the
-repair planner's view stable while it is re-planning around the loss.
+    ALIVE/SUSPECT --left out by its own live daemon--> DEAD
+
+Two paths lead to DEAD.  A daemon that goes silent (process death, a
+torn connection) is buried by timeout: its nodes' leases run out.  A
+daemon that still beats but leaves one of its registered nodes out of
+the beat is reporting that node gone (a dead disk on a live host), and
+the node is DEAD at that beat — waiting out a lease for it would only
+delay the repair.  ``SUSPECT`` is a grace state: a late heartbeat that
+lists the node fully restores the lease.  ``DEAD`` is sticky — a dead
+node's chunkserver must re-``register()`` (a new incarnation) to serve
+again, which keeps the repair planner's view stable while it is
+re-planning around the loss.
 
 Silence is measured against the caller's clock, so a caller that was
 itself paused says so with :meth:`FailureDetector.excuse` before it
 polls again.
 
-Transitions come out of :meth:`FailureDetector.check` as
-:class:`LeaseTransition` records, which the coordinator turns into
-trace events, repair triggers, and re-plan signals.
+Transitions come out of :meth:`FailureDetector.beat` and
+:meth:`FailureDetector.check` as :class:`LeaseTransition` records,
+which the coordinator turns into trace events, repair triggers, and
+re-plan signals.
 """
 
 from __future__ import annotations
@@ -72,7 +81,10 @@ class _Lease:
 
 
 class FailureDetector:
-    """Per-node heartbeat leases with SUSPECT/DEAD timeouts.
+    """Per-node heartbeat leases, and deaths a live daemon reports.
+
+    A silent daemon's nodes go SUSPECT, then DEAD, by timeout; a node
+    its daemon leaves out of a beat is DEAD at that beat.
 
     Args:
         suspect_after: modelled seconds without a beat before ALIVE
@@ -123,25 +135,32 @@ class FailureDetector:
     def beat(
         self, server_id: str, nodes, now: float
     ) -> list[LeaseTransition]:
-        """Record a heartbeat covering ``nodes``.
+        """Record a heartbeat from ``server_id`` listing ``nodes``.
 
         A beat refreshes ALIVE leases, recovers SUSPECT ones, and is
-        *ignored* for DEAD ones (sticky until re-registration).  Nodes
-        the chunkserver hosts but omits from the beat simply do not get
-        refreshed — that is how a single node's death is simulated on a
-        live host.
+        *ignored* for DEAD ones (sticky until re-registration).  Every
+        node registered to ``server_id`` that the beat leaves out is
+        DEAD at ``now``: the daemon is alive and says it no longer
+        serves the node.  Nodes registered to other servers, unknown
+        nodes, and nodes already DEAD are left alone.
         """
+        listed = {int(n) for n in nodes}
         out = []
-        for node_id in nodes:
-            lease = self._leases.get(int(node_id))
-            if lease is None or lease.server_id != server_id:
+        for node_id, lease in sorted(self._leases.items()):
+            if lease.server_id != server_id or lease.health is NodeHealth.DEAD:
                 continue
-            if lease.health is NodeHealth.DEAD:
+            if node_id not in listed:
+                out.append(
+                    LeaseTransition(
+                        node_id, server_id, lease.health, NodeHealth.DEAD, now
+                    )
+                )
+                lease.health = NodeHealth.DEAD
                 continue
             if lease.health is NodeHealth.SUSPECT:
                 out.append(
                     LeaseTransition(
-                        int(node_id), server_id,
+                        node_id, server_id,
                         NodeHealth.SUSPECT, NodeHealth.ALIVE, now,
                     )
                 )

@@ -90,7 +90,7 @@ class TestTransmitSeesAReadOnlyView:
             def _deliver(self, stage, buf, **where):
                 written.append(buf.flags.writeable)
                 buf[0] ^= 1
-                return super()._deliver(stage, buf, **where)
+                super()._deliver(stage, buf, **where)
 
         sol = CarStrategy().solve(state)
         with pytest.raises(ValueError, match="read-only"):

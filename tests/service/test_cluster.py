@@ -102,7 +102,8 @@ class TestFailureToRepair:
             try:
                 victim = cluster.pick_victim()
                 cluster.kill_node(victim)
-                # Detection is by lease timeout, never notification.
+                # The victim's live daemon leaves it out of its next
+                # heartbeat, and that beat reports it dead.
                 await wait_for_repair_start(cluster)
                 assert cluster.state.failed_node == victim
                 await cluster.wait_repair(timeout=60)
@@ -163,6 +164,91 @@ class TestFailureToRepair:
         asyncio.run(drill())
 
 
+class TestDetectionPaths:
+    """A node its live daemon stops listing dies at that beat; a silent
+    daemon's node dies when its lease runs out.  Either way the death is
+    one primary failure and starts the repair."""
+
+    #: speedup 5: ``dead_after`` (2.5 modelled s) is half a wall second
+    #: and a heartbeat 50 ms, so a stall of the shared host cannot pass
+    #: for either.
+    SPEEDUP = 5.0
+    DEAD_AFTER = 2.5
+    HEARTBEAT = 0.25
+
+    @pytest.mark.parametrize("path", ["report", "lease"])
+    def test_a_primary_death_is_one_failure_whichever_path_found_it(
+        self, tmp_path, path
+    ):
+        async def drill():
+            cluster = make_cluster(
+                tmp_path, speedup=self.SPEEDUP, dead_after=self.DEAD_AFTER,
+                heartbeat_interval=self.HEARTBEAT,
+            )
+            await cluster.start(cluster.state.topology.num_nodes)
+            try:
+                victim = cluster.pick_victim()
+                killed_at = cluster.clock.now()
+                if path == "report":
+                    cluster.kill_node(victim)
+                else:
+                    (daemon,) = [
+                        cs for cs in cluster.chunkservers if victim in cs.nodes
+                    ]
+                    cluster.kill_chunkserver(daemon.server_id)
+                await wait_for_repair_start(cluster)
+                await cluster.wait_repair(timeout=60)
+                assert cluster.coordinator.repair.result.verified
+                events = cluster.all_events()
+                primary = [
+                    e["attrs"]["node"] for e in events
+                    if e["name"] == "service.failure.primary"
+                ]
+                assert primary == [victim]
+                assert not any(
+                    e["name"] == "service.failure.secondary" for e in events
+                )
+                (death,) = [
+                    e["attrs"] for e in events
+                    if e["name"] == "service.lease"
+                    and e["attrs"]["new"] == "dead"
+                ]
+                assert death["node"] == victim
+                silence = death["model_t"] - killed_at
+                if path == "report":
+                    assert death["old"] in ("alive", "suspect")
+                    assert silence < self.DEAD_AFTER
+                else:
+                    assert death["old"] == "suspect"
+                    assert silence >= self.DEAD_AFTER - self.HEARTBEAT - 0.05
+            finally:
+                await cluster.stop()
+
+        asyncio.run(drill())
+
+    def test_kill_node_starts_the_repair_inside_dead_after(self, tmp_path):
+        async def drill():
+            cluster = make_cluster(
+                tmp_path, speedup=self.SPEEDUP, dead_after=self.DEAD_AFTER,
+                heartbeat_interval=self.HEARTBEAT,
+            )
+            await cluster.start()
+            try:
+                victim = cluster.pick_victim()
+                killed_at = cluster.clock.now()
+                cluster.kill_node(victim)
+                await wait_for_repair_start(cluster)
+                repair = cluster.coordinator.repair
+                assert cluster.state.failed_node == victim
+                assert repair.started_model - killed_at < self.DEAD_AFTER
+                await cluster.wait_repair(timeout=60)
+                assert repair.result.verified
+            finally:
+                await cluster.stop()
+
+        asyncio.run(drill())
+
+
 class TestLocalPause:
     """The detector loop's own pause is not the nodes' silence."""
 
@@ -199,12 +285,18 @@ class TestLocalPause:
 
     def test_a_node_killed_before_the_stall_still_dies_alone(self, tmp_path):
         async def drill():
+            # One daemon per node, so killing the victim's daemon silences
+            # the victim alone; nothing reports it, its lease has to run out.
             cluster = make_cluster(tmp_path, speedup=50.0)
-            await cluster.start()
+            await cluster.start(cluster.state.topology.num_nodes)
             try:
                 await asyncio.sleep(0.02)
                 victim = cluster.pick_victim()
-                cluster.kill_node(victim)
+                (daemon,) = [
+                    cs for cs in cluster.chunkservers if victim in cs.nodes
+                ]
+                assert daemon.nodes == {victim}
+                cluster.kill_chunkserver(daemon.server_id)
                 time.sleep(self.STALL)
                 stall_end = cluster.clock.now()
                 await wait_for_repair_start(cluster)

@@ -1,4 +1,5 @@
-"""Failure detection: lease expiry drives ALIVE -> SUSPECT -> DEAD."""
+"""Failure detection: lease expiry drives ALIVE -> SUSPECT -> DEAD, and a
+live daemon's beat that leaves a node out reports that node DEAD."""
 
 from __future__ import annotations
 
@@ -126,8 +127,9 @@ class TestExcuse:
         """The observer slept 10 s: a node quiet for 0.5 s before that is
         quiet for 0.5 s after it, and dies on its own schedule."""
         d = detector()
-        d.register("cs0", [1, 2], now=0.0)
-        d.beat("cs0", [2], now=0.5)  # node 1 went quiet at 0.0
+        d.register("cs1", [1], now=0.0)  # cs1 goes quiet at 0.0
+        d.register("cs0", [2], now=0.0)
+        d.beat("cs0", [2], now=0.5)
         d.excuse(10.0)
         assert d.check(now=10.6) == []
         d.beat("cs0", [2], now=11.2)
@@ -139,3 +141,80 @@ class TestExcuse:
             (1, NodeHealth.DEAD)
         ]
         assert d.alive_nodes() == frozenset({2})
+
+
+class TestReportedDeath:
+    """A node its own live daemon leaves out of a beat is dead at that beat."""
+
+    def test_an_omitted_alive_node_dies_at_that_beat(self):
+        d = detector()
+        d.register("cs0", [1, 2], now=0.0)
+        [dead] = d.beat("cs0", [1], now=0.3)
+        assert (dead.node_id, dead.server_id, dead.old, dead.new, dead.at) == (
+            2, "cs0", NodeHealth.ALIVE, NodeHealth.DEAD, 0.3
+        )
+        assert d.dead_nodes() == frozenset({2})
+        assert d.alive_nodes() == frozenset({1})
+        assert d.check(now=0.4) == []
+
+    def test_an_omitted_suspect_node_dies_at_that_beat(self):
+        d = detector()
+        d.register("cs0", [1, 2], now=0.0)
+        d.check(now=1.5)
+        assert d.health(2) is NodeHealth.SUSPECT
+        transitions = d.beat("cs0", [1], now=1.6)
+        assert [(t.node_id, t.old, t.new, t.at) for t in transitions] == [
+            (1, NodeHealth.SUSPECT, NodeHealth.ALIVE, 1.6),
+            (2, NodeHealth.SUSPECT, NodeHealth.DEAD, 1.6),
+        ]
+        assert d.check(now=1.7) == []
+
+    def test_an_omission_by_another_server_changes_nothing(self):
+        d = detector()
+        d.register("cs0", [1], now=0.0)
+        d.register("cs1", [2], now=0.0)
+        assert d.beat("cs1", [2], now=0.5) == []
+        assert d.beat("cs9", [], now=0.5) == []
+        assert d.health(1) is NodeHealth.ALIVE
+        assert d.alive_nodes() == frozenset({1, 2})
+
+    def test_an_unknown_node_changes_nothing(self):
+        d = detector()
+        d.register("cs0", [1], now=0.0)
+        assert d.beat("cs0", [1, 99], now=0.5) == []
+        assert d.health(99) is None
+        assert d.snapshot() == {1: "alive"}
+
+    def test_a_reported_death_is_sticky_until_reregistration(self):
+        d = detector()
+        d.register("cs0", [1, 2], now=0.0)
+        [dead] = d.beat("cs0", [1], now=0.3)
+        assert dead.node_id == 2
+        assert d.beat("cs0", [1], now=0.6) == []  # no second report
+        assert d.beat("cs0", [1, 2], now=0.9) == []  # listed, still dead
+        assert d.health(2) is NodeHealth.DEAD
+        assert d.check(now=1.0) == []
+        [revived] = d.register("cs0", [2], now=1.1)
+        assert (revived.old, revived.new) == (NodeHealth.DEAD, NodeHealth.ALIVE)
+        assert d.beat("cs0", [1, 2], now=1.2) == []
+        assert d.alive_nodes() == frozenset({1, 2})
+
+    def test_a_silent_daemon_still_dies_by_timeout(self):
+        """A daemon that stops beating reports nothing: its node goes
+        SUSPECT, then DEAD only after ``dead_after`` of silence."""
+        d = detector()
+        d.register("cs0", [1], now=0.0)
+        d.register("cs1", [2], now=0.0)  # cs1 is never heard again
+        seen = []
+        for step in range(1, 41):
+            now = step / 10
+            assert d.beat("cs0", [1], now=now) == []
+            seen += [(t.node_id, t.old, t.new, t.at) for t in d.check(now)]
+        assert [(n, old, new) for n, old, new, _ in seen] == [
+            (2, NodeHealth.ALIVE, NodeHealth.SUSPECT),
+            (2, NodeHealth.SUSPECT, NodeHealth.DEAD),
+        ]
+        suspect_at, dead_at = seen[0][3], seen[1][3]
+        assert 1.0 < suspect_at <= 1.1 + 1e-9
+        assert 3.0 < dead_at <= 3.1 + 1e-9
+        assert d.alive_nodes() == frozenset({1})

@@ -36,11 +36,13 @@ CHUNK = 512
 
 def make_cluster(tmp_path, config="CFS2", *, w=None, construction="vandermonde",
                  **kwargs):
-    """A cluster whose leases never expire: a failure exists only once the
-    test applies it to the state, a killed node is never buried."""
+    """A cluster whose leases never expire and whose daemons never beat
+    after ``hello``: a failure exists only once the test applies it to the
+    state, a killed node is never buried (no lease runs out, and no beat
+    leaves it out)."""
     cluster = LocalCluster(
         workdir=tmp_path, config=config, num_stripes=STRIPES, chunk_size=CHUNK,
-        suspect_after=1e6, dead_after=2e6, **kwargs,
+        suspect_after=1e6, dead_after=2e6, heartbeat_interval=1e7, **kwargs,
     )
     if w is not None:
         cfg, old = config_by_name(config), cluster.state
