@@ -1,12 +1,14 @@
 """End-to-end chunk integrity: checksums and journal-safe payloads.
 
-Every buffer that crosses the network — raw helper chunks and the rack
-delegates' partially decoded aggregates alike — is checksummed at
-creation and verified on receipt (CRC32, the same zero-dependency
-choice HDFS made for its block checksums).  The executor refuses to
-feed an unverified buffer to a decode, which is what turns silent
-in-flight corruption into a retryable fault instead of wrong bytes on
-the replacement node.
+A receipt is checksummed only where it can differ from what was sent
+(CRC32, the same zero-dependency choice HDFS made for its block
+checksums).  The decode runs in stage A from the store, never from a
+received buffer.  When an in-flight corruption fault fires, the
+robust executor delivers a corrupted copy, checksums it against the
+sender's bytes, and retransmits or escalates on a mismatch, which turns
+silent in-flight corruption into a retryable fault and keeps the
+stripe from being recorded or committed.  A clean receipt is the
+sender's own buffer and is counted as verified without a checksum.
 
 The same checksum covers journal commit payloads: :func:`encode_payload`
 checksums a recovered chunk and hands the journal a byte view of it to

@@ -21,61 +21,49 @@ the stripes in flight when each crash hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.cluster.state import ClusterState, FailureEvent
+from repro.durable.checksum import decode_payload
 from repro.durable.journal import JournalReplay, RecoveryJournal
 from repro.errors import JournalError
 from repro.faults.backoff import BackoffPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.robust import RobustExecutionResult, RobustExecutor
+from repro.recovery.executor import ExecutionResult
 from repro.recovery.solution import MultiStripeSolution
 
 __all__ = ["DurableRecoveryResult", "RecoverySession"]
 
 
 @dataclass
-class DurableRecoveryResult:
+class DurableRecoveryResult(ExecutionResult):
     """Outcome of a (possibly resumed) durable recovery session.
 
+    The inherited :class:`~repro.recovery.executor.ExecutionResult`
+    fields cover the *whole logical session*: every stripe's rebuilt
+    bytes and verdict, its traffic and its compute, committed stripes
+    from their commit records (charged once, with the verdict of the
+    committing run) and this incarnation's stripes from its live round.
+
     Attributes:
-        reconstructed: stripe_id -> rebuilt chunk bytes, covering every
-            stripe — replayed from commit records and executed live.
-        per_stripe_ok: stripe_id -> byte-exact against ground truth
-            (commit records store the verdict of the committing run).
         replayed: stripes restored from the journal by this incarnation.
         executed: stripes this incarnation ran live.
-        cross_rack_bytes / intra_rack_bytes: traffic of the *whole
-            logical session* — committed stripes charged once, from
-            their commit records, plus this incarnation's live traffic.
         live_cross_rack_bytes / live_intra_rack_bytes: what this
             incarnation actually moved (the quantity crash-overhead
             bounds sum over incarnations).
-        bytes_computed_by_node: whole-session compute, same convention.
         robust: the live executor's result (``None`` when nothing was
             pending — the journal was already complete).
         journal_path: where the journal lives.
     """
 
-    reconstructed: dict[int, np.ndarray] = field(default_factory=dict)
-    per_stripe_ok: dict[int, bool] = field(default_factory=dict)
     replayed: tuple[int, ...] = ()
     executed: tuple[int, ...] = ()
-    cross_rack_bytes: int = 0
-    intra_rack_bytes: int = 0
     live_cross_rack_bytes: int = 0
     live_intra_rack_bytes: int = 0
-    bytes_computed_by_node: dict[int, int] = field(default_factory=dict)
     robust: RobustExecutionResult | None = None
     journal_path: Path | None = None
-
-    @property
-    def verified(self) -> bool:
-        """True iff every stripe of the session reconstructed exactly."""
-        return bool(self.per_stripe_ok) and all(self.per_stripe_ok.values())
 
 
 class RecoverySession:
@@ -134,32 +122,6 @@ class RecoverySession:
         self.window = window
         self.progress = progress
 
-    # -- internals -------------------------------------------------------
-
-    def _executor(self, journal: RecoveryJournal) -> RobustExecutor:
-        return RobustExecutor(
-            self.state,
-            injector=self.injector,
-            backoff=self.backoff,
-            tracer=self.tracer,
-            journal=journal,
-        )
-
-    def _solve(self) -> MultiStripeSolution:
-        return self.strategy.solve(self.state)
-
-    def _execute(
-        self, journal: RecoveryJournal, solution: MultiStripeSolution
-    ) -> RobustExecutionResult:
-        try:
-            return self._executor(journal).run(
-                self.event, solution,
-                window=self.window, progress=self.progress,
-            )
-        finally:
-            # On a crash the journal must still be a readable artifact.
-            journal.close()
-
     # -- public API ------------------------------------------------------
 
     def run(self) -> DurableRecoveryResult:
@@ -169,27 +131,7 @@ class RecoverySession:
             CoordinatorCrashError: the injected coordinator death; the
                 journal on disk is the resume point.
         """
-        solution = self._solve()
-        stripes = list(solution.stripe_ids())
-        journal = RecoveryJournal(
-            self.journal_path, crash_after_records=self.crash_after_records
-        )
-        journal.begin_session(
-            {
-                "stripes": stripes,
-                "strategy": type(self.strategy).__name__,
-                "aggregated": solution.aggregated,
-                "chunk_size": self.state.data.chunk_size,
-                "failed_node": self.event.failed_node,
-                "replacement_node": self.event.replacement_node,
-                **self.session_meta,
-            }
-        )
-        robust = self._execute(journal, solution)
-        journal.end_session(committed=len(robust.result.per_stripe_ok))
-        return self._package(
-            robust, replayed=(), executed=tuple(stripes)
-        )
+        return self._session(None)
 
     def resume(self) -> DurableRecoveryResult:
         """Continue a crashed session from its journal.
@@ -201,100 +143,116 @@ class RecoverySession:
 
         Raises:
             JournalError: if the journal is complete (nothing pending)
-                and did not verify, or is structurally invalid.
+                and did not verify, or is structurally invalid, or the
+                strategy no longer covers the pending stripes.  A
+                rejected resume appends nothing.
             CoordinatorCrashError: a crash injected into this resume.
         """
-        replay = JournalReplay.load(self.journal_path)
-        committed = replay.committed
-        pending = replay.pending
-        if replay.complete:
-            return self._package_replayed(replay)
+        return self._session(JournalReplay.load(self.journal_path))
+
+    # -- the one journalled path -----------------------------------------
+
+    def _executor(self, journal: RecoveryJournal) -> RobustExecutor:
+        return RobustExecutor(
+            self.state,
+            injector=self.injector,
+            backoff=self.backoff,
+            tracer=self.tracer,
+            journal=journal,
+        )
+
+    def _session(self, replay: JournalReplay | None) -> DurableRecoveryResult:
+        """Run what ``replay`` has not committed; a fresh run is the
+        resume of an empty journal (``replay=None``).
+
+        Everything that can reject the incarnation — loading the
+        journal, re-solving the pending stripes — happens before the
+        journal is opened, so a rejected resume appends nothing.
+        """
+        out = DurableRecoveryResult(journal_path=self.journal_path)
+        committed = {} if replay is None else replay.committed
+        for stripe_id, record in sorted(committed.items()):
+            out.record(stripe_id, decode_payload(record), bool(record["ok"]))
+            computed = record["bytes_computed_by_node"]
+            out.charge(
+                record["cross_rack_bytes"],
+                record["intra_rack_bytes"],
+                {int(node): n for node, n in computed.items()},
+            )
+        out.replayed = tuple(sorted(committed))
+        if replay is not None and replay.complete:
+            return out
+        solution = self._pending(replay)
+        if solution is not None:
+            out.executed = solution.stripe_ids()
         journal = RecoveryJournal(
             self.journal_path,
-            append=True,
+            append=replay is not None,
             crash_after_records=self.crash_after_records,
             replay=replay,
         )
-        journal.resume_marker(
-            replayed=sorted(committed), pending=sorted(pending)
-        )
-        robust = None
-        if pending:
-            solution = self._solve().restricted_to(pending)
-            if set(solution.stripe_ids()) != set(pending):
-                raise JournalError(
-                    "strategy did not re-produce solutions for the "
-                    f"pending stripes {sorted(pending)}"
+        try:
+            if replay is None:
+                journal.begin_session(
+                    {
+                        "stripes": list(out.executed),
+                        "strategy": type(self.strategy).__name__,
+                        "aggregated": solution.aggregated,
+                        "chunk_size": self.state.data.chunk_size,
+                        "failed_node": self.event.failed_node,
+                        "replacement_node": self.event.replacement_node,
+                        **self.session_meta,
+                    }
                 )
-            robust = self._execute(journal, solution)
-        journal.end_session(
-            committed=len(committed)
-            + (len(robust.result.per_stripe_ok) if robust else 0)
-        )
-        return self._package(
-            robust,
-            replayed=tuple(sorted(committed)),
-            executed=tuple(sorted(pending)),
-            replay=replay,
-        )
-
-    # -- result assembly -------------------------------------------------
-
-    def _package_replayed(self, replay: JournalReplay) -> DurableRecoveryResult:
-        out = DurableRecoveryResult(journal_path=self.journal_path)
-        self._fold_commits(out, replay, replay.committed)
-        out.replayed = tuple(sorted(replay.committed))
+            else:
+                journal.resume_marker(
+                    replayed=list(out.replayed), pending=list(out.executed)
+                )
+            if solution is not None:
+                robust = out.robust = self._executor(journal).run(
+                    self.event, solution,
+                    window=self.window, progress=self.progress,
+                )
+                live = robust.result
+                for stripe_id, ok in live.per_stripe_ok.items():
+                    out.record(stripe_id, live.reconstructed[stripe_id], ok)
+                out.charge(
+                    live.cross_rack_bytes,
+                    live.intra_rack_bytes,
+                    live.bytes_computed_by_node,
+                )
+                out.live_cross_rack_bytes = (
+                    live.cross_rack_bytes + robust.wasted_cross_rack_bytes
+                )
+                out.live_intra_rack_bytes = (
+                    live.intra_rack_bytes + robust.wasted_intra_rack_bytes
+                )
+            journal.end_session(committed=len(out.per_stripe_ok))
+        finally:
+            # On a crash the journal must still be a readable artifact.
+            journal.close()
         return out
 
-    def _package(
-        self,
-        robust: RobustExecutionResult | None,
-        *,
-        replayed: tuple[int, ...],
-        executed: tuple[int, ...],
-        replay: JournalReplay | None = None,
-    ) -> DurableRecoveryResult:
-        out = DurableRecoveryResult(
-            journal_path=self.journal_path,
-            replayed=replayed,
-            executed=executed,
-            robust=robust,
-        )
-        if replay is not None:
-            self._fold_commits(
-                out, replay, {s: replay.committed[s] for s in replayed}
-            )
-        if robust is not None:
-            res = robust.result
-            out.reconstructed.update(res.reconstructed)
-            out.per_stripe_ok.update(res.per_stripe_ok)
-            out.cross_rack_bytes += res.cross_rack_bytes
-            out.intra_rack_bytes += res.intra_rack_bytes
-            out.live_cross_rack_bytes = (
-                res.cross_rack_bytes + robust.wasted_cross_rack_bytes
-            )
-            out.live_intra_rack_bytes = (
-                res.intra_rack_bytes + robust.wasted_intra_rack_bytes
-            )
-            for node, nbytes in res.bytes_computed_by_node.items():
-                out.bytes_computed_by_node[node] = (
-                    out.bytes_computed_by_node.get(node, 0) + nbytes
-                )
-        return out
+    def _pending(
+        self, replay: JournalReplay | None
+    ) -> MultiStripeSolution | None:
+        """What this incarnation executes: the strategy's whole solution
+        for a fresh run, its pending stripes' part on a resume (``None``
+        when every stripe committed but the session never ended).
 
-    def _fold_commits(
-        self,
-        out: DurableRecoveryResult,
-        replay: JournalReplay,
-        commits: dict[int, dict],
-    ) -> None:
-        for stripe_id, record in sorted(commits.items()):
-            out.reconstructed[stripe_id] = replay.committed_chunk(stripe_id)
-            out.per_stripe_ok[stripe_id] = bool(record["ok"])
-            out.cross_rack_bytes += record["cross_rack_bytes"]
-            out.intra_rack_bytes += record["intra_rack_bytes"]
-            for node, nbytes in record["bytes_computed_by_node"].items():
-                node = int(node)
-                out.bytes_computed_by_node[node] = (
-                    out.bytes_computed_by_node.get(node, 0) + nbytes
-                )
+        Raises:
+            JournalError: if the strategy no longer covers the pending
+                stripes.
+        """
+        if replay is None:
+            return self.strategy.solve(self.state)
+        pending = replay.pending
+        if not pending:
+            return None
+        solution = self.strategy.solve(self.state).restricted_to(pending)
+        if set(solution.stripe_ids()) != set(pending):
+            raise JournalError(
+                "strategy did not re-produce solutions for the "
+                f"pending stripes {sorted(pending)}"
+            )
+        return solution

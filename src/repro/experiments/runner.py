@@ -293,21 +293,52 @@ class ExperimentRunner:
 
 # -- durable (crash-resumable) single runs --------------------------------
 
-def _durable_strategy(label: str, seed: int):
-    """The strategy a durable run executes for ``label``.
+#: The journal-header keys a durable run writes so that any process can
+#: rebuild its cluster, failure and strategy from the journal alone.
+_SELF_DESCRIBING = ("config", "seed", "num_stripes", "chunk_size",
+                    "strategy_label", "failed_node")
 
-    The label (not the instance) is persisted in the journal header, so
-    a resuming process rebuilds the *same deterministic* strategy from
-    it and the run seed.  ``rack-msr`` is refused with the unknown
-    labels: a durable run rebuilds bytes, and that one only models
-    traffic (:func:`~repro.recovery.baselines.strategy_from_label`).
+
+def _durable_session(
+    journal_path, *, config, seed, num_stripes, chunk_size, strategy_label,
+    failed_node=None, **session_kwargs,
+):
+    """The session of the durable run the :data:`_SELF_DESCRIBING` keys
+    name (``failed_node=None`` fails a random node, as a fresh run does).
+
+    The strategy *label*, not the instance, is persisted, so a resuming
+    process rebuilds the same deterministic strategy from it and the
+    run seed.  ``rack-msr`` is refused with the unknown labels: a
+    durable run rebuilds bytes, and that one only models traffic
+    (:func:`~repro.recovery.baselines.strategy_from_label`).
     """
-    if label not in ("car", "direct", "rr"):
+    from repro.durable.session import RecoverySession
+
+    if strategy_label not in ("car", "direct", "rr"):
         raise ConfigurationError(
-            f"unknown durable strategy {label!r} "
+            f"unknown durable strategy {strategy_label!r} "
             "(expected 'car', 'direct' or 'rr')"
         )
-    return strategy_from_label(label, seed)
+    state = build_state(
+        config, seed=seed, with_data=True,
+        chunk_size=chunk_size, num_stripes=num_stripes,
+    )
+    injector = FailureInjector(rng=seed)
+    event = (
+        injector.fail_random_node(state)
+        if failed_node is None
+        else injector.fail_node(state, failed_node)
+    )
+    return RecoverySession(
+        state, event, strategy_from_label(strategy_label, seed), journal_path,
+        session_meta={
+            "config": config.name,
+            "seed": seed,
+            "num_stripes": state.placement.num_stripes,
+            "strategy_label": strategy_label,
+        },
+        **session_kwargs,
+    )
 
 
 def run_durable_recovery(
@@ -338,26 +369,13 @@ def run_durable_recovery(
             COORDINATOR_CRASH fault) kills the run; the journal at
             ``journal_path`` is the resume point.
     """
-    from repro.durable.session import RecoverySession
-
-    state = build_state(
-        config, seed=seed, with_data=True,
-        chunk_size=chunk_size, num_stripes=num_stripes,
-    )
-    event = FailureInjector(rng=seed).fail_random_node(state)
-    session = RecoverySession(
-        state, event, _durable_strategy(strategy, seed), journal_path,
+    return _durable_session(
+        journal_path, config=config, seed=seed, num_stripes=num_stripes,
+        chunk_size=chunk_size, strategy_label=strategy,
         injector=injector, backoff=backoff,
         crash_after_records=crash_after_records,
         window=window, progress=progress,
-        session_meta={
-            "config": config.name,
-            "seed": seed,
-            "num_stripes": state.placement.num_stripes,
-            "strategy_label": strategy,
-        },
-    )
-    return session.run()
+    ).run()
 
 
 def resume_durable_recovery(
@@ -380,34 +398,21 @@ def resume_durable_recovery(
             self-description written by :func:`run_durable_recovery`.
     """
     from repro.durable.journal import JournalReplay
-    from repro.durable.session import RecoverySession
     from repro.errors import JournalError
 
-    replay = JournalReplay.load(journal_path)
-    header = replay.session
-    missing = [
-        key for key in ("config", "seed", "num_stripes", "chunk_size",
-                        "strategy_label", "failed_node")
-        if key not in header
-    ]
+    header = JournalReplay.load(journal_path).session
+    missing = [key for key in _SELF_DESCRIBING if key not in header]
     if missing:
         raise JournalError(
             f"journal header is not self-describing: missing {missing}"
         )
+    described = {key: header[key] for key in _SELF_DESCRIBING}
     try:
-        config = config_by_name(header["config"])
+        described["config"] = config_by_name(header["config"])
     except ConfigurationError as exc:
         raise JournalError(f"journal names an {exc}") from exc
-    state = build_state(
-        config, seed=header["seed"], with_data=True,
-        chunk_size=header["chunk_size"], num_stripes=header["num_stripes"],
-    )
-    event = FailureInjector().fail_node(state, header["failed_node"])
-    session = RecoverySession(
-        state, event,
-        _durable_strategy(header["strategy_label"], header["seed"]),
-        journal_path,
+    return _durable_session(
+        journal_path, **described,
         crash_after_records=crash_after_records,
         window=window, progress=progress,
-    )
-    return session.resume()
+    ).resume()

@@ -27,8 +27,8 @@ the base executor's windowed pipeline, whose network is perfect; the
 two hooks below decide what an injected fault does to the stripe being
 shipped — :meth:`RobustExecutor._checkpoint` crashes, stalls and drops,
 :meth:`RobustExecutor._deliver` corrupts a payload in flight and checks
-every receipt — and :meth:`run` decides what happens after a stripe was
-voided.
+the corrupted receipt — and :meth:`run` decides what happens after a
+stripe was voided.
 
 Every fault and every response is recorded in a
 :class:`~repro.faults.events.FaultLog`, in execution order, and the
@@ -143,9 +143,12 @@ class RobustExecutor(PlanExecutor):
         journal: optional write-ahead journal making the run resumable
             after a coordinator crash.
 
-    Every transferred payload is verified on receipt: a fault-aware
-    executor never trusts the network, and in-flight corruption is
-    injected at that receipt (:meth:`_deliver`).
+    A receipt is checked only where it can differ from what was sent.
+    An armed in-flight corruption fault delivers a corrupted copy, which
+    is checksummed against the sender's CRC32 and retransmitted or
+    escalated (:meth:`_deliver`); any other receipt is the sender's own
+    buffer and counts as ``integrity.verified`` without a checksum.  No
+    receipt feeds a decode: the decode ran in stage A, from the store.
     """
 
     def __init__(
@@ -209,6 +212,61 @@ class RobustExecutor(PlanExecutor):
 
     # -- fault-aware pipeline hooks -------------------------------------
 
+    def _faults(self, stage: PipelineStage, kinds, **where):
+        """Yield each fault of ``kinds`` that fires at one stage, recorded.
+
+        Each fault the caller neither raises on nor breaks at is a
+        failed attempt, which :meth:`_retry` answers before the next
+        poll.  Outside :meth:`run` nothing is polled.
+        """
+        attempt = 0
+        while self._log is not None:
+            event = self.injector.poll(
+                stage, attempt=attempt, kinds=kinds, **where
+            )
+            if event is None:
+                return
+            self._record(event)
+            yield event
+            attempt += 1
+            self._retry(event, attempt)
+
+    def _retry(self, event: FaultEvent, attempt: int) -> None:
+        """Answer the ``attempt``-th failed try at one stage: escalate
+        once :attr:`BackoffPolicy.max_attempts` is reached (a disk that
+        never stops stalling, or a link that never stops dropping or
+        corrupting, is dead for recovery purposes), else wait out a
+        stall or back off a retransmission."""
+        budget = self.backoff.max_attempts
+        corrupt = event.kind is FaultKind.IN_FLIGHT_CORRUPT
+        if attempt >= budget:
+            action, wait = ActionKind.ESCALATE, 0.0
+            detail = (
+                f"corrupt payload survived {budget} retransmissions"
+                if corrupt
+                else f"{event.kind.value} exceeded {budget} attempts"
+            )
+        elif event.kind is FaultKind.DISK_STALL:
+            action, wait = ActionKind.WAIT, event.stall_seconds
+            detail = "disk stall waited out"
+            self._stall_total += wait
+        else:
+            action, wait = ActionKind.RETRY, self.backoff.delay(attempt)
+            cause = "corrupt payload" if corrupt else "drop"
+            detail = f"retransmit #{attempt} after {cause}"
+            self._backoff_total += wait
+        self._record(
+            RecoveryAction(
+                action=action,
+                stripe_id=event.stripe_id,
+                node=event.node,
+                wait_seconds=wait,
+                detail=detail,
+            )
+        )
+        if action is ActionKind.ESCALATE:
+            raise InjectedCrashError(event)
+
     def _checkpoint(
         self,
         stage: PipelineStage,
@@ -227,22 +285,10 @@ class RobustExecutor(PlanExecutor):
             chunk=chunk,
             is_partial=is_partial,
         )
-        if self._log is None:  # not inside run(): behave like the base
-            return
-        attempt = 0
-        while True:
-            event = self.injector.poll(
-                stage,
-                stripe_id=stripe_id,
-                node=node,
-                rack=rack,
-                attempt=attempt,
-                is_partial=is_partial,
-                kinds=_CHECKPOINT_KINDS,
-            )
-            if event is None:
-                return
-            self._record(event)
+        for event in self._faults(
+            stage, _CHECKPOINT_KINDS,
+            stripe_id=stripe_id, node=node, rack=rack, is_partial=is_partial,
+        ):
             if event.kind is FaultKind.COORDINATOR_CRASH:
                 # Not survivable in-process: the coordinator IS this
                 # executor.  Everything not yet journalled dies with it;
@@ -259,45 +305,6 @@ class RobustExecutor(PlanExecutor):
                 )
             if event.kind in (FaultKind.HELPER_CRASH, FaultKind.DELEGATE_CRASH):
                 raise InjectedCrashError(event)
-            attempt += 1
-            if attempt >= self.backoff.max_attempts:
-                # A disk that never stops stalling / a link that never
-                # stops dropping is dead for recovery purposes.
-                self._record(
-                    RecoveryAction(
-                        action=ActionKind.ESCALATE,
-                        stripe_id=stripe_id,
-                        node=node,
-                        detail=(
-                            f"{event.kind.value} exceeded "
-                            f"{self.backoff.max_attempts} attempts"
-                        ),
-                    )
-                )
-                raise InjectedCrashError(event)
-            if event.kind is FaultKind.DISK_STALL:
-                self._stall_total += event.stall_seconds
-                self._record(
-                    RecoveryAction(
-                        action=ActionKind.WAIT,
-                        stripe_id=stripe_id,
-                        node=node,
-                        wait_seconds=event.stall_seconds,
-                        detail="disk stall waited out",
-                    )
-                )
-            else:  # FLOW_DROP
-                delay = self.backoff.delay(attempt)
-                self._backoff_total += delay
-                self._record(
-                    RecoveryAction(
-                        action=ActionKind.RETRY,
-                        stripe_id=stripe_id,
-                        node=node,
-                        wait_seconds=delay,
-                        detail=f"retransmit #{attempt} after drop",
-                    )
-                )
 
     def _deliver(
         self,
@@ -310,7 +317,7 @@ class RobustExecutor(PlanExecutor):
         chunk: int | None = None,
         is_partial: bool = False,
     ) -> None:
-        """Ship one payload and verify it on receipt.
+        """Ship one payload; check its receipt only when it was corrupted.
 
         The stage checkpoint fires first (crash, stall, drop, and the
         journal's stage record).  Inside :meth:`run` an armed
@@ -335,54 +342,20 @@ class RobustExecutor(PlanExecutor):
             chunk=chunk,
             is_partial=is_partial,
         )
-        expected, attempt = None, 0
+        expected = None
         reg = _metrics.CURRENT
-        while self._log is not None:
-            event = self.injector.poll(
-                stage,
-                stripe_id=stripe_id,
-                node=node,
-                rack=rack,
-                attempt=attempt,
-                is_partial=is_partial,
-                kinds=_DELIVERY_KINDS,
-            )
-            if event is None:
-                break
-            self._record(event)
+        for event in self._faults(
+            stage, _DELIVERY_KINDS,
+            stripe_id=stripe_id, node=node, rack=rack, is_partial=is_partial,
+        ):
             received = np.array(buf, copy=True)
             received.flat[self.injector.rng.randrange(received.size)] ^= 1
             if expected is None:
                 expected = chunk_checksum(buf)
             if chunk_checksum(received) == expected:
                 break
-            attempt += 1
             if reg is not None:
                 reg.counter("integrity.corruptions").inc(stage=stage.value)
-            if attempt >= self.backoff.max_attempts:
-                self._record(
-                    RecoveryAction(
-                        action=ActionKind.ESCALATE,
-                        stripe_id=stripe_id,
-                        node=node,
-                        detail=(
-                            f"corrupt payload survived "
-                            f"{self.backoff.max_attempts} retransmissions"
-                        ),
-                    )
-                )
-                raise InjectedCrashError(event)
-            delay = self.backoff.delay(attempt)
-            self._backoff_total += delay
-            self._record(
-                RecoveryAction(
-                    action=ActionKind.RETRY,
-                    stripe_id=stripe_id,
-                    node=node,
-                    wait_seconds=delay,
-                    detail=f"retransmit #{attempt} after corrupt payload",
-                )
-            )
         if reg is not None:
             reg.counter("integrity.verified").inc(stage=stage.value)
         self._delivered[stage] += self.state.data.chunk_size

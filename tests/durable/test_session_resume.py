@@ -1,23 +1,78 @@
 """RecoverySession: run, crash, resume — and the runner-level helpers."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.durable.journal import JournalReplay, RecoveryJournal
 from repro.durable.session import RecoverySession
-from repro.errors import CoordinatorCrashError, JournalError
+from repro.errors import (
+    CoordinatorCrashError,
+    JournalError,
+    NoValidSolutionError,
+)
 from repro.experiments.configs import CFS1
 from repro.experiments.runner import (
     resume_durable_recovery,
     run_durable_recovery,
 )
 from repro.recovery import CarStrategy, RandomRecoveryStrategy
+from repro.recovery.solution import MultiStripeSolution
 
 from tests.durable.conftest import build_failed_cluster
 
 
 def session_for(state, event, path, **kwargs):
     return RecoverySession(state, event, CarStrategy(), path, **kwargs)
+
+
+class DroppingStrategy(CarStrategy):
+    """Re-solves every stripe but the first."""
+
+    def solve(self, state):
+        full = super().solve(state)
+        return MultiStripeSolution(
+            list(full.solutions)[1:],
+            num_racks=full.num_racks,
+            aggregated=full.aggregated,
+        )
+
+
+class RaisingStrategy(CarStrategy):
+    def solve(self, state):
+        raise NoValidSolutionError("solver gave up")
+
+
+def assert_rejected_resume_appends_nothing(tmp_path, strategy, error,
+                                           match):
+    """A rejected resume leaves the journal byte-identical and closed."""
+    state, event = build_failed_cluster()
+    path = tmp_path / "j.jsonl"
+    with pytest.raises(CoordinatorCrashError):
+        session_for(state, event, path, crash_after_records=6).run()
+    before = path.read_bytes()
+    state2, event2 = build_failed_cluster()
+    with pytest.raises(error, match=match):
+        RecoverySession(state2, event2, strategy, path).resume()
+    assert path.read_bytes() == before
+    assert open_descriptors(path) == 0
+
+
+def open_descriptors(path):
+    """Descriptors of this process open on ``path`` (Linux: 0 elsewhere)."""
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        return 0
+    target = str(path.resolve())
+    count = 0
+    for fd in fds.iterdir():
+        try:
+            count += os.readlink(fd) == target
+        except OSError:  # closed between listing and reading
+            pass
+    return count
 
 
 class TestUninterruptedRun:
@@ -47,14 +102,16 @@ class TestUninterruptedRun:
 
     def test_journal_size_is_bounded_by_committed_payloads(self, tmp_path):
         """Journal bytes scale with the committed payloads, not pipeline
-        chatter: base64 is ~4/3 of a chunk per commit, and the intent,
-        stage and commit records around it stay under 2.5 kB a stripe."""
+        chatter: a commit writes its chunk raw, once, and the intent,
+        stage and commit records around it cost about 1 kB a stripe.
+        The bound allows 1.5 kB, so a base64 payload (4/3 of a chunk) or
+        one written twice fails it."""
         chunk = 4096
         state, event = build_failed_cluster(stripes=24, chunk=chunk)
         path = tmp_path / "j.jsonl"
         assert session_for(state, event, path).run().verified
         stripes = len(JournalReplay.load(path).committed)
-        assert 0 < path.stat().st_size < stripes * (2 * chunk + 2500)
+        assert 0 < path.stat().st_size < stripes * (chunk + 1500)
 
     def test_header_is_self_describing(self, failed_cluster, tmp_path):
         state, event = failed_cluster
@@ -150,27 +207,17 @@ class TestCrashAndResume:
         assert sum(1 for r in replay.records if r["rec"] == "resume") == 2
 
     def test_resume_with_mismatched_strategy_fails(self, tmp_path):
-        state, event = build_failed_cluster()
-        path = tmp_path / "j.jsonl"
-        with pytest.raises(CoordinatorCrashError):
-            session_for(state, event, path, crash_after_records=6).run()
         # A strategy that no longer covers the pending stripes must be
         # rejected, not silently produce a partial recovery.
-        from repro.recovery.solution import MultiStripeSolution
+        assert_rejected_resume_appends_nothing(
+            tmp_path, DroppingStrategy(), JournalError, "pending stripes"
+        )
 
-        class DroppingStrategy(CarStrategy):
-            def solve(self, state):
-                full = super().solve(state)
-                return MultiStripeSolution(
-                    list(full.solutions)[1:],
-                    num_racks=full.num_racks,
-                    aggregated=full.aggregated,
-                )
-
-        state2, event2 = build_failed_cluster()
-        bad = RecoverySession(state2, event2, DroppingStrategy(), path)
-        with pytest.raises(JournalError, match="pending stripes"):
-            bad.resume()
+    def test_resume_whose_solve_raises_appends_nothing(self, tmp_path):
+        assert_rejected_resume_appends_nothing(
+            tmp_path, RaisingStrategy(), NoValidSolutionError,
+            "solver gave up",
+        )
 
 
 class TestRunnerHelpers:
