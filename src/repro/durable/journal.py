@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -468,9 +469,14 @@ class JournalReplay:
             raise JournalError("journal has no session header")
         return self.records[0]
 
-    @property
+    @cached_property
     def committed(self) -> dict[int, dict]:
-        """stripe_id -> its commit record (a stripe commits once)."""
+        """stripe_id -> its commit record (a stripe commits once).
+
+        Folded from the records on first use and kept: a replay's
+        records do not change, and ``pending``, ``committed_chunk`` and
+        the traffic totals all ask for it.
+        """
         return {
             r["stripe_id"]: r for r in self.records if r["rec"] == "commit"
         }

@@ -133,13 +133,17 @@ class RecoverySession:
         """
         return self._session(None)
 
-    def resume(self) -> DurableRecoveryResult:
+    def resume(
+        self, replay: JournalReplay | None = None
+    ) -> DurableRecoveryResult:
         """Continue a crashed session from its journal.
 
         Committed stripes are replayed from their commit records —
         verified bytes, no re-execution, no re-shipped traffic; pending
         stripes run live.  Safe to call repeatedly (each crash during a
-        resume leaves a longer journal behind).
+        resume leaves a longer journal behind).  ``replay`` is the
+        journal as a caller has already loaded it (so the file is read
+        once); by default it is loaded here.
 
         Raises:
             JournalError: if the journal is complete (nothing pending)
@@ -148,7 +152,9 @@ class RecoverySession:
                 rejected resume appends nothing.
             CoordinatorCrashError: a crash injected into this resume.
         """
-        return self._session(JournalReplay.load(self.journal_path))
+        if replay is None:
+            replay = JournalReplay.load(self.journal_path)
+        return self._session(replay)
 
     # -- the one journalled path -----------------------------------------
 

@@ -400,7 +400,8 @@ def resume_durable_recovery(
     from repro.durable.journal import JournalReplay
     from repro.errors import JournalError
 
-    header = JournalReplay.load(journal_path).session
+    replay = JournalReplay.load(journal_path)
+    header = replay.session
     missing = [key for key in _SELF_DESCRIBING if key not in header]
     if missing:
         raise JournalError(
@@ -415,4 +416,4 @@ def resume_durable_recovery(
         journal_path, **described,
         crash_after_records=crash_after_records,
         window=window, progress=progress,
-    ).resume()
+    ).resume(replay)

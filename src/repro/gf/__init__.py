@@ -9,7 +9,7 @@ Public surface:
 - :class:`~repro.gf.polynomial.Polynomial` — polynomials over the field.
 """
 
-from repro.gf.field import GF4, GF8, GF16, GaloisField, gf
+from repro.gf.field import GF4, GF8, GaloisField, gf
 from repro.gf.polynomial import Polynomial
 from repro.gf.tables import FieldTables, get_tables, supported_widths
 from repro.gf.vector import (
@@ -42,3 +42,10 @@ __all__ = [
     "scale_inplace",
     "xor_into",
 ]
+
+
+def __getattr__(name: str) -> GaloisField:
+    """:data:`~repro.gf.field.GF16`, built on first use (see there)."""
+    if name == "GF16":
+        return gf(16)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

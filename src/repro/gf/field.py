@@ -149,5 +149,15 @@ def gf(w: int) -> GaloisField:
 GF4 = gf(4)
 #: GF(2^8) — the workhorse field; one byte per element (Jerasure default).
 GF8 = gf(8)
-#: GF(2^16) — for stripes wider than 255 + parity chunks.
-GF16 = gf(16)
+
+
+def __getattr__(name: str) -> GaloisField:
+    """:data:`GF16`, built on first use.
+
+    GF(2^16) — for stripes wider than 255 + parity chunks.  Its tables
+    take a 65 535-step loop to build, which no import should pay for;
+    the attribute is the :func:`gf` singleton all the same.
+    """
+    if name == "GF16":
+        return gf(16)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,6 +22,7 @@ Four table schemes back the kernels:
   one *full product table* (``T[c * order + x] = c * x``, 64 KiB at
   w = 8).  A buffer that is smaller than a word table never pays for
   building one, and rows with different constants share a gather.
+  :func:`segment_dot` takes this route for rows of up to a ``_TILE``.
 
 The central batched primitive is :func:`batch_dot`: apply an ``r x n``
 coefficient matrix to ``n`` input buffers in one fused pass.  It
@@ -385,7 +386,8 @@ def xor_segments(rows, starts, *, consume: bool = False):
     window of stripes at once.  Short rows are reduced in one pass over
     a matrix — ``rows`` as it stands if it is one, else stacked once —
     into the rows of one result matrix; from ``_SHORT_ROW`` elements up a
-    pass per row is cheaper than stacking, and the result is a list.
+    pass per row is cheaper than stacking or than ``reduceat`` over long
+    rows, and the result is a list.
 
     Args:
         rows: equal-length buffers of one dtype (a list or a matrix).
@@ -393,6 +395,8 @@ def xor_segments(rows, starts, *, consume: bool = False):
         consume: the caller is done with ``rows``, so one buffer of each
             segment may serve as its accumulator instead of a copy — at
             chunk sizes where a fresh buffer costs as much as the XORs.
+            Not the rows of a matrix: a sum that is a view into it would
+            keep the whole matrix alive.
 
     Raises:
         FieldError: if ``starts`` does not rise strictly from 0.
@@ -405,6 +409,7 @@ def xor_segments(rows, starts, *, consume: bool = False):
         _xor_segments(stacked, starts, out)
         return out
     bounds = starts.tolist() + [len(rows)]
+    consume = consume and not isinstance(rows, np.ndarray)
     sums = []
     for lo, hi in zip(bounds, bounds[1:]):
         # Into the segment's last buffer: the most recently allocated one
@@ -718,10 +723,12 @@ def segment_dot(field: GaloisField, coeffs, rows, starts, ids=None):
     runs to the end); row ``i`` of the result is its linear combination,
     so ``dot_rows`` is the one-segment case.  A repair window's per-rack
     partial decodes (Equation 7) are one call, with ``rows`` the chunk
-    store's matrix and ``ids`` the helper chunks' rows: short rows of
-    every segment share gathers over the full product table
-    (:func:`_dot_short`) and come back as the rows of one matrix; longer
-    rows — and GF(2^16) at every length — go segment by segment through
+    store's matrix and ``ids`` the helper chunks' rows: rows of up to a
+    tile (``_TILE`` elements) of every segment share gathers over the
+    full product table (:func:`_dot_short`) and come back as the rows of
+    one matrix — a window's constants rarely repeat, so a per-constant
+    word table would be built for little more than one row; longer rows
+    — and GF(2^16) at every length — go segment by segment through
     :func:`dot_rows` over views, and come back as a list.
 
     Args:
@@ -752,7 +759,7 @@ def segment_dot(field: GaloisField, coeffs, rows, starts, ids=None):
         raise FieldError(f"coefficients outside GF(2^{field.w})")
     starts = _segment_starts(starts, terms)
     size = rows[0].shape[0]
-    if field.w == 16 or size >= _SHORT_ROW:
+    if field.w == 16 or size > _TILE:
         bufs = _picked(rows, ids)
         bounds = starts.tolist() + [terms]
         coeffs = coeffs.tolist()

@@ -64,7 +64,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cluster.state import ClusterState
-from repro.cpus import usable_cpus
 from repro.errors import PlanError
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
@@ -221,13 +220,17 @@ class PlanExecutor:
                 :class:`~repro.obs.progress.ProgressReporter`, updated
                 once per shipped window (stripes done, windows, traffic,
                 journal lag) and finished when the run completes.
-            workers: stage-A threads; by default one per usable CPU
-                (:func:`repro.cpus.usable_cpus`).  Each decodes a whole
-                window and stage B still ships every window in order on
-                this thread, so journalling and the fault hooks work at
-                any count, and the journal, the checkpoint sequence and
-                the heartbeats are the same at every count.  At most ``workers + 1`` windows are in
-                memory at once.
+            workers: stage-A threads; by default
+                :func:`repro.recovery.streaming.default_workers` of the
+                chunk size: one per usable CPU for chunks longer than
+                4 KiB, none for shorter ones, whose windows decode on
+                this thread, still one window ahead of shipping.
+                Each thread decodes a whole window and stage B still
+                ships every window in order on this thread, so
+                journalling and the fault hooks work at any count, and
+                the journal, the checkpoint sequence and the heartbeats
+                are the same at every count.  At most ``workers + 1``
+                windows (two on this thread) are in memory at once.
             shm: ignored.  It named the retired process pool's chunk
                 transport and stays only because the benchmark harness
                 passes it; it goes when that harness is re-cut.
@@ -313,11 +316,12 @@ class PlanExecutor:
 
         Two cursors walk the windows.  The *submit cursor* hands stage A
         up to ``workers + 1`` windows, ``workers`` of them decoding
-        while stage B ships the oldest.  The *journal cursor* writes a
-        window's intents just before the window ahead of it ships, and
-        raises a window the plan refused (a plan/solution mismatch,
-        fractional chunk units) just before that window would be
-        journalled; so the journal, the checkpoint sequence, the
+        while stage B ships the oldest (with no stage-A thread, one
+        window ahead is decoded on this thread).  The *journal cursor*
+        writes a window's intents just before the window ahead of it
+        ships, and raises a window the plan refused (a plan/solution
+        mismatch, fractional chunk units) just before that window would
+        be journalled; so the journal, the checkpoint sequence, the
         heartbeats and where an exception leaves the run depend on the
         plan and the window, never on the thread count.  A stripe is in
         ``result`` (and sunk, and committed) only once stage B has
@@ -328,11 +332,16 @@ class PlanExecutor:
         if window is None:
             window = _streaming.default_window(data.chunk_size)
         _check_count("window", window)
-        depth = usable_cpus() if workers is None else workers
-        _check_count("workers", depth)
+        if workers is None:
+            workers = _streaming.default_workers(data.chunk_size)
+        else:
+            _check_count("workers", workers)
+        # On the calling thread stage A still runs one window ahead, so
+        # the journal cursor writes the same records in the same order.
+        depth = max(workers, 1)
         walk = self._observed()
         stage_a = _streaming.thread_stage(
-            code, data, keep_partials=walk, workers=depth
+            code, data, keep_partials=walk, workers=workers
         )
         windows = iter(self._window_source(plan, solution, window))
 

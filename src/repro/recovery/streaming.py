@@ -27,14 +27,17 @@ never touches the tracer, the journal or the fault hooks:
   :mod:`repro.obs` metrics registry (the hit rate is how often stripes
   share a repair vector); a window's misses get their repair vectors
   from one batched solve (:func:`_coefficients`);
-- :func:`thread_stage` runs stage A on a thread pool (the executor
-  sizes it to the usable CPUs by default), overlapping the executor's
-  stage B; every window is still one :func:`compute_window` call, so
-  the outcome does not depend on the pool's size.
+- :func:`thread_stage` runs stage A on a thread pool, overlapping the
+  executor's stage B, or on the calling thread; every window is still
+  one :func:`compute_window` call, so the outcome does not depend on
+  where it runs.  :func:`default_workers` is the executor's default:
+  one thread per usable CPU for chunks longer than the kernels' short
+  rows, and none for short ones, whose decode is mostly interpreter
+  time that a second thread would spend waiting for the GIL.
 
 Everything here is *pure computation* over read-only state: no tracer,
 journal, or data-store mutation.  That is a hard requirement —
-:func:`compute_window` runs on worker threads while the executor's
+:func:`compute_window` may run on worker threads while the executor's
 thread ships the oldest window (the tracer and the journal are not
 thread-safe, so each stays on exactly one thread).  The GF kernels count
 into the metrics registry from these threads; the registry's mutators
@@ -47,15 +50,16 @@ import itertools
 import threading
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cache import BoundedCache
+from repro.cpus import usable_cpus
 from repro.gf.field import gf
-from repro.gf.vector import rows_equal, segment_dot, xor_segments
+from repro.gf.vector import _SHORT_ROW, rows_equal, segment_dot, xor_segments
 from repro.recovery.planner import WindowPlan
 from repro.recovery.solution import NO_HELPER
 
@@ -63,6 +67,7 @@ __all__ = [
     "REPAIR_GROUP_CACHE",
     "WindowOutcome",
     "default_window",
+    "default_workers",
     "compute_window",
     "thread_stage",
 ]
@@ -117,7 +122,8 @@ class WindowOutcome:
         started / finished: the stage's wall-clock bounds (the executor
             emits them as a pipeline span).
         thread: which of :func:`thread_stage`'s threads decoded the
-            window, numbered from 0 in the order they started.
+            window, numbered from 0 in the order they started (0 when
+            it decoded on the calling thread).
     """
 
     rebuilt: Sequence[np.ndarray]
@@ -241,6 +247,21 @@ def compute_window(
 # -- where stage A runs -----------------------------------------------------
 
 
+def default_workers(chunk_size: int) -> int:
+    """Stage-A threads when the caller does not say.
+
+    A window of short chunks (up to the kernels' ``_SHORT_ROW``, 4 KiB)
+    is about a hundred short numpy calls and a Python loop per
+    signature: a thread decoding it mostly waits for the GIL behind the
+    shipping thread, so none is started (``0``: decode on the calling
+    thread).  Longer chunks spend their decode in kernels that release
+    the GIL, so they get one thread per usable CPU
+    (:func:`repro.cpus.usable_cpus`).  docs/PERFORMANCE.md has the
+    sweep that put the crossover there.
+    """
+    return 0 if chunk_size <= _SHORT_ROW else usable_cpus()
+
+
 @contextmanager
 def thread_stage(code, data, *, keep_partials: bool, workers: int):
     """Stage A on ``workers`` threads: yields ``submit(window) -> future``.
@@ -249,7 +270,11 @@ def thread_stage(code, data, *, keep_partials: bool, workers: int):
     oldest one.  Every window is decoded by one :func:`compute_window`
     call, so which thread decodes it does not change its outcome; the
     outcome names the thread.  The pool starts a thread only when a
-    window finds none idle, so a one-window run starts one.
+    window finds none idle, so a one-window run starts one.  With
+    ``workers=0`` no thread starts: ``submit`` decodes the window on the
+    calling thread (thread ``0``) and returns a completed future, which
+    holds the decode's exception if it raised, so the caller meets it
+    when it ships that window, as from a pool.
     """
     local = threading.local()
     numbers = itertools.count()
@@ -262,6 +287,19 @@ def thread_stage(code, data, *, keep_partials: bool, workers: int):
         outcome.thread = local.thread
         return outcome
 
+    if not workers:
+        number_thread()
+
+        def inline(win: WindowPlan) -> Future:
+            future = Future()
+            try:
+                future.set_result(decode(win))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+        yield inline
+        return
     pool = ThreadPoolExecutor(max_workers=workers, initializer=number_thread)
     try:
         yield lambda win: pool.submit(decode, win)

@@ -32,6 +32,29 @@ from repro.erasure.rs import RSCode
 
 
 @pytest.fixture
+def stage_a_threads(monkeypatch) -> list:
+    """Two stage-A threads wherever ``workers`` is left to the default.
+
+    A session picks no thread count of its own, and by default windows
+    of short chunks decode on the shipping thread; this runs a suite's
+    short-chunk repairs on a pool of two instead.  Returns the
+    ``workers`` each run handed :func:`~repro.recovery.streaming.thread_stage`.
+    """
+    from repro.recovery import streaming
+
+    started = []
+    stage = streaming.thread_stage
+
+    def recording(*args, workers, **kwargs):
+        started.append(workers)
+        return stage(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(streaming, "default_workers", lambda chunk_size: 2)
+    monkeypatch.setattr(streaming, "thread_stage", recording)
+    return started
+
+
+@pytest.fixture
 def rs63() -> RSCode:
     """The Google-Colossus (6, 3) RS code."""
     return RSCode(6, 3)

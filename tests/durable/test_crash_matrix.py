@@ -110,6 +110,16 @@ def test_crash_at_every_record_boundary(strategy_name, tmp_path):
         ), f"crash point {crash_after} overshipped"
 
 
+@pytest.mark.parametrize("strategy_name", ["car", "direct"])
+def test_crash_at_every_record_boundary_on_two_threads(
+    strategy_name, tmp_path, stage_a_threads
+):
+    """The same matrix with stage A on two threads: what a crash leaves
+    does not depend on where the windows decode."""
+    test_crash_at_every_record_boundary(strategy_name, tmp_path)
+    assert stage_a_threads and set(stage_a_threads) == {2}
+
+
 # -- the commit frame's own boundaries ---------------------------------------
 #
 # The matrix above crashes *between* records.  A machine can also die

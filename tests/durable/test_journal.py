@@ -235,6 +235,29 @@ class TestJournalReplay:
         with pytest.raises(JournalError, match="no commit record"):
             replay.committed_chunk(1)
 
+    def test_commits_are_folded_once_per_replay(self, tmp_path):
+        """Looping over the commits stripe by stripe is linear: the
+        records are folded into the commit map once, not per call."""
+
+        class Passes(list):
+            count = 0
+
+            def __iter__(self):
+                self.count += 1
+                return super().__iter__()
+
+        path = tmp_path / "j.jsonl"
+        stripes = tuple(range(40))
+        write_minimal(path, stripes=stripes, commit=stripes[::2])
+        records = Passes(JournalReplay.load(path).records)
+        replay = JournalReplay(records)
+        for stripe in stripes[::2]:
+            assert np.array_equal(
+                replay.committed_chunk(stripe), np.arange(16, dtype=np.uint8)
+            )
+            assert replay.pending == stripes[1::2]
+        assert records.count == 1
+
     def test_complete_journal(self, tmp_path):
         path = tmp_path / "j.jsonl"
         write_minimal(path, stripes=(0, 1), commit=(0, 1))

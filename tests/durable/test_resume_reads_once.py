@@ -3,6 +3,7 @@ the replay's end offset and last ``seq``."""
 
 import pytest
 
+from repro.cli import main
 from repro.durable import journal as journal_module
 from repro.durable.journal import JournalReplay, RecoveryJournal
 from repro.durable.session import RecoverySession
@@ -22,12 +23,8 @@ def crashed_session(path, crash_after_records=12):
     return state, event
 
 
-def test_resume_scans_the_file_once(tmp_path, monkeypatch):
-    path = tmp_path / "j.jsonl"
-    state, event = crashed_session(path)
-    # Tear the tail too: the replay's end offset is where it is cut.
-    with open(path, "ab") as f:
-        f.write(b'{"rec": "commit", "seq": 99, "payl')
+def counted_scans(monkeypatch) -> list:
+    """Every path the journal module scans from here on."""
     scans = []
 
     def counting(p, _scan=journal_module._scan):
@@ -35,6 +32,16 @@ def test_resume_scans_the_file_once(tmp_path, monkeypatch):
         return _scan(p)
 
     monkeypatch.setattr(journal_module, "_scan", counting)
+    return scans
+
+
+def test_resume_scans_the_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "j.jsonl"
+    state, event = crashed_session(path)
+    # Tear the tail too: the replay's end offset is where it is cut.
+    with open(path, "ab") as f:
+        f.write(b'{"rec": "commit", "seq": 99, "payl')
+    scans = counted_scans(monkeypatch)
     out = RecoverySession(state, event, CarStrategy(), path).resume()
     assert out.verified
     assert len(scans) == 1
@@ -45,6 +52,18 @@ def test_resume_scans_the_file_once(tmp_path, monkeypatch):
         range(1, len(replay.records) + 1)
     )
     assert replay.end_offset == path.stat().st_size
+
+
+def test_cli_resume_scans_the_file_once(tmp_path, monkeypatch, capsys):
+    """``repro-car resume`` rebuilds the cluster from the journal's
+    header and resumes from the same load."""
+    path = str(tmp_path / "j.jsonl")
+    assert main(["durable", path, "--seed", "4", "--stripes", "8",
+                 "--crash-after", "7"]) == 3
+    scans = counted_scans(monkeypatch)
+    assert main(["resume", path]) == 0
+    assert "verified: yes" in capsys.readouterr().out
+    assert len(scans) == 1
 
 
 def test_replay_tail_appends_where_a_rescan_would(tmp_path):

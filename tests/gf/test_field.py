@@ -17,6 +17,14 @@ class TestBasics:
         assert gf(4) is GF4
         assert gf(16) is GF16
 
+    def test_the_package_gf16_is_the_singleton(self):
+        import repro.gf
+        from repro.gf import GF16 as package_gf16
+
+        assert package_gf16 is gf(16) is repro.gf.GF16
+        with pytest.raises(AttributeError):
+            repro.gf.GF32
+
     def test_equality_and_hash(self):
         assert GaloisField(8) == GF8
         assert hash(GaloisField(8)) == hash(GF8)

@@ -292,6 +292,20 @@ class TestSegmentDot:
         for g, c in zip(got, consumed):
             assert np.array_equal(g, c)
 
+    @pytest.mark.parametrize("length", [64, _SHORT_ROW, 4 * _SHORT_ROW])
+    def test_a_consumed_matrix_leaves_no_sum_inside_it(self, length):
+        """A matrix's rows are views of it, so none serves as a sum's
+        accumulator: a sum kept after the call would hold the matrix."""
+        rows = np.random.default_rng(length).integers(
+            0, 256, (7, length), dtype=np.uint8
+        )
+        before = rows.copy()
+        got = xor_segments(rows, [0, 3, 4], consume=True)
+        for g, lo, hi in zip(got, [0, 3, 4], [3, 4, 7]):
+            assert np.array_equal(g, np.bitwise_xor.reduce(before[lo:hi]))
+            assert not np.shares_memory(g, rows)
+        assert np.array_equal(rows, before)
+
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"w{f.w}")
     @pytest.mark.parametrize("length", [1, 64, _SHORT_ROW - 1, _SHORT_ROW])
     def test_several_blocks_against_logexp(self, field, length):

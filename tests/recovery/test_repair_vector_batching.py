@@ -7,9 +7,10 @@ batched Gauss-Jordan), never with a per-stripe ``GFMatrix.invert``; a
 warm repair solves nothing.  The ``exec.repair_groups`` counters keep
 their meaning: one lookup per distinct signature of a window, a miss the
 first time a signature is seen.  Those counts are exact on one stage-A
-thread; at the default thread count two windows decoding at once may
-both miss a signature, so there only what no interleaving can change is
-asserted.
+thread; on several, two windows decoding at once may both miss a
+signature, so there only what no interleaving can change is asserted,
+at the default (at 256-byte chunks, no thread: stage A runs on the
+shipping thread) and on two threads.
 """
 
 import pytest
@@ -106,19 +107,27 @@ def test_one_solve_per_window_with_misses_then_none(fleet, counted):
 
 
 def test_default_threads_solve_at_most_once_per_window(fleet, counted):
+    solve_at_most_once_per_window(fleet, counted, None)
+
+
+def test_two_threads_solve_at_most_once_per_window(fleet, counted):
+    solve_at_most_once_per_window(fleet, counted, 2)
+
+
+def solve_at_most_once_per_window(fleet, counted, workers):
     state, event, solution = fleet
     cold(state)
     lookups = expected_lookups(state, event, solution)
     distinct = sum(new for _, new in lookups)
 
-    hits, misses = run(state, event, solution, workers=None)
+    hits, misses = run(state, event, solution, workers=workers)
     assert len(counted["repair_vectors"]) <= len(lookups)
     assert counted["invert"] == 0
     assert misses >= distinct
     assert hits + misses == sum(n for n, _ in lookups)
 
     counted["repair_vectors"].clear()
-    hits, misses = run(state, event, solution, workers=None)
+    hits, misses = run(state, event, solution, workers=workers)
     assert counted["repair_vectors"] == []
     assert counted["invert"] == 0
     assert (hits, misses) == (sum(n for n, _ in lookups), 0)

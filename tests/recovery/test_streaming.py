@@ -24,6 +24,7 @@ from repro.cluster.failure import FailureInjector
 from repro.cluster.placement import RandomPlacementPolicy
 from repro.cluster.state import ClusterState, DataStore
 from repro.cluster.topology import ClusterTopology
+from repro.cpus import usable_cpus
 from repro.durable.journal import (
     JournalReplay,
     RecoveryJournal,
@@ -48,11 +49,11 @@ from repro.faults import (
     PipelineStage,
     RobustExecutor,
 )
-from repro.gf.vector import _SHORT_ROW
+from repro.gf.vector import _SHORT_ROW, _TILE
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import Tracer
 from repro.recovery.baselines import CarStrategy, RandomRecoveryStrategy
-from repro.recovery.executor import PlanExecutor, usable_cpus
+from repro.recovery.executor import PlanExecutor
 from repro.recovery.lrc import LrcLocalRecoveryStrategy
 from repro.recovery.metrics import traffic_report
 from repro.recovery import planner
@@ -354,9 +355,11 @@ class TestStreamingEquivalence:
 
         monkeypatch.setattr(_streaming, "compute_window", watched)
         with _metrics.telemetry_scope(_metrics.MetricsRegistry()) as reg:
+            # Threads named: at these chunks the default decodes on the
+            # shipping thread, where nothing can overlap.
             result = PlanExecutor(state).execute(
                 plan_recovery_streaming(state, event, sol), window=4,
-                sink=lambda sid, buf, ok: shipping.set(),
+                sink=lambda sid, buf, ok: shipping.set(), workers=2,
             )
         assert overlapped == [True]
         assert result.per_stripe_ok == quiet.per_stripe_ok
@@ -643,22 +646,38 @@ class TestStreamingValidation:
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
     def test_default_workers_are_the_usable_cpus(self, monkeypatch, cpus):
-        seen = []
+        """Chunks longer than the kernels' short rows decode on one
+        thread per usable CPU; short ones on the calling thread,
+        whatever the CPU count."""
+        seen, decoders = [], set()
         thread_stage = _streaming.thread_stage
+        decode = _streaming.compute_window
 
         def recording(*args, workers, **kwargs):
             seen.append(workers)
             return thread_stage(*args, workers=workers, **kwargs)
 
+        def watched(*args, **kwargs):
+            decoders.add(threading.get_ident())
+            return decode(*args, **kwargs)
+
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: set(cpus), raising=False
         )
         monkeypatch.setattr(_streaming, "thread_stage", recording)
-        state, event = failed_cluster(seed=1)
-        sol = CarStrategy().solve(state)
-        result = PlanExecutor(state).execute(plan_recovery(state, event, sol), sol)
-        assert result.verified
-        assert seen == [len(cpus)]
+        monkeypatch.setattr(_streaming, "compute_window", watched)
+        for chunk_size, expected in ((64 << 10, len(cpus)), (256, 0)):
+            seen.clear()
+            decoders.clear()
+            state, event = failed_cluster(seed=1, chunk_size=chunk_size)
+            sol = CarStrategy().solve(state)
+            result = PlanExecutor(state).execute(
+                plan_recovery(state, event, sol), sol, window=2
+            )
+            assert result.verified
+            assert seen == [expected]
+            on_caller = decoders == {threading.get_ident()}
+            assert on_caller == (expected == 0), chunk_size
 
     def test_default_workers_without_an_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -824,6 +843,12 @@ class TestStreamingDurability:
             for r in records
         ]
         assert got == expected
+
+    def test_record_order_at_window_one_on_two_threads(
+        self, tmp_path, stage_a_threads
+    ):
+        self.test_record_order_at_window_one(tmp_path)
+        assert stage_a_threads and set(stage_a_threads) == {2}
 
     @pytest.mark.parametrize("window", [1, 4])
     def test_failed_verification_commits_and_sinks_nothing(
@@ -1006,6 +1031,69 @@ class TestStageAThreads:
         assert_plan_figures(state, plan, sol, results[0])
         for fanned in results[1:]:
             assert_identical(results[0], fanned)
+
+    def test_default_workers_cross_over_at_the_short_rows(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        for chunk_size in (1, 256, _SHORT_ROW):
+            assert _streaming.default_workers(chunk_size) == 0
+        for chunk_size in (_SHORT_ROW + 1, _TILE, 1 << 20):
+            assert _streaming.default_workers(chunk_size) == 3
+
+    def test_short_rows_decode_on_the_calling_thread(self):
+        """At the default, a short-row window decodes on the shipping
+        thread, still one window ahead: window i+1 is decoded before
+        window i ships, and no decode overlaps a shipment."""
+        state, event = failed_cluster(seed=7, stripes=40, chunk_size=256)
+        sol = CarStrategy().solve(state)
+        tracer = Tracer()
+        PlanExecutor(state, tracer).execute(
+            plan_recovery(state, event, sol), sol, window=4
+        )
+        spans = {
+            (e["name"][12:], e["attrs"]["window"]): e
+            for e in tracer.events if e["name"].startswith("exec.stream.")
+        }
+        last = max(w for _, w in spans)
+        assert last >= 3
+        for i in range(last + 1):
+            assert spans["aggregate", i]["attrs"]["thread"] == 0
+            ship = spans["ship", i]
+            for j in range(last + 1):
+                decoded = spans["aggregate", j]
+                assert (
+                    decoded["end"] <= ship["start"]
+                    or decoded["start"] >= ship["end"]
+                ), (i, j)
+            if i < last:
+                assert spans["aggregate", i + 1]["end"] <= ship["start"]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_a_decode_error_surfaces_when_its_window_ships(
+        self, monkeypatch, workers
+    ):
+        """On the calling thread as on a pool, a window whose decode
+        raises is raised when stage B reaches it: the windows before it
+        ship first."""
+        state, event = failed_cluster(seed=7, stripes=40)
+        sol = CarStrategy().solve(state)
+        decode = _streaming.compute_window
+        calls = itertools.count()
+
+        def failing(*args, **kwargs):
+            if next(calls) == 2:
+                raise RuntimeError("decode failed")
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(_streaming, "compute_window", failing)
+        sunk = []
+        with pytest.raises(RuntimeError, match="decode failed"):
+            PlanExecutor(state).execute(
+                plan_recovery(state, event, sol), sol, window=3,
+                sink=lambda sid, buf, ok: sunk.append(sid), workers=workers,
+            )
+        assert sunk == sorted(sol.stripe_ids())[:6]
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_aggregate_spans_name_their_thread(self, workers):

@@ -111,3 +111,15 @@ def test_journal_bytes_and_checkpoint_order_are_pinned(
     assert len(session.seen) == count
     assert sha256(repr(session.seen).encode()) == checkpoints
     assert sha256(path.read_bytes()) == journal
+
+
+@pytest.mark.parametrize(
+    "config,strategy", list(PINS), ids=[f"{c.name}-{s}" for c, s in PINS]
+)
+def test_the_pins_hold_on_two_stage_a_threads(
+    tmp_path, config, strategy, stage_a_threads
+):
+    test_journal_bytes_and_checkpoint_order_are_pinned(
+        tmp_path, config, strategy
+    )
+    assert stage_a_threads and set(stage_a_threads) == {2}

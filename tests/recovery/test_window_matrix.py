@@ -14,6 +14,7 @@ GF(2^16), and windows planned around dead helpers.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from repro.erasure.lrc import LRCCode
 from repro.erasure.repair import split_repair_vector
 from repro.erasure.rs import RSCode
 from repro.experiments.configs import CFS1, CFS2, CFS3, build_state
+from repro.gf import vector
 from repro.gf.field import gf
 from repro.gf.vector import _SHORT_ROW, dot_rows
 from repro.recovery.baselines import CarStrategy
@@ -182,3 +184,44 @@ class TestWindowMatrix:
         for i, row in enumerate(got.rebuilt):
             for partial in got.partials[bounds[i] : bounds[i + 1]]:
                 assert not np.shares_memory(partial, row)
+
+
+class TestRowsUpToATile:
+    """Rows up to a kernel tile decode through the field's product table,
+    a window at a time: no per-constant word table is looked up (a
+    window's constants rarely repeat, so each would be built for little
+    more than one row)."""
+
+    @pytest.mark.parametrize("keep_partials", [False, True])
+    @pytest.mark.parametrize("chunk_size", [4 << 10, 16 << 10])
+    def test_no_word_table_and_the_per_row_bytes(
+        self, chunk_size, keep_partials
+    ):
+        state, win = window("cfs3", 3, chunk_size, True, 0, None)
+        words = vector._WORD_TABLE_CACHE
+        before = words.hits, words.misses
+        got = compute_window(
+            state.code, state.data, win, keep_partials=keep_partials
+        )
+        assert (words.hits, words.misses) == before
+        rebuilt, ok, partials, _ = reference(state, win, keep_partials)
+        assert all(ok) and got.ok == ok
+        for mine, theirs in zip(got.rebuilt, rebuilt):
+            assert mine.tobytes() == theirs.tobytes()
+        if keep_partials:
+            for mine, theirs in zip(got.partials, partials):
+                assert mine.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("chunk_size", [4 << 10, 16 << 10])
+    def test_rebuilt_rows_hold_no_partials_matrix(self, chunk_size):
+        """The partials come back as one matrix, and the combine reduces
+        it into a fresh one: a rebuilt row kept after the window is not a
+        view that holds every partial of the window alive."""
+        state, win = window("cfs3", 3, chunk_size, True, 0, None)
+        got = compute_window(state.code, state.data, win, keep_partials=False)
+        _, _, partials, _ = reference(state, win, True)
+        assert len(partials) > len(win)  # some stripe has several partials
+        rebuilt = sum(row.nbytes for row in got.rebuilt)
+        for row in got.rebuilt:
+            owner = row if row.base is None else row.base
+            assert owner.nbytes <= rebuilt

@@ -104,6 +104,21 @@ class TestImportGraph:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_the_cli_builds_no_gf16_tables(self):
+        """GF(2^16)'s tables take a 65 535-step loop to build; importing
+        the CLI (so every process start) builds only the w = 4 and w = 8
+        ones, and ``GF16`` is built on first use."""
+        probe = (
+            "import repro.cli; from repro.gf import tables; "
+            "print(sorted(tables._CACHE))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[4, 8]"
+
 
 class TestExamples:
     def test_all_examples_compile(self):
