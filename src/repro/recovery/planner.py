@@ -4,9 +4,8 @@ A :class:`RecoveryPlan` is the operational form of a
 :class:`~repro.recovery.solution.MultiStripeSolution`: who reads what,
 who sends what to whom (chunk-granular, so the network simulator can
 schedule each flow), and who computes what (so the timing model can
-charge GF arithmetic to the right CPU).
-
-Plan construction follows the paper's methodology section:
+charge GF arithmetic to the right CPU), following the paper's
+methodology section:
 
 - **CAR (aggregated)**: in every accessed intact rack, the replacement
   node designates a *delegate* — one of the nodes holding a retrieved
@@ -25,18 +24,16 @@ no flow runs from a node to itself.
 
 A plan is columns.  :func:`plan_window` plans a window of a solution's
 :class:`~repro.recovery.solution.SolutionColumns` as one
-:class:`WindowPlan`: integer arrays of shape (stripes, helpers) —
-helper chunk, holder node, holder rack, destination — and masks of the
-same shape — which helpers flow raw, which ship their rack's partial,
-which flows cross the core — plus a repair-signature id per stripe,
-checked in bulk.  The rule above — delegates, destinations, which flows
-cross the core — is written once, there.  Every figure the executor needs
-(transfers by scope, compute by node, stage counts, one stripe's
-journal commit) is counted from those arrays by
-:meth:`WindowPlan.ledger`; the executor's per-stripe event walk and
-both time models (:mod:`repro.sim`) read a stripe's flows and decodes
-from its row (:meth:`WindowPlan.helpers`).  A :class:`RecoveryPlan`
-holds every affected stripe's row, a :class:`StripePlan` handle each.
+:class:`WindowPlan`, checked in bulk: integer arrays of shape (stripes,
+helpers) — helper chunk, holder node, holder rack, destination — and
+masks — which helpers flow raw, which ship their rack's partial, which
+flows cross the core.  The rule above is written once, there.  Every
+figure the executor needs (transfers by scope, compute by node, stage
+counts, one stripe's journal commit) is counted from those arrays by
+:meth:`WindowPlan.ledger`; the executor's event walk and both time
+models (:mod:`repro.sim`) read a stripe's flows and decodes from its
+row (:meth:`WindowPlan.helpers`).  A :class:`RecoveryPlan` holds every
+affected stripe's row, a :class:`StripePlan` handle each.
 """
 
 from __future__ import annotations
@@ -74,11 +71,10 @@ MATERIALISE_WINDOW = 256
 class StripePlan:
     """One stripe's plan: row ``row`` of ``window``.
 
-    A handle, not a copy: its flows and decodes are the window's columns
-    (:meth:`WindowPlan.helpers`).  It exists only because
-    ``benchmarks/e2e/`` slices :attr:`RecoveryPlan.stripe_plans` and
-    ``dataclasses.replace``-s it.  Two handles are equal when their rows
-    plan the same flows and decodes.
+    A handle, not a copy, of the window's columns
+    (:meth:`WindowPlan.helpers`), kept because ``benchmarks/e2e/`` slices
+    :attr:`RecoveryPlan.stripe_plans` and ``dataclasses.replace``-s it.
+    Two handles are equal when their rows plan the same flows and decodes.
     """
 
     window: WindowPlan
@@ -122,12 +118,9 @@ class RecoveryPlan:
     aggregated: bool
 
     def cross_rack_chunks(self) -> int:
-        """Cross-rack flows, each one whole chunk.
-
-        The solution's traffic in chunk units, unless the solution ships
-        fractional units — which a plan can be neither executed nor timed
-        with (:meth:`WindowPlan.require_whole_chunks`).
-        """
+        """Cross-rack flows, each one whole chunk: the solution's traffic
+        in chunk units (a plan refuses fractional units,
+        :meth:`WindowPlan.require_whole_chunks`)."""
         return sum(int(sp.window.cross[sp.row]) for sp in self.stripe_plans)
 
 
@@ -136,12 +129,11 @@ class WindowPlan:
     """A window of stripes planned as columns.
 
     Row ``i`` is row ``i`` of ``source``; column ``j`` is its ``j``-th
-    helper in *decode order*: grouped by rack, racks in the order of their lowest
-    helper chunk, chunks ascending within a rack (a direct repair is one
-    group).  That is the order of the repair vector's
-    :class:`~repro.erasure.repair.PartialDecodePlan` groups, so a
-    window's helper buffers are its decode table's rows as they stand.
-    Slots past a stripe's last helper hold :data:`NO_HELPER`.
+    helper in *decode order*: grouped by rack, racks in the order of
+    their lowest helper chunk, chunks ascending within a rack (a direct
+    repair is one group) — the order of the repair vector's
+    :class:`~repro.erasure.repair.PartialDecodePlan` groups.  Slots past
+    a stripe's last helper hold :data:`NO_HELPER`.
 
     Attributes:
         source: the window's rows of the solution's columns.
@@ -162,10 +154,6 @@ class WindowPlan:
             decodes a partial and ships it to the replacement node.
         crossing: ``(S, H)`` the helper's flow — its raw chunk, or its
             rack's partial — crosses the core.
-        signature: ``(S,)`` index into ``signatures``: stripes with one
-            id repair with one coefficient table.
-        signatures: the window's distinct repair signatures (lost chunk
-            and helper columns as bytes).
         reads / cross / intra / partial_decodes / local_folds: ``(S,)``
             per-stripe counts of helper reads, cross- and intra-rack
             transfers, delegate partial decodes and replacement-node
@@ -186,8 +174,6 @@ class WindowPlan:
     raw: np.ndarray
     partial: np.ndarray
     crossing: np.ndarray
-    signature: np.ndarray
-    signatures: tuple[bytes, ...]
     reads: np.ndarray
     cross: np.ndarray
     intra: np.ndarray
@@ -207,8 +193,8 @@ class WindowPlan:
         charged in GF input bytes: each helper chunk to the node that
         combines it (its delegate, or the replacement node), plus, when
         aggregated, one buffer per rack group to the replacement node's
-        final combine.  Over one row this is that stripe's journal commit;
-        over the shipped rows, the window's share of the result.
+        final combine.  Over one row this is that stripe's journal
+        commit; over the shipped rows, the window's share.
         """
         dest = self.dest[rows]
         counts = np.bincount(
@@ -243,11 +229,8 @@ class WindowPlan:
         )
 
     def require_whole_chunks(self) -> None:
-        """Refuse a solution whose payloads are fractional.
-
-        A plan moves and decodes whole chunks; a regenerating-code
-        solution ships sub-chunk ``units`` that the executor and the time
-        models cannot carry.
+        """Refuse a solution whose payloads are fractional: a plan moves
+        and decodes whole chunks, not a regenerating code's ``units``.
 
         Raises:
             PlanError: if the window's solution has ``units``.
@@ -270,10 +253,7 @@ def plan_window(
     aggregated: bool,
     dead_nodes: frozenset[int] | set[int] = frozenset(),
 ) -> WindowPlan:
-    """Plan a window of a solution's columns.
-
-    Holders, delegates, destinations, transfer counts and signatures are
-    array operations over the whole window.
+    """Plan a window of a solution's columns in whole-window array operations.
 
     Raises:
         PlanError: if a solution reads a chunk on the failed node or on a
@@ -353,18 +333,6 @@ def plan_window(
     crossing = (raw & (rack != dest_rack)) | (partial & (rack != repl_rack))
     cross = crossing.sum(axis=1)
 
-    keys = np.concatenate(
-        (lost_chunk[:, None], chunk) + ((rack,) if aggregated else ()), axis=1
-    ).astype(np.int32)
-    index: dict[bytes, int] = {}
-    signature = np.array(
-        [
-            index.setdefault(key, len(index))
-            for key in keys.view(np.dtype((np.void, keys.shape[1] * 4)))
-            .ravel()
-            .tolist()
-        ]
-    )
     partial_decodes = partial.sum(axis=1)
     return WindowPlan(
         source=source,
@@ -380,8 +348,6 @@ def plan_window(
         raw=raw,
         partial=partial,
         crossing=crossing,
-        signature=signature,
-        signatures=tuple(index),
         reads=used.sum(axis=1),
         cross=cross,
         intra=raw.sum(axis=1) + partial_decodes - cross,
@@ -413,9 +379,7 @@ def plan_recovery(
         PlanError: if the solution references chunks the placement does
             not hold where expected, or reads from a dead node.
     """
-    lazy = plan_recovery_streaming(
-        state, event, solution, dead_nodes=dead_nodes
-    )
+    lazy = plan_recovery_streaming(state, event, solution, dead_nodes=dead_nodes)
     return RecoveryPlan(
         stripe_plans=tuple(
             StripePlan(win, i)
@@ -428,11 +392,8 @@ def plan_recovery(
 
 
 def _record_window_metrics(reg, win: WindowPlan) -> None:
-    """One window's share of the plan.* metrics, counted from its columns.
-
-    Recorded as each window is planned, so a lazily drained plan and a
-    materialised one leave the same totals.
-    """
+    """One window's share of the plan.* metrics, counted from its columns
+    as it is planned, so lazy and materialised plans leave equal totals."""
     mode = "aggregated" if win.aggregated else "direct"
     reg.counter("plan.stripes").inc(len(win), mode=mode)
     racks = reg.histogram("plan.racks_accessed", buckets=_metrics.COUNT_BUCKETS)
@@ -449,12 +410,11 @@ def _record_window_metrics(reg, win: WindowPlan) -> None:
 class StreamingRecoveryPlan:
     """Lazy counterpart of :class:`RecoveryPlan` for bounded-memory runs.
 
-    Instead of planning every affected stripe up front (a materialised
-    plan holds every window's columns, and a handle per stripe, at
-    once), the streaming plan holds only the inputs —
+    Where a materialised plan holds every window's columns and a handle
+    per stripe at once, the streaming plan holds only its inputs —
     cluster state, failure event, the solution's columns — and plans a
-    window of rows at a time, as columns, inside :meth:`iter_windows`.
-    Planning memory is O(window) in the stripe count.
+    window at a time inside :meth:`iter_windows`: planning memory is
+    O(window) in the stripe count.
 
     The iterator is single-shot: windows are yielded once, in stripe
     order, and the ``plan.*`` metrics are recorded per window as it is

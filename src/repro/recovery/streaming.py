@@ -5,35 +5,27 @@ stripe through one two-stage pipeline; this module is the half that
 never touches the tracer, the journal or the fault hooks:
 
 - :func:`default_window` sizes a window from the chunk size against a
-  fixed byte budget; the planner cuts the solution's columns into
-  windows of that many stripes
-  (:meth:`~repro.recovery.solution.SolutionColumns.windows`), so
-  coordinator memory is O(window) regardless of stripe count;
+  fixed byte budget, so coordinator memory is O(window) regardless of
+  stripe count;
 - :func:`compute_window` performs every GF decode of a window in one
   columnar pass over its :class:`~repro.recovery.planner.WindowPlan`.
-  The window's helper columns are already in decode order — one term
-  per helper chunk, the terms of one rack group adjacent (a *segment*),
-  the segments of one stripe adjacent — and each is a row id into the
-  chunk store's one matrix (:meth:`~repro.cluster.state.DataStore.rows`),
-  so every per-rack partial decode (Equation 7) of the window is a
-  single :func:`~repro.gf.vector.segment_dot` call, every final combine
-  a single :func:`~repro.gf.vector.xor_segments` call and the truth
-  check a single :func:`~repro.gf.vector.rows_equal` call; how those
-  treat 256-byte rows and 4 MiB rows differently is the kernels'
+  The helper columns are in decode order (one term per helper chunk,
+  the terms of a rack group adjacent, the groups of a stripe adjacent),
+  each a row id into the chunk store's one matrix
+  (:meth:`~repro.cluster.state.DataStore.rows`).  A stripe's repair, the
+  XOR of its racks' partial decodes (Equation 7), is one sum over all
+  its helpers, so unless partials are shipped the window's rebuilt
+  chunks are one :func:`~repro.gf.vector.segment_dot` call over
+  stripes; the truth check is one :func:`~repro.gf.vector.rows_equal`
+  call.  How the kernels treat 256-byte and 4 MiB rows is their
   business — nothing here looks at the chunk size;
-- the per-signature decode table is memoised in the named
-  :data:`REPAIR_GROUP_CACHE`, looked up once per distinct signature of
-  a window, whose hit/miss rates surface through the
-  :mod:`repro.obs` metrics registry (the hit rate is how often stripes
-  share a repair vector); a window's misses get their repair vectors
-  from one batched solve (:func:`_coefficients`);
+- the coefficients come from the code's :class:`DecodeTable`, keyed by
+  (lost chunk, helper set) and looked up for a whole window at once; a
+  window's misses get their repair vectors from one batched solve.
 - :func:`thread_stage` runs stage A on a thread pool, overlapping the
-  executor's stage B, or on the calling thread; every window is still
-  one :func:`compute_window` call, so the outcome does not depend on
-  where it runs.  :func:`default_workers` is the executor's default:
-  one thread per usable CPU for chunks longer than the kernels' short
-  rows, and none for short ones, whose decode is mostly interpreter
-  time that a second thread would spend waiting for the GIL.
+  executor's stage B, or on the calling thread (:func:`default_workers`
+  says which); every window is one :func:`compute_window` call, so the
+  outcome does not depend on where it runs.
 
 Everything here is *pure computation* over read-only state: no tracer,
 journal, or data-store mutation.  That is a hard requirement —
@@ -49,6 +41,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import weakref
 from collections.abc import Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
@@ -56,19 +49,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache import BoundedCache
 from repro.cpus import usable_cpus
+from repro.errors import ConfigurationError
 from repro.gf.field import gf
 from repro.gf.vector import _SHORT_ROW, rows_equal, segment_dot, xor_segments
+from repro.obs.metrics import register_cache
 from repro.recovery.planner import WindowPlan
 from repro.recovery.solution import NO_HELPER
 
 __all__ = [
-    "REPAIR_GROUP_CACHE",
+    "DecodeTable",
     "WindowOutcome",
     "default_window",
     "default_workers",
     "compute_window",
+    "decode_table",
     "thread_stage",
 ]
 
@@ -81,25 +76,111 @@ WINDOW_BYTES = 2 << 20
 #: of.
 STRIPE_OVERHEAD_BYTES = 4096
 
-#: Memoised per-signature decode tables, keyed by (code id, signature)
-#: (see :func:`_code_id`).  Named, so the cache self-registers with the
-#: metrics registry: its hit rate quantifies how often stripes share a
-#: repair vector and shows up in ``repro-car metrics`` next to the GF
-#: table caches.
-REPAIR_GROUP_CACHE = BoundedCache(4096, name="exec.repair_groups")
 
-#: (code, repair mode) -> a small int naming it in cache keys.
-_CODE_IDS: dict = {}
-_NEXT_CODE_ID = itertools.count()
+class DecodeTable:
+    """One code's repair vectors as columns: the window decode table.
+
+    An entry is one ``(lost chunk, helper set)``, keyed ``lost << n |
+    helper_mask`` in 63 bits (so ``n`` <= 57; racks do not change a
+    repair vector), and its row the repair vector over chunk numbers, 0
+    where a chunk does not help.  :attr:`entries` is the sorted keys and
+    the ``(entries, n)`` rows as one tuple, replaced whole, so a reader
+    never pairs arrays of two updates.  :attr:`maxsize` bounds it, least
+    recently looked up out first.  Its hit rate (``exec.repair_groups``
+    in the metrics registry) is how often stripes share a repair vector.
+    """
+
+    maxsize = 4096
+
+    def __init__(self, n: int) -> None:
+        if n + n.bit_length() > 63:
+            raise ConfigurationError(f"n={n} chunks overflow a 63-bit decode key")
+        self.n = n
+        self.hits = self.misses = self.evictions = 0
+        self.entries = (np.empty(0, np.int64), np.empty((0, n), np.int64))
+        # Per entry, the lookup count when it was last looked up.
+        self._used = np.empty(0, np.int64)
+        self._lock = threading.Lock()
+        register_cache("exec.repair_groups", self)
+
+    def __len__(self) -> int:
+        return len(self.entries[0])
+
+    def clear(self) -> None:
+        """Drop every entry (counters are kept)."""
+        with self._lock:
+            keys, rows = self.entries
+            self.entries, self._used = (keys[:0], rows[:0]), self._used[:0]
+
+    def rows(self, code, keys: np.ndarray) -> np.ndarray:
+        """The ``(S, n)`` rows of ``(S,)`` keys of ``code``'s repairs.
+
+        One lookup per distinct key, a miss the first time it is seen.
+        The keys are searched without the lock, which is then taken
+        once: to count, and to merge in what missed (:meth:`_merge`).
+        """
+        wanted, inverse = np.unique(keys, return_inverse=True)
+        entries = self.entries
+        at, found = _find(entries[0], wanted)
+        rows = entries[1]
+        with self._lock:
+            if not found.all():
+                rows, at = self._merge(code, wanted)
+            else:
+                self.hits += len(wanted)
+                if self.entries is entries:
+                    self._used[at] = self.hits + self.misses
+        return rows[at[inverse]]
+
+    def _merge(self, code, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Add the keys of ``wanted`` the entries lack (under the lock),
+        solved by one ``repair_vectors`` call per helper count (one for
+        an MDS code) over the helpers ascending.  Returns the merged rows
+        and ``wanted``'s place in them from before any eviction, so a
+        window wider than the bound still decodes.
+        """
+        keys, rows = self.entries
+        _, found = _find(keys, wanted)  # another thread may have added some
+        new = wanted[~found]
+        self.hits += len(wanted) - len(new)
+        self.misses += len(new)
+        helps = ((new[:, None] >> np.arange(self.n)) & 1).astype(bool)
+        derived = np.zeros((len(new), self.n), np.int64)
+        count = helps.sum(axis=1)
+        for h in np.unique(count).tolist():
+            sel = np.flatnonzero(count == h)
+            cols = np.nonzero(helps[sel])[1].reshape(-1, h)
+            derived[sel[:, None], cols] = code.repair_vectors(new[sel] >> self.n, cols)
+        place = np.searchsorted(keys, new)  # ``new`` is sorted, as ``wanted``
+        keys, rows = np.insert(keys, place, new), np.insert(rows, place, derived, 0)
+        used = np.insert(self._used, place, 0)
+        at = np.searchsorted(keys, wanted)
+        used[at] = self.hits + self.misses
+        keep = slice(None)
+        if len(keys) > self.maxsize:
+            keep = np.sort(np.argsort(used, kind="stable")[len(keys) - self.maxsize :])
+            self.evictions += len(keys) - self.maxsize
+        self.entries, self._used = (keys[keep], rows[keep]), used[keep]
+        return rows, at
 
 
-def _code_id(code, aggregated: bool) -> int:
-    """A small int for one (code, repair mode), so a window hashes its
-    code once, not once per signature.  The code itself is part of the
-    key: two codes of one shape (say the Vandermonde and Cauchy RS
-    constructions) repair with different coefficients."""
-    # One atomic setdefault, so two threads never share an id.
-    return _CODE_IDS.setdefault((code, aggregated), next(_NEXT_CODE_ID))
+def _find(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``wanted`` sits in sorted ``keys``, and whether it is there."""
+    at = np.searchsorted(keys, wanted)
+    return at, np.take(keys, at, mode="clip") == wanted if len(keys) else at < 0
+
+
+#: code -> its decode table: weak, so a table lives exactly as long as its code.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_TABLES_LOCK = threading.Lock()
+
+
+def decode_table(code) -> DecodeTable:
+    """The :class:`DecodeTable` of ``code`` (and of codes equal to it)."""
+    with _TABLES_LOCK:
+        if code not in _TABLES:
+            _TABLES[code] = DecodeTable(code.n)
+        return _TABLES[code]
 
 
 @dataclass
@@ -112,26 +193,25 @@ class WindowOutcome:
         ok: per stripe, byte-exact match against ground truth.
         heads: ``(S, H)`` whether a group starts at a helper column:
             one group per rack when aggregated, one in all when direct.
-        rack: ``(S, H)`` helper racks, the group keys; ``None`` (direct).
+        rack: ``(S, H)`` helper racks, the group keys (aggregated).
         partials: every group's partially decoded buffer, in window
-            order (at small chunk sizes the rows of one matrix); only
-            kept when the executor walks the stripes'
-            checkpoint/delivery events (a journal, integrity
-            verification or a fault-injecting subclass).
+            order (at small chunk sizes the rows of one matrix).
         first_partial: per stripe, the index of its first group.
-        started / finished: the stage's wall-clock bounds (the executor
-            emits them as a pipeline span).
+        started / finished: the stage's wall-clock bounds.
         thread: which of :func:`thread_stage`'s threads decoded the
-            window, numbered from 0 in the order they started (0 when
-            it decoded on the calling thread).
+            window, numbered from 0 as they started.
+
+    The four group fields are ``None`` unless partials were kept, for a
+    walk of the stripes' checkpoint/delivery events (a journal,
+    integrity verification or a fault-injecting subclass).
     """
 
     rebuilt: Sequence[np.ndarray]
     ok: list[bool]
-    heads: np.ndarray
+    heads: np.ndarray | None
     rack: np.ndarray | None
     partials: Sequence[np.ndarray] | None
-    first_partial: list[int]
+    first_partial: list[int] | None
     started: float
     finished: float
     thread: int = 0
@@ -158,106 +238,67 @@ def default_window(chunk_size: int) -> int:
     return max(1, WINDOW_BYTES // (chunk_size + STRIPE_OVERHEAD_BYTES))
 
 
-def _coefficients(code, signatures: Sequence[bytes], width: int) -> np.ndarray:
-    """The decode-table rows of the given signatures, read from their
-    own bytes: each helper column's repair coefficient, padding 0.
-
-    A signature starts with the lost chunk and the ``width`` helper
-    columns, so it fixes the repair vector.  Every row's vector comes
-    from one :meth:`~repro.erasure.code.ErasureCode.repair_vectors` call
-    per helper count (one call for an MDS code), over the helpers in
-    ascending order.
-    """
-    keys = np.frombuffer(b"".join(signatures), dtype=np.int32).reshape(
-        len(signatures), -1
-    )
-    lost, chunk = keys[:, 0], keys[:, 1 : 1 + width]
-    used = chunk != NO_HELPER
-    # Padding sorts last: ``order[:, :n]`` are n helpers, ascending.
-    order = np.argsort(np.where(used, chunk, np.iinfo(np.int32).max), axis=1)
-    count = used.sum(axis=1)
-    out = np.zeros(chunk.shape, dtype=np.intp)
-    for n in np.unique(count).tolist():
-        rows = np.flatnonzero(count == n)
-        cols = order[rows, :n]
-        out[rows[:, None], cols] = code.repair_vectors(
-            lost[rows], np.take_along_axis(chunk[rows], cols, axis=1)
-        )
-    return out
-
-
 def compute_window(
     code, data, win: WindowPlan, *, keep_partials: bool = False
 ) -> WindowOutcome:
     """Stage A: decode every stripe of one window in one columnar pass.
 
-    The window's decode table is one stack of its distinct signatures'
-    rows (those the cache lacks derived by one :func:`_coefficients`
-    call), indexed by each stripe's signature and masked to its helper
-    columns; a group (Equation 7) starts wherever the rack changes, or
-    once when direct.  The helpers and the lost chunks are row ids into
-    the chunk store's matrix, which the kernels gather from.  The
-    outcome is **in window order** and carries the stage's wall-clock
-    start/end (this function itself must stay telemetry-free, see the
-    module docstring).
+    The stripes' keys are looked up in the code's :class:`DecodeTable`
+    in one call, each helper's coefficient read off its row by chunk
+    number.  One :func:`~repro.gf.vector.segment_dot` call sums each
+    stripe's helpers into its rebuilt chunk; to keep partials, it sums
+    each group of Equation 7 instead (a rack when aggregated, the stripe
+    when direct) and one :func:`~repro.gf.vector.xor_segments` call
+    combines them.  The outcome is **in window order** and carries the
+    stage's wall-clock start/end (this function must stay
+    telemetry-free, see the module docstring).
     """
     start = time.perf_counter()
-    ident = _code_id(code, win.aggregated)
-    tables = [REPAIR_GROUP_CACHE.get((ident, s)) for s in win.signatures]
-    missing = [u for u, row in enumerate(tables) if row is None]
-    if missing:
-        signatures = [win.signatures[u] for u in missing]
-        derived = _coefficients(code, signatures, win.chunk.shape[1])
-        for u, s, row in zip(missing, signatures, derived):
-            tables[u] = REPAIR_GROUP_CACHE.put((ident, s), row)
-    coefficients = np.stack(tables)[win.signature]
     used = win.chunk != NO_HELPER
-    heads = used.copy()
-    heads[:, 1:] &= (win.rack[:, 1:] != win.rack[:, :-1]) & win.aggregated
+    chunk = np.where(used, win.chunk, 0).astype(np.int64)
+    keys = (win.lost_chunk.astype(np.int64) << code.n) | (
+        np.left_shift(1, chunk) * used
+    ).sum(axis=1)
+    table = decode_table(code).rows(code, keys)
+    coefficients = np.take_along_axis(table, chunk, axis=1)[used]
+    heads = used.copy()  # where a segment starts
+    keep_racks = keep_partials and win.aggregated
+    heads[:, 1:] &= (win.rack[:, 1:] != win.rack[:, :-1]) & keep_racks
     rows = data.rows()
     helpers = data.row_ids(
         np.broadcast_to(win.stripe_id[:, None], used.shape)[used],
         win.chunk[used],
     )
-    partials = segment_dot(
-        gf(code.w),
-        coefficients[used],
-        rows,
-        np.flatnonzero(heads[used]),
-        ids=helpers,
+    sums = segment_dot(
+        gf(code.w), coefficients, rows, np.flatnonzero(heads[used]), ids=helpers
     )
-    groups = heads.sum(axis=1)
-    first_partial = (np.cumsum(groups) - groups).tolist()
-    # A shipped partial must stay as decoded: only when none is kept may
-    # the combine accumulate into one.
-    rebuilt = xor_segments(partials, first_partial, consume=not keep_partials)
-    lost = data.row_ids(win.stripe_id, win.lost_chunk)
+    partials = first_partial = None
+    if keep_partials:
+        groups = heads.sum(axis=1)
+        first_partial = (np.cumsum(groups) - groups).tolist()
+        partials, sums = sums, xor_segments(sums, first_partial)
     return WindowOutcome(
-        rebuilt=rebuilt,
-        ok=rows_equal(rows, rebuilt, ids=lost),
-        heads=heads,
-        rack=win.rack if win.aggregated else None,
-        partials=partials if keep_partials else None,
+        rebuilt=sums,
+        ok=rows_equal(rows, sums, ids=data.row_ids(win.stripe_id, win.lost_chunk)),
+        heads=heads if keep_partials else None,
+        rack=win.rack if keep_racks else None,
+        partials=partials,
         first_partial=first_partial,
         started=start,
         finished=time.perf_counter(),
     )
 
 
-# -- where stage A runs -----------------------------------------------------
-
-
 def default_workers(chunk_size: int) -> int:
     """Stage-A threads when the caller does not say.
 
     A window of short chunks (up to the kernels' ``_SHORT_ROW``, 4 KiB)
-    is about a hundred short numpy calls and a Python loop per
-    signature: a thread decoding it mostly waits for the GIL behind the
-    shipping thread, so none is started (``0``: decode on the calling
-    thread).  Longer chunks spend their decode in kernels that release
-    the GIL, so they get one thread per usable CPU
-    (:func:`repro.cpus.usable_cpus`).  docs/PERFORMANCE.md has the
-    sweep that put the crossover there.
+    is a few dozen short numpy calls: a thread decoding it mostly waits
+    for the GIL behind the shipping thread, so none is started (``0``:
+    decode on the calling thread).  Longer chunks spend their decode in
+    kernels that release the GIL, so they get one thread per usable CPU
+    (:func:`repro.cpus.usable_cpus`).  docs/PERFORMANCE.md has the sweep
+    that put the crossover there.
     """
     return 0 if chunk_size <= _SHORT_ROW else usable_cpus()
 
@@ -266,15 +307,13 @@ def default_workers(chunk_size: int) -> int:
 def thread_stage(code, data, *, keep_partials: bool, workers: int):
     """Stage A on ``workers`` threads: yields ``submit(window) -> future``.
 
-    The decodes of the next windows run here while the caller ships the
-    oldest one.  Every window is decoded by one :func:`compute_window`
-    call, so which thread decodes it does not change its outcome; the
-    outcome names the thread.  The pool starts a thread only when a
-    window finds none idle, so a one-window run starts one.  With
-    ``workers=0`` no thread starts: ``submit`` decodes the window on the
-    calling thread (thread ``0``) and returns a completed future, which
-    holds the decode's exception if it raised, so the caller meets it
-    when it ships that window, as from a pool.
+    The next windows decode here while the caller ships the oldest one,
+    each by one :func:`compute_window` call, so which thread decodes a
+    window (the outcome names it) does not change its outcome.  The
+    pool starts a thread only when a window finds none idle.  With
+    ``workers=0`` no thread starts: ``submit`` decodes on the calling
+    thread (thread ``0``) and returns a completed future, holding the
+    decode's exception if it raised, as from a pool.
     """
     local = threading.local()
     numbers = itertools.count()

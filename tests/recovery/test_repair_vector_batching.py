@@ -1,16 +1,18 @@
 """A window's repair vectors come from one solve: counted, cold and warm.
 
 At fleet shape almost every stripe of a cold repair has a helper set no
-earlier stripe used.  Stage A looks the window's signatures up once and
-derives every miss's coefficients with one ``repair_vectors`` call (one
-batched Gauss-Jordan), never with a per-stripe ``GFMatrix.invert``; a
-warm repair solves nothing.  The ``exec.repair_groups`` counters keep
-their meaning: one lookup per distinct signature of a window, a miss the
-first time a signature is seen.  Those counts are exact on one stage-A
-thread; on several, two windows decoding at once may both miss a
-signature, so there only what no interleaving can change is asserted,
-at the default (at 256-byte chunks, no thread: stage A runs on the
-shipping thread) and on two threads.
+earlier stripe used.  Stage A looks the window's (lost chunk, helper
+set) keys up in the code's decode table at once and derives every
+miss's coefficients with one ``repair_vectors`` call (one batched
+Gauss-Jordan), never with a per-stripe ``GFMatrix.invert``; a warm
+repair solves nothing.  The ``exec.repair_groups`` counters mean one
+lookup per distinct (lost, helper set) of a window, a miss the first
+time it is seen.  Misses are merged under the table's lock, which
+re-checks what another thread merged meanwhile, so the counts are exact
+on any number of stage-A threads: at the default (at 256-byte chunks,
+no thread: stage A runs on the shipping thread) and on two threads.
+Which window meets a key first may change with the interleaving, so
+there only the solve's total size is pinned.
 """
 
 import pytest
@@ -22,7 +24,8 @@ from repro.experiments.configs import CFS3, build_state
 from repro.recovery.baselines import CarStrategy
 from repro.recovery.executor import PlanExecutor
 from repro.recovery.planner import plan_recovery_streaming
-from repro.recovery.streaming import REPAIR_GROUP_CACHE
+from repro.recovery.solution import NO_HELPER
+from repro.recovery.streaming import decode_table
 
 WINDOW = 256
 
@@ -37,12 +40,16 @@ def fleet():
 
 
 def expected_lookups(state, event, solution):
-    """Per window: (distinct signatures, signatures not seen before)."""
+    """Per window: (distinct (lost, helper set) keys, keys not seen before)."""
     seen, out = set(), []
     for win in plan_recovery_streaming(state, event, solution).iter_windows(WINDOW):
-        new = set(win.signatures) - seen
+        keys = {
+            (lost, frozenset(row) - {NO_HELPER})
+            for lost, row in zip(win.lost_chunk.tolist(), win.chunk.tolist())
+        }
+        new = keys - seen
         seen |= new
-        out.append((len(win.signatures), len(new)))
+        out.append((len(keys), len(new)))
     return out
 
 
@@ -65,20 +72,18 @@ def counted(monkeypatch):
 
 
 def run(state, event, solution, workers=1):
-    before = REPAIR_GROUP_CACHE.hits, REPAIR_GROUP_CACHE.misses
+    table = decode_table(state.code)
+    before = table.hits, table.misses
     result = PlanExecutor(state).execute(
         plan_recovery_streaming(state, event, solution), window=WINDOW,
         workers=workers,
     )
     assert result.verified
-    return (
-        REPAIR_GROUP_CACHE.hits - before[0],
-        REPAIR_GROUP_CACHE.misses - before[1],
-    )
+    return table.hits - before[0], table.misses - before[1]
 
 
 def cold(state):
-    REPAIR_GROUP_CACHE.clear()
+    decode_table(state.code).clear()
     state.code._repair_cache.clear()
     state.code._inverse_cache.clear()
 
@@ -90,7 +95,7 @@ def test_one_solve_per_window_with_misses_then_none(fleet, counted):
     lookups = expected_lookups(state, event, solution)
     distinct = sum(new for _, new in lookups)
     # No eviction within the run, so the counts below are exact.
-    assert distinct <= REPAIR_GROUP_CACHE.maxsize
+    assert distinct <= decode_table(state.code).maxsize
     assert distinct > len(solution.solutions) // 2  # helper sets rarely repeat
 
     hits, misses = run(state, event, solution)
@@ -122,9 +127,10 @@ def solve_at_most_once_per_window(fleet, counted, workers):
 
     hits, misses = run(state, event, solution, workers=workers)
     assert len(counted["repair_vectors"]) <= len(lookups)
+    assert sum(counted["repair_vectors"]) == distinct
     assert counted["invert"] == 0
-    assert misses >= distinct
-    assert hits + misses == sum(n for n, _ in lookups)
+    assert misses == distinct
+    assert hits == sum(n for n, _ in lookups) - distinct
 
     counted["repair_vectors"].clear()
     hits, misses = run(state, event, solution, workers=workers)

@@ -10,6 +10,7 @@ identically whichever window wrote it, and a fault-injected run leaves
 the same :class:`FaultLog` and wasted-byte totals at every window.
 """
 
+import dataclasses
 import itertools
 import os
 import threading
@@ -63,7 +64,7 @@ from repro.recovery.planner import (
     plan_recovery_streaming,
     plan_window,
 )
-from repro.recovery.solution import SolutionColumns
+from repro.recovery.solution import NO_HELPER, SolutionColumns
 from repro.recovery.streaming import compute_window, default_window
 
 #: ``None`` is the window the executor derives from the chunk size.
@@ -1167,17 +1168,29 @@ class TestStreamingHelpers:
         assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
     def test_repair_signature_batches_equal_repairs(self):
+        """Equal helper sets share a key, whatever their racks: a window
+        looks its decode table up once per distinct (lost chunk, helper
+        set), and its stripes of one key decode alike."""
         state, event = failed_cluster(seed=4)
         sol = CarStrategy().solve(state)
         a, b = sol.solutions[0], sol.solutions[1]
-        for aggregated in (True, False):
+        distinct = len({(s.lost_chunk, tuple(s.helpers)) for s in (a, b)})
+        columns = SolutionColumns.from_solutions([a, b, a])
+        # The third row reads a's helpers grouped as one rack.
+        rack = columns.rack.copy()
+        rack[2] = np.where(rack[2] == NO_HELPER, NO_HELPER, rack[2, 0])
+        regrouped = dataclasses.replace(columns, rack=rack, objects=None)
+        table = _streaming.decode_table(state.code)
+        for aggregated, keep_partials in itertools.product((True, False), repeat=2):
             win = plan_window(
-                state, event.replacement_node,
-                SolutionColumns.from_solutions([a, b, a]),
-                aggregated=aggregated,
+                state, event.replacement_node, regrouped, aggregated=aggregated
             )
-            ids = win.signature.tolist()
-            assert ids[0] == ids[2]
-            assert len(win.signatures) == len(set(ids))
-            if (a.lost_chunk, a.helpers) != (b.lost_chunk, b.helpers):
-                assert ids[0] != ids[1]
+            before = table.hits + table.misses
+            got = compute_window(
+                state.code, state.data, win, keep_partials=keep_partials
+            )
+            assert table.hits + table.misses - before == distinct
+            assert got.ok == [True] * 3
+            assert got.rebuilt[0].tobytes() == got.rebuilt[2].tobytes()
+            if keep_partials and aggregated:
+                assert len(got.partials_of(0)) > len(got.partials_of(2)) == 1

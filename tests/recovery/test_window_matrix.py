@@ -6,8 +6,9 @@ and check short rows without a Python step per row.  The reference here
 is the per-row form of the same work: every chunk gathered from a
 ``(stripe, chunk) -> buffer`` dict, one :func:`dot_rows` per rack group,
 the groups XORed together and the result compared with the truth as
-bytes.  The two must agree on every rebuilt byte, every verdict, every
-kept partial and every stripe's first partial, on either side of the
+bytes.  The two must agree on every rebuilt byte and every verdict,
+and, when partials are kept, on every partial, every group start and
+every stripe's first partial, on either side of the
 kernels' short-row threshold, for aggregated and direct repairs, a
 locally repairable code (whose windows have unused helper slots),
 GF(2^16), and windows planned around dead helpers.
@@ -170,10 +171,21 @@ class TestWindowMatrix:
             assert mine.tobytes() == theirs.tobytes()
         assert got.ok == ok
         assert all(type(verdict) is bool for verdict in got.ok)
-        assert got.first_partial == first_partial
         if partials is None:
-            assert got.partials is None
+            # Each stripe is one sum: no partial, group or group start.
+            assert got.partials is got.first_partial is got.heads is None
             return
+        assert got.first_partial == first_partial
+        # A group starts at each stripe's first helper and, aggregated,
+        # wherever the rack changes.
+        racks = [
+            win.rack[i][: int((win.chunk[i] != NO_HELPER).sum())].tolist()
+            for i in range(len(win))
+        ]
+        assert [np.flatnonzero(row).tolist() for row in got.heads] == [
+            [j for j, r in enumerate(row) if j == 0 or (aggregated and r != row[j - 1])]
+            for row in racks
+        ]
         assert len(got.partials) == len(partials)
         for mine, theirs in zip(got.partials, partials):
             assert mine.tobytes() == theirs.tobytes()
