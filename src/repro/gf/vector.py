@@ -377,7 +377,7 @@ def _xor_segments(rows: np.ndarray, starts: np.ndarray, out: np.ndarray) -> None
         )
 
 
-def xor_segments(rows, starts, *, consume: bool = False):
+def xor_segments(rows, starts):
     """Field addition per segment: XOR each run of consecutive buffers.
 
     Segment ``i`` is ``rows[starts[i]:starts[i + 1]]`` (the last one runs
@@ -387,16 +387,12 @@ def xor_segments(rows, starts, *, consume: bool = False):
     a matrix — ``rows`` as it stands if it is one, else stacked once —
     into the rows of one result matrix; from ``_SHORT_ROW`` elements up a
     pass per row is cheaper than stacking or than ``reduceat`` over long
-    rows, and the result is a list.
+    rows, and the result is a list.  ``rows`` is left as it was, and no
+    sum shares memory with it.
 
     Args:
         rows: equal-length buffers of one dtype (a list or a matrix).
         starts: first row of each segment, rising strictly from 0.
-        consume: the caller is done with ``rows``, so one buffer of each
-            segment may serve as its accumulator instead of a copy — at
-            chunk sizes where a fresh buffer costs as much as the XORs.
-            Not the rows of a matrix: a sum that is a view into it would
-            keep the whole matrix alive.
 
     Raises:
         FieldError: if ``starts`` does not rise strictly from 0.
@@ -409,13 +405,9 @@ def xor_segments(rows, starts, *, consume: bool = False):
         _xor_segments(stacked, starts, out)
         return out
     bounds = starts.tolist() + [len(rows)]
-    consume = consume and not isinstance(rows, np.ndarray)
     sums = []
     for lo, hi in zip(bounds, bounds[1:]):
-        # Into the segment's last buffer: the most recently allocated one
-        # outlives the call, so the ones freed sit below it on the heap
-        # and are reused by the next window instead of trimmed away.
-        acc = rows[hi - 1] if consume else rows[hi - 1].copy()
+        acc = rows[hi - 1].copy()
         for row in rows[lo : hi - 1]:
             np.bitwise_xor(acc, row, out=acc)
         sums.append(acc)

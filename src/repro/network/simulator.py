@@ -5,7 +5,11 @@ task finishing, a dependent task becoming ready).  Between events, every
 active flow transmits at the rate assigned by **progressive filling**
 (water-filling): repeatedly find the most-contended link, freeze all its
 unfrozen flows at the fair share, subtract, repeat — the classic
-max-min fair allocation, vectorised with a link x flow incidence matrix.
+max-min fair allocation.  Flows on one link path share one fate, so a
+run maps each flow to its **path class** and builds one link x class
+incidence up front (a whole node failure's tens of thousands of flows
+have tens of classes); an event weights it by the active flows per
+class, and every flow's ETA and drain is one vector operation.
 
 Serial tasks (CPU partial decodes, disk reads) occupy their resource
 exclusively and are queued FIFO.
@@ -34,47 +38,55 @@ _EPS = 1e-9
 
 
 def maxmin_rates(
-    incidence: np.ndarray, capacities: np.ndarray
+    incidence: np.ndarray, capacities: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Max-min fair rates for flows over shared links.
 
+    A column stands for ``weights[c]`` identical flows; one flow per
+    column is the case of all-ones weights.  Every link load is a count
+    of flows, so the shares, ties and freeze order do not depend on how
+    the flows are grouped into columns.
+
     Args:
-        incidence: boolean ``(num_links, num_flows)`` matrix; entry
-            ``(l, f)`` is True iff flow ``f`` traverses link ``l``.
+        incidence: boolean ``(num_links, num_columns)`` matrix; entry
+            ``(l, c)`` is True iff column ``c``'s flows traverse link
+            ``l``.
         capacities: per-link capacity (bytes/s).
+        weights: flows per column (non-negative integers).
 
     Returns:
-        Per-flow rate vector (bytes/s).
+        Per-column rate of one of its flows (bytes/s); 0 for a column of
+        weight 0.
     """
-    num_links, num_flows = incidence.shape
-    if num_flows == 0:
-        return np.zeros(0)
-    rates = np.zeros(num_flows)
-    unfrozen = np.ones(num_flows, dtype=bool)
-    remaining = capacities.astype(np.float64).copy()
     inc = incidence.astype(np.float64)
-    for _ in range(num_links + 1):
-        counts = inc @ unfrozen
-        contended = counts > 0
-        if not contended.any():
+    rates = np.zeros(incidence.shape[1])
+    weights = np.asarray(weights)
+    unfrozen = weights > 0
+    counts = inc @ weights  # unfrozen flows per link
+    remaining = capacities.astype(np.float64)
+    # Each pass freezes the bottleneck link's flows: one pass per link at
+    # most.
+    for _ in range(incidence.shape[0]):
+        if not counts.any():
             break
-        share = np.full(num_links, np.inf)
-        share[contended] = remaining[contended] / counts[contended]
-        bottleneck = int(np.argmin(share))
+        share = np.divide(
+            remaining, counts, out=np.full_like(remaining, np.inf),
+            where=counts > 0,
+        )
+        bottleneck = int(share.argmin())
         r = max(share[bottleneck], 0.0)
         # Freeze every link tied at the bottleneck share in one pass: a
         # tied link's own share is unchanged by removing another tied
         # link's flows (both sides of remaining/count scale by the same
         # fair share), so this matches one-at-a-time freezing.
-        tied = contended & (share == share[bottleneck])
-        to_freeze = incidence[tied].any(axis=0) & unfrozen
+        to_freeze = unfrozen & (inc.T @ (share == share[bottleneck]) > 0)
         rates[to_freeze] = r
         # Subtract the newly frozen flows' rate from every link they use.
-        remaining -= r * (inc[:, to_freeze].sum(axis=1))
+        frozen = inc @ (weights * to_freeze)
+        counts -= frozen
+        remaining -= r * frozen
         np.maximum(remaining, 0.0, out=remaining)
         unfrozen &= ~to_freeze
-        if not unfrozen.any():
-            break
     if unfrozen.any():  # pragma: no cover - defensive
         raise SimulationError("water-filling failed to converge")
     return rates
@@ -142,77 +154,76 @@ class FluidNetworkSimulator:
             SimulationError: on dependency cycles or unknown deps.
             FlowError: if a flow references an out-of-range link.
         """
-        by_id = {t.task_id: t for t in tasks}
-        if len(by_id) != len(tasks):
+        index = {t.task_id: i for i, t in enumerate(tasks)}
+        if len(index) != len(tasks):
             raise SimulationError("duplicate task ids")
-        for t in tasks:
+        # Task i's dependents, unmet dependency count and path class.
+        dependents: list[list[int]] = [[] for _ in tasks]
+        missing_deps = [len(t.deps) for t in tasks]
+        path_class = np.zeros(len(tasks), dtype=np.intp)
+        classes: dict[tuple[int, ...], int] = {}
+        for i, t in enumerate(tasks):
             for d in t.deps:
-                if d not in by_id:
+                if d not in index:
                     raise SimulationError(
                         f"task {t.task_id!r} depends on unknown {d!r}"
                     )
+                dependents[index[d]].append(i)
             if t.is_flow:
                 for link in t.path:
                     if not 0 <= link < self.fabric.num_links:
                         raise FlowError(
                             f"task {t.task_id!r} uses unknown link {link}"
                         )
-
-        dependents: dict[str, list[str]] = {t.task_id: [] for t in tasks}
-        missing_deps = {t.task_id: len(t.deps) for t in tasks}
-        for t in tasks:
-            for d in t.deps:
-                dependents[d].append(t.task_id)
+                path_class[i] = classes.setdefault(t.path, len(classes))
+        incidence = np.zeros((self.fabric.num_links, len(classes)), dtype=bool)
+        for path, c in classes.items():
+            incidence[list(path), c] = True
+        remaining = np.array([t.size_bytes for t in tasks])
+        drained_at = _EPS * np.maximum(1.0, remaining)
 
         result = SimResult()
         now = 0.0
-        # Active flows: id -> remaining bytes.  Serial resources: FIFO.
-        active_flows: dict[str, float] = {}
-        flow_started_at: dict[str, float] = {}
-        resource_queue: dict[ResourceKey, list[str]] = {}
-        resource_running: dict[ResourceKey, tuple[str, float]] = {}
-        serial_heap: list[tuple[float, int, str, ResourceKey]] = []
+        # Active flows as task indices in activation order, with the
+        # flows readied since the last event waiting to join them.  The
+        # rates are stale once a flow has arrived or finished.
+        active = np.zeros(0, dtype=np.intp)
+        arrived: list[int] = []
+        rates = np.zeros(0)
+        stale = False
+        resource_queue: dict[ResourceKey, list[int]] = {}
+        resource_running: set[ResourceKey] = set()
+        serial_heap: list[tuple[float, int, int, ResourceKey]] = []
         tie = itertools.count()
-        completed = 0
 
-        def start_serial(task_id: str) -> None:
-            task = by_id[task_id]
-            assert task.resource is not None
-            result.start_times[task_id] = now
-            finish_at = now + task.duration
-            resource_running[task.resource] = (task_id, finish_at)
+        def start_serial(i: int) -> None:
+            task = tasks[i]
+            result.start_times[task.task_id] = now
+            resource_running.add(task.resource)
             heapq.heappush(
-                serial_heap, (finish_at, next(tie), task_id, task.resource)
+                serial_heap, (now + task.duration, next(tie), i, task.resource)
             )
 
-        def make_ready(task_id: str) -> None:
-            task = by_id[task_id]
+        def make_ready(i: int) -> None:
+            task = tasks[i]
             if task.is_flow:
-                active_flows[task_id] = task.size_bytes
-                flow_started_at[task_id] = now
-                result.start_times[task_id] = now
+                arrived.append(i)
+                result.start_times[task.task_id] = now
+            elif task.resource in resource_running:
+                resource_queue.setdefault(task.resource, []).append(i)
             else:
-                res = task.resource
-                assert res is not None
-                if res in resource_running:
-                    resource_queue.setdefault(res, []).append(task_id)
-                else:
-                    start_serial(task_id)
+                start_serial(i)
 
-        for t in tasks:
-            if missing_deps[t.task_id] == 0:
-                make_ready(t.task_id)
+        for i in range(len(tasks)):
+            if missing_deps[i] == 0:
+                make_ready(i)
 
-        def complete(task_id: str) -> None:
-            nonlocal completed
-            result.finish_times[task_id] = now
-            completed += 1
-            task = by_id[task_id]
+        def complete(i: int) -> None:
+            task = tasks[i]
+            result.finish_times[task.task_id] = now
             if task.tag:
-                if task.is_flow:
-                    dur = now - flow_started_at[task_id]
-                else:
-                    dur = task.duration
+                dur = (now - result.start_times[task.task_id]
+                       if task.is_flow else task.duration)
                 result.busy_time_by_tag[task.tag] = (
                     result.busy_time_by_tag.get(task.tag, 0.0) + dur
                 )
@@ -221,28 +232,30 @@ class FluidNetworkSimulator:
                     result.link_bytes[link] = (
                         result.link_bytes.get(link, 0.0) + task.size_bytes
                     )
-            for dep_id in dependents[task_id]:
-                missing_deps[dep_id] -= 1
-                if missing_deps[dep_id] == 0:
-                    make_ready(dep_id)
+            for j in dependents[i]:
+                missing_deps[j] -= 1
+                if missing_deps[j] == 0:
+                    make_ready(j)
 
         max_steps = 10 * len(tasks) + 10
         for _ in range(max_steps):
-            if completed == len(tasks):
+            if len(result.finish_times) == len(tasks):
                 break
-            rates = self._current_rates(by_id, active_flows)
+            if arrived or stale:
+                active = np.concatenate([active, arrived]).astype(np.intp)
+                arrived.clear()
+                stale = False
+                flow_class = path_class[active]
+                rates = maxmin_rates(
+                    incidence, self.fabric.capacities,
+                    np.bincount(flow_class, minlength=len(classes)),
+                )[flow_class]
             # Earliest flow completion under current constant rates.
             flow_eta = np.inf
-            for fid, remaining in active_flows.items():
-                r = rates[fid]
-                if r <= 0:
-                    continue
-                flow_eta = min(flow_eta, remaining / r)
-            serial_eta = np.inf
-            while serial_heap and serial_heap[0][2] in result.finish_times:
-                heapq.heappop(serial_heap)  # pragma: no cover - defensive
-            if serial_heap:
-                serial_eta = serial_heap[0][0] - now
+            moving = rates > 0
+            if moving.any():
+                flow_eta = (remaining[active[moving]] / rates[moving]).min()
+            serial_eta = serial_heap[0][0] - now if serial_heap else np.inf
             dt = min(flow_eta, serial_eta)
             if not np.isfinite(dt):
                 raise SimulationError(
@@ -250,44 +263,28 @@ class FluidNetworkSimulator:
                 )
             dt = max(dt, 0.0)
             now += dt
-            # Drain flows.
-            finished_flows = []
-            for fid in list(active_flows):
-                active_flows[fid] -= rates[fid] * dt
-                if active_flows[fid] <= _EPS * max(1.0, by_id[fid].size_bytes):
-                    finished_flows.append(fid)
-            for fid in finished_flows:
-                del active_flows[fid]
-                complete(fid)
+            # Drain flows; the drained ones complete in activation order.
+            left = remaining[active] - rates * dt
+            remaining[active] = left
+            drained = left <= drained_at[active]
+            if drained.any():
+                finished = active[drained]
+                active, stale = active[~drained], True
+                for i in finished.tolist():
+                    complete(i)
             # Finish serial tasks due now.
             while serial_heap and serial_heap[0][0] <= now + _EPS:
-                _, _, task_id, res = heapq.heappop(serial_heap)
-                if task_id in result.finish_times:
-                    continue
-                del resource_running[res]
+                _, _, i, res = heapq.heappop(serial_heap)
+                resource_running.remove(res)
                 # Hand the resource to the next queued task *before*
                 # signalling completion: complete() may ready a dependent
                 # on this same resource, which must queue behind it.
                 queue = resource_queue.get(res)
                 if queue:
                     start_serial(queue.pop(0))
-                complete(task_id)
+                complete(i)
         else:
             raise SimulationError("simulation exceeded its step budget")
 
         result.makespan = now
         return result
-
-    def _current_rates(
-        self, by_id: dict[str, SimTask], active_flows: dict[str, float]
-    ) -> dict[str, float]:
-        ids = list(active_flows)
-        if not ids:
-            return {}
-        incidence = np.zeros((self.fabric.num_links, len(ids)), dtype=bool)
-        for col, fid in enumerate(ids):
-            path = by_id[fid].path
-            assert path is not None
-            incidence[list(path), col] = True
-        rates = maxmin_rates(incidence, self.fabric.capacities)
-        return dict(zip(ids, rates))

@@ -102,7 +102,7 @@ class TestMaxMinProperties:
             if not inc[:, f].any():
                 inc[rng.integers(nlinks), f] = True
         caps = rng.uniform(1.0, 100.0, nlinks)
-        rates = maxmin_rates(inc, caps)
+        rates = maxmin_rates(inc, caps, np.ones(nflows))
         loads = inc.astype(float) @ rates
         saturated = np.abs(loads - caps) < 1e-6
         for f in range(nflows):
@@ -119,7 +119,7 @@ class TestMaxMinProperties:
             path[0] = True
         inc = np.column_stack([path, path, path])
         caps = rng.uniform(1.0, 50.0, nlinks)
-        rates = maxmin_rates(inc, caps)
+        rates = maxmin_rates(inc, caps, np.ones(3))
         assert rates[0] == pytest.approx(rates[1])
         assert rates[1] == pytest.approx(rates[2])
 

@@ -6,6 +6,9 @@ flows scales its remaining capacity and its unfrozen-flow count by the
 same fair share, so its own share is unchanged — the batched pass is
 mathematically identical to one-at-a-time freezing.  This test pins the
 implementations together within floating-point tolerance.
+
+It also holds path classes to flows: a column of weight ``w`` stands for
+``w`` flows on one path, and its rate must be exactly each of theirs.
 """
 
 import numpy as np
@@ -69,7 +72,9 @@ class TestMaxminEquivalence:
     @given(case=fabric_case())
     def test_matches_serial_reference(self, case):
         incidence, capacities = case
-        got = maxmin_rates(incidence, capacities)
+        got = maxmin_rates(
+            incidence, capacities, np.ones(incidence.shape[1])
+        )
         want = reference_maxmin_rates(incidence, capacities)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
@@ -77,5 +82,39 @@ class TestMaxminEquivalence:
         """Two identical links, disjoint flows: both freeze at 0.5."""
         incidence = np.array([[True, False], [False, True]])
         capacities = np.array([0.5, 0.5])
-        rates = maxmin_rates(incidence, capacities)
+        rates = maxmin_rates(incidence, capacities, np.ones(2))
         np.testing.assert_allclose(rates, [0.5, 0.5])
+
+
+@st.composite
+def weighted_case(draw):
+    """Path classes with flow counts, some of them zero."""
+    incidence, capacities = draw(fabric_case())
+    weights = np.array(draw(st.lists(
+        st.integers(0, 4),
+        min_size=incidence.shape[1], max_size=incidence.shape[1],
+    )), dtype=np.int64)
+    return incidence, capacities, weights
+
+
+class TestClassWeights:
+    """A column of weight ``w`` stands for ``w`` flows on one path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=weighted_case())
+    def test_matches_the_expanded_per_flow_call(self, case):
+        incidence, capacities, weights = case
+        got = maxmin_rates(incidence, capacities, weights)
+        expanded = np.repeat(incidence, weights, axis=1)
+        want = maxmin_rates(expanded, capacities, np.ones(expanded.shape[1]))
+        assert np.array_equal(np.repeat(got, weights), want)
+        assert not got[weights == 0].any()
+
+    def test_a_weighted_bottleneck(self):
+        """Three flows cross links 0 (capacity 2) and 1 (capacity 3), a
+        fourth crosses link 1 alone: link 0 freezes the three at 2/3
+        and the fourth takes the 1 left on link 1."""
+        incidence = np.array([[True, False], [True, True]])
+        capacities = np.array([2.0, 3.0])
+        rates = maxmin_rates(incidence, capacities, np.array([3, 1]))
+        assert np.array_equal(rates, [2.0 / 3.0, 1.0])

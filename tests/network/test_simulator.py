@@ -42,12 +42,12 @@ class TestTaskValidation:
 class TestMaxMin:
     def test_single_flow_gets_full_capacity(self):
         inc = np.array([[True]])
-        rates = maxmin_rates(inc, np.array([100.0]))
+        rates = maxmin_rates(inc, np.array([100.0]), np.ones(1))
         assert rates[0] == 100.0
 
     def test_two_flows_share_equally(self):
         inc = np.array([[True, True]])
-        rates = maxmin_rates(inc, np.array([100.0]))
+        rates = maxmin_rates(inc, np.array([100.0]), np.ones(2))
         assert list(rates) == [50.0, 50.0]
 
     def test_classic_maxmin_example(self):
@@ -59,13 +59,15 @@ class TestMaxMin:
                 [False, True, True],
             ]
         )
-        rates = maxmin_rates(inc, np.array([100.0, 300.0]))
+        rates = maxmin_rates(inc, np.array([100.0, 300.0]), np.ones(3))
         assert rates[0] == pytest.approx(50.0)
         assert rates[1] == pytest.approx(50.0)
         assert rates[2] == pytest.approx(250.0)
 
     def test_empty(self):
-        assert maxmin_rates(np.zeros((2, 0), dtype=bool), np.ones(2)).size == 0
+        assert maxmin_rates(
+            np.zeros((2, 0), dtype=bool), np.ones(2), np.ones(0)
+        ).size == 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 1000))
@@ -77,7 +79,7 @@ class TestMaxMin:
             if not inc[:, f].any():
                 inc[rng.integers(nlinks), f] = True
         caps = rng.uniform(1.0, 100.0, nlinks)
-        rates = maxmin_rates(inc, caps)
+        rates = maxmin_rates(inc, caps, np.ones(nflows))
         loads = inc @ rates
         assert (loads <= caps + 1e-6).all()
         assert (rates > 0).all()

@@ -9,7 +9,8 @@ list is behaviour.  Each case pins three SHA-256 digests: the task list
 ``repr`` of :meth:`RecoverySimulator.simulate`'s timing, and the
 ``repr`` of :meth:`StripeSerialTimingModel.evaluate`'s.  A change to a
 task's order, a dependency, a duration or a summed float shows up as a
-new digest.
+new digest.  Figure 9 itself, which simulates every stripe's repair at
+once, is pinned the same way at its documented scale.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from repro.cluster.state import ClusterState
 from repro.cluster.topology import BandwidthProfile
 from repro.erasure.lrc import LRCCode
 from repro.experiments.configs import CFS1, CFS2, CFS3, build_state
+from repro.experiments.fig9 import run_fig9
 from repro.faults.events import FaultKind, FaultSpec
 from repro.faults.injector import FaultInjector
 from repro.faults.robust import recover_with_faults
@@ -716,3 +718,21 @@ PINS = {
 )
 def test_time_models_are_pinned(case):
     assert digests(*case) == PINS[case]
+
+
+#: Figure 9 at the scale EXPERIMENTS.md documents (``repro-car fig9
+#: --runs 3``): the digest of every panel's series means and stds and its
+#: savings per chunk size.
+FIG9_DIGEST = "a6bf1c9e6737b37e91086d372b0780480ae56dd5fc660df0b29c29f908d11f84"
+
+
+def test_fig9_is_pinned():
+    panels = [
+        (
+            r.config.name,
+            {name: (s.means, s.stds) for name, s in r.series.items()},
+            r.savings,
+        )
+        for r in run_fig9(runs=3)
+    ]
+    assert sha256(panels) == FIG9_DIGEST
