@@ -12,20 +12,27 @@ sender's own buffer and is counted as verified without a checksum.
 
 The same checksum covers journal commit payloads: :func:`encode_payload`
 checksums a recovered chunk and hands the journal a byte view of it to
-write raw, and :func:`decode_payload` re-verifies those bytes on resume,
-so a resumed session either replays byte-identical chunks or fails
-loudly.
+write raw.  A journal read back names each payload by where it sits
+(:class:`StoredPayload`) and leaves the bytes on disk;
+:func:`decode_payload` reads them then, into one fresh buffer, and
+re-verifies them on every read, so a resumed session either replays
+byte-identical chunks or fails loudly.
 """
 
 from __future__ import annotations
 
+import os
 import zlib
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro.errors import JournalError
 
-__all__ = ["chunk_checksum", "encode_payload", "decode_payload"]
+__all__ = [
+    "chunk_checksum", "encode_payload", "decode_payload", "StoredPayload",
+]
 
 
 def chunk_checksum(buf: np.ndarray | bytes | bytearray | memoryview) -> int:
@@ -57,13 +64,82 @@ def encode_payload(buf: np.ndarray) -> dict:
     }
 
 
-def _verified_payload(record: dict) -> np.ndarray:
-    """A commit record's payload as a read-only array over the record's
-    own bytes, after its CRC32 matched (no chunk-sized copy)."""
+@dataclass(frozen=True, eq=False)
+class StoredPayload:
+    """Where a commit's payload sits in its journal file.
+
+    A journal read back holds this in place of the bytes, which stay on
+    disk until :meth:`read` fetches them.  Two payloads are equal when
+    their bytes are, wherever they sit, as the in-memory byte views they
+    stand for were; comparing reads both.
+    """
+
+    path: Path
+    offset: int
+    nbytes: int
+
+    __hash__ = None  # equal by content, which may change on disk
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StoredPayload):
+            return NotImplemented
+        return self.nbytes == other.nbytes and bool(
+            np.array_equal(self.read(), other.read())
+        )
+
+    def read(self) -> np.ndarray:
+        """The payload's bytes, in one fresh writable ``uint8`` buffer.
+
+        Raises:
+            JournalError: if the file is gone or now ends before the
+                payload does (truncated since it was scanned).
+        """
+        buf = np.empty(self.nbytes, dtype=np.uint8)
+        try:
+            fd = os.open(self.path, os.O_RDONLY)
+            try:
+                got = 0
+                while got < self.nbytes:
+                    n = os.preadv(fd, [buf[got:]], self.offset + got)
+                    if n == 0:
+                        raise JournalError(
+                            f"{self.path}: the {self.nbytes}-byte commit "
+                            f"payload at byte offset {self.offset} runs past "
+                            "the end of the file (truncated since it was "
+                            "scanned)"
+                        )
+                    got += n
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise JournalError(
+                f"{self.path}: cannot read the commit payload at byte offset "
+                f"{self.offset}: {exc}"
+            ) from exc
+        return buf
+
+
+def decode_payload(record: dict) -> np.ndarray:
+    """Rebuild a chunk buffer from a journal commit record, verified.
+
+    Returns a writable array with a buffer of its own: a payload still
+    on disk is read straight into it and verified on this read, whatever
+    an earlier read found; an in-memory payload is copied into it.
+
+    Raises:
+        JournalError: if the record is malformed, its payload can no
+            longer be read, or the payload's bytes no longer match the
+            recorded checksum (journal corruption).
+    """
     try:
-        raw = memoryview(record["payload"])
-        chunk = np.frombuffer(raw, dtype=np.dtype(record["dtype"]))
+        dtype = np.dtype(record["dtype"])
         expected = record["checksum"]
+        payload = record["payload"]
+        if isinstance(payload, StoredPayload):
+            raw = payload.read()
+        else:
+            raw = bytearray(memoryview(payload))
+        chunk = np.frombuffer(raw, dtype=dtype)
     except (KeyError, ValueError, TypeError) as exc:
         raise JournalError(f"malformed commit payload: {exc}") from exc
     computed = chunk_checksum(raw)
@@ -74,14 +150,3 @@ def _verified_payload(record: dict) -> np.ndarray:
         )
     return chunk
 
-
-def decode_payload(record: dict) -> np.ndarray:
-    """Rebuild a chunk buffer from a journal commit record, verified.
-
-    Returns a writable copy; the record's ``payload`` view is untouched.
-
-    Raises:
-        JournalError: if the record is malformed or the payload's bytes
-            no longer match the recorded checksum (journal corruption).
-    """
-    return _verified_payload(record).copy()

@@ -25,7 +25,14 @@ tolerates exactly that: a torn tail — a final line that does not parse,
 or a final commit frame that runs past end-of-file — is dropped (and
 truncated away when the journal is reopened for appending); anything
 else malformed is a :class:`JournalError`.  The reader walks frames by
-length and never scans payload bytes, which may contain anything.
+length: it reads each header line and seeks past the payload, so payload
+bytes (which may contain anything) are never scanned or held.  A commit
+record names its payload by file offset
+(:class:`~repro.durable.checksum.StoredPayload`); the bytes stay on disk
+until something asks for them, and every such read is CRC-verified again.
+A loaded journal therefore holds its records and offsets only, validating
+it holds one payload at a time, and a resume holds each committed chunk
+once — the array it hands back.
 
 :class:`JournalReplay` is the read side — which stripes committed (and
 their verified bytes), which are still pending, and how much cross-rack
@@ -47,11 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.durable.checksum import (
-    _verified_payload,
-    decode_payload,
-    encode_payload,
-)
+from repro.durable.checksum import StoredPayload, decode_payload, encode_payload
 from repro.errors import CoordinatorCrashError, JournalError
 from repro.obs import metrics as _metrics
 
@@ -320,40 +323,48 @@ def _parse_line(line: bytes) -> tuple[dict, int | None]:
 
 def _scan(path: Path) -> tuple[list[dict], int]:
     """Parse a journal file: its whole records, and the byte offset just
-    past the last of them (where a reopening writer truncates to)."""
-    if not path.exists():
-        raise JournalError(f"no journal at {path}")
-    data = path.read_bytes()
-    view = memoryview(data)
+    past the last of them (where a reopening writer truncates to).
+
+    Header lines are read; payloads are seeked past and kept as
+    :class:`StoredPayload` offsets, never read.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise JournalError(f"no journal at {path}") from None
+    where = path.absolute()
     records: list[dict] = []
     pos = 0
-    while pos < len(data):
-        newline = data.find(b"\n", pos)
-        if newline < 0:
-            break  # torn final line: the crash ate its end
-        try:
-            record, nbytes = _parse_line(data[pos:newline])
-        except ValueError as exc:
-            if newline + 1 == len(data):
-                break  # torn final line that happens to end in a newline
-            raise JournalError(
-                f"{path}: malformed record on line {len(records) + 1} "
-                f"(byte offset {pos}): {exc}"
-            ) from exc
-        end = newline + 1
-        if nbytes is not None:
-            body, end = end, end + nbytes + 1
-            if end > len(data):
-                break  # torn final commit frame: the crash ate its payload
-            if data[end - 1] != 0x0A:
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        while pos < size:
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                break  # torn final line: the crash ate its end
+            end = pos + len(line)
+            try:
+                record, nbytes = _parse_line(line)
+            except ValueError as exc:
+                if end == size:
+                    break  # torn final line that happens to end in a newline
                 raise JournalError(
-                    f"{path}: commit frame on line {len(records) + 1} "
-                    f"(byte offset {pos}) is not closed {nbytes} bytes "
-                    "after its header"
-                )
-            record["payload"] = view[body:end - 1]
-        records.append(record)
-        pos = end
+                    f"{path}: malformed record on line {len(records) + 1} "
+                    f"(byte offset {pos}): {exc}"
+                ) from exc
+            if nbytes is not None:
+                body, end = end, end + nbytes + 1
+                if end > size:
+                    break  # torn final commit frame: the crash ate its payload
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    raise JournalError(
+                        f"{path}: commit frame on line {len(records) + 1} "
+                        f"(byte offset {pos}) is not closed {nbytes} bytes "
+                        "after its header"
+                    )
+                record["payload"] = StoredPayload(where, body, nbytes)
+            records.append(record)
+            pos = end
     return records, pos
 
 
@@ -362,10 +373,15 @@ def read_journal(path: str | Path) -> list[dict]:
 
     Frames are walked by length: each record is one JSON line, and a
     commit's line is followed by ``payload_bytes`` raw bytes and a
-    ``\\n``; payload bytes are never scanned.  A commit record comes back
-    with ``"payload"`` set to a zero-copy view of those bytes (verified
-    by :func:`validate_journal_records` and
-    :meth:`JournalReplay.committed_chunk`, not here).  Line numbers in
+    ``\\n``; payload bytes are skipped, never scanned or read.  A commit
+    record comes back with ``"payload"`` set to a :class:`StoredPayload`
+    — the file offset and length of those bytes, which stay on disk — so
+    the records cost memory in proportion to their headers, not to the
+    file.  :func:`validate_journal_records`,
+    :meth:`JournalReplay.committed_chunk` and
+    :func:`~repro.durable.checksum.decode_payload` read a payload when
+    they need it and verify its CRC32 on every read; a file changed
+    under the records since fails those reads loudly.  Line numbers in
     errors count records, one JSON line each.
 
     A coordinator that dies mid-write leaves at most one partial last
@@ -384,12 +400,14 @@ def validate_journal_records(records: list[dict]) -> int:
     """Validate journal structure and integrity; return the record count.
 
     Checks: non-empty, ``session`` first (exactly once), contiguous
-    1-based ``seq``, known record types with their required keys, every
-    commit's payload bytes matching its recorded checksum, and intents
-    preceding their stripe's commit.
+    1-based ``seq``, known record types with their required keys, and
+    intents preceding their stripe's commit; then, once the structure
+    holds, every commit's payload bytes against its recorded checksum,
+    reading one payload at a time.
 
     Raises:
-        JournalError: naming the first offending record and why.
+        JournalError: naming the first offending record and why
+            (structure before payloads).
     """
 
     def fail(i: int, message: str) -> None:
@@ -430,15 +448,17 @@ def validate_journal_records(records: list[dict]) -> int:
             if record["stripe_id"] not in intents:
                 fail(i, f"commit for stripe {record['stripe_id']} "
                         "without a prior intent")
-            try:
-                _verified_payload(record)  # CRC in place, no copy
-            except JournalError as exc:
-                fail(i, str(exc))
             committed.add(record["stripe_id"])
         elif rec == "end":
             if record["committed"] != len(committed):
                 fail(i, f"end claims {record['committed']} commits, "
                         f"journal holds {len(committed)}")
+    for i, record in enumerate(records):
+        if record["rec"] == "commit":
+            try:
+                decode_payload(record)  # read, verified, dropped
+            except JournalError as exc:
+                fail(i, str(exc))
     return len(records)
 
 
@@ -499,11 +519,12 @@ class JournalReplay:
         )
 
     def committed_chunk(self, stripe_id: int) -> np.ndarray:
-        """The committed stripe's rebuilt bytes, checksum-verified.
+        """The committed stripe's rebuilt bytes, read from the journal
+        now and checksum-verified on this read: a fresh writable array.
 
         Raises:
-            JournalError: if the stripe has no commit or its payload
-                fails verification.
+            JournalError: if the stripe has no commit, or its payload can
+                no longer be read or fails verification.
         """
         record = self.committed.get(stripe_id)
         if record is None:

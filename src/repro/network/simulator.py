@@ -179,17 +179,17 @@ class FluidNetworkSimulator:
         incidence = np.zeros((self.fabric.num_links, len(classes)), dtype=bool)
         for path, c in classes.items():
             incidence[list(path), c] = True
-        remaining = np.array([t.size_bytes for t in tasks])
-        drained_at = _EPS * np.maximum(1.0, remaining)
+        sizes = np.array([t.size_bytes for t in tasks])
+        drain_floor = _EPS * np.maximum(1.0, sizes)
 
         result = SimResult()
         now = 0.0
-        # Active flows as task indices in activation order, with the
-        # flows readied since the last event waiting to join them.  The
-        # rates are stale once a flow has arrived or finished.
+        # Active flows as task indices in activation order, their bytes
+        # left and drain floors aligned with them, and the flows readied
+        # since the last event; rates are stale once one arrived or ended.
         active = np.zeros(0, dtype=np.intp)
+        left = floor = rates = np.zeros(0)
         arrived: list[int] = []
-        rates = np.zeros(0)
         stale = False
         resource_queue: dict[ResourceKey, list[int]] = {}
         resource_running: set[ResourceKey] = set()
@@ -237,13 +237,16 @@ class FluidNetworkSimulator:
                 if missing_deps[j] == 0:
                     make_ready(j)
 
-        max_steps = 10 * len(tasks) + 10
-        for _ in range(max_steps):
+        for _ in range(10 * len(tasks) + 10):
             if len(result.finish_times) == len(tasks):
                 break
             if arrived or stale:
-                active = np.concatenate([active, arrived]).astype(np.intp)
-                arrived.clear()
+                if arrived:
+                    new = np.array(arrived, dtype=np.intp)
+                    active = np.concatenate([active, new])
+                    left = np.concatenate([left, sizes[new]])
+                    floor = np.concatenate([floor, drain_floor[new]])
+                    arrived.clear()
                 stale = False
                 flow_class = path_class[active]
                 rates = maxmin_rates(
@@ -251,10 +254,8 @@ class FluidNetworkSimulator:
                     np.bincount(flow_class, minlength=len(classes)),
                 )[flow_class]
             # Earliest flow completion under current constant rates.
-            flow_eta = np.inf
             moving = rates > 0
-            if moving.any():
-                flow_eta = (remaining[active[moving]] / rates[moving]).min()
+            flow_eta = (left[moving] / rates[moving]).min(initial=np.inf)
             serial_eta = serial_heap[0][0] - now if serial_heap else np.inf
             dt = min(flow_eta, serial_eta)
             if not np.isfinite(dt):
@@ -264,12 +265,11 @@ class FluidNetworkSimulator:
             dt = max(dt, 0.0)
             now += dt
             # Drain flows; the drained ones complete in activation order.
-            left = remaining[active] - rates * dt
-            remaining[active] = left
-            drained = left <= drained_at[active]
+            left = left - rates * dt
+            drained = left <= floor
             if drained.any():
-                finished = active[drained]
-                active, stale = active[~drained], True
+                finished, kept, stale = active[drained], ~drained, True
+                active, left, floor = active[kept], left[kept], floor[kept]
                 for i in finished.tolist():
                     complete(i)
             # Finish serial tasks due now.

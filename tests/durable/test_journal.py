@@ -17,10 +17,17 @@ from repro.durable.journal import (
     read_journal,
     validate_journal_records,
 )
+from repro.durable.session import RecoverySession
 from repro.errors import CoordinatorCrashError, JournalError
 from repro.obs.metrics import MetricsRegistry, telemetry_scope
+from repro.recovery import CarStrategy
 
-from tests.durable.conftest import CUTS, commit_cuts, frames
+from tests.durable.conftest import (
+    CUTS,
+    build_failed_cluster,
+    commit_cuts,
+    frames,
+)
 
 
 def write_minimal(path, stripes=(0, 1), commit=(0,)):
@@ -456,3 +463,68 @@ class TestShortWrites:
         records = read_journal(path)
         assert validate_journal_records(records) == len(records)
         assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
+
+
+class TestPayloadsReadOnDemand:
+    """A loaded journal's payloads stay on disk, and every read of one is
+    verified again: a file changed under a replay fails loudly and never
+    hands back other bytes."""
+
+    CHUNKS = TestCommitFrames.CHUNKS
+
+    def test_flipped_byte_after_load_fails_the_read(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        write_commits(path, self.CHUNKS)
+        replay = JournalReplay.load(path)
+        with path.open("r+b") as fh:
+            fh.seek(commit_cuts(path, which=1)["mid-payload"])
+            byte = fh.read(1)[0]
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([byte ^ 0x10]))
+        with pytest.raises(JournalError, match="checksum mismatch"):
+            replay.committed_chunk(1)
+        assert np.array_equal(replay.committed_chunk(0), self.CHUNKS[0])
+
+    def test_flipped_byte_after_load_fails_the_resume(self, tmp_path):
+        state, event = build_failed_cluster()
+        path = tmp_path / "j.jsonl"
+        session = RecoverySession(state, event, CarStrategy(), path)
+        session.run()
+        replay = JournalReplay.load(path)
+        data = bytearray(path.read_bytes())
+        data[commit_cuts(path, which=0)["mid-payload"]] ^= 0x01
+        path.write_bytes(data)
+        with pytest.raises(JournalError, match="checksum mismatch"):
+            session.resume(replay)
+        with pytest.raises(JournalError, match="checksum mismatch"):
+            session.resume()
+        assert path.read_bytes() == data  # a rejected resume appends nothing
+
+    def test_truncated_after_load_names_the_offset(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        write_commits(path, self.CHUNKS)
+        replay = JournalReplay.load(path)
+        cuts = commit_cuts(path, which=1)
+        os.truncate(path, cuts["mid-payload"])
+        body = cuts["after-header-newline"]
+        with pytest.raises(JournalError, match=f"byte offset {body} runs past"):
+            replay.committed_chunk(1)
+        with pytest.raises(JournalError, match=f"byte offset {body} runs past"):
+            validate_journal_records(replay.records)
+        assert np.array_equal(replay.committed_chunk(0), self.CHUNKS[0])
+
+    @pytest.mark.parametrize("rewrite", ["header-only", "other-bytes"])
+    def test_replay_of_a_journal_written_over_fails(self, tmp_path, rewrite):
+        path = tmp_path / "j.jsonl"
+        write_commits(path, self.CHUNKS)
+        replay = JournalReplay.load(path)
+        if rewrite == "header-only":
+            with RecoveryJournal(path) as journal:
+                journal.begin_session({"stripes": []})
+            match = "runs past the end"
+        else:  # same frame sizes, every payload byte different
+            write_commits(path, [~c for c in self.CHUNKS])
+            match = "checksum mismatch"
+        for stripe in range(len(self.CHUNKS)):
+            with pytest.raises(JournalError, match=match):
+                replay.committed_chunk(stripe)
