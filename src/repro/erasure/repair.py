@@ -11,6 +11,14 @@ chunk-sized buffer; the replacement node XORs the per-rack partials.
 :func:`split_repair_vector` performs the grouping; :class:`PartialDecodePlan`
 carries it; :func:`execute_partial_decode` runs it on real buffers so the
 byte-exactness of the regrouping is directly testable.
+
+Repairs and the service's degraded reads do not come here: they take
+their groups from :func:`~repro.recovery.planner.plan_window` and their
+coefficients from :func:`~repro.recovery.streaming.window_coefficients`.
+This per-stripe form is imported by :mod:`repro.cluster.filestore` and
+:mod:`repro.recovery.rackfail`, by the benchmark harness's probes
+(``benchmarks/e2e/probes.py``), and by the tests, as the reference the
+windowed path is held to.
 """
 
 from __future__ import annotations

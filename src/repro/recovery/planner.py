@@ -129,11 +129,12 @@ class WindowPlan:
     """A window of stripes planned as columns.
 
     Row ``i`` is row ``i`` of ``source``; column ``j`` is its ``j``-th
-    helper in *decode order*: grouped by rack, racks in the order of
-    their lowest helper chunk, chunks ascending within a rack (a direct
-    repair is one group) — the order of the repair vector's
-    :class:`~repro.erasure.repair.PartialDecodePlan` groups.  Slots past
-    a stripe's last helper hold :data:`NO_HELPER`.
+    helper in *decode order*.  Aggregated, a row's helpers are grouped
+    by rack, one group per partial decode (Equation 7): a rack's helpers
+    adjacent with chunks ascending, the racks in the order of their
+    lowest helper chunk.  Direct, the row is one group, chunks
+    ascending.  Slots past a stripe's last helper hold
+    :data:`NO_HELPER`.  A service's degraded read is a one-row window.
 
     Attributes:
         source: the window's rows of the solution's columns.

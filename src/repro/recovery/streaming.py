@@ -19,9 +19,8 @@ never touches the tracer, the journal or the fault hooks:
   stripes; the truth check is one :func:`~repro.gf.vector.rows_equal`
   call.  How the kernels treat 256-byte and 4 MiB rows is their
   business — nothing here looks at the chunk size;
-- the coefficients come from the code's :class:`DecodeTable`, keyed by
-  (lost chunk, helper set) and looked up for a whole window at once; a
-  window's misses get their repair vectors from one batched solve.
+- :func:`window_coefficients` looks a window up in the code's
+  :class:`DecodeTable` at once; a degraded read is a one-row window.
 - :func:`thread_stage` runs stage A on a thread pool, overlapping the
   executor's stage B, or on the calling thread (:func:`default_workers`
   says which); every window is one :func:`compute_window` call, so the
@@ -65,6 +64,7 @@ __all__ = [
     "compute_window",
     "decode_table",
     "thread_stage",
+    "window_coefficients",
 ]
 
 #: Bytes one window may hold in flight when the caller names no window.
@@ -238,15 +238,26 @@ def default_window(chunk_size: int) -> int:
     return max(1, WINDOW_BYTES // (chunk_size + STRIPE_OVERHEAD_BYTES))
 
 
+def window_coefficients(code, win: WindowPlan) -> np.ndarray:
+    """``(S, H)`` coefficients of ``win``'s helpers, 0 in unused slots:
+    one lookup of the stripes' keys in the code's :class:`DecodeTable`,
+    each coefficient read off its row by chunk number."""
+    used = win.chunk != NO_HELPER
+    chunk = np.where(used, win.chunk, 0).astype(np.int64)
+    helper_mask = (np.left_shift(1, chunk) * used).sum(axis=1)
+    keys = (win.lost_chunk.astype(np.int64) << code.n) | helper_mask
+    table = decode_table(code).rows(code, keys)
+    return np.take_along_axis(table, chunk, axis=1) * used
+
+
 def compute_window(
     code, data, win: WindowPlan, *, keep_partials: bool = False
 ) -> WindowOutcome:
     """Stage A: decode every stripe of one window in one columnar pass.
 
-    The stripes' keys are looked up in the code's :class:`DecodeTable`
-    in one call, each helper's coefficient read off its row by chunk
-    number.  One :func:`~repro.gf.vector.segment_dot` call sums each
-    stripe's helpers into its rebuilt chunk; to keep partials, it sums
+    With :func:`window_coefficients`, one
+    :func:`~repro.gf.vector.segment_dot` call sums each stripe's
+    helpers into its rebuilt chunk; to keep partials, it sums
     each group of Equation 7 instead (a rack when aggregated, the stripe
     when direct) and one :func:`~repro.gf.vector.xor_segments` call
     combines them.  The outcome is **in window order** and carries the
@@ -255,12 +266,7 @@ def compute_window(
     """
     start = time.perf_counter()
     used = win.chunk != NO_HELPER
-    chunk = np.where(used, win.chunk, 0).astype(np.int64)
-    keys = (win.lost_chunk.astype(np.int64) << code.n) | (
-        np.left_shift(1, chunk) * used
-    ).sum(axis=1)
-    table = decode_table(code).rows(code, keys)
-    coefficients = np.take_along_axis(table, chunk, axis=1)[used]
+    coefficients = window_coefficients(code, win)[used]
     heads = used.copy()  # where a segment starts
     keep_racks = keep_partials and win.aggregated
     heads[:, 1:] &= (win.rack[:, 1:] != win.rack[:, :-1]) & keep_racks

@@ -15,18 +15,16 @@ One asyncio server owns the whole control plane:
   and starts a background :class:`~repro.service.repair.RepairService`;
   later deaths are secondary: the running repair is told, and its
   fault ladder re-plans around the node inside the same session;
-- **degraded reads** — clients ask for a stripe's chunk; if it lived on
-  the failed node the coordinator picks the helpers (Algorithm 2's
-  initial pick), splits the repair vector by rack, and sends each
-  rack's delegate chunkserver one ``partial-decode``: the rack combines
-  its own helpers (Equation 7) and ships *one* chunk-sized partial.
-  The coordinator XORs the partials — it plays the replacement node —
-  and replies with the rebuilt bytes.  The cross-rack bytes of a read
-  are counted from the frames that arrived and must equal what the
-  solution planned.  A helper that dies inside its lease costs one
-  re-plan of that stripe.  Both read classes charge the shared
-  modelled link through the admission controller, so their latency
-  includes queueing behind repair traffic — the paper's contention.
+- **degraded reads** — a chunk the failed node held is rebuilt as a
+  one-row repair window (``plan_window`` over Algorithm 2's initial
+  pick, coefficients from the code's ``DecodeTable``): one
+  ``partial-decode`` per rack group of the row, whose delegate ships
+  *one* chunk-sized partial (Equation 7).  The coordinator plays the
+  replacement node: it XORs the partials and checks the cross-rack
+  bytes that arrived against the row's ledger.  Both read classes
+  charge the shared modelled link through the admission controller,
+  so their latency includes queueing behind repair traffic — the
+  paper's contention.
 
 The repair itself runs in a worker thread (see
 :mod:`repro.service.repair`); the coordinator only starts it, relays
@@ -41,11 +39,11 @@ cross-rack traffic.
 from __future__ import annotations
 
 import asyncio
+from itertools import groupby
 
 import numpy as np
 
 from repro.cluster.state import ClusterState, FailureEvent
-from repro.erasure.repair import split_repair_vector
 from repro.errors import (
     ConfigurationError,
     ProtocolError,
@@ -56,7 +54,9 @@ from repro.gf.field import gf
 from repro.gf.vector import buffer_dtype
 from repro.obs.tracer import Tracer
 from repro.recovery.baselines import CarStrategy, strategy_from_label
-from repro.recovery.solution import PerStripeSolution
+from repro.recovery.planner import WindowPlan, plan_window
+from repro.recovery.solution import NO_HELPER
+from repro.recovery.streaming import window_coefficients
 from repro.service.admission import AdmissionController
 from repro.service.heartbeat import FailureDetector, NodeHealth
 from repro.service.protocol import (
@@ -80,6 +80,27 @@ class _HelpersLost(ServiceError):
     def __init__(self, message: str, nodes) -> None:
         super().__init__(message)
         self.nodes = frozenset(nodes)
+
+
+def _fields(msg: dict, **kinds) -> list:
+    """The values of ``msg``'s fields named in ``kinds``, each checked to
+    be of its kind: a bool is not an ``int``, a ``list`` holds ints.
+
+    Raises:
+        ProtocolError: a field is missing or of another kind.
+    """
+    def fits(value, kind) -> bool:
+        if kind is list:
+            return isinstance(value, list) and all(fits(v, int) for v in value)
+        return isinstance(value, kind) and not isinstance(value, bool)
+
+    for name, kind in kinds.items():
+        if not fits(msg.get(name), kind):
+            raise ProtocolError(
+                f"malformed {msg.get('type')!r} frame: {name!r} is "
+                f"{msg.get(name)!r}, not {kind.__name__}"
+            )
+    return [msg[name] for name in kinds]
 
 
 class Coordinator:
@@ -335,60 +356,53 @@ class Coordinator:
                 return
             msg, _ = frame
             mtype = msg.get("type")
-            if mtype == MsgType.HELLO:
-                await self._handle_hello(conn, msg)
-            elif mtype == MsgType.HEARTBEAT:
-                self._handle_heartbeat(msg)
-            elif mtype == MsgType.READ:
-                await self._handle_read(conn, msg)
-            elif mtype == MsgType.STATUS:
+            try:
+                if mtype == MsgType.HELLO:
+                    await self._handle_hello(conn, msg)
+                elif mtype == MsgType.HEARTBEAT:
+                    self._handle_heartbeat(msg)
+                elif mtype == MsgType.READ:
+                    await self._handle_read(conn, msg)
+                elif mtype == MsgType.STATUS:
+                    await write_frame(
+                        conn, {"type": MsgType.STATUS_REPLY, **self.status()}
+                    )
+                elif mtype == MsgType.SHUTDOWN:
+                    await write_frame(conn, {"type": MsgType.SHUTDOWN})
+                    asyncio.get_running_loop().create_task(self.stop())
+                    return
+                else:
+                    raise ProtocolError(f"unexpected frame {mtype!r}")
+            except ServiceError as exc:
+                # A refusal answers the request; the connection lives on.
                 await write_frame(
-                    conn, {"type": MsgType.STATUS_REPLY, **self.status()}
-                )
-            elif mtype == MsgType.SHUTDOWN:
-                await write_frame(conn, {"type": MsgType.SHUTDOWN})
-                asyncio.get_running_loop().create_task(self.stop())
-                return
-            else:
-                await write_frame(
-                    conn,
-                    {
-                        "type": MsgType.ERROR,
-                        "error": f"unexpected frame {mtype!r}",
-                    },
+                    conn, {"type": MsgType.ERROR, "error": str(exc)}
                 )
 
     async def _handle_hello(self, conn: Connection, msg: dict) -> None:
         role = msg.get("role", "client")
         now = self.clock.now()
         if role == "chunkserver":
-            server = str(msg["server"])
-            self._servers[server] = (str(msg["host"]), int(msg["port"]))
-            try:
-                self.detector.register(server, msg["nodes"], now)
-            except ServiceError as exc:
-                await write_frame(
-                    conn, {"type": MsgType.ERROR, "error": str(exc)}
-                )
-                return
-            self.tracer.event(
-                "service.register", server=server, nodes=list(msg["nodes"])
+            server, host, port, nodes = _fields(
+                msg, server=str, host=str, port=int, nodes=list
             )
+            self._servers[server] = (host, port)
+            self.detector.register(server, nodes, now)
+            self.tracer.event("service.register", server=server, nodes=nodes)
         await write_frame(
             conn, {"type": MsgType.HELLO_ACK, "t": now, "role": role}
         )
 
     def _handle_heartbeat(self, msg: dict) -> None:
+        server, nodes = _fields(msg, server=str, nodes=list)
         self._on_transitions(
-            self.detector.beat(
-                str(msg["server"]), msg["nodes"], self.clock.now()
-            )
+            self.detector.beat(server, nodes, self.clock.now())
         )
 
     # -- read path -------------------------------------------------------
 
     async def _handle_read(self, conn: Connection, msg: dict) -> None:
-        stripe = int(msg["stripe"])
+        (stripe,) = _fields(msg, stripe=int)
         start = self.clock.now()
         try:
             buf, chunk, degraded, racks = await self._read_stripe(stripe)
@@ -435,7 +449,7 @@ class Coordinator:
         )
 
     async def _read_stripe(self, stripe: int):
-        """Return (buffer, chunk_index, degraded, intact_racks_accessed)."""
+        """Return (buffer, chunk_index, degraded, cross-rack chunks)."""
         layout = self.state.placement.stripe_layout(stripe)
         failed = self.state.failed_node
         if failed is not None and failed in layout.values():
@@ -457,71 +471,68 @@ class Coordinator:
         raise ServiceError(f"stripe {stripe}: no live node holds a chunk")
 
     async def _degraded_read(self, stripe: int):
-        """Rebuild the lost chunk from one partial per rack, CAR-style.
-
-        The solve is a one-row failure: Algorithm 2's initial pick over
-        ``failure_columns(stripes=[stripe])``, with every node the
-        detector buried — and, on a re-plan, every helper lost inside
-        its lease — marked not alive.
-        """
+        """Rebuild the lost chunk from one partial per rack around every
+        node the detector buried; a helper lost inside its lease (not
+        buried yet) costs one re-plan around the nodes its request lost."""
         dead = self.detector.dead_nodes() - {self.state.failed_node}
-        solution = self._solve_read(stripe, dead)
+        win = self._solve_read(stripe, dead)
         try:
-            rebuilt = await self._decode_by_rack(solution)
+            rebuilt = await self._decode_by_rack(win)
         except _HelpersLost as lost:
-            # A helper died inside its lease (the detector has not
-            # buried it yet): plan once more around that request's nodes.
             self.tracer.event(
                 "service.read.replan", stripe=stripe, nodes=sorted(lost.nodes)
             )
-            solution = self._solve_read(stripe, dead | lost.nodes)
-            rebuilt = await self._decode_by_rack(solution)
-        racks = len(solution.intact_racks_accessed)
-        return rebuilt, solution.lost_chunk, True, racks
+            win = self._solve_read(stripe, dead | lost.nodes)
+            rebuilt = await self._decode_by_rack(win)
+        return rebuilt, int(win.lost_chunk[0]), True, int(win.cross[0])
 
-    def _solve_read(self, stripe: int, dead) -> PerStripeSolution:
-        """The read's helpers: CAR's initial pick over the stripe's row
-        (Algorithm 2 has nothing to move in a single row)."""
-        failure = self.state.failure_columns(dead_nodes=dead, stripes=[stripe])
-        return CarStrategy(load_balance=False).solve_failure(
-            self.state.topology, self.state.code.k, failure
-        ).solutions[0]
-
-    async def _decode_by_rack(self, solution) -> bytearray:
-        """One ``partial-decode`` per rack of ``solution``, XORed together.
-
-        Raises:
-            _HelpersLost: a request was refused or its connection tore.
-            ServiceError: the cross-rack bytes that arrived are not the
-                one chunk per intact rack the solution planned.
-        """
-        plan = split_repair_vector(
-            self.state.code, solution.lost_chunk, solution.helpers,
-            solution.rack_map(),
+    def _solve_read(self, stripe: int, dead) -> WindowPlan:
+        """The read as a one-row repair window rebuilt at the failed node:
+        CAR's initial pick (Algorithm 2 has nothing to move in one row)."""
+        state = self.state
+        solution = CarStrategy(load_balance=False).solve_failure(
+            state.topology, state.code.k,
+            state.failure_columns(dead_nodes=dead, stripes=[stripe]),
         )
+        return plan_window(state, state.failed_node, solution.columns(),
+                           aggregated=True, dead_nodes=dead)
+
+    def _read_groups(self, win: WindowPlan) -> list[tuple[int, list]]:
+        """Row 0's rack groups in decode order, ``(rack, helpers)``, each
+        helper ``(chunk, node, coefficient)`` in Python ints."""
+        used = win.chunk[0] != NO_HELPER
+        coefficients = window_coefficients(self.state.code, win)
+        rows = zip(*(column[0, used].tolist() for column in (
+            win.rack, win.chunk, win.node, coefficients)))
+        return [(rack, [row[1:] for row in group])
+                for rack, group in groupby(rows, key=lambda row: row[0])]
+
+    async def _decode_by_rack(self, win: WindowPlan) -> bytearray:
+        """One ``partial-decode`` per rack group of ``win``'s row, XORed
+        into the first partial.  Raises :class:`_HelpersLost` if a request
+        was refused or its connection tore, :class:`ServiceError` if the
+        cross-rack bytes that arrived are not the row's ledger."""
+        stripe = int(win.stripe_id[0])
         partials = await asyncio.gather(
-            *(self._partial(solution.stripe_id, g) for g in plan.groups),
+            *(self._partial(stripe, helpers)
+              for _, helpers in self._read_groups(win)),
             return_exceptions=True,
         )
         failures = [p for p in partials if isinstance(p, BaseException)]
-        for failure in failures:
-            if not isinstance(failure, _HelpersLost):
-                raise failure
         if failures:
-            raise _HelpersLost(
+            other = [f for f in failures if not isinstance(f, _HelpersLost)]
+            raise other[0] if other else _HelpersLost(
                 "; ".join(map(str, failures)),
                 frozenset().union(*(f.nodes for f in failures)),
             )
         cross = sum(
-            len(blob) for rack, blob in partials if rack != solution.failed_rack
+            len(blob) for rack, blob in partials
+            if rack != win.replacement_rack
         )
-        planned = (
-            len(solution.intact_racks_accessed) * self.state.data.chunk_size
-        )
+        planned = win.ledger(self.state.data.chunk_size, slice(0, 1))[0]
         if cross != planned:
             raise ServiceError(
-                f"stripe {solution.stripe_id}: {cross} cross-rack bytes "
-                f"arrived, the solution planned {planned}"
+                f"stripe {stripe}: {cross} cross-rack bytes, {planned} planned"
             )
         self.wire_cross_rack_bytes += cross
         rebuilt = partials[0][1]
@@ -530,10 +541,9 @@ class Coordinator:
             np.bitwise_xor(acc, np.frombuffer(blob, dtype=np.uint8), out=acc)
         return rebuilt
 
-    async def _partial(self, stripe: int, group) -> tuple[int, bytearray]:
+    async def _partial(self, stripe: int, helpers) -> tuple[int, bytearray]:
         """``(rack, partial)`` as one rack's delegate answered it."""
-        table = self.state.placement.node_table()
-        nodes = table[stripe, list(group.helper_indices)].tolist()
+        nodes = [node for _, node, _ in helpers]
         servers = [self.detector.server_of(n) for n in nodes]
         # The delegate's daemon hosts as much of the group as any does;
         # what it does not host, it pulls from its rack-mates.
@@ -544,9 +554,7 @@ class Coordinator:
             "stripe": stripe,
             "w": self.state.code.w,
             "delegate": delegate,
-            "helpers": list(
-                zip(group.helper_indices, nodes, group.coefficients)
-            ),
+            "helpers": helpers,
             "peers": {
                 str(n): self._servers[s]
                 for n, s in zip(nodes, servers)

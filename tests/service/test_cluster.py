@@ -17,6 +17,7 @@ from repro.obs.tracer import validate_events
 from repro.recovery.baselines import CarStrategy
 from repro.service.bench import render_service_table, run_bench_service
 from repro.service.cluster import LocalCluster
+from repro.service.protocol import Connection, MsgType, read_frame, write_frame
 
 
 def make_cluster(tmp_path, **kwargs):
@@ -87,6 +88,58 @@ class TestHealthyReads:
                 ).tobytes()
                 await client.close()
             finally:
+                await cluster.stop()
+
+        asyncio.run(drill())
+
+
+class TestMalformedFrames:
+    #: Frames a well-behaved peer never sends: a read without an int
+    #: stripe, a chunkserver hello or a heartbeat missing a field or
+    #: carrying one of the wrong kind.
+    MALFORMED = [
+        {"type": MsgType.READ},
+        {"type": MsgType.READ, "stripe": "x"},
+        {"type": MsgType.READ, "stripe": True},
+        {"type": MsgType.READ, "stripe": 1.0},
+        {"type": MsgType.HELLO, "role": "chunkserver"},
+        {"type": MsgType.HELLO, "role": "chunkserver", "server": "cs9",
+         "host": "127.0.0.1", "port": "9", "nodes": [0]},
+        {"type": MsgType.HELLO, "role": "chunkserver", "server": "cs9",
+         "host": "127.0.0.1", "port": 9, "nodes": [0, "1"]},
+        {"type": MsgType.HEARTBEAT},
+        {"type": MsgType.HEARTBEAT, "server": "cs0"},
+        {"type": MsgType.HEARTBEAT, "server": "cs0", "nodes": [False]},
+    ]
+
+    def test_each_is_an_error_reply_on_a_live_connection(self, tmp_path):
+        """The coordinator refuses each malformed frame with an ERROR
+        frame, changes no membership, and serves the next read on the
+        same connection."""
+        async def drill():
+            cluster = make_cluster(tmp_path)
+            await cluster.start()
+            conn = await Connection.open(cluster.coordinator.address)
+            try:
+                before = cluster.coordinator.status()["nodes"]
+                for msg in self.MALFORMED:
+                    await write_frame(conn, msg)
+                    refusal, _ = await read_frame(conn)
+                    assert refusal["type"] == MsgType.ERROR, msg
+                    assert "malformed" in refusal["error"], msg
+                    await write_frame(conn, {"type": MsgType.READ, "stripe": 3})
+                    reply, blob = await read_frame(conn)
+                    assert reply["type"] == MsgType.READ_REPLY, msg
+                    assert reply["ok"], msg
+                    assert blob == cluster.state.data.chunk(
+                        3, reply["chunk"]
+                    ).tobytes()
+                assert cluster.coordinator.status()["nodes"] == before
+                assert set(cluster.coordinator._servers) == {
+                    cs.server_id for cs in cluster.chunkservers
+                }
+            finally:
+                conn.close()
                 await cluster.stop()
 
         asyncio.run(drill())
@@ -447,6 +500,7 @@ class TestAllocatorPolicy:
     PROBE = """
 import asyncio, ctypes, sys
 from repro.service.cluster import LocalCluster
+from repro.service.protocol import Connection, MsgType, read_frame, write_frame
 
 libc = ctypes.CDLL(None)
 if not hasattr(libc, "mallinfo2"):

@@ -17,15 +17,15 @@ import pytest
 from repro.cluster.state import ClusterState, DataStore
 from repro.erasure import RSCode
 from repro.erasure.repair import (
+    AggregationGroup,
+    PartialDecodePlan,
     combine_partials,
     execute_partial_decode,
-    split_repair_vector,
 )
 from repro.errors import ServiceError
 from repro.experiments.configs import ALL_CFS, config_by_name
 from repro.recovery.baselines import CarStrategy
 from repro.recovery.metrics import traffic_report
-from repro.recovery.selector import CarSelector
 from repro.recovery.solution import MultiStripeSolution
 from repro.service.cluster import LocalCluster
 from repro.service.protocol import Connection, MsgType, read_frame, write_frame
@@ -70,34 +70,43 @@ def server_of(cluster, node):
 
 
 def planned(cluster, stripe):
-    """(view, solution, plan, per-group requests) the way the coordinator
-    plans a degraded read of ``stripe``; the delegate is the first helper."""
-    state = cluster.state
-    view = state.stripe_view(stripe)
-    solution = CarSelector(state.topology, state.code.k).initial_solution(view)
-    plan = split_repair_vector(
-        state.code, view.lost_chunk, solution.helpers, solution.rack_map()
-    )
+    """(surviving, solution, plan, per-group requests) of a degraded read
+    of ``stripe``, planned by the coordinator: its one-row window and that
+    row's rack groups.  ``surviving`` maps the stripe's live chunks to
+    their nodes; ``plan`` is the groups as the library's
+    :class:`PartialDecodePlan`; a request's delegate is its first helper."""
+    state, coordinator = cluster.state, cluster.coordinator
+    dead = coordinator.detector.dead_nodes() - {state.failed_node}
+    win = coordinator._solve_read(stripe, dead)
+    groups = coordinator._read_groups(win)
+    plan = PartialDecodePlan(int(win.lost_chunk[0]), tuple(
+        AggregationGroup(
+            rack, tuple(c for c, _, _ in helpers),
+            tuple(y for _, _, y in helpers),
+        )
+        for rack, helpers in groups
+    ))
     requests = {}
-    for group in plan.groups:
-        nodes = [view.surviving[c] for c in group.helper_indices]
+    for rack, helpers in groups:
+        nodes = [n for _, n, _ in helpers]
         home = server_of(cluster, nodes[0])
-        requests[group.group_key] = {
+        requests[rack] = {
             "type": MsgType.PARTIAL_DECODE,
             "stripe": stripe,
             "w": state.code.w,
             "delegate": nodes[0],
-            "helpers": [
-                list(h)
-                for h in zip(group.helper_indices, nodes, group.coefficients)
-            ],
+            "helpers": [list(h) for h in helpers],
             "peers": {
                 str(n): server_of(cluster, n).address
                 for n in nodes
                 if n not in home.nodes
             },
         }
-    return view, solution, plan, requests
+    surviving = {
+        c: n for c, n in state.placement.stripe_layout(stripe).items()
+        if n != state.failed_node
+    }
+    return surviving, win.source.solution(0), plan, requests
 
 
 async def ask(address, *requests):
@@ -129,7 +138,7 @@ class TestTheOperation:
             lost = list(state.affected_stripes())
             assert lost
             for stripe in lost:
-                view, solution, plan, requests = planned(cluster, stripe)
+                _, solution, plan, requests = planned(cluster, stripe)
                 chunks = {
                     c: state.data.chunk(stripe, c) for c in solution.helpers
                 }
@@ -143,10 +152,10 @@ class TestTheOperation:
                     assert blob == reference[key].tobytes()
                     partials[key] = np.frombuffer(blob, reference[key].dtype)
                 rebuilt = combine_partials(state.code, partials)
-                assert state.data.matches(stripe, view.lost_chunk, rebuilt)
+                assert state.data.matches(stripe, solution.lost_chunk, rebuilt)
                 reply = await client.read(stripe)
                 assert reply["ok"] and reply["degraded"]
-                assert reply["chunk"] == view.lost_chunk
+                assert reply["chunk"] == solution.lost_chunk
                 assert reply["data"] == rebuilt.tobytes()
             await client.close()
 
@@ -161,7 +170,7 @@ class TestRefusals:
         async def drill():
             state.fail_node(cluster.pick_victim())
             stripe = next(iter(state.affected_stripes()))
-            view, _, _, requests = planned(cluster, stripe)
+            surviving, _, _, requests = planned(cluster, stripe)
             topo = state.topology
             # A group of two or more, so its last helper can be swapped.
             good = next(r for r in requests.values() if len(r["helpers"]) > 1)
@@ -169,9 +178,9 @@ class TestRefusals:
             home = server_of(cluster, delegate)
             chunk, node, coeff = good["helpers"][-1]
             in_the_group = {h[0] for h in good["helpers"]}
-            stray_chunk = next(c for c in view.surviving if c not in in_the_group)
+            stray_chunk = next(c for c in surviving if c not in in_the_group)
             stray_helper = next(
-                (c, n) for c, n in view.surviving.items()
+                (c, n) for c, n in surviving.items()
                 if topo.rack_of(n) != topo.rack_of(delegate)
             )
             hosted_elsewhere = next(
@@ -330,19 +339,19 @@ class TestHelperLostInsideItsLease:
             state.fail_node(victim)
             client = await cluster.client()
             stripe = next(iter(state.affected_stripes()))
-            view, solution, _, _ = planned(cluster, stripe)
+            surviving, solution, _, _ = planned(cluster, stripe)
             assert (await client.read(stripe))["ok"]
             topo = state.topology
             second = next(
-                view.surviving[c] for c in solution.helpers
-                if topo.rack_of(view.surviving[c]) != topo.rack_of(victim)
+                surviving[c] for c in solution.helpers
+                if topo.rack_of(surviving[c]) != topo.rack_of(victim)
             )
             cluster.kill_node(second)
             assert second not in cluster.coordinator.detector.dead_nodes()
             reply = await client.read(stripe)
             assert reply["ok"] and reply["degraded"]
             assert reply["data"] == state.data.chunk(
-                stripe, view.lost_chunk
+                stripe, solution.lost_chunk
             ).tobytes()
             replanned = CarStrategy(load_balance=False).solve_failure(
                 topo, state.code.k,
