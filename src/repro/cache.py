@@ -1,13 +1,11 @@
 """Small bounded LRU cache used by the performance-critical layers.
 
 The GF kernel layer caches per-constant product tables and the erasure
-codes cache decode inverses and repair vectors.  All of those caches
-used to be unbounded (a plain dict or ``functools.lru_cache``), which
-both leaks memory under adversarial key streams and — in the
-``lru_cache`` case — makes the owning object unpicklable, blocking the
-process-pool experiment driver.  :class:`BoundedCache` is the shared
-replacement: a plain least-recently-used mapping with an explicit entry
-bound and hit/miss counters for observability.  Stage-A threads share
+codes cache decode inverses (their repair vectors live in a
+:class:`~repro.erasure.code.DecodeTable`).  An unbounded cache leaks
+memory under an adversarial key stream, so :class:`BoundedCache` is a
+plain least-recently-used mapping with an explicit entry bound and
+hit/miss counters for observability.  Stage-A threads share
 these caches, so one lock guards each cache's map and counters, and a
 key missed by several threads at once is built by one of them.
 """

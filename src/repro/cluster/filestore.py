@@ -30,7 +30,7 @@ from repro.cluster.placement import (
 )
 from repro.cluster.state import ClusterState, DataStore
 from repro.cluster.topology import ClusterTopology
-from repro.erasure.code import ErasureCode
+from repro.erasure.code import LinearCode
 from repro.erasure.repair import (
     combine_partials,
     execute_partial_decode,
@@ -78,7 +78,7 @@ class FileStore:
     def __init__(
         self,
         topology: ClusterTopology,
-        code: ErasureCode,
+        code: LinearCode,
         chunk_size: int = 4096,
         policy: PlacementPolicy | None = None,
         rng: random.Random | int | None = None,

@@ -25,7 +25,7 @@ from repro.errors import (
 from repro.cluster.placement import ChunkKey, Placement
 from repro.cluster.topology import ClusterTopology
 from repro.cpus import usable_cpus
-from repro.erasure.code import ErasureCode
+from repro.erasure.code import LinearCode
 from repro.gf.field import gf
 from repro.gf.vector import buffer_dtype
 
@@ -66,7 +66,7 @@ class DataStore:
     """
 
     def __init__(
-        self, code: ErasureCode, num_stripes: int, chunk_size: int, seed: int = 0
+        self, code: LinearCode, num_stripes: int, chunk_size: int, seed: int = 0
     ) -> None:
         self.code = code
         self.chunk_size = chunk_size
@@ -107,12 +107,12 @@ class DataStore:
                 encode.result()
 
     @classmethod
-    def empty(cls, code: ErasureCode, chunk_size: int) -> "DataStore":
+    def empty(cls, code: LinearCode, chunk_size: int) -> "DataStore":
         """A store with no stripes yet (filled via :meth:`add_stripe`)."""
         return cls(code, num_stripes=0, chunk_size=chunk_size)
 
     @classmethod
-    def over(cls, code: ErasureCode, array: np.ndarray) -> "DataStore":
+    def over(cls, code: LinearCode, array: np.ndarray) -> "DataStore":
         """A store over an existing ``(stripes, n, elements)`` array.
 
         The array is not copied, and a read-only array makes a read-only
@@ -397,7 +397,7 @@ class ClusterState:
     def __init__(
         self,
         topology: ClusterTopology,
-        code: ErasureCode,
+        code: LinearCode,
         placement: Placement,
         data: DataStore | None = None,
     ) -> None:

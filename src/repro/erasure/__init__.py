@@ -1,12 +1,14 @@
 """Erasure-coding substrate: matrices over GF(2^w), RS codes, repair algebra.
 
-The recovery layer consumes the :class:`~repro.erasure.code.ErasureCode`
-interface; :class:`~repro.erasure.rs.RSCode` is the production
-implementation (the paper deploys RS codes).  The ``xorcodes``
-subpackage holds the related-work array codes.
+The recovery layer consumes :class:`~repro.erasure.code.LinearCode`,
+each with its one repair-vector table;
+:class:`~repro.erasure.rs.RSCode` is the production subclass (the paper
+deploys RS codes) and :class:`~repro.erasure.lrc.LRCCode` the
+related-work one.  The ``xorcodes`` subpackage holds the related-work
+array codes.
 """
 
-from repro.erasure.code import ErasureCode
+from repro.erasure.code import LinearCode
 from repro.erasure.lrc import LRCCode
 from repro.erasure.matrix import GFMatrix
 from repro.erasure.repair import (
@@ -21,7 +23,7 @@ from repro.erasure.regenerating import PMMSRCode, RackAwareMSRCode
 from repro.erasure.rs import RSCode, default_width_for
 
 __all__ = [
-    "ErasureCode",
+    "LinearCode",
     "LRCCode",
     "GFMatrix",
     "RSCode",

@@ -54,7 +54,7 @@ class LRCCode(LinearCode):
         w: field width (default: smallest that fits ``k + l + g``).
 
     Attributes:
-        m: total parity count ``l + g`` (the :class:`ErasureCode` view).
+        m: total parity count ``l + g`` (the :class:`LinearCode` view).
     """
 
     def __init__(self, k: int, l: int, g: int, w: int | None = None) -> None:
@@ -79,8 +79,8 @@ class LRCCode(LinearCode):
         super().__init__(self._build_generator(field, k), k, "lrc")
 
     def __reduce__(self):
-        # Rebuild from parameters (generator is deterministic; the repair
-        # cache warms back up) so the code pickles for process pools.
+        # Rebuild from parameters, as RSCode does: a clone starts with
+        # empty caches and its own decode table.
         return (LRCCode, (self.k, self.l, self.g, self.w))
 
     # -- construction ----------------------------------------------------

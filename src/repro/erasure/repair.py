@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CodingError
-from repro.erasure.code import ErasureCode
+from repro.erasure.code import LinearCode
 from repro.gf.field import gf
 from repro.gf.vector import dot_rows
 
@@ -103,7 +103,7 @@ class PartialDecodePlan:
 
 
 def split_repair_vector(
-    code: ErasureCode,
+    code: LinearCode,
     lost_index: int,
     helper_indices: Sequence[int],
     group_of: Mapping[int, Hashable],
@@ -141,7 +141,7 @@ def split_repair_vector(
 
 
 def execute_partial_decode(
-    code: ErasureCode,
+    code: LinearCode,
     plan: PartialDecodePlan,
     chunks: Mapping[int, np.ndarray],
 ) -> dict[Hashable, np.ndarray]:
@@ -170,7 +170,7 @@ def execute_partial_decode(
 
 
 def combine_partials(
-    code: ErasureCode, partials: Mapping[Hashable, np.ndarray]
+    code: LinearCode, partials: Mapping[Hashable, np.ndarray]
 ) -> np.ndarray:
     """XOR per-rack partials into the reconstructed chunk.
 

@@ -86,9 +86,9 @@ class RSCode(LinearCode):
         super().__init__(_generator(field, k, m, construction), k, "rs")
 
     def __reduce__(self):
-        # Rebuild from parameters: the generator is deterministic and the
-        # caches warm back up — keeps cluster states cheap to ship to
-        # process-pool experiment workers.
+        # Rebuild from parameters: the generator is deterministic, and a
+        # clone starts with empty caches and its own decode table (whose
+        # lock would not pickle).
         return (RSCode, (self.k, self.m, self.w, self.construction))
 
     @property

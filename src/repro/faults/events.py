@@ -221,9 +221,8 @@ class InjectedCrashError(RecoveryError):
 
     def __reduce__(self):
         # Exception.__reduce__ replays __init__ with self.args — here the
-        # formatted message, not the event — so an unpickled instance
-        # would carry a string where a FaultEvent belongs.  Workers in
-        # the parallel runner must ship the real event.
+        # formatted message, not the event — so a pickled or copied
+        # instance would carry a string where a FaultEvent belongs.
         return (self.__class__, (self.event,))
 
 
@@ -244,7 +243,6 @@ class RecoveryAbort(RecoveryError):
 
     def __reduce__(self):
         # self.args holds only (reason,); the default reduce would call
-        # __init__ without the required log argument and fail to
-        # unpickle — which is how worker-raised aborts used to die
-        # inside the ProcessPoolExecutor result queue.
+        # __init__ without the required log argument, so a pickled or
+        # copied abort would fail to rebuild.
         return (self.__class__, (self.reason, self.log, self.dead_nodes))

@@ -477,8 +477,9 @@ def register_cache(name: str, cache: object) -> None:
     """Register a named cache for :func:`cache_stats` (held weakly).
 
     Called by :class:`repro.cache.BoundedCache` when constructed with a
-    ``name``; several instances may share one name (e.g. every
-    ``RSCode``'s repair cache) and their stats aggregate.
+    ``name``, and by every code's ``DecodeTable``; several instances
+    may share one name (e.g. every ``RSCode``'s decode-matrix cache) and
+    their stats aggregate.
     """
     refs = _CACHES.setdefault(name, [])
     refs.append(weakref.ref(cache))

@@ -20,7 +20,8 @@ never touches the tracer, the journal or the fault hooks:
   call.  How the kernels treat 256-byte and 4 MiB rows is their
   business — nothing here looks at the chunk size;
 - :func:`window_coefficients` looks a window up in the code's
-  :class:`DecodeTable` at once; a degraded read is a one-row window.
+  :class:`~repro.erasure.code.DecodeTable` at once; a degraded read is
+  a one-row window, and ``code.repair_vector`` reads the same entries.
 - :func:`thread_stage` runs stage A on a thread pool, overlapping the
   executor's stage B, or on the calling thread (:func:`default_workers`
   says which); every window is one :func:`compute_window` call, so the
@@ -40,7 +41,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-import weakref
 from collections.abc import Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
@@ -49,20 +49,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cpus import usable_cpus
-from repro.errors import ConfigurationError
 from repro.gf.field import gf
 from repro.gf.vector import _SHORT_ROW, rows_equal, segment_dot, xor_segments
-from repro.obs.metrics import register_cache
 from repro.recovery.planner import WindowPlan
 from repro.recovery.solution import NO_HELPER
 
 __all__ = [
-    "DecodeTable",
     "WindowOutcome",
     "default_window",
     "default_workers",
     "compute_window",
-    "decode_table",
     "thread_stage",
     "window_coefficients",
 ]
@@ -75,112 +71,6 @@ WINDOW_BYTES = 2 << 20
 #: 256 B chunks this, not the chunk, is what a window's memory is made
 #: of.
 STRIPE_OVERHEAD_BYTES = 4096
-
-
-class DecodeTable:
-    """One code's repair vectors as columns: the window decode table.
-
-    An entry is one ``(lost chunk, helper set)``, keyed ``lost << n |
-    helper_mask`` in 63 bits (so ``n`` <= 57; racks do not change a
-    repair vector), and its row the repair vector over chunk numbers, 0
-    where a chunk does not help.  :attr:`entries` is the sorted keys and
-    the ``(entries, n)`` rows as one tuple, replaced whole, so a reader
-    never pairs arrays of two updates.  :attr:`maxsize` bounds it, least
-    recently looked up out first.  Its hit rate (``exec.repair_groups``
-    in the metrics registry) is how often stripes share a repair vector.
-    """
-
-    maxsize = 4096
-
-    def __init__(self, n: int) -> None:
-        if n + n.bit_length() > 63:
-            raise ConfigurationError(f"n={n} chunks overflow a 63-bit decode key")
-        self.n = n
-        self.hits = self.misses = self.evictions = 0
-        self.entries = (np.empty(0, np.int64), np.empty((0, n), np.int64))
-        # Per entry, the lookup count when it was last looked up.
-        self._used = np.empty(0, np.int64)
-        self._lock = threading.Lock()
-        register_cache("exec.repair_groups", self)
-
-    def __len__(self) -> int:
-        return len(self.entries[0])
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            keys, rows = self.entries
-            self.entries, self._used = (keys[:0], rows[:0]), self._used[:0]
-
-    def rows(self, code, keys: np.ndarray) -> np.ndarray:
-        """The ``(S, n)`` rows of ``(S,)`` keys of ``code``'s repairs.
-
-        One lookup per distinct key, a miss the first time it is seen.
-        The keys are searched without the lock, which is then taken
-        once: to count, and to merge in what missed (:meth:`_merge`).
-        """
-        wanted, inverse = np.unique(keys, return_inverse=True)
-        entries = self.entries
-        at, found = _find(entries[0], wanted)
-        rows = entries[1]
-        with self._lock:
-            if not found.all():
-                rows, at = self._merge(code, wanted)
-            else:
-                self.hits += len(wanted)
-                if self.entries is entries:
-                    self._used[at] = self.hits + self.misses
-        return rows[at[inverse]]
-
-    def _merge(self, code, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Add the keys of ``wanted`` the entries lack (under the lock),
-        solved by one ``repair_vectors`` call per helper count (one for
-        an MDS code) over the helpers ascending.  Returns the merged rows
-        and ``wanted``'s place in them from before any eviction, so a
-        window wider than the bound still decodes.
-        """
-        keys, rows = self.entries
-        _, found = _find(keys, wanted)  # another thread may have added some
-        new = wanted[~found]
-        self.hits += len(wanted) - len(new)
-        self.misses += len(new)
-        helps = ((new[:, None] >> np.arange(self.n)) & 1).astype(bool)
-        derived = np.zeros((len(new), self.n), np.int64)
-        count = helps.sum(axis=1)
-        for h in np.unique(count).tolist():
-            sel = np.flatnonzero(count == h)
-            cols = np.nonzero(helps[sel])[1].reshape(-1, h)
-            derived[sel[:, None], cols] = code.repair_vectors(new[sel] >> self.n, cols)
-        place = np.searchsorted(keys, new)  # ``new`` is sorted, as ``wanted``
-        keys, rows = np.insert(keys, place, new), np.insert(rows, place, derived, 0)
-        used = np.insert(self._used, place, 0)
-        at = np.searchsorted(keys, wanted)
-        used[at] = self.hits + self.misses
-        keep = slice(None)
-        if len(keys) > self.maxsize:
-            keep = np.sort(np.argsort(used, kind="stable")[len(keys) - self.maxsize :])
-            self.evictions += len(keys) - self.maxsize
-        self.entries, self._used = (keys[keep], rows[keep]), used[keep]
-        return rows, at
-
-
-def _find(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of ``wanted`` sits in sorted ``keys``, and whether it is there."""
-    at = np.searchsorted(keys, wanted)
-    return at, np.take(keys, at, mode="clip") == wanted if len(keys) else at < 0
-
-
-#: code -> its decode table: weak, so a table lives exactly as long as its code.
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_TABLES_LOCK = threading.Lock()
-
-
-def decode_table(code) -> DecodeTable:
-    """The :class:`DecodeTable` of ``code`` (and of codes equal to it)."""
-    with _TABLES_LOCK:
-        if code not in _TABLES:
-            _TABLES[code] = DecodeTable(code.n)
-        return _TABLES[code]
 
 
 @dataclass
@@ -240,14 +130,15 @@ def default_window(chunk_size: int) -> int:
 
 def window_coefficients(code, win: WindowPlan) -> np.ndarray:
     """``(S, H)`` coefficients of ``win``'s helpers, 0 in unused slots:
-    one lookup of the stripes' keys in the code's :class:`DecodeTable`,
-    each coefficient read off its row by chunk number."""
+    one lookup of the stripes' keys in the code's
+    :class:`~repro.erasure.code.DecodeTable`, each coefficient read off
+    its row by chunk number."""
     used = win.chunk != NO_HELPER
     chunk = np.where(used, win.chunk, 0).astype(np.int64)
     helper_mask = (np.left_shift(1, chunk) * used).sum(axis=1)
-    keys = (win.lost_chunk.astype(np.int64) << code.n) | helper_mask
-    table = decode_table(code).rows(code, keys)
-    return np.take_along_axis(table, chunk, axis=1) * used
+    table = code.decode_table
+    keys = table.key(win.lost_chunk.astype(np.int64), helper_mask)
+    return np.take_along_axis(table.rows(code, keys), chunk, axis=1) * used
 
 
 def compute_window(

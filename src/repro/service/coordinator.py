@@ -17,7 +17,7 @@ One asyncio server owns the whole control plane:
   fault ladder re-plans around the node inside the same session;
 - **degraded reads** — a chunk the failed node held is rebuilt as a
   one-row repair window (``plan_window`` over Algorithm 2's initial
-  pick, coefficients from the code's ``DecodeTable``): one
+  pick, coefficients from the code's ``decode_table``): one
   ``partial-decode`` per rack group of the row, whose delegate ships
   *one* chunk-sized partial (Equation 7).  The coordinator plays the
   replacement node: it XORs the partials and checks the cross-rack

@@ -13,7 +13,6 @@ from repro.cluster.filestore import FileStore
 from repro.cluster.placement import RandomPlacementPolicy
 from repro.cluster.state import BLOCK_BYTES, ClusterState, DataStore
 from repro.cluster.topology import ClusterTopology
-from repro.erasure.code import ErasureCode
 from repro.erasure.lrc import LRCCode
 from repro.erasure.rs import RSCode
 from repro.experiments.configs import CFS1, CFS2, CFS3
@@ -200,27 +199,6 @@ class TestBlockBuild:
         assert stripes > 2 * per_block and stripes % per_block
         store = DataStore(code, stripes, chunk_size, seed=5)
         assert_same_bytes(store, cached_dict_store(w, stripes, chunk_size, 5))
-
-    def test_a_code_with_only_encode_builds_the_same_store(self):
-        """The base class encodes a block a stripe at a time."""
-
-        class EncodeOnly(ErasureCode):
-            k, m, w = 10, 4, 8
-
-            def __init__(self):
-                self.inner = RSCode(10, 4)
-
-            def encode(self, data_chunks):
-                return self.inner.encode(data_chunks)
-
-            def decode(self, available):
-                return self.inner.decode(available)
-
-            def repair_vector(self, lost_index, helper_indices):
-                return self.inner.repair_vector(lost_index, helper_indices)
-
-        store = DataStore(EncodeOnly(), 700, 256, seed=5)
-        assert_same_bytes(store, cached_dict_store(8, 700, 256, 5))
 
     @pytest.mark.parametrize("chunk_size", [(200 << 10) + 2, 1 << 20])
     @pytest.mark.parametrize("w", [8, 16])

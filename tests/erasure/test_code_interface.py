@@ -1,35 +1,25 @@
-"""Tests for the ErasureCode ABC's default behaviour.
+"""Tests for what :class:`LinearCode` gives a code that supplies only
+its generator.
 
-A minimal replication "code" implements the interface to prove that the
-recovery machinery only relies on the documented contract.
+A minimal replication "code" supplies a column of ones to prove that
+the recovery machinery only relies on the generator.
 """
 
 import numpy as np
-import pytest
 
-from repro.erasure.code import ErasureCode
+from repro.erasure.code import LinearCode
+from repro.erasure.matrix import GFMatrix
+from repro.gf.field import gf
 
 
-class ReplicationCode(ErasureCode):
+class ReplicationCode(LinearCode):
     """(k=1, m) replication expressed as a linear code: every chunk is a
     copy, so any single helper repairs with coefficient vector [1]."""
 
     def __init__(self, m: int = 2) -> None:
-        self.k = 1
-        self.m = m
-        self.w = 8
-
-    def encode(self, data_chunks):
-        (chunk,) = data_chunks
-        return [chunk.copy() for _ in range(self.m)]
-
-    def decode(self, available):
-        first = available[sorted(available)[0]]
-        return [first.copy()]
-
-    def repair_vector(self, lost_index, helper_indices):
-        assert len(helper_indices) == 1
-        return [1]
+        field = gf(8)
+        ones = np.ones((m + 1, 1), dtype=field.tables.dtype)
+        super().__init__(GFMatrix(field, ones), 1, "replication")
 
 
 class TestInterface:
@@ -58,7 +48,3 @@ class TestInterface:
         plan = split_repair_vector(code, 0, [2], {2: "rackX"})
         partials = execute_partial_decode(code, plan, {2: chunk})
         assert np.array_equal(combine_partials(code, partials), chunk)
-
-    def test_abstract_methods_required(self):
-        with pytest.raises(TypeError):
-            ErasureCode()  # type: ignore[abstract]

@@ -39,6 +39,13 @@ def outcome(call):
     return result.data.tolist() if isinstance(result, GFMatrix) else result
 
 
+def solved_ascending(g, lost, helpers):
+    """The reference solve over ``helpers`` sorted, read in their order."""
+    ordered = sorted(helpers)
+    y = gauss.solve_right(g.take_rows(ordered), g.row(lost).tolist())
+    return [dict(zip(ordered, y))[h] for h in helpers]
+
+
 def combination(field, coeffs, rows):
     """``sum_i coeffs[i] * rows[i]`` one element at a time."""
     out = [0] * len(rows[0])
@@ -191,7 +198,12 @@ class TestCodes:
                 code.repair_vectors(lost, helpers)
         else:
             assert code.repair_vectors(lost, helpers).tolist() == want
-            assert [code.repair_vector(*r) for r in rows] == want
+            # The per-row API reads the code's one entry per helper *set*:
+            # the solve over the set ascending, in the order asked.  Where
+            # the helpers are independent, that is ``want``.
+            assert [code.repair_vector(*r) for r in rows] == [
+                solved_ascending(g, *r) for r in rows
+            ]
 
     @settings(deadline=None)
     @given(data=st.data())

@@ -1,9 +1,9 @@
 """Cached repair plans: equivalence with the scalar reference + pickling.
 
-The vectorised, cached ``repair_vector`` must return exactly what the
-original double loop over :meth:`GaloisField.mul` computed, for every
-(lost chunk, helper set) pair — and codes must survive pickling so the
-parallel experiment driver can ship them to worker processes.
+The vectorised ``repair_vector``, a read of the code's decode table,
+must return exactly what the original double loop over
+:meth:`GaloisField.mul` computed, for every (lost chunk, helper set)
+pair — and a code pickles as its parameters, its tables left behind.
 """
 
 import pickle
@@ -14,9 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import BoundedCache
+from repro.cluster.failure import FailureInjector
 from repro.erasure.lrc import LRCCode
 from repro.erasure.rs import RSCode
 from repro.errors import ConfigurationError
+from repro.experiments.configs import CFS1, build_state
+from repro.obs.metrics import cache_stats
+from repro.recovery.baselines import CarStrategy
+from repro.recovery.executor import PlanExecutor
+from repro.recovery.planner import plan_recovery
 
 from tests.erasure import _gauss_reference as gauss
 
@@ -69,12 +75,28 @@ class TestRepairVectorEquivalence:
         second = code.repair_vector(0, helpers)
         assert first == second
         assert first is not second  # callers may mutate their copy
-        assert code._repair_cache.hits >= 1
+        table = code.decode_table
+        assert (table.hits, table.misses, len(table)) == (1, 1, 1)
 
     def test_cache_is_bounded(self):
         code = RSCode(6, 3)
-        assert code._repair_cache.maxsize == 2048
+        assert code.decode_table.maxsize == 4096
         assert code._inverse_cache.maxsize == 512
+
+
+class TestOneNamedTable:
+    def test_repair_vector_and_a_repair_count_in_the_decode_table(self):
+        state = build_state(CFS1, 0, with_data=True, chunk_size=64, num_stripes=8)
+        event = FailureInjector(rng=0).fail_random_node(state)
+        code, table = state.code, state.code.decode_table
+        code.repair_vector(0, list(range(1, code.k + 1)))
+        solution = CarStrategy().solve(state)
+        plan = plan_recovery(state, event, solution)
+        assert PlanExecutor(state).execute(plan, solution).verified
+        assert table.misses > 1
+        names = cache_stats()
+        assert "exec.repair_groups" in names
+        assert [n for n in names if n.endswith(".repair_vector")] == []
 
 
 class TestBoundedCache:
@@ -123,7 +145,9 @@ class TestCodePickling:
         code = RSCode(6, 3)
         code.repair_vector(0, (1, 2, 3, 4, 5, 6))
         clone = pickle.loads(pickle.dumps(code))
-        assert len(clone._repair_cache) == 0
+        assert len(code.decode_table) == 1
+        assert clone.decode_table is not code.decode_table
+        assert len(clone.decode_table) == 0
         # ...and the clone still repairs correctly.
         assert clone.repair_vector(0, (1, 2, 3, 4, 5, 6)) == \
             code.repair_vector(0, (1, 2, 3, 4, 5, 6))

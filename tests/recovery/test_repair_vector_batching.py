@@ -25,7 +25,6 @@ from repro.recovery.baselines import CarStrategy
 from repro.recovery.executor import PlanExecutor
 from repro.recovery.planner import plan_recovery_streaming
 from repro.recovery.solution import NO_HELPER
-from repro.recovery.streaming import decode_table
 
 WINDOW = 256
 
@@ -72,7 +71,7 @@ def counted(monkeypatch):
 
 
 def run(state, event, solution, workers=1):
-    table = decode_table(state.code)
+    table = state.code.decode_table
     before = table.hits, table.misses
     result = PlanExecutor(state).execute(
         plan_recovery_streaming(state, event, solution), window=WINDOW,
@@ -83,8 +82,7 @@ def run(state, event, solution, workers=1):
 
 
 def cold(state):
-    decode_table(state.code).clear()
-    state.code._repair_cache.clear()
+    state.code.decode_table.clear()
     state.code._inverse_cache.clear()
 
 
@@ -95,7 +93,7 @@ def test_one_solve_per_window_with_misses_then_none(fleet, counted):
     lookups = expected_lookups(state, event, solution)
     distinct = sum(new for _, new in lookups)
     # No eviction within the run, so the counts below are exact.
-    assert distinct <= decode_table(state.code).maxsize
+    assert distinct <= state.code.decode_table.maxsize
     assert distinct > len(solution.solutions) // 2  # helper sets rarely repeat
 
     hits, misses = run(state, event, solution)

@@ -1180,7 +1180,7 @@ class TestStreamingHelpers:
         rack = columns.rack.copy()
         rack[2] = np.where(rack[2] == NO_HELPER, NO_HELPER, rack[2, 0])
         regrouped = dataclasses.replace(columns, rack=rack, objects=None)
-        table = _streaming.decode_table(state.code)
+        table = state.code.decode_table
         for aggregated, keep_partials in itertools.product((True, False), repeat=2):
             win = plan_window(
                 state, event.replacement_node, regrouped, aggregated=aggregated
